@@ -60,12 +60,6 @@ struct JointSchedulerOptions {
   // Measure headroom as projected free memory (free minus waiting-queue
   // claims); false = raw free bytes.
   bool use_projected_free = true;
-  // Coalesce same-tick retrievals from queued queries into one batched index
-  // sweep (RetrievalBatcher -> VectorIndex::SearchBatch); false = one scan
-  // per query, the seed behaviour. Timing- and result-neutral either way —
-  // the switch exists so the design ablation can attribute the
-  // retrieval-substrate work separately.
-  bool coalesce_retrieval = true;
   // Retrieval-depth quality knob (METIS treats nprobe like its other knobs:
   // spend retrieval work where quality needs it). Only bites when the
   // dataset's VectorDatabase runs the approximate IVF backend — the paper's

@@ -87,10 +87,9 @@ DatasetCache& TheDatasetCache() {
   return *cache;
 }
 
-// The one generation recipe behind both the cache and the private-instance
-// path in RunMixedExperiment: the duplicate-dataset fix there relies on a
-// fresh instance being deterministically identical to the cached one, so the
-// recipe must live in exactly one place.
+// The one generation recipe behind both the cache and the private instances
+// AcquireDataset makes: private instances must be deterministically
+// identical to the cached one, so the recipe must live in exactly one place.
 std::shared_ptr<Dataset> GenerateDatasetUncached(
     const std::string& dataset_name, int num_queries, const std::string& embedding_model,
     uint64_t seed, const RetrievalIndexOptions& index_options) {
@@ -163,31 +162,47 @@ std::vector<RagConfig> FixedConfigMenu(const DatasetProfile& profile) {
 
 namespace {
 
-// Per-dataset policy stack sharing one engine + simulator.
-struct DatasetStack {
+// One dataset's share of a serving run, as a driver plans it: what it
+// serves, under which options, and the seeds of its streams.
+struct StackPlan {
+  // The one-dataset spec this stack is equivalent to, carrying the stack's
+  // resolved scheduler options; it becomes RunMetrics::spec.
+  RunSpec spec;
   std::shared_ptr<const Dataset> dataset;
-  Dataset* live_dataset = nullptr;  // Non-null when this run may mutate it.
-  std::unique_ptr<RetrievalBatcher> batcher;
-  std::unique_ptr<SynthesisExecutor> executor;
-  std::unique_ptr<ApiLlmClient> profiler_api;
-  std::unique_ptr<QueryProfiler> profiler;
-  std::unique_ptr<JointScheduler> scheduler;
-  std::unique_ptr<ServingSystem> system;
-  std::vector<QueryRecord> records;
+  Dataset* live_dataset = nullptr;  // Set for a private instance ingest may mutate.
+  uint64_t arrival_seed = 0;
+  uint64_t tenant_seed = 0;  // Also seeds shared-workload shaping.
+  uint64_t ingest_seed = 0;
 };
 
-struct Stack {
-  Simulator sim;
-  std::unique_ptr<LlmEngine> engine;
-  std::unique_ptr<BehaviorModel> behavior;
+// What ServeStacks builds for one plan on the shared engine.
+struct DatasetStack {
   std::unique_ptr<RetrievalBatcher> batcher;
   std::unique_ptr<SynthesisExecutor> executor;
   std::unique_ptr<ApiLlmClient> profiler_api;
   std::unique_ptr<QueryProfiler> profiler;
   std::unique_ptr<JointScheduler> scheduler;
-  std::unique_ptr<OverloadController> overload;
   std::unique_ptr<ServingSystem> system;
 };
+
+// Sets plan.dataset. Mutable-index stacks always own a private instance: the
+// ingest stream mutates it, and a cached corpus must stay immutable for every
+// other spec resolving to the same entry. `private_copy` gives any stack one
+// (a repeated dataset name in a mix would otherwise share one index and its
+// probe counters). Generation is deterministic, so a private instance is
+// identical to the cached one.
+void AcquireDataset(StackPlan& plan, bool private_copy) {
+  const RunSpec& s = plan.spec;
+  if (s.retrieval.mutable_index || private_copy) {
+    std::shared_ptr<Dataset> priv = GenerateDatasetUncached(
+        s.dataset, s.num_queries, s.embedding_model, s.seed, s.retrieval);
+    plan.live_dataset = priv.get();
+    plan.dataset = std::move(priv);
+  } else {
+    plan.dataset = GetOrGenerateDataset(s.dataset, s.num_queries, s.embedding_model, s.seed,
+                                        s.retrieval);
+  }
+}
 
 // Routes each query to an SLO class with probability proportional to
 // rate_share, on its own Rng stream so arrival times are untouched. Empty
@@ -398,6 +413,193 @@ void FillIngestMetrics(RunMetrics& metrics, const VectorDatabase& db) {
   metrics.ingest.tombstones = s.tombstones;
 }
 
+// The one serving run behind both public runners. Builds the engine, the
+// behaviour model and the overload controller once and one dataset stack per
+// plan; queues each stack's streams (its ingest ops before its query
+// arrivals, stack after stack); runs the simulation to idle; and harvests one
+// RunMetrics per stack. A closed-loop stack (arrival_rate <= 0, one-stack
+// runs only) is served query by query, each drained before the next.
+std::vector<RunMetrics> ServeStacks(const ServingSpec& spec, const std::vector<StackPlan>& plans) {
+  const bool ingesting = spec.ingest.enabled && spec.ingest.num_ops > 0;
+  if (ingesting) {
+    METIS_CHECK(spec.retrieval.mutable_index);  // Live ingest needs the mutable index.
+  }
+
+  Simulator sim;
+  const ModelSpec& model = GetModelSpec(spec.serving_model);
+  EngineConfig ecfg;
+  ecfg.model = model;
+  double pool_gib = spec.kv_pool_gib > 0 ? spec.kv_pool_gib : DefaultKvPoolGib(model);
+  ecfg.kv_pool_bytes = pool_gib * kGiB;
+  ecfg.max_batched_tokens = spec.max_batched_tokens;
+  bool batching = spec.system == SystemKind::kParrotFixed || spec.system == SystemKind::kMetis;
+  if (spec.override_prefix_sharing.has_value()) {
+    batching = *spec.override_prefix_sharing;
+  }
+  ecfg.prefix_sharing = batching;
+  ecfg.policy = batching ? AdmissionPolicy::kGroupAware : AdmissionPolicy::kFcfs;
+  if (spec.scheduler.cross_query_prefix) {
+    // Cross-query reuse needs the engine to hold hot chunk prefixes across
+    // the gap between queries. Retention is engine-wide, so the engine takes
+    // the top-level scheduler's window (per-stack overrides only steer
+    // grouping).
+    ecfg.prefix_retention_s = spec.scheduler.prefix_retention_s;
+  }
+  LlmEngine engine(&sim, ecfg, spec.seed);
+  BehaviorModel behavior(BehaviorParams{}, spec.seed ^ 0xBE4A11ull);
+  // One controller for the engine: every METIS stack feeds it, so the ladder
+  // reacts to the aggregate backlog.
+  std::unique_ptr<OverloadController> overload;
+  if (spec.overload.enabled && spec.system == SystemKind::kMetis) {
+    overload = std::make_unique<OverloadController>(&engine, spec.tenants, spec.overload);
+  }
+
+  std::vector<RunMetrics> out(plans.size());
+  std::vector<DatasetStack> stacks(plans.size());
+  for (size_t d = 0; d < plans.size(); ++d) {
+    const StackPlan& plan = plans[d];
+    const JointSchedulerOptions& options = plan.spec.scheduler;
+    DatasetStack& ds = stacks[d];
+    RetrievalQuality retrieval_quality = RetrievalQualityFromOptions(options);
+    ds.batcher = std::make_unique<RetrievalBatcher>(&sim, &plan.dataset->db(),
+                                                    SynthesisExecutor::kRetrievalSeconds,
+                                                    retrieval_quality);
+    ds.executor = std::make_unique<SynthesisExecutor>(&sim, &engine, &behavior,
+                                                      plan.dataset.get(),
+                                                      spec.seed ^ 0x5E1Full, ds.batcher.get());
+    ds.executor->set_retrieval_quality(retrieval_quality);
+    // Corpus-salted group keys keep cross-dataset chunk ids from aliasing on
+    // the shared engine (SynthesisExecutor::ChunkPrefixGroup).
+    ds.executor->set_cross_query_prefix(options.cross_query_prefix);
+    auto sink = [records = &out[d].records](QueryRecord rec) { records->push_back(std::move(rec)); };
+
+    if (spec.system == SystemKind::kAdaptiveRag || spec.system == SystemKind::kMetis) {
+      ds.profiler_api = std::make_unique<ApiLlmClient>(&sim, GetModelSpec(spec.profiler_model),
+                                                       spec.seed ^ (0xA91ull + d));
+      ProfilerParams pparams = spec.profiler_model == "gpt-4o" ? Gpt4oProfilerParams()
+                                                               : Llama70BProfilerParams();
+      ds.profiler = std::make_unique<QueryProfiler>(&sim, ds.profiler_api.get(),
+                                                    &plan.dataset->db().metadata(), pparams,
+                                                    spec.seed ^ (0x9867ull + d));
+      ds.scheduler = std::make_unique<JointScheduler>(&engine, ds.executor.get(), 10, options);
+    }
+    const RagConfig& fixed = plan.spec.fixed_config;
+    switch (spec.system) {
+      case SystemKind::kVllmFixed:
+      case SystemKind::kParrotFixed: {
+        const char* name = spec.system == SystemKind::kVllmFixed ? "vllm" : "parrot*";
+        ds.system = std::make_unique<FixedConfigSystem>(
+            &sim, ds.executor.get(), fixed,
+            StrFormat("%s[%s]", name, RagConfigToString(fixed).c_str()), sink);
+        break;
+      }
+      case SystemKind::kAdaptiveRag:
+        ds.system = std::make_unique<AdaptiveRagSystem>(&sim, ds.executor.get(),
+                                                        ds.profiler.get(), ds.scheduler.get(),
+                                                        sink);
+        break;
+      case SystemKind::kMetis: {
+        MetisSystem::Options opts = spec.metis;
+        opts.output_token_estimate = plan.dataset->profile().max_output_tokens;
+        ds.system = std::make_unique<MetisSystem>(&sim, ds.executor.get(), ds.profiler.get(),
+                                                  ds.scheduler.get(), plan.dataset.get(), opts,
+                                                  sink, overload.get());
+        break;
+      }
+    }
+  }
+
+  // Every stack owns a distinct Dataset instance (repeats get private
+  // copies), so this zeroes each index's probe and hybrid counters exactly
+  // once, after offline calibration probed them and before any serving
+  // traffic: each stack's counters then report its own traffic only.
+  for (const StackPlan& plan : plans) {
+    if (plan.dataset->db().ivf_index() != nullptr) {
+      plan.dataset->db().ivf_index()->ResetProbeStats();
+    }
+    plan.dataset->db().ResetHybridStats();
+  }
+
+  // Each stack's throughput window starts at its OWN first arrival (0 for a
+  // closed loop or a stack with no queries).
+  std::vector<SimTime> first_arrival(plans.size(), 0);
+  for (size_t d = 0; d < plans.size(); ++d) {
+    const StackPlan& plan = plans[d];
+    ServingSystem* system = stacks[d].system.get();
+    if (ingesting) {
+      ScheduleIngest(sim, plan.live_dataset, spec.ingest, plan.ingest_seed);
+    }
+    // Per-run copy of the queries so arrival times don't leak across runs.
+    std::vector<RagQuery> queries = plan.dataset->queries();
+    AssignTenants(queries, spec.tenants, plan.tenant_seed);
+    ApplySharedWorkload(queries, plan.spec.shared_workload, plan.tenant_seed);
+    if (plan.spec.arrival_rate > 0) {
+      AssignArrivals(queries, spec.arrivals, plan.spec.arrival_rate, plan.arrival_seed);
+      if (!queries.empty()) {
+        first_arrival[d] = queries.front().arrival_time;  // Arrival times increase.
+      }
+      for (const RagQuery& q : queries) {
+        sim.ScheduleAt(q.arrival_time, [system, q]() { system->Accept(q); });
+      }
+    } else {
+      // Closed loop (Fig. 19's low load): one query outstanding at a time.
+      AssignSequentialArrivals(queries);
+      for (const RagQuery& q : queries) {
+        size_t expected = out[d].records.size() + 1;
+        system->Accept(q);
+        sim.Run();  // Drain until this query (and its events) complete.
+        METIS_CHECK_GE(out[d].records.size(), expected);
+      }
+    }
+  }
+  sim.Run();
+
+  // --- Harvest; engine cost attributed by processed-token share. ---
+  double total_tokens = 0;
+  for (const RunMetrics& metrics : out) {
+    for (const QueryRecord& rec : metrics.records) {
+      total_tokens += rec.result.total_prompt_tokens + rec.result.total_output_tokens;
+    }
+  }
+  for (size_t d = 0; d < plans.size(); ++d) {
+    RunMetrics& metrics = out[d];
+    const VectorDatabase& db = plans[d].dataset->db();
+    metrics.label = SystemKindName(spec.system);
+    metrics.spec = plans[d].spec;
+    AggregateRecords(metrics, spec.tenants, first_arrival[d]);
+    metrics.engine_stats = engine.stats();
+    // Fetched now, not before traffic: under a mutable index a retrain swaps
+    // the base. Probe counters are carried across swaps (CopyProbeStatsFrom),
+    // so readings stay cumulative for the run.
+    if (const IvfL2Index* ivf = db.ivf_index(); ivf != nullptr) {
+      metrics.mean_probes = ivf->mean_probes();
+      metrics.probe_histogram = ivf->probe_histogram();
+    }
+    metrics.hybrid = db.hybrid_stats();
+    FillIngestMetrics(metrics, db);
+    if (model.api_model) {
+      // API-served inference (the Fig. 13 GPT-4o comparison): per-token price.
+      double cost = 0;
+      for (const QueryRecord& rec : metrics.records) {
+        cost += rec.result.total_prompt_tokens * model.usd_per_1m_input_tokens / 1e6 +
+                rec.result.total_output_tokens * model.usd_per_1m_output_tokens / 1e6;
+      }
+      metrics.engine_cost_usd = cost;
+    } else {
+      double tokens = 0;
+      for (const QueryRecord& rec : metrics.records) {
+        tokens += rec.result.total_prompt_tokens + rec.result.total_output_tokens;
+      }
+      metrics.engine_cost_usd =
+          engine.busy_cost_usd() * (total_tokens > 0 ? tokens / total_tokens : 0);
+    }
+    if (stacks[d].profiler_api) {
+      metrics.profiler_cost_usd = stacks[d].profiler_api->total_cost_usd();
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 JointSchedulerOptions EffectiveSchedulerOptions(const MixedRunSpec& spec, size_t d,
@@ -430,422 +632,48 @@ JointSchedulerOptions EffectiveSchedulerOptions(const MixedRunSpec& spec, size_t
 std::vector<RunMetrics> RunMixedExperiment(const MixedRunSpec& spec) {
   METIS_CHECK(!spec.datasets.empty());
   METIS_CHECK(!spec.fixed_configs.empty());
-  const bool ingesting = spec.ingest.enabled && spec.ingest.num_ops > 0;
-  if (ingesting) {
-    METIS_CHECK(spec.retrieval.mutable_index);  // Live ingest needs the mutable index.
-  }
-
-  Simulator sim;
-  const ModelSpec& model = GetModelSpec(spec.serving_model);
-  EngineConfig ecfg;
-  ecfg.model = model;
-  double pool_gib = spec.kv_pool_gib > 0 ? spec.kv_pool_gib : DefaultKvPoolGib(model);
-  ecfg.kv_pool_bytes = pool_gib * kGiB;
-  ecfg.max_batched_tokens = spec.max_batched_tokens;
-  bool batching = spec.system == SystemKind::kParrotFixed || spec.system == SystemKind::kMetis;
-  if (spec.override_prefix_sharing.has_value()) {
-    batching = *spec.override_prefix_sharing;
-  }
-  ecfg.prefix_sharing = batching;
-  ecfg.policy = batching ? AdmissionPolicy::kGroupAware : AdmissionPolicy::kFcfs;
-  if (spec.scheduler.cross_query_prefix) {
-    // Retention is an engine-wide property, so the SHARED engine takes the
-    // top-level scheduler's window (per-stack overrides only steer grouping).
-    ecfg.prefix_retention_s = spec.scheduler.prefix_retention_s;
-  }
-  LlmEngine engine(&sim, ecfg, spec.seed);
-  BehaviorModel behavior(BehaviorParams{}, spec.seed ^ 0xBE4A11ull);
-
-  // One controller for the shared engine: every METIS stack feeds it, so the
-  // ladder reacts to the aggregate backlog across the whole mix.
-  std::unique_ptr<OverloadController> overload;
-  if (spec.overload.enabled && spec.system == SystemKind::kMetis) {
-    overload = std::make_unique<OverloadController>(&engine, spec.tenants, spec.overload);
-  }
-
-  std::vector<DatasetStack> stacks(spec.datasets.size());
-  std::vector<JointSchedulerOptions> stack_options(spec.datasets.size());
+  // Open loop only: a closed loop would send every dataset's queries at t = 0.
+  METIS_CHECK_GT(spec.rate_per_dataset, 0);
+  std::vector<StackPlan> plans(spec.datasets.size());
   std::map<std::string, size_t> name_count;
-  for (size_t d = 0; d < spec.datasets.size(); ++d) {
-    DatasetStack& ds = stacks[d];
-    if (spec.retrieval.mutable_index) {
-      // Mutable-index stacks always own a private instance: the ingest stream
-      // mutates each stack's database independently, and cached corpora must
-      // stay immutable (same reasoning as RunExperiment).
-      std::shared_ptr<Dataset> priv =
-          GenerateDatasetUncached(spec.datasets[d], spec.queries_per_dataset,
-                                  spec.embedding_model, spec.seed, spec.retrieval);
-      ds.live_dataset = priv.get();
-      ds.dataset = priv;
-    } else if (name_count[spec.datasets[d]]++ == 0) {
-      ds.dataset = GetOrGenerateDataset(spec.datasets[d], spec.queries_per_dataset,
-                                        spec.embedding_model, spec.seed, spec.retrieval);
-    } else {
-      // Repeated dataset name: the cache would hand every occurrence the SAME
-      // Dataset (and index), commingling per-stack probe accounting. Give
-      // repeats a private instance — generation is deterministic, so contents
-      // (and therefore results) are identical to the cached one.
-      ds.dataset = GenerateDatasetUncached(spec.datasets[d], spec.queries_per_dataset,
-                                           spec.embedding_model, spec.seed, spec.retrieval);
-    }
-    // May probe the stack's index (offline calibration); probe stats are
-    // reset below, after every stack is built.
-    stack_options[d] = EffectiveSchedulerOptions(spec, d, *ds.dataset);
-    const JointSchedulerOptions& scheduler_options = stack_options[d];
-    RetrievalQuality retrieval_quality = RetrievalQualityFromOptions(scheduler_options);
-    if (scheduler_options.coalesce_retrieval) {
-      ds.batcher = std::make_unique<RetrievalBatcher>(&sim, &ds.dataset->db(),
-                                                      SynthesisExecutor::kRetrievalSeconds,
-                                                      retrieval_quality);
-    }
-    ds.executor = std::make_unique<SynthesisExecutor>(&sim, &engine, &behavior,
-                                                      ds.dataset.get(),
-                                                      spec.seed ^ 0x5E1Full, ds.batcher.get());
-    ds.executor->set_retrieval_quality(retrieval_quality);
-    // Corpus-salted group keys keep cross-dataset chunk ids from aliasing on
-    // the shared engine (SynthesisExecutor::ChunkPrefixGroup).
-    ds.executor->set_cross_query_prefix(scheduler_options.cross_query_prefix);
-    auto sink = [records = &ds.records](QueryRecord rec) { records->push_back(std::move(rec)); };
-
-    RagConfig fixed = spec.fixed_configs[std::min(d, spec.fixed_configs.size() - 1)];
-    const bool needs_profiler =
-        spec.system == SystemKind::kAdaptiveRag || spec.system == SystemKind::kMetis;
-    if (needs_profiler) {
-      ds.profiler_api = std::make_unique<ApiLlmClient>(&sim, GetModelSpec(spec.profiler_model),
-                                                       spec.seed ^ (0xA91ull + d));
-      ProfilerParams pparams = spec.profiler_model == "gpt-4o" ? Gpt4oProfilerParams()
-                                                               : Llama70BProfilerParams();
-      ds.profiler = std::make_unique<QueryProfiler>(&sim, ds.profiler_api.get(),
-                                                    &ds.dataset->db().metadata(), pparams,
-                                                    spec.seed ^ (0x9867ull + d));
-      ds.scheduler = std::make_unique<JointScheduler>(&engine, ds.executor.get(), 10,
-                                                      scheduler_options);
-    }
-    switch (spec.system) {
-      case SystemKind::kVllmFixed:
-        ds.system = std::make_unique<FixedConfigSystem>(
-            &sim, ds.executor.get(), fixed,
-            StrFormat("vllm[%s]", RagConfigToString(fixed).c_str()), sink);
-        break;
-      case SystemKind::kParrotFixed:
-        ds.system = std::make_unique<FixedConfigSystem>(
-            &sim, ds.executor.get(), fixed,
-            StrFormat("parrot*[%s]", RagConfigToString(fixed).c_str()), sink);
-        break;
-      case SystemKind::kAdaptiveRag:
-        ds.system = std::make_unique<AdaptiveRagSystem>(&sim, ds.executor.get(),
-                                                        ds.profiler.get(), ds.scheduler.get(),
-                                                        sink);
-        break;
-      case SystemKind::kMetis: {
-        MetisSystem::Options opts = spec.metis;
-        opts.output_token_estimate = ds.dataset->profile().max_output_tokens;
-        ds.system = std::make_unique<MetisSystem>(&sim, ds.executor.get(), ds.profiler.get(),
-                                                  ds.scheduler.get(), ds.dataset.get(), opts,
-                                                  sink, overload.get());
-        break;
-      }
-    }
-  }
-
-  // Every stack owns a distinct Dataset instance (repeats get private
-  // copies), so this zeroes each index's probe counters exactly once, after
-  // offline calibration probed them and before any serving traffic —
-  // per-stack mean_probes/probe_histogram then report that stack's traffic
-  // only.
-  for (DatasetStack& ds : stacks) {
-    if (ds.dataset->db().ivf_index() != nullptr) {
-      ds.dataset->db().ivf_index()->ResetProbeStats();
-    }
-    // Same contract for the hybrid counters (the weight calibration above
-    // retrieves through the database).
-    ds.dataset->db().ResetHybridStats();
-  }
-
-  // Independent arrival streams per dataset, all on the shared engine.
-  // Throughput windows are per dataset: each stack's clock starts at its OWN
-  // first arrival, not the earliest arrival across the whole mix.
-  std::vector<SimTime> first_arrival(spec.datasets.size(), -1);
-  for (size_t d = 0; d < spec.datasets.size(); ++d) {
-    std::vector<RagQuery> queries = stacks[d].dataset->queries();
+  for (size_t d = 0; d < plans.size(); ++d) {
+    StackPlan& plan = plans[d];
+    RunSpec& s = plan.spec;
+    static_cast<ServingSpec&>(s) = spec;
+    s.dataset = spec.datasets[d];
+    s.num_queries = spec.queries_per_dataset;
+    s.arrival_rate = spec.rate_per_dataset;
+    s.fixed_config = spec.fixed_configs[std::min(d, spec.fixed_configs.size() - 1)];
+    AcquireDataset(plan, /*private_copy=*/name_count[s.dataset]++ > 0);
+    // May probe the stack's index (offline calibration); ServeStacks resets
+    // the counters before traffic.
+    s.scheduler = EffectiveSchedulerOptions(spec, d, *plan.dataset);
     // Per-dataset seeds are mixed through SplitMix64: the raw
     // `seed ^ (0xD00D + d)` values differ only in their low bits for adjacent
-    // d, and AssignArrivals XORs its own constant on top — nearby datasets
-    // would get visibly correlated streams. SplitMix64 decorrelates them.
-    uint64_t arrival_state = spec.seed ^ (0xD00Dull + static_cast<uint64_t>(d));
-    AssignArrivals(queries, spec.arrivals, spec.rate_per_dataset, SplitMix64(arrival_state));
-    uint64_t tenant_state = spec.seed ^ (0x7E7A47ull + static_cast<uint64_t>(d));
-    AssignTenants(queries, spec.tenants, SplitMix64(tenant_state));
-    if (ingesting) {
-      // Per-stack decorrelated op stream, same SplitMix64 mixing as arrivals.
-      uint64_t ingest_state = spec.seed ^ (0x1A6E57ull + static_cast<uint64_t>(d));
-      ScheduleIngest(sim, stacks[d].live_dataset, spec.ingest, SplitMix64(ingest_state));
-    }
-    for (const RagQuery& q : queries) {
-      if (first_arrival[d] < 0 || q.arrival_time < first_arrival[d]) {
-        first_arrival[d] = q.arrival_time;
-      }
-      sim.ScheduleAt(q.arrival_time, [sys = stacks[d].system.get(), q]() { sys->Accept(q); });
-    }
+    // d, and the stream functions XOR their own constants on top — nearby
+    // datasets would get visibly correlated streams.
+    uint64_t arrival_state = spec.seed ^ (0xD00Dull + d);
+    uint64_t tenant_state = spec.seed ^ (0x7E7A47ull + d);
+    uint64_t ingest_state = spec.seed ^ (0x1A6E57ull + d);
+    plan.arrival_seed = SplitMix64(arrival_state);
+    plan.tenant_seed = SplitMix64(tenant_state);
+    plan.ingest_seed = SplitMix64(ingest_state);
   }
-  sim.Run();
-
-  // --- Aggregate per dataset; engine cost attributed by token share. ---
-  double total_tokens = 0;
-  for (const auto& ds : stacks) {
-    for (const auto& rec : ds.records) {
-      total_tokens += rec.result.total_prompt_tokens + rec.result.total_output_tokens;
-    }
-  }
-  std::vector<RunMetrics> out;
-  for (size_t d = 0; d < spec.datasets.size(); ++d) {
-    DatasetStack& ds = stacks[d];
-    RunMetrics metrics;
-    metrics.label = StrFormat("%s/%s", SystemKindName(spec.system), spec.datasets[d].c_str());
-    // The single-dataset RunSpec this stack is equivalent to, so downstream
-    // tooling sees the same RunMetrics contract RunExperiment fills
-    // (metrics.spec.scheduler carries the stack's RESOLVED options, i.e. the
-    // calibrated per-dataset depth line when per_dataset_depth engaged one).
-    metrics.spec.dataset = spec.datasets[d];
-    metrics.spec.num_queries = spec.queries_per_dataset;
-    metrics.spec.arrival_rate = spec.rate_per_dataset;
-    metrics.spec.serving_model = spec.serving_model;
-    metrics.spec.kv_pool_gib = spec.kv_pool_gib;
-    metrics.spec.max_batched_tokens = spec.max_batched_tokens;
-    metrics.spec.embedding_model = spec.embedding_model;
-    metrics.spec.profiler_model = spec.profiler_model;
-    metrics.spec.system = spec.system;
-    metrics.spec.fixed_config = spec.fixed_configs[std::min(d, spec.fixed_configs.size() - 1)];
-    metrics.spec.metis = spec.metis;
-    metrics.spec.scheduler = stack_options[d];
-    metrics.spec.retrieval = spec.retrieval;
-    metrics.spec.override_prefix_sharing = spec.override_prefix_sharing;
-    metrics.spec.tenants = spec.tenants;
-    metrics.spec.arrivals = spec.arrivals;
-    metrics.spec.overload = spec.overload;
-    metrics.spec.ingest = spec.ingest;
-    metrics.spec.seed = spec.seed;
-    metrics.records = std::move(ds.records);
-    // A zero-query stack (ingest-only) never sets its first arrival; clamp
-    // the sentinel so the window starts at 0.
-    AggregateRecords(metrics, spec.tenants, std::max<SimTime>(0, first_arrival[d]));
-    double ds_tokens = 0;
-    for (const QueryRecord& rec : metrics.records) {
-      ds_tokens += rec.result.total_prompt_tokens + rec.result.total_output_tokens;
-    }
-    metrics.engine_stats = engine.stats();
-    if (ds.dataset->db().ivf_index() != nullptr) {
-      metrics.mean_probes = ds.dataset->db().ivf_index()->mean_probes();
-      metrics.probe_histogram = ds.dataset->db().ivf_index()->probe_histogram();
-    }
-    metrics.hybrid = ds.dataset->db().hybrid_stats();
-    FillIngestMetrics(metrics, ds.dataset->db());
-    if (model.api_model) {
-      double cost = 0;
-      for (const QueryRecord& rec : metrics.records) {
-        cost += rec.result.total_prompt_tokens * model.usd_per_1m_input_tokens / 1e6 +
-                rec.result.total_output_tokens * model.usd_per_1m_output_tokens / 1e6;
-      }
-      metrics.engine_cost_usd = cost;
-    } else {
-      metrics.engine_cost_usd =
-          engine.busy_cost_usd() * (total_tokens > 0 ? ds_tokens / total_tokens : 0);
-    }
-    if (ds.profiler_api) {
-      metrics.profiler_cost_usd = ds.profiler_api->total_cost_usd();
-    }
-    out.push_back(std::move(metrics));
+  std::vector<RunMetrics> out = ServeStacks(spec, plans);
+  for (size_t d = 0; d < out.size(); ++d) {
+    out[d].label += "/" + spec.datasets[d];
   }
   return out;
 }
 
 RunMetrics RunExperiment(const RunSpec& spec) {
-  const bool ingesting = spec.ingest.enabled && spec.ingest.num_ops > 0;
-  if (ingesting) {
-    METIS_CHECK(spec.retrieval.mutable_index);  // Live ingest needs the mutable index.
-  }
-  std::shared_ptr<const Dataset> dataset;
-  Dataset* live_dataset = nullptr;  // Non-null when this run may mutate it.
-  if (spec.retrieval.mutable_index) {
-    // Mutable-index runs bypass the shared cache: the ingest stream mutates
-    // the database, and a cached corpus must stay immutable for every other
-    // spec resolving to the same entry. Generation is deterministic, so the
-    // private instance is identical to what the cache would have held.
-    std::shared_ptr<Dataset> priv = GenerateDatasetUncached(
-        spec.dataset, spec.num_queries, spec.embedding_model, spec.seed, spec.retrieval);
-    live_dataset = priv.get();
-    dataset = priv;
-  } else {
-    dataset = GetOrGenerateDataset(spec.dataset, spec.num_queries, spec.embedding_model,
-                                   spec.seed, spec.retrieval);
-  }
-  // Probe accounting is per-run: the dataset (and its index) is shared
-  // through the cache, so zero the counters before this run's traffic.
-  const IvfL2Index* ivf = dataset->db().ivf_index();
-  if (ivf != nullptr) {
-    ivf->ResetProbeStats();
-  }
-  dataset->db().ResetHybridStats();
-
-  Stack stack;
-  const ModelSpec& model = GetModelSpec(spec.serving_model);
-
-  EngineConfig ecfg;
-  ecfg.model = model;
-  double pool_gib = spec.kv_pool_gib > 0 ? spec.kv_pool_gib : DefaultKvPoolGib(model);
-  ecfg.kv_pool_bytes = pool_gib * kGiB;
-  ecfg.max_batched_tokens = spec.max_batched_tokens;
-  bool batching = spec.system == SystemKind::kParrotFixed || spec.system == SystemKind::kMetis;
-  if (spec.override_prefix_sharing.has_value()) {
-    batching = *spec.override_prefix_sharing;
-  }
-  ecfg.prefix_sharing = batching;
-  ecfg.policy = batching ? AdmissionPolicy::kGroupAware : AdmissionPolicy::kFcfs;
-  if (spec.scheduler.cross_query_prefix) {
-    // Cross-query reuse needs the engine to hold hot chunk prefixes across
-    // the gap between queries; gated so the default engine stays bit-identical.
-    ecfg.prefix_retention_s = spec.scheduler.prefix_retention_s;
-  }
-  stack.engine = std::make_unique<LlmEngine>(&stack.sim, ecfg, spec.seed);
-
-  stack.behavior = std::make_unique<BehaviorModel>(BehaviorParams{}, spec.seed ^ 0xBE4A11ull);
-  RetrievalQuality retrieval_quality = RetrievalQualityFromOptions(spec.scheduler);
-  if (spec.scheduler.coalesce_retrieval) {
-    stack.batcher = std::make_unique<RetrievalBatcher>(&stack.sim, &dataset->db(),
-                                                       SynthesisExecutor::kRetrievalSeconds,
-                                                       retrieval_quality);
-  }
-  stack.executor = std::make_unique<SynthesisExecutor>(&stack.sim, stack.engine.get(),
-                                                       stack.behavior.get(), dataset.get(),
-                                                       spec.seed ^ 0x5E1Full, stack.batcher.get());
-  stack.executor->set_retrieval_quality(retrieval_quality);
-  stack.executor->set_cross_query_prefix(spec.scheduler.cross_query_prefix);
-
-  RunMetrics metrics;
-  metrics.spec = spec;
-  metrics.label = SystemKindName(spec.system);
-
-  std::vector<QueryRecord>* records = &metrics.records;
-  auto sink = [records](QueryRecord rec) { records->push_back(std::move(rec)); };
-
-  const bool needs_profiler =
-      spec.system == SystemKind::kAdaptiveRag || spec.system == SystemKind::kMetis;
-  if (needs_profiler) {
-    stack.profiler_api = std::make_unique<ApiLlmClient>(
-        &stack.sim, GetModelSpec(spec.profiler_model), spec.seed ^ 0xA91ull);
-  }
-  ProfilerParams pparams = spec.profiler_model == "gpt-4o" ? Gpt4oProfilerParams()
-                                                           : Llama70BProfilerParams();
-  if (needs_profiler) {
-    stack.profiler = std::make_unique<QueryProfiler>(&stack.sim, stack.profiler_api.get(),
-                                                     &dataset->db().metadata(), pparams,
-                                                     spec.seed ^ 0x9867ull);
-    stack.scheduler = std::make_unique<JointScheduler>(stack.engine.get(),
-                                                       stack.executor.get(), 10,
-                                                       spec.scheduler);
-  }
-
-  switch (spec.system) {
-    case SystemKind::kVllmFixed:
-      stack.system = std::make_unique<FixedConfigSystem>(
-          &stack.sim, stack.executor.get(), spec.fixed_config,
-          StrFormat("vllm[%s]", RagConfigToString(spec.fixed_config).c_str()), sink);
-      break;
-    case SystemKind::kParrotFixed:
-      stack.system = std::make_unique<FixedConfigSystem>(
-          &stack.sim, stack.executor.get(), spec.fixed_config,
-          StrFormat("parrot*[%s]", RagConfigToString(spec.fixed_config).c_str()), sink);
-      break;
-    case SystemKind::kAdaptiveRag:
-      stack.system = std::make_unique<AdaptiveRagSystem>(&stack.sim, stack.executor.get(),
-                                                         stack.profiler.get(),
-                                                         stack.scheduler.get(), sink);
-      break;
-    case SystemKind::kMetis: {
-      MetisSystem::Options opts = spec.metis;
-      opts.output_token_estimate = dataset->profile().max_output_tokens;
-      if (spec.overload.enabled) {
-        stack.overload = std::make_unique<OverloadController>(stack.engine.get(),
-                                                              spec.tenants, spec.overload);
-      }
-      stack.system = std::make_unique<MetisSystem>(&stack.sim, stack.executor.get(),
-                                                   stack.profiler.get(), stack.scheduler.get(),
-                                                   dataset.get(), opts, sink,
-                                                   stack.overload.get());
-      break;
-    }
-  }
-
-  // The ingest stream shares the simulation clock with the query stream.
-  if (ingesting) {
-    ScheduleIngest(stack.sim, live_dataset, spec.ingest, spec.seed);
-  }
-
-  // Per-run copy of the queries so arrival times don't leak across runs.
-  std::vector<RagQuery> queries = dataset->queries();
-  AssignTenants(queries, spec.tenants, spec.seed);
-  ApplySharedWorkload(queries, spec.shared_workload, spec.seed);
-  SimTime first_arrival = 0;
-
-  if (spec.arrival_rate > 0) {
-    AssignArrivals(queries, spec.arrivals, spec.arrival_rate, spec.seed);
-    // Ingest-only specs (num_queries == 0) have no arrivals; the window then
-    // starts at 0 and every completion-derived metric stays defined (zero).
-    first_arrival = queries.empty() ? 0 : queries.front().arrival_time;
-    for (const RagQuery& q : queries) {
-      stack.sim.ScheduleAt(q.arrival_time, [sys = stack.system.get(), q]() { sys->Accept(q); });
-    }
-    stack.sim.Run();
-  } else {
-    // Closed loop: one query outstanding at a time (Fig. 19's low load).
-    AssignSequentialArrivals(queries);
-    size_t next = 0;
-    size_t total = queries.size();
-    // Chain Accept calls off completions by polling the record count.
-    std::function<void()> pump = [&]() {
-      if (next >= total) {
-        return;
-      }
-      size_t expected = metrics.records.size() + 1;
-      stack.system->Accept(queries[next++]);
-      stack.sim.Run();  // Drain until this query (and its events) complete.
-      METIS_CHECK_GE(metrics.records.size(), expected);
-    };
-    while (next < total) {
-      pump();
-    }
-  }
-  stack.sim.Run();
-
-  // --- Aggregate ---
-  AggregateRecords(metrics, spec.tenants, first_arrival);
-  metrics.engine_stats = stack.engine->stats();
-  // Re-fetch the IVF handle: under a mutable index a retrain swaps the base,
-  // so the pre-run pointer may be stale. Probe counters are carried across
-  // swaps (CopyProbeStatsFrom), so readings stay cumulative for the run.
-  const IvfL2Index* ivf_now = dataset->db().ivf_index();
-  if (ivf_now != nullptr) {
-    metrics.mean_probes = ivf_now->mean_probes();
-    metrics.probe_histogram = ivf_now->probe_histogram();
-  }
-  metrics.hybrid = dataset->db().hybrid_stats();
-  FillIngestMetrics(metrics, dataset->db());
-
-  if (model.api_model) {
-    // API-served inference (the Fig. 13 GPT-4o comparison): per-token price.
-    double cost = 0;
-    for (const QueryRecord& rec : metrics.records) {
-      cost += rec.result.total_prompt_tokens * model.usd_per_1m_input_tokens / 1e6 +
-              rec.result.total_output_tokens * model.usd_per_1m_output_tokens / 1e6;
-    }
-    metrics.engine_cost_usd = cost;
-  } else {
-    metrics.engine_cost_usd = stack.engine->busy_cost_usd();
-  }
-  if (stack.profiler_api) {
-    metrics.profiler_cost_usd = stack.profiler_api->total_cost_usd();
-  }
-  return metrics;
+  std::vector<StackPlan> plans(1);
+  StackPlan& plan = plans[0];
+  plan.spec = spec;
+  AcquireDataset(plan, /*private_copy=*/false);
+  // The historical one-dataset streams: every one draws from the raw seed.
+  plan.arrival_seed = plan.tenant_seed = plan.ingest_seed = spec.seed;
+  return std::move(ServeStacks(spec, plans).front());
 }
 
 RagResult RunSingleQuery(const Dataset& dataset, const RagQuery& query, const RagConfig& config,

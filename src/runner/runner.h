@@ -75,13 +75,10 @@ struct SharedWorkloadOptions {
   int num_hot = 4;
 };
 
-struct RunSpec {
-  std::string dataset = "musique";
-  int num_queries = 200;
-  // Open-loop Poisson rate (queries/sec); <= 0 runs closed-loop sequential
-  // (one query in flight at a time — the paper's low-load setup, Fig. 19).
-  double arrival_rate = 2.0;
-
+// What every serving run shares, whether it serves one dataset (RunSpec) or
+// several datasets on one engine (MixedRunSpec): the engine, the system and
+// its options, the retrieval backend, overload control, ingest and the seed.
+struct ServingSpec {
   std::string serving_model = "mistral-7b-v3-awq";
   // KV pool (GiB); < 0 derives a default from the model.
   double kv_pool_gib = -1;
@@ -90,10 +87,9 @@ struct RunSpec {
   std::string profiler_model = "gpt-4o";
 
   SystemKind system = SystemKind::kMetis;
-  RagConfig fixed_config{SynthesisMethod::kStuff, 10, 100};
   MetisSystem::Options metis;
   JointSchedulerOptions scheduler;  // Design-ablation switches (§ DESIGN.md 5).
-  // Retrieval backend the dataset's vector database builds (paper default:
+  // Retrieval backend every dataset's vector database builds (paper default:
   // exact flat). The IVF backend makes the scheduler's retrieval-depth knob
   // (scheduler.adaptive_nprobe / nprobe_budget) live end to end; `shards`
   // partitions index storage for shard-parallel batched sweeps.
@@ -109,23 +105,34 @@ struct RunSpec {
   // probability proportional to rate_share (its own Rng stream, so arrival
   // times are untouched).
   std::vector<TenantClass> tenants;
-  // Arrival process shape. kPoisson (default) is bit-identical to the
-  // historical AssignPoissonArrivals stream; bursty/diurnal/flash_crowd keep
-  // the same mean rate but concentrate arrivals (overload experiments).
+  // Arrival process shape, applied to every dataset's stream. kPoisson
+  // (default) is bit-identical to the historical AssignPoissonArrivals
+  // stream; bursty/diurnal/flash_crowd keep the same mean rate but
+  // concentrate arrivals (overload experiments).
   ArrivalProcess arrivals;
   // Degradation ladder; enabled=false (default) never constructs the
   // controller — bit-for-bit parity with the ladderless stack. Only the
-  // METIS system consults it.
+  // METIS system consults it. One controller watches the engine, so with
+  // several datasets it reacts to their aggregate backlog.
   OverloadOptions overload;
 
-  // Live insert/delete stream concurrent with the query stream (requires
-  // retrieval.mutable_index; ignored when disabled).
+  // Live insert/delete stream concurrent with the query stream, one per
+  // dataset database (requires retrieval.mutable_index; ignored when
+  // disabled).
   IngestOptions ingest;
 
+  uint64_t seed = 42;
+};
+
+struct RunSpec : ServingSpec {
+  std::string dataset = "musique";
+  int num_queries = 200;
+  // Open-loop rate (queries/sec); <= 0 runs closed-loop sequential (one
+  // query in flight at a time — the paper's low-load setup, Fig. 19).
+  double arrival_rate = 2.0;
+  RagConfig fixed_config{SynthesisMethod::kStuff, 10, 100};
   // Shared-query shaping of the stream (see SharedWorkloadOptions above).
   SharedWorkloadOptions shared_workload;
-
-  uint64_t seed = 42;
 };
 
 // Per-SLO-class outcome accounting for one run (RunMetrics::class_metrics).
@@ -200,32 +207,25 @@ struct RunMetrics {
   std::vector<QueryRecord> records;
 };
 
-// Runs one full experiment. Deterministic for a given spec.
+// Runs one dataset's stack alone. Deterministic for a given spec. The same
+// serving run as RunMixedExperiment with one stack, except that its streams
+// draw from the raw spec.seed and it alone supports closed loop and
+// shared-workload shaping. Labelled with SystemKindName.
 RunMetrics RunExperiment(const RunSpec& spec);
 
 // Mixed-workload experiment: the paper's §7.1 setup sends all datasets
-// *concurrently* to one serving engine (Poisson, `rate_per_dataset` each) and
-// reports results per dataset. The shared engine is where cross-dataset
-// contention — and METIS's resource-aware adaptation — plays out.
-struct MixedRunSpec {
+// *concurrently* to one serving engine (open loop, `rate_per_dataset` each)
+// and reports results per dataset. The shared engine is where cross-dataset
+// contention — and METIS's resource-aware adaptation — plays out. Closed
+// loop and shared-workload shaping are one-dataset features (RunSpec): a
+// closed loop has one query in flight, which cannot interleave datasets.
+struct MixedRunSpec : ServingSpec {
   std::vector<std::string> datasets = {"squad", "musique", "kg_rag_finsec", "qmsum"};
   int queries_per_dataset = 200;
-  double rate_per_dataset = 2.0;
-
-  std::string serving_model = "mistral-7b-v3-awq";
-  double kv_pool_gib = -1;
-  int max_batched_tokens = 2048;
-  std::string embedding_model = "cohere-embed-v3-sim";
-  std::string profiler_model = "gpt-4o";
-
-  SystemKind system = SystemKind::kMetis;
+  double rate_per_dataset = 2.0;  // Must be > 0.
   // Fixed-config baselines may use a different hand-picked config per dataset
   // (aligned with `datasets`); a single entry applies to all.
   std::vector<RagConfig> fixed_configs = {RagConfig{SynthesisMethod::kStuff, 10, 100}};
-  MetisSystem::Options metis;
-  JointSchedulerOptions scheduler;  // Design-ablation switches (§ DESIGN.md 5).
-  RetrievalIndexOptions retrieval;  // Shared by every dataset's database.
-  std::optional<bool> override_prefix_sharing;
 
   // --- Per-dataset retrieval-depth policies ---
   // The per-piece F1-vs-budget curves differ per dataset profile (RAGGED), so
@@ -248,19 +248,6 @@ struct MixedRunSpec {
   // datasets[d]'s whole stack. Missing/nullopt entries fall back to the
   // calibrated line above.
   std::vector<std::optional<JointSchedulerOptions>> per_dataset_scheduler;
-
-  // --- Multi-tenant overload control (same contract as RunSpec) ---
-  // One controller watches the SHARED engine; all dataset stacks feed it, so
-  // the ladder reacts to aggregate backlog, not per-dataset slices.
-  std::vector<TenantClass> tenants;
-  ArrivalProcess arrivals;  // Applied per dataset stream (kPoisson default).
-  OverloadOptions overload;
-
-  // Live insert/delete stream, applied to EVERY dataset stack's database on
-  // its own decorrelated op stream (requires retrieval.mutable_index).
-  IngestOptions ingest;
-
-  uint64_t seed = 42;
 };
 
 // The scheduler options RunMixedExperiment builds datasets[d]'s stack with:
@@ -272,8 +259,9 @@ struct MixedRunSpec {
 JointSchedulerOptions EffectiveSchedulerOptions(const MixedRunSpec& spec, size_t d,
                                                 const Dataset& dataset);
 
-// Returns one RunMetrics per dataset (order matches spec.datasets). Engine
-// stats are global; engine cost is attributed by processed-token share.
+// Returns one RunMetrics per dataset (order matches spec.datasets), labelled
+// "<system>/<dataset>". Engine stats are global; engine cost is attributed by
+// processed-token share. Dies on rate_per_dataset <= 0.
 std::vector<RunMetrics> RunMixedExperiment(const MixedRunSpec& spec);
 
 // Shared dataset cache: generation is deterministic per (profile, seed,

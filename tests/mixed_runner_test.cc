@@ -359,6 +359,19 @@ TEST(DepthCalibratorTest, CalibrateOnFlatFallsBackToProfileLine) {
   EXPECT_EQ(line.probes_per_piece, derived.probes_per_piece);
 }
 
+// A mix is open loop only: a non-positive rate is rejected up front, before
+// any dataset is generated, instead of reaching the closed-loop path that
+// would send every dataset's queries at t = 0.
+TEST(MixedRunnerDeathTest, NonPositiveRateDies) {
+  for (double rate : {0.0, -1.0}) {
+    MixedRunSpec spec;
+    spec.datasets = {"squad"};
+    spec.queries_per_dataset = 4;
+    spec.rate_per_dataset = rate;
+    EXPECT_DEATH(RunMixedExperiment(spec), "rate_per_dataset") << "rate " << rate;
+  }
+}
+
 TEST(MixedRunnerTest, ClearDatasetCacheDropsEntries) {
   auto a = GetOrGenerateDataset("squad", 15, "cohere-embed-v3-sim", 3);
   auto b = GetOrGenerateDataset("squad", 15, "cohere-embed-v3-sim", 3);
