@@ -105,13 +105,12 @@ void WriteBenchJson(const std::string& path, const std::string& bench_name,
   std::FILE* f = std::fopen(path.c_str(), "w");
   METIS_CHECK(f != nullptr);
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n", JsonEscape(bench_name).c_str());
-  // Every bench JSON records which SIMD dispatch target and fast-math mode
-  // produced it: two results are only comparable when these match, and a
-  // regression hunt needs to rule out "different host kernel" first.
+  // Every bench JSON records which SIMD dispatch target produced it: two
+  // results are only comparable when it matches, and a regression hunt needs
+  // to rule out "different host kernel" first.
   std::string host_note = note.empty() ? "" : note + " | ";
   host_note += "kernel=";
   host_note += KernelTargetName(ActiveKernelTarget());
-  host_note += KernelFastMathEnabled() ? " fast_math=on" : " fast_math=off";
   std::fprintf(f, "  \"note\": \"%s\",\n", JsonEscape(host_note).c_str());
   std::fprintf(f, "  \"records\": [\n");
   for (size_t r = 0; r < records.size(); ++r) {

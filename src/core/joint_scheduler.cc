@@ -12,7 +12,6 @@ RetrievalQuality RetrievalQualityFromOptions(const JointSchedulerOptions& option
                                          : RetrievalQuality::ProbeMode::kFixed;
   quality.nprobe = options.nprobe_budget;
   quality.precision = options.precision;
-  quality.rerank_factor = options.rerank_factor;
   return quality;
 }
 
@@ -205,8 +204,7 @@ SchedulerDecision JointScheduler::Choose(const PrunedConfigSpace& space,
                                          double remaining_budget_s) const {
   SchedulerDecision decision;
   decision.retrieval = RetrievalQualityFor(profile);
-  decision.free_bytes = options_.use_projected_free ? engine_->projected_free_kv_bytes()
-                                                    : engine_->free_kv_bytes();
+  decision.free_bytes = engine_->projected_free_kv_bytes();
   double hit_frac = PredictedPrefixHitFrac();
 
   bool found = false;
@@ -237,7 +235,7 @@ SchedulerDecision JointScheduler::Choose(const PrunedConfigSpace& space,
 
   auto consider_method = [&](SynthesisMethod m) {
     int max_k = space.max_chunks;
-    if (m == SynthesisMethod::kStuff && options_.litm_cap) {
+    if (m == SynthesisMethod::kStuff) {
       max_k = MaxLitmSafeStuffChunks(space, query_tokens);
     }
     for (int k = space.min_chunks; k <= max_k; ++k) {
@@ -257,8 +255,7 @@ SchedulerDecision JointScheduler::Choose(const PrunedConfigSpace& space,
   // configuration fits it is preferred; the memory best-fit then picks the
   // richest variant. Other methods are only considered when map_reduce does
   // not fit at all (or is not in the space).
-  bool has_map_reduce = options_.prefer_map_reduce_for_complex &&
-                        std::find(space.methods.begin(), space.methods.end(),
+  bool has_map_reduce = std::find(space.methods.begin(), space.methods.end(),
                                   SynthesisMethod::kMapReduce) != space.methods.end();
   if (profile.high_complexity && has_map_reduce) {
     consider_method(SynthesisMethod::kMapReduce);
@@ -302,7 +299,7 @@ SchedulerDecision JointScheduler::Choose(const PrunedConfigSpace& space,
         break;
       }
     }
-    if (k_fit >= space.min_chunks || !options_.fig8_fallback) {
+    if (k_fit >= space.min_chunks) {
       decision.config =
           RagConfig{SynthesisMethod::kStuff, std::max(k_fit, 1), space.min_intermediate};
     } else {

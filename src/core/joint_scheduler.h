@@ -5,15 +5,18 @@
 //
 //   - A configuration "fits" if its peak concurrent KV footprint (the whole
 //     prompt for stuff; one mapper unit for map_rerank/map_reduce, whose calls
-//     the engine can admit piecewise — Fig. 8) fits in free memory after the
-//     2% OOM buffer.
+//     the engine can admit piecewise — Fig. 8) fits in free memory, net of
+//     the waiting queue's claims, after the 2% OOM buffer.
 //   - Among fitting configurations, the one with the highest peak footprint
 //     wins: inside the pruned (already-high-quality) space, more memory means
-//     more chunks / longer intermediates, i.e. slightly higher quality.
+//     more chunks / longer intermediates, i.e. slightly higher quality. Stuff
+//     never exceeds the lost-in-the-middle-safe prompt budget, and a
+//     high-complexity query tries map_reduce first when its space has it.
 //   - If nothing in the space fits, fall back to a cheap configuration just
 //     outside the range rather than queueing: map_rerank with as many chunks
 //     as the space allows when no joint reasoning is needed, else stuff with
-//     as many chunks as fit right now.
+//     as many chunks as fit right now — or map_reduce when those cannot
+//     cover the information need (Fig. 8).
 
 #ifndef METIS_SRC_CORE_JOINT_SCHEDULER_H_
 #define METIS_SRC_CORE_JOINT_SCHEDULER_H_
@@ -35,7 +38,9 @@ struct SchedulerDecision {
   RetrievalQuality retrieval;
   bool used_fallback = false;
   double peak_bytes = 0;     // Estimated peak KV footprint of the choice.
-  double free_bytes = 0;     // Free KV at decision time (for tracing).
+  // Free KV at decision time, net of the waiting queue's claims
+  // (LlmEngine::projected_free_kv_bytes) — the headroom every fit check uses.
+  double free_bytes = 0;
   // Co-scheduling trace (e2e_budget_s > 0): predicted service seconds of the
   // choice under the observed prefix-hit rate; whether the budget forced
   // synthesis tokens to be trimmed; and whether, with synthesis already at
@@ -45,21 +50,10 @@ struct SchedulerDecision {
   bool depth_traded = false;
 };
 
-// Design-choice switches for the scheduler, used by the design-ablation bench
-// (bench_ablation_design) to quantify each refinement this reproduction makes
-// on top of Algorithm 1's letter. Defaults are the full system.
+// Scheduler knobs. Defaults are the stock system; the runners, benches and
+// perfbench workloads set the non-default values (docs/ARCHITECTURE.md,
+// "Options ledger").
 struct JointSchedulerOptions {
-  // Exclude stuff configurations whose prompt exceeds the LITM-safe budget.
-  bool litm_cap = true;
-  // Prefer map_reduce for high-complexity queries when it fits (Fig. 4a).
-  bool prefer_map_reduce_for_complex = true;
-  // Fall back to map_reduce when stuff-as-fits cannot cover the information
-  // need (the Fig. 8 scenario); false = always stuff-as-fits, the literal
-  // reading of §4.3.
-  bool fig8_fallback = true;
-  // Measure headroom as projected free memory (free minus waiting-queue
-  // claims); false = raw free bytes.
-  bool use_projected_free = true;
   // Retrieval-depth quality knob (METIS treats nprobe like its other knobs:
   // spend retrieval work where quality needs it). Only bites when the
   // dataset's VectorDatabase runs the approximate IVF backend — the paper's
@@ -75,10 +69,8 @@ struct JointSchedulerOptions {
   // per-query depth policy inherits): fp32 exact, or a quantized mirror with
   // exact rerank (vectordb.h RetrievalPrecision). kFp32 (default) is
   // bit-identical to a stack with no quantization support; quantized tiers
-  // only bite when the dataset's index built the mirrors. rerank_factor is
-  // the quantized over-fetch multiple (0 = tier default).
+  // only bite when the dataset's index built the mirrors.
   RetrievalPrecision precision = RetrievalPrecision::kFp32;
-  size_t rerank_factor = 0;
   // Per-QUERY retrieval depth (the METIS §4 treatment of the knob above):
   // when true, profiler-driven systems derive each query's RetrievalQuality
   // from its QueryProfile via RetrievalDepthPolicy (`depth` holds the budget
@@ -125,7 +117,8 @@ RetrievalQuality RetrievalQualityFromOptions(const JointSchedulerOptions& option
 
 class JointScheduler {
  public:
-  // `output_token_estimate`: expected answer length used in footprint math.
+  // `intermediate_stride`: step (tokens) of the map_reduce intermediate-length
+  // sweep and of the budget trim.
   JointScheduler(const LlmEngine* engine, const SynthesisExecutor* executor,
                  int intermediate_stride = 10, JointSchedulerOptions options = {});
 

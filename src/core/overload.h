@@ -9,16 +9,18 @@
 // stays positive. RAGGED's stability analysis frames the quality-vs-load
 // frontier; this controller walks it deliberately instead of falling off it.
 //
-// The OverloadController watches the same signals the depth policy already
-// uses — engine backlog (queue depth + projected KV deficit from the
-// LlmEngine the JointScheduler reads), queue age, and profiler confidence —
-// folds them into one dimensionless pressure score, and maps the score onto a
-// three-rung degradation ladder:
+// The OverloadController watches the engine's backlog — queue depth, queue
+// age, and the projected KV deficit from the LlmEngine the JointScheduler
+// reads — folds it into one dimensionless pressure score, and maps the score
+// onto a four-rung degradation ladder (each rung also applies every rung
+// below it):
 //
 //   rung 1, kShedDepth:      clamp every query's retrieval-depth budget
 //                            (RetrievalDepthPolicy::ClampToBudget) — including
 //                            the §5 low-confidence full-budget fallback, which
-//                            must not over-retrieve while the engine drowns;
+//                            must not over-retrieve while the engine drowns —
+//                            and collapse a fused hybrid retrieval to its
+//                            cheapest single backend;
 //   rung 2, kCheapSynthesis: drop the scheduler's configuration to a cheap
 //                            synthesis config (map_rerank, few chunks — small
 //                            per-call KV footprints the engine can admit
@@ -104,14 +106,6 @@ struct OverloadOptions {
   double queue_depth_ref = 32.0;
   double queue_age_ref_s = 1.0;
   double kv_deficit_weight = 2.0;
-  // Optional fourth pressure term: the co-scheduler's own per-decision service
-  // estimate (SchedulerDecision::est_service_s), EWMA-smoothed, normalized by
-  // this reference. The estimate already folds in prefix-hit discounts and
-  // batch effects the raw queue signals cannot see, so rising predicted
-  // service times flag saturation EARLIER than queue depth does. 0 (default)
-  // disables the term — Pressure() is then bit-identical to the three-term
-  // score (overload_test pins this).
-  double service_ref_s = 0;
 
   // Rung thresholds on the pressure score (ascending).
   double shed_depth_at = 0.75;
@@ -129,10 +123,9 @@ struct OverloadOptions {
   // Rung 3: the scan tier queries are dropped to while at kShedPrecision or
   // higher, when it is CHEAPER than the scheduler's choice
   // (RetrievalPrecisionCost — shedding never upgrades a query). The default
-  // kFp32 makes the rung a no-op, preserving the three-rung ladder's
-  // behaviour bit-for-bit; deployments with quantized mirrors opt in with
-  // kInt8 or kPq. shed_rerank_factor overrides the over-fetch multiple for
-  // shed queries (0 = the tier default).
+  // kFp32 makes the rung a no-op; deployments with quantized mirrors opt in
+  // with kInt8 or kPq. shed_rerank_factor overrides the over-fetch multiple
+  // for shed queries (0 = the tier default).
   RetrievalPrecision shed_precision = RetrievalPrecision::kFp32;
   size_t shed_rerank_factor = 0;
   // Rung 4: classes with priority >= protect_priority are never rejected.
@@ -182,25 +175,12 @@ class OverloadController {
   // unprotected classes at kReject follow the exponential-backoff trickle.
   bool Admit(int tenant_index, OverloadLevel level);
 
-  // Accounting hooks for the systems applying rungs 1/2 (the controller
+  // Accounting hooks for the systems applying rungs 1-3 (the controller
   // cannot see whether a decision point actually executed its clamp).
   void NoteDepthShed() { ++stats_.depth_shed; }
   void NoteSynthesisDegraded() { ++stats_.synthesis_degraded; }
   void NotePrecisionShed() { ++stats_.precision_shed; }
   void NoteHybridShed() { ++stats_.hybrid_shed; }
-
-  // Profiler-confidence signal (EWMA over recent profiles): recorded so the
-  // ladder's depth rung can be audited against the §5 fallback pressure —
-  // low-confidence stretches are exactly when the ladderless stack would
-  // over-retrieve hardest.
-  void ObserveConfidence(double confidence);
-  double mean_confidence() const { return confidence_ewma_; }
-
-  // Co-scheduler service-estimate signal (S1): the scheduler's predicted
-  // service seconds for each committed decision, EWMA-smoothed into the
-  // Pressure() service term when options.service_ref_s > 0 (inert otherwise).
-  void ObserveServiceEstimate(double est_service_s);
-  double mean_service_estimate() const { return service_ewma_; }
 
   const OverloadOptions& options() const { return options_; }
   const OverloadStats& stats() const { return stats_; }
@@ -211,8 +191,6 @@ class OverloadController {
   TenantClass default_class_;
   OverloadOptions options_;
   OverloadStats stats_;
-  double confidence_ewma_ = 1.0;
-  double service_ewma_ = 0.0;
   bool in_reject_ = false;
 
   struct Backoff {

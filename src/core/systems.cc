@@ -145,7 +145,7 @@ void MetisSystem::Accept(const RagQuery& query) {
   ++accepted_;
   SimTime arrival = sim_->now();
 
-  // Overload admission (ladder rung 3) happens at arrival, before any
+  // Overload admission (ladder rung 4, kReject) happens at arrival, before any
   // profiler work is spent on a query that will be shed. Rejected queries
   // still produce a QueryRecord — no query is ever silently lost — with an
   // empty result and e2e_delay 0 (a rejection is instantaneous).
@@ -199,7 +199,7 @@ void MetisSystem::Accept(const RagQuery& query) {
       decision.retrieval = scheduler_->RetrievalQualityFor(outcome.profile);
     }
 
-    // Degradation rungs 1/2 re-assess at the decision point: pressure may
+    // Degradation rungs 1-3 re-assess at the decision point: pressure may
     // have changed during the profiling delay, and this is where the
     // configuration and retrieval depth are actually committed.
     OverloadLevel decision_level = OverloadLevel::kNone;
@@ -208,8 +208,6 @@ void MetisSystem::Accept(const RagQuery& query) {
     bool precision_shed = false;
     bool hybrid_shed = false;
     if (overload_ != nullptr) {
-      overload_->ObserveConfidence(outcome.profile.confidence);
-      overload_->ObserveServiceEstimate(decision.est_service_s);
       decision_level = overload_->Assess();
       if (decision_level >= OverloadLevel::kCheapSynthesis) {
         const RagConfig& cheap = overload_->options().cheap_config;

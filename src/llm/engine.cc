@@ -22,14 +22,6 @@ double LlmEngine::BytesNeededFor(int prompt_tokens, int output_tokens) const {
          config_.admit_buffer_frac * kv_.total_bytes();
 }
 
-double LlmEngine::RetentionS() const {
-  if (!config_.adaptive_prefix_retention || prefix_interarrival_ewma_ <= 0) {
-    return config_.prefix_retention_s;  // Fixed window (bit-parity when off).
-  }
-  return std::clamp(config_.adaptive_retention_mult * prefix_interarrival_ewma_,
-                    config_.adaptive_retention_min_s, config_.adaptive_retention_max_s);
-}
-
 double LlmEngine::oldest_waiting_age() const {
   // The queue is submit-ordered (push_back in Submit; group-aware admission
   // may remove from the middle but never reorders), so the front is the
@@ -72,23 +64,6 @@ uint64_t LlmEngine::Submit(InferenceRequest request) {
   // A request must be satisfiable by an empty pool, or it would block forever.
   METIS_CHECK_LE(kv_.BytesForTokens(request.prompt_tokens + request.output_tokens),
                  kv_.total_bytes());
-
-  if (config_.adaptive_prefix_retention && config_.prefix_sharing &&
-      request.prefix_group != 0 && request.shared_prefix_tokens > 0) {
-    // Hot-prefix inter-arrival EWMA: a repeat of a known prefix group is
-    // exactly the event retention exists to catch, so its arrival cadence is
-    // the right horizon to retain for (RetentionS). Guarded by the adaptive
-    // flag so the default engine does zero extra work.
-    auto [it, first_time] = prefix_last_seen_.try_emplace(request.prefix_group, sim_->now());
-    if (!first_time) {
-      double gap = sim_->now() - it->second;
-      it->second = sim_->now();
-      constexpr double kAlpha = 0.2;
-      prefix_interarrival_ewma_ = prefix_interarrival_ewma_ <= 0
-                                      ? gap
-                                      : (1.0 - kAlpha) * prefix_interarrival_ewma_ + kAlpha * gap;
-    }
-  }
 
   auto rq = std::make_unique<Rq>();
   rq->id = next_id_++;
@@ -154,7 +129,7 @@ bool LlmEngine::AdmitIfFits(Rq* rq) {
   }
   if (!fits) {
     if (holds_prefix) {
-      if (prefix_was_resident && RetentionS() > 0) {
+      if (prefix_was_resident && config_.prefix_retention_s > 0) {
         // Keep a warm (already-prefilled) prefix parked instead of destroying
         // it just because this admission attempt failed.
         kv_.ReleasePrefixRetained(rq->req.prefix_group, sim_->now());
@@ -199,10 +174,9 @@ bool LlmEngine::PrefillBacklogFull() const {
 void LlmEngine::PlanStep() {
   METIS_CHECK(!step_in_flight_);
   stats_.peak_queue_age_s = std::max(stats_.peak_queue_age_s, oldest_waiting_age());
-  double retention_s = RetentionS();
-  if (retention_s > 0) {
+  if (config_.prefix_retention_s > 0) {
     // Retained prefixes past the grace window stop earning their keep.
-    kv_.ExpireRetained(sim_->now() - retention_s);
+    kv_.ExpireRetained(sim_->now() - config_.prefix_retention_s);
     stats_.retained_evictions = kv_.retained_evictions();
     stats_.retained_expirations = kv_.retained_expirations();
   }
@@ -348,7 +322,7 @@ void LlmEngine::Complete(std::unique_ptr<Rq> rq) {
   }
   kv_.Free(rq->id);
   if (rq->holds_prefix) {
-    if (RetentionS() > 0) {
+    if (config_.prefix_retention_s > 0) {
       kv_.ReleasePrefixRetained(rq->req.prefix_group, sim_->now());
     } else {
       kv_.ReleasePrefix(rq->req.prefix_group);

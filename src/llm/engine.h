@@ -25,7 +25,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/llm/kv_cache.h"
@@ -55,18 +54,6 @@ struct EngineConfig {
   // the window revive the prefix and skip the shared prefill. 0 (default) =
   // eager release, bit-identical to the pre-retention engine.
   double prefix_retention_s = 0;
-  // Adaptive retention window: scale the grace period to the workload instead
-  // of the fixed prefix_retention_s. The engine keeps an EWMA of HOT-prefix
-  // inter-arrival times (consecutive submits naming an already-seen prefix
-  // group) and retains for adaptive_retention_mult x that EWMA, clamped to
-  // [adaptive_retention_min_s, adaptive_retention_max_s]. Until the first
-  // repeat arrives the fixed prefix_retention_s applies. Default-off:
-  // disabled, every retention decision is bit-identical to the fixed-window
-  // engine (engine_test pins this).
-  bool adaptive_prefix_retention = false;
-  double adaptive_retention_mult = 2.0;
-  double adaptive_retention_min_s = 0.05;
-  double adaptive_retention_max_s = 5.0;
 };
 
 struct RequestTiming {
@@ -150,11 +137,6 @@ class LlmEngine {
   // head-of-line has waited — the leading indicator of deadline misses.
   double oldest_waiting_age() const;
 
-  // Effective prefix-retention grace window (s) right now: the fixed
-  // EngineConfig::prefix_retention_s, or the EWMA-derived adaptive window
-  // once adaptive_prefix_retention has observed a hot-prefix repeat.
-  double RetentionS() const;
-
   const EngineStats& stats() const { return stats_; }
   const EngineConfig& config() const { return config_; }
   const ModelSpec& model() const { return config_.model; }
@@ -190,12 +172,6 @@ class LlmEngine {
   std::deque<std::unique_ptr<Rq>> waiting_;
   std::vector<std::unique_ptr<Rq>> running_;
   EngineStats stats_;
-
-  // Adaptive-retention signal (only touched when
-  // config_.adaptive_prefix_retention): last submit time per prefix group and
-  // the EWMA of hot-prefix inter-arrival gaps.
-  std::unordered_map<uint64_t, SimTime> prefix_last_seen_;
-  double prefix_interarrival_ewma_ = 0;
 };
 
 // API-hosted model client (profiler LLMs, GPT-4o serving comparisons):

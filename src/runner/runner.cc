@@ -332,9 +332,9 @@ void AggregateRecords(RunMetrics& metrics, const std::vector<TenantClass>& tenan
   metrics.goodput_qps = static_cast<double>(good_total) / metrics.sim_duration;
 }
 
-// Schedules the spec'd ingest stream into `sim`. Op times come from the same
-// arrival-process machinery as query arrivals; the insert/delete choice,
-// insert contents, and delete victims come from a dedicated Rng stream.
+// Schedules the spec'd ingest stream into `sim`. Op times are Poisson at
+// opts.rate from their own Rng stream; the insert/delete choice,
+// insert contents, and delete victims come from a second Rng stream.
 // Delete victims are drawn at EXECUTION time from the then-live pool — still
 // deterministic, because the simulator fires events in timestamp order. The
 // closure state (victim pool, Rng) is shared across ops via shared_ptrs.
@@ -343,15 +343,13 @@ void ScheduleIngest(Simulator& sim, Dataset* dataset, const IngestOptions& opts,
   VectorDatabase* db = &dataset->mutable_db();
   METIS_CHECK(db->mutable_index() != nullptr);
   METIS_CHECK_GT(opts.rate, 0);
-  // Deletable pool: live chunks, minus gold-bearing ones unless delete_gold
-  // (so F1 stays comparable with a static run of the same queries).
+  // Deletable pool: live chunks minus gold-bearing ones, so F1 stays
+  // comparable with a static run of the same queries.
   auto victims = std::make_shared<std::vector<ChunkId>>();
   std::unordered_set<ChunkId> gold;
-  if (!opts.delete_gold) {
-    for (const RagQuery& q : dataset->queries()) {
-      for (int32_t fid : q.gold_fact_ids) {
-        gold.insert(dataset->fact(fid).chunk_id);
-      }
+  for (const RagQuery& q : dataset->queries()) {
+    for (int32_t fid : q.gold_fact_ids) {
+      gold.insert(dataset->fact(fid).chunk_id);
     }
   }
   for (ChunkId id = 0; id < static_cast<ChunkId>(db->num_chunks()); ++id) {
@@ -363,7 +361,7 @@ void ScheduleIngest(Simulator& sim, Dataset* dataset, const IngestOptions& opts,
   auto rng = std::make_shared<Rng>(SplitMix64(op_state));
   uint64_t time_state = seed ^ 0x71A357ull;
   Rng time_rng(SplitMix64(time_state));
-  std::vector<SimTime> times = ArrivalTimesFor(opts.arrivals, time_rng, opts.num_ops, opts.rate);
+  std::vector<SimTime> times = PoissonArrivalTimes(time_rng, opts.num_ops, opts.rate);
   const int chunk_tokens = dataset->profile().chunk_tokens;
   const double insert_fraction = opts.insert_fraction;
   for (SimTime t : times) {

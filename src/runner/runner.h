@@ -31,20 +31,15 @@ enum class SystemKind {
 const char* SystemKindName(SystemKind kind);
 
 // Streaming ingest under serving load (requires retrieval.mutable_index).
-// The runner schedules `num_ops` insert/delete operations into the same
-// simulation clock the query stream runs on, through the same arrival-process
-// machinery — deterministic per seed. Inserts add synthetic filler chunks to
-// the live database; deletes tombstone a uniformly random live victim.
+// The runner schedules `num_ops` insert/delete operations at Poisson times
+// into the same simulation clock the query stream runs on — deterministic
+// per seed. Inserts add synthetic filler chunks to the live database; deletes
+// tombstone a uniformly random live non-gold victim.
 struct IngestOptions {
   bool enabled = false;
   int num_ops = 0;
-  double rate = 4.0;             // Ops/sec (mean of `arrivals`).
+  double rate = 4.0;             // Mean ops/sec.
   double insert_fraction = 0.8;  // P(insert) per op; the rest delete.
-  // False (default): deletes only ever pick non-gold chunks, so query F1
-  // stays comparable with a static-index run of the same spec. True widens
-  // the victim pool to the whole live corpus (recall-under-churn stress).
-  bool delete_gold = false;
-  ArrivalProcess arrivals;  // Op arrival shape (kPoisson default).
 };
 
 // Ingest-stream + index-lifecycle accounting for one run (zeros unless the
@@ -88,7 +83,7 @@ struct ServingSpec {
 
   SystemKind system = SystemKind::kMetis;
   MetisSystem::Options metis;
-  JointSchedulerOptions scheduler;  // Design-ablation switches (§ DESIGN.md 5).
+  JointSchedulerOptions scheduler;  // Scheduler knobs (joint_scheduler.h).
   // Retrieval backend every dataset's vector database builds (paper default:
   // exact flat). The IVF backend makes the scheduler's retrieval-depth knob
   // (scheduler.adaptive_nprobe / nprobe_budget) live end to end; `shards`
@@ -107,7 +102,7 @@ struct ServingSpec {
   std::vector<TenantClass> tenants;
   // Arrival process shape, applied to every dataset's stream. kPoisson
   // (default) is bit-identical to the historical AssignPoissonArrivals
-  // stream; bursty/diurnal/flash_crowd keep the same mean rate but
+  // stream; bursty/flash_crowd keep the same mean rate but
   // concentrate arrivals (overload experiments).
   ArrivalProcess arrivals;
   // Degradation ladder; enabled=false (default) never constructs the

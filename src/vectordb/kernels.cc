@@ -209,65 +209,6 @@ __attribute__((target("avx512f"))) float DotU8F32Avx512(const uint8_t* codes, co
   return sum + tail;
 }
 
-// --- fast_math u8 variants ---------------------------------------------------
-//
-// Opt-in only (see kernels.h): FMA contraction and doubled ILP, no fixed
-// chain structure — NOT bit-stable across tiers or CPUs. Safe for quantized
-// candidate generation only because the exact rerank tail re-scores.
-__attribute__((target("avx2,fma"))) float DotU8F32FastAvx2(const uint8_t* codes, const float* w,
-                                                           size_t n) {
-  __m256 a0 = _mm256_setzero_ps();
-  __m256 a1 = _mm256_setzero_ps();
-  __m256 a2 = _mm256_setzero_ps();
-  __m256 a3 = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    __m128i r0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i));
-    __m128i r1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i + 16));
-    a0 = _mm256_fmadd_ps(_mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(r0)),
-                         _mm256_loadu_ps(w + i), a0);
-    a1 = _mm256_fmadd_ps(_mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(_mm_srli_si128(r0, 8))),
-                         _mm256_loadu_ps(w + i + 8), a1);
-    a2 = _mm256_fmadd_ps(_mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(r1)),
-                         _mm256_loadu_ps(w + i + 16), a2);
-    a3 = _mm256_fmadd_ps(_mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(_mm_srli_si128(r1, 8))),
-                         _mm256_loadu_ps(w + i + 24), a3);
-  }
-  for (; i + 8 <= n; i += 8) {
-    __m128i raw = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes + i));
-    a0 = _mm256_fmadd_ps(_mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(raw)), _mm256_loadu_ps(w + i),
-                         a0);
-  }
-  __m256 s = _mm256_add_ps(_mm256_add_ps(a0, a1), _mm256_add_ps(a2, a3));
-  __m128 s4 = _mm_add_ps(_mm256_castps256_ps128(s), _mm256_extractf128_ps(s, 1));
-  __m128 s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
-  float sum = _mm_cvtss_f32(_mm_add_ss(s2, _mm_shuffle_ps(s2, s2, 1)));
-  for (; i < n; ++i) {
-    sum += static_cast<float>(codes[i]) * w[i];
-  }
-  return sum;
-}
-
-__attribute__((target("avx512f"))) float DotU8F32FastAvx512(const uint8_t* codes, const float* w,
-                                                            size_t n) {
-  __m512 a0 = _mm512_setzero_ps();
-  __m512 a1 = _mm512_setzero_ps();
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    __m128i r0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i));
-    __m128i r1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i + 16));
-    a0 = _mm512_fmadd_ps(_mm512_cvtepi32_ps(_mm512_cvtepu8_epi32(r0)), _mm512_loadu_ps(w + i),
-                         a0);
-    a1 = _mm512_fmadd_ps(_mm512_cvtepi32_ps(_mm512_cvtepu8_epi32(r1)),
-                         _mm512_loadu_ps(w + i + 16), a1);
-  }
-  float sum = _mm512_reduce_add_ps(_mm512_add_ps(a0, a1));
-  for (; i < n; ++i) {
-    sum += static_cast<float>(codes[i]) * w[i];
-  }
-  return sum;
-}
-
 #pragma GCC diagnostic pop
 
 #endif  // METIS_KERNELS_X86
@@ -287,31 +228,17 @@ DotKernelFn KernelForTarget(KernelTarget target) {
   }
 }
 
-U8DotKernelFn U8KernelForTarget(KernelTarget target, bool fast_math) {
-#if METIS_KERNELS_X86
+U8DotKernelFn U8KernelForTarget(KernelTarget target) {
   switch (target) {
+#if METIS_KERNELS_X86
     case KernelTarget::kAvx2:
-      if (fast_math && __builtin_cpu_supports("fma") != 0) {
-        return &DotU8F32FastAvx2;
-      }
       return &DotU8F32Avx2;
     case KernelTarget::kAvx512:
-      // AVX-512F implies FMA support in practice; the fast variant only
-      // assumes avx512f.
-      return fast_math ? &DotU8F32FastAvx512 : &DotU8F32Avx512;
-    default:
-      break;
-  }
-#else
-  (void)target;
+      return &DotU8F32Avx512;
 #endif
-  (void)fast_math;  // The scalar tier has no relaxed variant worth keeping.
-  return &DotU8F32Scalar;
-}
-
-bool DefaultFastMath() {
-  const char* env = std::getenv("METIS_KERNEL_FAST_MATH");
-  return env != nullptr && std::strcmp(env, "0") != 0 && env[0] != '\0';
+    default:
+      return &DotU8F32Scalar;
+  }
 }
 
 KernelTarget DefaultTarget() {
@@ -336,15 +263,12 @@ struct Dispatch {
   std::atomic<KernelTarget> target;
   std::atomic<DotKernelFn> fn;
   std::atomic<U8DotKernelFn> u8fn;
-  std::atomic<bool> fast_math;
 
   Dispatch() {
     KernelTarget t = DefaultTarget();
-    bool fast = DefaultFastMath();
     target.store(t, std::memory_order_relaxed);
     fn.store(KernelForTarget(t), std::memory_order_relaxed);
-    u8fn.store(U8KernelForTarget(t, fast), std::memory_order_relaxed);
-    fast_math.store(fast, std::memory_order_relaxed);
+    u8fn.store(U8KernelForTarget(t), std::memory_order_relaxed);
   }
 };
 
@@ -412,14 +336,11 @@ bool SetKernelTarget(KernelTarget target) {
   }
   dispatch().target.store(target, std::memory_order_relaxed);
   dispatch().fn.store(KernelForTarget(target), std::memory_order_relaxed);
-  dispatch().u8fn.store(
-      U8KernelForTarget(target, dispatch().fast_math.load(std::memory_order_relaxed)),
-      std::memory_order_relaxed);
+  dispatch().u8fn.store(U8KernelForTarget(target), std::memory_order_relaxed);
   return true;
 }
 
 void ResetKernelTarget() {
-  SetKernelFastMath(DefaultFastMath());
   METIS_CHECK(SetKernelTarget(DefaultTarget()));
 }
 
@@ -440,21 +361,11 @@ float DotU8F32(const uint8_t* codes, const float* w, size_t n) {
   return dispatch().u8fn.load(std::memory_order_relaxed)(codes, w, n);
 }
 
-float DotU8F32Target(KernelTarget target, bool fast_math, const uint8_t* codes, const float* w,
-                     size_t n) {
+float DotU8F32Target(KernelTarget target, const uint8_t* codes, const float* w, size_t n) {
   METIS_CHECK(KernelTargetSupported(target));
-  return U8KernelForTarget(target, fast_math)(codes, w, n);
+  return U8KernelForTarget(target)(codes, w, n);
 }
 
 U8DotKernelFn ActiveU8DotKernel() { return dispatch().u8fn.load(std::memory_order_relaxed); }
-
-bool KernelFastMathEnabled() { return dispatch().fast_math.load(std::memory_order_relaxed); }
-
-void SetKernelFastMath(bool enabled) {
-  dispatch().fast_math.store(enabled, std::memory_order_relaxed);
-  dispatch().u8fn.store(
-      U8KernelForTarget(dispatch().target.load(std::memory_order_relaxed), enabled),
-      std::memory_order_relaxed);
-}
 
 }  // namespace metis

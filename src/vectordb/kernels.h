@@ -40,14 +40,6 @@
 // the returned float is bit-identical on every tier. Sixteen float chains is
 // what a 16-lane f32 SIMD register imposes; float accumulation is fine here
 // because the result only ranks *candidates* for the exact fp32 rerank tail.
-//
-// fast_math mode (explicit opt-in; OFF by default): relaxed variants of the
-// quantized kernel only — FMA contraction and wider ILP, no fixed chain
-// structure, results may differ from the strict tiers in the last ulps. The
-// exact fp32 kernel is never relaxed (it defines stored norms and final
-// rankings). Enable via SetKernelFastMath(true) or METIS_KERNEL_FAST_MATH=1.
-// Because the rerank tail re-scores candidates exactly, fast_math can only
-// perturb *which* candidates get reranked, never the ordering of survivors.
 
 #ifndef METIS_SRC_VECTORDB_KERNELS_H_
 #define METIS_SRC_VECTORDB_KERNELS_H_
@@ -114,28 +106,18 @@ DotKernelFn ActiveDotKernel();
 // --- Quantized (u8 x f32) kernel --------------------------------------------
 
 // Widening dot between uint8 row codes and a float weight vector, accumulated
-// in float across sixteen chains (header comment above). Strict tiers are
-// bit-identical across dispatch targets; with fast_math enabled the result
-// may differ in the last ulps (and between CPUs), which the exact rerank
-// tail absorbs.
+// in float across sixteen chains (header comment above). Bit-identical across
+// dispatch targets.
 float DotU8F32(const uint8_t* codes, const float* w, size_t n);
 
-// Runs a specific tier's strict or fast variant, bypassing dispatch (parity
-// tests). Aborts if the tier is unsupported on this CPU; a fast variant falls
-// back to the tier's strict kernel when the CPU lacks FMA.
-float DotU8F32Target(KernelTarget target, bool fast_math, const uint8_t* codes, const float* w,
-                     size_t n);
+// Runs a specific tier, bypassing dispatch (parity tests). Aborts if the tier
+// is unsupported on this CPU.
+float DotU8F32Target(KernelTarget target, const uint8_t* codes, const float* w, size_t n);
 
 // The active u8 kernel's raw function pointer (quantized scan loops fetch it
 // once per scan, like ActiveDotKernel).
 using U8DotKernelFn = float (*)(const uint8_t*, const float*, size_t);
 U8DotKernelFn ActiveU8DotKernel();
-
-// fast_math switch for the quantized kernels (never the exact fp32 kernel).
-// Startup default comes from METIS_KERNEL_FAST_MATH=1; strict otherwise.
-// Like SetKernelTarget, not synchronized with in-flight searches.
-bool KernelFastMathEnabled();
-void SetKernelFastMath(bool enabled);
 
 }  // namespace metis
 

@@ -1,7 +1,6 @@
 #include "src/workload/dataset.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <unordered_set>
 
@@ -669,8 +668,6 @@ const char* ArrivalKindName(ArrivalKind kind) {
       return "poisson";
     case ArrivalKind::kBursty:
       return "bursty";
-    case ArrivalKind::kDiurnal:
-      return "diurnal";
     case ArrivalKind::kFlashCrowd:
       return "flash_crowd";
   }
@@ -745,16 +742,6 @@ std::vector<SimTime> ArrivalTimesFor(const ArrivalProcess& process, Rng& rng, in
       return PoissonArrivalTimes(rng, n, rate);
     case ArrivalKind::kBursty:
       return BurstyArrivalTimes(process, rng, n, rate);
-    case ArrivalKind::kDiurnal: {
-      METIS_CHECK_GE(process.diurnal_amplitude, 0.0);
-      METIS_CHECK_LE(process.diurnal_amplitude, 1.0);
-      METIS_CHECK_GT(process.diurnal_period_s, 0.0);
-      double amplitude = process.diurnal_amplitude;
-      double omega = 2.0 * 3.141592653589793 / process.diurnal_period_s;
-      return ThinnedArrivalTimes(rng, n, rate * (1.0 + amplitude), [&](SimTime t) {
-        return rate * (1.0 + amplitude * std::sin(omega * t));
-      });
-    }
     case ArrivalKind::kFlashCrowd: {
       METIS_CHECK_GT(process.flash_factor, 1.0);
       METIS_CHECK_GT(process.flash_duration_s, 0.0);

@@ -201,14 +201,11 @@ void AssignSequentialArrivals(std::vector<RagQuery>& queries);
 //                quiet off-period whose rate is chosen so the long-run mean
 //                stays `rate` (off-rate clamps at 0 when burst_factor >
 //                1/burst_fraction — the mean is then slightly below `rate`).
-//   kDiurnal:    sinusoidal rate modulation rate(t) = rate * (1 +
-//                amplitude * sin(2*pi*t / period)), via thinning against the
-//                peak rate — a compressed day/night cycle.
 //   kFlashCrowd: baseline Poisson at `rate` with one spike window
 //                [flash_start_s, flash_start_s + flash_duration_s] during
 //                which the rate multiplies by flash_factor — the
 //                past-saturation regime the degradation ladder exists for.
-enum class ArrivalKind { kPoisson, kBursty, kDiurnal, kFlashCrowd };
+enum class ArrivalKind { kPoisson, kBursty, kFlashCrowd };
 
 const char* ArrivalKindName(ArrivalKind kind);
 
@@ -218,9 +215,6 @@ struct ArrivalProcess {
   double burst_factor = 3.0;     // In-burst rate multiplier (> 1).
   double burst_fraction = 0.25;  // Long-run fraction of time in burst state.
   double mean_cycle_s = 40.0;    // Mean on+off cycle length (s).
-  // kDiurnal:
-  double diurnal_period_s = 120.0;
-  double diurnal_amplitude = 0.8;  // In [0, 1].
   // kFlashCrowd:
   double flash_start_s = 20.0;
   double flash_duration_s = 15.0;

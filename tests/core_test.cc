@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/core/joint_scheduler.h"
 #include "src/core/mapping.h"
 #include "src/runner/runner.h"
@@ -166,6 +168,52 @@ TEST_F(JointSchedulerTest, StuffNeverExceedsLitmBudget) {
   int prompt = executor_->StuffPromptTokens(32, d.config.num_chunks);
   EXPECT_LE(prompt, JointScheduler::kStuffContextBudgetTokens + 1024);
   EXPECT_GE(d.config.num_chunks, space.min_chunks);
+}
+
+TEST_F(JointSchedulerTest, IdleEngineComplexJointQueryPrefersMapReduce) {
+  // Fig. 4a: complex queries do best with map_reduce's denoising. On an idle
+  // engine stuff fits too, with the larger footprint, so memory best-fit
+  // alone would pick it; the method preference picks map_reduce instead.
+  QueryProfile profile = MakeProfile(true, true, 4);
+  PrunedConfigSpace space = RuleBasedMapping(profile);
+  ASSERT_NE(std::find(space.methods.begin(), space.methods.end(), SynthesisMethod::kMapReduce),
+            space.methods.end());
+  RagConfig stuff{SynthesisMethod::kStuff, scheduler_->MaxLitmSafeStuffChunks(space, 32),
+                  space.min_intermediate};
+  SchedulerDecision d = scheduler_->Choose(space, profile, 32, 48);
+  EXPECT_LE(scheduler_->PeakBytes(stuff, 32, 48), d.free_bytes);
+  EXPECT_GT(scheduler_->PeakBytes(stuff, 32, 48), d.peak_bytes);
+  EXPECT_FALSE(d.used_fallback);
+  EXPECT_EQ(d.config.method, SynthesisMethod::kMapReduce);
+}
+
+TEST_F(JointSchedulerTest, HeadroomIsNetOfWaitingQueueClaims) {
+  QueryProfile profile = MakeProfile(true, false, 4);  // Space = {stuff} only.
+  PrunedConfigSpace space = RuleBasedMapping(profile);
+  auto submit = [&](int prompt_tokens) {
+    InferenceRequest req;
+    req.prompt_tokens = prompt_tokens;
+    req.output_tokens = 100;
+    engine_->Submit(std::move(req));
+  };
+  // The first request admits at once and its prefill backlog fills the
+  // admission window, so the next submission waits in the queue.
+  submit(5000);
+  ASSERT_EQ(engine_->queue_depth(), 0u);
+  SchedulerDecision empty_queue = scheduler_->Choose(space, profile, 32, 48);
+  EXPECT_DOUBLE_EQ(empty_queue.free_bytes, engine_->free_kv_bytes());
+  EXPECT_FALSE(empty_queue.used_fallback);
+
+  submit(25000);
+  ASSERT_EQ(engine_->queue_depth(), 1u);
+  SchedulerDecision queued = scheduler_->Choose(space, profile, 32, 48);
+  EXPECT_DOUBLE_EQ(queued.free_bytes, engine_->projected_free_kv_bytes());
+  EXPECT_LT(queued.free_bytes, engine_->free_kv_bytes());
+  // The raw free pool still fits the empty-queue pick; the queue's claim
+  // does not, so the scheduler falls back instead of queueing behind it.
+  EXPECT_LE(empty_queue.peak_bytes, engine_->free_kv_bytes());
+  EXPECT_TRUE(queued.used_fallback);
+  EXPECT_FALSE(queued.config == empty_queue.config);
 }
 
 TEST_F(JointSchedulerTest, TightMemoryDowngradesToMapReduce) {

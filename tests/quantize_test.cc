@@ -4,8 +4,8 @@
 //
 // Contracts under test:
 //
-//   - u8 kernel tier parity: DotU8F32 in strict mode is bit-identical across
-//     scalar / AVX2 / AVX-512 (16 float chains, fixed reduction tree).
+//   - u8 kernel tier parity: DotU8F32 is bit-identical across scalar /
+//     AVX2 / AVX-512 (16 float chains, fixed reduction tree).
 //   - fp32 bit-parity: an index built WITH quantized mirrors, queried at
 //     precision=fp32, returns bit-identical ids/order/distances to an index
 //     built with no quantization at all. The knob off == the knob absent.
@@ -84,37 +84,12 @@ TEST(QuantKernelTest, U8DotBitIdenticalAcrossTargets) {
       codes[i] = static_cast<uint8_t>(rng.Index(256));
       w[i] = static_cast<float>(rng.Uniform(-2.0, 2.0));
     }
-    const float want = DotU8F32Target(KernelTarget::kScalar, /*fast_math=*/false, codes.data(),
-                                      w.data(), n);
+    const float want = DotU8F32Target(KernelTarget::kScalar, codes.data(), w.data(), n);
     for (KernelTarget t : SupportedTargets()) {
-      const float got = DotU8F32Target(t, /*fast_math=*/false, codes.data(), w.data(), n);
+      const float got = DotU8F32Target(t, codes.data(), w.data(), n);
       EXPECT_EQ(got, want) << "target=" << KernelTargetName(t) << " n=" << n;
     }
   }
-}
-
-TEST(QuantKernelTest, FastMathToggleRoundTrips) {
-  EXPECT_FALSE(KernelFastMathEnabled());
-  SetKernelFastMath(true);
-  EXPECT_TRUE(KernelFastMathEnabled());
-  // Fast-math results need not be bit-identical to strict, but must be close.
-  Rng rng(0xFA57);
-  const size_t n = 256;
-  std::vector<uint8_t> codes(n);
-  std::vector<float> w(n);
-  double mag = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    codes[i] = static_cast<uint8_t>(rng.Index(256));
-    w[i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
-    mag += 255.0 * std::abs(w[i]);
-  }
-  for (KernelTarget t : SupportedTargets()) {
-    const float strict = DotU8F32Target(t, false, codes.data(), w.data(), n);
-    const float fast = DotU8F32Target(t, true, codes.data(), w.data(), n);
-    EXPECT_NEAR(strict, fast, 1e-3 * mag) << KernelTargetName(t);
-  }
-  SetKernelFastMath(false);
-  EXPECT_FALSE(KernelFastMathEnabled());
 }
 
 // --- Static backend: fp32 bit-parity + quantized determinism -----------------

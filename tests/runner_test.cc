@@ -40,6 +40,33 @@ TEST(RunnerTest, MetisServesEveryQueryWithProfiler) {
   }
 }
 
+TEST(RunnerTest, MetisQmsumStuffChoicesStayInsideLitmBudget) {
+  RunSpec spec;
+  spec.dataset = "qmsum";  // Exercises all three methods and the fallbacks.
+  spec.num_queries = 25;
+  spec.arrival_rate = 2.0;
+  spec.system = SystemKind::kMetis;
+  spec.seed = 17;
+  RunMetrics m = RunExperiment(spec);
+
+  ASSERT_EQ(m.records.size(), 25u);
+  EXPECT_GT(m.mean_f1(), 0.15);
+  EXPECT_LE(m.f1s.max(), 1.0);
+  EXPECT_GT(m.mean_delay(), 0.0);
+  for (const QueryRecord& r : m.records) {
+    EXPECT_GE(r.config.num_chunks, 1);
+    EXPECT_LE(r.config.num_chunks, 64);
+    if (r.config.method == SynthesisMethod::kStuff && !r.scheduler_fallback &&
+        !r.low_confidence_fallback) {
+      // In-space stuff choices respect the LITM budget (plus one chunk of
+      // slack for the min_chunks floor on large information needs).
+      int prompt = 64 + 40 + r.config.num_chunks * 512;
+      EXPECT_LE(prompt, JointScheduler::kStuffContextBudgetTokens +
+                            r.profile.num_info_pieces * 512);
+    }
+  }
+}
+
 TEST(RunnerTest, AdaptiveRagUsesQualityMaxConfigs) {
   RunMetrics m = RunExperiment(SmallSpec(SystemKind::kAdaptiveRag));
   EXPECT_EQ(m.records.size(), 30u);

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -237,7 +236,7 @@ TEST_P(ArrivalKindTest, OrderedDeterministicAndRatePreserving) {
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, ArrivalKindTest,
                          testing::Values(ArrivalKind::kPoisson, ArrivalKind::kBursty,
-                                         ArrivalKind::kDiurnal, ArrivalKind::kFlashCrowd),
+                                         ArrivalKind::kFlashCrowd),
                          [](const testing::TestParamInfo<ArrivalKind>& info) {
                            return std::string(ArrivalKindName(info.param));
                          });
@@ -286,28 +285,10 @@ TEST(ArrivalsTest, FlashCrowdConcentratesArrivalsInWindow) {
   EXPECT_NEAR(window_rate, rate * flash.flash_factor, 0.35 * rate * flash.flash_factor);
 }
 
-TEST(ArrivalsTest, DiurnalOscillatesAroundMeanRate) {
-  ArrivalProcess diurnal;
-  diurnal.kind = ArrivalKind::kDiurnal;
-  diurnal.diurnal_period_s = 120.0;
-  diurnal.diurnal_amplitude = 0.8;
-  const int n = 4000;
-  const double rate = 2.0;
-  Rng rng(13);
-  std::vector<SimTime> t = ArrivalTimesFor(diurnal, rng, n, rate);
-  // First half-period (sin > 0) runs above nominal, second half below.
-  size_t first_half = 0, second_half = 0;
-  for (SimTime x : t) {
-    double phase = std::fmod(x, diurnal.diurnal_period_s);
-    (phase < diurnal.diurnal_period_s / 2 ? first_half : second_half) += 1;
-  }
-  EXPECT_GT(first_half, second_half * 2);
-}
-
 TEST(ArrivalsTest, AssignArrivalsIsDeterministicForEveryKind) {
   auto a = Gen("squad", 30);
-  for (ArrivalKind kind : {ArrivalKind::kPoisson, ArrivalKind::kBursty, ArrivalKind::kDiurnal,
-                           ArrivalKind::kFlashCrowd}) {
+  for (ArrivalKind kind :
+       {ArrivalKind::kPoisson, ArrivalKind::kBursty, ArrivalKind::kFlashCrowd}) {
     ArrivalProcess process;
     process.kind = kind;
     std::vector<RagQuery> q1 = a->queries();
