@@ -69,7 +69,7 @@ double MeasureQps(const VectorIndex& index, const std::vector<Embedding>& querie
   auto start = Clock::now();
   for (int r = 0; r < repeats; ++r) {
     for (const Embedding& q : queries) {
-      total += index.Search(q, k).size();
+      total += index.Search(q, k, RetrievalQuality{}).size();
     }
   }
   double elapsed = SecondsSince(start);

@@ -49,7 +49,7 @@ void BM_FlatSearch(benchmark::State& state) {
   }
   Embedding q = model.Embed("the quick query about revenue and schedules");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(index.Search(q, 10));
+    benchmark::DoNotOptimize(index.Search(q, 10, RetrievalQuality{}));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -64,7 +64,7 @@ void BM_IvfSearch(benchmark::State& state) {
   index.Train();
   Embedding q = model.Embed("the quick query about revenue and schedules");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(index.Search(q, 10));
+    benchmark::DoNotOptimize(index.Search(q, 10, RetrievalQuality{}));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

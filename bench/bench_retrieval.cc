@@ -60,8 +60,9 @@ Measurement MeasureBatched(const VectorIndex& index, const std::vector<Embedding
   while (done < queries.size()) {
     size_t take = std::min(batch, queries.size() - done);
     std::vector<Embedding> group(queries.begin() + done, queries.begin() + done + take);
+    std::vector<RetrievalQuality> qualities(take);
     auto t0 = Clock::now();
-    auto hits = index.SearchBatch(group, k, pool);
+    auto hits = index.SearchBatch(group, k, pool, qualities);
     double call_s = SecondsSince(t0);
     for (size_t i = 0; i < take; ++i) {
       latencies_ms.Add(call_s / static_cast<double>(take) * 1e3);
@@ -158,7 +159,8 @@ int main(int argc, char** argv) {
         continue;
       }
       SetKernelTarget(target);
-      flat.SearchBatch({queries[0]}, kTopK, nullptr);  // Warmup under this tier.
+      // Warmup under this tier.
+      flat.SearchBatch({queries[0]}, kTopK, nullptr, std::vector<RetrievalQuality>(1));
       Measurement m = MeasureBatched(flat, queries, kTopK, 1, nullptr);
       record(StrFormat("flat_blocked_%s_t1_b1", KernelTargetName(target)),
              StrFormat("flat_blocked_%s", KernelTargetName(target)), 1, 1, m);
@@ -189,7 +191,8 @@ int main(int argc, char** argv) {
 
   double flat_t1_b1_qps = 0;
   double flat_t4_qps = 0;
-  flat.SearchBatch(queries, kTopK, nullptr);  // Warmup.
+  // Warmup.
+  flat.SearchBatch(queries, kTopK, nullptr, std::vector<RetrievalQuality>(queries.size()));
   for (size_t threads : kThreads) {
     ThreadPool pool(threads);
     std::vector<std::string> row = {StrFormat("t=%zu", threads)};

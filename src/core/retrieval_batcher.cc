@@ -7,16 +7,11 @@
 
 namespace metis {
 
-RetrievalBatcher::RetrievalBatcher(Simulator* sim, const VectorDatabase* db,
-                                   double delay_seconds, RetrievalQuality quality)
-    : sim_(sim), db_(db), delay_(delay_seconds), quality_(quality) {
+RetrievalBatcher::RetrievalBatcher(Simulator* sim, const VectorDatabase* db, double delay_seconds)
+    : sim_(sim), db_(db), delay_(delay_seconds) {
   METIS_CHECK(sim != nullptr);
   METIS_CHECK(db != nullptr);
   METIS_CHECK_GE(delay_seconds, 0.0);
-}
-
-void RetrievalBatcher::Submit(std::string query_text, size_t k, Callback cb) {
-  Submit(std::move(query_text), k, quality_, std::move(cb));
 }
 
 void RetrievalBatcher::Submit(std::string query_text, size_t k, const RetrievalQuality& quality,
@@ -25,49 +20,54 @@ void RetrievalBatcher::Submit(std::string query_text, size_t k, const RetrievalQ
   ++requests_;
   pending_.push_back(
       Pending{std::move(query_text), k, quality, std::move(cb), sim_->now() + delay_});
-  // Per-request event: claims the exact (time, sequence) slot the seed's
-  // per-query ScheduleAfter would have, so coalescing cannot reorder this
-  // callback relative to any other same-instant event in the simulation.
+  // Per-request event: claims the exact (time, sequence) slot a per-query
+  // ScheduleAfter would, so coalescing cannot reorder this callback relative
+  // to any other same-instant event in the simulation.
   sim_->ScheduleAt(pending_.back().due, [this]() { Deliver(); });
 }
 
 void RetrievalBatcher::Deliver() {
   METIS_CHECK(!pending_.empty());
   if (ready_.empty()) {
-    // First delivery of a same-tick group: sweep the index once for every
-    // request already queued that falls due now. Later submits (even at this
-    // same timestamp) start their own group when their events fire.
+    // First delivery of a same-tick group: answer every request already
+    // queued that falls due now. Later submits (even at this same
+    // timestamp) start their own group when their events fire.
     SimTime now = sim_->now();
     size_t group = 0;
-    size_t max_k = 0;
     while (group < pending_.size() && pending_[group].due <= now) {
-      max_k = std::max(max_k, pending_[group].k);
       ++group;
     }
     METIS_CHECK_GT(group, 0u);
-    std::vector<std::string> texts;
-    std::vector<RetrievalQuality> qualities;
-    texts.reserve(group);
-    qualities.reserve(group);
-    for (size_t i = 0; i < group; ++i) {
-      texts.push_back(pending_[i].text);
-      qualities.push_back(pending_[i].quality);
-    }
-    // One shared sweep at the largest requested width; per-request widths
-    // are prefixes of it (top-k lists are prefix-consistent under the
-    // index's (distance, insertion-order) total order), and each request
-    // keeps its own retrieval depth through the heterogeneous-quality sweep.
-    std::vector<std::vector<SearchHit>> hits = db_->RetrieveBatch(texts, max_k, qualities);
-    ++batches_;
-    max_batch_ = std::max(max_batch_, group);
-    for (size_t i = 0; i < group; ++i) {
-      size_t take = std::min(pending_[i].k, hits[i].size());
-      std::vector<ChunkId> ids;
-      ids.reserve(take);
-      for (size_t h = 0; h < take; ++h) {
-        ids.push_back(hits[i][h].id);
+    ready_.resize(group);
+    // One sweep per distinct width (see the header), each request keeping
+    // its own retrieval depth through the heterogeneous-quality sweep.
+    std::vector<bool> swept(group, false);
+    for (size_t first = 0; first < group; ++first) {
+      if (swept[first]) {
+        continue;
       }
-      ready_.push_back(std::move(ids));
+      size_t k = pending_[first].k;
+      std::vector<size_t> members;
+      std::vector<std::string> texts;
+      std::vector<RetrievalQuality> qualities;
+      for (size_t i = first; i < group; ++i) {
+        if (!swept[i] && pending_[i].k == k) {
+          swept[i] = true;
+          members.push_back(i);
+          texts.push_back(pending_[i].text);
+          qualities.push_back(pending_[i].quality);
+        }
+      }
+      std::vector<std::vector<SearchHit>> hits = db_->RetrieveBatch(texts, k, qualities);
+      ++batches_;
+      max_batch_ = std::max(max_batch_, members.size());
+      for (size_t m = 0; m < members.size(); ++m) {
+        std::vector<ChunkId>& ids = ready_[members[m]];
+        ids.reserve(hits[m].size());
+        for (const SearchHit& h : hits[m]) {
+          ids.push_back(h.id);
+        }
+      }
     }
   }
   Pending p = std::move(pending_.front());

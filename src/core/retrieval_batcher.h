@@ -10,16 +10,21 @@
 //
 // Timing-neutral by construction: every request keeps its OWN simulator
 // event, scheduled at Submit time for exactly `delay_seconds` later — the
-// identical (time, sequence) slot the seed's per-query ScheduleAfter would
-// have used, so even events interleaved at the same instant by other
-// components fire in the same order. Only the index sweep is shared: the
-// first delivery of a same-tick group runs one RetrieveBatch for the whole
-// group and the remaining deliveries drain the precomputed results.
+// identical (time, sequence) slot a per-query ScheduleAfter would use, so
+// even events interleaved at the same instant by other components fire in
+// the same order. Only the index sweep is shared: the first delivery of a
+// same-tick group runs one RetrieveBatch per distinct width k in the group,
+// and the remaining deliveries drain the precomputed results.
 //
-// On a live-mutable serving index the shared sweep also fixes the snapshot:
-// SearchBatch pins ONE epoch for the whole call, so a coalesced group can
-// never straddle a concurrent insert/delete/compaction — every answer in
-// the group reflects the same live set (src/vectordb/mutable_index.h).
+// Widths are never mixed in one sweep. A top-k answer is not in general a
+// prefix of a wider one: hybrid fusion ranks each leg's own top-k, and a
+// quantized tier over-fetches k x rerank factor candidates before its exact
+// rerank. Only exact fp32 scans are prefix-consistent.
+//
+// On a live-mutable serving index each sweep pins ONE epoch (SearchBatch),
+// and a group's sweeps all run in one delivery with no write in between, so
+// every answer in the group reflects the same live set
+// (src/vectordb/mutable_index.h).
 
 #ifndef METIS_SRC_CORE_RETRIEVAL_BATCHER_H_
 #define METIS_SRC_CORE_RETRIEVAL_BATCHER_H_
@@ -39,28 +44,24 @@ class RetrievalBatcher {
  public:
   using Callback = std::function<void(std::vector<ChunkId>)>;
 
-  // `quality` is the default for requests submitted without their own (the
-  // serving stack's per-run retrieval-depth knob, from
-  // JointSchedulerOptions); the default-default leaves the database's own
-  // index policy in charge. Probe selection depends only on the query (never
-  // on k), so mixed-k groups stay prefix-consistent under any quality
-  // setting.
-  RetrievalBatcher(Simulator* sim, const VectorDatabase* db, double delay_seconds,
-                   RetrievalQuality quality = {});
+  RetrievalBatcher(Simulator* sim, const VectorDatabase* db, double delay_seconds);
 
-  // Requests the top-k chunks for `query_text`; `cb` runs in simulation
-  // context exactly delay_seconds from now. The first form retrieves at the
-  // batcher's default quality; the second carries a per-QUERY quality (the
-  // profiler-driven depth), so one coalesced sweep can mix probe budgets —
-  // results stay bit-identical to uncoalesced per-query scans either way
-  // (the index resolves a probe plan per query; see
-  // VectorIndex::SearchBatch's heterogeneous overload).
-  void Submit(std::string query_text, size_t k, Callback cb);
+  // Scheduled delivery events hold the batcher's address.
+  RetrievalBatcher(const RetrievalBatcher&) = delete;
+  RetrievalBatcher& operator=(const RetrievalBatcher&) = delete;
+
+  // Requests the top-k chunks for `query_text` at `quality` (the query's own
+  // retrieval depth, tier and backend mix); `cb` runs in simulation context
+  // exactly delay_seconds from now. One coalesced sweep can mix qualities —
+  // results stay bit-identical to uncoalesced per-query scans (the index
+  // resolves a probe plan per query; see VectorIndex::SearchBatch).
   void Submit(std::string query_text, size_t k, const RetrievalQuality& quality, Callback cb);
 
   // --- Introspection (tests, benches) ---
   size_t requests() const { return requests_; }
+  // Sweeps run: one per distinct width in each same-tick group.
   size_t batches_issued() const { return batches_; }
+  // Most requests one sweep answered.
   size_t max_batch_size() const { return max_batch_; }
 
  private:
@@ -69,7 +70,6 @@ class RetrievalBatcher {
   Simulator* sim_;
   const VectorDatabase* db_;
   double delay_;
-  RetrievalQuality quality_;
 
   struct Pending {
     std::string text;

@@ -9,7 +9,6 @@
 #include "src/common/check.h"
 #include "src/common/rng.h"
 #include "src/common/strings.h"
-#include "src/core/retrieval_batcher.h"
 #include "src/vectordb/mutable_index.h"
 
 namespace metis {
@@ -177,7 +176,6 @@ struct StackPlan {
 
 // What ServeStacks builds for one plan on the shared engine.
 struct DatasetStack {
-  std::unique_ptr<RetrievalBatcher> batcher;
   std::unique_ptr<SynthesisExecutor> executor;
   std::unique_ptr<ApiLlmClient> profiler_api;
   std::unique_ptr<QueryProfiler> profiler;
@@ -458,14 +456,9 @@ std::vector<RunMetrics> ServeStacks(const ServingSpec& spec, const std::vector<S
     const StackPlan& plan = plans[d];
     const JointSchedulerOptions& options = plan.spec.scheduler;
     DatasetStack& ds = stacks[d];
-    RetrievalQuality retrieval_quality = RetrievalQualityFromOptions(options);
-    ds.batcher = std::make_unique<RetrievalBatcher>(&sim, &plan.dataset->db(),
-                                                    SynthesisExecutor::kRetrievalSeconds,
-                                                    retrieval_quality);
     ds.executor = std::make_unique<SynthesisExecutor>(&sim, &engine, &behavior,
-                                                      plan.dataset.get(),
-                                                      spec.seed ^ 0x5E1Full, ds.batcher.get());
-    ds.executor->set_retrieval_quality(retrieval_quality);
+                                                      plan.dataset.get(), spec.seed ^ 0x5E1Full);
+    ds.executor->set_retrieval_quality(RetrievalQualityFromOptions(options));
     // Corpus-salted group keys keep cross-dataset chunk ids from aliasing on
     // the shared engine (SynthesisExecutor::ChunkPrefixGroup).
     ds.executor->set_cross_query_prefix(options.cross_query_prefix);

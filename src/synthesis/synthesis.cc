@@ -7,7 +7,6 @@
 #include "src/common/check.h"
 #include "src/common/rng.h"
 #include "src/common/strings.h"
-#include "src/core/retrieval_batcher.h"
 #include "src/text/tokenizer.h"
 
 namespace metis {
@@ -20,13 +19,13 @@ struct SynthesisExecutor::ChunkFacts {
 
 SynthesisExecutor::SynthesisExecutor(Simulator* sim, LlmEngine* engine,
                                      const BehaviorModel* behavior, const Dataset* dataset,
-                                     uint64_t seed, RetrievalBatcher* batcher)
+                                     uint64_t seed)
     : sim_(sim),
       engine_(engine),
       behavior_(behavior),
       dataset_(dataset),
       seed_(seed),
-      batcher_(batcher),
+      batcher_(sim, &dataset->db(), kRetrievalSeconds),
       corpus_salt_(HashString64(dataset->profile().name) ^ seed) {
   METIS_CHECK(sim != nullptr);
   METIS_CHECK(engine != nullptr);
@@ -172,20 +171,8 @@ int CountGoldCoverage(const Dataset& dataset, const RagQuery& query,
 void SynthesisExecutor::RetrieveChunks(const RagQuery& query, int num_chunks,
                                        const std::optional<RetrievalQuality>& quality,
                                        std::function<void(std::vector<ChunkId>)> then) {
-  size_t k = static_cast<size_t>(num_chunks);
-  if (batcher_ != nullptr) {
-    if (quality.has_value()) {
-      batcher_->Submit(query.text, k, *quality, std::move(then));
-    } else {
-      batcher_->Submit(query.text, k, std::move(then));
-    }
-    return;
-  }
-  sim_->ScheduleAfter(kRetrievalSeconds,
-                      [this, text = query.text, k, q = quality.value_or(retrieval_quality_),
-                       then = std::move(then)]() mutable {
-                        then(dataset_->db().Retrieve(text, k, q));
-                      });
+  batcher_.Submit(query.text, static_cast<size_t>(num_chunks),
+                  quality.value_or(retrieval_quality_), std::move(then));
 }
 
 void SynthesisExecutor::RunStuff(const RagQuery& query, const RagConfig& config,

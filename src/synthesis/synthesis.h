@@ -18,6 +18,7 @@
 #include <optional>
 #include <string>
 
+#include "src/core/retrieval_batcher.h"
 #include "src/llm/behavior.h"
 #include "src/llm/engine.h"
 #include "src/quality/f1.h"
@@ -26,8 +27,6 @@
 #include "src/workload/dataset.h"
 
 namespace metis {
-
-class RetrievalBatcher;
 
 struct RagResult {
   int32_t query_id = -1;
@@ -51,31 +50,27 @@ struct RagResult {
 
 class SynthesisExecutor {
  public:
-  // `batcher` (optional, not owned) coalesces same-tick retrievals from many
-  // queued queries into one batched index sweep; null falls back to a
-  // per-query index scan with identical timing and results.
+  // Retrievals go through the executor's own RetrievalBatcher over
+  // `dataset`'s database, which coalesces same-tick retrievals from many
+  // queued queries into shared index sweeps.
   SynthesisExecutor(Simulator* sim, LlmEngine* engine, const BehaviorModel* behavior,
-                    const Dataset* dataset, uint64_t seed,
-                    RetrievalBatcher* batcher = nullptr);
+                    const Dataset* dataset, uint64_t seed);
 
   // Runs retrieval + synthesis for `query` under `config`; invokes `done`
   // from simulation context when the answer is complete. The three-argument
-  // form retrieves at the stack-wide default depth (set_retrieval_quality /
-  // the batcher's own quality); the four-argument form carries a per-QUERY
+  // form retrieves at the stack-wide default quality
+  // (set_retrieval_quality); the four-argument form carries a per-QUERY
   // RetrievalQuality — the profiler-driven depth the scheduler decided for
-  // this query — through the retrieval front half (batcher or direct scan).
+  // this query — through the batcher.
   void Execute(const RagQuery& query, const RagConfig& config,
                std::function<void(RagResult)> done);
   void Execute(const RagQuery& query, const RagConfig& config,
                const std::optional<RetrievalQuality>& retrieval_quality,
                std::function<void(RagResult)> done);
 
-  // Retrieval-depth knob applied to every direct (non-batcher) retrieval
-  // without a per-query override; a batcher carries its own copy. No-op on
-  // exact (flat) index backends. Set once at stack-build time (runner),
-  // before queries execute.
+  // The quality of every retrieval without a per-query override. Set once
+  // at stack-build time (runner), before queries execute.
   void set_retrieval_quality(const RetrievalQuality& quality) { retrieval_quality_ = quality; }
-  const RetrievalQuality& retrieval_quality() const { return retrieval_quality_; }
 
   // --- Cross-query KV reuse (joint co-scheduling) ---
   // When enabled, synthesis contexts are assembled in CANONICAL chunk order:
@@ -108,8 +103,7 @@ class SynthesisExecutor {
   ChunkFacts DescribeChunk(const RagQuery& query, ChunkId chunk_id) const;
 
   // Retrieval front half shared by the three pipelines: top-`num_chunks` ids
-  // arrive at `then` exactly kRetrievalSeconds from now, through the batcher
-  // when one is wired (shared sweep) or a direct per-query scan otherwise.
+  // arrive at `then` exactly kRetrievalSeconds from now, through the batcher.
   // `quality` (engaged for per-query-depth executions) overrides the stack
   // default for this one retrieval.
   void RetrieveChunks(const RagQuery& query, int num_chunks,
@@ -142,7 +136,7 @@ class SynthesisExecutor {
   const BehaviorModel* behavior_;
   const Dataset* dataset_;
   uint64_t seed_;
-  RetrievalBatcher* batcher_;
+  RetrievalBatcher batcher_;
   RetrievalQuality retrieval_quality_;
   bool cross_query_prefix_ = false;
   uint64_t corpus_salt_ = 0;  // Hash of the dataset name ^ seed (group keys).

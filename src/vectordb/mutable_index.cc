@@ -543,25 +543,15 @@ std::vector<SearchHit> MutableIndex::SearchPinnedQuant(const MutableEpoch& epoch
   return RerankToHits(merged.DrainCands(), query.data(), qnorm, k);
 }
 
-std::vector<SearchHit> MutableIndex::SearchPinned(const MutableEpoch& epoch,
-                                                  const Embedding& query, size_t k,
-                                                  const RetrievalQuality& quality) const {
-  METIS_CHECK_EQ(query.size(), dim_);
-  if (k == 0) {
-    return {};
-  }
-  RetrievalPrecision tier = ResolveTier(quality, epoch.base->quantizers());
-  if (tier != RetrievalPrecision::kFp32) {
-    return SearchPinnedQuant(epoch, query, k, tier, quality);
-  }
-  IdFilter dead = FilterOf(*epoch.tombstones);
+void MutableIndex::SearchPinnedExact(const MutableEpoch& epoch, const Embedding& query, size_t k,
+                                     const RetrievalQuality& quality, const IdFilter& dead,
+                                     BoundedTopK& merged) const {
   double qnorm = SquaredNormBlocked(query.data(), dim_);
   // One heap across base + segments + memtable: the (distance, candidate
   // order) total order makes the structure visit order irrelevant, exactly
   // as it does for shards. Base hits arrive with their own candidate orders,
   // which are order-isomorphic to (and strictly below) the delta rows' log
   // positions.
-  BoundedTopK merged(k);
   if (epoch.base_searchable) {
     for (const OrderedHit& h : epoch.base->SearchOrdered(query, k, quality, dead)) {
       merged.Offer(h.distance, h.order, h.id);
@@ -580,10 +570,25 @@ std::vector<SearchHit> MutableIndex::SearchPinned(const MutableEpoch& epoch,
     }
   }
   ScanLogRange(epoch.memtable_lo, epoch.memtable_hi, query.data(), qnorm, dead, merged);
+}
+
+std::vector<SearchHit> MutableIndex::SearchPinned(const MutableEpoch& epoch,
+                                                  const Embedding& query, size_t k,
+                                                  const RetrievalQuality& quality) const {
+  METIS_CHECK_EQ(query.size(), dim_);
+  if (k == 0) {
+    return {};
+  }
+  RetrievalPrecision tier = ResolveTier(quality, epoch.base->quantizers());
+  if (tier != RetrievalPrecision::kFp32) {
+    return SearchPinnedQuant(epoch, query, k, tier, quality);
+  }
+  BoundedTopK merged(k);
+  SearchPinnedExact(epoch, query, k, quality, FilterOf(*epoch.tombstones), merged);
   return merged.Drain();
 }
 
-std::vector<SearchHit> MutableIndex::SearchFiltered(const Embedding& query, size_t k,
+std::vector<OrderedHit> MutableIndex::SearchOrdered(const Embedding& query, size_t k,
                                                     const RetrievalQuality& quality,
                                                     const IdFilter& exclude) const {
   METIS_CHECK_EQ(query.size(), dim_);
@@ -592,55 +597,20 @@ std::vector<SearchHit> MutableIndex::SearchFiltered(const Embedding& query, size
   }
   std::shared_ptr<const MutableEpoch> epoch = PinEpoch();
   // Union the epoch's tombstones with the caller's exclusion set (both
-  // sorted), so one binary-searchable filter serves every scan below.
+  // sorted), so one binary-searchable filter serves every scan.
   std::vector<ChunkId> dead_union(epoch->tombstones->size() +
                                   static_cast<size_t>(exclude.end - exclude.begin));
   dead_union.erase(std::set_union(epoch->tombstones->begin(), epoch->tombstones->end(),
                                   exclude.begin, exclude.end, dead_union.begin()),
                    dead_union.end());
-  IdFilter dead = FilterOf(dead_union);
-  // Filtered scans are always exact: strip any quantized-tier request.
-  RetrievalQuality exact = quality;
-  exact.precision = RetrievalPrecision::kFp32;
-  double qnorm = SquaredNormBlocked(query.data(), dim_);
   BoundedTopK merged(k);
-  if (epoch->base_searchable) {
-    for (const OrderedHit& h : epoch->base->SearchOrdered(query, k, exact, dead)) {
-      merged.Offer(h.distance, h.order, h.id);
-    }
-  } else {
-    ScanLogRange(0, epoch->base_cut, query.data(), qnorm, dead, merged);
-  }
-  for (const MutableSegment& seg : epoch->segments) {
-    if (seg.compacted != nullptr) {
-      ScanRowsInto(seg.compacted->rows, 0, seg.compacted->orders.size(), query.data(), qnorm,
-                   seg.compacted->orders.data(), 0, dead, merged);
-    } else {
-      ScanLogRange(seg.lo, seg.hi, query.data(), qnorm, dead, merged);
-    }
-  }
-  ScanLogRange(epoch->memtable_lo, epoch->memtable_hi, query.data(), qnorm, dead, merged);
-  return merged.Drain();
-}
-
-std::vector<SearchHit> MutableIndex::Search(const Embedding& query, size_t k) const {
-  return Search(query, k, RetrievalQuality{});
+  SearchPinnedExact(*epoch, query, k, quality, FilterOf(dead_union), merged);
+  return merged.DrainOrdered();
 }
 
 std::vector<SearchHit> MutableIndex::Search(const Embedding& query, size_t k,
                                             const RetrievalQuality& quality) const {
   return SearchPinned(*PinEpoch(), query, k, quality);
-}
-
-std::vector<std::vector<SearchHit>> MutableIndex::SearchBatch(const std::vector<Embedding>& queries,
-                                                              size_t k, ThreadPool* pool) const {
-  return SearchBatch(queries, k, pool, RetrievalQuality{});
-}
-
-std::vector<std::vector<SearchHit>> MutableIndex::SearchBatch(const std::vector<Embedding>& queries,
-                                                              size_t k, ThreadPool* pool,
-                                                              const RetrievalQuality& quality) const {
-  return SearchBatch(queries, k, pool, std::vector<RetrievalQuality>(queries.size(), quality));
 }
 
 std::vector<std::vector<SearchHit>> MutableIndex::SearchBatch(

@@ -43,8 +43,8 @@
 // on a ThreadPool with readers still serving the old epoch; the synchronous
 // default keeps runs bit-reproducible for the parity tests and benches.
 //
-// The RetrievalBatcher's coalesced groups pass through here as one
-// SearchBatch call, which pins a single epoch for the whole group — every
+// Each of the RetrievalBatcher's coalesced sweeps passes through here as one
+// SearchBatch call, which pins a single epoch for the whole sweep — every
 // query in a batch sees the same snapshot.
 
 #ifndef METIS_SRC_VECTORDB_MUTABLE_INDEX_H_
@@ -130,26 +130,20 @@ class MutableIndex : public VectorIndex {
 
   // --- VectorIndex surface (reads are lock-free; Add == Insert) ---
   void Add(ChunkId id, const Embedding& v) override { Insert(id, v); }
-  std::vector<SearchHit> Search(const Embedding& query, size_t k) const override;
   std::vector<SearchHit> Search(const Embedding& query, size_t k,
                                 const RetrievalQuality& quality) const override;
-  std::vector<std::vector<SearchHit>> SearchBatch(const std::vector<Embedding>& queries, size_t k,
-                                                  ThreadPool* pool = nullptr) const override;
-  std::vector<std::vector<SearchHit>> SearchBatch(const std::vector<Embedding>& queries, size_t k,
-                                                  ThreadPool* pool,
-                                                  const RetrievalQuality& quality) const override;
   // One epoch pin for the whole batch: a coalesced group is answered against
   // a single snapshot no matter how the writer races it.
   std::vector<std::vector<SearchHit>> SearchBatch(
       const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
       const std::vector<RetrievalQuality>& qualities) const override;
-  // Exclusion-aware search (the hybrid metadata-filter push-down): like
-  // Search(query, k, quality) but with `exclude` (sorted ids) filtered inside
-  // every scan, unioned with the epoch's tombstones. Filtered scans always
-  // run the exact fp32 tier (quantized-tier requests are stripped).
-  std::vector<SearchHit> SearchFiltered(const Embedding& query, size_t k,
+  // Exclusion-aware exact search (the hybrid metadata-filter push-down): the
+  // fp32 flow of Search with `exclude` (sorted ids) unioned with the epoch's
+  // tombstones and filtered inside every scan. Orders are the merged total
+  // order: base orders sit below the delta rows' log positions.
+  std::vector<OrderedHit> SearchOrdered(const Embedding& query, size_t k,
                                         const RetrievalQuality& quality,
-                                        const IdFilter& exclude) const;
+                                        const IdFilter& exclude) const override;
   // Live rows (inserted minus deleted).
   size_t size() const override;
 
@@ -184,7 +178,7 @@ class MutableIndex : public VectorIndex {
   // identically forever, regardless of concurrent mutations.
   std::shared_ptr<const MutableEpoch> PinEpoch() const;
   std::vector<SearchHit> SearchPinned(const MutableEpoch& epoch, const Embedding& query, size_t k,
-                                      const RetrievalQuality& quality = {}) const;
+                                      const RetrievalQuality& quality) const;
   // Enumerates the epoch's live rows in insertion (log) order — the exact
   // stream a from-scratch reference build over the live set would consume.
   void ForEachLiveRow(const MutableEpoch& epoch,
@@ -215,6 +209,12 @@ class MutableIndex : public VectorIndex {
   // un-encoded segments in the quantized search flow).
   void ScanLogRangeExact(size_t lo, size_t hi, const float* q, double qnorm,
                          const IdFilter& exclude, BoundedQuantTopK& out) const;
+  // The exact read flow SearchPinned and SearchOrdered share: base hits plus
+  // segment and memtable scans offered into `merged` (a k-heap) under the
+  // (distance, order) total order, with `dead` filtered inside every scan.
+  void SearchPinnedExact(const MutableEpoch& epoch, const Embedding& query, size_t k,
+                         const RetrievalQuality& quality, const IdFilter& dead,
+                         BoundedTopK& merged) const;
   // The quantized SearchPinned flow: base candidates + segment code scans +
   // exact memtable into one (approx distance, order) heap, then one exact
   // rerank. Only called when `tier` is a quantized tier with a live mirror.

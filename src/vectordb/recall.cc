@@ -53,7 +53,7 @@ RecallEval::RecallEval(const FlatL2Index& truth, std::vector<Embedding> queries,
                        ThreadPool* pool)
     : k_(k), queries_(std::move(queries)) {
   METIS_CHECK_GT(k, 0u);
-  truth_ = truth.SearchBatch(queries_, k_, pool);
+  truth_ = truth.SearchBatch(queries_, k_, pool, std::vector<RetrievalQuality>(queries_.size()));
 }
 
 RecallEval::RecallEval(std::vector<Embedding> queries, size_t k,
@@ -67,13 +67,15 @@ RecallEval RecallEval::FromExactSearch(const VectorIndex& index, std::vector<Emb
                                        size_t k, ThreadPool* pool,
                                        const RetrievalQuality& quality) {
   METIS_CHECK_GT(k, 0u);
-  std::vector<std::vector<SearchHit>> truth = index.SearchBatch(queries, k, pool, quality);
+  std::vector<std::vector<SearchHit>> truth =
+      index.SearchBatch(queries, k, pool, std::vector<RetrievalQuality>(queries.size(), quality));
   return RecallEval(std::move(queries), k, std::move(truth));
 }
 
 double RecallEval::Evaluate(const VectorIndex& index, ThreadPool* pool,
                             const RetrievalQuality& quality) const {
-  return RecallAtK(index.SearchBatch(queries_, k_, pool, quality), truth_);
+  std::vector<RetrievalQuality> qualities(queries_.size(), quality);
+  return RecallAtK(index.SearchBatch(queries_, k_, pool, qualities), truth_);
 }
 
 }  // namespace metis

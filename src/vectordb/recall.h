@@ -55,9 +55,10 @@ class RecallEval {
                                     size_t k, ThreadPool* pool = nullptr,
                                     const RetrievalQuality& quality = {});
 
-  // Recall@k of `index` over the eval's query set, under the index's own
-  // probe policy or an explicit quality override (IVF only; other indexes
-  // ignore `quality`).
+  // Recall@k of `index` over the eval's query set at `quality`: the index's
+  // own probe policy by default, or an explicit override. The probe fields
+  // steer IVF only; the scan tier applies to any index with quantized
+  // mirrors, flat included.
   double Evaluate(const VectorIndex& index, ThreadPool* pool = nullptr,
                   const RetrievalQuality& quality = {}) const;
 

@@ -78,11 +78,15 @@ class BoundedTopK {
 
   // Like Drain, but keeps the candidate orders (the mutable index merges
   // base-index hits with delta-structure hits under the shared total order).
-  std::vector<Cand> DrainCands() {
+  std::vector<OrderedHit> DrainOrdered() {
     std::sort_heap(heap_.begin(), heap_.end(), CandLess);
-    std::vector<Cand> out = std::move(heap_);
+    std::vector<OrderedHit> hits;
+    hits.reserve(heap_.size());
+    for (const Cand& c : heap_) {
+      hits.push_back(OrderedHit{c.id, c.dist, c.order});
+    }
     heap_.clear();
-    return out;
+    return hits;
   }
 
   // The retained candidates in heap order (for cross-shard merging; the

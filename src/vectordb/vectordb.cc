@@ -178,46 +178,7 @@ void ScanRowsExactInto(const RowPool& pool, size_t begin, size_t end, const floa
   }
 }
 
-// --- VectorIndex default batch ----------------------------------------------
-
-std::vector<std::vector<SearchHit>> VectorIndex::SearchBatch(
-    const std::vector<Embedding>& queries, size_t k, ThreadPool* pool) const {
-  (void)pool;
-  std::vector<std::vector<SearchHit>> results;
-  results.reserve(queries.size());
-  for (const Embedding& q : queries) {
-    results.push_back(Search(q, k));
-  }
-  return results;
-}
-
-std::vector<std::vector<SearchHit>> VectorIndex::SearchBatch(
-    const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
-    const std::vector<RetrievalQuality>& qualities) const {
-  METIS_CHECK_EQ(qualities.size(), queries.size());
-  (void)pool;
-  std::vector<std::vector<SearchHit>> results;
-  results.reserve(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    results.push_back(Search(queries[i], k, qualities[i]));
-  }
-  return results;
-}
-
-std::vector<OrderedHit> VectorIndex::SearchOrdered(const Embedding& query, size_t k,
-                                                   const RetrievalQuality& quality,
-                                                   const IdFilter& exclude) const {
-  // Rank order is only a valid candidate order when nothing is filtered out;
-  // backends with real storage override this with a scan-level filter.
-  METIS_CHECK(exclude.empty());
-  std::vector<SearchHit> hits = Search(query, k, quality);
-  std::vector<OrderedHit> out;
-  out.reserve(hits.size());
-  for (size_t i = 0; i < hits.size(); ++i) {
-    out.push_back(OrderedHit{hits[i].id, hits[i].distance, i});
-  }
-  return out;
-}
+// --- Shared read paths ------------------------------------------------------
 
 std::vector<QuantCand> VectorIndex::SearchQuantCandidates(const Embedding& query, size_t fetch_k,
                                                           const RetrievalQuality& quality,
@@ -232,6 +193,78 @@ std::vector<QuantCand> VectorIndex::SearchQuantCandidates(const Embedding& query
   }
   return out;
 }
+
+namespace {
+
+std::vector<SearchHit> ToSearchHits(const std::vector<OrderedHit>& hits) {
+  std::vector<SearchHit> out;
+  out.reserve(hits.size());
+  for (const OrderedHit& h : hits) {
+    out.push_back(SearchHit{h.id, h.distance});
+  }
+  return out;
+}
+
+// The per-query read of the flat and IVF indexes. fp32 is the exact scan
+// (SearchOrdered with an empty filter). A quantized tier over-fetches
+// k x rerank factor candidates, then the exact rerank tail picks the best k.
+std::vector<SearchHit> SearchOneQuery(const VectorIndex& index, const Embedding& query, size_t k,
+                                      const RetrievalQuality& quality) {
+  if (ResolveTier(quality, index.quantizers()) == RetrievalPrecision::kFp32) {
+    return ToSearchHits(index.SearchOrdered(query, k, quality, IdFilter{}));
+  }
+  size_t fetch = k * ResolveRerankFactor(quality);
+  std::vector<QuantCand> cands = index.SearchQuantCandidates(query, fetch, quality, IdFilter{});
+  double qnorm = SquaredNormBlocked(query.data(), query.size());
+  return RerankToHits(std::move(cands), query.data(), qnorm, k);
+}
+
+// The batch read of the flat and IVF indexes. The fp32 queries share one
+// `exact_sweep(queries, qualities)` call; quantized queries run
+// SearchOneQuery one at a time, fanned out across the pool. Either way
+// results[i] is bit-identical to Search(queries[i], k, qualities[i]).
+template <typename ExactSweep>
+std::vector<std::vector<SearchHit>> SearchBatchByTier(
+    const VectorIndex& index, const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
+    const std::vector<RetrievalQuality>& qualities, const ExactSweep& exact_sweep) {
+  METIS_CHECK_EQ(qualities.size(), queries.size());
+  std::vector<size_t> exact_idx;
+  std::vector<size_t> quant_idx;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    bool exact = ResolveTier(qualities[i], index.quantizers()) == RetrievalPrecision::kFp32;
+    (exact ? exact_idx : quant_idx).push_back(i);
+  }
+  if (quant_idx.empty()) {
+    return exact_sweep(queries, qualities);
+  }
+  std::vector<std::vector<SearchHit>> results(queries.size());
+  if (!exact_idx.empty()) {
+    std::vector<Embedding> exact_q;
+    std::vector<RetrievalQuality> exact_quals;
+    for (size_t i : exact_idx) {
+      exact_q.push_back(queries[i]);
+      exact_quals.push_back(qualities[i]);
+    }
+    std::vector<std::vector<SearchHit>> swept = exact_sweep(exact_q, exact_quals);
+    for (size_t j = 0; j < exact_idx.size(); ++j) {
+      results[exact_idx[j]] = std::move(swept[j]);
+    }
+  }
+  auto quant_sweep = [&](size_t b, size_t e) {
+    for (size_t t = b; t < e; ++t) {
+      size_t qi = quant_idx[t];
+      results[qi] = SearchOneQuery(index, queries[qi], k, qualities[qi]);
+    }
+  };
+  if (pool != nullptr && pool->num_threads() > 1 && quant_idx.size() > 1) {
+    pool->ParallelFor(quant_idx.size(), quant_sweep);
+  } else {
+    quant_sweep(0, quant_idx.size());
+  }
+  return results;
+}
+
+}  // namespace
 
 // --- FlatL2Index ------------------------------------------------------------
 
@@ -250,7 +283,76 @@ void FlatL2Index::Add(ChunkId id, const Embedding& v) {
   shards_[ShardOfId(id, shards_.size())].Append(id, v.data(), count_++);
 }
 
-std::vector<SearchHit> FlatL2Index::Search(const Embedding& query, size_t k) const {
+std::vector<SearchHit> FlatL2Index::Search(const Embedding& query, size_t k,
+                                           const RetrievalQuality& quality) const {
+  return SearchOneQuery(*this, query, k, quality);
+}
+
+std::vector<std::vector<SearchHit>> FlatL2Index::SearchBatch(
+    const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
+    const std::vector<RetrievalQuality>& qualities) const {
+  auto exact_sweep = [&](const std::vector<Embedding>& qs, const std::vector<RetrievalQuality>&) {
+    for (const Embedding& q : qs) {
+      METIS_CHECK_EQ(q.size(), dim_);
+    }
+    std::vector<std::vector<SearchHit>> results(qs.size());
+    if (qs.empty() || k == 0 || count_ == 0) {
+      return results;
+    }
+    size_t nq = qs.size();
+    size_t nshards = shards_.size();
+    std::vector<double> qnorms(nq);
+    for (size_t qi = 0; qi < nq; ++qi) {
+      qnorms[qi] = SquaredNormBlocked(qs[qi].data(), dim_);
+    }
+
+    // Fan the (shard x query) grid out across the pool: one heap per cell,
+    // so workers own disjoint slots and the merged result is independent of
+    // the partitioning. Task ids are shard-major — a contiguous task range
+    // covers consecutive queries of one shard before moving to the next — so
+    // each worker still streams a shard's rows through the cache-sized
+    // blocks once for all of its queries.
+    std::vector<BoundedTopK> heaps;
+    heaps.reserve(nshards * nq);
+    for (size_t i = 0; i < nshards * nq; ++i) {
+      heaps.emplace_back(k);
+    }
+    auto sweep = [&](size_t tb, size_t te) {
+      size_t t = tb;
+      while (t < te) {
+        size_t shard = t / nq;
+        size_t run_end = std::min(te, (shard + 1) * nq);
+        size_t qb = t - shard * nq;
+        size_t qe = run_end - shard * nq;
+        const IndexShard& sh = shards_[shard];
+        size_t block = BlockRows(sh.rows.stride());
+        for (size_t rb = 0; rb < sh.rows.size(); rb += block) {
+          size_t re = std::min(rb + block, sh.rows.size());
+          for (size_t qi = qb; qi < qe; ++qi) {
+            ScanRows(sh.rows, rb, re, qs[qi].data(), qnorms[qi], sh.orders.data(), 0,
+                     heaps[shard * nq + qi]);
+          }
+        }
+        t = run_end;
+      }
+    };
+    if (pool != nullptr && pool->num_threads() > 1 && nshards * nq > 1) {
+      pool->ParallelFor(nshards * nq, sweep);
+    } else {
+      sweep(0, nshards * nq);
+    }
+    for (size_t qi = 0; qi < nq; ++qi) {
+      results[qi] = MergeShardTopK(heaps, /*start=*/qi, /*stride=*/nq, nshards, k);
+    }
+    return results;
+  };
+  return SearchBatchByTier(*this, queries, k, pool, qualities, exact_sweep);
+}
+
+std::vector<OrderedHit> FlatL2Index::SearchOrdered(const Embedding& query, size_t k,
+                                                   const RetrievalQuality& quality,
+                                                   const IdFilter& exclude) const {
+  (void)quality;  // Exact backend: no recall knob.
   METIS_CHECK_EQ(query.size(), dim_);
   if (k == 0 || count_ == 0) {
     return {};
@@ -260,160 +362,10 @@ std::vector<SearchHit> FlatL2Index::Search(const Embedding& query, size_t k) con
   // makes the scan order across shards irrelevant.
   BoundedTopK topk(k);
   for (const IndexShard& shard : shards_) {
-    ScanRows(shard.rows, 0, shard.rows.size(), query.data(), qnorm, shard.orders.data(), 0,
-             topk);
-  }
-  return topk.Drain();
-}
-
-std::vector<std::vector<SearchHit>> FlatL2Index::SearchBatch(const std::vector<Embedding>& queries,
-                                                             size_t k, ThreadPool* pool) const {
-  for (const Embedding& q : queries) {
-    METIS_CHECK_EQ(q.size(), dim_);
-  }
-  std::vector<std::vector<SearchHit>> results(queries.size());
-  if (queries.empty() || k == 0 || count_ == 0) {
-    return results;
-  }
-  size_t nq = queries.size();
-  size_t nshards = shards_.size();
-  std::vector<double> qnorms(nq);
-  for (size_t qi = 0; qi < nq; ++qi) {
-    qnorms[qi] = SquaredNormBlocked(queries[qi].data(), dim_);
-  }
-
-  // Fan the (shard x query) grid out across the pool: one heap per cell, so
-  // workers own disjoint slots and the merged result is independent of the
-  // partitioning. Task ids are shard-major — a contiguous task range covers
-  // consecutive queries of one shard before moving to the next — so each
-  // worker still streams a shard's rows through the cache-sized blocks once
-  // for all of its queries.
-  std::vector<BoundedTopK> heaps;
-  heaps.reserve(nshards * nq);
-  for (size_t i = 0; i < nshards * nq; ++i) {
-    heaps.emplace_back(k);
-  }
-  auto sweep = [&](size_t tb, size_t te) {
-    size_t t = tb;
-    while (t < te) {
-      size_t shard = t / nq;
-      size_t run_end = std::min(te, (shard + 1) * nq);
-      size_t qb = t - shard * nq;
-      size_t qe = run_end - shard * nq;
-      const IndexShard& sh = shards_[shard];
-      size_t block = BlockRows(sh.rows.stride());
-      for (size_t rb = 0; rb < sh.rows.size(); rb += block) {
-        size_t re = std::min(rb + block, sh.rows.size());
-        for (size_t qi = qb; qi < qe; ++qi) {
-          ScanRows(sh.rows, rb, re, queries[qi].data(), qnorms[qi], sh.orders.data(), 0,
-                   heaps[shard * nq + qi]);
-        }
-      }
-      t = run_end;
-    }
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && nshards * nq > 1) {
-    pool->ParallelFor(nshards * nq, sweep);
-  } else {
-    sweep(0, nshards * nq);
-  }
-  for (size_t qi = 0; qi < nq; ++qi) {
-    results[qi] = MergeShardTopK(heaps, /*start=*/qi, /*stride=*/nq, nshards, k);
-  }
-  return results;
-}
-
-std::vector<SearchHit> FlatL2Index::Search(const Embedding& query, size_t k,
-                                           const RetrievalQuality& quality) const {
-  RetrievalPrecision tier = ResolveTier(quality, quantizers());
-  if (tier == RetrievalPrecision::kFp32) {
-    // Exact path: byte-for-byte the quality-less search.
-    return Search(query, k);
-  }
-  METIS_CHECK_EQ(query.size(), dim_);
-  if (k == 0 || count_ == 0) {
-    return {};
-  }
-  size_t fetch = k * ResolveRerankFactor(quality);
-  std::vector<QuantCand> cands = SearchQuantCandidates(query, fetch, quality, IdFilter{});
-  double qnorm = SquaredNormBlocked(query.data(), dim_);
-  return RerankToHits(std::move(cands), query.data(), qnorm, k);
-}
-
-std::vector<std::vector<SearchHit>> FlatL2Index::SearchBatch(
-    const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
-    const RetrievalQuality& quality) const {
-  return SearchBatch(queries, k, pool, std::vector<RetrievalQuality>(queries.size(), quality));
-}
-
-std::vector<std::vector<SearchHit>> FlatL2Index::SearchBatch(
-    const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
-    const std::vector<RetrievalQuality>& qualities) const {
-  METIS_CHECK_EQ(qualities.size(), queries.size());
-  std::vector<size_t> quant_idx;  // Queries resolving to a quantized tier.
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (ResolveTier(qualities[i], quantizers()) != RetrievalPrecision::kFp32) {
-      quant_idx.push_back(i);
-    }
-  }
-  if (quant_idx.empty()) {
-    // All-exact group: the shared shard-major sweep, bit-identical to the
-    // pre-quantization index.
-    return SearchBatch(queries, k, pool);
-  }
-  // Mixed group: the exact subset still rides the shared sweep; quantized
-  // queries fan out per query across the pool. Either way results[i] is
-  // bit-identical to Search(queries[i], k, qualities[i]).
-  std::vector<std::vector<SearchHit>> results(queries.size());
-  std::vector<Embedding> exact_q;
-  std::vector<size_t> exact_idx;
-  for (size_t i = 0, qj = 0; i < queries.size(); ++i) {
-    if (qj < quant_idx.size() && quant_idx[qj] == i) {
-      ++qj;
-      continue;
-    }
-    exact_idx.push_back(i);
-    exact_q.push_back(queries[i]);
-  }
-  if (!exact_q.empty()) {
-    std::vector<std::vector<SearchHit>> exact_res = SearchBatch(exact_q, k, pool);
-    for (size_t j = 0; j < exact_idx.size(); ++j) {
-      results[exact_idx[j]] = std::move(exact_res[j]);
-    }
-  }
-  auto quant_sweep = [&](size_t b, size_t e) {
-    for (size_t t = b; t < e; ++t) {
-      size_t qi = quant_idx[t];
-      results[qi] = Search(queries[qi], k, qualities[qi]);
-    }
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && quant_idx.size() > 1) {
-    pool->ParallelFor(quant_idx.size(), quant_sweep);
-  } else {
-    quant_sweep(0, quant_idx.size());
-  }
-  return results;
-}
-
-std::vector<OrderedHit> FlatL2Index::SearchOrdered(const Embedding& query, size_t k,
-                                                   const RetrievalQuality& quality,
-                                                   const IdFilter& exclude) const {
-  (void)quality;  // Exact backend: no recall knob.
-  METIS_CHECK_EQ(query.size(), dim_);
-  std::vector<OrderedHit> out;
-  if (k == 0 || count_ == 0) {
-    return out;
-  }
-  double qnorm = SquaredNormBlocked(query.data(), dim_);
-  BoundedTopK topk(k);
-  for (const IndexShard& shard : shards_) {
     ScanRowsInto(shard.rows, 0, shard.rows.size(), query.data(), qnorm, shard.orders.data(), 0,
                  exclude, topk);
   }
-  for (const Cand& c : topk.DrainCands()) {
-    out.push_back(OrderedHit{c.id, c.dist, c.order});
-  }
-  return out;
+  return topk.DrainOrdered();
 }
 
 namespace {
@@ -748,54 +700,51 @@ IvfL2Index::ProbeSet IvfL2Index::PlanProbes(const float* q, double qnorm,
   return set;
 }
 
-std::vector<SearchHit> IvfL2Index::SearchOne(const float* q, size_t k, const ProbePlan& plan,
-                                             uint64_t* probes_used) const {
+std::vector<SearchHit> IvfL2Index::Search(const Embedding& query, size_t k,
+                                          const RetrievalQuality& quality) const {
+  return SearchOneQuery(*this, query, k, quality);
+}
+
+std::vector<OrderedHit> IvfL2Index::SearchOrdered(const Embedding& query, size_t k,
+                                                  const RetrievalQuality& quality,
+                                                  const IdFilter& exclude) const {
+  METIS_CHECK_EQ(query.size(), dim_);
   METIS_CHECK(trained_);
-  double qnorm = SquaredNormBlocked(q, dim_);
-  ProbeSet probes = PlanProbes(q, qnorm, plan);
+  double qnorm = SquaredNormBlocked(query.data(), dim_);
+  ProbeSet probes = PlanProbes(query.data(), qnorm, ResolveProbe(quality));
   // One heap across every shard of every probed list: the (distance, order)
   // total order makes the shard visit order irrelevant.
   BoundedTopK topk(k);
   for (size_t shard = 0; shard < num_shards_; ++shard) {
-    ScanProbedShard(lists_, probes.lists, probes.bases, shard, q, qnorm, IdFilter{}, topk);
+    ScanProbedShard(lists_, probes.lists, probes.bases, shard, query.data(), qnorm, exclude, topk);
   }
-  if (probes_used != nullptr) {
-    *probes_used = probes.lists.size();
-  }
-  return topk.Drain();
+  stats_.Record(probes.lists.size());
+  return topk.DrainOrdered();
 }
 
-std::vector<OrderedHit> IvfL2Index::SearchOneOrdered(const float* q, size_t k,
-                                                     const ProbePlan& plan,
-                                                     const IdFilter& exclude,
-                                                     uint64_t* probes_used) const {
-  METIS_CHECK(trained_);
-  double qnorm = SquaredNormBlocked(q, dim_);
-  ProbeSet probes = PlanProbes(q, qnorm, plan);
-  BoundedTopK topk(k);
-  for (size_t shard = 0; shard < num_shards_; ++shard) {
-    ScanProbedShard(lists_, probes.lists, probes.bases, shard, q, qnorm, exclude, topk);
+std::vector<uint64_t> IvfL2Index::probe_histogram() const {
+  std::vector<uint64_t> hist(kProbeHistogramBuckets);
+  for (size_t i = 0; i < hist.size(); ++i) {
+    hist[i] = stats_.hist[i].load(std::memory_order_relaxed);
   }
-  if (probes_used != nullptr) {
-    *probes_used = probes.lists.size();
-  }
-  std::vector<OrderedHit> out;
-  for (const Cand& c : topk.DrainCands()) {
-    out.push_back(OrderedHit{c.id, c.dist, c.order});
-  }
-  return out;
+  return hist;
 }
 
-std::vector<QuantCand> IvfL2Index::QuantCandidatesOne(const float* q, size_t fetch_k,
-                                                      RetrievalPrecision tier,
-                                                      const ProbePlan& plan,
-                                                      const IdFilter& exclude,
-                                                      uint64_t* probes_used) const {
+std::vector<QuantCand> IvfL2Index::SearchQuantCandidates(const Embedding& query, size_t fetch_k,
+                                                         const RetrievalQuality& quality,
+                                                         const IdFilter& exclude) const {
+  RetrievalPrecision tier = ResolveTier(quality, quantizers());
+  if (tier == RetrievalPrecision::kFp32) {
+    // No mirror, or fp32 requested: exact candidates through SearchOrdered.
+    return VectorIndex::SearchQuantCandidates(query, fetch_k, quality, exclude);
+  }
+  METIS_CHECK_EQ(query.size(), dim_);
   METIS_CHECK(trained_);
+  const float* q = query.data();
   double qnorm = SquaredNormBlocked(q, dim_);
   // Probe planning stays fp32 on every tier, so a quantized query probes
   // exactly the lists its fp32 twin would (tier-invariant probe counts).
-  ProbeSet probes = PlanProbes(q, qnorm, plan);
+  ProbeSet probes = PlanProbes(q, qnorm, ResolveProbe(quality));
   SqQuery sq;
   PqQuery pq;
   if (tier == RetrievalPrecision::kInt8) {
@@ -823,80 +772,8 @@ std::vector<QuantCand> IvfL2Index::QuantCandidatesOne(const float* q, size_t fet
       }
     }
   }
-  if (probes_used != nullptr) {
-    *probes_used = probes.lists.size();
-  }
+  stats_.Record(probes.lists.size());
   return topk.DrainCands();
-}
-
-std::vector<SearchHit> IvfL2Index::SearchOneQuant(const float* q, size_t k,
-                                                  RetrievalPrecision tier,
-                                                  const RetrievalQuality& quality,
-                                                  const ProbePlan& plan,
-                                                  uint64_t* probes_used) const {
-  size_t fetch = k * ResolveRerankFactor(quality);
-  std::vector<QuantCand> cands = QuantCandidatesOne(q, fetch, tier, plan, IdFilter{}, probes_used);
-  double qnorm = SquaredNormBlocked(q, dim_);
-  return RerankToHits(std::move(cands), q, qnorm, k);
-}
-
-std::vector<OrderedHit> IvfL2Index::SearchOrdered(const Embedding& query, size_t k,
-                                                  const RetrievalQuality& quality,
-                                                  const IdFilter& exclude) const {
-  METIS_CHECK_EQ(query.size(), dim_);
-  uint64_t probes = 0;
-  std::vector<OrderedHit> hits =
-      SearchOneOrdered(query.data(), k, ResolveProbe(quality), exclude, &probes);
-  stats_.Record(probes);
-  return hits;
-}
-
-std::vector<SearchHit> IvfL2Index::Search(const Embedding& query, size_t k) const {
-  return Search(query, k, RetrievalQuality{});
-}
-
-std::vector<SearchHit> IvfL2Index::Search(const Embedding& query, size_t k,
-                                          const RetrievalQuality& quality) const {
-  METIS_CHECK_EQ(query.size(), dim_);
-  RetrievalPrecision tier = ResolveTier(quality, quantizers());
-  uint64_t probes = 0;
-  std::vector<SearchHit> hits =
-      tier == RetrievalPrecision::kFp32
-          ? SearchOne(query.data(), k, ResolveProbe(quality), &probes)
-          : SearchOneQuant(query.data(), k, tier, quality, ResolveProbe(quality), &probes);
-  stats_.Record(probes);
-  return hits;
-}
-
-std::vector<uint64_t> IvfL2Index::probe_histogram() const {
-  std::vector<uint64_t> hist(kProbeHistogramBuckets);
-  for (size_t i = 0; i < hist.size(); ++i) {
-    hist[i] = stats_.hist[i].load(std::memory_order_relaxed);
-  }
-  return hist;
-}
-
-std::vector<QuantCand> IvfL2Index::SearchQuantCandidates(const Embedding& query, size_t fetch_k,
-                                                         const RetrievalQuality& quality,
-                                                         const IdFilter& exclude) const {
-  METIS_CHECK_EQ(query.size(), dim_);
-  RetrievalPrecision tier = ResolveTier(quality, quantizers());
-  uint64_t probes = 0;
-  std::vector<QuantCand> cands;
-  if (tier == RetrievalPrecision::kFp32) {
-    // Exact candidates (no mirror, or fp32 requested): distances are final.
-    std::vector<OrderedHit> hits =
-        SearchOneOrdered(query.data(), fetch_k, ResolveProbe(quality), exclude, &probes);
-    cands.reserve(hits.size());
-    for (const OrderedHit& h : hits) {
-      cands.push_back(QuantCand{h.distance, h.order, h.id, nullptr, 0});
-    }
-  } else {
-    cands = QuantCandidatesOne(query.data(), fetch_k, tier, ResolveProbe(quality), exclude,
-                               &probes);
-  }
-  stats_.Record(probes);
-  return cands;
 }
 
 bool IvfL2Index::BuildQuantizedMirrors() {
@@ -941,128 +818,72 @@ size_t IvfL2Index::bytes_per_row(RetrievalPrecision tier) const {
   return 0;
 }
 
-std::vector<std::vector<SearchHit>> IvfL2Index::SearchBatch(const std::vector<Embedding>& queries,
-                                                            size_t k, ThreadPool* pool) const {
-  return SearchBatch(queries, k, pool, RetrievalQuality{});
-}
-
-std::vector<std::vector<SearchHit>> IvfL2Index::SearchBatch(const std::vector<Embedding>& queries,
-                                                            size_t k, ThreadPool* pool,
-                                                            const RetrievalQuality& quality) const {
-  return SearchBatch(queries, k, pool, std::vector<RetrievalQuality>(queries.size(), quality));
-}
-
 std::vector<std::vector<SearchHit>> IvfL2Index::SearchBatch(
     const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
     const std::vector<RetrievalQuality>& qualities) const {
-  METIS_CHECK(trained_);
-  METIS_CHECK_EQ(qualities.size(), queries.size());
-  for (const Embedding& q : queries) {
-    METIS_CHECK_EQ(q.size(), dim_);
-  }
-  std::vector<std::vector<SearchHit>> results(queries.size());
-  if (queries.empty()) {
-    return results;
-  }
-  size_t nq = queries.size();
-  size_t nshards = num_shards_;
-  bool parallel = pool != nullptr && pool->num_threads() > 1;
+  auto exact_sweep = [&](const std::vector<Embedding>& qs,
+                         const std::vector<RetrievalQuality>& quals) {
+    METIS_CHECK(trained_);
+    for (const Embedding& q : qs) {
+      METIS_CHECK_EQ(q.size(), dim_);
+    }
+    std::vector<std::vector<SearchHit>> results(qs.size());
+    if (qs.empty()) {
+      return results;
+    }
+    size_t nq = qs.size();
+    size_t nshards = num_shards_;
+    bool parallel = pool != nullptr && pool->num_threads() > 1;
 
-  std::vector<RetrievalPrecision> tiers(nq);
-  bool any_quant = false;
-  for (size_t qi = 0; qi < nq; ++qi) {
-    tiers[qi] = ResolveTier(qualities[qi], quantizers());
-    any_quant = any_quant || tiers[qi] != RetrievalPrecision::kFp32;
-  }
-  if (any_quant) {
-    // Mixed-tier group: the exact subset rides the shared 3-phase sweep (the
-    // recursive call resolves all-fp32 and takes the path below); quantized
-    // queries fan out per query, probes recorded after the barrier. Either
-    // way results[i] is bit-identical to Search(queries[i], k, qualities[i]).
-    std::vector<Embedding> exact_q;
-    std::vector<RetrievalQuality> exact_quals;
-    std::vector<size_t> exact_idx;
-    std::vector<size_t> quant_idx;
-    for (size_t qi = 0; qi < nq; ++qi) {
-      if (tiers[qi] == RetrievalPrecision::kFp32) {
-        exact_idx.push_back(qi);
-        exact_q.push_back(queries[qi]);
-        exact_quals.push_back(qualities[qi]);
-      } else {
-        quant_idx.push_back(qi);
-      }
-    }
-    if (!exact_q.empty()) {
-      std::vector<std::vector<SearchHit>> exact_res = SearchBatch(exact_q, k, pool, exact_quals);
-      for (size_t j = 0; j < exact_idx.size(); ++j) {
-        results[exact_idx[j]] = std::move(exact_res[j]);
-      }
-    }
-    std::vector<uint64_t> probes(quant_idx.size(), 0);
-    auto quant_sweep = [&](size_t b, size_t e) {
-      for (size_t t = b; t < e; ++t) {
-        size_t qi = quant_idx[t];
-        results[qi] = SearchOneQuant(queries[qi].data(), k, tiers[qi], qualities[qi],
-                                     ResolveProbe(qualities[qi]), &probes[t]);
+    // Phase 1 — plan: per-query centroid ranking + adaptive rule, into
+    // disjoint slots (deterministic for any partitioning). Each query
+    // resolves its OWN quality override, so a coalesced group can mix probe
+    // modes and budgets; the probe count is fixed here, before any row is
+    // scanned.
+    std::vector<double> qnorms(nq);
+    std::vector<ProbeSet> sets(nq);
+    auto plan_phase = [&](size_t qb, size_t qe) {
+      for (size_t qi = qb; qi < qe; ++qi) {
+        qnorms[qi] = SquaredNormBlocked(qs[qi].data(), dim_);
+        sets[qi] = PlanProbes(qs[qi].data(), qnorms[qi], ResolveProbe(quals[qi]));
       }
     };
-    if (parallel && quant_idx.size() > 1) {
-      pool->ParallelFor(quant_idx.size(), quant_sweep);
+    if (parallel && nq > 1) {
+      pool->ParallelFor(nq, plan_phase);
     } else {
-      quant_sweep(0, quant_idx.size());
+      plan_phase(0, nq);
     }
-    for (uint64_t p : probes) {
-      stats_.Record(p);
+
+    // Phase 2 — scan: fan the (query x shard) grid out across the pool, one
+    // heap per cell.
+    std::vector<BoundedTopK> heaps;
+    heaps.reserve(nq * nshards);
+    for (size_t i = 0; i < nq * nshards; ++i) {
+      heaps.emplace_back(k);
+    }
+    auto scan_phase = [&](size_t tb, size_t te) {
+      for (size_t t = tb; t < te; ++t) {
+        size_t qi = t / nshards;
+        size_t shard = t % nshards;
+        ScanProbedShard(lists_, sets[qi].lists, sets[qi].bases, shard, qs[qi].data(),
+                        qnorms[qi], IdFilter{}, heaps[t]);
+      }
+    };
+    if (parallel && nq * nshards > 1) {
+      pool->ParallelFor(nq * nshards, scan_phase);
+    } else {
+      scan_phase(0, nq * nshards);
+    }
+
+    // Phase 3 — merge per query and fold the probe tally into the counters
+    // after the barrier, on the calling thread.
+    for (size_t qi = 0; qi < nq; ++qi) {
+      results[qi] = MergeShardTopK(heaps, qi * nshards, /*stride=*/1, nshards, k);
+      stats_.Record(sets[qi].lists.size());
     }
     return results;
-  }
-
-  // Phase 1 — plan: per-query centroid ranking + adaptive rule, into
-  // disjoint slots (deterministic for any partitioning). Each query resolves
-  // its OWN quality override, so a coalesced group can mix probe modes and
-  // budgets; the probe count is fixed here, before any row is scanned.
-  std::vector<double> qnorms(nq);
-  std::vector<ProbeSet> sets(nq);
-  auto plan_phase = [&](size_t qb, size_t qe) {
-    for (size_t qi = qb; qi < qe; ++qi) {
-      qnorms[qi] = SquaredNormBlocked(queries[qi].data(), dim_);
-      sets[qi] = PlanProbes(queries[qi].data(), qnorms[qi], ResolveProbe(qualities[qi]));
-    }
   };
-  if (parallel && nq > 1) {
-    pool->ParallelFor(nq, plan_phase);
-  } else {
-    plan_phase(0, nq);
-  }
-
-  // Phase 2 — scan: fan the (query x shard) grid out across the pool, one
-  // heap per cell.
-  std::vector<BoundedTopK> heaps;
-  heaps.reserve(nq * nshards);
-  for (size_t i = 0; i < nq * nshards; ++i) {
-    heaps.emplace_back(k);
-  }
-  auto scan_phase = [&](size_t tb, size_t te) {
-    for (size_t t = tb; t < te; ++t) {
-      size_t qi = t / nshards;
-      size_t shard = t % nshards;
-      ScanProbedShard(lists_, sets[qi].lists, sets[qi].bases, shard, queries[qi].data(),
-                      qnorms[qi], IdFilter{}, heaps[t]);
-    }
-  };
-  if (parallel && nq * nshards > 1) {
-    pool->ParallelFor(nq * nshards, scan_phase);
-  } else {
-    scan_phase(0, nq * nshards);
-  }
-
-  // Phase 3 — merge per query and fold the probe tally into the counters
-  // after the barrier, on the calling thread.
-  for (size_t qi = 0; qi < nq; ++qi) {
-    results[qi] = MergeShardTopK(heaps, qi * nshards, /*stride=*/1, nshards, k);
-    stats_.Record(sets[qi].lists.size());
-  }
-  return results;
+  return SearchBatchByTier(*this, queries, k, pool, qualities, exact_sweep);
 }
 
 // --- VectorDatabase ---------------------------------------------------------
@@ -1295,17 +1116,10 @@ std::vector<SearchHit> VectorDatabase::RetrieveHybrid(const std::string& query_t
   std::vector<SearchHit> dense_hits;
   if (want_dense) {
     const Embedding& query = query_cache_.Get(query_text);
-    if (exclude.empty()) {
-      dense_hits = index_->Search(query, k, quality);
-    } else if (mutable_ != nullptr) {
-      dense_hits = mutable_->SearchFiltered(query, k, quality, exclude);
-    } else {
-      // SearchOrdered is the static backends' exclusion-aware scan (always
-      // exact fp32; filtered scans don't ride quantized mirrors).
-      for (const OrderedHit& h : index_->SearchOrdered(query, k, quality, exclude)) {
-        dense_hits.push_back(SearchHit{h.id, h.distance});
-      }
-    }
+    // SearchOrdered is every backend's exclusion-aware scan (always exact
+    // fp32; filtered scans don't ride quantized mirrors).
+    dense_hits = exclude.empty() ? index_->Search(query, k, quality)
+                                 : ToSearchHits(index_->SearchOrdered(query, k, quality, exclude));
     dense_searches_.fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -1337,65 +1151,35 @@ std::vector<SearchHit> VectorDatabase::RetrieveWithDistances(const std::string& 
 
 std::vector<std::vector<SearchHit>> VectorDatabase::RetrieveBatch(
     const std::vector<std::string>& query_texts, size_t k,
-    const RetrievalQuality& quality) const {
-  if (NeedsHybridPath(quality)) {
-    std::vector<std::vector<SearchHit>> results;
-    results.reserve(query_texts.size());
-    for (const std::string& text : query_texts) {
-      results.push_back(RetrieveHybrid(text, k, quality));
-    }
-    return results;
-  }
-  // GetBatch serves cache hits and embeds the misses in one EmbedBatch
-  // (sharded across the search pool), returning owned copies so later cache
-  // evictions cannot invalidate the batch.
-  std::vector<Embedding> queries = query_cache_.GetBatch(query_texts, search_pool_);
-  return index_->SearchBatch(queries, k, search_pool_, quality);
-}
-
-std::vector<std::vector<SearchHit>> VectorDatabase::RetrieveBatch(
-    const std::vector<std::string>& query_texts, size_t k,
     const std::vector<RetrievalQuality>& qualities) const {
   METIS_CHECK_EQ(qualities.size(), query_texts.size());
-  bool any_hybrid = false;
-  for (const RetrievalQuality& q : qualities) {
-    if (NeedsHybridPath(q)) {
-      any_hybrid = true;
-      break;
+  // Hybrid/filtered queries run their per-query path; the plain rest ride
+  // one coalesced SearchBatch sweep.
+  std::vector<std::vector<SearchHit>> results(query_texts.size());
+  std::vector<size_t> plain;
+  std::vector<std::string> texts;
+  std::vector<RetrievalQuality> quals;
+  for (size_t i = 0; i < query_texts.size(); ++i) {
+    if (NeedsHybridPath(qualities[i])) {
+      results[i] = RetrieveHybrid(query_texts[i], k, qualities[i]);
+    } else {
+      plain.push_back(i);
+      texts.push_back(query_texts[i]);
+      quals.push_back(qualities[i]);
     }
   }
-  if (any_hybrid) {
-    // Mixed batches split: hybrid/filtered queries run their per-query path,
-    // the plain remainder still rides one coalesced SearchBatch sweep.
-    std::vector<std::vector<SearchHit>> results(query_texts.size());
-    std::vector<size_t> plain;
-    for (size_t i = 0; i < query_texts.size(); ++i) {
-      if (NeedsHybridPath(qualities[i])) {
-        results[i] = RetrieveHybrid(query_texts[i], k, qualities[i]);
-      } else {
-        plain.push_back(i);
-      }
+  if (!plain.empty()) {
+    // GetBatch serves cache hits and embeds the misses in one EmbedBatch
+    // (sharded across the search pool), returning owned copies so later
+    // cache evictions cannot invalidate the batch.
+    std::vector<Embedding> queries = query_cache_.GetBatch(texts, search_pool_);
+    std::vector<std::vector<SearchHit>> swept =
+        index_->SearchBatch(queries, k, search_pool_, quals);
+    for (size_t j = 0; j < plain.size(); ++j) {
+      results[plain[j]] = std::move(swept[j]);
     }
-    if (!plain.empty()) {
-      std::vector<std::string> texts;
-      std::vector<RetrievalQuality> quals;
-      texts.reserve(plain.size());
-      quals.reserve(plain.size());
-      for (size_t i : plain) {
-        texts.push_back(query_texts[i]);
-        quals.push_back(qualities[i]);
-      }
-      std::vector<Embedding> queries = query_cache_.GetBatch(texts, search_pool_);
-      std::vector<std::vector<SearchHit>> swept =
-          index_->SearchBatch(queries, k, search_pool_, quals);
-      for (size_t j = 0; j < plain.size(); ++j) {
-        results[plain[j]] = std::move(swept[j]);
-      }
-    }
-    return results;
   }
-  std::vector<Embedding> queries = query_cache_.GetBatch(query_texts, search_pool_);
-  return index_->SearchBatch(queries, k, search_pool_, qualities);
+  return results;
 }
 
 HybridSearchStats VectorDatabase::hybrid_stats() const {

@@ -30,11 +30,17 @@
 //     O(n log k) with O(k) memory instead of materializing and full-sorting
 //     all n candidates. The candidate-order tie-break reproduces the seed's
 //     stable_sort semantics exactly: equal distances rank by insertion order.
-//   - SearchBatch answers many queries in one sweep: rows are visited in
-//     cache-sized blocks and each block is scored against every query in the
-//     batch before moving on, so the index streams through memory once per
-//     block rather than once per query. An optional ThreadPool shards the
-//     batch across workers; results are identical for any thread count.
+//   - VectorIndex has one read virtual per read shape, each taking the
+//     query's RetrievalQuality: Search (one query), SearchBatch (one quality
+//     per query), SearchOrdered (exact, with candidate orders and an id
+//     filter) and SearchQuantCandidates (a quantized tier's candidates for
+//     the exact rerank tail).
+//   - SearchBatch answers its fp32 queries in one sweep: flat rows are
+//     visited in cache-sized blocks and each block is scored against every
+//     query in the batch before moving on, so the index streams through
+//     memory once per block rather than once per query. Quantized queries
+//     run the per-query path. An optional ThreadPool shards the batch across
+//     workers; results are identical for any thread count.
 //   - IVF inverted lists and centroids use the same RowPool layout, and
 //     IvfL2Index::Train can shard its O(n * nlist * dim) scans over a pool.
 //   - Row storage is hash-partitioned across N IndexShards (each its own
@@ -54,7 +60,7 @@
 //     max_probes budget. Queries that land inside a cluster stop early;
 //     queries between clusters keep probing — so at equal *average* probe
 //     count, adaptive probing spends the work where recall needs it.
-//   - RetrievalQuality threads a per-call override (fixed vs adaptive, probe
+//   - RetrievalQuality threads a per-query override (fixed vs adaptive, probe
 //     budget) from the serving-stack configuration down to the index, so the
 //     joint scheduler can treat retrieval depth like its other quality knobs
 //     (JointSchedulerOptions::adaptive_nprobe / nprobe_budget).
@@ -256,13 +262,13 @@ struct AdaptiveProbePolicy {
   double distance_ratio = 2.25;
 };
 
-// Per-call retrieval-quality override, threaded from the serving-stack
+// Per-query retrieval-quality override, threaded from the serving-stack
 // configuration (JointSchedulerOptions) through SynthesisExecutor /
-// RetrievalBatcher / VectorDatabase down to the index. Ignored by exact
-// (flat) backends. Since PR 4 the override is per *query*, not just per
-// call: the profiler-driven RetrievalDepthPolicy (src/core/) assigns each
-// query its own quality, and the batched sweeps accept one RetrievalQuality
-// per query (heterogeneous groups stay bit-identical to per-query scans).
+// RetrievalBatcher / VectorDatabase down to the index. The profiler-driven
+// RetrievalDepthPolicy (src/core/) assigns each query its own quality, and
+// the batched sweeps accept one RetrievalQuality per query (heterogeneous
+// groups stay bit-identical to per-query scans). The probe fields steer IVF
+// only; the scan tier applies to every backend with quantized mirrors.
 // Scan-tier precision: which row representation the candidate-generation scan
 // reads. fp32 is the exact path (bit-identical to the pre-quantization index);
 // int8 and PQ scan 4-32x narrower quantized mirrors and feed an exact fp32
@@ -409,7 +415,9 @@ struct QuantCand {
 
 // --- Index interface --------------------------------------------------------
 
-// Interface shared by index implementations.
+// Interface shared by index implementations: one read virtual per read
+// shape. Every read takes the query's RetrievalQuality — probe depth for IVF,
+// scan tier for every backend with quantized mirrors.
 class VectorIndex {
  public:
   virtual ~VectorIndex() = default;
@@ -417,48 +425,24 @@ class VectorIndex {
   virtual void Add(ChunkId id, const Embedding& v) = 0;
   // Returns up to k nearest ids by L2 distance, closest first; ties broken by
   // insertion order for determinism.
-  virtual std::vector<SearchHit> Search(const Embedding& query, size_t k) const = 0;
-  // Batched search: one result vector per query, each identical to what
-  // Search(queries[i], k) returns. `pool` optionally shards the batch across
-  // workers; results do not depend on the pool size. The default
-  // implementation loops Search; concrete indexes override it with a shared
-  // sweep over their storage.
-  virtual std::vector<std::vector<SearchHit>> SearchBatch(const std::vector<Embedding>& queries,
-                                                          size_t k,
-                                                          ThreadPool* pool = nullptr) const;
-  // Quality-aware variants. Exact backends have no recall knob: the defaults
-  // ignore `quality` and forward to the plain overloads. Approximate backends
-  // (IVF) override them to resolve probing from their policy + the per-call
-  // override, so callers can pass quality through uniformly without knowing
-  // the backend.
   virtual std::vector<SearchHit> Search(const Embedding& query, size_t k,
-                                        const RetrievalQuality& quality) const {
-    (void)quality;
-    return Search(query, k);
-  }
-  virtual std::vector<std::vector<SearchHit>> SearchBatch(const std::vector<Embedding>& queries,
-                                                          size_t k, ThreadPool* pool,
-                                                          const RetrievalQuality& quality) const {
-    (void)quality;
-    return SearchBatch(queries, k, pool);
-  }
-  // Heterogeneous-quality batch: qualities[i] applies to queries[i] only
-  // (the per-query retrieval-depth knob). results[i] must be bit-identical
-  // to Search(queries[i], k, qualities[i]) for every i. Exact backends
-  // ignore the qualities; the default loops the quality-aware Search, and
-  // concrete indexes override it with a shared sweep.
+                                        const RetrievalQuality& quality) const = 0;
+  // Batched search: qualities[i] applies to queries[i] only, and results[i]
+  // is bit-identical to Search(queries[i], k, qualities[i]). `pool`
+  // optionally shards the batch across workers; results do not depend on the
+  // pool size.
   virtual std::vector<std::vector<SearchHit>> SearchBatch(
       const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
-      const std::vector<RetrievalQuality>& qualities) const;
-  // Top-k with the backend's candidate orders attached and `exclude` (sorted
-  // tombstoned ids) filtered out before selection. This is the base-index
-  // hook for the mutable serving index (mutable_index.h): its memtable and
-  // segment heaps merge with these hits under the shared (distance, order)
-  // total order. The default maps Search's ranks to orders and only supports
-  // an empty filter; the concrete backends override it with real scans.
+      const std::vector<RetrievalQuality>& qualities) const = 0;
+  // Exact top-k with the backend's candidate orders attached and `exclude`
+  // (sorted ids) filtered out inside the scan, before selection. Exact on
+  // every tier (quality only steers IVF probing). The mutable serving index
+  // (mutable_index.h) merges its base's hits with memtable/segment hits under
+  // the shared (distance, order) total order, and the hybrid path's filtered
+  // dense leg reads it on every backend.
   virtual std::vector<OrderedHit> SearchOrdered(const Embedding& query, size_t k,
                                                 const RetrievalQuality& quality,
-                                                const IdFilter& exclude) const;
+                                                const IdFilter& exclude) const = 0;
   // --- Quantized-tier hooks ---
   // Trains quantizers over the rows added so far and encodes the quantized
   // mirrors (per the backend's QuantizationOptions). Idempotent-by-intent:
@@ -492,27 +476,16 @@ class FlatL2Index : public VectorIndex {
   explicit FlatL2Index(size_t dim, size_t num_shards = 1, QuantizationOptions quant = {});
 
   void Add(ChunkId id, const Embedding& v) override;
-  std::vector<SearchHit> Search(const Embedding& query, size_t k) const override;
   // quality.precision routes to the quantized mirrors + exact rerank when
-  // mirrors exist; kFp32 (and any tier with no mirror) is the exact path,
-  // bit-identical to the quality-less overload.
+  // mirrors exist; kFp32 (and any tier with no mirror) is the exact scan.
   std::vector<SearchHit> Search(const Embedding& query, size_t k,
                                 const RetrievalQuality& quality) const override;
-  std::vector<std::vector<SearchHit>> SearchBatch(const std::vector<Embedding>& queries,
-                                                  size_t k,
-                                                  ThreadPool* pool = nullptr) const override;
-  std::vector<std::vector<SearchHit>> SearchBatch(const std::vector<Embedding>& queries, size_t k,
-                                                  ThreadPool* pool,
-                                                  const RetrievalQuality& quality) const override;
-  // Heterogeneous batch: fp32 queries ride the plain shared sweep; quantized
-  // queries fan out per query. results[i] is bit-identical to
-  // Search(queries[i], k, qualities[i]).
+  // fp32 queries share one shard-major sweep; quantized queries run the
+  // per-query path.
   std::vector<std::vector<SearchHit>> SearchBatch(
       const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
       const std::vector<RetrievalQuality>& qualities) const override;
   // Exact scan with tombstone filtering; orders are global insertion orders.
-  // Always exact regardless of quality.precision (the quantized counterpart
-  // is SearchQuantCandidates).
   std::vector<OrderedHit> SearchOrdered(const Embedding& query, size_t k,
                                         const RetrievalQuality& quality,
                                         const IdFilter& exclude) const override;
@@ -553,28 +526,19 @@ class IvfL2Index : public VectorIndex {
              QuantizationOptions quant = {});
 
   void Add(ChunkId id, const Embedding& v) override;
-  std::vector<SearchHit> Search(const Embedding& query, size_t k) const override;
-  std::vector<std::vector<SearchHit>> SearchBatch(const std::vector<Embedding>& queries,
-                                                  size_t k,
-                                                  ThreadPool* pool = nullptr) const override;
-  // Quality-aware variants: probing is resolved from the index's policy and
-  // the per-call override (see RetrievalQuality). The plain overrides above
-  // forward here with the default quality.
+  // Probing is resolved from the index's policy and the query's override
+  // (see RetrievalQuality).
   std::vector<SearchHit> Search(const Embedding& query, size_t k,
                                 const RetrievalQuality& quality) const override;
-  std::vector<std::vector<SearchHit>> SearchBatch(const std::vector<Embedding>& queries, size_t k,
-                                                  ThreadPool* pool,
-                                                  const RetrievalQuality& quality) const override;
-  // Heterogeneous per-query qualities: the coalesced sweep resolves one
-  // ProbePlan per query from qualities[i] — probe schedules, results, and
-  // probe accounting are bit-identical to per-query Search calls (the
-  // uniform-quality overloads all funnel here).
+  // The fp32 queries' sweep resolves one ProbePlan per query from
+  // qualities[i] — probe schedules, results, and probe accounting are
+  // bit-identical to per-query Search calls.
   std::vector<std::vector<SearchHit>> SearchBatch(
       const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
       const std::vector<RetrievalQuality>& qualities) const override;
   // Probed scan with tombstone filtering; orders are the probe-concatenation
-  // positions (the same orders the plain Search selects under). Counts toward
-  // the probe stats exactly like Search.
+  // positions (the same orders Search selects under). Counts toward the
+  // probe stats exactly like Search.
   std::vector<OrderedHit> SearchOrdered(const Embedding& query, size_t k,
                                         const RetrievalQuality& quality,
                                         const IdFilter& exclude) const override;
@@ -673,19 +637,6 @@ class IvfL2Index : public VectorIndex {
   ProbeSet PlanProbes(const float* q, double qnorm, const ProbePlan& plan) const;
 
   size_t NearestCentroid(const float* v) const;
-  std::vector<SearchHit> SearchOne(const float* q, size_t k, const ProbePlan& plan,
-                                   uint64_t* probes_used) const;
-  std::vector<OrderedHit> SearchOneOrdered(const float* q, size_t k, const ProbePlan& plan,
-                                           const IdFilter& exclude, uint64_t* probes_used) const;
-  // Quantized candidate generation over the probed lists (tier must have a
-  // mirror; the callers resolve fallbacks). Does not touch the probe stats —
-  // callers record, like the exact SearchOne paths' callers.
-  std::vector<QuantCand> QuantCandidatesOne(const float* q, size_t fetch_k,
-                                            RetrievalPrecision tier, const ProbePlan& plan,
-                                            const IdFilter& exclude, uint64_t* probes_used) const;
-  std::vector<SearchHit> SearchOneQuant(const float* q, size_t k, RetrievalPrecision tier,
-                                        const RetrievalQuality& quality, const ProbePlan& plan,
-                                        uint64_t* probes_used) const;
 
   size_t dim_;
   size_t nlist_;
@@ -862,22 +813,18 @@ class VectorDatabase {
   // Embeds the query text and returns the top-k chunks, closest first.
   // Query embeddings are memoized (EmbeddingCache), so repeated retrievals of
   // the same text — config sweeps, golden-config feedback — skip re-embedding.
-  // `quality` tunes the IVF probe knobs for this call; exact backends ignore
-  // it.
+  // `quality` carries this call's probe depth, scan tier, backend weights and
+  // filter.
   std::vector<ChunkId> Retrieve(const std::string& query_text, size_t k,
                                 const RetrievalQuality& quality = {}) const;
   std::vector<SearchHit> RetrieveWithDistances(const std::string& query_text, size_t k,
                                                const RetrievalQuality& quality = {}) const;
 
-  // Batched retrieval: embeds every query (through the memo cache) and runs
-  // one SearchBatch sweep over the index. results[i] matches what
-  // RetrieveWithDistances(query_texts[i], k, quality) returns.
-  std::vector<std::vector<SearchHit>> RetrieveBatch(const std::vector<std::string>& query_texts,
-                                                    size_t k,
-                                                    const RetrievalQuality& quality = {}) const;
-  // Heterogeneous variant: qualities[i] applies to query_texts[i] only, so a
-  // coalesced group can carry one retrieval depth per query. results[i]
-  // matches RetrieveWithDistances(query_texts[i], k, qualities[i]).
+  // Batched retrieval: qualities[i] applies to query_texts[i] only, so a
+  // coalesced group can carry one retrieval depth per query. Hybrid and
+  // filtered queries run their per-query path; the plain rest are embedded
+  // (through the memo cache) and answered by one SearchBatch sweep.
+  // results[i] matches RetrieveWithDistances(query_texts[i], k, qualities[i]).
   std::vector<std::vector<SearchHit>> RetrieveBatch(
       const std::vector<std::string>& query_texts, size_t k,
       const std::vector<RetrievalQuality>& qualities) const;

@@ -160,9 +160,9 @@ TEST(MixedQualityParityTest, FlatBatchIgnoresQualitiesAndMatchesPerQueryScans) {
   }
 }
 
-// Serving-stack layer: a same-tick RetrievalBatcher group whose requests
-// carry different qualities (and different k) must hand every callback the
-// ids a direct per-query Retrieve at that quality returns, from ONE sweep.
+// Serving-stack layer: a same-tick RetrievalBatcher group of one width whose
+// requests carry different qualities must hand every callback the ids a
+// direct per-query Retrieve at that quality returns, from ONE sweep.
 TEST(MixedQualityParityTest, BatcherCoalescesHeterogeneousQualityGroup) {
   auto db = std::make_unique<VectorDatabase>(
       EmbeddingModel(GetEmbeddingModel("all-mpnet-base-v2-sim")),
@@ -203,7 +203,7 @@ TEST(MixedQualityParityTest, BatcherCoalescesHeterogeneousQualityGroup) {
       "rainfall in the river basin",
   };
   std::vector<RetrievalQuality> qualities = QualityMix(query_texts.size());
-  std::vector<size_t> ks = {1, 3, 2, 4};
+  std::vector<size_t> ks = {3, 3, 3, 3};
 
   Simulator sim;
   RetrievalBatcher batcher(&sim, db.get(), 0.004);

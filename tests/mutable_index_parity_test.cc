@@ -15,7 +15,10 @@
 //   - IVF backend, after RetrainBase: bit-equal to a fresh IvfL2Index
 //     (same nlist/nprobe/seed/shards) trained on the live rows, at fixed AND
 //     adaptive probe qualities — identical training input means identical
-//     centroids, lists, and probe schedules.
+//     centroids, lists, and probe schedules;
+//   - filtered reads (SearchOrdered with a sorted exclusion set, the hybrid
+//     metadata-filter path): ids and distances bit-equal to the fresh flat
+//     reference's SearchOrdered with the same set, at every checkpoint.
 //
 // The op stream includes delete-then-reinsert (same vector, fresh id) and
 // exact duplicate vectors, both of which stress the (distance, candidate
@@ -68,8 +71,11 @@ Embedding RandomVec(Rng& rng) {
   return v;
 }
 
-void ExpectBitEqual(const std::vector<SearchHit>& got, const std::vector<SearchHit>& want,
-                    const char* what) {
+// Ids and distances bit-equal. Filtered reads compare OrderedHits, whose
+// candidate orders differ by construction (log positions vs the reference's
+// insertion order) and are not compared.
+template <typename Hit>
+void ExpectBitEqual(const std::vector<Hit>& got, const std::vector<Hit>& want, const char* what) {
   ASSERT_EQ(got.size(), want.size()) << what;
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].id, want[i].id) << what << " rank " << i;
@@ -158,6 +164,9 @@ TEST_P(MutableIndexParityTest, RandomInterleavingsMatchFreshBuild) {
   RetrievalQuality full_probe;
   full_probe.mode = RetrievalQuality::ProbeMode::kFixed;
   full_probe.nprobe = 1u << 20;
+  // Draws the checkpoints' exclusion sets; separate from `rng` so the op
+  // stream does not depend on them.
+  Rng filter_rng(0xF117E5 + pc.shards * 31 + pc.threads * 7 + (pc.adaptive ? 1 : 0));
 
   auto checkpoint = [&](const char* when) {
     FlatL2Index ref = model.BuildFlat(pc.shards);
@@ -172,11 +181,22 @@ TEST_P(MutableIndexParityTest, RandomInterleavingsMatchFreshBuild) {
     RetrievalQuality quality =
         pc.backend == RetrievalIndexOptions::Backend::kIvf ? full_probe : RetrievalQuality{};
     std::vector<std::vector<SearchHit>> batch =
-        index.SearchBatch(queries, kTopK, batch_pool, quality);
+        index.SearchBatch(queries, kTopK, batch_pool,
+                          std::vector<RetrievalQuality>(queries.size(), quality));
+    // A sorted exclusion set over every id issued so far, live or deleted.
+    std::vector<ChunkId> excluded;
+    for (ChunkId id = 0; id < next_id; ++id) {
+      if (filter_rng.Bernoulli(0.3)) {
+        excluded.push_back(id);
+      }
+    }
+    IdFilter exclude{excluded.data(), excluded.data() + excluded.size()};
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      std::vector<SearchHit> want = ref.Search(queries[qi], kTopK);
+      std::vector<SearchHit> want = ref.Search(queries[qi], kTopK, RetrievalQuality{});
       ExpectBitEqual(index.Search(queries[qi], kTopK, quality), want, when);
       ExpectBitEqual(batch[qi], want, when);
+      ExpectBitEqual(index.SearchOrdered(queries[qi], kTopK, quality, exclude),
+                     ref.SearchOrdered(queries[qi], kTopK, RetrievalQuality{}, exclude), when);
     }
   };
 
@@ -282,12 +302,12 @@ TEST(MutableIndexLifecycleTest, SealAndCompactDoNotChangeResults) {
   ASSERT_TRUE(index.Delete(3));
 
   Embedding q = RandomVec(rng);
-  std::vector<SearchHit> before = index.Search(q, kTopK);
+  std::vector<SearchHit> before = index.Search(q, kTopK, RetrievalQuality{});
   index.SealMemtable();
-  ExpectBitEqual(index.Search(q, kTopK), before, "after seal");
+  ExpectBitEqual(index.Search(q, kTopK, RetrievalQuality{}), before, "after seal");
   index.SealMemtable();  // Empty memtable: no-op.
   index.CompactSegments();
-  ExpectBitEqual(index.Search(q, kTopK), before, "after compact");
+  ExpectBitEqual(index.Search(q, kTopK, RetrievalQuality{}), before, "after compact");
   MutableIndexStats stats = index.stats();
   EXPECT_EQ(stats.seals, 1u);
   EXPECT_EQ(stats.compactions, 1u);
@@ -315,13 +335,13 @@ TEST(MutableIndexLifecycleTest, DeleteAllThenReinsert) {
     EXPECT_FALSE(index.Delete(id));  // Double delete is reported, not fatal.
   }
   EXPECT_EQ(index.size(), 0u);
-  EXPECT_TRUE(index.Search(vecs[0], kTopK).empty());
+  EXPECT_TRUE(index.Search(vecs[0], kTopK, RetrievalQuality{}).empty());
   // Reinsert the same vectors under fresh ids.
   for (ChunkId id = 10; id < 20; ++id) {
     index.Insert(id, vecs[static_cast<size_t>(id - 10)]);
   }
   EXPECT_EQ(index.size(), 10u);
-  std::vector<SearchHit> hits = index.Search(vecs[0], 1);
+  std::vector<SearchHit> hits = index.Search(vecs[0], 1, RetrievalQuality{});
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].id, 10);
   EXPECT_EQ(hits[0].distance, 0.0f);

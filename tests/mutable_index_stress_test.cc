@@ -49,6 +49,24 @@ FlatL2Index EpochReference(const MutableIndex& index, const MutableEpoch& epoch)
   return ref;
 }
 
+// Structural invariants of a live read that the writer races: bounded,
+// sorted by distance, no duplicate ids, every id issued already.
+template <typename Hit>
+void ExpectWellFormed(const std::vector<Hit>& hits, ChunkId max_id) {
+  EXPECT_LE(hits.size(), kTopK);
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_GE(hits[i].distance, 0.0f);
+    EXPECT_GE(hits[i].id, 0);
+    EXPECT_LT(hits[i].id, max_id);
+    if (i > 0) {
+      EXPECT_LE(hits[i - 1].distance, hits[i].distance);
+    }
+    for (size_t j = 0; j < i; ++j) {
+      EXPECT_NE(hits[j].id, hits[i].id);
+    }
+  }
+}
+
 void ExpectBitEqual(const std::vector<SearchHit>& got, const std::vector<SearchHit>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < got.size(); ++i) {
@@ -87,7 +105,14 @@ TEST(MutableIndexStressTest, ConcurrentIngestAndQueriesSeeOneEpoch) {
 
   // Readers: mix of (a) pinned-epoch verification against an exact reference
   // for that epoch, (b) cheap invariant-checked searches at serving quality,
-  // (c) pinned determinism (same epoch twice -> same bits).
+  // plain and filtered, (c) pinned determinism (same epoch twice -> same
+  // bits).
+  // The filtered reads exclude every id divisible by 3 (sorted).
+  std::vector<ChunkId> excluded;
+  for (ChunkId id = 0; id < 4096; id += 3) {
+    excluded.push_back(id);
+  }
+  IdFilter exclude{excluded.data(), excluded.data() + excluded.size()};
   auto reader = [&](uint64_t seed) {
     Rng rng(seed);
     int verifications = 0;
@@ -97,25 +122,22 @@ TEST(MutableIndexStressTest, ConcurrentIngestAndQueriesSeeOneEpoch) {
       if (verifications < 60 && rng.Bernoulli(0.25)) {
         FlatL2Index ref = EpochReference(index, *epoch);
         std::vector<SearchHit> got = index.SearchPinned(*epoch, q, kTopK, FullProbe());
-        ExpectBitEqual(got, ref.Search(q, kTopK));
+        ExpectBitEqual(got, ref.Search(q, kTopK, RetrievalQuality{}));
         ExpectBitEqual(index.SearchPinned(*epoch, q, kTopK, FullProbe()), got);
         ++verifications;
       } else {
-        // Serving-quality search on the live index: structural invariants
-        // (sorted, deduped, bounded) must hold no matter how the writer and
-        // the maintenance jobs race this call.
-        std::vector<SearchHit> hits = index.Search(q, kTopK);
-        EXPECT_LE(hits.size(), kTopK);
-        for (size_t i = 0; i < hits.size(); ++i) {
-          EXPECT_GE(hits[i].distance, 0.0f);
-          EXPECT_GE(hits[i].id, 0);
-          EXPECT_LT(hits[i].id, max_id.load(std::memory_order_acquire));
-          if (i > 0) {
-            EXPECT_LE(hits[i - 1].distance, hits[i].distance);
-          }
-          for (size_t j = 0; j < i; ++j) {
-            EXPECT_NE(hits[j].id, hits[i].id);
-          }
+        // Serving-quality searches on the live index: structural
+        // invariants (sorted, deduped, bounded) must hold no matter how the
+        // writer and the maintenance jobs race these calls, and a filtered
+        // read never returns an excluded id.
+        // (The id bound is read after each search returns.)
+        std::vector<SearchHit> hits = index.Search(q, kTopK, RetrievalQuality{});
+        ExpectWellFormed(hits, max_id.load(std::memory_order_acquire));
+        std::vector<OrderedHit> filtered =
+            index.SearchOrdered(q, kTopK, RetrievalQuality{}, exclude);
+        ExpectWellFormed(filtered, max_id.load(std::memory_order_acquire));
+        for (const OrderedHit& h : filtered) {
+          EXPECT_FALSE(exclude.contains(h.id)) << h.id;
         }
       }
     }
@@ -170,7 +192,8 @@ TEST(MutableIndexStressTest, ConcurrentIngestAndQueriesSeeOneEpoch) {
   Rng qrng(0xF00D);
   for (int i = 0; i < 5; ++i) {
     Embedding q = RandomVec(qrng);
-    ExpectBitEqual(index.SearchPinned(*epoch, q, kTopK, FullProbe()), ref.Search(q, kTopK));
+    ExpectBitEqual(index.SearchPinned(*epoch, q, kTopK, FullProbe()),
+                   ref.Search(q, kTopK, RetrievalQuality{}));
   }
 }
 

@@ -150,13 +150,13 @@ TEST(QuantStaticTest, Fp32QueriesBitIdenticalToQuantFreeIndex) {
     auto quant = BuildStatic(corpus, c, BothTiers());
     RetrievalQuality fp32;  // Default: precision=kFp32.
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      ExpectBitEqual(quant->Search(queries[qi], 10, fp32), plain->Search(queries[qi], 10),
+      ExpectBitEqual(quant->Search(queries[qi], 10, fp32), plain->Search(queries[qi], 10, fp32),
                      CaseName(c) + " q=" + std::to_string(qi));
     }
     // Batch path, all-fp32 qualities: must take the bit-identical sweep.
     std::vector<RetrievalQuality> quals(queries.size());
     auto got = quant->SearchBatch(queries, 10, &pool, quals);
-    auto want = plain->SearchBatch(queries, 10, &pool);
+    auto want = plain->SearchBatch(queries, 10, &pool, quals);
     ASSERT_EQ(got.size(), want.size());
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       ExpectBitEqual(got[qi], want[qi], CaseName(c) + " batch q=" + std::to_string(qi));
@@ -237,7 +237,7 @@ TEST(QuantStaticTest, RerankedDistancesAreExact) {
     quality.precision = tier;
     for (const Embedding& q : corpus.AllQueries()) {
       // Exhaustive exact ranking for distance lookup.
-      auto exact = plain->Search(q, corpus.points.size());
+      auto exact = plain->Search(q, corpus.points.size(), RetrievalQuality{});
       for (const SearchHit& h : quant->Search(q, 10, quality)) {
         bool found = false;
         for (const SearchHit& e : exact) {
@@ -360,7 +360,7 @@ TEST(QuantMutableTest, QuantizedDeterministicAfterChurn) {
       }
       RetrievalQuality fp32;
       for (size_t qi = 0; qi < queries.size(); ++qi) {
-        ExpectBitEqual(a->Search(queries[qi], 10, fp32), plain->Search(queries[qi], 10),
+        ExpectBitEqual(a->Search(queries[qi], 10, fp32), plain->Search(queries[qi], 10, fp32),
                        stage + " fp32-parity q=" + std::to_string(qi));
       }
     };

@@ -142,7 +142,7 @@ TEST(AdaptiveProbeTest, BudgetAndMinProbesAreRespected) {
   ivf.set_adaptive_probe(policy);
   ivf.ResetProbeStats();
   for (const Embedding& q : corpus.easy_queries) {
-    ivf.Search(q, 5);
+    ivf.Search(q, 5, RetrievalQuality{});
   }
   EXPECT_EQ(ivf.searches(), corpus.easy_queries.size());
   EXPECT_DOUBLE_EQ(ivf.mean_probes(), 4.0);  // Ratio never fires: budget.
@@ -151,7 +151,7 @@ TEST(AdaptiveProbeTest, BudgetAndMinProbesAreRespected) {
   ivf.set_adaptive_probe(policy);
   ivf.ResetProbeStats();
   for (const Embedding& q : corpus.easy_queries) {
-    ivf.Search(q, 5);
+    ivf.Search(q, 5, RetrievalQuality{});
   }
   EXPECT_DOUBLE_EQ(ivf.mean_probes(), 2.0);  // Floor at min_probes.
 }
@@ -192,14 +192,15 @@ TEST(AdaptiveProbeTest, BatchAccountingMatchesSequential) {
 
   ivf.ResetProbeStats();
   for (const Embedding& q : queries) {
-    ivf.Search(q, 5);
+    ivf.Search(q, 5, RetrievalQuality{});
   }
   uint64_t sequential_probes = ivf.probes_issued();
 
+  std::vector<RetrievalQuality> qualities(queries.size());
   for (size_t threads : {0u, 4u}) {
     ThreadPool pool(threads);
     ivf.ResetProbeStats();
-    ivf.SearchBatch(queries, 5, threads == 0 ? nullptr : &pool);
+    ivf.SearchBatch(queries, 5, threads == 0 ? nullptr : &pool, qualities);
     EXPECT_EQ(ivf.probes_issued(), sequential_probes) << "threads=" << threads;
     EXPECT_EQ(ivf.searches(), queries.size());
   }
@@ -314,7 +315,7 @@ TEST(VectorDatabaseIvfTest, IvfBackendRetrievesAndHonorsQuality) {
   // than exhaustive, and batch retrieval agrees with per-query retrieval.
   db.ivf_index()->ResetProbeStats();
   std::vector<std::string> queries = {"stadium county game", "budget vote meeting"};
-  auto batched = db.RetrieveBatch(queries, 3);
+  auto batched = db.RetrieveBatch(queries, 3, std::vector<RetrievalQuality>(queries.size()));
   ASSERT_EQ(batched.size(), 2u);
   for (size_t i = 0; i < queries.size(); ++i) {
     auto direct = db.RetrieveWithDistances(queries[i], 3);

@@ -69,7 +69,7 @@ TEST(RetrievalParityTest, FlatMatchesSeedOnRandomInputs) {
       for (size_t k : {size_t{1}, size_t{7}, n, n + 5}) {
         for (int q = 0; q < 8; ++q) {
           Embedding query = RandomUnitVector(rng, dim);
-          ExpectSameRanking(index.Search(query, k), seed.Search(query, k),
+          ExpectSameRanking(index.Search(query, k, RetrievalQuality{}), seed.Search(query, k),
                             "dim=" + std::to_string(dim) + " n=" + std::to_string(n) +
                                 " k=" + std::to_string(k));
         }
@@ -100,7 +100,7 @@ TEST(RetrievalParityTest, FlatMatchesSeedOnAdversarialDuplicateDistances) {
   queries.push_back(RandomUnitVector(rng, kDim));
   for (size_t k : {size_t{3}, size_t{17}, size_t{150}, size_t{200}}) {
     for (size_t q = 0; q < queries.size(); ++q) {
-      ExpectSameRanking(index.Search(queries[q], k), seed.Search(queries[q], k),
+      ExpectSameRanking(index.Search(queries[q], k, RetrievalQuality{}), seed.Search(queries[q], k),
                         "dup k=" + std::to_string(k) + " q=" + std::to_string(q));
     }
   }
@@ -108,10 +108,10 @@ TEST(RetrievalParityTest, FlatMatchesSeedOnAdversarialDuplicateDistances) {
 
 TEST(RetrievalParityTest, FlatSearchEdgeCases) {
   FlatL2Index index(4);
-  EXPECT_TRUE(index.Search(Embedding(4, 0.0f), 3).empty());  // Empty index.
+  EXPECT_TRUE(index.Search(Embedding(4, 0.0f), 3, RetrievalQuality{}).empty());  // Empty index.
   index.Add(9, Embedding(4, 0.5f));
-  EXPECT_TRUE(index.Search(Embedding(4, 0.0f), 0).empty());  // k == 0.
-  auto hits = index.Search(Embedding(4, 0.5f), 1);
+  EXPECT_TRUE(index.Search(Embedding(4, 0.0f), 0, RetrievalQuality{}).empty());  // k == 0.
+  auto hits = index.Search(Embedding(4, 0.5f), 1, RetrievalQuality{});
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].id, 9);
   // Same bits in, same accumulation structure -> exact zero self-distance.
@@ -223,13 +223,13 @@ TEST(RetrievalParityTest, FlatSearchIsBitIdenticalAcrossDispatchTargets) {
     std::vector<SearchHit> scalar_hits;
     {
       ScopedKernelTarget scoped(KernelTarget::kScalar);
-      scalar_hits = index.Search(queries[qi], kK);
+      scalar_hits = index.Search(queries[qi], kK, RetrievalQuality{});
     }
     ExpectSameRanking(scalar_hits, seed.Search(queries[qi], kK),
                       "scalar vs seed q=" + std::to_string(qi));
     for (KernelTarget t : SupportedTargets()) {
       ScopedKernelTarget scoped(t);
-      std::vector<SearchHit> hits = index.Search(queries[qi], kK);
+      std::vector<SearchHit> hits = index.Search(queries[qi], kK, RetrievalQuality{});
       ASSERT_EQ(hits.size(), scalar_hits.size()) << KernelTargetName(t) << " q=" << qi;
       for (size_t r = 0; r < hits.size(); ++r) {
         EXPECT_EQ(hits[r].id, scalar_hits[r].id)
@@ -312,9 +312,10 @@ TEST(RetrievalParityTest, SearchBatchMatchesSeedForEveryThreadCount) {
   }
 
   // No pool (inline), then pools of 1, 2, 4, 8 workers.
+  std::vector<RetrievalQuality> qualities(queries.size());
   for (size_t threads : {0u, 1u, 2u, 4u, 8u}) {
     ThreadPool pool(threads);
-    auto got = index.SearchBatch(queries, kK, threads == 0 ? nullptr : &pool);
+    auto got = index.SearchBatch(queries, kK, threads == 0 ? nullptr : &pool, qualities);
     ASSERT_EQ(got.size(), queries.size());
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       ExpectSameRanking(got[qi], want[qi],
@@ -340,7 +341,8 @@ TEST(RetrievalParityTest, IvfExhaustiveProbeMatchesFlatOnTieFreeInputs) {
   ivf.Train();
   for (int q = 0; q < 10; ++q) {
     Embedding query = RandomUnitVector(rng, kDim);
-    ExpectSameRanking(ivf.Search(query, 15), flat.Search(query, 15), "q=" + std::to_string(q));
+    ExpectSameRanking(ivf.Search(query, 15, RetrievalQuality{}),
+                      flat.Search(query, 15, RetrievalQuality{}), "q=" + std::to_string(q));
   }
 }
 
@@ -356,12 +358,14 @@ TEST(RetrievalParityTest, IvfSearchBatchMatchesSequentialSearch) {
   for (int q = 0; q < 17; ++q) {
     queries.push_back(RandomUnitVector(rng, kDim));
   }
+  std::vector<RetrievalQuality> qualities(queries.size());
   for (size_t threads : {0u, 2u, 8u}) {
     ThreadPool pool(threads);
-    auto got = ivf.SearchBatch(queries, 9, threads == 0 ? nullptr : &pool);
+    auto got = ivf.SearchBatch(queries, 9, threads == 0 ? nullptr : &pool, qualities);
     ASSERT_EQ(got.size(), queries.size());
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      ExpectSameRanking(got[qi], ivf.Search(queries[qi], 9), "q=" + std::to_string(qi));
+      ExpectSameRanking(got[qi], ivf.Search(queries[qi], 9, qualities[qi]),
+                        "q=" + std::to_string(qi));
     }
   }
 }
@@ -384,8 +388,8 @@ TEST(RetrievalParityTest, IvfTrainIsDeterministicAcrossThreadCounts) {
   Rng qrng(0x9999);
   for (int q = 0; q < 12; ++q) {
     Embedding query = RandomUnitVector(qrng, kDim);
-    auto a = serial.Search(query, 11);
-    auto b = threaded.Search(query, 11);
+    auto a = serial.Search(query, 11, RetrievalQuality{});
+    auto b = threaded.Search(query, 11, RetrievalQuality{});
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].id, b[i].id) << "q=" << q << " rank=" << i;
@@ -439,7 +443,7 @@ TEST(ShardedParityTest, FlatShardedBitEqualForAnyShardAndThreadCount) {
   }
   std::vector<std::vector<SearchHit>> want;
   for (const Embedding& q : queries) {
-    want.push_back(reference.Search(q, kK));
+    want.push_back(reference.Search(q, kK, RetrievalQuality{}));
   }
 
   for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{7}}) {
@@ -450,13 +454,14 @@ TEST(ShardedParityTest, FlatShardedBitEqualForAnyShardAndThreadCount) {
     ASSERT_EQ(index.size(), corpus.size());
     // Single-query path (serial across shards, one heap).
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      ExpectBitEqualHits(index.Search(queries[qi], kK), want[qi],
+      ExpectBitEqualHits(index.Search(queries[qi], kK, RetrievalQuality{}), want[qi],
                          "search shards=" + std::to_string(shards) + " q=" + std::to_string(qi));
     }
     // Batched path: per-(shard x query) heaps merged, across thread counts.
     for (size_t threads : {size_t{1}, size_t{4}}) {
       ThreadPool pool(threads);
-      auto got = index.SearchBatch(queries, kK, &pool);
+      std::vector<RetrievalQuality> qualities(queries.size());
+      auto got = index.SearchBatch(queries, kK, &pool, qualities);
       ASSERT_EQ(got.size(), queries.size());
       for (size_t qi = 0; qi < queries.size(); ++qi) {
         ExpectBitEqualHits(got[qi], want[qi],
@@ -517,8 +522,9 @@ TEST(ShardedParityTest, IvfShardedBitEqualForAnyShardAndThreadCount) {
       }
       for (size_t threads : {size_t{1}, size_t{4}}) {
         ThreadPool pool(threads);
-        auto got = ivf.SearchBatch(queries, kK, &pool, quality);
-        auto want = reference.SearchBatch(queries, kK, nullptr, quality);
+        std::vector<RetrievalQuality> qualities(queries.size(), quality);
+        auto got = ivf.SearchBatch(queries, kK, &pool, qualities);
+        auto want = reference.SearchBatch(queries, kK, nullptr, qualities);
         ASSERT_EQ(got.size(), want.size());
         for (size_t qi = 0; qi < queries.size(); ++qi) {
           ExpectBitEqualHits(got[qi], want[qi],
@@ -555,10 +561,10 @@ TEST(ShardedParityTest, ShardedProbeAccountingMatchesSingleShard) {
       ivf.Add(static_cast<ChunkId>(i), corpus[i]);
     }
     ivf.Train();
-    ivf.SearchBatch(queries, 5, nullptr);
+    ivf.SearchBatch(queries, 5, nullptr, std::vector<RetrievalQuality>(queries.size()));
     fixed_means.push_back(ivf.mean_probes());
     ivf.ResetProbeStats();
-    ivf.SearchBatch(queries, 5, nullptr, adaptive);
+    ivf.SearchBatch(queries, 5, nullptr, std::vector<RetrievalQuality>(queries.size(), adaptive));
     adaptive_means.push_back(ivf.mean_probes());
   }
   EXPECT_EQ(fixed_means[0], fixed_means[1]);
@@ -608,7 +614,7 @@ TEST(RetrievalParityTest, RetrieveBatchMatchesSequentialRetrieve) {
       "what county is the kimbrough stadium in",  // Repeat: exercises the cache.
       "budget vote at the committee meeting",
   };
-  auto batched = db.RetrieveBatch(queries, 4);
+  auto batched = db.RetrieveBatch(queries, 4, std::vector<RetrievalQuality>(queries.size()));
   ASSERT_EQ(batched.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     auto direct = db.RetrieveWithDistances(queries[i], 4);
@@ -619,8 +625,9 @@ TEST(RetrievalParityTest, RetrieveBatchMatchesSequentialRetrieve) {
 }
 
 TEST(RetrievalParityTest, TruncatedBatchWidthIsAPrefixOfWiderSearch) {
-  // The batcher serves mixed-k groups from one max-k sweep; that is only
-  // sound if top-k lists are prefix-consistent.
+  // Exact fp32 top-k lists are prefix-consistent under the (distance,
+  // insertion-order) total order. (Hybrid and quantized answers are not,
+  // which is why the batcher sweeps once per width.)
   std::unique_ptr<VectorDatabase> dbp = MakeDb();
   VectorDatabase& db = *dbp;
   auto wide = db.RetrieveWithDistances("stadium county game", 6);
@@ -650,15 +657,16 @@ TEST(RetrievalParityTest, RetrievalBatcherCoalescesSameTickRequests) {
       "budget vote at the committee meeting",
       "rainfall in the river basin",
   };
-  // Three requests at t=0 (with different k!), one more at t=0.001.
+  // Three requests at t=0 (widths 2, 2, 3), one more at t=0.001.
+  std::vector<size_t> ks = {2, 2, 3, 2};
   for (size_t i = 0; i < 3; ++i) {
-    batcher.Submit(queries[i], i + 1, [&, i](std::vector<ChunkId> ids) {
+    batcher.Submit(queries[i], ks[i], RetrievalQuality{}, [&, i](std::vector<ChunkId> ids) {
       got[i].at = sim.now();
       got[i].ids = std::move(ids);
     });
   }
   sim.ScheduleAt(0.001, [&]() {
-    batcher.Submit(queries[3], 2, [&](std::vector<ChunkId> ids) {
+    batcher.Submit(queries[3], ks[3], RetrievalQuality{}, [&](std::vector<ChunkId> ids) {
       got[3].at = sim.now();
       got[3].ids = std::move(ids);
     });
@@ -670,14 +678,65 @@ TEST(RetrievalParityTest, RetrievalBatcherCoalescesSameTickRequests) {
   EXPECT_DOUBLE_EQ(got[1].at, 0.004);
   EXPECT_DOUBLE_EQ(got[2].at, 0.004);
   EXPECT_DOUBLE_EQ(got[3].at, 0.005);
-  // The same-tick trio shared one sweep; the straggler got its own.
+  // The same-tick k=2 pair shared one sweep, the k=3 request got its own
+  // (one sweep per width), and so did the straggler.
   EXPECT_EQ(batcher.requests(), 4u);
-  EXPECT_EQ(batcher.batches_issued(), 2u);
-  EXPECT_EQ(batcher.max_batch_size(), 3u);
+  EXPECT_EQ(batcher.batches_issued(), 3u);
+  EXPECT_EQ(batcher.max_batch_size(), 2u);
   // Results identical to direct per-query retrieval at the requested widths.
   for (size_t i = 0; i < 4; ++i) {
-    size_t k = i < 3 ? i + 1 : 2;
-    EXPECT_EQ(got[i].ids, db.Retrieve(queries[i], k)) << "request " << i;
+    EXPECT_EQ(got[i].ids, db.Retrieve(queries[i], ks[i])) << "request " << i;
+  }
+}
+
+// A same-tick group that asks for one hybrid query at two widths: each
+// request must get exactly what a direct Retrieve at its own width returns.
+// Fusion ranks each leg's own top-k, so the top 2 of a fused k=40 answer is
+// not in general the fused k=2 answer, and widths must not share a sweep.
+TEST(RetrievalParityTest, RetrievalBatcherSweepsHybridGroupOncePerWidth) {
+  RetrievalIndexOptions options;
+  options.lexical = true;
+  VectorDatabase db(EmbeddingModel(GetEmbeddingModel("all-mpnet-base-v2-sim")),
+                    DatabaseMetadata{"hybrid batcher corpus", 64, "test"}, options);
+  const char* words[] = {"stadium", "county",  "randall", "revenue", "quarter", "budget",
+                         "vote",    "meeting", "river",   "basin",   "rainfall", "chip",
+                         "plant",   "merger",  "treaty",  "glacier", "harvest", "orbit"};
+  const int num_words = 18;
+  for (int i = 0; i < 400; ++i) {
+    Chunk c;
+    for (int w = 0; w < 7; ++w) {
+      c.text += std::string(w == 0 ? "" : " ") + words[(i * (w + 2) + w * w + i / 9) % num_words];
+    }
+    db.AddChunk(std::move(c));
+  }
+  db.FinalizeIndex();
+  RetrievalQuality hybrid;
+  hybrid.hybrid = true;
+  hybrid.dense_weight = 0.5f;
+  hybrid.lexical_weight = 0.5f;
+  std::vector<std::string> queries = {
+      "stadium county randall", "quarter revenue merger", "budget vote meeting",
+      "river basin rainfall",   "chip plant revenue",     "treaty glacier harvest",
+      "orbit county vote",      "harvest rainfall basin",
+  };
+
+  Simulator sim;
+  RetrievalBatcher batcher(&sim, &db, 0.004);
+  std::vector<std::vector<ChunkId>> narrow(queries.size());
+  std::vector<std::vector<ChunkId>> wide(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    batcher.Submit(queries[i], 2, hybrid,
+                   [&narrow, i](std::vector<ChunkId> ids) { narrow[i] = std::move(ids); });
+    batcher.Submit(queries[i], 40, hybrid,
+                   [&wide, i](std::vector<ChunkId> ids) { wide[i] = std::move(ids); });
+  }
+  sim.Run();
+
+  EXPECT_EQ(batcher.batches_issued(), 2u);  // One sweep per width.
+  EXPECT_EQ(batcher.max_batch_size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(narrow[i], db.Retrieve(queries[i], 2, hybrid)) << "k=2 query " << i;
+    EXPECT_EQ(wide[i], db.Retrieve(queries[i], 40, hybrid)) << "k=40 query " << i;
   }
 }
 

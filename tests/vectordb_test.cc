@@ -15,7 +15,7 @@ TEST(FlatL2IndexTest, FindsExactNearest) {
   index.Add(0, MakeVec({0.0f, 0.0f}));
   index.Add(1, MakeVec({1.0f, 0.0f}));
   index.Add(2, MakeVec({0.0f, 2.0f}));
-  auto hits = index.Search(MakeVec({0.9f, 0.1f}), 2);
+  auto hits = index.Search(MakeVec({0.9f, 0.1f}), 2, RetrievalQuality{});
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].id, 1);
   EXPECT_EQ(hits[1].id, 0);
@@ -25,7 +25,7 @@ TEST(FlatL2IndexTest, FindsExactNearest) {
 TEST(FlatL2IndexTest, KLargerThanSizeReturnsAll) {
   FlatL2Index index(2);
   index.Add(5, MakeVec({1.0f, 1.0f}));
-  auto hits = index.Search(MakeVec({0.0f, 0.0f}), 10);
+  auto hits = index.Search(MakeVec({0.0f, 0.0f}), 10, RetrievalQuality{});
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].id, 5);
 }
@@ -34,14 +34,14 @@ TEST(FlatL2IndexTest, TiesBrokenByInsertionOrder) {
   FlatL2Index index(1);
   index.Add(7, MakeVec({1.0f}));
   index.Add(3, MakeVec({1.0f}));
-  auto hits = index.Search(MakeVec({0.0f}), 2);
+  auto hits = index.Search(MakeVec({0.0f}), 2, RetrievalQuality{});
   EXPECT_EQ(hits[0].id, 7);
   EXPECT_EQ(hits[1].id, 3);
 }
 
 TEST(FlatL2IndexTest, EmptyIndexReturnsNothing) {
   FlatL2Index index(3);
-  EXPECT_TRUE(index.Search(MakeVec({0.0f, 0.0f, 0.0f}), 4).empty());
+  EXPECT_TRUE(index.Search(MakeVec({0.0f, 0.0f, 0.0f}), 4, RetrievalQuality{}).empty());
 }
 
 class IvfIndexTest : public ::testing::Test {
@@ -63,7 +63,7 @@ TEST_F(IvfIndexTest, AgreesWithFlatOnClusteredData) {
   BuildClusters(ivf);
   EXPECT_TRUE(ivf.trained());
   EXPECT_EQ(ivf.size(), 50u);
-  auto hits = ivf.Search(MakeVec({10.0f, 10.0f}), 5);
+  auto hits = ivf.Search(MakeVec({10.0f, 10.0f}), 5, RetrievalQuality{});
   ASSERT_EQ(hits.size(), 5u);
   for (const auto& h : hits) {
     EXPECT_GE(h.id, 25);  // All from the (10,10) cluster.
@@ -73,7 +73,7 @@ TEST_F(IvfIndexTest, AgreesWithFlatOnClusteredData) {
 TEST_F(IvfIndexTest, NprobeOneStillFindsOwnCluster) {
   IvfL2Index ivf(2, 2, 1, 99);
   BuildClusters(ivf);
-  auto hits = ivf.Search(MakeVec({0.0f, 0.0f}), 3);
+  auto hits = ivf.Search(MakeVec({0.0f, 0.0f}), 3, RetrievalQuality{});
   ASSERT_EQ(hits.size(), 3u);
   for (const auto& h : hits) {
     EXPECT_LT(h.id, 25);
@@ -84,7 +84,7 @@ TEST_F(IvfIndexTest, AddAfterTrainGoesToNearestList) {
   IvfL2Index ivf(2, 2, 2, 99);
   BuildClusters(ivf);
   ivf.Add(100, MakeVec({10.2f, 9.8f}));
-  auto hits = ivf.Search(MakeVec({10.2f, 9.8f}), 1);
+  auto hits = ivf.Search(MakeVec({10.2f, 9.8f}), 1, RetrievalQuality{});
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].id, 100);
 }
@@ -95,10 +95,11 @@ TEST(FlatL2IndexTest, SearchBatchMatchesPerQuerySearch) {
   index.Add(1, MakeVec({1.0f, 0.0f}));
   index.Add(2, MakeVec({0.0f, 2.0f}));
   std::vector<Embedding> queries = {MakeVec({0.9f, 0.1f}), MakeVec({0.0f, 1.9f})};
-  auto batched = index.SearchBatch(queries, 2);
+  std::vector<RetrievalQuality> qualities(queries.size());
+  auto batched = index.SearchBatch(queries, 2, nullptr, qualities);
   ASSERT_EQ(batched.size(), 2u);
   for (size_t q = 0; q < queries.size(); ++q) {
-    auto single = index.Search(queries[q], 2);
+    auto single = index.Search(queries[q], 2, RetrievalQuality{});
     ASSERT_EQ(batched[q].size(), single.size());
     for (size_t i = 0; i < single.size(); ++i) {
       EXPECT_EQ(batched[q][i].id, single[i].id);
@@ -150,7 +151,7 @@ TEST(IvfIndexTest2, ProbeHistogramClampsDeepScansIntoLastBucket) {
 TEST(IvfIndexDeathTest, SearchBeforeTrainAborts) {
   IvfL2Index ivf(2, 2, 1, 1);
   ivf.Add(0, MakeVec({0.0f, 0.0f}));
-  EXPECT_DEATH(ivf.Search(MakeVec({0.0f, 0.0f}), 1), "CHECK failed");
+  EXPECT_DEATH(ivf.Search(MakeVec({0.0f, 0.0f}), 1, RetrievalQuality{}), "CHECK failed");
 }
 
 class VectorDatabaseTest : public ::testing::Test {
