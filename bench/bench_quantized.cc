@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
   }
   {
     auto t0 = Clock::now();
-    flat.BuildQuantizedMirrors();
+    flat.BuildQuantizedMirrors(nullptr);
     std::printf("flat mirror train+encode: %.2f s\n", SecondsSince(t0));
   }
   RecallEval eval = RecallEval::FromExactSearch(flat, corpus.AllQueries(), kTopK);
@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
     ThreadPool pool(ThreadPool::DefaultThreads());
     auto t0 = Clock::now();
     ivf.Train(&pool);
-    ivf.BuildQuantizedMirrors();
+    ivf.BuildQuantizedMirrors(&pool);
     std::printf("IVF nlist=%zu train + mirrors: %.2f s\n", clusters, SecondsSince(t0));
   }
 

@@ -1,5 +1,6 @@
 // Retrieval-substrate microbenchmark: flat vs. IVF, seed-scalar vs. blocked
-// kernels, 1/2/4/8 threads, batch sizes 1-64, and the shard-count scaling
+// kernels, 1/2/4/8 threads, batch sizes 1-64, the certified scan (the same
+// indexes once their SQ mirrors are built), and the shard-count scaling
 // surface (1/2/4 hash partitions per backend). Prints console tables and
 // emits a machine-readable BENCH_retrieval.json (QPS + p50/p99 per-query
 // latency per configuration) so future PRs can track the perf trajectory.
@@ -239,6 +240,58 @@ int main(int argc, char** argv) {
   }
   ivf_table.Print();
 
+  // --- Certified scan: the same indexes with their SQ mirrors built ---
+  // Every row above ran with no mirror, i.e. the plain exact loop. Here each
+  // index builds its mirror the way VectorDatabase::FinalizeIndex does
+  // (encoded across a default-size pool), after which every fp32 read is the
+  // certified two-pass scan — results bit-identical, so only speed moves.
+  double flat_certified_t1_b1_qps = 0;
+  {
+    const std::vector<size_t> kCertBatches = {1, 64};
+    Table cert_table("bench_retrieval: certified scan QPS (SQ mirror built)");
+    std::vector<std::string> cert_header = {"backend/threads \\ batch"};
+    for (size_t b : kCertBatches) {
+      cert_header.push_back(StrFormat("b=%zu", b));
+    }
+    cert_table.SetHeader(cert_header);
+    ThreadPool build_pool(ThreadPool::DefaultThreads());
+    for (const auto& [backend, index] : std::vector<std::pair<std::string, VectorIndex*>>{
+             {"flat", &flat}, {"ivf", &ivf}}) {
+      auto t0 = Clock::now();
+      index->BuildQuantizedMirrors(&build_pool);
+      double build_s = SecondsSince(t0);
+      BenchJsonRecord rec;
+      rec.name = StrFormat("%s_mirror_build", backend.c_str());
+      rec.tags = {{"impl", "mirror_build"}};
+      rec.metrics = {{"threads", static_cast<double>(build_pool.num_threads())},
+                     {"seconds", build_s}};
+      records.push_back(std::move(rec));
+      std::printf("%s SQ mirror build (%zu threads): %.3f s\n", backend.c_str(),
+                  build_pool.num_threads(), build_s);
+      index->SearchBatch(queries, kTopK, nullptr, std::vector<RetrievalQuality>(queries.size()));
+      for (size_t threads : kThreads) {
+        if (threads != 1 && threads != 4) {
+          continue;
+        }
+        ThreadPool pool(threads);
+        std::vector<std::string> row = {StrFormat("%s t=%zu", backend.c_str(), threads)};
+        for (size_t batch : kCertBatches) {
+          Measurement m =
+              MeasureBatched(*index, queries, kTopK, batch, threads > 1 ? &pool : nullptr);
+          std::string impl = StrFormat("%s_certified", backend.c_str());
+          record(StrFormat("%s_t%zu_b%zu", impl.c_str(), threads, batch), impl, threads, batch,
+                 m);
+          row.push_back(Table::Num(m.qps, 0));
+          if (backend == "flat" && threads == 1 && batch == 1) {
+            flat_certified_t1_b1_qps = m.qps;
+          }
+        }
+        cert_table.AddRow(row);
+      }
+    }
+    cert_table.Print();
+  }
+
   // --- Shard-count scaling surface: backend x shards x threads (batch 16) ---
   // Hash-partitioned storage is result-neutral (parity-tested); these rows
   // measure what shard fan-out buys on this host. Shard counts beyond the
@@ -306,6 +359,8 @@ int main(int argc, char** argv) {
   double speedup = seed_m.qps > 0 ? flat_t1_b1_qps / seed_m.qps : 0;
   std::printf("\nseed scalar: %.0f qps (p50 %.2f ms) | blocked t1/b1: %.0f qps (speedup %.1fx)\n",
               seed_m.qps, seed_m.p50_ms, flat_t1_b1_qps, speedup);
+  std::printf("certified flat t1/b1: %.0f qps (%.2fx the mirror-free scan)\n",
+              flat_certified_t1_b1_qps, flat_certified_t1_b1_qps / std::max(1.0, flat_t1_b1_qps));
   PrintShapeCheck(StrFormat("blocked flat search >= 5x seed scalar at dim=%zu, n=%zu", dim, n),
                   StrFormat("%.1fx single-thread speedup", speedup), speedup >= 5.0);
   if (ThreadPool::DefaultThreads() >= 4) {

@@ -69,7 +69,8 @@ struct JointSchedulerOptions {
   // per-query depth policy inherits): fp32 exact, or a quantized mirror with
   // exact rerank (vectordb.h RetrievalPrecision). kFp32 (default) is
   // bit-identical to a stack with no quantization support; quantized tiers
-  // only bite when the dataset's index built the mirrors.
+  // only bite when the dataset's index enables them
+  // (RetrievalIndexOptions::quant).
   RetrievalPrecision precision = RetrievalPrecision::kFp32;
   // Per-QUERY retrieval depth (the METIS §4 treatment of the knob above):
   // when true, profiler-driven systems derive each query's RetrievalQuality

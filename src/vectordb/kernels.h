@@ -38,8 +38,11 @@
 // AVX-512 zmm halving step), then reduces eight partials through the fixed
 // tree ((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7)) and adds the scalar tail — so
 // the returned float is bit-identical on every tier. Sixteen float chains is
-// what a 16-lane f32 SIMD register imposes; float accumulation is fine here
-// because the result only ranks *candidates* for the exact fp32 rerank tail.
+// what a 16-lane f32 SIMD register imposes. Float accumulation is fine here
+// because no result is ever reported from it: the int8 tier ranks
+// candidates for the exact rerank tail, and the certified fp32 scan charges
+// the accumulation's worst-case rounding (a float gamma over the chain,
+// fold, tree and tail depth) to its error bound — quantize.h.
 
 #ifndef METIS_SRC_VECTORDB_KERNELS_H_
 #define METIS_SRC_VECTORDB_KERNELS_H_

@@ -168,7 +168,7 @@ void MutableIndex::Finalize(ThreadPool* pool) {
   if (base_ivf_ != nullptr && !base_ivf_->trained() && base_ivf_->size() > 0) {
     base_ivf_->Train(pool);
   }
-  base_->BuildQuantizedMirrors();
+  base_->BuildQuantizedMirrors(pool);
   finalized_ = true;
   base_cut_ = log_size_;
   mt_lo_ = mt_hi_ = log_size_;
@@ -197,7 +197,7 @@ void MutableIndex::SealLocked() {
       const IndexShard& block = *blocks_[b];
       size_t blo = std::max(seg.lo, b * block_rows_) - b * block_rows_;
       size_t bhi = std::min(seg.hi, (b + 1) * block_rows_) - b * block_rows_;
-      EncodeRows(*qz, block.rows, blo, bhi, codes.get());
+      EncodeRows(qz->sq, qz->pq, block.rows, blo, bhi, codes.get(), nullptr);
     }
     seg.codes = std::move(codes);
   }
@@ -331,7 +331,7 @@ MutableIndex::CompactedBuild MutableIndex::BuildCompacted(const MutableIndex* se
   const IndexQuantizers* qz = plan.base != nullptr ? plan.base->quantizers() : nullptr;
   if (qz != nullptr && qz->any() && merged.rows.size() > 0) {
     auto codes = std::make_shared<QuantizedCodes>();
-    EncodeRows(*qz, merged.rows, 0, merged.rows.size(), codes.get());
+    EncodeRows(qz->sq, qz->pq, merged.rows, 0, merged.rows.size(), codes.get(), nullptr);
     built.codes = std::move(codes);
   }
   return built;
@@ -402,7 +402,7 @@ MutableIndex::BuiltBase MutableIndex::BuildBase(const RetrainPlan& plan, ThreadP
   if (built.ivf != nullptr && built.rows > 0) {
     built.ivf->Train(pool);
   }
-  built.index->BuildQuantizedMirrors();
+  built.index->BuildQuantizedMirrors(pool);
   return built;
 }
 

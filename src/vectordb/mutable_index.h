@@ -149,8 +149,9 @@ class MutableIndex : public VectorIndex {
 
   // --- Lifecycle ---
   // Call once after the initial bulk load (VectorDatabase::FinalizeIndex
-  // forwards here): trains an IVF base over the loaded rows and opens the
-  // memtable. Adds before this go to the base; adds after go to the memtable.
+  // forwards here): trains an IVF base over the loaded rows, builds the
+  // base's mirrors across `pool`, and opens the memtable. Adds before this go
+  // to the base; adds after go to the memtable.
   void Finalize(ThreadPool* pool = nullptr);
   bool finalized() const;
 
@@ -189,9 +190,10 @@ class MutableIndex : public VectorIndex {
   // swap the base but carry probe counters over, so mean_probes /
   // probe_histogram stay cumulative across swaps.
   const IvfL2Index* base_ivf() const { return PinEpoch()->base_ivf; }
-  // The current base's quantizers (null when RetrievalIndexOptions::quant is
-  // off). Like base_ivf(), the pointer is borrowed from the current base and
-  // stays valid until the next retrain swaps it.
+  // The current base's explicit-tier quantizers (null when
+  // RetrievalIndexOptions::quant is off). Like base_ivf(), the pointer is
+  // borrowed from the current base and stays valid until the next retrain
+  // swaps it.
   const IndexQuantizers* quantizers() const override { return PinEpoch()->base->quantizers(); }
   size_t dim() const { return dim_; }
   const MutableIndexOptions& mutation_options() const { return mopts_; }

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <mutex>
 
 #include "src/common/check.h"
 #include "src/common/rng.h"
@@ -39,19 +40,35 @@ size_t SqCodeStride(size_t dim) {
 
 // --- Training ----------------------------------------------------------------
 
-Int8Params TrainInt8(const RowAccessor& row, size_t n, size_t dim) {
+Int8Params TrainInt8(const RowAccessor& row, size_t n, size_t dim, ThreadPool* workers) {
   Int8Params params;
   if (n == 0) {
     return params;
   }
   std::vector<float> vmin(dim, std::numeric_limits<float>::max());
   std::vector<float> vmax(dim, std::numeric_limits<float>::lowest());
-  for (size_t i = 0; i < n; ++i) {
-    const float* r = row(i);
-    for (size_t d = 0; d < dim; ++d) {
-      vmin[d] = std::min(vmin[d], r[d]);
-      vmax[d] = std::max(vmax[d], r[d]);
+  std::mutex range_mu;  // Guards vmin / vmax while workers fold in.
+  auto scan = [&](size_t begin, size_t end) {
+    std::vector<float> lo(dim, std::numeric_limits<float>::max());
+    std::vector<float> hi(dim, std::numeric_limits<float>::lowest());
+    for (size_t i = begin; i < end; ++i) {
+      const float* r = row(i);
+      for (size_t d = 0; d < dim; ++d) {
+        lo[d] = std::min(lo[d], r[d]);
+        hi[d] = std::max(hi[d], r[d]);
+      }
     }
+    // min and max are order-free: any split gives the same range.
+    std::lock_guard<std::mutex> lock(range_mu);
+    for (size_t d = 0; d < dim; ++d) {
+      vmin[d] = std::min(vmin[d], lo[d]);
+      vmax[d] = std::max(vmax[d], hi[d]);
+    }
+  };
+  if (workers != nullptr && workers->num_threads() > 1 && n > 1) {
+    workers->ParallelFor(n, scan);
+  } else {
+    scan(0, n);
   }
   params.vmin = std::move(vmin);
   params.scale.resize(dim);
@@ -161,74 +178,168 @@ PqParams TrainPq(const RowAccessor& row, size_t n, size_t dim, const Quantizatio
   return params;
 }
 
-IndexQuantizers TrainQuantizers(const RowAccessor& row, size_t n, size_t dim,
-                                const QuantizationOptions& opts, uint64_t seed) {
-  IndexQuantizers qz;
+void TrainQuantizers(const RowAccessor& row, size_t n, size_t dim, const QuantizationOptions& opts,
+                     uint64_t seed, ThreadPool* workers, Int8Params* mirror,
+                     IndexQuantizers* tiers) {
+  *mirror = TrainInt8(row, n, dim, workers);
+  *tiers = IndexQuantizers{};
   if (opts.sq) {
-    qz.sq = TrainInt8(row, n, dim);
+    tiers->sq = *mirror;
   }
   if (opts.pq) {
-    qz.pq = TrainPq(row, n, dim, opts, seed);
+    tiers->pq = TrainPq(row, n, dim, opts, seed);
   }
-  return qz;
 }
 
 // --- Encoding ----------------------------------------------------------------
 
-void EncodeRows(const IndexQuantizers& qz, const RowPool& pool, size_t begin, size_t end,
-                QuantizedCodes* out) {
+namespace {
+
+// Writes SQ code rows [first, first + (end - begin)) of `out` (already sized)
+// for pool rows [begin, end) and folds their per-dimension reconstruction
+// error into `delta`. A code is round((x - vmin) / scale) clamped to
+// [0, 255], rounding to nearest with ties to even: the divide and
+// std::nearbyint every existing code was made with. Clamping before
+// rounding changes no code (both bounds are integers and rounding is
+// monotone), and adding and subtracting 2^23 is nearbyint on [0, 255] — the
+// add leaves no fraction bits, the subtraction is exact — without the libm
+// call that kept this loop scalar. The two code loops are branch-free so
+// they vectorize.
+void EncodeSqRange(const Int8Params& sq, const RowPool& pool, size_t begin, size_t end,
+                   size_t first, QuantizedCodes* out, std::vector<double>* delta) {
+  constexpr float kTwoPow23 = 8388608.0f;
   size_t dim = pool.dim();
-  if (qz.sq.valid()) {
-    METIS_CHECK_EQ(qz.sq.vmin.size(), dim);
+  const float* __restrict vmin = sq.vmin.data();
+  const float* __restrict scale = sq.scale.data();
+  double* __restrict err = delta->data();
+  std::vector<float> clamped(dim);
+  float* __restrict t = clamped.data();
+  for (size_t i = begin; i < end; ++i) {
+    const float* __restrict r = pool.row(i);
+    uint8_t* __restrict codes = out->sq.data() + (first + i - begin) * out->sq_stride;
+    for (size_t d = 0; d < dim; ++d) {
+      float x = (r[d] - vmin[d]) / scale[d];
+      x = 0.0f < x ? x : 0.0f;  // Also NaN (a constant dimension's 0 / 0) -> 0.
+      x = x < 255.0f ? x : 255.0f;
+      t[d] = scale[d] > 0.0f ? x : 0.0f;
+    }
+    for (size_t d = 0; d < dim; ++d) {
+      float code = (t[d] + kTwoPow23) - kTwoPow23;
+      codes[d] = static_cast<uint8_t>(static_cast<int32_t>(code));
+      double e = std::fabs(static_cast<double>(r[d]) -
+                           (static_cast<double>(vmin[d]) +
+                            static_cast<double>(scale[d]) * static_cast<double>(code)));
+      err[d] = err[d] < e ? e : err[d];
+    }
+  }
+  // The int8 tier's row constants: each row's sum over d in d order, as ever,
+  // but four rows at a time so their dependency chains overlap.
+  auto code_row = [&](size_t k) { return out->sq.data() + (first + k) * out->sq_stride; };
+  size_t n = end - begin;
+  size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    const uint8_t* c0 = code_row(k);
+    const uint8_t* c1 = code_row(k + 1);
+    const uint8_t* c2 = code_row(k + 2);
+    const uint8_t* c3 = code_row(k + 3);
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    for (size_t d = 0; d < dim; ++d) {
+      double sc = scale[d];
+      double r0 = sc * c0[d], r1 = sc * c1[d], r2 = sc * c2[d], r3 = sc * c3[d];
+      a0 += r0 * r0;
+      a1 += r1 * r1;
+      a2 += r2 * r2;
+      a3 += r3 * r3;
+    }
+    out->sq_row_const[first + k] = a0;
+    out->sq_row_const[first + k + 1] = a1;
+    out->sq_row_const[first + k + 2] = a2;
+    out->sq_row_const[first + k + 3] = a3;
+  }
+  for (; k < n; ++k) {
+    const uint8_t* c = code_row(k);
+    double a = 0.0;
+    for (size_t d = 0; d < dim; ++d) {
+      double r = static_cast<double>(scale[d]) * c[d];
+      a += r * r;
+    }
+    out->sq_row_const[first + k] = a;
+  }
+}
+
+// Writes PQ code rows [dst, dst + (end - begin)) of `out` (already sized).
+void EncodePqRange(const PqParams& pq, const RowPool& pool, size_t begin, size_t end, size_t dst,
+                   QuantizedCodes* out) {
+  size_t m = pq.m;
+  size_t dsub = pq.dsub;
+  size_t nc = pq.ncentroids;
+  for (size_t i = begin; i < end; ++i, ++dst) {
+    const float* r = pool.row(i);
+    for (size_t s = 0; s < m; ++s) {
+      const float* sub = r + s * dsub;
+      const float* cents = pq.centroids.data() + s * nc * dsub;
+      size_t best_c = 0;
+      double best_d = std::numeric_limits<double>::max();
+      for (size_t c = 0; c < nc; ++c) {
+        double d = SeqSquaredDist(sub, cents + c * dsub, dsub);
+        if (d < best_d) {
+          best_d = d;
+          best_c = c;
+        }
+      }
+      out->pq[dst * m + s] = static_cast<uint8_t>(best_c);
+    }
+  }
+}
+
+}  // namespace
+
+void EncodeRows(const Int8Params& sq, const PqParams& pq, const RowPool& pool, size_t begin,
+                size_t end, QuantizedCodes* out, ThreadPool* workers) {
+  size_t dim = pool.dim();
+  size_t first = out->rows;
+  size_t rows = first + (end - begin);
+  if (sq.valid()) {
+    METIS_CHECK_EQ(sq.vmin.size(), dim);
     size_t stride = SqCodeStride(dim);
-    if (out->rows == 0) {
+    if (first == 0) {
       out->sq_stride = stride;
+      out->sq_delta.assign(dim, 0.0);
     }
     METIS_CHECK_EQ(out->sq_stride, stride);
-    for (size_t i = begin; i < end; ++i) {
-      const float* r = pool.row(i);
-      size_t base = out->sq.size();
-      out->sq.resize(base + stride, 0);
-      double row_const = 0.0;
+    // Reserve exactly, then grow: appending row by row would leave up to 2x
+    // the mirror's size resident.
+    out->sq.reserve(rows * stride);
+    out->sq.resize(rows * stride, 0);
+    out->sq_row_const.reserve(rows);
+    out->sq_row_const.resize(rows);
+  }
+  if (pq.valid()) {
+    METIS_CHECK_EQ(pq.m * pq.dsub, dim);
+    out->pq.reserve(rows * pq.m);
+    out->pq.resize(rows * pq.m);
+  }
+  std::mutex delta_mu;
+  auto encode = [&](size_t b, size_t e) {
+    if (sq.valid()) {
+      std::vector<double> delta(dim, 0.0);
+      EncodeSqRange(sq, pool, begin + b, begin + e, first + b, out, &delta);
+      // max is order-free, so the merged bound does not depend on the split.
+      std::lock_guard<std::mutex> lock(delta_mu);
       for (size_t d = 0; d < dim; ++d) {
-        float scale = qz.sq.scale[d];
-        uint8_t code = 0;
-        if (scale > 0) {
-          float t = (r[d] - qz.sq.vmin[d]) / scale;
-          t = std::min(255.0f, std::max(0.0f, std::nearbyint(t)));
-          code = static_cast<uint8_t>(t);
-        }
-        out->sq[base + d] = code;
-        double rec = static_cast<double>(scale) * static_cast<double>(code);
-        row_const += rec * rec;
-      }
-      out->sq_row_const.push_back(row_const);
-    }
-  }
-  if (qz.pq.valid()) {
-    size_t m = qz.pq.m;
-    size_t dsub = qz.pq.dsub;
-    size_t nc = qz.pq.ncentroids;
-    METIS_CHECK_EQ(m * dsub, dim);
-    for (size_t i = begin; i < end; ++i) {
-      const float* r = pool.row(i);
-      for (size_t s = 0; s < m; ++s) {
-        const float* sub = r + s * dsub;
-        const float* cents = qz.pq.centroids.data() + s * nc * dsub;
-        size_t best_c = 0;
-        double best_d = std::numeric_limits<double>::max();
-        for (size_t c = 0; c < nc; ++c) {
-          double d = SeqSquaredDist(sub, cents + c * dsub, dsub);
-          if (d < best_d) {
-            best_d = d;
-            best_c = c;
-          }
-        }
-        out->pq.push_back(static_cast<uint8_t>(best_c));
+        out->sq_delta[d] = std::max(out->sq_delta[d], delta[d]);
       }
     }
+    if (pq.valid()) {
+      EncodePqRange(pq, pool, begin + b, begin + e, first + b, out);
+    }
+  };
+  if (workers != nullptr && workers->num_threads() > 1 && end - begin > 1) {
+    workers->ParallelFor(end - begin, encode);
+  } else {
+    encode(0, end - begin);
   }
-  out->rows += end - begin;
+  out->rows = rows;
 }
 
 // --- Per-query contexts ------------------------------------------------------
@@ -243,6 +354,38 @@ void BuildSqQuery(const Int8Params& sq, const float* q, size_t dim, SqQuery* out
   }
   // Exact-kernel accumulation: tier-invariant, like every stored norm.
   out->r2 = SquaredNormBlocked(r.data(), dim);
+}
+
+void BuildCertifiedQuery(const Int8Params& sq, const std::vector<double>& delta, const float* q,
+                         size_t dim, double qnorm, CertifiedQuery* out) {
+  METIS_CHECK_EQ(sq.vmin.size(), dim);
+  METIS_CHECK_EQ(delta.size(), dim);
+  out->w.assign(SqCodeStride(dim), 0.0f);
+  double qv = 0.0;
+  double qv_abs = 0.0;
+  double quant = 0.0;
+  double w_abs = 0.0;
+  for (size_t d = 0; d < dim; ++d) {
+    out->w[d] = q[d] * sq.scale[d];
+    double qvmin = static_cast<double>(q[d]) * static_cast<double>(sq.vmin[d]);  // Exact.
+    qv += qvmin;
+    qv_abs += std::fabs(qvmin);
+    quant += std::fabs(static_cast<double>(q[d])) * delta[d];
+    w_abs += std::fabs(static_cast<double>(out->w[d]));
+  }
+  // The bound, term by term (quantize.h).
+  constexpr double kU = 0x1p-24;
+  double depth = std::ceil(static_cast<double>(dim) / 16.0) + 22.0;
+  double gamma_u8 = depth * kU / (1.0 - depth * kU);
+  double s_err = 255.0 * w_abs * (gamma_u8 + kU / (1.0 - kU));  // Term 2.
+  double s_max = 255.0 * w_abs + s_err;
+  double gamma_f64 = (static_cast<double>(dim) + 64.0) * 0x1p-52;  // Term 3.
+  constexpr double kMargin = 1.0 + 0x1p-22;
+  out->qnorm = qnorm;
+  out->qv = qv;
+  out->slack = kMargin * (2.0 * quant + 2.0 * s_err + gamma_f64 * 2.0 * (qnorm + qv_abs + s_max)) +
+               4.0 * static_cast<double>(std::numeric_limits<float>::denorm_min());
+  out->norm_slack = kMargin * gamma_f64 * 2.0;
 }
 
 void BuildPqQuery(const PqParams& pq, const float* q, size_t dim, PqQuery* out) {

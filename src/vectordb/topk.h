@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "src/vectordb/vectordb.h"
@@ -92,6 +93,16 @@ class BoundedTopK {
   // The retained candidates in heap order (for cross-shard merging; the
   // merge re-heapifies, so ordering here does not matter).
   const std::vector<Cand>& cands() const { return heap_; }
+
+  // The largest distance a candidate can have and still enter: the k-th
+  // smallest offered so far, +inf until k have been offered, -inf when
+  // k == 0 (nothing enters). The certified scan prunes against it.
+  float Bound() const {
+    if (k_ == 0) {
+      return -std::numeric_limits<float>::infinity();
+    }
+    return heap_.size() < k_ ? std::numeric_limits<float>::infinity() : heap_.front().dist;
+  }
 
  private:
   size_t k_;

@@ -1,6 +1,7 @@
 #include "src/vectordb/vectordb.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <unordered_map>
@@ -74,6 +75,17 @@ std::vector<SearchHit> MergeShardTopK(std::vector<BoundedTopK>& heaps, size_t st
   return merged.Drain();
 }
 
+// The exact distance of pool row i: the one expression every exact read —
+// full scans, the certified scan's pass 2, the quantized tiers' rerank tail
+// — evaluates, in this TU only (topk.h).
+inline float RowDistance(const RowPool& pool, size_t i, const float* q, double qnorm,
+                         DotKernelFn dot) {
+  float d = static_cast<float>(pool.norm(i) + qnorm - 2.0 * dot(pool.row(i), q, pool.dim()));
+  // Decomposition rounding can dip just below zero for rows within ~1e-7 of
+  // the query; a squared distance is never negative.
+  return d < 0.0f ? 0.0f : d;
+}
+
 // Scores pool rows [begin, end) against one query and offers them to `out`.
 // Candidate order is `base` + orders[i]: every scanned pool is an IndexShard
 // pool, whose parallel `orders` array carries the single-shard-equivalent
@@ -83,36 +95,122 @@ std::vector<SearchHit> MergeShardTopK(std::vector<BoundedTopK>& heaps, size_t st
 template <bool kFiltered>
 void ScanRowsImpl(const RowPool& pool, size_t begin, size_t end, const float* q, double qnorm,
                   const size_t* orders, size_t base, const IdFilter& exclude, BoundedTopK& out) {
-  size_t dim = pool.dim();
   DotKernelFn dot = ActiveDotKernel();
   for (size_t i = begin; i < end; ++i) {
     if (kFiltered && exclude.contains(pool.id(i))) {
       continue;
     }
-    float d = static_cast<float>(pool.norm(i) + qnorm - 2.0 * dot(pool.row(i), q, dim));
-    if (d < 0.0f) {
-      d = 0.0f;  // Decomposition rounding can dip just below zero for rows
-                 // within ~1e-7 of the query; a squared distance is never
-                 // negative.
-    }
-    out.Offer(d, base + orders[i], pool.id(i));
+    out.Offer(RowDistance(pool, i, q, qnorm, dot), base + orders[i], pool.id(i));
   }
 }
 
-void ScanRows(const RowPool& pool, size_t begin, size_t end, const float* q, double qnorm,
-              const size_t* orders, size_t base, BoundedTopK& out) {
-  ScanRowsImpl<false>(pool, begin, end, q, qnorm, orders, base, IdFilter{}, out);
+// --- Certified scan (quantize.h has the bound) --------------------------------
+
+// An encoded row pass 1 could not rule out, with its interval's lower end.
+struct Survivor {
+  double lo;
+  size_t order;
+  const RowPool* pool;
+  uint32_t row;
+};
+
+// One query's certified-scan state between pass 1 and pass 2 (per heap).
+struct CertifiedScan {
+  CertifiedScan(const CertifiedQuery* query, size_t k)
+      : cq(query), upper(query != nullptr ? k : 0) {}
+  const CertifiedQuery* cq;  // Null when the index has no mirror.
+  // The k smallest interval upper ends offered so far (rounded up to
+  // float): upper.Bound() is the running U. U only falls, so every row it
+  // once excluded stays excluded.
+  BoundedTopK upper;
+  std::vector<Survivor> survivors;
+};
+
+float RoundUpToFloat(double x) {
+  float f = static_cast<float>(x);
+  return static_cast<double>(f) < x ? std::nextafter(f, std::numeric_limits<float>::infinity())
+                                    : f;
+}
+
+// Pass 1 over encoded shard rows [begin, end): keeps a row only while its
+// interval's lower end is <= U.
+template <bool kFiltered>
+void CertifyRowsImpl(const IndexShard& sh, const QuantizedCodes& codes, size_t begin, size_t end,
+                     size_t base, const IdFilter& exclude, CertifiedScan& scan) {
+  const RowPool& pool = sh.rows;
+  const CertifiedQuery& cq = *scan.cq;
+  U8DotKernelFn dot = ActiveU8DotKernel();
+  size_t dim = pool.dim();
+  double cutoff = scan.upper.Bound();
+  for (size_t i = begin; i < end; ++i) {
+    if (kFiltered && exclude.contains(pool.id(i))) {
+      continue;
+    }
+    float s = dot(codes.sq.data() + i * codes.sq_stride, cq.w.data(), dim);
+    DistanceInterval iv = CertifiedInterval(cq, pool.norm(i), s);
+    if (iv.lo > cutoff) {
+      continue;  // Its hi is larger still: it cannot move U either.
+    }
+    size_t order = base + sh.orders[i];
+    scan.upper.Offer(RoundUpToFloat(iv.hi), order, pool.id(i));
+    cutoff = scan.upper.Bound();
+    scan.survivors.push_back(Survivor{iv.lo, order, &pool, static_cast<uint32_t>(i)});
+  }
+}
+
+// Scans shard rows [begin, end) for one query. Rows `codes` encodes take
+// pass 1 into `scan`; the rest — every row, when `codes` is null — scan
+// exactly into `out`, so an index without a mirror runs the plain exact
+// loop.
+void ScanShardRows(const IndexShard& sh, const QuantizedCodes* codes, size_t begin, size_t end,
+                   const float* q, double qnorm, size_t base, const IdFilter& exclude,
+                   CertifiedScan& scan, BoundedTopK& out) {
+  size_t encoded = codes != nullptr ? std::min(codes->rows, sh.rows.size()) : 0;
+  size_t mid = std::max(begin, std::min(end, encoded));
+  if (begin < mid) {
+    if (exclude.empty()) {
+      CertifyRowsImpl<false>(sh, *codes, begin, mid, base, exclude, scan);
+    } else {
+      CertifyRowsImpl<true>(sh, *codes, begin, mid, base, exclude, scan);
+    }
+  }
+  if (mid < end) {
+    ScanRowsInto(sh.rows, mid, end, q, qnorm, sh.orders.data(), base, exclude, out);
+  }
+}
+
+// Pass 2: re-scores the survivors exactly into `out`, lowest interval first,
+// until no survivor's lower end can reach the top-k. The cut is the smaller
+// of U and out.Bound() — `out` holds the un-encoded rows' and re-scored
+// rows' exact distances, so its k-th smallest is an upper bound too.
+void RescoreSurvivors(CertifiedScan& scan, const float* q, double qnorm, BoundedTopK& out) {
+  std::vector<Survivor>& survivors = scan.survivors;
+  std::sort(survivors.begin(), survivors.end(),
+            [](const Survivor& a, const Survivor& b) { return a.lo < b.lo; });
+  double cutoff = scan.upper.Bound();
+  DotKernelFn dot = ActiveDotKernel();
+  for (const Survivor& s : survivors) {
+    if (s.lo > std::min<double>(cutoff, out.Bound())) {
+      break;
+    }
+    out.Offer(RowDistance(*s.pool, s.row, q, qnorm, dot), s.order, s.pool->id(s.row));
+  }
+  survivors.clear();
 }
 
 // Scans shard `shard` of every probed inverted list into `out` (IVF batch
-// fan-out unit). `probe_lists`/`bases` come from IvfL2Index::PlanProbes.
+// fan-out unit). `probe_lists`/`bases` come from IvfL2Index::PlanProbes;
+// `qcodes` is empty when the index has no mirror.
 void ScanProbedShard(const std::vector<std::vector<IndexShard>>& lists,
+                     const std::vector<std::vector<QuantizedCodes>>& qcodes,
                      const std::vector<size_t>& probe_lists, const std::vector<size_t>& bases,
                      size_t shard, const float* q, double qnorm, const IdFilter& exclude,
-                     BoundedTopK& out) {
+                     CertifiedScan& scan, BoundedTopK& out) {
   for (size_t p = 0; p < probe_lists.size(); ++p) {
-    const IndexShard& sh = lists[probe_lists[p]][shard];
-    ScanRowsInto(sh.rows, 0, sh.rows.size(), q, qnorm, sh.orders.data(), bases[p], exclude, out);
+    size_t l = probe_lists[p];
+    const IndexShard& sh = lists[l][shard];
+    const QuantizedCodes* codes = qcodes.empty() ? nullptr : &qcodes[l][shard];
+    ScanShardRows(sh, codes, 0, sh.rows.size(), q, qnorm, bases[p], exclude, scan, out);
   }
 }
 
@@ -121,6 +219,41 @@ void ScanProbedShard(const std::vector<std::vector<IndexShard>>& lists,
 size_t BlockRows(size_t stride) {
   constexpr size_t kBlockFloats = 128 * 1024 / sizeof(float);
   return std::max<size_t>(1, kBlockFloats / stride);
+}
+
+// Scan-tier bytes per row of an index of `dim` whose explicit tiers are `qz`
+// (null: none) — FlatL2Index/IvfL2Index::bytes_per_row.
+size_t ScanBytesPerRow(size_t dim, const IndexQuantizers* qz, RetrievalPrecision tier) {
+  switch (tier) {
+    case RetrievalPrecision::kFp32:
+      return PaddedStride(dim) * sizeof(float);
+    case RetrievalPrecision::kInt8:
+      return qz != nullptr && qz->sq.valid() ? SqCodeStride(dim) : 0;
+    case RetrievalPrecision::kPq:
+      return qz != nullptr && qz->pq.valid() ? qz->pq.m : 0;
+  }
+  return 0;
+}
+
+// Trains the mirror and the explicit tiers over `rows` (the backend's
+// shard-invariant row order), then encodes every (rows, codes) pair; both
+// split across `pool`. Returns the per-dimension max of the pairs' sq_delta.
+using EncodeJobs = std::vector<std::pair<const RowPool*, QuantizedCodes*>>;
+
+std::vector<double> BuildMirrors(const std::vector<const float*>& rows, size_t dim,
+                                 const QuantizationOptions& opts, uint64_t seed,
+                                 const EncodeJobs& jobs, ThreadPool* pool, Int8Params* sq,
+                                 IndexQuantizers* tiers) {
+  auto accessor = [&rows](size_t i) { return rows[i]; };
+  TrainQuantizers(accessor, rows.size(), dim, opts, seed, pool, sq, tiers);
+  std::vector<double> delta(dim, 0.0);
+  for (const auto& [src, codes] : jobs) {
+    EncodeRows(*sq, tiers->pq, *src, 0, src->size(), codes, pool);
+    for (size_t d = 0; d < dim; ++d) {
+      delta[d] = std::max(delta[d], codes->sq_delta[d]);
+    }
+  }
+  return delta;
 }
 
 }  // namespace
@@ -152,9 +285,7 @@ const char* RetrievalPrecisionName(RetrievalPrecision p) {
 // with the same combine and clamp as ScanRowsImpl, defined in this TU so the
 // exact distance has a single codegen.
 float ExactRowDistance(const RowPool& pool, size_t row, const float* q, double qnorm) {
-  DotKernelFn dot = ActiveDotKernel();
-  float d = static_cast<float>(pool.norm(row) + qnorm - 2.0 * dot(pool.row(row), q, pool.dim()));
-  return d < 0.0f ? 0.0f : d;
+  return RowDistance(pool, row, q, qnorm, ActiveDotKernel());
 }
 
 // Exact scan into a quantized-candidate heap (declared in quantize.h): the
@@ -163,18 +294,13 @@ float ExactRowDistance(const RowPool& pool, size_t row, const float* q, double q
 void ScanRowsExactInto(const RowPool& pool, size_t begin, size_t end, const float* q,
                        double qnorm, const size_t* orders, size_t base, const IdFilter& exclude,
                        BoundedQuantTopK& out) {
-  size_t dim = pool.dim();
   DotKernelFn dot = ActiveDotKernel();
   bool filtered = !exclude.empty();
   for (size_t i = begin; i < end; ++i) {
     if (filtered && exclude.contains(pool.id(i))) {
       continue;
     }
-    float d = static_cast<float>(pool.norm(i) + qnorm - 2.0 * dot(pool.row(i), q, dim));
-    if (d < 0.0f) {
-      d = 0.0f;
-    }
-    out.Offer(d, base + orders[i], pool.id(i), nullptr, 0);
+    out.Offer(RowDistance(pool, i, q, qnorm, dot), base + orders[i], pool.id(i), nullptr, 0);
   }
 }
 
@@ -302,20 +428,28 @@ std::vector<std::vector<SearchHit>> FlatL2Index::SearchBatch(
     size_t nq = qs.size();
     size_t nshards = shards_.size();
     std::vector<double> qnorms(nq);
+    std::vector<CertifiedQuery> cqs(quantized_ ? nq : 0);
     for (size_t qi = 0; qi < nq; ++qi) {
       qnorms[qi] = SquaredNormBlocked(qs[qi].data(), dim_);
+      if (quantized_) {
+        BuildCertifiedQuery(sq_, sq_delta_, qs[qi].data(), dim_, qnorms[qi], &cqs[qi]);
+      }
     }
 
-    // Fan the (shard x query) grid out across the pool: one heap per cell,
-    // so workers own disjoint slots and the merged result is independent of
-    // the partitioning. Task ids are shard-major — a contiguous task range
-    // covers consecutive queries of one shard before moving to the next — so
-    // each worker still streams a shard's rows through the cache-sized
-    // blocks once for all of its queries.
+    // Fan the (shard x query) grid out across the pool: one heap (and one
+    // certified-scan state) per cell, so workers own disjoint slots and the
+    // merged result is independent of the partitioning. Task ids are
+    // shard-major — a contiguous task range covers consecutive queries of
+    // one shard before moving to the next — so each worker still streams a
+    // shard's rows through the cache-sized blocks once for all of its
+    // queries; each query's pass 2 follows the shard's sweep.
     std::vector<BoundedTopK> heaps;
+    std::vector<CertifiedScan> scans;
     heaps.reserve(nshards * nq);
+    scans.reserve(nshards * nq);
     for (size_t i = 0; i < nshards * nq; ++i) {
       heaps.emplace_back(k);
+      scans.emplace_back(quantized_ ? &cqs[i % nq] : nullptr, k);
     }
     auto sweep = [&](size_t tb, size_t te) {
       size_t t = tb;
@@ -325,13 +459,18 @@ std::vector<std::vector<SearchHit>> FlatL2Index::SearchBatch(
         size_t qb = t - shard * nq;
         size_t qe = run_end - shard * nq;
         const IndexShard& sh = shards_[shard];
+        const QuantizedCodes* codes = quantized_ ? &qcodes_[shard] : nullptr;
         size_t block = BlockRows(sh.rows.stride());
         for (size_t rb = 0; rb < sh.rows.size(); rb += block) {
           size_t re = std::min(rb + block, sh.rows.size());
           for (size_t qi = qb; qi < qe; ++qi) {
-            ScanRows(sh.rows, rb, re, qs[qi].data(), qnorms[qi], sh.orders.data(), 0,
-                     heaps[shard * nq + qi]);
+            ScanShardRows(sh, codes, rb, re, qs[qi].data(), qnorms[qi], 0, IdFilter{},
+                          scans[shard * nq + qi], heaps[shard * nq + qi]);
           }
+        }
+        for (size_t qi = qb; qi < qe; ++qi) {
+          RescoreSurvivors(scans[shard * nq + qi], qs[qi].data(), qnorms[qi],
+                           heaps[shard * nq + qi]);
         }
         t = run_end;
       }
@@ -358,13 +497,21 @@ std::vector<OrderedHit> FlatL2Index::SearchOrdered(const Embedding& query, size_
     return {};
   }
   double qnorm = SquaredNormBlocked(query.data(), dim_);
-  // One heap across all shards: the (distance, global order) total order
-  // makes the scan order across shards irrelevant.
-  BoundedTopK topk(k);
-  for (const IndexShard& shard : shards_) {
-    ScanRowsInto(shard.rows, 0, shard.rows.size(), query.data(), qnorm, shard.orders.data(), 0,
-                 exclude, topk);
+  CertifiedQuery cq;
+  if (quantized_) {
+    BuildCertifiedQuery(sq_, sq_delta_, query.data(), dim_, qnorm, &cq);
   }
+  // One heap (and one certified-scan state) across all shards: the
+  // (distance, global order) total order makes the scan order across shards
+  // irrelevant.
+  BoundedTopK topk(k);
+  CertifiedScan scan(quantized_ ? &cq : nullptr, k);
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const IndexShard& shard = shards_[s];
+    ScanShardRows(shard, quantized_ ? &qcodes_[s] : nullptr, 0, shard.rows.size(), query.data(),
+                  qnorm, 0, exclude, scan, topk);
+  }
+  RescoreSurvivors(scan, query.data(), qnorm, topk);
   return topk.DrainOrdered();
 }
 
@@ -374,8 +521,8 @@ namespace {
 constexpr uint64_t kQuantTrainSeed = 17;
 }  // namespace
 
-bool FlatL2Index::BuildQuantizedMirrors() {
-  if (!qopts_.any() || count_ == 0) {
+bool FlatL2Index::BuildQuantizedMirrors(ThreadPool* pool) {
+  if (count_ == 0) {
     return false;
   }
   // Train over rows in global insertion order (shard.orders maps each shard
@@ -387,12 +534,12 @@ bool FlatL2Index::BuildQuantizedMirrors() {
       rows[shard.orders[i]] = shard.rows.row(i);
     }
   }
-  auto accessor = [&rows](size_t i) { return rows[i]; };
-  quantizers_ = TrainQuantizers(accessor, rows.size(), dim_, qopts_, kQuantTrainSeed);
   qcodes_.assign(shards_.size(), QuantizedCodes{});
+  EncodeJobs jobs;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    EncodeRows(quantizers_, shards_[s].rows, 0, shards_[s].rows.size(), &qcodes_[s]);
+    jobs.emplace_back(&shards_[s].rows, &qcodes_[s]);
   }
+  sq_delta_ = BuildMirrors(rows, dim_, qopts_, kQuantTrainSeed, jobs, pool, &sq_, &quantizers_);
   quantized_ = true;
   return true;
 }
@@ -405,15 +552,12 @@ std::vector<QuantCand> FlatL2Index::SearchQuantCandidates(const Embedding& query
     return {};
   }
   RetrievalPrecision tier = ResolveTier(quality, quantizers());
+  if (tier == RetrievalPrecision::kFp32) {
+    // No explicit tier, or fp32 requested: exact candidates through SearchOrdered.
+    return VectorIndex::SearchQuantCandidates(query, fetch_k, quality, exclude);
+  }
   double qnorm = SquaredNormBlocked(query.data(), dim_);
   BoundedQuantTopK topk(fetch_k);
-  if (tier == RetrievalPrecision::kFp32) {
-    for (const IndexShard& shard : shards_) {
-      ScanRowsExactInto(shard.rows, 0, shard.rows.size(), query.data(), qnorm,
-                        shard.orders.data(), 0, exclude, topk);
-    }
-    return topk.DrainCands();
-  }
   SqQuery sq;
   PqQuery pq;
   if (tier == RetrievalPrecision::kInt8) {
@@ -442,15 +586,7 @@ std::vector<QuantCand> FlatL2Index::SearchQuantCandidates(const Embedding& query
 }
 
 size_t FlatL2Index::bytes_per_row(RetrievalPrecision tier) const {
-  switch (tier) {
-    case RetrievalPrecision::kFp32:
-      return PaddedStride(dim_) * sizeof(float);
-    case RetrievalPrecision::kInt8:
-      return quantized_ && quantizers_.sq.valid() ? SqCodeStride(dim_) : 0;
-    case RetrievalPrecision::kPq:
-      return quantized_ && quantizers_.pq.valid() ? quantizers_.pq.m : 0;
-  }
-  return 0;
+  return ScanBytesPerRow(dim_, quantizers(), tier);
 }
 
 // --- IvfL2Index -------------------------------------------------------------
@@ -712,12 +848,20 @@ std::vector<OrderedHit> IvfL2Index::SearchOrdered(const Embedding& query, size_t
   METIS_CHECK(trained_);
   double qnorm = SquaredNormBlocked(query.data(), dim_);
   ProbeSet probes = PlanProbes(query.data(), qnorm, ResolveProbe(quality));
-  // One heap across every shard of every probed list: the (distance, order)
-  // total order makes the shard visit order irrelevant.
-  BoundedTopK topk(k);
-  for (size_t shard = 0; shard < num_shards_; ++shard) {
-    ScanProbedShard(lists_, probes.lists, probes.bases, shard, query.data(), qnorm, exclude, topk);
+  CertifiedQuery cq;
+  if (quantized_) {
+    BuildCertifiedQuery(sq_, sq_delta_, query.data(), dim_, qnorm, &cq);
   }
+  // One heap (and one certified-scan state) across every shard of every
+  // probed list: the (distance, order) total order makes the shard visit
+  // order irrelevant.
+  BoundedTopK topk(k);
+  CertifiedScan scan(quantized_ ? &cq : nullptr, k);
+  for (size_t shard = 0; shard < num_shards_; ++shard) {
+    ScanProbedShard(lists_, qcodes_, probes.lists, probes.bases, shard, query.data(), qnorm,
+                    exclude, scan, topk);
+  }
+  RescoreSurvivors(scan, query.data(), qnorm, topk);
   stats_.Record(probes.lists.size());
   return topk.DrainOrdered();
 }
@@ -776,8 +920,8 @@ std::vector<QuantCand> IvfL2Index::SearchQuantCandidates(const Embedding& query,
   return topk.DrainCands();
 }
 
-bool IvfL2Index::BuildQuantizedMirrors() {
-  if (!qopts_.any() || !trained_ || count_ == 0) {
+bool IvfL2Index::BuildQuantizedMirrors(ThreadPool* pool) {
+  if (!trained_ || count_ == 0) {
     return false;
   }
   // Train over rows in (list, in-list order) — both shard-invariant — so the
@@ -794,28 +938,20 @@ bool IvfL2Index::BuildQuantizedMirrors() {
     }
     rows.insert(rows.end(), in_list.begin(), in_list.end());
   }
-  auto accessor = [&rows](size_t i) { return rows[i]; };
-  quantizers_ = TrainQuantizers(accessor, rows.size(), dim_, qopts_, seed_);
   qcodes_.assign(lists_.size(), std::vector<QuantizedCodes>(num_shards_));
+  EncodeJobs jobs;
   for (size_t l = 0; l < lists_.size(); ++l) {
     for (size_t s = 0; s < num_shards_; ++s) {
-      EncodeRows(quantizers_, lists_[l][s].rows, 0, lists_[l][s].rows.size(), &qcodes_[l][s]);
+      jobs.emplace_back(&lists_[l][s].rows, &qcodes_[l][s]);
     }
   }
+  sq_delta_ = BuildMirrors(rows, dim_, qopts_, seed_, jobs, pool, &sq_, &quantizers_);
   quantized_ = true;
   return true;
 }
 
 size_t IvfL2Index::bytes_per_row(RetrievalPrecision tier) const {
-  switch (tier) {
-    case RetrievalPrecision::kFp32:
-      return PaddedStride(dim_) * sizeof(float);
-    case RetrievalPrecision::kInt8:
-      return quantized_ && quantizers_.sq.valid() ? SqCodeStride(dim_) : 0;
-    case RetrievalPrecision::kPq:
-      return quantized_ && quantizers_.pq.valid() ? quantizers_.pq.m : 0;
-  }
-  return 0;
+  return ScanBytesPerRow(dim_, quantizers(), tier);
 }
 
 std::vector<std::vector<SearchHit>> IvfL2Index::SearchBatch(
@@ -842,10 +978,14 @@ std::vector<std::vector<SearchHit>> IvfL2Index::SearchBatch(
     // scanned.
     std::vector<double> qnorms(nq);
     std::vector<ProbeSet> sets(nq);
+    std::vector<CertifiedQuery> cqs(quantized_ ? nq : 0);
     auto plan_phase = [&](size_t qb, size_t qe) {
       for (size_t qi = qb; qi < qe; ++qi) {
         qnorms[qi] = SquaredNormBlocked(qs[qi].data(), dim_);
         sets[qi] = PlanProbes(qs[qi].data(), qnorms[qi], ResolveProbe(quals[qi]));
+        if (quantized_) {
+          BuildCertifiedQuery(sq_, sq_delta_, qs[qi].data(), dim_, qnorms[qi], &cqs[qi]);
+        }
       }
     };
     if (parallel && nq > 1) {
@@ -855,7 +995,7 @@ std::vector<std::vector<SearchHit>> IvfL2Index::SearchBatch(
     }
 
     // Phase 2 — scan: fan the (query x shard) grid out across the pool, one
-    // heap per cell.
+    // heap per cell, each cell's pass 2 right after its pass 1.
     std::vector<BoundedTopK> heaps;
     heaps.reserve(nq * nshards);
     for (size_t i = 0; i < nq * nshards; ++i) {
@@ -865,8 +1005,10 @@ std::vector<std::vector<SearchHit>> IvfL2Index::SearchBatch(
       for (size_t t = tb; t < te; ++t) {
         size_t qi = t / nshards;
         size_t shard = t % nshards;
-        ScanProbedShard(lists_, sets[qi].lists, sets[qi].bases, shard, qs[qi].data(),
-                        qnorms[qi], IdFilter{}, heaps[t]);
+        CertifiedScan scan(quantized_ ? &cqs[qi] : nullptr, k);
+        ScanProbedShard(lists_, qcodes_, sets[qi].lists, sets[qi].bases, shard, qs[qi].data(),
+                        qnorms[qi], IdFilter{}, scan, heaps[t]);
+        RescoreSurvivors(scan, qs[qi].data(), qnorms[qi], heaps[t]);
       }
     };
     if (parallel && nq * nshards > 1) {
@@ -983,8 +1125,8 @@ void VectorDatabase::FinalizeIndex(ThreadPool* pool) {
   if (ivf_ != nullptr && !ivf_->trained() && ivf_->size() > 0) {
     ivf_->Train(pool);
   }
-  // Quantized mirrors (no-op unless index_options.quant enables a tier).
-  index_->BuildQuantizedMirrors();
+  // The SQ mirror (and any explicit tier's), encoded across the same pool.
+  index_->BuildQuantizedMirrors(pool);
 }
 
 std::vector<ChunkId> VectorDatabase::InsertChunks(std::vector<Chunk> chunks, ThreadPool* pool) {

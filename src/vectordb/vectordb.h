@@ -35,12 +35,22 @@
 //     per query), SearchOrdered (exact, with candidate orders and an id
 //     filter) and SearchQuantCandidates (a quantized tier's candidates for
 //     the exact rerank tail).
+//   - Every exact fp32 read (SearchOrdered, and the fp32 sweep of
+//     SearchBatch) is a certified two-pass scan over the index's int8 SQ
+//     mirror (quantize.h): pass 1 streams 1-byte codes and keeps only the
+//     rows whose distance interval [D~ - B, D~ + B] can still reach the
+//     k-th smallest upper bound; pass 2 re-scores those rows with the exact
+//     expression into the same BoundedTopK. The true top-k always survives
+//     pass 1, so results are bit-identical to a full exact sweep by
+//     construction. Rows the mirror does not encode (added after it was
+//     built, or every row of an index that never built one) scan exactly.
 //   - SearchBatch answers its fp32 queries in one sweep: flat rows are
 //     visited in cache-sized blocks and each block is scored against every
 //     query in the batch before moving on, so the index streams through
-//     memory once per block rather than once per query. Quantized queries
-//     run the per-query path. An optional ThreadPool shards the batch across
-//     workers; results are identical for any thread count.
+//     memory once per block rather than once per query; each query's pass 2
+//     follows its sweep. Quantized queries run the per-query path. An
+//     optional ThreadPool shards the batch across workers; results are
+//     identical for any thread count.
 //   - IVF inverted lists and centroids use the same RowPool layout, and
 //     IvfL2Index::Train can shard its O(n * nlist * dim) scans over a pool.
 //   - Row storage is hash-partitioned across N IndexShards (each its own
@@ -342,9 +352,12 @@ inline size_t ResolveRerankFactor(const RetrievalQuality& quality) {
 
 // --- Quantized mirror storage (built by quantize.cc) -------------------------
 
-// Build-time knobs: which quantized mirrors an index materializes alongside
-// its fp32 rows (RetrievalIndexOptions::quant). Mirrors are pure accelerators:
-// they never change what precision=fp32 returns.
+// Build-time knobs: which explicit quantized tiers an index serves
+// (RetrievalIndexOptions::quant). Every static index builds its int8 SQ
+// mirror regardless, for the certified fp32 scan; `sq` additionally lets
+// queries ask for the int8 tier over those same codes, and `pq` trains and
+// encodes the PQ mirror. Mirrors are pure accelerators: they never change
+// what precision=fp32 returns.
 struct QuantizationOptions {
   bool sq = false;  // int8 scalar quantization (per-dimension affine).
   bool pq = false;  // Product quantization (m subspaces x <=256 centroids).
@@ -376,9 +389,10 @@ struct PqParams {
   bool valid() const { return m > 0; }
 };
 
-// The quantizers an index trained over its rows. Shared with the mutable
-// wrapper, which encodes sealed segments against its base's params so segment
-// codes and base codes live in the same code space.
+// The explicit tiers' quantizers an index trained over its rows (per
+// QuantizationOptions). Shared with the mutable wrapper, which encodes sealed
+// segments against its base's params so segment codes and base codes live in
+// the same code space.
 struct IndexQuantizers {
   Int8Params sq;
   PqParams pq;
@@ -397,6 +411,10 @@ struct QuantizedCodes {
   size_t sq_stride = 0;
   std::vector<uint8_t, AlignedAllocator<uint8_t>> sq;
   std::vector<double> sq_row_const;
+  // SQ: per dimension, the largest |x[d] - (vmin[d] + scale[d] * code[d])|
+  // over the encoded rows, measured in double at encode time — clamped
+  // codes included. The certified scan's quantization error term.
+  std::vector<double> sq_delta;
   // PQ: rows x m uint8 centroid codes.
   std::vector<uint8_t> pq;
 };
@@ -444,13 +462,20 @@ class VectorIndex {
                                                 const RetrievalQuality& quality,
                                                 const IdFilter& exclude) const = 0;
   // --- Quantized-tier hooks ---
-  // Trains quantizers over the rows added so far and encodes the quantized
-  // mirrors (per the backend's QuantizationOptions). Idempotent-by-intent:
-  // called once after bulk load / (re)train. Returns false when the backend
-  // has no quantization configured. Not synchronized with concurrent reads.
-  virtual bool BuildQuantizedMirrors() { return false; }
-  // The trained quantizers, or null when no mirror exists. The mutable
-  // wrapper encodes sealed segments against its base's quantizers.
+  // Trains quantizers over the rows added so far and encodes the mirrors:
+  // the int8 SQ mirror the certified fp32 scan reads (always), plus the PQ
+  // mirror when the backend's QuantizationOptions ask for it. Encoding
+  // shards across `pool` (may be null); codes do not depend on it. Called
+  // once after bulk load / (re)train. Returns false when nothing was built
+  // (no rows, or a backend without mirrors). Not synchronized with
+  // concurrent reads.
+  virtual bool BuildQuantizedMirrors(ThreadPool* pool) {
+    (void)pool;
+    return false;
+  }
+  // The explicit tiers' quantizers, or null when QuantizationOptions enables
+  // none (the certified fp32 scan's mirror is not an explicit tier). The
+  // mutable wrapper encodes sealed segments against its base's quantizers.
   virtual const IndexQuantizers* quantizers() const { return nullptr; }
   // Up to fetch_k candidates under the requested tier's (approx distance,
   // order) total order, with row locations attached for the exact rerank
@@ -485,21 +510,22 @@ class FlatL2Index : public VectorIndex {
   std::vector<std::vector<SearchHit>> SearchBatch(
       const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
       const std::vector<RetrievalQuality>& qualities) const override;
-  // Exact scan with tombstone filtering; orders are global insertion orders.
+  // Certified exact scan with tombstone filtering; orders are global
+  // insertion orders.
   std::vector<OrderedHit> SearchOrdered(const Embedding& query, size_t k,
                                         const RetrievalQuality& quality,
                                         const IdFilter& exclude) const override;
-  bool BuildQuantizedMirrors() override;
+  bool BuildQuantizedMirrors(ThreadPool* pool) override;
   const IndexQuantizers* quantizers() const override {
-    return quantized_ ? &quantizers_ : nullptr;
+    return quantized_ && qopts_.any() ? &quantizers_ : nullptr;
   }
   std::vector<QuantCand> SearchQuantCandidates(const Embedding& query, size_t fetch_k,
                                                const RetrievalQuality& quality,
                                                const IdFilter& exclude) const override;
   size_t size() const override { return count_; }
   size_t num_shards() const { return shards_.size(); }
-  // Scan-tier bytes per row (padded strides included): the memory the hot
-  // candidate scan streams for one row on each tier. 0 = tier unavailable.
+  // Scan-tier bytes per row (padded strides included): the memory a scan on
+  // each explicit tier streams for one row. 0 = tier unavailable.
   size_t bytes_per_row(RetrievalPrecision tier) const;
 
  private:
@@ -507,8 +533,10 @@ class FlatL2Index : public VectorIndex {
   size_t count_ = 0;  // Rows added so far; doubles as the next global order.
   std::vector<IndexShard> shards_;
   QuantizationOptions qopts_;
-  bool quantized_ = false;
-  IndexQuantizers quantizers_;
+  bool quantized_ = false;  // BuildQuantizedMirrors ran: sq_ and qcodes_ hold the SQ mirror.
+  Int8Params sq_;           // The SQ mirror's quantizer.
+  std::vector<double> sq_delta_;  // Per-dimension max of the shards' QuantizedCodes::sq_delta.
+  IndexQuantizers quantizers_;    // Explicit tiers: sq == sq_ iff qopts_.sq; pq iff qopts_.pq.
   std::vector<QuantizedCodes> qcodes_;  // Parallel to shards_.
 };
 
@@ -545,9 +573,9 @@ class IvfL2Index : public VectorIndex {
   // Trains quantizers over the inverted lists and encodes per-list-shard
   // mirrors. Call after Train(); rows added later are scanned exactly (the
   // un-encoded-suffix rule).
-  bool BuildQuantizedMirrors() override;
+  bool BuildQuantizedMirrors(ThreadPool* pool) override;
   const IndexQuantizers* quantizers() const override {
-    return quantized_ ? &quantizers_ : nullptr;
+    return quantized_ && qopts_.any() ? &quantizers_ : nullptr;
   }
   // Probe planning (centroid ranking, adaptive rule) is always fp32, so a
   // quantized query probes exactly the lists its fp32 twin would — probe
@@ -656,7 +684,9 @@ class IvfL2Index : public VectorIndex {
   std::vector<std::vector<IndexShard>> lists_;
   std::vector<size_t> list_counts_;
   QuantizationOptions qopts_;
-  bool quantized_ = false;
+  bool quantized_ = false;        // As in FlatL2Index.
+  Int8Params sq_;
+  std::vector<double> sq_delta_;
   IndexQuantizers quantizers_;
   std::vector<std::vector<QuantizedCodes>> qcodes_;  // Parallel to lists_.
 
@@ -743,9 +773,11 @@ struct RetrievalIndexOptions {
   size_t nprobe = 8;
   AdaptiveProbePolicy adaptive;
   uint64_t train_seed = 17;
-  // Quantized mirrors (both backends): which tiers FinalizeIndex trains and
-  // encodes alongside the fp32 rows. Off by default — mirrors cost memory and
-  // only queries whose RetrievalQuality asks for a quantized tier read them.
+  // Explicit quantized tiers (both backends). FinalizeIndex always builds
+  // the int8 SQ mirror (+1 byte per dimension per row), which every exact
+  // fp32 read scans first; these options only decide which tiers a
+  // RetrievalQuality may ask for — int8 over the same codes, PQ over its own
+  // mirror. Off by default.
   QuantizationOptions quant;
   // Wrap the backend in the epoch-versioned MutableIndex so the database
   // accepts InsertChunks/DeleteChunks while serving.

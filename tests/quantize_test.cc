@@ -24,6 +24,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -92,6 +94,75 @@ TEST(QuantKernelTest, U8DotBitIdenticalAcrossTargets) {
   }
 }
 
+// --- SQ encoding ---------------------------------------------------------------
+
+// Codes, row constants and the reconstruction-error bound must be what the
+// per-element recipe round((x - vmin) / scale) -> clamp [0, 255] gives, with
+// std::nearbyint's ties-to-even, and each row constant the sequential sum —
+// whatever loop shape or worker split training and encoding use. Dimension
+// 0 spans [0, 255] exactly (scale 1), so its x.5 values are exact ties;
+// dimension 1 is constant (scale 0); rows past the training range clamp.
+TEST(QuantEncodeTest, CodesMatchTheNearbyintRecipeForAnyWorkerCount) {
+  const size_t dim = 37;
+  Rng rng(0xC0DE5);
+  std::vector<Embedding> rows;
+  for (size_t i = 0; i < 300; ++i) {
+    Embedding v(dim);
+    for (size_t d = 0; d < dim; ++d) {
+      v[d] = static_cast<float>(rng.Uniform(-2.0, 2.0));
+    }
+    v[0] = i == 0 ? 0.0f : i == 1 ? 255.0f : static_cast<float>(i % 256) + 0.5f * (i % 2);
+    v[1] = 3.25f;
+    rows.push_back(std::move(v));
+  }
+  size_t train_rows = 200;  // Rows 200.. may fall outside [vmin, vmax] and clamp.
+  for (size_t i = train_rows; i < rows.size(); ++i) {
+    rows[i][2] = 5.0f * rows[i][2];
+    rows[i][0] = static_cast<float>(i) - 20.5f;  // 179.5 .. 278.5: ties, then clamps.
+  }
+  RowPool pool(dim);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    pool.Append(static_cast<ChunkId>(i), rows[i].data());
+  }
+  auto row = [&](size_t i) { return rows[i].data(); };
+  Int8Params sq = TrainInt8(row, train_rows, dim, nullptr);
+  ASSERT_EQ(sq.vmin[0], 0.0f);
+  ASSERT_EQ(sq.scale[0], 1.0f);
+  ASSERT_EQ(sq.scale[1], 0.0f);
+  std::vector<double> want_delta(dim, 0.0);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    ThreadPool workers(threads);
+    Int8Params split = TrainInt8(row, train_rows, dim, &workers);
+    EXPECT_EQ(split.vmin, sq.vmin) << "threads=" << threads;
+    EXPECT_EQ(split.scale, sq.scale) << "threads=" << threads;
+    QuantizedCodes codes;
+    // Two calls, as a sealing segment makes: codes append.
+    EncodeRows(sq, PqParams{}, pool, 0, 150, &codes, &workers);
+    EncodeRows(sq, PqParams{}, pool, 150, pool.size(), &codes, &workers);
+    ASSERT_EQ(codes.rows, pool.size());
+    std::vector<double> delta(dim, 0.0);
+    for (size_t i = 0; i < pool.size(); ++i) {
+      double row_const = 0.0;
+      for (size_t d = 0; d < dim; ++d) {
+        uint8_t want = 0;
+        if (sq.scale[d] > 0) {
+          float t = (rows[i][d] - sq.vmin[d]) / sq.scale[d];
+          want = static_cast<uint8_t>(std::min(255.0f, std::max(0.0f, std::nearbyint(t))));
+        }
+        ASSERT_EQ(codes.sq[i * codes.sq_stride + d], want) << "row " << i << " dim " << d;
+        double rec = static_cast<double>(sq.scale[d]) * want;
+        row_const += rec * rec;
+        delta[d] = std::max(delta[d], std::fabs(static_cast<double>(rows[i][d]) -
+                                                (static_cast<double>(sq.vmin[d]) + rec)));
+      }
+      EXPECT_EQ(codes.sq_row_const[i], row_const) << "row " << i;
+    }
+    EXPECT_EQ(codes.sq_delta, delta) << "threads=" << threads;
+    EXPECT_EQ(codes.sq[129 * codes.sq_stride], 130) << "129.5 is a tie: rounds to even";
+    EXPECT_GT(delta[2], 0.5 * sq.scale[2]) << "clamped rows must widen the measured bound";
+  }
+}
+
 // --- Static backend: fp32 bit-parity + quantized determinism -----------------
 
 struct StaticCase {
@@ -136,7 +207,7 @@ std::unique_ptr<VectorIndex> BuildStatic(const ClusteredCorpus& corpus, const St
     ivf->Train();
   }
   if (quant.any()) {
-    index->BuildQuantizedMirrors();
+    index->BuildQuantizedMirrors(nullptr);
   }
   return index;
 }
@@ -273,7 +344,7 @@ TEST(QuantProbeTest, QuantizedSearchRecordsSameProbesAsFp32) {
     index->Add(static_cast<ChunkId>(i + 1), corpus.points[i]);
   }
   ivf->Train();
-  index->BuildQuantizedMirrors();
+  index->BuildQuantizedMirrors(nullptr);
 
   const std::vector<Embedding> queries = corpus.AllQueries();
   std::vector<std::vector<uint64_t>> hists;
