@@ -15,13 +15,11 @@ uint64_t SplitMix64(uint64_t& state) {
 }
 
 uint64_t HashString64(std::string_view s) {
-  uint64_t h = 0xCBF29CE484222325ull;
+  uint64_t h = kFnv64Offset;
   for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001B3ull;
+    h = Fnv64Step(h, c);
   }
-  uint64_t st = h;
-  return SplitMix64(st);
+  return FinishHash64(h);
 }
 
 namespace {

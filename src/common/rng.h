@@ -20,6 +20,14 @@ uint64_t SplitMix64(uint64_t& state);
 // Stable 64-bit hash of a string (FNV-1a finished with SplitMix64).
 uint64_t HashString64(std::string_view s);
 
+// HashString64's two stages, for callers that hash bytes they never hold as
+// one string (a lowercased view, a concatenation of two views):
+// HashString64(s) is FinishHash64 of Fnv64Step folded over s's bytes from
+// kFnv64Offset.
+inline constexpr uint64_t kFnv64Offset = 0xCBF29CE484222325ull;
+inline uint64_t Fnv64Step(uint64_t h, unsigned char c) { return (h ^ c) * 0x100000001B3ull; }
+inline uint64_t FinishHash64(uint64_t fnv) { return SplitMix64(fnv); }
+
 // xoshiro256** PRNG. Small, fast, and good enough statistical quality for
 // workload synthesis and timing jitter; crucially, fully deterministic and
 // serializable across platforms.

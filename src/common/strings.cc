@@ -36,10 +36,7 @@ std::string ToLowerAscii(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
-    if (c >= 'A' && c <= 'Z') {
-      c = static_cast<char>(c - 'A' + 'a');
-    }
-    out.push_back(c);
+    out.push_back(LowerAscii(c));
   }
   return out;
 }

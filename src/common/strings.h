@@ -15,7 +15,12 @@ std::vector<std::string> SplitWords(std::string_view text, std::string_view deli
 // Joins with a separator.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
-// ASCII lowercase copy (sufficient for the synthetic corpus vocabulary).
+// ASCII lowercase of one byte (sufficient for the synthetic corpus vocabulary).
+inline char LowerAscii(char c) {
+  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+// ASCII lowercase copy.
 std::string ToLowerAscii(std::string_view s);
 
 // Strips ASCII punctuation from both ends of a token.

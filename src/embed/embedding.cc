@@ -5,6 +5,7 @@
 
 #include "src/common/check.h"
 #include "src/common/rng.h"
+#include "src/common/strings.h"
 #include "src/text/tokenizer.h"
 
 namespace metis {
@@ -37,7 +38,6 @@ EmbeddingModel::EmbeddingModel(EmbeddingModelSpec spec) : spec_(std::move(spec))
 
 Embedding EmbeddingModel::Embed(std::string_view text) const {
   Embedding v(spec_.dim, 0.0f);
-  std::vector<std::string> tokens = Tokenize(text);
 
   auto add_feature = [&](uint64_t h, double weight) {
     // Two hashed buckets with signed contributions approximate a random
@@ -53,12 +53,28 @@ Embedding EmbeddingModel::Embed(std::string_view text) const {
     v[i2] += s2 * static_cast<float>(weight);
   };
 
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    add_feature(HashString64(tokens[i]), 1.0);
-    if (i + 1 < tokens.size() && spec_.bigram_weight > 0) {
-      add_feature(HashString64(tokens[i] + "_" + tokens[i + 1]), spec_.bigram_weight);
+  // Features are the HashString64 of each lowercased token and of each
+  // adjacent pair joined by '_', added in the order u0, b01, u1, b12, u2, ...
+  // FNV-1a is a running state, so the pair's hash continues the previous
+  // token's raw state with '_' and this token's bytes: no token or pair
+  // string is built.
+  auto fnv_lower = [](uint64_t h, std::string_view token) {
+    for (char c : token) {
+      h = Fnv64Step(h, static_cast<unsigned char>(LowerAscii(c)));
     }
-  }
+    return h;
+  };
+  bool first = true;
+  uint64_t prev = 0;  // Raw FNV state of the previous token.
+  ForEachToken(text, [&](std::string_view token) {
+    if (!first && spec_.bigram_weight > 0) {
+      uint64_t pair = fnv_lower(Fnv64Step(prev, '_'), token);
+      add_feature(FinishHash64(pair), spec_.bigram_weight);
+    }
+    prev = fnv_lower(kFnv64Offset, token);
+    add_feature(FinishHash64(prev), 1.0);
+    first = false;
+  });
 
   // L2-normalize so L2 distance and cosine similarity agree in ranking.
   double norm2 = 0;

@@ -6,12 +6,7 @@ namespace metis {
 
 std::vector<std::string> Tokenize(std::string_view text) {
   std::vector<std::string> out;
-  for (const std::string& raw : SplitWords(text)) {
-    std::string_view stripped = StripPunct(raw);
-    if (!stripped.empty()) {
-      out.push_back(ToLowerAscii(stripped));
-    }
-  }
+  ForEachToken(text, [&out](std::string_view token) { out.push_back(ToLowerAscii(token)); });
   return out;
 }
 

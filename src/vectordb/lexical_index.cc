@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/common/check.h"
+#include "src/common/strings.h"
 #include "src/text/tokenizer.h"
 
 namespace metis {
@@ -31,33 +33,54 @@ LexicalIndex::LexicalIndex(size_t num_shards, size_t memtable_rows, size_t compa
   shards_.resize(num_shards);
 }
 
+uint32_t LexicalIndex::Intern(std::string_view term) {
+  auto it = term_ids_.find(term);
+  if (it != term_ids_.end()) {
+    return it->second;
+  }
+  METIS_CHECK(term_text_.size() < std::numeric_limits<uint32_t>::max());
+  uint32_t id = static_cast<uint32_t>(term_text_.size());
+  term_text_.emplace_back(term);
+  term_ids_.emplace(term_text_.back(), id);
+  df_.push_back(0);
+  return id;
+}
+
 void LexicalIndex::Add(ChunkId id, const std::string& text) {
   METIS_CHECK(docs_.find(id) == docs_.end());
-  std::vector<std::string> tokens = Tokenize(text);
+  // Every token's term id, sorted so each term is one run.
+  std::vector<uint32_t>& ids = add_ids_;
+  ids.clear();
+  std::string term;
+  ForEachToken(text, [&](std::string_view token) {
+    term.resize(token.size());
+    std::transform(token.begin(), token.end(), term.begin(), LowerAscii);
+    ids.push_back(Intern(term));
+  });
+  std::sort(ids.begin(), ids.end());
 
   DocInfo info;
-  info.len = static_cast<int32_t>(tokens.size());
+  info.len = static_cast<int32_t>(ids.size());
   info.order = next_order_++;
   info.live = true;
-  std::sort(tokens.begin(), tokens.end());
-  for (size_t i = 0; i < tokens.size();) {
+  for (size_t i = 0; i < ids.size();) {
     size_t j = i;
-    while (j < tokens.size() && tokens[j] == tokens[i]) ++j;
-    info.terms.emplace_back(tokens[i], static_cast<int32_t>(j - i));
+    while (j < ids.size() && ids[j] == ids[i]) ++j;
+    info.terms.emplace_back(ids[i], static_cast<int32_t>(j - i));
     i = j;
   }
 
   Shard& shard = shards_[ShardOfId(id, shards_.size())];
-  for (const auto& [term, tf] : info.terms) {
-    shard.memtable[term].push_back(Posting{id, tf, info.len, info.order});
-    ++df_[term];
+  for (const auto& [t, tf] : info.terms) {
+    shard.memtable[t].push_back(Posting{id, tf, info.len, info.order});
+    ++df_[t];
   }
-  ++shard.memtable_docs;
+  shard.memtable_ids.push_back(id);
   ++live_docs_;
   total_live_len_ += static_cast<uint64_t>(info.len);
   docs_.emplace(id, std::move(info));
 
-  if (shard.memtable_docs >= memtable_rows_) {
+  if (shard.memtable_ids.size() >= memtable_rows_) {
     SealMemtable(shard);
     MaybeCompact(shard);
   }
@@ -74,11 +97,8 @@ bool LexicalIndex::Remove(ChunkId id) {
   total_live_len_ -= static_cast<uint64_t>(info.len);
   for (const auto& [term, tf] : info.terms) {
     (void)tf;
-    auto dfi = df_.find(term);
-    METIS_CHECK(dfi != df_.end() && dfi->second > 0);
-    if (--dfi->second == 0) {
-      df_.erase(dfi);
-    }
+    METIS_CHECK(df_[term] > 0);
+    --df_[term];
   }
 
   Shard& shard = shards_[ShardOfId(id, shards_.size())];
@@ -98,8 +118,9 @@ bool LexicalIndex::Remove(ChunkId id) {
         shard.memtable.erase(pi);
       }
     }
-    METIS_CHECK(shard.memtable_docs > 0);
-    --shard.memtable_docs;
+    auto pos = std::find(shard.memtable_ids.begin(), shard.memtable_ids.end(), id);
+    METIS_CHECK(pos != shard.memtable_ids.end());
+    shard.memtable_ids.erase(pos);
   } else {
     // Sealed postings are immutable: mask via the shard tombstone set until
     // compaction rewrites the segments without them.
@@ -110,61 +131,84 @@ bool LexicalIndex::Remove(ChunkId id) {
 }
 
 void LexicalIndex::SealMemtable(Shard& shard) {
+  // Every doc in the memtable leaves it, including one with no tokens and so
+  // no postings.
+  for (ChunkId id : shard.memtable_ids) {
+    docs_[id].sealed = true;
+  }
+  shard.memtable_ids.clear();
   if (shard.memtable.empty()) {
-    shard.memtable_docs = 0;
     return;
   }
+  std::vector<std::pair<uint32_t, const std::vector<Posting>*>> terms;
+  terms.reserve(shard.memtable.size());
+  size_t num_postings = 0;
+  for (const auto& [term, postings] : shard.memtable) {
+    terms.emplace_back(term, &postings);
+    num_postings += postings.size();
+  }
+  std::sort(terms.begin(), terms.end());
   Segment seg;
-  seg.postings = std::move(shard.memtable);
-  seg.docs = shard.memtable_docs;
+  seg.terms.reserve(terms.size());
+  seg.offsets.reserve(terms.size() + 1);
+  seg.postings.reserve(num_postings);
+  seg.offsets.push_back(0);
+  for (const auto& [term, postings] : terms) {
+    seg.terms.push_back(term);
+    seg.postings.insert(seg.postings.end(), postings->begin(), postings->end());
+    seg.offsets.push_back(seg.postings.size());
+  }
   shard.segments.push_back(std::move(seg));
   shard.memtable.clear();
-  shard.memtable_docs = 0;
   ++seals_;
-  // Every doc that was in this memtable is now sealed.
-  for (auto& [term, postings] : shard.segments.back().postings) {
-    (void)term;
-    for (const Posting& p : postings) {
-      docs_[p.id].sealed = true;
-    }
-  }
 }
 
 void LexicalIndex::MaybeCompact(Shard& shard) {
   if (shard.segments.size() < compact_segments_) {
     return;
   }
-  Segment merged;
+  // Merge by term id. Each term's postings concatenate in segment (= seal =
+  // insertion) order, so they stay in insertion order without a sort.
   IdFilter dead{shard.tombstones.data(), shard.tombstones.data() + shard.tombstones.size()};
-  std::vector<ChunkId> live_docs_seen;
-  for (Segment& seg : shard.segments) {
-    for (auto& [term, postings] : seg.postings) {
-      auto& out = merged.postings[term];
-      for (const Posting& p : postings) {
-        if (dead.empty() || !dead.contains(p.id)) {
-          out.push_back(p);
-        }
-      }
-      if (out.empty()) {
-        merged.postings.erase(term);
+  const std::vector<Segment>& segs = shard.segments;
+  std::vector<size_t> cursor(segs.size(), 0);
+  Segment merged;
+  size_t num_postings = 0;
+  for (const Segment& seg : segs) {
+    num_postings += seg.postings.size();
+  }
+  merged.postings.reserve(num_postings);
+  merged.offsets.push_back(0);
+  constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+  while (true) {
+    uint32_t term = kNone;
+    for (size_t s = 0; s < segs.size(); ++s) {
+      if (cursor[s] < segs[s].terms.size()) {
+        term = std::min(term, segs[s].terms[cursor[s]]);
       }
     }
+    if (term == kNone) {
+      break;
+    }
+    for (size_t s = 0; s < segs.size(); ++s) {
+      size_t& c = cursor[s];
+      if (c < segs[s].terms.size() && segs[s].terms[c] == term) {
+        for (size_t p = segs[s].offsets[c]; p < segs[s].offsets[c + 1]; ++p) {
+          const Posting& posting = segs[s].postings[p];
+          if (dead.empty() || !dead.contains(posting.id)) {
+            merged.postings.push_back(posting);
+          }
+        }
+        ++c;
+      }
+    }
+    if (merged.postings.size() > merged.offsets.back()) {
+      merged.terms.push_back(term);
+      merged.offsets.push_back(merged.postings.size());
+    }
   }
-  // Normalize posting order to insertion order inside the compacted segment
-  // (not required for result determinism — scores accumulate per doc — but it
-  // keeps segment contents canonical for any prior segment layout).
-  std::vector<ChunkId> ids;
-  for (auto& [term, postings] : merged.postings) {
-    (void)term;
-    std::sort(postings.begin(), postings.end(),
-              [](const Posting& a, const Posting& b) { return a.order < b.order; });
-    for (const Posting& p : postings) ids.push_back(p.id);
-  }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  merged.docs = ids.size();
   shard.segments.clear();
-  if (!merged.postings.empty()) {
+  if (!merged.terms.empty()) {
     shard.segments.push_back(std::move(merged));
   }
   // Tombstoned ids can only have lived in sealed segments (memtable removes
@@ -179,27 +223,31 @@ std::vector<LexicalIndex::Scored> LexicalIndex::ScoreShard(
     double avgdl, uint64_t* postings_scanned, uint64_t* docs_scored) const {
   IdFilter dead{shard.tombstones.data(), shard.tombstones.data() + shard.tombstones.size()};
   std::unordered_map<ChunkId, Scored> acc;
-  auto scan = [&](const PostingMap& postings, const QueryTerm& qt) {
-    auto it = postings.find(qt.term);
-    if (it == postings.end()) {
-      return;
-    }
-    for (const Posting& p : it->second) {
+  auto scan = [&](const Posting* begin, const Posting* end, double idf) {
+    for (const Posting* p = begin; p != end; ++p) {
       ++*postings_scanned;
-      if (!dead.empty() && dead.contains(p.id)) continue;
-      if (!exclude.empty() && exclude.contains(p.id)) continue;
-      auto [ai, inserted] = acc.try_emplace(p.id, Scored{0.0, p.order, p.id});
+      if (!dead.empty() && dead.contains(p->id)) continue;
+      if (!exclude.empty() && exclude.contains(p->id)) continue;
+      auto [ai, inserted] = acc.try_emplace(p->id, Scored{0.0, p->order, p->id});
       (void)inserted;
-      ai->second.score += TermScore(qt.idf, p.tf, p.doc_len, avgdl);
+      ai->second.score += TermScore(idf, p->tf, p->doc_len, avgdl);
     }
   };
   // Terms outer (sorted by the caller), structures inner: a document's
   // postings live in exactly one structure, so its score accumulates in
   // term-sorted order no matter how the shard's lifecycle has arranged them.
   for (const QueryTerm& qt : terms) {
-    scan(shard.memtable, qt);
+    auto mi = shard.memtable.find(qt.term);
+    if (mi != shard.memtable.end()) {
+      scan(mi->second.data(), mi->second.data() + mi->second.size(), qt.idf);
+    }
     for (const Segment& seg : shard.segments) {
-      scan(seg.postings, qt);
+      auto ti = std::lower_bound(seg.terms.begin(), seg.terms.end(), qt.term);
+      if (ti != seg.terms.end() && *ti == qt.term) {
+        size_t t = static_cast<size_t>(ti - seg.terms.begin());
+        scan(seg.postings.data() + seg.offsets[t], seg.postings.data() + seg.offsets[t + 1],
+             qt.idf);
+      }
     }
   }
   *docs_scored += acc.size();
@@ -229,20 +277,21 @@ std::vector<SearchHit> LexicalIndex::Search(const std::string& query_text, size_
   if (k == 0 || live_docs_ == 0) {
     return {};
   }
-  // Sorted unique query terms with live-set idf. Terms with df == 0 have no
-  // live postings anywhere and are dropped up front.
+  // Unique query terms in string order (the order each document's score
+  // sums in) with live-set idf. A term never indexed, or with df == 0, has
+  // no live postings anywhere and is dropped up front.
   std::vector<std::string> tokens = Tokenize(query_text);
   std::sort(tokens.begin(), tokens.end());
   tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
   double n = static_cast<double>(live_docs_);
   std::vector<QueryTerm> terms;
   terms.reserve(tokens.size());
-  for (std::string& t : tokens) {
-    auto it = df_.find(t);
-    if (it == df_.end()) continue;
-    double df = static_cast<double>(it->second);
+  for (const std::string& t : tokens) {
+    auto it = term_ids_.find(t);
+    if (it == term_ids_.end() || df_[it->second] == 0) continue;
+    double df = static_cast<double>(df_[it->second]);
     double idf = std::log((n - df + 0.5) / (df + 0.5) + 1.0);
-    terms.push_back(QueryTerm{std::move(t), idf});
+    terms.push_back(QueryTerm{it->second, idf});
   }
   if (terms.empty()) {
     return {};
@@ -305,7 +354,7 @@ size_t LexicalIndex::num_segments() const {
 size_t LexicalIndex::memtable_docs() const {
   size_t n = 0;
   for (const Shard& s : shards_) {
-    n += s.memtable_docs;
+    n += s.memtable_ids.size();
   }
   return n;
 }

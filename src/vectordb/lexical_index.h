@@ -29,6 +29,14 @@
 //     top-k heaps merge under that total order on the calling thread, so any
 //     shard x thread combination returns bit-identical hits.
 //
+// Storage: every term is interned once, on first Add, into a per-index
+// dictionary (term text -> uint32_t id), and everything else is keyed by id.
+// A shard's memtable is a hash map id -> postings (removes from it are
+// eager); a sealed segment is immutable and flat — sorted term ids, offsets,
+// and each term's postings in insertion order — and a term is found in it by
+// binary search. Segments sit in seal order, which is insertion order, so
+// compaction is a linear k-way merge by term id that needs no sort.
+//
 // Search returns SearchHit with distance = -score, so "lower distance =
 // better" holds for both backends and fusion code can stay backend-blind.
 
@@ -37,7 +45,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -97,30 +107,33 @@ class LexicalIndex {
     int32_t doc_len;
     uint32_t order;  // Global insertion order (tie-break rank).
   };
-  using PostingMap = std::unordered_map<std::string, std::vector<Posting>>;
 
+  // Term i's postings are postings[offsets[i], offsets[i + 1]).
   struct Segment {
-    PostingMap postings;
-    size_t docs = 0;  // Docs sealed into this segment (live + dead).
+    std::vector<uint32_t> terms;  // Sorted term ids.
+    std::vector<size_t> offsets;  // terms.size() + 1 entries.
+    std::vector<Posting> postings;
   };
 
   struct Shard {
-    PostingMap memtable;
-    size_t memtable_docs = 0;
-    std::vector<Segment> segments;
-    std::vector<ChunkId> tombstones;  // Sorted; ids masked in sealed segments.
+    std::unordered_map<uint32_t, std::vector<Posting>> memtable;
+    std::vector<ChunkId> memtable_ids;  // Live docs in the memtable.
+    std::vector<Segment> segments;      // Seal order.
+    std::vector<ChunkId> tombstones;    // Sorted; ids masked in sealed segments.
   };
 
   struct DocInfo {
     int32_t len = 0;
     uint32_t order = 0;
     bool live = false;
-    bool sealed = false;  // Postings moved out of the memtable.
-    // Sorted unique terms with counts — what Remove needs to decrement df and
+    bool sealed = false;  // Out of the memtable.
+    // Unique (term id, count) pairs — what Remove needs to decrement df and
     // erase memtable postings without re-tokenizing.
-    std::vector<std::pair<std::string, int32_t>> terms;
+    std::vector<std::pair<uint32_t, int32_t>> terms;
   };
 
+  // The id of `term` (lowercase), interning it on first sight.
+  uint32_t Intern(std::string_view term);
   void SealMemtable(Shard& shard);
   void MaybeCompact(Shard& shard);
   // Scores shard s for the resolved query terms; returns the shard's top-k
@@ -131,7 +144,7 @@ class LexicalIndex {
     ChunkId id;
   };
   struct QueryTerm {
-    std::string term;
+    uint32_t term;
     double idf;
   };
   std::vector<Scored> ScoreShard(const Shard& shard, const std::vector<QueryTerm>& terms,
@@ -142,7 +155,13 @@ class LexicalIndex {
   size_t compact_segments_;
   std::vector<Shard> shards_;
   std::unordered_map<ChunkId, DocInfo> docs_;
-  std::unordered_map<std::string, int64_t> df_;
+  // The term dictionary only grows (up to the corpus vocabulary): term_text_
+  // is indexed by id and, being a deque, never moves the strings term_ids_
+  // keys view.
+  std::deque<std::string> term_text_;
+  std::unordered_map<std::string_view, uint32_t> term_ids_;
+  std::vector<int64_t> df_;  // By term id; 0 once no live doc has the term.
+  std::vector<uint32_t> add_ids_;  // Add's token ids, kept for its capacity.
   size_t live_docs_ = 0;
   uint64_t total_live_len_ = 0;
   uint32_t next_order_ = 0;

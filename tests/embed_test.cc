@@ -3,12 +3,97 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "src/common/rng.h"
+#include "src/common/strings.h"
 #include "src/embed/embedding.h"
+#include "src/workload/dataset.h"
 
 namespace metis {
 namespace {
 
 EmbeddingModel Cohere() { return EmbeddingModel(GetEmbeddingModel("cohere-embed-v3-sim")); }
+
+// Embed as a chain of allocating steps: token strings from split, strip and
+// lowercase, each bigram as a concatenated string, every feature through
+// HashString64. Embed must reproduce it bit for bit.
+Embedding ReferenceEmbed(const EmbeddingModelSpec& spec, std::string_view text) {
+  std::vector<std::string> tokens;
+  for (const std::string& raw : SplitWords(text)) {
+    std::string_view stripped = StripPunct(raw);
+    if (!stripped.empty()) {
+      tokens.push_back(ToLowerAscii(stripped));
+    }
+  }
+  Embedding v(spec.dim, 0.0f);
+  auto add_feature = [&](uint64_t h, double weight) {
+    uint64_t st = h ^ spec.hash_salt;
+    uint64_t h1 = SplitMix64(st);
+    uint64_t h2 = SplitMix64(st);
+    float w = static_cast<float>(weight);
+    v[static_cast<size_t>(h1 % spec.dim)] += ((h1 >> 63) ? 1.0f : -1.0f) * w;
+    v[static_cast<size_t>(h2 % spec.dim)] += ((h2 >> 63) ? 1.0f : -1.0f) * w;
+  };
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    add_feature(HashString64(tokens[i]), 1.0);
+    if (i + 1 < tokens.size() && spec.bigram_weight > 0) {
+      add_feature(HashString64(tokens[i] + "_" + tokens[i + 1]), spec.bigram_weight);
+    }
+  }
+  double norm2 = 0;
+  for (float x : v) {
+    norm2 += static_cast<double>(x) * x;
+  }
+  if (norm2 > 0) {
+    float inv = static_cast<float>(1.0 / std::sqrt(norm2));
+    for (float& x : v) {
+      x *= inv;
+    }
+  }
+  return v;
+}
+
+TEST(EmbeddingTest, BitEqualToAllocatingRecipe) {
+  std::vector<std::string> texts = {
+      "Hello, World!",
+      "UPPER lower MiXeD CamelCase",
+      "(edge) [brackets] \"quoted\" 'single' end. comma, semi; colon: bang! ask?",
+      "\"(Nested.)\" ((deep))",
+      "in.side don't a,b x(y)z q?r!s",
+      "... !! ?? ;; ()[] '' \" . alpha ?!",
+      "tab\tsep\r\nline\nfeed\rcr",
+      "  runs   of    spaces  ",
+      "   \t\n\r  ",
+      "",
+      "one",
+      "Dash-ed under_score #hash @at 9.5% x/y",
+      "vertical\vtab form\ffeed",
+  };
+  std::unique_ptr<Dataset> data =
+      DatasetGenerator(GetDatasetProfile("squad"), 7).Generate(4, "cohere-embed-v3-sim");
+  for (size_t i = 0; i < data->db().num_chunks(); i += 7) {
+    texts.push_back(data->db().chunk(static_cast<ChunkId>(i)).text);
+  }
+  for (const RagQuery& q : data->queries()) {
+    texts.push_back(q.text);
+  }
+  ASSERT_GT(texts.size(), 20u);
+  for (const EmbeddingModelSpec& spec : EmbeddingModelCatalog()) {
+    EmbeddingModel m(spec);
+    for (const std::string& text : texts) {
+      Embedding got = m.Embed(text);
+      Embedding want = ReferenceEmbed(spec, text);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+          << spec.name << " '" << text.substr(0, 60) << "'";
+    }
+  }
+}
 
 TEST(EmbeddingTest, DeterministicPerText) {
   EmbeddingModel m = Cohere();

@@ -3,12 +3,62 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
+#include "src/common/strings.h"
 #include "src/text/tokenizer.h"
 #include "src/text/vocabulary.h"
 
 namespace metis {
 namespace {
+
+// The token rules as a chain of whole-string steps: split into words, strip
+// punctuation, lowercase. ForEachToken and Tokenize must reproduce it.
+std::vector<std::string> ReferenceTokens(std::string_view text) {
+  std::vector<std::string> out;
+  for (const std::string& raw : SplitWords(text)) {
+    std::string_view stripped = StripPunct(raw);
+    if (!stripped.empty()) {
+      out.push_back(ToLowerAscii(stripped));
+    }
+  }
+  return out;
+}
+
+std::vector<std::string> WalkerInputs() {
+  return {
+      "Hello, World!",
+      "UPPER lower MiXeD CamelCase",
+      "(edge) [brackets] \"quoted\" 'single' end. comma, semi; colon: bang! ask?",
+      "\"(Nested.)\" ((deep))",
+      "in.side don't a,b x(y)z q?r!s",
+      "... !! ?? ;; ()[] '' \" . alpha ?!",
+      "tab\tsep\r\nline\nfeed\rcr",
+      "  runs   of    spaces  ",
+      "   \t\n\r  ",
+      "",
+      "one",
+      "Dash-ed under_score #hash @at 9.5% x/y",
+      "vertical\vtab form\ffeed",
+  };
+}
+
+TEST(TokenWalkerTest, MatchesSplitStripLowerRecipe) {
+  for (const std::string& text : WalkerInputs()) {
+    std::vector<std::string> walked;
+    ForEachToken(text, [&](std::string_view token) {
+      // A view into the text itself, not a copy.
+      EXPECT_GE(token.data(), text.data());
+      EXPECT_LE(token.data() + token.size(), text.data() + text.size());
+      walked.push_back(ToLowerAscii(token));
+    });
+    std::vector<std::string> want = ReferenceTokens(text);
+    EXPECT_EQ(walked, want) << "'" << text << "'";
+    EXPECT_EQ(Tokenize(text), want) << "'" << text << "'";
+  }
+}
 
 TEST(TokenizerTest, LowercasesAndStripsPunct) {
   auto toks = Tokenize("Hello, World!");
