@@ -122,7 +122,6 @@ void AddRecords(const ArmResult& r, std::vector<BenchJsonRecord>& records) {
                    {"missed_deadline", static_cast<double>(cm.missed_deadline)},
                    {"depth_shed", static_cast<double>(cm.depth_shed)},
                    {"synthesis_degraded", static_cast<double>(cm.synthesis_degraded)},
-                   {"precision_shed", static_cast<double>(cm.precision_shed)},
                    {"deadline_s", cm.deadline_s},
                    {"p50_delay_s", cm.p50_delay()},
                    {"p99_delay_s", cm.p99_delay()}};

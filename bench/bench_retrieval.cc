@@ -152,8 +152,7 @@ int main(int argc, char** argv) {
   {
     Table tier_table("bench_retrieval: flat QPS per kernel dispatch tier (t=1, b=1)");
     tier_table.SetHeader({"tier", "qps", "p50_ms", "p99_ms"});
-    for (KernelTarget target :
-         {KernelTarget::kScalar, KernelTarget::kAvx2, KernelTarget::kAvx512}) {
+    for (KernelTarget target : {KernelTarget::kScalar, KernelTarget::kAvx2}) {
       if (!KernelTargetSupported(target)) {
         std::printf("  [SKIP] kernel tier %s: not supported by this CPU\n",
                     KernelTargetName(target));

@@ -196,71 +196,6 @@ RetrievalDepthPolicyOptions DepthCalibrator::Calibrate(const Dataset& dataset) c
   }
   line.probes_per_piece = static_cast<int>(best_slope);
   line.base_probes = static_cast<size_t>(std::max<long>(0, best_base));
-
-  // --- Tier sweep (tier x rerank x fitted budget) ---------------------------
-  // Re-measure the holdout at the fitted per-piece budgets under every
-  // candidate (tier, rerank) pair; the cheapest tier whose coverage matches
-  // fp32's within the tolerance wins. Skipped entirely (bit-parity with the
-  // budget-only calibrator) when tier_grid is empty or the dataset's index
-  // never built a quantized mirror.
-  if (options_.tier_grid.empty() || dataset.db().index().quantizers() == nullptr) {
-    return line;
-  }
-  auto budget_for = [&](int pieces) {
-    long p = std::max(pieces, 1);
-    long b = static_cast<long>(line.base_probes) +
-             static_cast<long>(line.probes_per_piece) * p;
-    return static_cast<size_t>(std::clamp(b, static_cast<long>(line.min_budget),
-                                          static_cast<long>(line.max_budget)));
-  };
-  auto coverage_at = [&](RetrievalPrecision tier, size_t rerank) {
-    double sum = 0;
-    size_t measured = 0;
-    for (size_t i = 0; i < holdout; ++i) {
-      const RagQuery& query = dataset.queries()[i];
-      std::unordered_set<ChunkId> gold_chunks;
-      for (int32_t fact_id : query.gold_fact_ids) {
-        if (dataset.has_fact(fact_id)) {
-          gold_chunks.insert(dataset.fact(fact_id).chunk_id);
-        }
-      }
-      if (gold_chunks.empty()) {
-        continue;
-      }
-      RetrievalQuality quality;
-      quality.mode = RetrievalQuality::ProbeMode::kFixed;
-      quality.nprobe = budget_for(query.num_facts);
-      quality.precision = tier;
-      quality.rerank_factor = rerank;
-      std::vector<ChunkId> got = dataset.db().Retrieve(query.text, options_.top_k, quality);
-      size_t hit = 0;
-      for (ChunkId id : got) {
-        hit += gold_chunks.count(id);
-      }
-      sum += static_cast<double>(hit) / static_cast<double>(gold_chunks.size());
-      ++measured;
-    }
-    return measured == 0 ? 1.0 : sum / static_cast<double>(measured);
-  };
-  const double fp32_coverage = coverage_at(RetrievalPrecision::kFp32, 0);
-  const std::vector<size_t> reranks =
-      options_.rerank_grid.empty() ? std::vector<size_t>{0} : options_.rerank_grid;
-  RetrievalPrecision best_tier = RetrievalPrecision::kFp32;
-  size_t best_rerank = 0;
-  for (RetrievalPrecision tier : options_.tier_grid) {
-    if (RetrievalPrecisionCost(tier) >= RetrievalPrecisionCost(best_tier)) {
-      continue;  // Only ever move cheaper; grid order never matters.
-    }
-    for (size_t rerank : reranks) {
-      if (coverage_at(tier, rerank) >= fp32_coverage - options_.tier_coverage_tolerance) {
-        best_tier = tier;
-        best_rerank = rerank;
-        break;  // Reranks sweep ascending cost; first sufficient one wins.
-      }
-    }
-  }
-  line.precision = best_tier;
-  line.rerank_factor = best_rerank;
   return line;
 }
 

@@ -61,18 +61,6 @@ struct DepthCalibratorOptions {
   bool adaptive = true;
   // Copied into the fitted options (confidence fallback threshold).
   double min_confidence = 0.5;
-  // Scan-tier sweep (the third calibration axis, tier x rerank x budget):
-  // after the budget line is fitted, every (tier_grid x rerank_grid) pair is
-  // re-measured on the holdout AT the fitted per-piece budgets, and the
-  // cheapest tier (RetrievalPrecisionCost) whose mean gold coverage stays
-  // within tier_coverage_tolerance of fp32's is written into the fitted
-  // options. An empty tier_grid (the default) skips the sweep entirely —
-  // the calibrator stays bit-identical to the budget-only version — as does
-  // a dataset whose index never built quantized mirrors. rerank_grid empty
-  // = {0} (the tier-default over-fetch).
-  std::vector<RetrievalPrecision> tier_grid;
-  std::vector<size_t> rerank_grid;
-  double tier_coverage_tolerance = 0.0;
   // Hybrid-weight sweep (CalibrateHybridWeights): dense weights of the FUSED
   // candidates tried per task type, on top of the always-included
   // single-backend candidates {1,0} and {0,1}. Empty = {0.4, 0.5, 0.6}.
@@ -103,7 +91,7 @@ class DepthCalibrator {
   // (or default) grid, clamped to nlist and deduplicated, ascending.
   std::vector<size_t> GridFor(size_t nlist) const;
 
-  // Hybrid-weight calibration (the fourth calibration axis: WHICH backend).
+  // Hybrid-weight calibration (the calibration axis for WHICH backend).
   // Classifies the holdout queries by task type (ClassifyTaskType on the
   // query text — the same RNG-free cue parse the serving profiler runs),
   // measures each weight candidate's mean gold-chunk coverage per type, and

@@ -1,6 +1,6 @@
 // Profile-routed hybrid retrieval: task type -> per-backend ensemble weights.
 //
-// The newest scheduled knob (after depth, precision, and synthesis method):
+// The newest scheduled knob (after depth and synthesis method):
 // WHICH retriever serves a query. The profiler classifies each query's task
 // type from its text (QueryTaskType, RNG-free keyword cues); the router maps
 // the type to (dense weight, lexical weight) and — for temporal queries that
@@ -57,7 +57,7 @@ class HybridRouter {
   const HybridRouterOptions& options() const { return options_; }
 
   // Applies the profile's task-type route to `base` (the scheduler's
-  // depth/precision decision, which stays in force for the dense leg).
+  // depth decision, which stays in force for the dense leg).
   // Disabled, or routed pure-dense with no filter: returns `base` untouched.
   RetrievalQuality Route(const QueryProfile& profile, const RetrievalQuality& base) const;
 

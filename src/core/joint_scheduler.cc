@@ -11,7 +11,6 @@ RetrievalQuality RetrievalQualityFromOptions(const JointSchedulerOptions& option
   quality.mode = options.adaptive_nprobe ? RetrievalQuality::ProbeMode::kAdaptive
                                          : RetrievalQuality::ProbeMode::kFixed;
   quality.nprobe = options.nprobe_budget;
-  quality.precision = options.precision;
   return quality;
 }
 
@@ -31,8 +30,8 @@ RetrievalQuality JointScheduler::RetrievalQualityFor(const QueryProfile& profile
   RetrievalQuality quality = options_.per_query_depth ? depth_policy_.QualityFor(profile)
                                                       : RetrievalQualityFromOptions(options_);
   if (options_.hybrid.enabled) {
-    // The backend mix composes on top of the depth/precision decision: the
-    // dense leg keeps its probe budget and scan tier.
+    // The backend mix composes on top of the depth decision: the dense leg
+    // keeps its probe budget.
     quality = HybridRouter(options_.hybrid).Route(profile, quality);
   }
   return quality;

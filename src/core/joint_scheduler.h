@@ -65,13 +65,6 @@ struct JointSchedulerOptions {
   //     mode); 0 = the index's configured default.
   bool adaptive_nprobe = true;
   size_t nprobe_budget = 0;
-  // Retrieval scan tier for the per-run knob (and the default tier the
-  // per-query depth policy inherits): fp32 exact, or a quantized mirror with
-  // exact rerank (vectordb.h RetrievalPrecision). kFp32 (default) is
-  // bit-identical to a stack with no quantization support; quantized tiers
-  // only bite when the dataset's index enables them
-  // (RetrievalIndexOptions::quant).
-  RetrievalPrecision precision = RetrievalPrecision::kFp32;
   // Per-QUERY retrieval depth (the METIS §4 treatment of the knob above):
   // when true, profiler-driven systems derive each query's RetrievalQuality
   // from its QueryProfile via RetrievalDepthPolicy (`depth` holds the budget

@@ -14,8 +14,6 @@ const char* OverloadLevelName(OverloadLevel level) {
       return "shed_depth";
     case OverloadLevel::kCheapSynthesis:
       return "cheap_synthesis";
-    case OverloadLevel::kShedPrecision:
-      return "shed_precision";
     case OverloadLevel::kReject:
       return "reject";
   }
@@ -30,8 +28,7 @@ OverloadController::OverloadController(const LlmEngine* engine,
   METIS_CHECK_GT(options_.queue_depth_ref, 0.0);
   METIS_CHECK_GT(options_.queue_age_ref_s, 0.0);
   METIS_CHECK_GE(options_.cheap_synthesis_at, options_.shed_depth_at);
-  METIS_CHECK_GE(options_.shed_precision_at, options_.cheap_synthesis_at);
-  METIS_CHECK_GE(options_.reject_at, options_.shed_precision_at);
+  METIS_CHECK_GE(options_.reject_at, options_.cheap_synthesis_at);
   METIS_CHECK_GE(options_.backoff_initial, 1u);
   METIS_CHECK_GE(options_.backoff_max, options_.backoff_initial);
   backoff_.resize(std::max<size_t>(classes_.size(), 1));
@@ -61,8 +58,6 @@ OverloadLevel OverloadController::Assess() {
   OverloadLevel level = OverloadLevel::kNone;
   if (pressure >= options_.reject_at) {
     level = OverloadLevel::kReject;
-  } else if (pressure >= options_.shed_precision_at) {
-    level = OverloadLevel::kShedPrecision;
   } else if (pressure >= options_.cheap_synthesis_at) {
     level = OverloadLevel::kCheapSynthesis;
   } else if (pressure >= options_.shed_depth_at) {

@@ -12,7 +12,7 @@
 // The OverloadController watches the engine's backlog — queue depth, queue
 // age, and the projected KV deficit from the LlmEngine the JointScheduler
 // reads — folds it into one dimensionless pressure score, and maps the score
-// onto a four-rung degradation ladder (each rung also applies every rung
+// onto a three-rung degradation ladder (each rung also applies every rung
 // below it):
 //
 //   rung 1, kShedDepth:      clamp every query's retrieval-depth budget
@@ -25,14 +25,7 @@
 //                            synthesis config (map_rerank, few chunks — small
 //                            per-call KV footprints the engine can admit
 //                            piecewise);
-//   rung 3, kShedPrecision:  drop the retrieval scan tier to a quantized
-//                            mirror (int8 / PQ with exact rerank, quantize.h)
-//                            — cheaper candidate generation before the ladder
-//                            starts refusing queries. Only ever moves a query
-//                            to a LOWER-cost tier, and is inert unless the
-//                            index built the mirror (and the default shed
-//                            tier is fp32, i.e. the rung is opt-in);
-//   rung 4, kReject:         stop admitting the lowest-priority classes, with
+//   rung 3, kReject:         stop admitting the lowest-priority classes, with
 //                            a deterministic exponential backoff that still
 //                            lets a probing trickle through so recovery is
 //                            observed without re-opening the floodgates.
@@ -51,7 +44,6 @@
 
 #include "src/llm/engine.h"
 #include "src/synthesis/config.h"
-#include "src/vectordb/vectordb.h"
 
 namespace metis {
 
@@ -76,8 +68,7 @@ enum class OverloadLevel {
   kNone = 0,
   kShedDepth = 1,
   kCheapSynthesis = 2,
-  kShedPrecision = 3,
-  kReject = 4,
+  kReject = 3,
 };
 
 const char* OverloadLevelName(OverloadLevel level);
@@ -110,7 +101,6 @@ struct OverloadOptions {
   // Rung thresholds on the pressure score (ascending).
   double shed_depth_at = 0.75;
   double cheap_synthesis_at = 1.5;
-  double shed_precision_at = 2.0;
   double reject_at = 2.5;
 
   // Rung 1: probe-budget cap while at kShedDepth or higher (0 disables the
@@ -120,15 +110,7 @@ struct OverloadOptions {
   // kCheapSynthesis or higher. num_chunks is a cap — degradation never
   // *increases* work over the scheduler's own choice.
   RagConfig cheap_config{SynthesisMethod::kMapRerank, 3, 0};
-  // Rung 3: the scan tier queries are dropped to while at kShedPrecision or
-  // higher, when it is CHEAPER than the scheduler's choice
-  // (RetrievalPrecisionCost — shedding never upgrades a query). The default
-  // kFp32 makes the rung a no-op; deployments with quantized mirrors opt in
-  // with kInt8 or kPq. shed_rerank_factor overrides the over-fetch multiple
-  // for shed queries (0 = the tier default).
-  RetrievalPrecision shed_precision = RetrievalPrecision::kFp32;
-  size_t shed_rerank_factor = 0;
-  // Rung 4: classes with priority >= protect_priority are never rejected.
+  // Rung 3: classes with priority >= protect_priority are never rejected.
   int protect_priority = 1;
   // Deterministic admission backoff while at kReject: an unprotected class
   // admits one query, then rejects `stride - 1`, with the stride doubling
@@ -144,7 +126,6 @@ struct OverloadStats {
   uint64_t rejected = 0;
   uint64_t depth_shed = 0;           // Decisions taken at rung >= kShedDepth.
   uint64_t synthesis_degraded = 0;   // Decisions taken at rung >= kCheapSynthesis.
-  uint64_t precision_shed = 0;       // Decisions taken at rung >= kShedPrecision.
   uint64_t hybrid_shed = 0;          // Fused retrievals collapsed to one backend.
   int max_level = 0;                 // Highest rung ever assessed.
   double peak_pressure = 0;
@@ -175,11 +156,10 @@ class OverloadController {
   // unprotected classes at kReject follow the exponential-backoff trickle.
   bool Admit(int tenant_index, OverloadLevel level);
 
-  // Accounting hooks for the systems applying rungs 1-3 (the controller
+  // Accounting hooks for the systems applying rungs 1-2 (the controller
   // cannot see whether a decision point actually executed its clamp).
   void NoteDepthShed() { ++stats_.depth_shed; }
   void NoteSynthesisDegraded() { ++stats_.synthesis_degraded; }
-  void NotePrecisionShed() { ++stats_.precision_shed; }
   void NoteHybridShed() { ++stats_.hybrid_shed; }
 
   const OverloadOptions& options() const { return options_; }

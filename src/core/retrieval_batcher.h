@@ -16,10 +16,9 @@
 // same-tick group runs one RetrieveBatch per distinct width k in the group,
 // and the remaining deliveries drain the precomputed results.
 //
-// Widths are never mixed in one sweep. A top-k answer is not in general a
-// prefix of a wider one: hybrid fusion ranks each leg's own top-k, and a
-// quantized tier over-fetches k x rerank factor candidates before its exact
-// rerank. Only exact fp32 scans are prefix-consistent.
+// Widths are never mixed in one sweep. A dense top-k is a prefix of a wider
+// one, but a fused hybrid answer is not: fusion ranks each leg's own top-k.
+// Fusion is the only reason widths are split.
 //
 // On a live-mutable serving index each sweep pins ONE epoch (SearchBatch),
 // and a group's sweeps all run in one delivery with no write in between, so
@@ -51,7 +50,7 @@ class RetrievalBatcher {
   RetrievalBatcher& operator=(const RetrievalBatcher&) = delete;
 
   // Requests the top-k chunks for `query_text` at `quality` (the query's own
-  // retrieval depth, tier and backend mix); `cb` runs in simulation context
+  // retrieval depth and backend mix); `cb` runs in simulation context
   // exactly delay_seconds from now. One coalesced sweep can mix qualities —
   // results stay bit-identical to uncoalesced per-query scans (the index
   // resolves a probe plan per query; see VectorIndex::SearchBatch).

@@ -29,8 +29,6 @@ RetrievalQuality RetrievalDepthPolicy::QualityFor(const QueryProfile& profile) c
   quality.mode = options_.adaptive ? RetrievalQuality::ProbeMode::kAdaptive
                                    : RetrievalQuality::ProbeMode::kFixed;
   quality.nprobe = BudgetFor(profile);
-  quality.precision = options_.precision;
-  quality.rerank_factor = options_.rerank_factor;
   return quality;
 }
 

@@ -65,13 +65,6 @@ struct RetrievalDepthPolicyOptions {
   // Probe mode within the budget: true = distance-ratio early termination
   // (AdaptiveProbePolicy), false = probe exactly budget(p) lists.
   bool adaptive = true;
-  // Scan tier every quality from this policy carries: fp32 (default, exact,
-  // behaviour-neutral) or a quantized mirror + exact rerank. Unlike the
-  // probe budget this is per-POLICY, not per-profile — the tier is a
-  // dataset/deployment property (did the index build mirrors, what recall
-  // does the corpus geometry keep), calibrated offline by DepthCalibrator.
-  RetrievalPrecision precision = RetrievalPrecision::kFp32;
-  size_t rerank_factor = 0;  // Quantized over-fetch multiple (0 = default).
 };
 
 class RetrievalDepthPolicy {

@@ -145,7 +145,7 @@ void MetisSystem::Accept(const RagQuery& query) {
   ++accepted_;
   SimTime arrival = sim_->now();
 
-  // Overload admission (ladder rung 4, kReject) happens at arrival, before any
+  // Overload admission (ladder rung 3, kReject) happens at arrival, before any
   // profiler work is spent on a query that will be shed. Rejected queries
   // still produce a QueryRecord — no query is ever silently lost — with an
   // empty result and e2e_delay 0 (a rejection is instantaneous).
@@ -199,13 +199,12 @@ void MetisSystem::Accept(const RagQuery& query) {
       decision.retrieval = scheduler_->RetrievalQualityFor(outcome.profile);
     }
 
-    // Degradation rungs 1-3 re-assess at the decision point: pressure may
+    // Degradation rungs 1-2 re-assess at the decision point: pressure may
     // have changed during the profiling delay, and this is where the
     // configuration and retrieval depth are actually committed.
     OverloadLevel decision_level = OverloadLevel::kNone;
     bool depth_shed = false;
     bool synthesis_degraded = false;
-    bool precision_shed = false;
     bool hybrid_shed = false;
     if (overload_ != nullptr) {
       decision_level = overload_->Assess();
@@ -221,23 +220,6 @@ void MetisSystem::Accept(const RagQuery& query) {
           decision.config = degraded;
           synthesis_degraded = true;
           overload_->NoteSynthesisDegraded();
-        }
-      }
-      if (decision_level >= OverloadLevel::kShedPrecision) {
-        // Rung 3: move candidate generation onto a quantized mirror. Only a
-        // strictly cheaper tier is ever applied (RetrievalPrecisionCost), so
-        // the default fp32 shed tier makes this rung a no-op, and an index
-        // without the mirror serves the shed tier exactly anyway
-        // (ResolveTier) — degraded, never wrong.
-        RetrievalPrecision shed = overload_->options().shed_precision;
-        if (RetrievalPrecisionCost(shed) <
-            RetrievalPrecisionCost(decision.retrieval.precision)) {
-          decision.retrieval.precision = shed;
-          if (overload_->options().shed_rerank_factor > 0) {
-            decision.retrieval.rerank_factor = overload_->options().shed_rerank_factor;
-          }
-          precision_shed = true;
-          overload_->NotePrecisionShed();
         }
       }
       if (decision_level >= OverloadLevel::kShedDepth &&
@@ -265,8 +247,7 @@ void MetisSystem::Accept(const RagQuery& query) {
 
     executor_->Execute(query, decision.config, decision.retrieval,
                        [this, query, arrival, outcome, decision, low_confidence, decision_level,
-                        depth_shed, synthesis_degraded, precision_shed,
-                        hybrid_shed](RagResult result) {
+                        depth_shed, synthesis_degraded, hybrid_shed](RagResult result) {
       QueryRecord rec = MakeRecord("metis", query, decision.config, arrival, sim_->now(),
                                    std::move(result));
       rec.retrieval_quality = decision.retrieval;
@@ -279,7 +260,6 @@ void MetisSystem::Accept(const RagQuery& query) {
       rec.overload_level = static_cast<int>(decision_level);
       rec.depth_shed = depth_shed;
       rec.synthesis_degraded = synthesis_degraded;
-      rec.precision_shed = precision_shed;
       rec.hybrid_shed = hybrid_shed;
       rec.est_service_s = decision.est_service_s;
       rec.budget_trimmed = decision.budget_trimmed;

@@ -57,7 +57,9 @@ struct QueryRecord {
   int overload_level = 0;      // Ladder rung at this query's decision point.
   bool depth_shed = false;     // Rung 1 applied: retrieval budget clamped.
   bool synthesis_degraded = false;  // Rung 2 applied: cheap synthesis config.
-  bool precision_shed = false;      // Rung 3 applied: quantized scan tier.
+  // Always false: no ladder rung changes how a query's dense leg is read.
+  // Kept because perfbench reports it (overload.precision_shed).
+  bool precision_shed = false;
   bool hybrid_shed = false;    // Fused retrieval collapsed to one backend.
 
   // --- Joint co-scheduling (JointSchedulerOptions::e2e_budget_s) ---

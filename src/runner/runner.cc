@@ -50,24 +50,17 @@ namespace {
 // over flat-backend specs reuses one dataset); %.17g round-trips doubles
 // exactly, so near-identical distance_ratio values cannot alias.
 std::string IndexOptionsKey(const RetrievalIndexOptions& o) {
-  // Quantized-mirror build knobs apply to every backend: a quant-enabled and
-  // a quant-free build of the same corpus must not alias (the calibrator's
-  // tier sweep keys off index().quantizers()).
-  // The lexical flag splits the cache too: a lexical-enabled database builds
-  // (and serves from) a BM25 inverted index a dense-only build lacks.
-  std::string quant = StrFormat("q%d%d:%zu:%zu:%zu:lex%d", o.quant.sq ? 1 : 0,
-                                o.quant.pq ? 1 : 0, o.quant.pq_m,
-                                o.quant.pq_train_rows, o.quant.pq_train_iters,
-                                o.lexical ? 1 : 0);
+  // The lexical flag applies to every backend: a lexical-enabled database
+  // builds (and serves from) a BM25 inverted index a dense-only build lacks.
+  std::string lex = StrFormat("lex%d", o.lexical ? 1 : 0);
   if (o.backend == RetrievalIndexOptions::Backend::kFlat) {
-    return StrFormat("b%d:s%zu:%s", static_cast<int>(o.backend), o.shards,
-                     quant.c_str());
+    return StrFormat("b%d:s%zu:%s", static_cast<int>(o.backend), o.shards, lex.c_str());
   }
   return StrFormat("b%d:s%zu:l%zu:p%zu:a%d:m%zu:x%zu:r%.17g:t%llu:%s",
                    static_cast<int>(o.backend), o.shards, o.nlist, o.nprobe,
                    o.adaptive.enabled ? 1 : 0, o.adaptive.min_probes, o.adaptive.max_probes,
                    o.adaptive.distance_ratio,
-                   static_cast<unsigned long long>(o.train_seed), quant.c_str());
+                   static_cast<unsigned long long>(o.train_seed), lex.c_str());
 }
 
 // Mutex-guarded bounded dataset cache (benches may call runners from pool
@@ -305,9 +298,6 @@ void AggregateRecords(RunMetrics& metrics, const std::vector<TenantClass>& tenan
     }
     if (rec.synthesis_degraded) {
       ++cm.synthesis_degraded;
-    }
-    if (rec.precision_shed) {
-      ++cm.precision_shed;
     }
     metrics.delays.Add(rec.e2e_delay);
     metrics.f1s.Add(rec.result.f1);

@@ -139,11 +139,10 @@ struct TenantClassMetrics {
   double deadline_s = 0;     // <= 0: every completion counts as good.
   uint64_t offered = 0;      // Arrivals routed to this class.
   uint64_t completed = 0;    // Served to completion (rejected excluded).
-  uint64_t rejected = 0;     // Shed by admission control (ladder rung 4).
+  uint64_t rejected = 0;     // Shed by admission control (ladder rung 3).
   uint64_t missed_deadline = 0;  // Completed but past deadline_s.
   uint64_t depth_shed = 0;       // Served with a clamped retrieval budget.
   uint64_t synthesis_degraded = 0;  // Served with the cheap synthesis config.
-  uint64_t precision_shed = 0;      // Served on a shed quantized scan tier.
   Samples delays;            // e2e delay of completed queries only.
   double goodput_qps = 0;    // In-deadline completions / run sim_duration.
 

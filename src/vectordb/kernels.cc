@@ -66,8 +66,8 @@ double DotScalar(const float* a, const float* b, size_t n) {
 // (element i -> chain i mod 16), each element contributing
 // round(f32(code) * w) via a separate multiply and add (-ffp-contract=off
 // forbids contraction here too). The reduction first folds chain j+8 into
-// chain j — exactly the AVX-512 tier's zmm -> ymm halving step — then runs
-// the same eight-partial tree as the fp32 kernel, then adds the float tail.
+// chain j — exactly the AVX2 tier's lo + hi fold — then runs the same
+// eight-partial tree as the fp32 kernel, then adds the float tail.
 float DotU8F32Scalar(const uint8_t* codes, const float* w, size_t n) {
   float acc[16] = {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0};
   size_t i = 0;
@@ -90,14 +90,6 @@ float DotU8F32Scalar(const uint8_t* codes, const float* w, size_t n) {
 
 #if METIS_KERNELS_X86
 
-// GCC's _mm512_cvtps_pd / _mm512_extractf64x4_pd expand through
-// _mm*_undefined_pd(), whose deliberately-uninitialized value trips
-// -Wuninitialized in the instantiating TU. Header-internal false positive;
-// scoped off for the intrinsic tiers only.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-
 // --- AVX2 tier --------------------------------------------------------------
 //
 // Accumulator lo holds chains 0..3, hi holds chains 4..7. Each 8-element step
@@ -119,29 +111,6 @@ __attribute__((target("avx2"))) double DotAvx2(const float* a, const float* b, s
   // s4 = [c0+c4, c1+c5, c2+c6, c3+c7]; halve again and the scalar tree falls
   // out: lane0+lane1 of s2 = ((c0+c4)+(c2+c6)) + ((c1+c5)+(c3+c7)).
   __m256d s4 = _mm256_add_pd(lo, hi);
-  __m128d s2 = _mm_add_pd(_mm256_castpd256_pd128(s4), _mm256_extractf128_pd(s4, 1));
-  double sum = _mm_cvtsd_f64(_mm_add_sd(s2, _mm_unpackhi_pd(s2, s2)));
-  double tail = 0;
-  for (; i < n; ++i) {
-    tail += static_cast<double>(a[i]) * b[i];
-  }
-  return sum + tail;
-}
-
-// --- AVX-512 tier -----------------------------------------------------------
-//
-// One zmm accumulator holds all eight chains; each 8-element step widens both
-// operands' 8 floats to 8 doubles and does one mul_pd + add_pd.
-__attribute__((target("avx512f"))) double DotAvx512(const float* a, const float* b, size_t n) {
-  __m512d acc = _mm512_setzero_pd();  // Lane j = chain j.
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m512d av = _mm512_cvtps_pd(_mm256_loadu_ps(a + i));
-    __m512d bv = _mm512_cvtps_pd(_mm256_loadu_ps(b + i));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(av, bv));
-  }
-  // Halving reduction == the scalar tree (see DotAvx2).
-  __m256d s4 = _mm256_add_pd(_mm512_castpd512_pd256(acc), _mm512_extractf64x4_pd(acc, 1));
   __m128d s2 = _mm_add_pd(_mm256_castpd256_pd128(s4), _mm256_extractf128_pd(s4, 1));
   double sum = _mm_cvtsd_f64(_mm_add_sd(s2, _mm_unpackhi_pd(s2, s2)));
   double tail = 0;
@@ -181,36 +150,6 @@ __attribute__((target("avx2"))) float DotU8F32Avx2(const uint8_t* codes, const f
   return sum + tail;
 }
 
-// --- AVX-512 u8 tier --------------------------------------------------------
-//
-// One zmm accumulator holds all sixteen chains; the zmm -> ymm halving step
-// is the scalar tier's acc[j] + acc[j+8] fold, then the same tree as AVX2.
-// (extractf64x4 + casts instead of extractf32x8: the latter needs AVX512DQ
-// and this kernel only assumes AVX512F.)
-__attribute__((target("avx512f"))) float DotU8F32Avx512(const uint8_t* codes, const float* w,
-                                                        size_t n) {
-  __m512 acc = _mm512_setzero_ps();  // Lane j = chain j.
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i));
-    __m512 c = _mm512_cvtepi32_ps(_mm512_cvtepu8_epi32(raw));
-    acc = _mm512_add_ps(acc, _mm512_mul_ps(c, _mm512_loadu_ps(w + i)));
-  }
-  __m256 s8 = _mm256_add_ps(
-      _mm512_castps512_ps256(acc),
-      _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(acc), 1)));
-  __m128 s4 = _mm_add_ps(_mm256_castps256_ps128(s8), _mm256_extractf128_ps(s8, 1));
-  __m128 s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
-  float sum = _mm_cvtss_f32(_mm_add_ss(s2, _mm_shuffle_ps(s2, s2, 1)));
-  float tail = 0;
-  for (; i < n; ++i) {
-    tail += static_cast<float>(codes[i]) * w[i];
-  }
-  return sum + tail;
-}
-
-#pragma GCC diagnostic pop
-
 #endif  // METIS_KERNELS_X86
 
 // --- Dispatch ---------------------------------------------------------------
@@ -220,8 +159,6 @@ DotKernelFn KernelForTarget(KernelTarget target) {
 #if METIS_KERNELS_X86
     case KernelTarget::kAvx2:
       return &DotAvx2;
-    case KernelTarget::kAvx512:
-      return &DotAvx512;
 #endif
     default:
       return &DotScalar;
@@ -233,8 +170,6 @@ U8DotKernelFn U8KernelForTarget(KernelTarget target) {
 #if METIS_KERNELS_X86
     case KernelTarget::kAvx2:
       return &DotU8F32Avx2;
-    case KernelTarget::kAvx512:
-      return &DotU8F32Avx512;
 #endif
     default:
       return &DotU8F32Scalar;
@@ -244,7 +179,7 @@ U8DotKernelFn U8KernelForTarget(KernelTarget target) {
 KernelTarget DefaultTarget() {
   const char* env = std::getenv("METIS_KERNEL_TARGET");
   if (env != nullptr) {
-    for (KernelTarget t : {KernelTarget::kScalar, KernelTarget::kAvx2, KernelTarget::kAvx512}) {
+    for (KernelTarget t : {KernelTarget::kScalar, KernelTarget::kAvx2}) {
       if (std::strcmp(env, KernelTargetName(t)) == 0 && KernelTargetSupported(t)) {
         return t;
       }
@@ -285,8 +220,6 @@ const char* KernelTargetName(KernelTarget target) {
       return "scalar";
     case KernelTarget::kAvx2:
       return "avx2";
-    case KernelTarget::kAvx512:
-      return "avx512";
   }
   return "unknown";
 }
@@ -298,11 +231,8 @@ bool KernelTargetSupported(KernelTarget target) {
 #if METIS_KERNELS_X86
     case KernelTarget::kAvx2:
       return __builtin_cpu_supports("avx2") != 0;
-    case KernelTarget::kAvx512:
-      return __builtin_cpu_supports("avx512f") != 0;
 #else
     case KernelTarget::kAvx2:
-    case KernelTarget::kAvx512:
       return false;
 #endif
   }
@@ -310,20 +240,7 @@ bool KernelTargetSupported(KernelTarget target) {
 }
 
 KernelTarget BestSupportedTarget() {
-  // AVX2 outranks AVX-512 on purpose. The 8-chain determinism contract makes
-  // the kernel bound by accumulator-add latency, and the AVX2 tier keeps TWO
-  // independent vector-add dependency chains in flight (lo/hi registers)
-  // where the AVX-512 tier's single zmm accumulator is one serial chain —
-  // measured consistently faster (bench_retrieval's per-tier rows). Wider is
-  // not better until the contract allows more chains; re-measure if that
-  // changes.
-  if (KernelTargetSupported(KernelTarget::kAvx2)) {
-    return KernelTarget::kAvx2;
-  }
-  if (KernelTargetSupported(KernelTarget::kAvx512)) {
-    return KernelTarget::kAvx512;
-  }
-  return KernelTarget::kScalar;
+  return KernelTargetSupported(KernelTarget::kAvx2) ? KernelTarget::kAvx2 : KernelTarget::kScalar;
 }
 
 KernelTarget ActiveKernelTarget() {

@@ -3,14 +3,13 @@
 // The retrieval hot loop is a dot product between a stored row and a query
 // (distances are evaluated via |x-q|^2 = |x|^2 + |q|^2 - 2 dot(x,q); see
 // vectordb.h). This header exposes that kernel behind a CPUID-based runtime
-// dispatcher with three tiers:
+// dispatcher with two tiers:
 //
 //   kScalar  - portable C++: eight independent double accumulators, written so
 //              the compiler can auto-vectorize under strict FP semantics.
 //   kAvx2    - AVX2 intrinsics: two 4-wide double accumulator registers.
-//   kAvx512  - AVX-512F intrinsics: one 8-wide double accumulator register.
 //
-// Every tier computes the *bit-identical* double. All three accumulate
+// Both tiers compute the *bit-identical* double. Both accumulate
 // element i into chain (i mod 8), convert each float pair to double, multiply
 // and add with separate roundings (no FMA contraction; the TU is built with
 // -ffp-contract=off), and reduce the eight chains with the same halving tree
@@ -25,24 +24,24 @@
 //
 // Dispatch is resolved once at startup from CPUID (best supported tier wins)
 // and can be overridden:
-//   - env METIS_KERNEL_TARGET=scalar|avx2|avx512 (consulted at first use);
+//   - env METIS_KERNEL_TARGET=scalar|avx2 (consulted at first use);
 //   - SetKernelTarget() at runtime (tests and benches force each tier).
 // Forcing an unsupported tier fails and leaves the active tier unchanged.
 //
-// Quantized kernel (int8 scalar-quantized tier, quantize.h): DotU8F32 is the
+// Quantized kernel (the int8 SQ mirror, quantize.h): DotU8F32 is the
 // asymmetric widening-multiply dot — uint8 row codes x a precomputed fp32
 // per-query weight vector — accumulated in FLOAT across SIXTEEN chains
 // (element i -> chain i mod 16). Same determinism recipe as the fp32 kernel,
 // one level wider: every tier converts code u8 -> f32 exactly, multiplies and
-// adds with separate roundings, folds chain j into chain j-8 first (the
-// AVX-512 zmm halving step), then reduces eight partials through the fixed
+// adds with separate roundings, folds chain j+8 into chain j first (the AVX2
+// tier's lo + hi registers), then reduces eight partials through the fixed
 // tree ((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7)) and adds the scalar tail — so
-// the returned float is bit-identical on every tier. Sixteen float chains is
-// what a 16-lane f32 SIMD register imposes. Float accumulation is fine here
-// because no result is ever reported from it: the int8 tier ranks
-// candidates for the exact rerank tail, and the certified fp32 scan charges
-// the accumulation's worst-case rounding (a float gamma over the chain,
-// fold, tree and tail depth) to its error bound — quantize.h.
+// the returned float is bit-identical on every tier. Float accumulation is
+// fine here because no result is ever reported from it: the certified fp32
+// scan charges the accumulation's worst-case rounding (a float gamma over
+// the chain, fold, tree and tail depth) to its error bound — quantize.h.
+// The bound's depth term assumes this 16-chain recipe; change the recipe and
+// the bound must change with it.
 
 #ifndef METIS_SRC_VECTORDB_KERNELS_H_
 #define METIS_SRC_VECTORDB_KERNELS_H_
@@ -56,21 +55,16 @@ namespace metis {
 enum class KernelTarget {
   kScalar = 0,
   kAvx2 = 1,
-  kAvx512 = 2,
 };
 
-// Stable lowercase name ("scalar", "avx2", "avx512") for logs and bench tags.
+// Stable lowercase name ("scalar", "avx2") for logs and bench tags.
 const char* KernelTargetName(KernelTarget target);
 
 // True if the running CPU can execute `target` (CPUID; kScalar is always
 // supported).
 bool KernelTargetSupported(KernelTarget target);
 
-// The fastest supported tier on this CPU by dispatch policy: AVX2 when
-// available (under the 8-chain determinism contract the kernel is bound by
-// accumulator-add latency, and AVX2's two independent accumulator registers
-// pipeline better than AVX-512's single wider one — see kernels.cc), else
-// AVX-512, else scalar.
+// The fastest supported tier on this CPU: AVX2 when available, else scalar.
 KernelTarget BestSupportedTarget();
 
 // The tier DotBlocked currently dispatches to.

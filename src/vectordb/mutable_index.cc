@@ -6,7 +6,6 @@
 
 #include "src/common/check.h"
 #include "src/vectordb/kernels.h"
-#include "src/vectordb/quantize.h"
 #include "src/vectordb/topk.h"
 
 namespace metis {
@@ -187,20 +186,6 @@ void MutableIndex::SealLocked() {
   MutableSegment seg;
   seg.lo = mt_lo_;
   seg.hi = mt_hi_;
-  // Encode the sealed rows against the base's quantizers (one shared code
-  // space; see MutableSegment::codes). O(rows * dim) — cheaper than the
-  // drift scan below. The memtable itself is never encoded: unsealed rows
-  // always scan exactly.
-  if (const IndexQuantizers* qz = base_->quantizers(); qz != nullptr && qz->any()) {
-    auto codes = std::make_shared<QuantizedCodes>();
-    for (size_t b = seg.lo / block_rows_; b * block_rows_ < seg.hi; ++b) {
-      const IndexShard& block = *blocks_[b];
-      size_t blo = std::max(seg.lo, b * block_rows_) - b * block_rows_;
-      size_t bhi = std::min(seg.hi, (b + 1) * block_rows_) - b * block_rows_;
-      EncodeRows(qz->sq, qz->pq, block.rows, blo, bhi, codes.get(), nullptr);
-    }
-    seg.codes = std::move(codes);
-  }
   segments_.push_back(seg);
   mt_lo_ = mt_hi_;
   ++counters_.seals;
@@ -281,7 +266,7 @@ void MutableIndex::MaybeMaintainLocked(std::unique_lock<std::mutex>& lock) {
   } else {
     CompactPlan plan = SnapshotCompactLocked();
     maintenance_pool_->Submit([this, plan] {
-      CompactedBuild built = BuildCompacted(this, plan);
+      std::shared_ptr<IndexShard> built = BuildCompacted(this, plan);
       std::unique_lock<std::mutex> relock(mu_);
       SwapCompactedLocked(plan, std::move(built));
       maintenance_inflight_ = false;
@@ -295,18 +280,16 @@ MutableIndex::CompactPlan MutableIndex::SnapshotCompactLocked() const {
   CompactPlan plan;
   plan.segments = segments_;
   plan.tombstones = tombstones_;
-  plan.base = base_;
   return plan;
 }
 
-MutableIndex::CompactedBuild MutableIndex::BuildCompacted(const MutableIndex* self,
-                                                          const CompactPlan& plan) {
+std::shared_ptr<IndexShard> MutableIndex::BuildCompacted(const MutableIndex* self,
+                                                         const CompactPlan& plan) {
   // Inputs are immutable: frozen log ranges, already-compacted shards, and a
   // COW tombstone snapshot — safe to run off-lock. Rows deleted after the
   // snapshot simply stay tombstone-filtered at search time.
-  CompactedBuild built;
-  built.shard = std::make_shared<IndexShard>(self->dim_);
-  IndexShard& merged = *built.shard;
+  auto built = std::make_shared<IndexShard>(self->dim_);
+  IndexShard& merged = *built;
   IdFilter dead = FilterOf(*plan.tombstones);
   for (const MutableSegment& seg : plan.segments) {
     if (seg.compacted != nullptr) {
@@ -325,31 +308,22 @@ MutableIndex::CompactedBuild MutableIndex::BuildCompacted(const MutableIndex* se
       }
     }
   }
-  // Re-encode the merged rows against the (snapshot-pinned) base quantizers.
-  // Encoding is a pure per-row transform, so the merged codes equal the
-  // original per-segment codes row for row.
-  const IndexQuantizers* qz = plan.base != nullptr ? plan.base->quantizers() : nullptr;
-  if (qz != nullptr && qz->any() && merged.rows.size() > 0) {
-    auto codes = std::make_shared<QuantizedCodes>();
-    EncodeRows(qz->sq, qz->pq, merged.rows, 0, merged.rows.size(), codes.get(), nullptr);
-    built.codes = std::move(codes);
-  }
   return built;
 }
 
-void MutableIndex::SwapCompactedLocked(const CompactPlan& plan, CompactedBuild built) {
+void MutableIndex::SwapCompactedLocked(const CompactPlan& plan,
+                                       std::shared_ptr<IndexShard> built) {
   if (plan.segments.empty()) {
     return;
   }
   size_t plan_hi = plan.segments.back().hi;
   // Keep segments sealed after the snapshot (they start at or past plan_hi).
   std::vector<MutableSegment> next;
-  if (built.shard->orders.size() > 0) {
+  if (built->orders.size() > 0) {
     MutableSegment seg;
     seg.lo = plan.segments.front().lo;
     seg.hi = plan_hi;
-    seg.compacted = std::move(built.shard);
-    seg.codes = std::move(built.codes);
+    seg.compacted = std::move(built);
     next.push_back(std::move(seg));
   }
   for (const MutableSegment& seg : segments_) {
@@ -426,10 +400,6 @@ void MutableIndex::SwapBaseLocked(const RetrainPlan& plan, BuiltBase built) {
       METIS_CHECK(seg.compacted == nullptr);
       seg.lo = plan.cut;
     }
-    // Surviving segments were encoded against the old base's quantizers;
-    // those codes are meaningless in the new base's code space. Drop them —
-    // the segment scans exactly until the next compaction re-encodes it.
-    seg.codes = nullptr;
     next.push_back(std::move(seg));
   }
   segments_ = std::move(next);
@@ -466,83 +436,6 @@ void MutableIndex::set_maintenance_pool(ThreadPool* pool) {
 
 // --- Reads -------------------------------------------------------------------
 
-void MutableIndex::ScanLogRangeExact(size_t lo, size_t hi, const float* q, double qnorm,
-                                     const IdFilter& exclude, BoundedQuantTopK& out) const {
-  for (size_t b = lo / block_rows_; b * block_rows_ < hi; ++b) {
-    const IndexShard& block = *blocks_[b];
-    size_t blo = std::max(lo, b * block_rows_) - b * block_rows_;
-    size_t bhi = std::min(hi, (b + 1) * block_rows_) - b * block_rows_;
-    ScanRowsExactInto(block.rows, blo, bhi, q, qnorm, block.orders.data(), 0, exclude, out);
-  }
-}
-
-std::vector<SearchHit> MutableIndex::SearchPinnedQuant(const MutableEpoch& epoch,
-                                                       const Embedding& query, size_t k,
-                                                       RetrievalPrecision tier,
-                                                       const RetrievalQuality& quality) const {
-  IdFilter dead = FilterOf(*epoch.tombstones);
-  double qnorm = SquaredNormBlocked(query.data(), dim_);
-  size_t fetch = k * ResolveRerankFactor(quality);
-  // One over-fetch heap across base + segments + memtable under the (approx
-  // distance, order) total order, then a single exact rerank over the union —
-  // the same merge shape as the exact flow, shifted to candidates.
-  BoundedQuantTopK merged(fetch);
-  if (epoch.base_searchable) {
-    for (const QuantCand& c : epoch.base->SearchQuantCandidates(query, fetch, quality, dead)) {
-      merged.OfferCand(c);
-    }
-  } else {
-    ScanLogRangeExact(0, epoch.base_cut, query.data(), qnorm, dead, merged);
-  }
-  const IndexQuantizers* qz = epoch.base->quantizers();
-  SqQuery sq;
-  PqQuery pq;
-  if (tier == RetrievalPrecision::kInt8) {
-    BuildSqQuery(qz->sq, query.data(), dim_, &sq);
-  } else {
-    BuildPqQuery(qz->pq, query.data(), dim_, &pq);
-  }
-  for (const MutableSegment& seg : epoch.segments) {
-    if (seg.compacted != nullptr) {
-      const IndexShard& src = *seg.compacted;
-      if (seg.codes != nullptr) {
-        if (tier == RetrievalPrecision::kInt8) {
-          ScanSqRowsInto(*seg.codes, 0, src.rows, 0, src.rows.size(), sq, src.orders.data(), 0,
-                         dead, merged);
-        } else {
-          ScanPqRowsInto(*seg.codes, 0, src.rows, 0, src.rows.size(), pq, qz->pq.m,
-                         src.orders.data(), 0, dead, merged);
-        }
-      } else {
-        ScanRowsExactInto(src.rows, 0, src.rows.size(), query.data(), qnorm, src.orders.data(),
-                          0, dead, merged);
-      }
-    } else if (seg.codes != nullptr) {
-      // Log-range segment: codes cover [seg.lo, seg.hi) sequentially; walk
-      // the underlying blocks with the matching code offset.
-      for (size_t b = seg.lo / block_rows_; b * block_rows_ < seg.hi; ++b) {
-        const IndexShard& block = *blocks_[b];
-        size_t glo = std::max(seg.lo, b * block_rows_);
-        size_t blo = glo - b * block_rows_;
-        size_t bhi = std::min(seg.hi, (b + 1) * block_rows_) - b * block_rows_;
-        size_t code_lo = glo - seg.lo;
-        if (tier == RetrievalPrecision::kInt8) {
-          ScanSqRowsInto(*seg.codes, code_lo, block.rows, blo, bhi, sq, block.orders.data(), 0,
-                         dead, merged);
-        } else {
-          ScanPqRowsInto(*seg.codes, code_lo, block.rows, blo, bhi, pq, qz->pq.m,
-                         block.orders.data(), 0, dead, merged);
-        }
-      }
-    } else {
-      ScanLogRangeExact(seg.lo, seg.hi, query.data(), qnorm, dead, merged);
-    }
-  }
-  // The memtable always scans exactly.
-  ScanLogRangeExact(epoch.memtable_lo, epoch.memtable_hi, query.data(), qnorm, dead, merged);
-  return RerankToHits(merged.DrainCands(), query.data(), qnorm, k);
-}
-
 void MutableIndex::SearchPinnedExact(const MutableEpoch& epoch, const Embedding& query, size_t k,
                                      const RetrievalQuality& quality, const IdFilter& dead,
                                      BoundedTopK& merged) const {
@@ -578,10 +471,6 @@ std::vector<SearchHit> MutableIndex::SearchPinned(const MutableEpoch& epoch,
   METIS_CHECK_EQ(query.size(), dim_);
   if (k == 0) {
     return {};
-  }
-  RetrievalPrecision tier = ResolveTier(quality, epoch.base->quantizers());
-  if (tier != RetrievalPrecision::kFp32) {
-    return SearchPinnedQuant(epoch, query, k, tier, quality);
   }
   BoundedTopK merged(k);
   SearchPinnedExact(epoch, query, k, quality, FilterOf(*epoch.tombstones), merged);

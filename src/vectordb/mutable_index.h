@@ -63,8 +63,7 @@
 
 namespace metis {
 
-class BoundedTopK;       // topk.h (internal).
-class BoundedQuantTopK;  // quantize.h (internal).
+class BoundedTopK;  // topk.h (internal).
 
 // One sealed segment: a frozen log range, optionally replaced by a compacted
 // (tombstone-free) row set whose orders are the original log positions.
@@ -73,14 +72,6 @@ struct MutableSegment {
   // Null: scan log rows [lo, hi) directly. Non-null: scan these rows instead
   // (same live content, dead rows dropped).
   std::shared_ptr<const IndexShard> compacted;
-  // Quantized mirror of the segment's rows (the log range, or `compacted`
-  // when set), encoded at seal/compaction time against the *base's* trained
-  // quantizers so segment codes and base codes share one code space. Null
-  // when the base has no quantizers — the segment then scans exactly on
-  // every tier (the memtable rule). A retrain drops surviving segments'
-  // codes (they were encoded against the old base's quantizers); they scan
-  // exactly until the next compaction re-encodes them.
-  std::shared_ptr<const QuantizedCodes> codes;
 };
 
 // Immutable snapshot of the serving structures at one publication point.
@@ -137,8 +128,8 @@ class MutableIndex : public VectorIndex {
   std::vector<std::vector<SearchHit>> SearchBatch(
       const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
       const std::vector<RetrievalQuality>& qualities) const override;
-  // Exclusion-aware exact search (the hybrid metadata-filter push-down): the
-  // fp32 flow of Search with `exclude` (sorted ids) unioned with the epoch's
+  // Exclusion-aware search (the hybrid metadata-filter push-down): the flow
+  // of Search with `exclude` (sorted ids) unioned with the epoch's
   // tombstones and filtered inside every scan. Orders are the merged total
   // order: base orders sit below the delta rows' log positions.
   std::vector<OrderedHit> SearchOrdered(const Embedding& query, size_t k,
@@ -150,7 +141,7 @@ class MutableIndex : public VectorIndex {
   // --- Lifecycle ---
   // Call once after the initial bulk load (VectorDatabase::FinalizeIndex
   // forwards here): trains an IVF base over the loaded rows, builds the
-  // base's mirrors across `pool`, and opens the memtable. Adds before this go
+  // base's SQ mirror across `pool`, and opens the memtable. Adds before this go
   // to the base; adds after go to the memtable.
   void Finalize(ThreadPool* pool = nullptr);
   bool finalized() const;
@@ -190,11 +181,6 @@ class MutableIndex : public VectorIndex {
   // swap the base but carry probe counters over, so mean_probes /
   // probe_histogram stay cumulative across swaps.
   const IvfL2Index* base_ivf() const { return PinEpoch()->base_ivf; }
-  // The current base's explicit-tier quantizers (null when
-  // RetrievalIndexOptions::quant is off). Like base_ivf(), the pointer is
-  // borrowed from the current base and stays valid until the next retrain
-  // swaps it.
-  const IndexQuantizers* quantizers() const override { return PinEpoch()->base->quantizers(); }
   size_t dim() const { return dim_; }
   const MutableIndexOptions& mutation_options() const { return mopts_; }
 
@@ -207,22 +193,12 @@ class MutableIndex : public VectorIndex {
   const float* LogRow(size_t pos) const;
   void ScanLogRange(size_t lo, size_t hi, const float* q, double qnorm, const IdFilter& exclude,
                     BoundedTopK& out) const;
-  // Exact scan of a log range into a quantized-candidate heap (memtable and
-  // un-encoded segments in the quantized search flow).
-  void ScanLogRangeExact(size_t lo, size_t hi, const float* q, double qnorm,
-                         const IdFilter& exclude, BoundedQuantTopK& out) const;
-  // The exact read flow SearchPinned and SearchOrdered share: base hits plus
+  // The read flow SearchPinned and SearchOrdered share: base hits plus
   // segment and memtable scans offered into `merged` (a k-heap) under the
   // (distance, order) total order, with `dead` filtered inside every scan.
   void SearchPinnedExact(const MutableEpoch& epoch, const Embedding& query, size_t k,
                          const RetrievalQuality& quality, const IdFilter& dead,
                          BoundedTopK& merged) const;
-  // The quantized SearchPinned flow: base candidates + segment code scans +
-  // exact memtable into one (approx distance, order) heap, then one exact
-  // rerank. Only called when `tier` is a quantized tier with a live mirror.
-  std::vector<SearchHit> SearchPinnedQuant(const MutableEpoch& epoch, const Embedding& query,
-                                           size_t k, RetrievalPrecision tier,
-                                           const RetrievalQuality& quality) const;
 
   size_t AppendLogLocked(ChunkId id, const float* v);
   void PublishLocked();
@@ -237,19 +213,11 @@ class MutableIndex : public VectorIndex {
   struct CompactPlan {
     std::vector<MutableSegment> segments;
     std::shared_ptr<const std::vector<ChunkId>> tombstones;
-    // Keeps the base (and its quantizers, which the off-lock build encodes
-    // the merged rows against) alive for the build's duration. Safe to read
-    // off-lock: maintenance ops are serialized, so no retrain swaps the base
-    // while a compaction is in flight.
-    std::shared_ptr<const VectorIndex> base;
   };
   CompactPlan SnapshotCompactLocked() const;
-  struct CompactedBuild {
-    std::shared_ptr<IndexShard> shard;
-    std::shared_ptr<const QuantizedCodes> codes;
-  };
-  static CompactedBuild BuildCompacted(const MutableIndex* self, const CompactPlan& plan);
-  void SwapCompactedLocked(const CompactPlan& plan, CompactedBuild built);
+  static std::shared_ptr<IndexShard> BuildCompacted(const MutableIndex* self,
+                                                    const CompactPlan& plan);
+  void SwapCompactedLocked(const CompactPlan& plan, std::shared_ptr<IndexShard> built);
 
   // Retrain: same snapshot/build/swap split.
   struct RetrainPlan {

@@ -1,49 +1,20 @@
-// Quantized index tiers: int8 scalar quantization (SQ) and product
-// quantization (PQ), with an exact fp32 rerank tail — and the certified fp32
-// scan, which reads the SQ mirror to prove which rows cannot be in the exact
-// top-k.
+// The int8 SQ mirror and the certified fp32 scan that reads it.
 //
-// Both tiers are *mirrors*: the fp32 RowPool rows stay authoritative (and are
-// what the rerank tail and the exact distance read); the mirrors are narrower
-// parallel code arrays a scan streams instead — 4x narrower for SQ (1
-// byte/dim), dim/m * 4x narrower for PQ (m bytes/row). Every static index
-// builds the SQ mirror; QuantizationOptions only decides which explicit
-// tiers a query may ask for (int8 reads the same codes; PQ has its own).
+// The mirror is a narrower parallel code array beside each shard's RowPool:
+// 1 byte per dimension instead of 4. The fp32 rows stay authoritative — every
+// reported distance is the exact expression over them — and the mirror only
+// lets a scan prove which rows cannot be in the exact top-k. Every static
+// index builds it (BuildQuantizedMirrors).
 //
-// Asymmetric distance contract (SQ). With per-dimension affine params
-// (vmin[d], scale[d]) and codes c[d], the reconstructed row is
-// vmin[d] + scale[d]*c[d], so with r[d] = q[d] - vmin[d]:
-//
-//     |q - x^|^2 = sum r[d]^2  -  2 * sum (r[d]*scale[d]) * c[d]
-//                             +  sum (scale[d]*c[d])^2
-//
-// The first term and the weight vector w[d] = r[d]*scale[d] are per-query
-// precomputes (O(dim), exact-kernel accumulation); the last term is a
-// per-row constant computed once at encode time; the middle term is the hot
-// loop — DotU8F32, the 16-chain widening kernel in kernels.h. The query side
-// stays fp32 end to end: only the stored rows are quantized.
-//
-// Asymmetric distance contract (PQ). Per query, an ADC table holds the exact
-// squared distance from the query's subvector s to every centroid c of
-// subspace s; a row's approximate distance is the sum of its m table entries
-// in subspace order (sequential float adds — deterministic).
-//
-// Rerank determinism rule. A quantized search over-fetches k * rerank_factor
-// candidates under the (approx distance, order) total order — the same
-// shard/thread/partition-invariant selection machinery as the exact path —
-// then re-scores every candidate with the exact kernel and keeps the best k
-// under (exact distance, order). For a fixed build and fixed (tier,
-// rerank_factor) the result is therefore deterministic across shard counts,
-// thread counts, and batching; and whenever the candidate set contains the
-// true top-k, it is *identical* to the exact search result, distances and
-// all. Candidates that enter the heap with an exact distance already
-// (memtable rows, un-encoded suffixes, tiers without mirrors) pass through
-// rerank untouched.
+// Encoding. With per-dimension affine params (vmin[d], scale[d]) trained
+// over the rows, code c[d] = round((x[d] - vmin[d]) / scale[d]) clamped to
+// [0, 255], and the reconstructed row is vmin[d] + scale[d] * c[d]. The hot
+// loop is DotU8F32, the 16-chain widening kernel in kernels.h; the query side
+// stays fp32 end to end.
 //
 // Certified fp32 scan (CertifiedQuery below; the scan itself lives in
-// vectordb.cc). Where the tiers above *hope* their candidates contain the
-// top-k, the fp32 read *proves* it. Pass 1 gives every encoded row an
-// interval [lo, hi] that holds its exact float distance; with U the k-th
+// vectordb.cc). The fp32 read *proves* which rows can be in its top-k.
+// Pass 1 gives every encoded row an interval [lo, hi] that holds its exact float distance; with U the k-th
 // smallest hi, a row with lo > U cannot be in the top-k (k rows have
 // distance <= U, so the k-th smallest exact distance is <= U), ties
 // included. Pass 2 re-scores the rest exactly. The interval is
@@ -80,11 +51,9 @@
 // the bound's own double rounding. Un-encoded rows take no bound: their
 // exact distance enters the top-k directly and caps U as itself.
 //
-// Single-definition rule: the quantized scan loops live in quantize.cc only
-// (mutable segments and static shards must score codes identically), and the
-// exact re-scoring goes through ExactRowDistance, whose one definition lives
-// in vectordb.cc next to ScanRowsInto for the same codegen-uniqueness reason
-// (see topk.h).
+// Single-definition rule: the exact re-scoring goes through
+// ExactRowDistance, whose one definition lives in vectordb.cc next to
+// ScanRowsInto so the exact distance has a single codegen (see topk.h).
 
 #ifndef METIS_SRC_VECTORDB_QUANTIZE_H_
 #define METIS_SRC_VECTORDB_QUANTIZE_H_
@@ -104,7 +73,7 @@ namespace metis {
 using RowAccessor = std::function<const float*(size_t)>;
 
 // SQ code-row stride: dim padded up to 64 bytes (one cache line), mirroring
-// RowPool's 16-float stride. This is also the int8 tier's bytes/row.
+// RowPool's 16-float stride; bytes_per_row(kInt8) once the mirror is built.
 size_t SqCodeStride(size_t dim);
 
 // --- Training ----------------------------------------------------------------
@@ -115,50 +84,17 @@ size_t SqCodeStride(size_t dim);
 // depend on it.
 Int8Params TrainInt8(const RowAccessor& row, size_t n, size_t dim, ThreadPool* workers);
 
-// Deterministic per-subspace k-means (farthest-point seeding + Lloyd rounds,
-// the IvfL2Index::Train recipe) over a strided sample of at most
-// opts.pq_train_rows rows. opts.pq_m is clamped down to the nearest divisor
-// of dim. ncentroids = min(256, sample size).
-PqParams TrainPq(const RowAccessor& row, size_t n, size_t dim, const QuantizationOptions& opts,
-                 uint64_t seed);
-
-// Trains the SQ mirror's quantizer (always) into *mirror, and the explicit
-// tiers `opts` enables into *tiers (tiers->sq is a copy of *mirror iff
-// opts.sq; TrainInt8 is a pure min/max, so the int8 tier's codes are the
-// mirror's codes).
-void TrainQuantizers(const RowAccessor& row, size_t n, size_t dim, const QuantizationOptions& opts,
-                     uint64_t seed, ThreadPool* workers, Int8Params* mirror,
-                     IndexQuantizers* tiers);
-
 // --- Encoding ----------------------------------------------------------------
 
-// Appends code rows for pool rows [begin, end) to `out` (SQ and/or PQ,
-// whichever params are valid) and folds the rows' SQ reconstruction error
-// into out->sq_delta. Pure per-row transform: encoding rows in any grouping
-// yields identical codes, so static shards, sealed segments, and compacted
-// segments all land in the same code space — which is also why `workers`
-// (may be null) can split the rows without changing a code. Grows `out`'s
-// arrays once per call.
-void EncodeRows(const Int8Params& sq, const PqParams& pq, const RowPool& pool, size_t begin,
-                size_t end, QuantizedCodes* out, ThreadPool* workers);
+// Appends SQ code rows for pool rows [begin, end) to `out` and folds the
+// rows' reconstruction error into out->sq_delta. Pure per-row transform:
+// encoding rows in any grouping yields identical codes, which is why
+// `workers` (may be null) can split the rows without changing a code. Grows
+// `out`'s arrays once per call.
+void EncodeRows(const Int8Params& sq, const RowPool& pool, size_t begin, size_t end,
+                QuantizedCodes* out, ThreadPool* workers);
 
-// --- Per-query contexts ------------------------------------------------------
-
-// SQ query precompute: w[d] = (q[d] - vmin[d]) * scale[d] plus the exact
-// sum of (q[d] - vmin[d])^2 (strict-kernel accumulation).
-struct SqQuery {
-  std::vector<float, AlignedAllocator<float>> w;
-  double r2 = 0.0;
-};
-void BuildSqQuery(const Int8Params& sq, const float* q, size_t dim, SqQuery* out);
-
-// PQ query precompute: the ADC table, table[s * ncentroids + c] = squared
-// distance from query subvector s to centroid (s, c). Built once per query
-// per SearchBatch.
-struct PqQuery {
-  std::vector<float> table;
-};
-void BuildPqQuery(const PqParams& pq, const float* q, size_t dim, PqQuery* out);
+// --- Certified scan ------------------------------------------------------------
 
 // Certified-scan query precompute (header comment): the u8 weights and the
 // row-independent parts of the distance interval.
@@ -187,85 +123,10 @@ inline DistanceInterval CertifiedInterval(const CertifiedQuery& cq, double norm,
   return DistanceInterval{approx - r, approx + r};
 }
 
-// --- Quantized top-k ---------------------------------------------------------
-
-// BoundedTopK's twin over QuantCand: same (dist, order) total order, same
-// bounded max-heap, candidates carry their row location for the rerank tail.
-// Comparison-only — safe to inline anywhere (topk.h).
-class BoundedQuantTopK {
- public:
-  explicit BoundedQuantTopK(size_t k) : k_(k) { heap_.reserve(k); }
-
-  void Offer(float dist, size_t order, ChunkId id, const RowPool* pool, uint32_t row);
-  void OfferCand(const QuantCand& c) { Offer(c.dist, c.order, c.id, c.pool, c.row); }
-
-  // Ascending (dist, order); clears the heap.
-  std::vector<QuantCand> DrainCands();
-  const std::vector<QuantCand>& cands() const { return heap_; }
-
- private:
-  size_t k_;
-  std::vector<QuantCand> heap_;
-};
-
-// --- Scans (single definitions in quantize.cc) -------------------------------
-
-// Scores pool rows [begin, end) against the SQ query context and offers
-// survivors of `exclude` to `out`. Row i reads code row (i - begin) +
-// code_lo of `codes`; candidate order is base + orders[i]. Requires
-// codes.sq to cover that range.
-void ScanSqRowsInto(const QuantizedCodes& codes, size_t code_lo, const RowPool& pool,
-                    size_t begin, size_t end, const SqQuery& sq, const size_t* orders,
-                    size_t base, const IdFilter& exclude, BoundedQuantTopK& out);
-
-// Same shape for the PQ tier (ADC table lookups).
-void ScanPqRowsInto(const QuantizedCodes& codes, size_t code_lo, const RowPool& pool,
-                    size_t begin, size_t end, const PqQuery& pq, size_t pq_m,
-                    const size_t* orders, size_t base, const IdFilter& exclude,
-                    BoundedQuantTopK& out);
-
-// Exact-distance scan into a quantized-candidate heap (memtable rows,
-// un-encoded suffixes, and whole-index fp32 fallbacks). Distances come out
-// bit-identical to ScanRowsInto — defined in vectordb.cc under the
-// single-codegen rule. Candidates are marked pool == nullptr (distance
-// already exact), so the rerank tail passes them through.
-void ScanRowsExactInto(const RowPool& pool, size_t begin, size_t end, const float* q,
-                       double qnorm, const size_t* orders, size_t base, const IdFilter& exclude,
-                       BoundedQuantTopK& out);
-
-// Exact fp32 distance of one pool row (the rerank tail's scorer); the one
-// definition lives in vectordb.cc so it shares the scan loop's codegen.
+// Exact fp32 distance of one pool row (pass 2's expression, and the tests'
+// reference); the one definition lives in vectordb.cc so it shares the scan
+// loop's codegen.
 float ExactRowDistance(const RowPool& pool, size_t row, const float* q, double qnorm);
-
-// --- Rerank tail -------------------------------------------------------------
-
-// Re-scores every candidate with pool != nullptr via ExactRowDistance, sorts
-// by (exact distance, order), truncates to k. Candidates with pool == nullptr
-// keep their (already exact) distance.
-void RerankCandidates(std::vector<QuantCand>& cands, const float* q, double qnorm, size_t k);
-
-// RerankCandidates, then strip to SearchHit form.
-std::vector<SearchHit> RerankToHits(std::vector<QuantCand> cands, const float* q, double qnorm,
-                                    size_t k);
-
-// --- Tier resolution ---------------------------------------------------------
-
-// The tier a query actually scans on: quality.precision downgraded to kFp32
-// when `qz` is null or lacks the requested mirror. "Absent mirror" can only
-// mean a more exact answer, never a wrong one.
-inline RetrievalPrecision ResolveTier(const RetrievalQuality& quality, const IndexQuantizers* qz) {
-  switch (quality.precision) {
-    case RetrievalPrecision::kInt8:
-      return (qz != nullptr && qz->sq.valid()) ? RetrievalPrecision::kInt8
-                                               : RetrievalPrecision::kFp32;
-    case RetrievalPrecision::kPq:
-      return (qz != nullptr && qz->pq.valid()) ? RetrievalPrecision::kPq
-                                               : RetrievalPrecision::kFp32;
-    case RetrievalPrecision::kFp32:
-      break;
-  }
-  return RetrievalPrecision::kFp32;
-}
 
 }  // namespace metis
 

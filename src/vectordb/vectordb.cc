@@ -75,9 +75,9 @@ std::vector<SearchHit> MergeShardTopK(std::vector<BoundedTopK>& heaps, size_t st
   return merged.Drain();
 }
 
-// The exact distance of pool row i: the one expression every exact read —
-// full scans, the certified scan's pass 2, the quantized tiers' rerank tail
-// — evaluates, in this TU only (topk.h).
+// The exact distance of pool row i: the one expression every read — full
+// scans and the certified scan's pass 2 — evaluates, in this TU only
+// (topk.h).
 inline float RowDistance(const RowPool& pool, size_t i, const float* q, double qnorm,
                          DotKernelFn dot) {
   float d = static_cast<float>(pool.norm(i) + qnorm - 2.0 * dot(pool.row(i), q, pool.dim()));
@@ -221,34 +221,29 @@ size_t BlockRows(size_t stride) {
   return std::max<size_t>(1, kBlockFloats / stride);
 }
 
-// Scan-tier bytes per row of an index of `dim` whose explicit tiers are `qz`
-// (null: none) — FlatL2Index/IvfL2Index::bytes_per_row.
-size_t ScanBytesPerRow(size_t dim, const IndexQuantizers* qz, RetrievalPrecision tier) {
+// Bytes per row of each stored representation of an index of `dim` whose SQ
+// mirror is built iff `mirrored` — FlatL2Index/IvfL2Index::bytes_per_row.
+size_t ScanBytesPerRow(size_t dim, bool mirrored, RetrievalPrecision tier) {
   switch (tier) {
     case RetrievalPrecision::kFp32:
       return PaddedStride(dim) * sizeof(float);
     case RetrievalPrecision::kInt8:
-      return qz != nullptr && qz->sq.valid() ? SqCodeStride(dim) : 0;
-    case RetrievalPrecision::kPq:
-      return qz != nullptr && qz->pq.valid() ? qz->pq.m : 0;
+      return mirrored ? SqCodeStride(dim) : 0;
   }
   return 0;
 }
 
-// Trains the mirror and the explicit tiers over `rows` (the backend's
-// shard-invariant row order), then encodes every (rows, codes) pair; both
-// split across `pool`. Returns the per-dimension max of the pairs' sq_delta.
+// Trains the SQ quantizer over `rows` (the backend's shard-invariant row
+// order), then encodes every (rows, codes) pair; both split across `pool`.
+// Returns the per-dimension max of the pairs' sq_delta.
 using EncodeJobs = std::vector<std::pair<const RowPool*, QuantizedCodes*>>;
 
 std::vector<double> BuildMirrors(const std::vector<const float*>& rows, size_t dim,
-                                 const QuantizationOptions& opts, uint64_t seed,
-                                 const EncodeJobs& jobs, ThreadPool* pool, Int8Params* sq,
-                                 IndexQuantizers* tiers) {
-  auto accessor = [&rows](size_t i) { return rows[i]; };
-  TrainQuantizers(accessor, rows.size(), dim, opts, seed, pool, sq, tiers);
+                                 const EncodeJobs& jobs, ThreadPool* pool, Int8Params* sq) {
+  *sq = TrainInt8([&rows](size_t i) { return rows[i]; }, rows.size(), dim, pool);
   std::vector<double> delta(dim, 0.0);
   for (const auto& [src, codes] : jobs) {
-    EncodeRows(*sq, tiers->pq, *src, 0, src->size(), codes, pool);
+    EncodeRows(*sq, *src, 0, src->size(), codes, pool);
     for (size_t d = 0; d < dim; ++d) {
       delta[d] = std::max(delta[d], codes->sq_delta[d]);
     }
@@ -269,56 +264,14 @@ void ScanRowsInto(const RowPool& pool, size_t begin, size_t end, const float* q,
   }
 }
 
-const char* RetrievalPrecisionName(RetrievalPrecision p) {
-  switch (p) {
-    case RetrievalPrecision::kFp32:
-      return "fp32";
-    case RetrievalPrecision::kInt8:
-      return "int8";
-    case RetrievalPrecision::kPq:
-      return "pq";
-  }
-  return "unknown";
-}
-
-// The rerank tail's scorer (declared in quantize.h): the exact decomposition
-// with the same combine and clamp as ScanRowsImpl, defined in this TU so the
-// exact distance has a single codegen.
+// The exact distance of one row (declared in quantize.h): RowDistance with
+// the active kernel, defined in this TU so the exact distance has a single
+// codegen.
 float ExactRowDistance(const RowPool& pool, size_t row, const float* q, double qnorm) {
   return RowDistance(pool, row, q, qnorm, ActiveDotKernel());
 }
 
-// Exact scan into a quantized-candidate heap (declared in quantize.h): the
-// ScanRowsImpl loop with candidates marked pool == nullptr so the rerank tail
-// passes them through. Lives here for the same single-codegen reason.
-void ScanRowsExactInto(const RowPool& pool, size_t begin, size_t end, const float* q,
-                       double qnorm, const size_t* orders, size_t base, const IdFilter& exclude,
-                       BoundedQuantTopK& out) {
-  DotKernelFn dot = ActiveDotKernel();
-  bool filtered = !exclude.empty();
-  for (size_t i = begin; i < end; ++i) {
-    if (filtered && exclude.contains(pool.id(i))) {
-      continue;
-    }
-    out.Offer(RowDistance(pool, i, q, qnorm, dot), base + orders[i], pool.id(i), nullptr, 0);
-  }
-}
-
 // --- Shared read paths ------------------------------------------------------
-
-std::vector<QuantCand> VectorIndex::SearchQuantCandidates(const Embedding& query, size_t fetch_k,
-                                                          const RetrievalQuality& quality,
-                                                          const IdFilter& exclude) const {
-  // Backends without quantized mirrors serve exact candidates: distances are
-  // already final, so rerank passes them through (pool == nullptr).
-  std::vector<OrderedHit> hits = SearchOrdered(query, fetch_k, quality, exclude);
-  std::vector<QuantCand> out;
-  out.reserve(hits.size());
-  for (const OrderedHit& h : hits) {
-    out.push_back(QuantCand{h.distance, h.order, h.id, nullptr, 0});
-  }
-  return out;
-}
 
 namespace {
 
@@ -331,73 +284,13 @@ std::vector<SearchHit> ToSearchHits(const std::vector<OrderedHit>& hits) {
   return out;
 }
 
-// The per-query read of the flat and IVF indexes. fp32 is the exact scan
-// (SearchOrdered with an empty filter). A quantized tier over-fetches
-// k x rerank factor candidates, then the exact rerank tail picks the best k.
-std::vector<SearchHit> SearchOneQuery(const VectorIndex& index, const Embedding& query, size_t k,
-                                      const RetrievalQuality& quality) {
-  if (ResolveTier(quality, index.quantizers()) == RetrievalPrecision::kFp32) {
-    return ToSearchHits(index.SearchOrdered(query, k, quality, IdFilter{}));
-  }
-  size_t fetch = k * ResolveRerankFactor(quality);
-  std::vector<QuantCand> cands = index.SearchQuantCandidates(query, fetch, quality, IdFilter{});
-  double qnorm = SquaredNormBlocked(query.data(), query.size());
-  return RerankToHits(std::move(cands), query.data(), qnorm, k);
-}
-
-// The batch read of the flat and IVF indexes. The fp32 queries share one
-// `exact_sweep(queries, qualities)` call; quantized queries run
-// SearchOneQuery one at a time, fanned out across the pool. Either way
-// results[i] is bit-identical to Search(queries[i], k, qualities[i]).
-template <typename ExactSweep>
-std::vector<std::vector<SearchHit>> SearchBatchByTier(
-    const VectorIndex& index, const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
-    const std::vector<RetrievalQuality>& qualities, const ExactSweep& exact_sweep) {
-  METIS_CHECK_EQ(qualities.size(), queries.size());
-  std::vector<size_t> exact_idx;
-  std::vector<size_t> quant_idx;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    bool exact = ResolveTier(qualities[i], index.quantizers()) == RetrievalPrecision::kFp32;
-    (exact ? exact_idx : quant_idx).push_back(i);
-  }
-  if (quant_idx.empty()) {
-    return exact_sweep(queries, qualities);
-  }
-  std::vector<std::vector<SearchHit>> results(queries.size());
-  if (!exact_idx.empty()) {
-    std::vector<Embedding> exact_q;
-    std::vector<RetrievalQuality> exact_quals;
-    for (size_t i : exact_idx) {
-      exact_q.push_back(queries[i]);
-      exact_quals.push_back(qualities[i]);
-    }
-    std::vector<std::vector<SearchHit>> swept = exact_sweep(exact_q, exact_quals);
-    for (size_t j = 0; j < exact_idx.size(); ++j) {
-      results[exact_idx[j]] = std::move(swept[j]);
-    }
-  }
-  auto quant_sweep = [&](size_t b, size_t e) {
-    for (size_t t = b; t < e; ++t) {
-      size_t qi = quant_idx[t];
-      results[qi] = SearchOneQuery(index, queries[qi], k, qualities[qi]);
-    }
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && quant_idx.size() > 1) {
-    pool->ParallelFor(quant_idx.size(), quant_sweep);
-  } else {
-    quant_sweep(0, quant_idx.size());
-  }
-  return results;
-}
-
 }  // namespace
 
 // --- FlatL2Index ------------------------------------------------------------
 
-FlatL2Index::FlatL2Index(size_t dim, size_t num_shards, QuantizationOptions quant) : dim_(dim) {
+FlatL2Index::FlatL2Index(size_t dim, size_t num_shards) : dim_(dim) {
   METIS_CHECK_GT(dim, 0u);
   METIS_CHECK_GT(num_shards, 0u);
-  qopts_ = quant;
   shards_.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     shards_.emplace_back(dim);
@@ -411,81 +304,80 @@ void FlatL2Index::Add(ChunkId id, const Embedding& v) {
 
 std::vector<SearchHit> FlatL2Index::Search(const Embedding& query, size_t k,
                                            const RetrievalQuality& quality) const {
-  return SearchOneQuery(*this, query, k, quality);
+  return ToSearchHits(SearchOrdered(query, k, quality, IdFilter{}));
 }
 
 std::vector<std::vector<SearchHit>> FlatL2Index::SearchBatch(
     const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
     const std::vector<RetrievalQuality>& qualities) const {
-  auto exact_sweep = [&](const std::vector<Embedding>& qs, const std::vector<RetrievalQuality>&) {
-    for (const Embedding& q : qs) {
-      METIS_CHECK_EQ(q.size(), dim_);
-    }
-    std::vector<std::vector<SearchHit>> results(qs.size());
-    if (qs.empty() || k == 0 || count_ == 0) {
-      return results;
-    }
-    size_t nq = qs.size();
-    size_t nshards = shards_.size();
-    std::vector<double> qnorms(nq);
-    std::vector<CertifiedQuery> cqs(quantized_ ? nq : 0);
-    for (size_t qi = 0; qi < nq; ++qi) {
-      qnorms[qi] = SquaredNormBlocked(qs[qi].data(), dim_);
-      if (quantized_) {
-        BuildCertifiedQuery(sq_, sq_delta_, qs[qi].data(), dim_, qnorms[qi], &cqs[qi]);
-      }
-    }
-
-    // Fan the (shard x query) grid out across the pool: one heap (and one
-    // certified-scan state) per cell, so workers own disjoint slots and the
-    // merged result is independent of the partitioning. Task ids are
-    // shard-major — a contiguous task range covers consecutive queries of
-    // one shard before moving to the next — so each worker still streams a
-    // shard's rows through the cache-sized blocks once for all of its
-    // queries; each query's pass 2 follows the shard's sweep.
-    std::vector<BoundedTopK> heaps;
-    std::vector<CertifiedScan> scans;
-    heaps.reserve(nshards * nq);
-    scans.reserve(nshards * nq);
-    for (size_t i = 0; i < nshards * nq; ++i) {
-      heaps.emplace_back(k);
-      scans.emplace_back(quantized_ ? &cqs[i % nq] : nullptr, k);
-    }
-    auto sweep = [&](size_t tb, size_t te) {
-      size_t t = tb;
-      while (t < te) {
-        size_t shard = t / nq;
-        size_t run_end = std::min(te, (shard + 1) * nq);
-        size_t qb = t - shard * nq;
-        size_t qe = run_end - shard * nq;
-        const IndexShard& sh = shards_[shard];
-        const QuantizedCodes* codes = quantized_ ? &qcodes_[shard] : nullptr;
-        size_t block = BlockRows(sh.rows.stride());
-        for (size_t rb = 0; rb < sh.rows.size(); rb += block) {
-          size_t re = std::min(rb + block, sh.rows.size());
-          for (size_t qi = qb; qi < qe; ++qi) {
-            ScanShardRows(sh, codes, rb, re, qs[qi].data(), qnorms[qi], 0, IdFilter{},
-                          scans[shard * nq + qi], heaps[shard * nq + qi]);
-          }
-        }
-        for (size_t qi = qb; qi < qe; ++qi) {
-          RescoreSurvivors(scans[shard * nq + qi], qs[qi].data(), qnorms[qi],
-                           heaps[shard * nq + qi]);
-        }
-        t = run_end;
-      }
-    };
-    if (pool != nullptr && pool->num_threads() > 1 && nshards * nq > 1) {
-      pool->ParallelFor(nshards * nq, sweep);
-    } else {
-      sweep(0, nshards * nq);
-    }
-    for (size_t qi = 0; qi < nq; ++qi) {
-      results[qi] = MergeShardTopK(heaps, /*start=*/qi, /*stride=*/nq, nshards, k);
-    }
+  // Exact backend: qualities carry no recall knob.
+  METIS_CHECK_EQ(qualities.size(), queries.size());
+  for (const Embedding& q : queries) {
+    METIS_CHECK_EQ(q.size(), dim_);
+  }
+  std::vector<std::vector<SearchHit>> results(queries.size());
+  if (queries.empty() || k == 0 || count_ == 0) {
     return results;
+  }
+  size_t nq = queries.size();
+  size_t nshards = shards_.size();
+  std::vector<double> qnorms(nq);
+  std::vector<CertifiedQuery> cqs(quantized_ ? nq : 0);
+  for (size_t qi = 0; qi < nq; ++qi) {
+    qnorms[qi] = SquaredNormBlocked(queries[qi].data(), dim_);
+    if (quantized_) {
+      BuildCertifiedQuery(sq_, sq_delta_, queries[qi].data(), dim_, qnorms[qi], &cqs[qi]);
+    }
+  }
+
+  // Fan the (shard x query) grid out across the pool: one heap (and one
+  // certified-scan state) per cell, so workers own disjoint slots and the
+  // merged result is independent of the partitioning. Task ids are
+  // shard-major — a contiguous task range covers consecutive queries of
+  // one shard before moving to the next — so each worker still streams a
+  // shard's rows through the cache-sized blocks once for all of its
+  // queries; each query's pass 2 follows the shard's sweep.
+  std::vector<BoundedTopK> heaps;
+  std::vector<CertifiedScan> scans;
+  heaps.reserve(nshards * nq);
+  scans.reserve(nshards * nq);
+  for (size_t i = 0; i < nshards * nq; ++i) {
+    heaps.emplace_back(k);
+    scans.emplace_back(quantized_ ? &cqs[i % nq] : nullptr, k);
+  }
+  auto sweep = [&](size_t tb, size_t te) {
+    size_t t = tb;
+    while (t < te) {
+      size_t shard = t / nq;
+      size_t run_end = std::min(te, (shard + 1) * nq);
+      size_t qb = t - shard * nq;
+      size_t qe = run_end - shard * nq;
+      const IndexShard& sh = shards_[shard];
+      const QuantizedCodes* codes = quantized_ ? &qcodes_[shard] : nullptr;
+      size_t block = BlockRows(sh.rows.stride());
+      for (size_t rb = 0; rb < sh.rows.size(); rb += block) {
+        size_t re = std::min(rb + block, sh.rows.size());
+        for (size_t qi = qb; qi < qe; ++qi) {
+          ScanShardRows(sh, codes, rb, re, queries[qi].data(), qnorms[qi], 0, IdFilter{},
+                        scans[shard * nq + qi], heaps[shard * nq + qi]);
+        }
+      }
+      for (size_t qi = qb; qi < qe; ++qi) {
+        RescoreSurvivors(scans[shard * nq + qi], queries[qi].data(), qnorms[qi],
+                         heaps[shard * nq + qi]);
+      }
+      t = run_end;
+    }
   };
-  return SearchBatchByTier(*this, queries, k, pool, qualities, exact_sweep);
+  if (pool != nullptr && pool->num_threads() > 1 && nshards * nq > 1) {
+    pool->ParallelFor(nshards * nq, sweep);
+  } else {
+    sweep(0, nshards * nq);
+  }
+  for (size_t qi = 0; qi < nq; ++qi) {
+    results[qi] = MergeShardTopK(heaps, /*start=*/qi, /*stride=*/nq, nshards, k);
+  }
+  return results;
 }
 
 std::vector<OrderedHit> FlatL2Index::SearchOrdered(const Embedding& query, size_t k,
@@ -515,19 +407,13 @@ std::vector<OrderedHit> FlatL2Index::SearchOrdered(const Embedding& query, size_
   return topk.DrainOrdered();
 }
 
-namespace {
-// Quantizer training seed for backends without their own (the flat index);
-// matches RetrievalIndexOptions::train_seed's default.
-constexpr uint64_t kQuantTrainSeed = 17;
-}  // namespace
-
 bool FlatL2Index::BuildQuantizedMirrors(ThreadPool* pool) {
   if (count_ == 0) {
     return false;
   }
   // Train over rows in global insertion order (shard.orders maps each shard
-  // row back to its single-shard position), so the trained quantizers — and
-  // therefore quantized rankings — are invariant to the shard count.
+  // row back to its single-shard position), so the trained quantizer — and
+  // therefore every code — is invariant to the shard count.
   std::vector<const float*> rows(count_, nullptr);
   for (const IndexShard& shard : shards_) {
     for (size_t i = 0; i < shard.rows.size(); ++i) {
@@ -539,60 +425,18 @@ bool FlatL2Index::BuildQuantizedMirrors(ThreadPool* pool) {
   for (size_t s = 0; s < shards_.size(); ++s) {
     jobs.emplace_back(&shards_[s].rows, &qcodes_[s]);
   }
-  sq_delta_ = BuildMirrors(rows, dim_, qopts_, kQuantTrainSeed, jobs, pool, &sq_, &quantizers_);
+  sq_delta_ = BuildMirrors(rows, dim_, jobs, pool, &sq_);
   quantized_ = true;
   return true;
 }
 
-std::vector<QuantCand> FlatL2Index::SearchQuantCandidates(const Embedding& query, size_t fetch_k,
-                                                          const RetrievalQuality& quality,
-                                                          const IdFilter& exclude) const {
-  METIS_CHECK_EQ(query.size(), dim_);
-  if (fetch_k == 0 || count_ == 0) {
-    return {};
-  }
-  RetrievalPrecision tier = ResolveTier(quality, quantizers());
-  if (tier == RetrievalPrecision::kFp32) {
-    // No explicit tier, or fp32 requested: exact candidates through SearchOrdered.
-    return VectorIndex::SearchQuantCandidates(query, fetch_k, quality, exclude);
-  }
-  double qnorm = SquaredNormBlocked(query.data(), dim_);
-  BoundedQuantTopK topk(fetch_k);
-  SqQuery sq;
-  PqQuery pq;
-  if (tier == RetrievalPrecision::kInt8) {
-    BuildSqQuery(quantizers_.sq, query.data(), dim_, &sq);
-  } else {
-    BuildPqQuery(quantizers_.pq, query.data(), dim_, &pq);
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const IndexShard& shard = shards_[s];
-    const QuantizedCodes& codes = qcodes_[s];
-    // Mirror prefix scans quantized; rows appended after the mirror was
-    // encoded scan exactly into the same heap (quantize.h).
-    size_t enc = std::min(codes.rows, shard.rows.size());
-    if (tier == RetrievalPrecision::kInt8) {
-      ScanSqRowsInto(codes, 0, shard.rows, 0, enc, sq, shard.orders.data(), 0, exclude, topk);
-    } else {
-      ScanPqRowsInto(codes, 0, shard.rows, 0, enc, pq, quantizers_.pq.m, shard.orders.data(), 0,
-                     exclude, topk);
-    }
-    if (enc < shard.rows.size()) {
-      ScanRowsExactInto(shard.rows, enc, shard.rows.size(), query.data(), qnorm,
-                        shard.orders.data(), 0, exclude, topk);
-    }
-  }
-  return topk.DrainCands();
-}
-
 size_t FlatL2Index::bytes_per_row(RetrievalPrecision tier) const {
-  return ScanBytesPerRow(dim_, quantizers(), tier);
+  return ScanBytesPerRow(dim_, quantized_, tier);
 }
 
 // --- IvfL2Index -------------------------------------------------------------
 
-IvfL2Index::IvfL2Index(size_t dim, size_t nlist, size_t nprobe, uint64_t seed, size_t num_shards,
-                       QuantizationOptions quant)
+IvfL2Index::IvfL2Index(size_t dim, size_t nlist, size_t nprobe, uint64_t seed, size_t num_shards)
     : dim_(dim),
       nlist_(nlist),
       nprobe_(std::min(nprobe, nlist)),
@@ -604,7 +448,6 @@ IvfL2Index::IvfL2Index(size_t dim, size_t nlist, size_t nprobe, uint64_t seed, s
   METIS_CHECK_GT(nlist, 0u);
   METIS_CHECK_GT(nprobe, 0u);
   METIS_CHECK_GT(num_shards, 0u);
-  qopts_ = quant;
 }
 
 void IvfL2Index::Add(ChunkId id, const Embedding& v) {
@@ -838,7 +681,7 @@ IvfL2Index::ProbeSet IvfL2Index::PlanProbes(const float* q, double qnorm,
 
 std::vector<SearchHit> IvfL2Index::Search(const Embedding& query, size_t k,
                                           const RetrievalQuality& quality) const {
-  return SearchOneQuery(*this, query, k, quality);
+  return ToSearchHits(SearchOrdered(query, k, quality, IdFilter{}));
 }
 
 std::vector<OrderedHit> IvfL2Index::SearchOrdered(const Embedding& query, size_t k,
@@ -874,59 +717,12 @@ std::vector<uint64_t> IvfL2Index::probe_histogram() const {
   return hist;
 }
 
-std::vector<QuantCand> IvfL2Index::SearchQuantCandidates(const Embedding& query, size_t fetch_k,
-                                                         const RetrievalQuality& quality,
-                                                         const IdFilter& exclude) const {
-  RetrievalPrecision tier = ResolveTier(quality, quantizers());
-  if (tier == RetrievalPrecision::kFp32) {
-    // No mirror, or fp32 requested: exact candidates through SearchOrdered.
-    return VectorIndex::SearchQuantCandidates(query, fetch_k, quality, exclude);
-  }
-  METIS_CHECK_EQ(query.size(), dim_);
-  METIS_CHECK(trained_);
-  const float* q = query.data();
-  double qnorm = SquaredNormBlocked(q, dim_);
-  // Probe planning stays fp32 on every tier, so a quantized query probes
-  // exactly the lists its fp32 twin would (tier-invariant probe counts).
-  ProbeSet probes = PlanProbes(q, qnorm, ResolveProbe(quality));
-  SqQuery sq;
-  PqQuery pq;
-  if (tier == RetrievalPrecision::kInt8) {
-    BuildSqQuery(quantizers_.sq, q, dim_, &sq);
-  } else {
-    BuildPqQuery(quantizers_.pq, q, dim_, &pq);
-  }
-  BoundedQuantTopK topk(fetch_k);
-  for (size_t shard = 0; shard < num_shards_; ++shard) {
-    for (size_t p = 0; p < probes.lists.size(); ++p) {
-      const IndexShard& sh = lists_[probes.lists[p]][shard];
-      const QuantizedCodes& codes = qcodes_[probes.lists[p]][shard];
-      size_t enc = std::min(codes.rows, sh.rows.size());
-      if (tier == RetrievalPrecision::kInt8) {
-        ScanSqRowsInto(codes, 0, sh.rows, 0, enc, sq, sh.orders.data(), probes.bases[p], exclude,
-                       topk);
-      } else {
-        ScanPqRowsInto(codes, 0, sh.rows, 0, enc, pq, quantizers_.pq.m, sh.orders.data(),
-                       probes.bases[p], exclude, topk);
-      }
-      if (enc < sh.rows.size()) {
-        // Rows assigned to this list after the mirror was encoded.
-        ScanRowsExactInto(sh.rows, enc, sh.rows.size(), q, qnorm, sh.orders.data(),
-                          probes.bases[p], exclude, topk);
-      }
-    }
-  }
-  stats_.Record(probes.lists.size());
-  return topk.DrainCands();
-}
-
 bool IvfL2Index::BuildQuantizedMirrors(ThreadPool* pool) {
   if (!trained_ || count_ == 0) {
     return false;
   }
   // Train over rows in (list, in-list order) — both shard-invariant — so the
-  // quantizers, and therefore quantized rankings, do not depend on the shard
-  // count.
+  // quantizer, and therefore every code, does not depend on the shard count.
   std::vector<const float*> rows;
   rows.reserve(count_);
   for (size_t l = 0; l < lists_.size(); ++l) {
@@ -945,87 +741,84 @@ bool IvfL2Index::BuildQuantizedMirrors(ThreadPool* pool) {
       jobs.emplace_back(&lists_[l][s].rows, &qcodes_[l][s]);
     }
   }
-  sq_delta_ = BuildMirrors(rows, dim_, qopts_, seed_, jobs, pool, &sq_, &quantizers_);
+  sq_delta_ = BuildMirrors(rows, dim_, jobs, pool, &sq_);
   quantized_ = true;
   return true;
 }
 
 size_t IvfL2Index::bytes_per_row(RetrievalPrecision tier) const {
-  return ScanBytesPerRow(dim_, quantizers(), tier);
+  return ScanBytesPerRow(dim_, quantized_, tier);
 }
 
 std::vector<std::vector<SearchHit>> IvfL2Index::SearchBatch(
     const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
     const std::vector<RetrievalQuality>& qualities) const {
-  auto exact_sweep = [&](const std::vector<Embedding>& qs,
-                         const std::vector<RetrievalQuality>& quals) {
-    METIS_CHECK(trained_);
-    for (const Embedding& q : qs) {
-      METIS_CHECK_EQ(q.size(), dim_);
-    }
-    std::vector<std::vector<SearchHit>> results(qs.size());
-    if (qs.empty()) {
-      return results;
-    }
-    size_t nq = qs.size();
-    size_t nshards = num_shards_;
-    bool parallel = pool != nullptr && pool->num_threads() > 1;
-
-    // Phase 1 — plan: per-query centroid ranking + adaptive rule, into
-    // disjoint slots (deterministic for any partitioning). Each query
-    // resolves its OWN quality override, so a coalesced group can mix probe
-    // modes and budgets; the probe count is fixed here, before any row is
-    // scanned.
-    std::vector<double> qnorms(nq);
-    std::vector<ProbeSet> sets(nq);
-    std::vector<CertifiedQuery> cqs(quantized_ ? nq : 0);
-    auto plan_phase = [&](size_t qb, size_t qe) {
-      for (size_t qi = qb; qi < qe; ++qi) {
-        qnorms[qi] = SquaredNormBlocked(qs[qi].data(), dim_);
-        sets[qi] = PlanProbes(qs[qi].data(), qnorms[qi], ResolveProbe(quals[qi]));
-        if (quantized_) {
-          BuildCertifiedQuery(sq_, sq_delta_, qs[qi].data(), dim_, qnorms[qi], &cqs[qi]);
-        }
-      }
-    };
-    if (parallel && nq > 1) {
-      pool->ParallelFor(nq, plan_phase);
-    } else {
-      plan_phase(0, nq);
-    }
-
-    // Phase 2 — scan: fan the (query x shard) grid out across the pool, one
-    // heap per cell, each cell's pass 2 right after its pass 1.
-    std::vector<BoundedTopK> heaps;
-    heaps.reserve(nq * nshards);
-    for (size_t i = 0; i < nq * nshards; ++i) {
-      heaps.emplace_back(k);
-    }
-    auto scan_phase = [&](size_t tb, size_t te) {
-      for (size_t t = tb; t < te; ++t) {
-        size_t qi = t / nshards;
-        size_t shard = t % nshards;
-        CertifiedScan scan(quantized_ ? &cqs[qi] : nullptr, k);
-        ScanProbedShard(lists_, qcodes_, sets[qi].lists, sets[qi].bases, shard, qs[qi].data(),
-                        qnorms[qi], IdFilter{}, scan, heaps[t]);
-        RescoreSurvivors(scan, qs[qi].data(), qnorms[qi], heaps[t]);
-      }
-    };
-    if (parallel && nq * nshards > 1) {
-      pool->ParallelFor(nq * nshards, scan_phase);
-    } else {
-      scan_phase(0, nq * nshards);
-    }
-
-    // Phase 3 — merge per query and fold the probe tally into the counters
-    // after the barrier, on the calling thread.
-    for (size_t qi = 0; qi < nq; ++qi) {
-      results[qi] = MergeShardTopK(heaps, qi * nshards, /*stride=*/1, nshards, k);
-      stats_.Record(sets[qi].lists.size());
-    }
+  METIS_CHECK_EQ(qualities.size(), queries.size());
+  METIS_CHECK(trained_);
+  for (const Embedding& q : queries) {
+    METIS_CHECK_EQ(q.size(), dim_);
+  }
+  std::vector<std::vector<SearchHit>> results(queries.size());
+  if (queries.empty()) {
     return results;
+  }
+  size_t nq = queries.size();
+  size_t nshards = num_shards_;
+  bool parallel = pool != nullptr && pool->num_threads() > 1;
+
+  // Phase 1 — plan: per-query centroid ranking + adaptive rule, into
+  // disjoint slots (deterministic for any partitioning). Each query
+  // resolves its OWN quality override, so a coalesced group can mix probe
+  // modes and budgets; the probe count is fixed here, before any row is
+  // scanned.
+  std::vector<double> qnorms(nq);
+  std::vector<ProbeSet> sets(nq);
+  std::vector<CertifiedQuery> cqs(quantized_ ? nq : 0);
+  auto plan_phase = [&](size_t qb, size_t qe) {
+    for (size_t qi = qb; qi < qe; ++qi) {
+      qnorms[qi] = SquaredNormBlocked(queries[qi].data(), dim_);
+      sets[qi] = PlanProbes(queries[qi].data(), qnorms[qi], ResolveProbe(qualities[qi]));
+      if (quantized_) {
+        BuildCertifiedQuery(sq_, sq_delta_, queries[qi].data(), dim_, qnorms[qi], &cqs[qi]);
+      }
+    }
   };
-  return SearchBatchByTier(*this, queries, k, pool, qualities, exact_sweep);
+  if (parallel && nq > 1) {
+    pool->ParallelFor(nq, plan_phase);
+  } else {
+    plan_phase(0, nq);
+  }
+
+  // Phase 2 — scan: fan the (query x shard) grid out across the pool, one
+  // heap per cell, each cell's pass 2 right after its pass 1.
+  std::vector<BoundedTopK> heaps;
+  heaps.reserve(nq * nshards);
+  for (size_t i = 0; i < nq * nshards; ++i) {
+    heaps.emplace_back(k);
+  }
+  auto scan_phase = [&](size_t tb, size_t te) {
+    for (size_t t = tb; t < te; ++t) {
+      size_t qi = t / nshards;
+      size_t shard = t % nshards;
+      CertifiedScan scan(quantized_ ? &cqs[qi] : nullptr, k);
+      ScanProbedShard(lists_, qcodes_, sets[qi].lists, sets[qi].bases, shard, queries[qi].data(),
+                      qnorms[qi], IdFilter{}, scan, heaps[t]);
+      RescoreSurvivors(scan, queries[qi].data(), qnorms[qi], heaps[t]);
+    }
+  };
+  if (parallel && nq * nshards > 1) {
+    pool->ParallelFor(nq * nshards, scan_phase);
+  } else {
+    scan_phase(0, nq * nshards);
+  }
+
+  // Phase 3 — merge per query and fold the probe tally into the counters
+  // after the barrier, on the calling thread.
+  for (size_t qi = 0; qi < nq; ++qi) {
+    results[qi] = MergeShardTopK(heaps, qi * nshards, /*stride=*/1, nshards, k);
+    stats_.Record(sets[qi].lists.size());
+  }
+  return results;
 }
 
 // --- VectorDatabase ---------------------------------------------------------
@@ -1042,12 +835,12 @@ std::unique_ptr<VectorIndex> MakeBackendIndex(size_t dim, const RetrievalIndexOp
   size_t shards = std::max<size_t>(1, options.shards);
   if (options.backend == RetrievalIndexOptions::Backend::kIvf) {
     auto ivf = std::make_unique<IvfL2Index>(dim, options.nlist, options.nprobe,
-                                            options.train_seed, shards, options.quant);
+                                            options.train_seed, shards);
     ivf->set_adaptive_probe(options.adaptive);
     *ivf_out = ivf.get();
     return ivf;
   }
-  return std::make_unique<FlatL2Index>(dim, shards, options.quant);
+  return std::make_unique<FlatL2Index>(dim, shards);
 }
 
 VectorDatabase::VectorDatabase(EmbeddingModel embedder, DatabaseMetadata metadata,
@@ -1125,7 +918,7 @@ void VectorDatabase::FinalizeIndex(ThreadPool* pool) {
   if (ivf_ != nullptr && !ivf_->trained() && ivf_->size() > 0) {
     ivf_->Train(pool);
   }
-  // The SQ mirror (and any explicit tier's), encoded across the same pool.
+  // The SQ mirror, encoded across the same pool.
   index_->BuildQuantizedMirrors(pool);
 }
 
@@ -1258,8 +1051,7 @@ std::vector<SearchHit> VectorDatabase::RetrieveHybrid(const std::string& query_t
   std::vector<SearchHit> dense_hits;
   if (want_dense) {
     const Embedding& query = query_cache_.Get(query_text);
-    // SearchOrdered is every backend's exclusion-aware scan (always exact
-    // fp32; filtered scans don't ride quantized mirrors).
+    // SearchOrdered is every backend's exclusion-aware scan.
     dense_hits = exclude.empty() ? index_->Search(query, k, quality)
                                  : ToSearchHits(index_->SearchOrdered(query, k, quality, exclude));
     dense_searches_.fetch_add(1, std::memory_order_relaxed);

@@ -15,8 +15,8 @@
 //         |x - q|^2 = |x|^2 + |q|^2 - 2 * dot(x, q)
 //     so the inner loop is a pure float-data dot product.
 //   - The dot kernel lives in kernels.h/.cc behind a CPUID-based runtime
-//     dispatcher with three tiers: portable auto-vectorized scalar, AVX2
-//     intrinsics, and AVX-512 intrinsics. All tiers accumulate in double over
+//     dispatcher with two tiers: portable auto-vectorized scalar and AVX2
+//     intrinsics. Both tiers accumulate in double over
 //     eight chains with identical rounding (no FMA) and an identical
 //     reduction tree, so the dispatched kernel returns the bit-identical
 //     double on every tier — rankings do not depend on the host CPU, and the
@@ -32,25 +32,23 @@
 //     stable_sort semantics exactly: equal distances rank by insertion order.
 //   - VectorIndex has one read virtual per read shape, each taking the
 //     query's RetrievalQuality: Search (one query), SearchBatch (one quality
-//     per query), SearchOrdered (exact, with candidate orders and an id
-//     filter) and SearchQuantCandidates (a quantized tier's candidates for
-//     the exact rerank tail).
-//   - Every exact fp32 read (SearchOrdered, and the fp32 sweep of
-//     SearchBatch) is a certified two-pass scan over the index's int8 SQ
-//     mirror (quantize.h): pass 1 streams 1-byte codes and keeps only the
-//     rows whose distance interval [D~ - B, D~ + B] can still reach the
-//     k-th smallest upper bound; pass 2 re-scores those rows with the exact
-//     expression into the same BoundedTopK. The true top-k always survives
-//     pass 1, so results are bit-identical to a full exact sweep by
-//     construction. Rows the mirror does not encode (added after it was
-//     built, or every row of an index that never built one) scan exactly.
-//   - SearchBatch answers its fp32 queries in one sweep: flat rows are
-//     visited in cache-sized blocks and each block is scored against every
-//     query in the batch before moving on, so the index streams through
-//     memory once per block rather than once per query; each query's pass 2
-//     follows its sweep. Quantized queries run the per-query path. An
-//     optional ThreadPool shards the batch across workers; results are
-//     identical for any thread count.
+//     per query) and SearchOrdered (with candidate orders and an id filter).
+//     On the static indexes Search is SearchOrdered with an empty filter.
+//   - Every read (SearchOrdered, and the sweep of SearchBatch) is a
+//     certified two-pass scan over the index's int8 SQ mirror (quantize.h):
+//     pass 1 streams 1-byte codes and keeps only the rows whose distance
+//     interval [D~ - B, D~ + B] can still reach the k-th smallest upper
+//     bound; pass 2 re-scores those rows with the exact expression into the
+//     same BoundedTopK. The true top-k always survives pass 1, so results
+//     are bit-identical to a full exact sweep by construction. Rows the
+//     mirror does not encode (added after it was built, or every row of an
+//     index that never built one) scan exactly.
+//   - SearchBatch answers its queries in one sweep: flat rows are visited in
+//     cache-sized blocks and each block is scored against every query in the
+//     batch before moving on, so the index streams through memory once per
+//     block rather than once per query; each query's pass 2 follows its
+//     sweep. An optional ThreadPool shards the batch across workers; results
+//     are identical for any thread count.
 //   - IVF inverted lists and centroids use the same RowPool layout, and
 //     IvfL2Index::Train can shard its O(n * nlist * dim) scans over a pool.
 //   - Row storage is hash-partitioned across N IndexShards (each its own
@@ -272,42 +270,21 @@ struct AdaptiveProbePolicy {
   double distance_ratio = 2.25;
 };
 
+// The two stored row representations an index streams: the fp32 rows and
+// the int8 SQ mirror the certified scan reads first (quantize.h). Flat and
+// IVF report each one's bytes per row (bytes_per_row).
+enum class RetrievalPrecision : uint8_t {
+  kFp32 = 0,
+  kInt8 = 1,
+};
+
 // Per-query retrieval-quality override, threaded from the serving-stack
 // configuration (JointSchedulerOptions) through SynthesisExecutor /
 // RetrievalBatcher / VectorDatabase down to the index. The profiler-driven
 // RetrievalDepthPolicy (src/core/) assigns each query its own quality, and
 // the batched sweeps accept one RetrievalQuality per query (heterogeneous
 // groups stay bit-identical to per-query scans). The probe fields steer IVF
-// only; the scan tier applies to every backend with quantized mirrors.
-// Scan-tier precision: which row representation the candidate-generation scan
-// reads. fp32 is the exact path (bit-identical to the pre-quantization index);
-// int8 and PQ scan 4-32x narrower quantized mirrors and feed an exact fp32
-// rerank tail (see quantize.h). Ordered by cost: cheaper tiers compare lower,
-// so "shed precision" under overload means moving toward kPq.
-enum class RetrievalPrecision : uint8_t {
-  kFp32 = 0,
-  kInt8 = 1,
-  kPq = 2,
-};
-
-// Stable lowercase name ("fp32", "int8", "pq") for logs and bench tags.
-const char* RetrievalPrecisionName(RetrievalPrecision p);
-
-// Scan-cost rank for shedding decisions: fp32 (2) > int8 (1) > pq (0). The
-// overload ladder's precision rung only ever moves a query to a LOWER-cost
-// tier — degradation never makes a query more expensive.
-inline int RetrievalPrecisionCost(RetrievalPrecision p) {
-  switch (p) {
-    case RetrievalPrecision::kFp32:
-      return 2;
-    case RetrievalPrecision::kInt8:
-      return 1;
-    case RetrievalPrecision::kPq:
-      return 0;
-  }
-  return 2;
-}
-
+// only.
 struct RetrievalQuality {
   enum class ProbeMode {
     kIndexDefault,  // Use the index's own AdaptiveProbePolicy / nprobe.
@@ -317,125 +294,51 @@ struct RetrievalQuality {
   ProbeMode mode = ProbeMode::kIndexDefault;
   // >0 overrides the probe count (fixed mode) or budget (adaptive mode).
   size_t nprobe = 0;
-  // Scan tier for this query. Quantized tiers require the index to have built
-  // quantized mirrors (RetrievalIndexOptions::quant); an index without the
-  // requested mirror serves the query exactly instead — the knob can only be
-  // cheaper, never wrong. kFp32 (the default) is bit-identical to an index
-  // with no quantization support at all.
-  RetrievalPrecision precision = RetrievalPrecision::kFp32;
-  // Over-fetch multiple for the exact rerank tail: a quantized scan selects
-  // k * rerank_factor candidates under (approx distance, order), then the
-  // exact kernel re-scores them and the best k win under (exact distance,
-  // order). 0 = the default factor (4). Ignored on the fp32 tier.
-  size_t rerank_factor = 0;
   // --- Hybrid retrieval (the "which retriever" knob; src/core/hybrid_router.h) ---
   // Off (default): the dense path above, bit-identical to pre-hybrid builds.
   // On: the database runs the weighted backends and fuses their candidate
   // lists by reciprocal-rank fusion. A weight-0 backend is never scanned; a
   // single-weighted backend returns its native ranking unfused. Requires the
   // database to have built a lexical index (RetrievalIndexOptions::lexical)
-  // for the lexical leg; without one the query serves dense-only — like the
-  // quantized tiers, the knob can only be cheaper, never wrong.
+  // for the lexical leg; without one the query serves dense-only — the knob
+  // can only be cheaper, never wrong.
   bool hybrid = false;
   float dense_weight = 1.0f;
   float lexical_weight = 0.0f;
   // Metadata filter pushed into every backend's scan (active() == false by
-  // default). Usable with or without `hybrid`; a filtered dense scan runs on
-  // the exact fp32 tier.
+  // default). Usable with or without `hybrid`.
   MetadataFilter filter;
 };
 
-// The effective over-fetch multiple for a quality (0 = default 4).
-inline size_t ResolveRerankFactor(const RetrievalQuality& quality) {
-  return quality.rerank_factor > 0 ? quality.rerank_factor : 4;
-}
-
-// --- Quantized mirror storage (built by quantize.cc) -------------------------
-
-// Build-time knobs: which explicit quantized tiers an index serves
-// (RetrievalIndexOptions::quant). Every static index builds its int8 SQ
-// mirror regardless, for the certified fp32 scan; `sq` additionally lets
-// queries ask for the int8 tier over those same codes, and `pq` trains and
-// encodes the PQ mirror. Mirrors are pure accelerators: they never change
-// what precision=fp32 returns.
-struct QuantizationOptions {
-  bool sq = false;  // int8 scalar quantization (per-dimension affine).
-  bool pq = false;  // Product quantization (m subspaces x <=256 centroids).
-  // PQ subspace count; clamped down to the nearest divisor of dim at train
-  // time. Bytes/row on the PQ tier is exactly the effective m.
-  size_t pq_m = 8;
-  // PQ k-means trains on a deterministic strided sample of at most this many
-  // rows (training is O(rows * 256 * dim * iters)).
-  size_t pq_train_rows = 4096;
-  size_t pq_train_iters = 5;
-  bool any() const { return sq || pq; }
-};
+// --- SQ mirror storage (built by quantize.cc) --------------------------------
 
 // Int8 scalar quantizer: per-dimension affine params over the training rows.
 // code = round((x - vmin[d]) / scale[d]) clamped to [0, 255].
 struct Int8Params {
   std::vector<float> vmin;
   std::vector<float> scale;
-  bool valid() const { return !vmin.empty(); }
 };
 
-// Product quantizer: m subspaces of dsub dims, each with its own centroid
-// codebook (row-major: centroids[(s * ncentroids + c) * dsub + d]).
-struct PqParams {
-  size_t m = 0;
-  size_t dsub = 0;
-  size_t ncentroids = 0;
-  std::vector<float> centroids;
-  bool valid() const { return m > 0; }
-};
-
-// The explicit tiers' quantizers an index trained over its rows (per
-// QuantizationOptions). Shared with the mutable wrapper, which encodes sealed
-// segments against its base's params so segment codes and base codes live in
-// the same code space.
-struct IndexQuantizers {
-  Int8Params sq;
-  PqParams pq;
-  bool any() const { return sq.valid() || pq.valid(); }
-};
-
-// Quantized mirror of (a prefix of) one IndexShard's RowPool: parallel code
-// arrays, one row of codes per fp32 row. Rows appended after the mirror was
-// encoded (rows >= `rows`) are scanned exactly instead — the same rule that
-// keeps the mutable index's memtable exact.
+// SQ mirror of (a prefix of) one IndexShard's RowPool: one row of codes per
+// fp32 row. Rows appended after the mirror was encoded (rows >= `rows`) are
+// scanned exactly instead — the same rule that keeps the mutable index's
+// memtable exact.
 struct QuantizedCodes {
   size_t rows = 0;
-  // SQ: rows x sq_stride uint8 codes (stride = dim padded to 64 bytes), plus
-  // the per-row correction term sum_d (scale[d] * code[d])^2 the asymmetric
-  // distance needs (quantize.h).
+  // rows x sq_stride uint8 codes (stride = dim padded to 64 bytes).
   size_t sq_stride = 0;
   std::vector<uint8_t, AlignedAllocator<uint8_t>> sq;
-  std::vector<double> sq_row_const;
-  // SQ: per dimension, the largest |x[d] - (vmin[d] + scale[d] * code[d])|
-  // over the encoded rows, measured in double at encode time — clamped
-  // codes included. The certified scan's quantization error term.
+  // Per dimension, the largest |x[d] - (vmin[d] + scale[d] * code[d])| over
+  // the encoded rows, measured in double at encode time — clamped codes
+  // included. The certified scan's quantization error term.
   std::vector<double> sq_delta;
-  // PQ: rows x m uint8 centroid codes.
-  std::vector<uint8_t> pq;
-};
-
-// Candidate surfaced by a quantized scan, carrying its row location so the
-// rerank tail can re-score it with the exact kernel. pool == nullptr marks a
-// candidate whose dist is already exact (memtable rows, un-encoded suffixes,
-// fp32 fallbacks); rerank leaves it untouched.
-struct QuantCand {
-  float dist;
-  size_t order;
-  ChunkId id;
-  const RowPool* pool;
-  uint32_t row;
 };
 
 // --- Index interface --------------------------------------------------------
 
 // Interface shared by index implementations: one read virtual per read
-// shape. Every read takes the query's RetrievalQuality — probe depth for IVF,
-// scan tier for every backend with quantized mirrors.
+// shape. Every read takes the query's RetrievalQuality (probe depth for
+// IVF).
 class VectorIndex {
  public:
   virtual ~VectorIndex() = default;
@@ -452,41 +355,24 @@ class VectorIndex {
   virtual std::vector<std::vector<SearchHit>> SearchBatch(
       const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
       const std::vector<RetrievalQuality>& qualities) const = 0;
-  // Exact top-k with the backend's candidate orders attached and `exclude`
-  // (sorted ids) filtered out inside the scan, before selection. Exact on
-  // every tier (quality only steers IVF probing). The mutable serving index
+  // Top-k with the backend's candidate orders attached and `exclude` (sorted
+  // ids) filtered out inside the scan, before selection (quality only
+  // steers IVF probing). The mutable serving index
   // (mutable_index.h) merges its base's hits with memtable/segment hits under
   // the shared (distance, order) total order, and the hybrid path's filtered
   // dense leg reads it on every backend.
   virtual std::vector<OrderedHit> SearchOrdered(const Embedding& query, size_t k,
                                                 const RetrievalQuality& quality,
                                                 const IdFilter& exclude) const = 0;
-  // --- Quantized-tier hooks ---
-  // Trains quantizers over the rows added so far and encodes the mirrors:
-  // the int8 SQ mirror the certified fp32 scan reads (always), plus the PQ
-  // mirror when the backend's QuantizationOptions ask for it. Encoding
-  // shards across `pool` (may be null); codes do not depend on it. Called
-  // once after bulk load / (re)train. Returns false when nothing was built
-  // (no rows, or a backend without mirrors). Not synchronized with
-  // concurrent reads.
+  // Trains the int8 quantizer over the rows added so far and encodes the
+  // SQ mirror the certified scan reads. Encoding shards across `pool` (may
+  // be null); codes do not depend on it. Called once after bulk load /
+  // (re)train. Returns false when nothing was built (no rows, or a backend
+  // without a mirror). Not synchronized with concurrent reads.
   virtual bool BuildQuantizedMirrors(ThreadPool* pool) {
     (void)pool;
     return false;
   }
-  // The explicit tiers' quantizers, or null when QuantizationOptions enables
-  // none (the certified fp32 scan's mirror is not an explicit tier). The
-  // mutable wrapper encodes sealed segments against its base's quantizers.
-  virtual const IndexQuantizers* quantizers() const { return nullptr; }
-  // Up to fetch_k candidates under the requested tier's (approx distance,
-  // order) total order, with row locations attached for the exact rerank
-  // tail. SearchOrdered stays exact regardless of quality.precision; this is
-  // the quantized counterpart the mutable index merges from. Falls back to
-  // exact candidates (pool == nullptr) when the tier's mirror is absent. The
-  // default serves exact candidates through SearchOrdered. Counts toward
-  // probe stats exactly like Search — the rerank tail is not a probe.
-  virtual std::vector<QuantCand> SearchQuantCandidates(const Embedding& query, size_t fetch_k,
-                                                       const RetrievalQuality& quality,
-                                                       const IdFilter& exclude) const;
   virtual size_t size() const = 0;
 };
 
@@ -498,15 +384,13 @@ class VectorIndex {
 // shard count and any thread count (see IndexShard).
 class FlatL2Index : public VectorIndex {
  public:
-  explicit FlatL2Index(size_t dim, size_t num_shards = 1, QuantizationOptions quant = {});
+  explicit FlatL2Index(size_t dim, size_t num_shards = 1);
 
   void Add(ChunkId id, const Embedding& v) override;
-  // quality.precision routes to the quantized mirrors + exact rerank when
-  // mirrors exist; kFp32 (and any tier with no mirror) is the exact scan.
+  // SearchOrdered with an empty filter.
   std::vector<SearchHit> Search(const Embedding& query, size_t k,
                                 const RetrievalQuality& quality) const override;
-  // fp32 queries share one shard-major sweep; quantized queries run the
-  // per-query path.
+  // One shard-major sweep for the whole batch.
   std::vector<std::vector<SearchHit>> SearchBatch(
       const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
       const std::vector<RetrievalQuality>& qualities) const override;
@@ -516,27 +400,20 @@ class FlatL2Index : public VectorIndex {
                                         const RetrievalQuality& quality,
                                         const IdFilter& exclude) const override;
   bool BuildQuantizedMirrors(ThreadPool* pool) override;
-  const IndexQuantizers* quantizers() const override {
-    return quantized_ && qopts_.any() ? &quantizers_ : nullptr;
-  }
-  std::vector<QuantCand> SearchQuantCandidates(const Embedding& query, size_t fetch_k,
-                                               const RetrievalQuality& quality,
-                                               const IdFilter& exclude) const override;
   size_t size() const override { return count_; }
   size_t num_shards() const { return shards_.size(); }
-  // Scan-tier bytes per row (padded strides included): the memory a scan on
-  // each explicit tier streams for one row. 0 = tier unavailable.
+  // Bytes per row of each stored representation, padded strides included:
+  // the fp32 row stride, and the SQ mirror's code stride once
+  // BuildQuantizedMirrors has built it (0 before).
   size_t bytes_per_row(RetrievalPrecision tier) const;
 
  private:
   size_t dim_;
   size_t count_ = 0;  // Rows added so far; doubles as the next global order.
   std::vector<IndexShard> shards_;
-  QuantizationOptions qopts_;
   bool quantized_ = false;  // BuildQuantizedMirrors ran: sq_ and qcodes_ hold the SQ mirror.
   Int8Params sq_;           // The SQ mirror's quantizer.
   std::vector<double> sq_delta_;  // Per-dimension max of the shards' QuantizedCodes::sq_delta.
-  IndexQuantizers quantizers_;    // Explicit tiers: sq == sq_ iff qopts_.sq; pq iff qopts_.pq.
   std::vector<QuantizedCodes> qcodes_;  // Parallel to shards_.
 };
 
@@ -550,15 +427,14 @@ class FlatL2Index : public VectorIndex {
 // rankings (and probe counts) are bit-identical for any shard count.
 class IvfL2Index : public VectorIndex {
  public:
-  IvfL2Index(size_t dim, size_t nlist, size_t nprobe, uint64_t seed, size_t num_shards = 1,
-             QuantizationOptions quant = {});
+  IvfL2Index(size_t dim, size_t nlist, size_t nprobe, uint64_t seed, size_t num_shards = 1);
 
   void Add(ChunkId id, const Embedding& v) override;
-  // Probing is resolved from the index's policy and the query's override
-  // (see RetrievalQuality).
+  // SearchOrdered with an empty filter. Probing is resolved from the index's
+  // policy and the query's override (see RetrievalQuality).
   std::vector<SearchHit> Search(const Embedding& query, size_t k,
                                 const RetrievalQuality& quality) const override;
-  // The fp32 queries' sweep resolves one ProbePlan per query from
+  // The sweep resolves one ProbePlan per query from
   // qualities[i] — probe schedules, results, and probe accounting are
   // bit-identical to per-query Search calls.
   std::vector<std::vector<SearchHit>> SearchBatch(
@@ -570,20 +446,12 @@ class IvfL2Index : public VectorIndex {
   std::vector<OrderedHit> SearchOrdered(const Embedding& query, size_t k,
                                         const RetrievalQuality& quality,
                                         const IdFilter& exclude) const override;
-  // Trains quantizers over the inverted lists and encodes per-list-shard
+  // Trains the quantizer over the inverted lists and encodes per-list-shard
   // mirrors. Call after Train(); rows added later are scanned exactly (the
   // un-encoded-suffix rule).
   bool BuildQuantizedMirrors(ThreadPool* pool) override;
-  const IndexQuantizers* quantizers() const override {
-    return quantized_ && qopts_.any() ? &quantizers_ : nullptr;
-  }
-  // Probe planning (centroid ranking, adaptive rule) is always fp32, so a
-  // quantized query probes exactly the lists its fp32 twin would — probe
-  // counts are tier-invariant, and the rerank tail never counts as a probe.
-  std::vector<QuantCand> SearchQuantCandidates(const Embedding& query, size_t fetch_k,
-                                               const RetrievalQuality& quality,
-                                               const IdFilter& exclude) const override;
-  // Scan-tier bytes per row (see FlatL2Index::bytes_per_row).
+  // Bytes per row of each stored representation (see
+  // FlatL2Index::bytes_per_row).
   size_t bytes_per_row(RetrievalPrecision tier) const;
   // O(1): a running count maintained by Add()/Train().
   size_t size() const override { return count_; }
@@ -683,11 +551,9 @@ class IvfL2Index : public VectorIndex {
   // order and the base increment the probe planner uses.
   std::vector<std::vector<IndexShard>> lists_;
   std::vector<size_t> list_counts_;
-  QuantizationOptions qopts_;
   bool quantized_ = false;        // As in FlatL2Index.
   Int8Params sq_;
   std::vector<double> sq_delta_;
-  IndexQuantizers quantizers_;
   std::vector<std::vector<QuantizedCodes>> qcodes_;  // Parallel to lists_.
 
   // Copyable atomic counters (atomics alone would delete the index's
@@ -773,12 +639,6 @@ struct RetrievalIndexOptions {
   size_t nprobe = 8;
   AdaptiveProbePolicy adaptive;
   uint64_t train_seed = 17;
-  // Explicit quantized tiers (both backends). FinalizeIndex always builds
-  // the int8 SQ mirror (+1 byte per dimension per row), which every exact
-  // fp32 read scans first; these options only decide which tiers a
-  // RetrievalQuality may ask for — int8 over the same codes, PQ over its own
-  // mirror. Off by default.
-  QuantizationOptions quant;
   // Wrap the backend in the epoch-versioned MutableIndex so the database
   // accepts InsertChunks/DeleteChunks while serving.
   bool mutable_index = false;
@@ -845,8 +705,7 @@ class VectorDatabase {
   // Embeds the query text and returns the top-k chunks, closest first.
   // Query embeddings are memoized (EmbeddingCache), so repeated retrievals of
   // the same text — config sweeps, golden-config feedback — skip re-embedding.
-  // `quality` carries this call's probe depth, scan tier, backend weights and
-  // filter.
+  // `quality` carries this call's probe depth, backend weights and filter.
   std::vector<ChunkId> Retrieve(const std::string& query_text, size_t k,
                                 const RetrievalQuality& quality = {}) const;
   std::vector<SearchHit> RetrieveWithDistances(const std::string& query_text, size_t k,

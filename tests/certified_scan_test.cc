@@ -51,7 +51,7 @@ struct ScopedKernelTarget {
 
 std::vector<KernelTarget> SupportedTargets() {
   std::vector<KernelTarget> targets;
-  for (KernelTarget t : {KernelTarget::kScalar, KernelTarget::kAvx2, KernelTarget::kAvx512}) {
+  for (KernelTarget t : {KernelTarget::kScalar, KernelTarget::kAvx2}) {
     if (KernelTargetSupported(t)) {
       targets.push_back(t);
     }
@@ -160,7 +160,7 @@ void ExpectBoundHolds(const Corpus& c, size_t train_rows) {
   Int8Params sq =
       TrainInt8([&](size_t i) { return c.rows[i].data(); }, train_rows, dim, nullptr);
   QuantizedCodes codes;
-  EncodeRows(sq, PqParams{}, pool, 0, pool.size(), &codes, nullptr);
+  EncodeRows(sq, pool, 0, pool.size(), &codes, nullptr);
   std::vector<Embedding> queries = c.queries;
   // A far query and a scaled one stress the magnitude terms.
   Embedding far = c.queries[0];
@@ -214,7 +214,7 @@ TEST(CertifiedBoundTest, BoundLeavesFewRowsForPassTwo) {
   Int8Params sq =
       TrainInt8([&](size_t i) { return c.rows[i].data(); }, c.rows.size(), dim, nullptr);
   QuantizedCodes codes;
-  EncodeRows(sq, PqParams{}, pool, 0, pool.size(), &codes, nullptr);
+  EncodeRows(sq, pool, 0, pool.size(), &codes, nullptr);
   Rng rng(0xFEE);
   size_t kept = 0;
   size_t scanned = 0;
@@ -441,7 +441,7 @@ TEST(CertifiedScanTest, ZeroBoundWouldMissTheExactWinner) {
   Int8Params sq =
       TrainInt8([&](size_t i) { return c.rows[i].data(); }, c.rows.size(), dim, nullptr);
   QuantizedCodes codes;
-  EncodeRows(sq, PqParams{}, pool, 0, pool.size(), &codes, nullptr);
+  EncodeRows(sq, pool, 0, pool.size(), &codes, nullptr);
   ASSERT_TRUE(std::equal(codes.sq.begin(), codes.sq.begin() + codes.sq_stride,
                          codes.sq.begin() + codes.sq_stride))
       << "precondition: rows b and a share their codes";

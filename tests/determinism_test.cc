@@ -174,8 +174,10 @@ void AddRecord(Digest& h, const QueryRecord& r) {
   const RetrievalQuality& q = r.retrieval_quality;
   h.Add(q.mode);
   h.Add(q.nprobe);
-  h.Add(q.precision);
-  h.Add(q.rerank_factor);
+  // Zeros where the deleted precision and rerank_factor fields were hashed,
+  // so every spec that never set them keeps its pinned digest.
+  h.Add(uint8_t{0});
+  h.Add(size_t{0});
   h.Add(q.hybrid);
   h.Add(q.dense_weight);
   h.Add(q.lexical_weight);
@@ -245,8 +247,8 @@ void AddSpec(Digest& h, const RunSpec& s) {
   h.Add(d.min_budget);
   h.Add(d.max_budget);
   h.Add(d.adaptive);
-  h.Add(d.precision);
-  h.Add(d.rerank_factor);
+  h.Add(uint8_t{0});  // Deleted depth-policy precision and rerank_factor.
+  h.Add(size_t{0});
   const HybridRouterOptions& hy = s.scheduler.hybrid;
   h.Add(hy.enabled);
   for (const HybridBackendWeights& w : {hy.factual, hy.semantic, hy.temporal, hy.comparative}) {
@@ -303,7 +305,7 @@ uint64_t DigestOf(const std::vector<RunMetrics>& runs) {
       h.Add(c.missed_deadline);
       h.Add(c.depth_shed);
       h.Add(c.synthesis_degraded);
-      h.Add(c.precision_shed);
+      h.Add(uint64_t{0});  // Deleted class precision_shed counter.
       h.Add(c.delays);
       h.Add(c.goodput_qps);
     }
@@ -408,12 +410,10 @@ RunSpec OneStackSpec(const std::string& name) {
     s.scheduler.depth.adaptive = false;
     s.tenants = ThreeTenants();
     s.overload.enabled = true;
-  } else if (name == "ivf_int8_sharded") {
+  } else if (name == "ivf_sharded_fixed_depth") {
     UseIvf(s.retrieval);
     s.retrieval.shards = 3;
-    s.retrieval.quant.sq = true;
     s.scheduler.per_query_depth = false;
-    s.scheduler.precision = RetrievalPrecision::kInt8;
   } else if (name == "mutable_ingest_hybrid") {
     s.dataset = "squad_hybrid";
     s.num_queries = 16;
@@ -506,8 +506,8 @@ TEST(DeterminismTest, PinnedOneStackDigests) {
       {"shared_reuse_budget", 0xbdb112a5f88ca3cdull},
       {"bursty_no_prefix_sharing", 0x4f9ce2aed30d4b3eull},
       {"gpt4o_serving", 0x9fb3afc027e6c399ull},
-      {"ivf_tenants_ladder_64qps", 0x1cafc329c3cf68caull},
-      {"ivf_int8_sharded", 0xfb0f0ad1318e8280ull},
+      {"ivf_tenants_ladder_64qps", 0x19cc00ac7b5f9a6full},
+      {"ivf_sharded_fixed_depth", 0x97e3eb4e9e2667ceull},
       {"mutable_ingest_hybrid", 0x046fc340b36ba669ull},
       {"ingest_only", 0x9cf24b33cf4966c0ull},
   };

@@ -90,15 +90,15 @@ QueryProfile ProfileFor(QueryTaskType type, int time_bucket = -1) {
 TEST(HybridRouterTest, DisabledRouterReturnsBaseUntouched) {
   HybridRouter router(HybridRouterOptions{});  // enabled = false.
   RetrievalQuality base;
+  base.mode = RetrievalQuality::ProbeMode::kFixed;
   base.nprobe = 7;
-  base.precision = RetrievalPrecision::kInt8;
   for (QueryTaskType t : {QueryTaskType::kFactual, QueryTaskType::kSemantic,
                           QueryTaskType::kTemporal, QueryTaskType::kComparative}) {
     RetrievalQuality routed = router.Route(ProfileFor(t, /*time_bucket=*/2), base);
     EXPECT_FALSE(routed.hybrid);
     EXPECT_FALSE(routed.filter.active());
+    EXPECT_EQ(routed.mode, RetrievalQuality::ProbeMode::kFixed);
     EXPECT_EQ(routed.nprobe, 7u);
-    EXPECT_EQ(routed.precision, RetrievalPrecision::kInt8);
   }
 }
 

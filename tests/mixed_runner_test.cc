@@ -304,52 +304,6 @@ TEST(DepthCalibratorTest, CalibrateFitsCoveringLineOnIvf) {
   EXPECT_EQ(line.max_budget, again.max_budget);
 }
 
-TEST(DepthCalibratorTest, TierSweepPicksCheaperTierOnlyWhenCoverageHolds) {
-  RetrievalIndexOptions ivf;
-  ivf.backend = RetrievalIndexOptions::Backend::kIvf;
-  ivf.nlist = 8;
-  ivf.nprobe = 2;
-  ivf.quant.sq = true;
-  ivf.quant.pq = true;
-  auto dataset = GetOrGenerateDataset("musique_topical", 40, "cohere-embed-v3-sim", 7, ivf);
-  ASSERT_NE(dataset->db().index().quantizers(), nullptr);
-
-  // Default (empty tier_grid): the sweep is skipped entirely — same line as
-  // the budget-only calibrator, fp32.
-  DepthCalibratorOptions options;
-  options.holdout_queries = 40;
-  DepthCalibrator budget_only(options);
-  RetrievalDepthPolicyOptions base_line = budget_only.Calibrate(*dataset);
-  EXPECT_EQ(base_line.precision, RetrievalPrecision::kFp32);
-  EXPECT_EQ(base_line.rerank_factor, 0u);
-
-  // int8 + exact rerank matches fp32 coverage on this corpus (quantize_test
-  // pins its recall), so the sweep may move to the cheaper tier; it must
-  // never pick a tier whose coverage fell short. Either way the budget line
-  // itself is untouched.
-  options.tier_grid = {RetrievalPrecision::kInt8};
-  options.rerank_grid = {4};
-  DepthCalibrator tiered(options);
-  RetrievalDepthPolicyOptions line = tiered.Calibrate(*dataset);
-  EXPECT_EQ(line.base_probes, base_line.base_probes);
-  EXPECT_EQ(line.probes_per_piece, base_line.probes_per_piece);
-  EXPECT_EQ(line.min_budget, base_line.min_budget);
-  EXPECT_EQ(line.max_budget, base_line.max_budget);
-  EXPECT_EQ(line.precision, RetrievalPrecision::kInt8);
-  EXPECT_EQ(line.rerank_factor, 4u);
-  // Deterministic.
-  RetrievalDepthPolicyOptions again = tiered.Calibrate(*dataset);
-  EXPECT_EQ(again.precision, line.precision);
-  EXPECT_EQ(again.rerank_factor, line.rerank_factor);
-
-  // A dataset whose index never built mirrors skips the sweep even with a
-  // configured grid.
-  RetrievalIndexOptions plain = ivf;
-  plain.quant = QuantizationOptions{};
-  auto bare = GetOrGenerateDataset("musique_topical", 40, "cohere-embed-v3-sim", 7, plain);
-  EXPECT_EQ(tiered.Calibrate(*bare).precision, RetrievalPrecision::kFp32);
-}
-
 TEST(DepthCalibratorTest, CalibrateOnFlatFallsBackToProfileLine) {
   auto dataset = GetOrGenerateDataset("squad", 20, "cohere-embed-v3-sim", 7);
   DepthCalibrator calibrator;

@@ -50,6 +50,11 @@ TEST(OverloadControllerTest, IdleEnginePressureIsZeroAndAdmitsEverything) {
   EXPECT_EQ(controller.stats().rejected, 0u);
   EXPECT_EQ(controller.stats().admitted, 10u);
   EXPECT_EQ(controller.stats().max_level, 0);
+
+  // Shed accounting counts only what the systems note.
+  EXPECT_EQ(controller.stats().hybrid_shed, 0u);
+  controller.NoteHybridShed();
+  EXPECT_EQ(controller.stats().hybrid_shed, 1u);
 }
 
 TEST(OverloadControllerTest, TenantIndexClampsToDefaultClass) {
@@ -124,46 +129,10 @@ TEST(OverloadControllerTest, PressureRisesWithBacklogAndLeavingRejectResetsBacko
   EXPECT_GE(controller.stats().peak_pressure, options.reject_at);
 }
 
-TEST(OverloadControllerTest, ShedPrecisionRungSitsBetweenCheapSynthesisAndReject) {
-  ControllerFixture f;
-  OverloadOptions options;
-  options.enabled = true;
-  // 3 waiting requests / ref 1.5 = pressure 2.0: exactly shed_precision_at
-  // (2.0 default), below reject_at (2.5).
-  options.queue_depth_ref = 1.5;
-  OverloadController controller(&f.engine, TwoClasses(), options);
-  for (int i = 0; i < 4; ++i) {
-    InferenceRequest req;
-    req.prompt_tokens = 32;
-    req.output_tokens = 8;
-    f.engine.Submit(std::move(req));
-  }
-  OverloadLevel level = controller.Assess();
-  EXPECT_EQ(level, OverloadLevel::kShedPrecision);
-  // Below kReject: everything still admits.
-  EXPECT_TRUE(controller.Admit(0, level));
-  EXPECT_TRUE(controller.Admit(1, level));
-  EXPECT_EQ(controller.stats().rejected, 0u);
-  EXPECT_EQ(controller.stats().max_level, static_cast<int>(OverloadLevel::kShedPrecision));
-
-  // The shed tier only ever moves a query cheaper: cost fp32 > int8 > pq.
-  EXPECT_GT(RetrievalPrecisionCost(RetrievalPrecision::kFp32),
-            RetrievalPrecisionCost(RetrievalPrecision::kInt8));
-  EXPECT_GT(RetrievalPrecisionCost(RetrievalPrecision::kInt8),
-            RetrievalPrecisionCost(RetrievalPrecision::kPq));
-  controller.NotePrecisionShed();
-  EXPECT_EQ(controller.stats().precision_shed, 1u);
-
-  // Hybrid-shed accounting rides the same stats block.
-  EXPECT_EQ(controller.stats().hybrid_shed, 0u);
-  controller.NoteHybridShed();
-  EXPECT_EQ(controller.stats().hybrid_shed, 1u);
-}
-
 TEST(OverloadControllerTest, BacklogClimbsEveryRungAtItsThreshold) {
   // At t = 0 the waiting requests have no age and no KV deficit, so pressure
   // is exactly waiting / queue_depth_ref and each default threshold
-  // (0.75 / 1.5 / 2.0 / 2.5) is hit exactly at ref 4.
+  // (0.75 / 1.5 / 2.5) is hit exactly at ref 4.
   ControllerFixture f;
   OverloadOptions options;
   options.enabled = true;
@@ -176,7 +145,7 @@ TEST(OverloadControllerTest, BacklogClimbsEveryRungAtItsThreshold) {
   const Step steps[] = {{2, OverloadLevel::kNone},
                         {3, OverloadLevel::kShedDepth},
                         {6, OverloadLevel::kCheapSynthesis},
-                        {8, OverloadLevel::kShedPrecision},
+                        {8, OverloadLevel::kCheapSynthesis},
                         {10, OverloadLevel::kReject}};
   for (const Step& step : steps) {
     // The first submission is admitted at once; later ones wait behind its
@@ -195,12 +164,11 @@ TEST(OverloadControllerTest, BacklogClimbsEveryRungAtItsThreshold) {
 TEST(OverloadControllerTest, RungThresholdDefaultsArePinned) {
   // The ladder's contract with the rest of the stack: systems.cc applies
   // hybrid/depth sheds at kShedDepth, cheap synthesis at kCheapSynthesis,
-  // precision sheds at kShedPrecision, admission trickle at kReject. Moving
+  // admission trickle at kReject. Moving
   // a default silently re-tunes every deployment — pin them.
   OverloadOptions defaults;
   EXPECT_DOUBLE_EQ(defaults.shed_depth_at, 0.75);
   EXPECT_DOUBLE_EQ(defaults.cheap_synthesis_at, 1.5);
-  EXPECT_DOUBLE_EQ(defaults.shed_precision_at, 2.0);
   EXPECT_DOUBLE_EQ(defaults.reject_at, 2.5);
 }
 

@@ -35,7 +35,7 @@ struct ScopedKernelTarget {
 
 std::vector<KernelTarget> SupportedTargets() {
   std::vector<KernelTarget> targets;
-  for (KernelTarget t : {KernelTarget::kScalar, KernelTarget::kAvx2, KernelTarget::kAvx512}) {
+  for (KernelTarget t : {KernelTarget::kScalar, KernelTarget::kAvx2}) {
     if (KernelTargetSupported(t)) {
       targets.push_back(t);
     }
@@ -121,7 +121,7 @@ TEST(RetrievalParityTest, FlatSearchEdgeCases) {
 // --- Kernel dispatch parity --------------------------------------------------
 //
 // The dispatched dot kernel must return the bit-identical double on every
-// tier (scalar / AVX2 / AVX-512): same eight accumulation chains, same
+// tier (scalar / AVX2): same eight accumulation chains, same
 // rounding per element (no FMA), same reduction tree. These tests force each
 // CPU-supported tier and compare against the scalar tier exactly.
 
@@ -132,12 +132,10 @@ TEST(KernelDispatchTest, ScalarIsAlwaysSupported) {
 }
 
 TEST(KernelDispatchTest, ForcingAnUnsupportedTargetIsRejected) {
-  for (KernelTarget t : {KernelTarget::kAvx2, KernelTarget::kAvx512}) {
-    if (!KernelTargetSupported(t)) {
-      KernelTarget before = ActiveKernelTarget();
-      EXPECT_FALSE(SetKernelTarget(t));
-      EXPECT_EQ(ActiveKernelTarget(), before);
-    }
+  if (!KernelTargetSupported(KernelTarget::kAvx2)) {
+    KernelTarget before = ActiveKernelTarget();
+    EXPECT_FALSE(SetKernelTarget(KernelTarget::kAvx2));
+    EXPECT_EQ(ActiveKernelTarget(), before);
   }
 }
 
@@ -625,9 +623,9 @@ TEST(RetrievalParityTest, RetrieveBatchMatchesSequentialRetrieve) {
 }
 
 TEST(RetrievalParityTest, TruncatedBatchWidthIsAPrefixOfWiderSearch) {
-  // Exact fp32 top-k lists are prefix-consistent under the (distance,
-  // insertion-order) total order. (Hybrid and quantized answers are not,
-  // which is why the batcher sweeps once per width.)
+  // Dense top-k lists are prefix-consistent under the (distance,
+  // insertion-order) total order. (Fused hybrid answers are not, which is
+  // why the batcher sweeps once per width.)
   std::unique_ptr<VectorDatabase> dbp = MakeDb();
   VectorDatabase& db = *dbp;
   auto wide = db.RetrieveWithDistances("stadium county game", 6);

@@ -7,12 +7,10 @@ BENCH_recall.json, bench_fig_depth -> BENCH_depth.json, bench_fig_mixed_depth
 -> BENCH_mixed_depth.json; schema in docs/BENCH.md) and a baseline checked in
 under bench/baselines/. A record regresses when
 
-    current.<metric> < (1 - tolerance) * baseline.<metric>      (--direction higher)
-    current.<metric> > (1 + tolerance) * baseline.<metric>      (--direction lower)
+    current.<metric> < (1 - tolerance) * baseline.<metric>
 
 for the watched metric (default: qps; any higher-is-better metric works, e.g.
---metric recall_at_10 for the recall gate — and lower-is-better metrics like
-bytes_per_row gate with --direction lower, where GROWTH is the regression).
+--metric recall_at_10 for the recall gate).
 Records missing from either side are reported but do not fail the check
 (configs come and go); metric-free records (e.g. the "summary" row) are
 skipped.
@@ -79,12 +77,7 @@ def main():
     parser.add_argument("--metric", default="qps",
                         help="metric to watch (default: %(default)s)")
     parser.add_argument("--tolerance", type=float, default=0.20,
-                        help="allowed fractional drop (--direction higher) or growth "
-                             "(--direction lower) before failing (default: %(default)s)")
-    parser.add_argument("--direction", choices=("higher", "lower"), default="higher",
-                        help="whether the watched metric is higher-is-better (qps, recall) "
-                             "or lower-is-better (bytes_per_row, latency); default: "
-                             "%(default)s")
+                        help="allowed fractional drop before failing (default: %(default)s)")
     parser.add_argument("--report-metric", action="append", default=[],
                         help="additionally print current-vs-baseline for this metric "
                              "WITHOUT gating on it (repeatable; e.g. "
@@ -133,11 +126,7 @@ def main():
             continue
         compared += 1
         ratio = cur_val / base_val
-        if args.direction == "higher":
-            ok = ratio >= 1.0 - args.tolerance
-        else:
-            ok = ratio <= 1.0 + args.tolerance
-        status = "ok" if ok else "REGRESSED"
+        status = "ok" if ratio >= 1.0 - args.tolerance else "REGRESSED"
         print(f"  [{status:>9}] {name}: {args.metric} {base_val:.6g} -> {cur_val:.6g} "
               f"({100.0 * (ratio - 1.0):+.1f}%)")
         if status == "REGRESSED":
