@@ -26,10 +26,10 @@
 #include "src/common/strings.h"
 #include "src/common/table.h"
 #include "src/common/thread_pool.h"
-#include "src/vectordb/clustered_corpus.h"
 #include "src/vectordb/kernels.h"
 #include "src/vectordb/recall.h"
 #include "src/vectordb/vectordb.h"
+#include "tests/fixtures/clustered_corpus.h"
 
 using namespace metis;
 

@@ -11,7 +11,7 @@
 // are comparable across machines.
 //
 // The "seed scalar" baseline is the frozen pre-rebuild FlatL2Index::Search
-// from src/vectordb/seed_reference.h (shared with the parity tests, so the
+// from tests/fixtures/seed_reference.h (shared with the parity tests, so the
 // bench speedup and the test parity measure the same baseline).
 
 #include <algorithm>
@@ -32,8 +32,8 @@
 #include "src/common/table.h"
 #include "src/common/thread_pool.h"
 #include "src/vectordb/kernels.h"
-#include "src/vectordb/seed_reference.h"
 #include "src/vectordb/vectordb.h"
+#include "tests/fixtures/seed_reference.h"
 
 using namespace metis;
 

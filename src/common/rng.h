@@ -8,9 +8,9 @@
 #ifndef METIS_SRC_COMMON_RNG_H_
 #define METIS_SRC_COMMON_RNG_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 namespace metis {
 
@@ -67,18 +67,6 @@ class Rng {
 
   // Picks a uniformly random element index from a non-empty container size.
   size_t Index(size_t size);
-
-  // Fisher-Yates shuffle.
-  template <typename T>
-  void Shuffle(std::vector<T>& v) {
-    if (v.empty()) {
-      return;
-    }
-    for (size_t i = v.size() - 1; i > 0; --i) {
-      size_t j = static_cast<size_t>(UniformInt(0, static_cast<int64_t>(i)));
-      std::swap(v[i], v[j]);
-    }
-  }
 
   uint64_t seed() const { return seed_; }
 

@@ -89,38 +89,4 @@ double Samples::Quantile(double q) const {
   return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
 }
 
-Histogram::Histogram(double lo, double hi, size_t buckets) : lo_(lo), hi_(hi) {
-  METIS_CHECK_LT(lo, hi);
-  METIS_CHECK_GT(buckets, 0u);
-  counts_.assign(buckets, 0);
-}
-
-void Histogram::Add(double x) {
-  double t = (x - lo_) / (hi_ - lo_);
-  auto bucket = static_cast<int64_t>(t * static_cast<double>(counts_.size()));
-  bucket = std::clamp<int64_t>(bucket, 0, static_cast<int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<size_t>(bucket)];
-  raw_.push_back(x);
-  ++total_;
-}
-
-double Histogram::BucketLow(size_t bucket) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bucket) / static_cast<double>(counts_.size());
-}
-
-double Histogram::BucketHigh(size_t bucket) const { return BucketLow(bucket + 1); }
-
-double Histogram::FractionAtOrAbove(double threshold) const {
-  if (total_ == 0) {
-    return 0;
-  }
-  size_t n = 0;
-  for (double v : raw_) {
-    if (v >= threshold) {
-      ++n;
-    }
-  }
-  return static_cast<double>(n) / static_cast<double>(total_);
-}
-
 }  // namespace metis

@@ -59,29 +59,6 @@ class Samples {
   mutable bool sorted_valid_ = false;
 };
 
-// Fixed-bucket histogram over [lo, hi); out-of-range values clamp to the
-// first/last bucket. Used by the confidence-threshold experiment (Fig. 9).
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t buckets);
-
-  void Add(double x);
-  size_t bucket_count() const { return counts_.size(); }
-  size_t count(size_t bucket) const { return counts_[bucket]; }
-  size_t total() const { return total_; }
-  double BucketLow(size_t bucket) const;
-  double BucketHigh(size_t bucket) const;
-  // Fraction of samples at or above the given threshold value.
-  double FractionAtOrAbove(double threshold) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<size_t> counts_;
-  std::vector<double> raw_;
-  size_t total_ = 0;
-};
-
 }  // namespace metis
 
 #endif  // METIS_SRC_COMMON_STATS_H_

@@ -28,39 +28,19 @@ size_t ThreadPool::DefaultThreads() {
   return hw == 0 ? 1 : static_cast<size_t>(hw);
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  if (threads_.empty()) {
-    task();  // No workers: run inline, matching ParallelFor's convention.
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    tasks_.push(std::move(task));
-  }
-  cv_.notify_one();
-}
-
 void ThreadPool::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    // Exit only once stop_ is set, the queue is drained, AND no task is still
-    // running — a running task may Submit follow-up work, which must execute
-    // before the destructor joins (see Submit's contract). The last finisher
-    // notifies, so sleeping workers re-check the exit condition.
-    cv_.wait(lock, [this]() { return !tasks_.empty() || (stop_ && active_ == 0); });
+    cv_.wait(lock, [this]() { return !tasks_.empty() || stop_; });
     if (tasks_.empty()) {
       return;
     }
     std::function<void()> task = std::move(tasks_.front());
     tasks_.pop();
-    ++active_;
     lock.unlock();
     task();
     task = nullptr;  // Destroy captures outside the lock.
     lock.lock();
-    if (--active_ == 0 && stop_ && tasks_.empty()) {
-      cv_.notify_all();
-    }
   }
 }
 

@@ -2,7 +2,9 @@
 //
 // Built for the retrieval substrate: batched vector search shards its queries
 // across workers, and IVF training shards its row scans. The pool is generic,
-// though — any caller with an index range to split can use ParallelFor.
+// though — any caller with an index range to split can use ParallelFor. That
+// blocking barrier is the pool's one entry point: there is no fire-and-forget
+// submit, so no task outlives the call that queued it.
 //
 // Determinism contract: ParallelFor partitions [0, n) into contiguous shards
 // whose boundaries are a pure function of (n, shard count). Callers that
@@ -41,16 +43,6 @@ class ThreadPool {
   // fn must not throw.
   void ParallelFor(size_t n, const std::function<void(size_t, size_t)>& fn);
 
-  // Fire-and-forget: enqueues `task` for a worker; returns immediately. With
-  // zero workers the task runs inline. Tasks may Submit follow-up tasks —
-  // including from inside a running task during destruction: the destructor
-  // drains the queue AND waits out running tasks (which may still submit)
-  // before joining, so every task submitted before or from within a task is
-  // guaranteed to execute. Submitting from outside the pool's tasks after
-  // the destructor has begun is a data race (as with any object). task must
-  // not throw.
-  void Submit(std::function<void()> task);
-
   // A reasonable worker count for this machine.
   static size_t DefaultThreads();
 
@@ -60,9 +52,9 @@ class ThreadPool {
   std::vector<std::thread> threads_;
   std::mutex mu_;
   std::condition_variable cv_;
+  // Only ParallelFor enqueues, and it returns once its shards have run, so
+  // the queue is empty whenever the destructor runs.
   std::queue<std::function<void()>> tasks_;
-  size_t active_ = 0;  // Tasks currently executing (shutdown gate: a running
-                       // task may still Submit follow-up work).
   bool stop_ = false;
 };
 

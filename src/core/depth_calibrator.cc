@@ -10,15 +10,17 @@
 
 namespace metis {
 
-DepthCalibrator::DepthCalibrator(DepthCalibratorOptions options) : options_(std::move(options)) {
-  METIS_CHECK_GE(options_.top_k, 1u);
-  METIS_CHECK_GE(options_.coverage_tolerance, 0.0);
-}
+namespace {
 
-std::vector<size_t> DepthCalibrator::GridFor(size_t nlist) const {
-  std::vector<size_t> grid =
-      options_.probe_grid.empty() ? std::vector<size_t>{1, 2, 3, 4, 6, 8, 10, 12, 16}
-                                  : options_.probe_grid;
+// Retrieval width at which the sweeps measure gold-chunk coverage.
+constexpr size_t kTopK = 10;
+
+}  // namespace
+
+DepthCalibrator::DepthCalibrator(DepthCalibratorOptions options) : options_(options) {}
+
+std::vector<size_t> DepthCalibrator::GridFor(size_t nlist) {
+  std::vector<size_t> grid{1, 2, 3, 4, 6, 8, 10, 12, 16};
   for (size_t& b : grid) {
     b = std::max<size_t>(1, std::min(b, std::max<size_t>(nlist, 1)));
   }
@@ -31,7 +33,6 @@ RetrievalDepthPolicyOptions DepthCalibrator::DeriveFromProfile(const DatasetProf
                                                                size_t nlist) const {
   RetrievalDepthPolicyOptions line;
   line.adaptive = options_.adaptive;
-  line.min_confidence = options_.min_confidence;
   if (nlist == 0) {
     return line;  // Flat backend: the options are inert; keep the defaults.
   }
@@ -78,7 +79,7 @@ RetrievalDepthPolicyOptions DepthCalibrator::Calibrate(const Dataset& dataset) c
   }
   const std::vector<size_t> grid = GridFor(nlist);
   const size_t holdout = std::min<size_t>(options_.holdout_queries, dataset.queries().size());
-  if (grid.empty() || holdout == 0) {
+  if (holdout == 0) {
     return line;
   }
 
@@ -111,7 +112,7 @@ RetrievalDepthPolicyOptions DepthCalibrator::Calibrate(const Dataset& dataset) c
       RetrievalQuality quality;
       quality.mode = RetrievalQuality::ProbeMode::kFixed;
       quality.nprobe = grid[g];
-      std::vector<ChunkId> got = dataset.db().Retrieve(query.text, options_.top_k, quality);
+      std::vector<ChunkId> got = dataset.db().Retrieve(query.text, kTopK, quality);
       size_t hit = 0;
       for (ChunkId id : got) {
         hit += gold_chunks.count(id);
@@ -125,7 +126,7 @@ RetrievalDepthPolicyOptions DepthCalibrator::Calibrate(const Dataset& dataset) c
   }
 
   // Per group: the smallest grid budget whose coverage matches the deepest
-  // budget's within the tolerance — that group's minimal sufficient budget.
+  // budget's — that group's minimal sufficient budget.
   struct Target {
     long pieces;
     long budget;
@@ -138,7 +139,7 @@ RetrievalDepthPolicyOptions DepthCalibrator::Calibrate(const Dataset& dataset) c
     double deepest = group.coverage.back() / group.queries;
     size_t target = grid.back();
     for (size_t g = 0; g < grid.size(); ++g) {
-      if (group.coverage[g] / group.queries >= deepest - options_.coverage_tolerance) {
+      if (group.coverage[g] / group.queries >= deepest) {
         target = grid[g];
         break;
       }
@@ -211,17 +212,9 @@ HybridRouterOptions DepthCalibrator::CalibrateHybridWeights(
 
   // Candidates, CHEAPEST FIRST (the tie-break order): a backend we never
   // scan is free, and postings scans are cheaper than dense row sweeps.
-  struct Candidate {
-    HybridBackendWeights weights;
-  };
-  std::vector<Candidate> candidates = {{{0.0f, 1.0f}}, {{1.0f, 0.0f}}};
-  std::vector<float> fused = options_.hybrid_weight_grid.empty()
-                                 ? std::vector<float>{0.4f, 0.5f, 0.6f}
-                                 : options_.hybrid_weight_grid;
-  for (float dense_w : fused) {
-    if (dense_w > 0.0f && dense_w < 1.0f) {
-      candidates.push_back({{dense_w, 1.0f - dense_w}});
-    }
+  std::vector<HybridBackendWeights> candidates = {{0.0f, 1.0f}, {1.0f, 0.0f}};
+  for (float dense_w : {0.4f, 0.5f, 0.6f}) {
+    candidates.push_back({dense_w, 1.0f - dense_w});
   }
 
   // Holdout queries bucketed by the SERVING-TIME classification (the cue
@@ -259,7 +252,7 @@ HybridRouterOptions DepthCalibrator::CalibrateHybridWeights(
     }
     std::vector<double> coverage(candidates.size(), 0.0);
     for (size_t c = 0; c < candidates.size(); ++c) {
-      const HybridBackendWeights& w = candidates[c].weights;
+      const HybridBackendWeights& w = candidates[c];
       for (const Holdout& h : group) {
         RetrievalQuality quality;
         if (w.lexical > 0.0f) {
@@ -267,13 +260,10 @@ HybridRouterOptions DepthCalibrator::CalibrateHybridWeights(
           quality.dense_weight = w.dense;
           quality.lexical_weight = w.lexical;
         }
-        if (base.use_metadata_filter &&
-            static_cast<QueryTaskType>(t) == QueryTaskType::kTemporal &&
-            h.time_bucket >= 0) {
+        if (static_cast<QueryTaskType>(t) == QueryTaskType::kTemporal && h.time_bucket >= 0) {
           quality.filter.time_bucket = h.time_bucket;
         }
-        std::vector<ChunkId> got =
-            dataset.db().Retrieve(h.query->text, options_.top_k, quality);
+        std::vector<ChunkId> got = dataset.db().Retrieve(h.query->text, kTopK, quality);
         size_t hit = 0;
         for (ChunkId id : got) {
           hit += std::binary_search(h.gold.begin(), h.gold.end(), id) ? 1 : 0;
@@ -285,7 +275,7 @@ HybridRouterOptions DepthCalibrator::CalibrateHybridWeights(
     double best = *std::max_element(coverage.begin(), coverage.end());
     size_t pick = 0;
     for (size_t c = 0; c < candidates.size(); ++c) {
-      if (coverage[c] >= best - options_.hybrid_coverage_tolerance) {
+      if (coverage[c] >= best) {
         pick = c;  // Candidates are ordered cheapest-first.
         break;
       }
@@ -306,7 +296,7 @@ HybridRouterOptions DepthCalibrator::CalibrateHybridWeights(
         break;
     }
     if (row != nullptr) {
-      *row = candidates[pick].weights;
+      *row = candidates[pick];
     }
   }
   return fitted;

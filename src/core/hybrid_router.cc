@@ -22,8 +22,7 @@ RetrievalQuality HybridRouter::Route(const QueryProfile& profile,
     return base;
   }
   HybridBackendWeights w = WeightsFor(profile.task_type);
-  bool want_filter = options_.use_metadata_filter &&
-                     profile.task_type == QueryTaskType::kTemporal && profile.time_bucket >= 0;
+  bool want_filter = profile.task_type == QueryTaskType::kTemporal && profile.time_bucket >= 0;
   if (w.lexical <= 0 && !want_filter) {
     // Pure dense, no filter: the base quality verbatim — these queries never
     // leave the fast path, and a weight-0 lexical backend is never scanned.

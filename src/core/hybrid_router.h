@@ -45,9 +45,6 @@ struct HybridRouterOptions {
   // enumerated facts while the dense list carries only the topically-heavy
   // ones, so lexical-only ranks must outvote dense-only junk at equal depth.
   HybridBackendWeights comparative{0.4f, 0.6f};
-  // Attach a time-bucket metadata filter to temporal queries whose profile
-  // parsed a "period<b>" cue.
-  bool use_metadata_filter = true;
 };
 
 class HybridRouter {
@@ -57,8 +54,10 @@ class HybridRouter {
   const HybridRouterOptions& options() const { return options_; }
 
   // Applies the profile's task-type route to `base` (the scheduler's
-  // depth decision, which stays in force for the dense leg).
-  // Disabled, or routed pure-dense with no filter: returns `base` untouched.
+  // depth decision, which stays in force for the dense leg), and attaches a
+  // time-bucket metadata filter to temporal queries whose profile parsed a
+  // "period<b>" cue. Disabled, or routed pure-dense with no filter: returns
+  // `base` untouched.
   RetrievalQuality Route(const QueryProfile& profile, const RetrievalQuality& base) const;
 
   // The weight row for one task type.

@@ -38,18 +38,6 @@ size_t PrunedConfigSpace::ApproximateSize(int intermediate_stride) const {
   return total;
 }
 
-void PrunedConfigSpace::UnionWith(const PrunedConfigSpace& other) {
-  for (SynthesisMethod m : other.methods) {
-    if (std::find(methods.begin(), methods.end(), m) == methods.end()) {
-      methods.push_back(m);
-    }
-  }
-  min_chunks = std::min(min_chunks, other.min_chunks);
-  max_chunks = std::max(max_chunks, other.max_chunks);
-  min_intermediate = std::min(min_intermediate, other.min_intermediate);
-  max_intermediate = std::max(max_intermediate, other.max_intermediate);
-}
-
 PrunedConfigSpace PrunedConfigSpace::AverageOf(const std::vector<PrunedConfigSpace>& spaces) {
   METIS_CHECK(!spaces.empty());
   PrunedConfigSpace out = spaces[0];

@@ -33,10 +33,6 @@ struct PrunedConfigSpace {
   // Number of distinct configurations in the space (chunk values are
   // enumerated exactly; intermediate lengths with the standard stride).
   size_t ApproximateSize(int intermediate_stride = 10) const;
-  // Merges another space into this one (used by the low-confidence fallback,
-  // which unions the spaces of recent queries, §5).
-  void UnionWith(const PrunedConfigSpace& other);
-
   // The typical space of a window of recent queries: methods are unioned,
   // numeric bounds averaged. This is what the §5 low-confidence fallback
   // uses — the average right-sizes the space, where a pure union would

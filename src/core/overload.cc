@@ -6,20 +6,6 @@
 
 namespace metis {
 
-const char* OverloadLevelName(OverloadLevel level) {
-  switch (level) {
-    case OverloadLevel::kNone:
-      return "none";
-    case OverloadLevel::kShedDepth:
-      return "shed_depth";
-    case OverloadLevel::kCheapSynthesis:
-      return "cheap_synthesis";
-    case OverloadLevel::kReject:
-      return "reject";
-  }
-  return "unknown";
-}
-
 OverloadController::OverloadController(const LlmEngine* engine,
                                        std::vector<TenantClass> classes,
                                        OverloadOptions options)

@@ -71,8 +71,6 @@ enum class OverloadLevel {
   kReject = 3,
 };
 
-const char* OverloadLevelName(OverloadLevel level);
-
 struct OverloadOptions {
   // Default-off: with `enabled` false the controller is never constructed and
   // every run is bit-for-bit identical to the ladderless stack

@@ -6,6 +6,14 @@
 
 namespace metis {
 
+namespace {
+
+// Profiles below this confidence get max_budget: never under-retrieve on a
+// profile the §5 fallback would distrust.
+constexpr double kMinConfidence = 0.5;
+
+}  // namespace
+
 RetrievalDepthPolicy::RetrievalDepthPolicy(RetrievalDepthPolicyOptions options)
     : options_(options) {
   METIS_CHECK_GE(options_.min_budget, 1u);
@@ -13,7 +21,7 @@ RetrievalDepthPolicy::RetrievalDepthPolicy(RetrievalDepthPolicyOptions options)
 }
 
 size_t RetrievalDepthPolicy::BudgetFor(const QueryProfile& profile) const {
-  if (profile.confidence < options_.min_confidence) {
+  if (profile.confidence < kMinConfidence) {
     return options_.max_budget;
   }
   long pieces = std::max(profile.num_info_pieces, 1);

@@ -18,7 +18,7 @@
 //
 //     budget(p) = clamp(base_probes + probes_per_piece * p,
 //                       min_budget, max_budget)        for confident profiles
-//     budget(p) = max_budget                           when confidence < min_confidence
+//     budget(p) = max_budget                           when confidence < 0.5
 //
 // where p = QueryProfile::num_info_pieces and probes_per_piece is SIGNED —
 // and the default slope is NEGATIVE: fewer pieces get a deeper budget. That
@@ -59,9 +59,6 @@ struct RetrievalDepthPolicyOptions {
   // Cap (and the depth used for distrusted profiles). Should not exceed the
   // index's nlist — deeper budgets clamp to the list count at plan time.
   size_t max_budget = 8;
-  // Profiles below this confidence get max_budget (never under-retrieve on a
-  // profile the §5 fallback would distrust).
-  double min_confidence = 0.5;
   // Probe mode within the budget: true = distance-ratio early termination
   // (AdaptiveProbePolicy), false = probe exactly budget(p) lists.
   bool adaptive = true;

@@ -10,6 +10,14 @@ namespace metis {
 
 namespace {
 
+// Profiles below this confidence are distrusted (§5).
+constexpr double kConfidenceThreshold = 0.90;
+// The low-confidence fallback averages the pruned spaces of this many recent
+// confident queries (§5).
+constexpr size_t kRecentSpaces = 10;
+// Golden-config feedback runs on every this-many accepted queries (§5).
+constexpr uint64_t kFeedbackInterval = 30;
+
 QueryRecord MakeRecord(const char* system, const RagQuery& query, const RagConfig& config,
                        SimTime arrival, SimTime finish, RagResult result) {
   QueryRecord rec;
@@ -115,7 +123,7 @@ void MetisSystem::MaybeRunGoldenFeedback(const RagQuery& query) {
   if (!options_.feedback_enabled) {
     return;
   }
-  if (accepted_ % static_cast<uint64_t>(options_.feedback_interval) != 0) {
+  if (accepted_ % kFeedbackInterval != 0) {
     return;
   }
   // Cost control (§5): the golden configuration is heavyweight, so it only
@@ -167,14 +175,14 @@ void MetisSystem::Accept(const RagQuery& query) {
     int max_chunks = static_cast<int>(dataset_->db().num_chunks());
     PrunedConfigSpace space = RuleBasedMapping(outcome.profile, max_chunks);
 
-    bool low_confidence = outcome.profile.confidence < options_.confidence_threshold;
+    bool low_confidence = outcome.profile.confidence < kConfidenceThreshold;
     if (low_confidence && !recent_spaces_.empty()) {
       // §5: distrust the profile; reuse the pruned spaces of recent queries.
       std::vector<PrunedConfigSpace> window(recent_spaces_.begin(), recent_spaces_.end());
       space = PrunedConfigSpace::AverageOf(window);
     } else {
       recent_spaces_.push_back(space);
-      while (recent_spaces_.size() > static_cast<size_t>(options_.recent_spaces)) {
+      while (recent_spaces_.size() > kRecentSpaces) {
         recent_spaces_.pop_front();
       }
     }
@@ -192,8 +200,9 @@ void MetisSystem::Accept(const RagQuery& query) {
       if (e2e_budget > 0) {
         remaining_budget_s = std::max(0.0, arrival + e2e_budget - sim_->now());
       }
+      // The KV footprint math sizes the output at the dataset's longest answer.
       decision = scheduler_->Choose(space, outcome.profile, query_tokens,
-                                    options_.output_token_estimate, remaining_budget_s);
+                                    dataset_->profile().max_output_tokens, remaining_budget_s);
     } else {
       decision.config = scheduler_->MedianOfSpace(space);
       decision.retrieval = scheduler_->RetrievalQualityFor(outcome.profile);

@@ -123,18 +123,13 @@ class MetisSystem : public ServingSystem {
 
   struct Options {
     ConfigPick pick = ConfigPick::kBestFit;
-    double confidence_threshold = 0.90;
-    int recent_spaces = 10;      // Low-confidence fallback window (§5).
     bool feedback_enabled = false;
-    int feedback_interval = 30;  // Golden-config feedback cadence (§5).
     // Knob masks for the Fig. 16 incremental study. A masked knob stays at
     // base_config's value.
     bool tune_chunks = true;
     bool tune_method = true;
     bool tune_intermediate = true;
     RagConfig base_config{SynthesisMethod::kStuff, 10, 100};
-    // Output-length estimate used in KV footprint math.
-    int output_token_estimate = 48;
   };
 
   // `overload` (optional, not owned): the overload controller driving the

@@ -60,25 +60,6 @@ bool KvCacheManager::Allocate(uint64_t req, int64_t tokens) {
   return true;
 }
 
-bool KvCacheManager::Extend(uint64_t req, int64_t extra_tokens) {
-  auto it = owned_.find(req);
-  METIS_CHECK(it != owned_.end());
-  METIS_CHECK_GE(extra_tokens, 0);
-  int64_t new_tokens = it->second.tokens + extra_tokens;
-  int64_t new_blocks = BlocksForTokens(new_tokens);
-  int64_t delta = new_blocks - it->second.blocks;
-  if (delta > free_blocks()) {
-    EvictRetainedFor(delta);
-  }
-  if (delta > free_blocks()) {
-    return false;
-  }
-  used_blocks_ += delta;
-  it->second.tokens = new_tokens;
-  it->second.blocks = new_blocks;
-  return true;
-}
-
 void KvCacheManager::Free(uint64_t req) {
   auto it = owned_.find(req);
   if (it == owned_.end()) {

@@ -50,10 +50,6 @@ class KvCacheManager {
   // after evicting every retained prefix.
   bool Allocate(uint64_t req, int64_t tokens);
 
-  // Extends request `req` by `extra_tokens` (decode growth). Only allocates
-  // new blocks when the request crosses a block boundary.
-  bool Extend(uint64_t req, int64_t extra_tokens);
-
   // Releases everything owned by `req` (no-op if unknown).
   void Free(uint64_t req);
 

@@ -8,20 +8,6 @@
 
 namespace metis {
 
-const char* QueryTaskTypeName(QueryTaskType t) {
-  switch (t) {
-    case QueryTaskType::kFactual:
-      return "factual";
-    case QueryTaskType::kSemantic:
-      return "semantic";
-    case QueryTaskType::kTemporal:
-      return "temporal";
-    case QueryTaskType::kComparative:
-      return "comparative";
-  }
-  return "factual";
-}
-
 QueryTaskType ClassifyTaskType(const std::vector<std::string>& tokens, int* time_bucket_out) {
   bool temporal = false, comparative = false, semantic = false;
   int bucket = -1;

@@ -51,9 +51,6 @@ enum class QueryTaskType : uint8_t {
 };
 inline constexpr int kNumQueryTaskTypes = 4;
 
-// Stable lowercase name ("factual", ...) for logs and bench tags.
-const char* QueryTaskTypeName(QueryTaskType t);
-
 // RNG-free task-type classification over tokenized query text (the keyword
 // cues of the workload grammar). Priority: temporal ("when", or a
 // "period<digits>" token — which also yields the query's time bucket) >

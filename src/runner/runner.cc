@@ -50,17 +50,22 @@ namespace {
 // over flat-backend specs reuses one dataset); %.17g round-trips doubles
 // exactly, so near-identical distance_ratio values cannot alias.
 std::string IndexOptionsKey(const RetrievalIndexOptions& o) {
-  // The lexical flag applies to every backend: a lexical-enabled database
-  // builds (and serves from) a BM25 inverted index a dense-only build lacks.
-  std::string lex = StrFormat("lex%d", o.lexical ? 1 : 0);
+  // The lexical and mutable-index flags and the lifecycle thresholds apply to
+  // every backend: a lexical database builds a BM25 index a dense-only build
+  // lacks, a mutable one wraps its backend in a MutableIndex, and both run
+  // the `mutation` thresholds.
+  const MutableIndexOptions& m = o.mutation;
+  std::string common =
+      StrFormat("lex%d:mut%d:%zu:%zu:%.17g:%zu", o.lexical ? 1 : 0, o.mutable_index ? 1 : 0,
+                m.memtable_rows, m.compact_segments, m.retrain_delta_fraction, m.max_rows);
   if (o.backend == RetrievalIndexOptions::Backend::kFlat) {
-    return StrFormat("b%d:s%zu:%s", static_cast<int>(o.backend), o.shards, lex.c_str());
+    return StrFormat("b%d:s%zu:%s", static_cast<int>(o.backend), o.shards, common.c_str());
   }
   return StrFormat("b%d:s%zu:l%zu:p%zu:a%d:m%zu:x%zu:r%.17g:t%llu:%s",
                    static_cast<int>(o.backend), o.shards, o.nlist, o.nprobe,
                    o.adaptive.enabled ? 1 : 0, o.adaptive.min_probes, o.adaptive.max_probes,
                    o.adaptive.distance_ratio,
-                   static_cast<unsigned long long>(o.train_seed), lex.c_str());
+                   static_cast<unsigned long long>(o.train_seed), common.c_str());
 }
 
 // Mutex-guarded bounded dataset cache (benches may call runners from pool
@@ -479,14 +484,11 @@ std::vector<RunMetrics> ServeStacks(const ServingSpec& spec, const std::vector<S
                                                         ds.profiler.get(), ds.scheduler.get(),
                                                         sink);
         break;
-      case SystemKind::kMetis: {
-        MetisSystem::Options opts = spec.metis;
-        opts.output_token_estimate = plan.dataset->profile().max_output_tokens;
+      case SystemKind::kMetis:
         ds.system = std::make_unique<MetisSystem>(&sim, ds.executor.get(), ds.profiler.get(),
-                                                  ds.scheduler.get(), plan.dataset.get(), opts,
-                                                  sink, overload.get());
+                                                  ds.scheduler.get(), plan.dataset.get(),
+                                                  spec.metis, sink, overload.get());
         break;
-      }
     }
   }
 

@@ -260,10 +260,11 @@ std::vector<RunMetrics> RunMixedExperiment(const MixedRunSpec& spec);
 
 // Shared dataset cache: generation is deterministic per (profile, seed,
 // embedder, num_queries, index options), so benches sweeping configs reuse
-// the corpus. Distinct retrieval backends key distinct cache entries. The
-// cache is mutex-guarded (safe to call from pool threads) and bounded: past
-// kDatasetCacheMaxEntries the oldest entries are evicted (outstanding
-// shared_ptrs keep evicted datasets alive).
+// the corpus. Distinct retrieval backends, and a mutable index against a
+// static one, key distinct cache entries. The cache is mutex-guarded (safe
+// to call from pool threads) and bounded: past kDatasetCacheMaxEntries the
+// oldest entries are evicted (outstanding shared_ptrs keep evicted datasets
+// alive).
 //
 // Probe-accounting contract: IVF probe counters live on the (shared) index,
 // and each run resets them at start-of-traffic, so RunMetrics::mean_probes /

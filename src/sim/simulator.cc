@@ -4,31 +4,26 @@
 
 namespace metis {
 
-EventHandle Simulator::ScheduleAt(SimTime when, Callback cb) {
+void Simulator::ScheduleAt(SimTime when, Callback cb) {
   METIS_CHECK_GE(when, now_);
-  auto state = std::make_shared<EventHandle::State>();
-  queue_.push(Entry{when, next_seq_++, std::move(cb), state});
-  return EventHandle(std::move(state));
+  queue_.push(Entry{when, next_seq_++, std::move(cb)});
 }
 
-EventHandle Simulator::ScheduleAfter(SimTime delay, Callback cb) {
+void Simulator::ScheduleAfter(SimTime delay, Callback cb) {
   METIS_CHECK_GE(delay, 0.0);
-  return ScheduleAt(now_ + delay, std::move(cb));
+  ScheduleAt(now_ + delay, std::move(cb));
 }
 
 bool Simulator::Step() {
-  while (!queue_.empty()) {
-    Entry e = queue_.top();
-    queue_.pop();
-    if (e.state && e.state->cancelled) {
-      continue;
-    }
-    now_ = e.when;
-    ++executed_;
-    e.cb();
-    return true;
+  if (queue_.empty()) {
+    return false;
   }
-  return false;
+  Entry e = queue_.top();
+  queue_.pop();
+  now_ = e.when;
+  ++executed_;
+  e.cb();
+  return true;
 }
 
 size_t Simulator::Run(SimTime horizon) {
@@ -37,9 +32,8 @@ size_t Simulator::Run(SimTime horizon) {
     if (horizon >= 0 && queue_.top().when > horizon) {
       break;
     }
-    if (Step()) {
-      ++n;
-    }
+    Step();
+    ++n;
   }
   return n;
 }

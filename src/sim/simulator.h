@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <vector>
 
@@ -18,33 +17,12 @@ namespace metis {
 
 using SimTime = double;  // Seconds since simulation start.
 
-// Handle to a scheduled event; allows cancellation.
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  bool valid() const { return state_ != nullptr; }
-  bool cancelled() const { return state_ && state_->cancelled; }
-  void Cancel() {
-    if (state_) {
-      state_->cancelled = true;
-    }
-  }
-
- private:
-  friend class Simulator;
-  struct State {
-    bool cancelled = false;
-  };
-  explicit EventHandle(std::shared_ptr<State> state) : state_(std::move(state)) {}
-  std::shared_ptr<State> state_;
-};
-
 // Event-queue driven simulator.
 //
 // Ordering guarantee: events fire in (time, sequence-number) order, so two
 // events scheduled for the same instant fire in scheduling order. This keeps
-// runs reproducible regardless of floating-point ties.
+// runs reproducible regardless of floating-point ties. A scheduled event
+// always fires: there is no cancellation.
 class Simulator {
  public:
   using Callback = std::function<void()>;
@@ -56,10 +34,10 @@ class Simulator {
   SimTime now() const { return now_; }
 
   // Schedules `cb` to run at absolute time `when` (>= now).
-  EventHandle ScheduleAt(SimTime when, Callback cb);
+  void ScheduleAt(SimTime when, Callback cb);
 
   // Schedules `cb` to run `delay` seconds from now (delay >= 0).
-  EventHandle ScheduleAfter(SimTime delay, Callback cb);
+  void ScheduleAfter(SimTime delay, Callback cb);
 
   // Runs events until the queue is empty or the optional horizon is reached.
   // Returns the number of events executed.
@@ -77,7 +55,6 @@ class Simulator {
     SimTime when;
     uint64_t seq;
     Callback cb;
-    std::shared_ptr<EventHandle::State> state;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {

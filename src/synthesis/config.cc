@@ -1,8 +1,5 @@
 #include "src/synthesis/config.h"
 
-#include <cstdlib>
-
-#include "src/common/check.h"
 #include "src/common/strings.h"
 
 namespace metis {
@@ -17,20 +14,6 @@ const char* SynthesisMethodName(SynthesisMethod m) {
       return "map_reduce";
   }
   return "unknown";
-}
-
-SynthesisMethod SynthesisMethodFromName(const std::string& name) {
-  if (name == "map_rerank") {
-    return SynthesisMethod::kMapRerank;
-  }
-  if (name == "stuff") {
-    return SynthesisMethod::kStuff;
-  }
-  if (name == "map_reduce") {
-    return SynthesisMethod::kMapReduce;
-  }
-  METIS_CHECK(false && "unknown synthesis method");
-  std::abort();
 }
 
 std::string RagConfigToString(const RagConfig& config) {

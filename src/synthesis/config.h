@@ -15,7 +15,6 @@ enum class SynthesisMethod {
 };
 
 const char* SynthesisMethodName(SynthesisMethod m);
-SynthesisMethod SynthesisMethodFromName(const std::string& name);
 
 // A fully-specified RAG configuration for one query.
 struct RagConfig {

@@ -25,12 +25,4 @@ size_t CountTokens(std::string_view text) {
   return n;
 }
 
-std::string TruncateTokens(std::string_view text, size_t max_tokens) {
-  std::vector<std::string> words = SplitWords(text);
-  if (words.size() > max_tokens) {
-    words.resize(max_tokens);
-  }
-  return Join(words, " ");
-}
-
 }  // namespace metis

@@ -46,9 +46,6 @@ std::vector<std::string> Tokenize(std::string_view text);
 // not always Tokenize's size): the token count prompts are sized by.
 size_t CountTokens(std::string_view text);
 
-// Truncates `text` to at most `max_tokens` tokens (joined by single spaces).
-std::string TruncateTokens(std::string_view text, size_t max_tokens);
-
 }  // namespace metis
 
 #endif  // METIS_SRC_TEXT_TOKENIZER_H_

@@ -46,15 +46,4 @@ const std::string& Vocabulary::Sample(Rng& rng) const {
   return words_[static_cast<size_t>(rng.Zipf(static_cast<int>(words_.size()), 1.07))];
 }
 
-std::string Vocabulary::FillerSentence(Rng& rng, size_t n) const {
-  std::string s;
-  for (size_t i = 0; i < n; ++i) {
-    if (i > 0) {
-      s += ' ';
-    }
-    s += Sample(rng);
-  }
-  return s;
-}
-
 }  // namespace metis

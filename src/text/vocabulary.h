@@ -27,9 +27,6 @@ class Vocabulary {
   // Samples a word (Zipf-weighted so common fillers repeat, like real text).
   const std::string& Sample(Rng& rng) const;
 
-  // A sentence of `n` filler words.
-  std::string FillerSentence(Rng& rng, size_t n) const;
-
  private:
   std::vector<std::string> words_;
 };

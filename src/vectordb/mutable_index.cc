@@ -17,6 +17,11 @@ namespace {
 // publication can be read lock-free forever after.
 constexpr size_t kLogBlockRows = 512;
 
+// IVF only: retrain when the mean nearest-centroid distance of newly sealed
+// rows exceeds this multiple of the base's train-time mean — the measured
+// centroid-quality-decay threshold.
+constexpr double kRetrainDistanceRatio = 2.0;
+
 IdFilter FilterOf(const std::vector<ChunkId>& tombstones) {
   return IdFilter{tombstones.data(), tombstones.data() + tombstones.size()};
 }
@@ -38,11 +43,6 @@ MutableIndex::MutableIndex(size_t dim, const RetrievalIndexOptions& options)
   base_ivf_ = ivf;
   std::unique_lock<std::mutex> lock(mu_);
   PublishLocked();
-}
-
-MutableIndex::~MutableIndex() {
-  std::unique_lock<std::mutex> lock(mu_);
-  WaitForMaintenanceLocked(lock);
 }
 
 // --- Log access --------------------------------------------------------------
@@ -136,7 +136,7 @@ void MutableIndex::Insert(ChunkId id, const Embedding& v) {
   PublishLocked();
   if (mt_hi_ - mt_lo_ >= mopts_.memtable_rows) {
     SealLocked();
-    MaybeMaintainLocked(lock);
+    MaybeMaintainLocked();
   }
 }
 
@@ -210,7 +210,7 @@ void MutableIndex::SealMemtable() {
 
 // --- Maintenance -------------------------------------------------------------
 
-MutableIndex::MaintOp MutableIndex::PickMaintenanceLocked() const {
+void MutableIndex::MaybeMaintainLocked() {
   size_t delta_live = live_rows_ - live_in_base_;
   bool retrain =
       static_cast<double>(delta_live) >
@@ -219,117 +219,45 @@ MutableIndex::MaintOp MutableIndex::PickMaintenanceLocked() const {
   if (!retrain && base_ivf_ != nullptr && base_ivf_->trained() && sealed_dist_rows_ > 0 &&
       base_ivf_->train_mean_assign_dist() > 0.0) {
     double sealed_mean = sealed_dist_sum_ / static_cast<double>(sealed_dist_rows_);
-    retrain = sealed_mean > mopts_.retrain_distance_ratio * base_ivf_->train_mean_assign_dist();
+    retrain = sealed_mean > kRetrainDistanceRatio * base_ivf_->train_mean_assign_dist();
   }
   if (retrain && live_rows_ > 0) {
-    return MaintOp::kRetrain;
+    RetrainLocked(nullptr);
+  } else if (segments_.size() >= mopts_.compact_segments) {
+    CompactLocked();
   }
-  if (segments_.size() >= mopts_.compact_segments) {
-    return MaintOp::kCompact;
-  }
-  return MaintOp::kNone;
 }
 
-void MutableIndex::WaitForMaintenanceLocked(std::unique_lock<std::mutex>& lock) {
-  maintenance_cv_.wait(lock, [this] { return !maintenance_inflight_; });
-}
-
-void MutableIndex::MaybeMaintainLocked(std::unique_lock<std::mutex>& lock) {
-  MaintOp op = PickMaintenanceLocked();
-  if (op == MaintOp::kNone) {
+void MutableIndex::CompactLocked() {
+  if (segments_.empty()) {
     return;
   }
-  bool background = mopts_.background_maintenance && maintenance_pool_ != nullptr;
-  if (!background) {
-    if (op == MaintOp::kRetrain) {
-      RetrainPlan plan = SnapshotRetrainLocked();
-      SwapBaseLocked(plan, BuildBase(plan, nullptr));
-    } else {
-      CompactPlan plan = SnapshotCompactLocked();
-      SwapCompactedLocked(plan, BuildCompacted(this, plan));
-    }
-    return;
-  }
-  if (maintenance_inflight_) {
-    return;  // One job at a time; the next seal re-evaluates.
-  }
-  maintenance_inflight_ = true;
-  if (op == MaintOp::kRetrain) {
-    RetrainPlan plan = SnapshotRetrainLocked();
-    maintenance_pool_->Submit([this, plan] {
-      BuiltBase built = BuildBase(plan, nullptr);
-      std::unique_lock<std::mutex> relock(mu_);
-      SwapBaseLocked(plan, std::move(built));
-      maintenance_inflight_ = false;
-      maintenance_cv_.notify_all();
-    });
-  } else {
-    CompactPlan plan = SnapshotCompactLocked();
-    maintenance_pool_->Submit([this, plan] {
-      std::shared_ptr<IndexShard> built = BuildCompacted(this, plan);
-      std::unique_lock<std::mutex> relock(mu_);
-      SwapCompactedLocked(plan, std::move(built));
-      maintenance_inflight_ = false;
-      maintenance_cv_.notify_all();
-    });
-  }
-  (void)lock;
-}
-
-MutableIndex::CompactPlan MutableIndex::SnapshotCompactLocked() const {
-  CompactPlan plan;
-  plan.segments = segments_;
-  plan.tombstones = tombstones_;
-  return plan;
-}
-
-std::shared_ptr<IndexShard> MutableIndex::BuildCompacted(const MutableIndex* self,
-                                                         const CompactPlan& plan) {
-  // Inputs are immutable: frozen log ranges, already-compacted shards, and a
-  // COW tombstone snapshot — safe to run off-lock. Rows deleted after the
-  // snapshot simply stay tombstone-filtered at search time.
-  auto built = std::make_shared<IndexShard>(self->dim_);
-  IndexShard& merged = *built;
-  IdFilter dead = FilterOf(*plan.tombstones);
-  for (const MutableSegment& seg : plan.segments) {
+  auto built = std::make_shared<IndexShard>(dim_);
+  IdFilter dead = FilterOf(*tombstones_);
+  for (const MutableSegment& seg : segments_) {
     if (seg.compacted != nullptr) {
       const IndexShard& src = *seg.compacted;
       for (size_t i = 0; i < src.orders.size(); ++i) {
         if (!dead.contains(src.rows.id(i))) {
-          merged.Append(src.rows.id(i), src.rows.row(i), src.orders[i]);
+          built->Append(src.rows.id(i), src.rows.row(i), src.orders[i]);
         }
       }
     } else {
       for (size_t pos = seg.lo; pos < seg.hi; ++pos) {
-        ChunkId id = self->LogId(pos);
+        ChunkId id = LogId(pos);
         if (!dead.contains(id)) {
-          merged.Append(id, self->LogRow(pos), pos);
+          built->Append(id, LogRow(pos), pos);
         }
       }
     }
   }
-  return built;
-}
-
-void MutableIndex::SwapCompactedLocked(const CompactPlan& plan,
-                                       std::shared_ptr<IndexShard> built) {
-  if (plan.segments.empty()) {
-    return;
-  }
-  size_t plan_hi = plan.segments.back().hi;
-  // Keep segments sealed after the snapshot (they start at or past plan_hi).
   std::vector<MutableSegment> next;
   if (built->orders.size() > 0) {
     MutableSegment seg;
-    seg.lo = plan.segments.front().lo;
-    seg.hi = plan_hi;
+    seg.lo = segments_.front().lo;
+    seg.hi = segments_.back().hi;
     seg.compacted = std::move(built);
     next.push_back(std::move(seg));
-  }
-  for (const MutableSegment& seg : segments_) {
-    if (seg.lo >= plan_hi) {
-      next.push_back(seg);
-    }
   }
   segments_ = std::move(next);
   ++counters_.compactions;
@@ -339,79 +267,43 @@ void MutableIndex::SwapCompactedLocked(const CompactPlan& plan,
 void MutableIndex::CompactSegments() {
   std::unique_lock<std::mutex> lock(mu_);
   METIS_CHECK(finalized_);
-  WaitForMaintenanceLocked(lock);
-  if (segments_.empty()) {
-    return;
-  }
-  CompactPlan plan = SnapshotCompactLocked();
-  SwapCompactedLocked(plan, BuildCompacted(this, plan));
+  CompactLocked();
 }
 
-MutableIndex::RetrainPlan MutableIndex::SnapshotRetrainLocked() const {
-  RetrainPlan plan;
-  plan.cut = log_size_;
-  plan.tombstones = tombstones_;
-  return plan;
-}
-
-MutableIndex::BuiltBase MutableIndex::BuildBase(const RetrainPlan& plan, ThreadPool* pool) const {
+void MutableIndex::RetrainLocked(ThreadPool* pool) {
   // Rebuild through the same factory, options, and train seed as a fresh
   // static build over the live rows in insertion order — which is exactly
   // what this is, so the result is bit-identical to one (the parity tests
   // compare against an independently constructed reference).
-  BuiltBase built;
-  built.index = MakeBackendIndex(dim_, options_, &built.ivf);
-  IdFilter dead = FilterOf(*plan.tombstones);
+  IvfL2Index* ivf = nullptr;
+  std::unique_ptr<VectorIndex> index = MakeBackendIndex(dim_, options_, &ivf);
+  IdFilter dead = FilterOf(*tombstones_);
   Embedding row(dim_);
-  for (size_t pos = 0; pos < plan.cut; ++pos) {
+  size_t rows = 0;
+  for (size_t pos = 0; pos < log_size_; ++pos) {
     ChunkId id = LogId(pos);
     if (dead.contains(id)) {
       continue;
     }
     const float* r = LogRow(pos);
     row.assign(r, r + dim_);
-    built.index->Add(id, row);
-    ++built.rows;
+    index->Add(id, row);
+    ++rows;
   }
-  if (built.ivf != nullptr && built.rows > 0) {
-    built.ivf->Train(pool);
+  if (ivf != nullptr && rows > 0) {
+    ivf->Train(pool);
   }
-  built.index->BuildQuantizedMirrors(pool);
-  return built;
-}
-
-void MutableIndex::SwapBaseLocked(const RetrainPlan& plan, BuiltBase built) {
-  if (built.ivf != nullptr && base_ivf_ != nullptr) {
-    built.ivf->CopyProbeStatsFrom(*base_ivf_);
+  index->BuildQuantizedMirrors(pool);
+  if (ivf != nullptr && base_ivf_ != nullptr) {
+    ivf->CopyProbeStatsFrom(*base_ivf_);
   }
-  base_ = std::shared_ptr<VectorIndex>(std::move(built.index));
-  base_ivf_ = built.ivf;
-  base_cut_ = plan.cut;
-  // Drop structures the new base absorbed; clip stragglers that sealed across
-  // the cut while a background build ran. Compacted segments cannot straddle
-  // the cut: only one maintenance op runs at a time, so every compacted
-  // segment predates the snapshot and sits wholly below it.
-  std::vector<MutableSegment> next;
-  for (MutableSegment& seg : segments_) {
-    if (seg.hi <= plan.cut) {
-      continue;
-    }
-    if (seg.lo < plan.cut) {
-      METIS_CHECK(seg.compacted == nullptr);
-      seg.lo = plan.cut;
-    }
-    next.push_back(std::move(seg));
-  }
-  segments_ = std::move(next);
-  mt_lo_ = std::max(mt_lo_, plan.cut);
-  // Recount the regions: deletes may have landed since the snapshot.
-  size_t live_delta = 0;
-  for (size_t pos = plan.cut; pos < log_size_; ++pos) {
-    if (!TombstonedLocked(LogId(pos))) {
-      ++live_delta;
-    }
-  }
-  live_in_base_ = live_rows_ - live_delta;
+  base_ = std::shared_ptr<VectorIndex>(std::move(index));
+  base_ivf_ = ivf;
+  // Every log row is now in the base.
+  base_cut_ = log_size_;
+  segments_.clear();
+  mt_lo_ = log_size_;
+  live_in_base_ = live_rows_;
   sealed_dist_sum_ = 0.0;
   sealed_dist_rows_ = 0;
   ++counters_.retrains;
@@ -421,17 +313,10 @@ void MutableIndex::SwapBaseLocked(const RetrainPlan& plan, BuiltBase built) {
 void MutableIndex::RetrainBase(ThreadPool* pool) {
   std::unique_lock<std::mutex> lock(mu_);
   METIS_CHECK(finalized_);
-  WaitForMaintenanceLocked(lock);
   if (live_rows_ == 0) {
     return;
   }
-  RetrainPlan plan = SnapshotRetrainLocked();
-  SwapBaseLocked(plan, BuildBase(plan, pool));
-}
-
-void MutableIndex::set_maintenance_pool(ThreadPool* pool) {
-  std::unique_lock<std::mutex> lock(mu_);
-  maintenance_pool_ = pool;
+  RetrainLocked(pool);
 }
 
 // --- Reads -------------------------------------------------------------------

@@ -39,9 +39,10 @@
 // segment list + memtable bounds + tombstones) via an atomic shared_ptr
 // swap; a search pins one epoch and answers entirely against it. Log rows
 // below the pinned epoch's watermark are immutable, so concurrent appends
-// are invisible to pinned readers. Maintenance (compaction/retrain) can run
-// on a ThreadPool with readers still serving the old epoch; the synchronous
-// default keeps runs bit-reproducible for the parity tests and benches.
+// are invisible to pinned readers. Maintenance (compaction/retrain) runs
+// inside the write that triggers it, under the writer lock, while readers
+// keep serving the epoch they pinned; so a run's results never depend on
+// maintenance timing.
 //
 // Each of the RetrievalBatcher's coalesced sweeps passes through here as one
 // SearchBatch call, which pins a single epoch for the whole sweep — every
@@ -50,7 +51,6 @@
 #ifndef METIS_SRC_VECTORDB_MUTABLE_INDEX_H_
 #define METIS_SRC_VECTORDB_MUTABLE_INDEX_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -114,7 +114,6 @@ class MutableIndex : public VectorIndex {
   // `options.mutation` holds the lifecycle knobs; the rest of `options`
   // configures the base backend (and its retrain rebuilds).
   MutableIndex(size_t dim, const RetrievalIndexOptions& options);
-  ~MutableIndex() override;
 
   MutableIndex(const MutableIndex&) = delete;
   MutableIndex& operator=(const MutableIndex&) = delete;
@@ -154,16 +153,10 @@ class MutableIndex : public VectorIndex {
   // already deleted.
   bool Delete(ChunkId id);
 
-  // Manual lifecycle controls (the automatic triggers call the same paths;
-  // these run synchronously even in background mode, waiting out any
-  // in-flight maintenance first).
+  // Manual lifecycle controls (the automatic triggers call the same paths).
   void SealMemtable();
   void CompactSegments();
   void RetrainBase(ThreadPool* pool = nullptr);
-
-  // Pool used by background maintenance (options.mutation
-  // .background_maintenance); unused in the synchronous default. Not owned.
-  void set_maintenance_pool(ThreadPool* pool);
 
   // --- Epoch introspection (stress/parity tests, docs of the contract) ---
   // Pins the current epoch: the returned snapshot answers SearchPinned
@@ -185,8 +178,6 @@ class MutableIndex : public VectorIndex {
   const MutableIndexOptions& mutation_options() const { return mopts_; }
 
  private:
-  enum class MaintOp { kNone, kCompact, kRetrain };
-
   // Log access (rows below a published epoch's memtable_hi are immutable).
   const IndexShard& LogBlock(size_t pos) const;
   ChunkId LogId(size_t pos) const;
@@ -204,34 +195,14 @@ class MutableIndex : public VectorIndex {
   void PublishLocked();
   bool TombstonedLocked(ChunkId id) const;
   void SealLocked();
-  MaintOp PickMaintenanceLocked() const;
-  void MaybeMaintainLocked(std::unique_lock<std::mutex>& lock);
-  void WaitForMaintenanceLocked(std::unique_lock<std::mutex>& lock);
-
-  // Compaction: snapshot under the lock, build anywhere (inputs immutable),
-  // swap under the lock.
-  struct CompactPlan {
-    std::vector<MutableSegment> segments;
-    std::shared_ptr<const std::vector<ChunkId>> tombstones;
-  };
-  CompactPlan SnapshotCompactLocked() const;
-  static std::shared_ptr<IndexShard> BuildCompacted(const MutableIndex* self,
-                                                    const CompactPlan& plan);
-  void SwapCompactedLocked(const CompactPlan& plan, std::shared_ptr<IndexShard> built);
-
-  // Retrain: same snapshot/build/swap split.
-  struct RetrainPlan {
-    size_t cut = 0;  // Log rows [0, cut) feed the new base.
-    std::shared_ptr<const std::vector<ChunkId>> tombstones;
-  };
-  RetrainPlan SnapshotRetrainLocked() const;
-  struct BuiltBase {
-    std::unique_ptr<VectorIndex> index;
-    IvfL2Index* ivf = nullptr;
-    size_t rows = 0;
-  };
-  BuiltBase BuildBase(const RetrainPlan& plan, ThreadPool* pool) const;
-  void SwapBaseLocked(const RetrainPlan& plan, BuiltBase built);
+  // After a seal: retrain if the live delta rows outgrew the base (or, for
+  // IVF, the sealed rows drifted from the centroids), else compact once
+  // compact_segments segments have accumulated.
+  void MaybeMaintainLocked();
+  // Merges every sealed segment into one tombstone-free segment.
+  void CompactLocked();
+  // Rebuilds the base over every live log row; segments and memtable empty.
+  void RetrainLocked(ThreadPool* pool);
 
   const size_t dim_;
   const RetrievalIndexOptions options_;
@@ -244,9 +215,6 @@ class MutableIndex : public VectorIndex {
   std::vector<std::unique_ptr<IndexShard>> blocks_;
 
   mutable std::mutex mu_;
-  std::condition_variable maintenance_cv_;
-  bool maintenance_inflight_ = false;
-  ThreadPool* maintenance_pool_ = nullptr;
 
   // Writer state (all guarded by mu_; published to readers via epoch_).
   bool finalized_ = false;

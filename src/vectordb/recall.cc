@@ -63,15 +63,6 @@ RecallEval::RecallEval(std::vector<Embedding> queries, size_t k,
   METIS_CHECK_EQ(queries_.size(), truth_.size());
 }
 
-RecallEval RecallEval::FromExactSearch(const VectorIndex& index, std::vector<Embedding> queries,
-                                       size_t k, ThreadPool* pool,
-                                       const RetrievalQuality& quality) {
-  METIS_CHECK_GT(k, 0u);
-  std::vector<std::vector<SearchHit>> truth =
-      index.SearchBatch(queries, k, pool, std::vector<RetrievalQuality>(queries.size(), quality));
-  return RecallEval(std::move(queries), k, std::move(truth));
-}
-
 double RecallEval::Evaluate(const VectorIndex& index, ThreadPool* pool,
                             const RetrievalQuality& quality) const {
   std::vector<RetrievalQuality> qualities(queries_.size(), quality);

@@ -47,14 +47,6 @@ class RecallEval {
   RecallEval(std::vector<Embedding> queries, size_t k,
              std::vector<std::vector<SearchHit>> truth);
 
-  // Ground truth from an EXISTING index's own exact path — no flat-index
-  // rebuild of a corpus that is already resident. `quality` must make the
-  // sweep exact: the default fp32 quality is exact on the flat and mutable
-  // backends; for IVF pass a fixed full-probe override (nprobe >= nlist).
-  static RecallEval FromExactSearch(const VectorIndex& index, std::vector<Embedding> queries,
-                                    size_t k, ThreadPool* pool = nullptr,
-                                    const RetrievalQuality& quality = {});
-
   // Recall@k of `index` over the eval's query set at `quality`: the index's
   // own probe policy by default, or an explicit override. The probe fields
   // steer IVF only; the scan tier applies to any index with quantized

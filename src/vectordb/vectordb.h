@@ -610,18 +610,9 @@ struct MutableIndexOptions {
   // yet absorbed into the base) exceed this fraction of
   // max(base live rows, memtable_rows).
   double retrain_delta_fraction = 0.5;
-  // IVF only: retrain when the mean nearest-centroid distance of newly sealed
-  // rows exceeds this multiple of the base's train-time mean — the measured
-  // centroid-quality-decay threshold.
-  double retrain_distance_ratio = 2.0;
   // Capacity of the append-only row log (initial corpus + every insert ever;
   // the log backs concurrent lock-free reads, so it is preallocated).
   size_t max_rows = size_t{1} << 20;
-  // Run compaction/retrain on the maintenance ThreadPool instead of inline on
-  // the mutating thread. Off by default: the inline path keeps runs
-  // bit-reproducible regardless of maintenance timing, which the parity tests
-  // and benches rely on; the stress test exercises the background path.
-  bool background_maintenance = false;
 };
 
 // Which similarity index a VectorDatabase builds. The paper's experiments

@@ -34,12 +34,12 @@
 
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
-#include "src/vectordb/clustered_corpus.h"
 #include "src/vectordb/kernels.h"
 #include "src/vectordb/mutable_index.h"
 #include "src/vectordb/quantize.h"
-#include "src/vectordb/seed_reference.h"
 #include "src/vectordb/vectordb.h"
+#include "tests/fixtures/clustered_corpus.h"
+#include "tests/fixtures/seed_reference.h"
 
 namespace metis {
 namespace {

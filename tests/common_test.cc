@@ -124,15 +124,6 @@ TEST(RngTest, ZipfRankZeroMostLikely) {
   EXPECT_GT(counts[0], counts[9]);
 }
 
-TEST(RngTest, ShuffleKeepsElements) {
-  Rng rng(31);
-  std::vector<int> v = {1, 2, 3, 4, 5, 6};
-  auto sorted = v;
-  rng.Shuffle(v);
-  std::sort(v.begin(), v.end());
-  EXPECT_EQ(v, sorted);
-}
-
 TEST(HashString64Test, StableAndDistinct) {
   EXPECT_EQ(HashString64("hello"), HashString64("hello"));
   EXPECT_NE(HashString64("hello"), HashString64("hellp"));
@@ -186,27 +177,6 @@ TEST(SamplesTest, MeanSumMinMax) {
   EXPECT_DOUBLE_EQ(s.sum(), 12.0);
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 6.0);
-}
-
-TEST(HistogramTest, BucketsAndClamping) {
-  Histogram h(0.0, 1.0, 10);
-  h.Add(0.05);
-  h.Add(0.95);
-  h.Add(-5.0);  // Clamps to the first bucket.
-  h.Add(5.0);   // Clamps to the last bucket.
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(9), 2u);
-}
-
-TEST(HistogramTest, FractionAtOrAbove) {
-  Histogram h(0.0, 1.0, 10);
-  h.Add(0.2);
-  h.Add(0.5);
-  h.Add(0.9);
-  h.Add(0.95);
-  EXPECT_DOUBLE_EQ(h.FractionAtOrAbove(0.9), 0.5);
-  EXPECT_DOUBLE_EQ(h.FractionAtOrAbove(0.0), 1.0);
 }
 
 TEST(StringsTest, SplitWordsDropsEmpty) {

@@ -79,15 +79,6 @@ TEST(PrunedConfigSpaceTest, ContainsChecksAllKnobs) {
   EXPECT_FALSE(space.Contains(RagConfig{SynthesisMethod::kMapReduce, 5, 300}));
 }
 
-TEST(PrunedConfigSpaceTest, UnionWidens) {
-  PrunedConfigSpace a = RuleBasedMapping(MakeProfile(false, false, 1));
-  PrunedConfigSpace b = RuleBasedMapping(MakeProfile(true, true, 5));
-  a.UnionWith(b);
-  EXPECT_EQ(a.methods.size(), 3u);
-  EXPECT_EQ(a.min_chunks, 1);
-  EXPECT_EQ(a.max_chunks, 15);
-}
-
 TEST(PrunedConfigSpaceTest, AverageRightSizes) {
   PrunedConfigSpace a = RuleBasedMapping(MakeProfile(true, false, 2));
   PrunedConfigSpace b = RuleBasedMapping(MakeProfile(true, false, 6));

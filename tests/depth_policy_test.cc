@@ -57,7 +57,7 @@ TEST(RetrievalDepthPolicyTest, DocumentedBudgetCurve) {
 }
 
 TEST(RetrievalDepthPolicyTest, LowConfidenceFallsBackToFullBudget) {
-  RetrievalDepthPolicy policy;  // min_confidence = 0.5, max_budget = 8.
+  RetrievalDepthPolicy policy;  // Confidence threshold 0.5, max_budget = 8.
   EXPECT_EQ(policy.BudgetFor(ProfileWith(4, /*confidence=*/0.4)), 8u);
   EXPECT_EQ(policy.BudgetFor(ProfileWith(4, /*confidence=*/0.5)), 2u);  // At threshold: trusted.
 }

@@ -12,8 +12,8 @@
 //
 // Header-only and test/bench-facing: production code must not depend on it.
 
-#ifndef METIS_SRC_VECTORDB_CLUSTERED_CORPUS_H_
-#define METIS_SRC_VECTORDB_CLUSTERED_CORPUS_H_
+#ifndef METIS_TESTS_FIXTURES_CLUSTERED_CORPUS_H_
+#define METIS_TESTS_FIXTURES_CLUSTERED_CORPUS_H_
 
 #include <vector>
 
@@ -91,4 +91,4 @@ inline ClusteredCorpus MakeClusteredCorpus(size_t dim, size_t num_clusters,
 
 }  // namespace metis
 
-#endif  // METIS_SRC_VECTORDB_CLUSTERED_CORPUS_H_
+#endif  // METIS_TESTS_FIXTURES_CLUSTERED_CORPUS_H_

@@ -6,8 +6,8 @@
 //
 // Header-only and test/bench-facing: production code must not depend on it.
 
-#ifndef METIS_SRC_VECTORDB_SEED_REFERENCE_H_
-#define METIS_SRC_VECTORDB_SEED_REFERENCE_H_
+#ifndef METIS_TESTS_FIXTURES_SEED_REFERENCE_H_
+#define METIS_TESTS_FIXTURES_SEED_REFERENCE_H_
 
 #include <algorithm>
 #include <cmath>
@@ -68,4 +68,4 @@ inline Embedding RandomUnitVector(Rng& rng, size_t dim) {
 
 }  // namespace metis
 
-#endif  // METIS_SRC_VECTORDB_SEED_REFERENCE_H_
+#endif  // METIS_TESTS_FIXTURES_SEED_REFERENCE_H_

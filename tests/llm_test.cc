@@ -70,15 +70,6 @@ TEST_F(KvCacheTest, AllocationFailsWithoutSideEffects) {
   EXPECT_TRUE(kv_.Allocate(3, 16 * 4));
 }
 
-TEST_F(KvCacheTest, ExtendAllocatesOnlyAtBlockBoundary) {
-  EXPECT_TRUE(kv_.Allocate(1, 10));
-  EXPECT_EQ(kv_.used_blocks(), 1);
-  EXPECT_TRUE(kv_.Extend(1, 6));  // 16 total: still one block.
-  EXPECT_EQ(kv_.used_blocks(), 1);
-  EXPECT_TRUE(kv_.Extend(1, 1));  // 17: second block.
-  EXPECT_EQ(kv_.used_blocks(), 2);
-}
-
 TEST_F(KvCacheTest, FreeUnknownIsNoop) {
   kv_.Free(42);
   EXPECT_EQ(kv_.free_blocks(), 64);

@@ -15,8 +15,8 @@
 #include "src/common/thread_pool.h"
 #include "src/core/retrieval_batcher.h"
 #include "src/sim/simulator.h"
-#include "src/vectordb/clustered_corpus.h"
 #include "src/vectordb/vectordb.h"
+#include "tests/fixtures/clustered_corpus.h"
 
 namespace metis {
 namespace {

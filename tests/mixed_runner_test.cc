@@ -267,14 +267,10 @@ TEST(DepthCalibratorTest, DeriveFromProfileTracksDatasetShape) {
 }
 
 TEST(DepthCalibratorTest, GridClampsAndDeduplicates) {
-  DepthCalibratorOptions options;
-  options.probe_grid = {4, 1, 64, 4, 32};
-  DepthCalibrator calibrator(options);
-  EXPECT_EQ(calibrator.GridFor(8), (std::vector<size_t>{1, 4, 8}));
-  std::vector<size_t> grid = calibrator.GridFor(0);
-  for (size_t b : grid) {
-    EXPECT_EQ(b, 1u);  // Degenerate nlist: everything clamps to one list.
-  }
+  EXPECT_EQ(DepthCalibrator::GridFor(64), (std::vector<size_t>{1, 2, 3, 4, 6, 8, 10, 12, 16}));
+  EXPECT_EQ(DepthCalibrator::GridFor(5), (std::vector<size_t>{1, 2, 3, 4, 5}));
+  // Degenerate nlist: everything clamps to one list.
+  EXPECT_EQ(DepthCalibrator::GridFor(0), (std::vector<size_t>{1}));
 }
 
 TEST(DepthCalibratorTest, CalibrateFitsCoveringLineOnIvf) {

@@ -317,6 +317,86 @@ TEST(MutableIndexLifecycleTest, SealAndCompactDoNotChangeResults) {
   EXPECT_EQ(stats.live_rows, 38u);
 }
 
+struct Gauges {
+  uint64_t seals, compactions, retrains;
+  size_t open_segments, memtable_rows, base_rows, live_rows, tombstones;
+};
+
+void ExpectGauges(const MutableIndex& index, const Gauges& want, const char* step) {
+  MutableIndexStats s = index.stats();
+  EXPECT_EQ(s.seals, want.seals) << step;
+  EXPECT_EQ(s.compactions, want.compactions) << step;
+  EXPECT_EQ(s.retrains, want.retrains) << step;
+  EXPECT_EQ(s.open_segments, want.open_segments) << step;
+  EXPECT_EQ(s.memtable_rows, want.memtable_rows) << step;
+  EXPECT_EQ(s.base_rows, want.base_rows) << step;
+  EXPECT_EQ(s.live_rows, want.live_rows) << step;
+  EXPECT_EQ(s.tombstones, want.tombstones) << step;
+}
+
+// One fixed Insert/Delete/seal/compact/retrain sequence, with the gauges
+// pinned after every step: automatic seals and compactions, manual ones, a
+// manual retrain and one that an Insert triggers.
+TEST(MutableIndexLifecycleTest, StatsArePinned) {
+  for (auto backend :
+       {RetrievalIndexOptions::Backend::kFlat, RetrievalIndexOptions::Backend::kIvf}) {
+    SCOPED_TRACE(backend == RetrievalIndexOptions::Backend::kIvf ? "ivf" : "flat");
+    RetrievalIndexOptions opt;
+    opt.backend = backend;
+    opt.nlist = 4;
+    opt.mutable_index = true;
+    opt.mutation.memtable_rows = 4;
+    opt.mutation.compact_segments = 3;
+    opt.mutation.retrain_delta_fraction = 0.5;
+    opt.mutation.max_rows = 1024;
+    MutableIndex index(kDim, opt);
+    Rng rng(2024);
+    ChunkId next_id = 0;
+    auto insert = [&](int n) {
+      for (int i = 0; i < n; ++i) {
+        index.Insert(next_id++, RandomVec(rng));
+      }
+    };
+    insert(24);
+    index.Finalize();
+    ExpectGauges(index, {0, 0, 0, 0, 0, 24, 24, 0}, "finalize");
+
+    insert(3);  // Ids 24..26, below the seal threshold.
+    ASSERT_TRUE(index.Delete(0));
+    ASSERT_TRUE(index.Delete(5));
+    ASSERT_TRUE(index.Delete(25));
+    ExpectGauges(index, {0, 0, 0, 0, 3, 22, 24, 3}, "inserts and deletes");
+
+    index.SealMemtable();
+    ExpectGauges(index, {1, 0, 0, 1, 0, 22, 24, 3}, "manual seal");
+
+    insert(4);  // Automatic seal: 2 segments, 6 live delta rows.
+    ExpectGauges(index, {2, 0, 0, 2, 0, 22, 28, 3}, "automatic seal");
+
+    insert(4);  // Third segment: automatic compaction.
+    ExpectGauges(index, {3, 1, 0, 1, 0, 22, 32, 3}, "automatic compaction");
+
+    ASSERT_TRUE(index.Delete(30));
+    insert(2);
+    index.SealMemtable();
+    index.CompactSegments();
+    ExpectGauges(index, {4, 2, 0, 1, 0, 22, 33, 4}, "manual compaction");
+
+    insert(1);
+    index.RetrainBase();
+    ExpectGauges(index, {4, 2, 1, 0, 0, 34, 34, 4}, "manual retrain");
+
+    ASSERT_TRUE(index.Delete(1));
+    // Five automatic seals; the third compacts, and the fifth retrains: 20
+    // live delta rows exceed 0.5 * 33 live base rows.
+    insert(20);
+    ExpectGauges(index, {9, 3, 2, 0, 0, 53, 53, 5}, "insert-triggered retrain");
+
+    insert(1);
+    ExpectGauges(index, {9, 3, 2, 0, 1, 53, 54, 5}, "memtable after retrain");
+  }
+}
+
 // Deleting every row leaves a searchable-but-empty index; reinserting under
 // fresh ids revives it.
 TEST(MutableIndexLifecycleTest, DeleteAllThenReinsert) {

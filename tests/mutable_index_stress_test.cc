@@ -1,9 +1,10 @@
 // Concurrent ingest/query stress for the mutable serving index: searches
-// hammer the index while a writer inserts/deletes and background maintenance
-// (seal/compact/retrain) runs on a ThreadPool. The core assertion is the
-// no-torn-reads contract: every result set is consistent with exactly ONE
-// epoch — proven by pinning an epoch, rebuilding an exact flat reference from
-// that epoch's own live-row enumeration, and requiring bit-equal results.
+// hammer the index while a writer inserts and deletes, and the seals,
+// compactions and retrains those writes trigger run under the writer lock.
+// The core assertion is the no-torn-reads contract: every result set is
+// consistent with exactly ONE epoch — proven by pinning an epoch, rebuilding
+// an exact flat reference from that epoch's own live-row enumeration, and
+// requiring bit-equal results.
 // This test (and the epoch machinery) is also what the METIS_SANITIZE=thread
 // lane (`check_tsan`) race-checks in CI.
 
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/vectordb/mutable_index.h"
 #include "src/vectordb/vectordb.h"
 
@@ -87,11 +87,8 @@ TEST(MutableIndexStressTest, ConcurrentIngestAndQueriesSeeOneEpoch) {
   opt.mutation.compact_segments = 3;
   opt.mutation.retrain_delta_fraction = 0.5;
   opt.mutation.max_rows = 1u << 14;
-  opt.mutation.background_maintenance = true;
 
-  ThreadPool maintenance_pool(2);
   MutableIndex index(kDim, opt);
-  index.set_maintenance_pool(&maintenance_pool);
 
   Rng seed_rng(0xC0FFEE);
   ChunkId next_id = 0;
@@ -128,7 +125,7 @@ TEST(MutableIndexStressTest, ConcurrentIngestAndQueriesSeeOneEpoch) {
       } else {
         // Serving-quality searches on the live index: structural
         // invariants (sorted, deduped, bounded) must hold no matter how the
-        // writer and the maintenance jobs race these calls, and a filtered
+        // writer and the maintenance it triggers race these calls, and a filtered
         // read never returns an excluded id.
         // (The id bound is read after each search returns.)
         std::vector<SearchHit> hits = index.Search(q, kTopK, RetrievalQuality{});
@@ -148,8 +145,7 @@ TEST(MutableIndexStressTest, ConcurrentIngestAndQueriesSeeOneEpoch) {
     readers.emplace_back(reader, 0xABC + t);
   }
 
-  // Writer: inserts, deletes, and occasional explicit lifecycle ops (which
-  // wait out in-flight background maintenance, exercising that handshake).
+  // Writer: inserts, deletes, and occasional explicit lifecycle ops.
   Rng wrng(0xD1CE);
   std::vector<ChunkId> live;
   for (ChunkId id = 0; id < next_id; ++id) {
@@ -180,7 +176,7 @@ TEST(MutableIndexStressTest, ConcurrentIngestAndQueriesSeeOneEpoch) {
     t.join();
   }
 
-  // The background machinery actually ran.
+  // The maintenance machinery actually ran.
   MutableIndexStats stats = index.stats();
   EXPECT_GT(stats.seals, 0u);
   EXPECT_GT(stats.retrains + stats.compactions, 0u);

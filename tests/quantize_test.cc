@@ -20,10 +20,10 @@
 
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
-#include "src/vectordb/clustered_corpus.h"
 #include "src/vectordb/kernels.h"
 #include "src/vectordb/quantize.h"
 #include "src/vectordb/vectordb.h"
+#include "tests/fixtures/clustered_corpus.h"
 
 namespace metis {
 namespace {

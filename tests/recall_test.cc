@@ -12,9 +12,9 @@
 
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
-#include "src/vectordb/clustered_corpus.h"
 #include "src/vectordb/recall.h"
 #include "src/vectordb/vectordb.h"
+#include "tests/fixtures/clustered_corpus.h"
 
 namespace metis {
 namespace {
@@ -41,7 +41,7 @@ TEST(RecallAtKTest, EmptyTruthRowsCountAsPerfect) {
 
 // --- Clustered corpus helpers ------------------------------------------------
 //
-// The corpus generator lives in src/vectordb/clustered_corpus.h, shared with
+// The corpus generator lives in tests/fixtures/clustered_corpus.h, shared with
 // bench_recall so the geometry pinned here is the geometry the bench sweeps.
 
 template <typename IndexT>
@@ -75,9 +75,9 @@ TEST(RecallEvalTest, ExhaustiveProbeIvfRecallIsOne) {
 }
 
 TEST(RecallEvalTest, PrecomputedTruthPathsMatchFlatRebuild) {
-  // The cheap paths (precomputed-truth ctor, FromExactSearch on a resident
-  // index) must agree exactly with the classic flat-rebuild ctor — the whole
-  // point is skipping the per-grid-cell O(n·q) rebuild, not changing truth.
+  // The cheap path (precomputed-truth ctor) must agree exactly with the
+  // classic flat-rebuild ctor — the whole point is skipping the per-grid-cell
+  // O(n·q) rebuild, not changing truth.
   ClusteredCorpus corpus = MakeClusteredCorpus(16, 4, 60, 12, 4, 0x7B07B, /*mix_way=*/2);
   FlatL2Index flat(16);
   IvfL2Index ivf(16, 4, 2, 7);
@@ -88,21 +88,14 @@ TEST(RecallEvalTest, PrecomputedTruthPathsMatchFlatRebuild) {
 
   RecallEval classic(flat, queries, 10);
   RecallEval wrapped(queries, 10, classic.ground_truth());
-  RecallEval from_flat = RecallEval::FromExactSearch(flat, queries, 10);
-  RetrievalQuality full_probe;
-  full_probe.mode = RetrievalQuality::ProbeMode::kFixed;
-  full_probe.nprobe = 4;  // == nlist: exact.
-  RecallEval from_ivf = RecallEval::FromExactSearch(ivf, queries, 10, nullptr, full_probe);
 
   RetrievalQuality shallow;
   shallow.mode = RetrievalQuality::ProbeMode::kFixed;
   shallow.nprobe = 1;
-  const double want = classic.Evaluate(ivf, nullptr, shallow);
-  for (const RecallEval* eval : {&wrapped, &from_flat, &from_ivf}) {
-    ASSERT_EQ(eval->ground_truth().size(), queries.size());
-    EXPECT_DOUBLE_EQ(eval->Evaluate(ivf, nullptr, shallow), want);
-    EXPECT_DOUBLE_EQ(eval->Evaluate(flat), 1.0);
-  }
+  ASSERT_EQ(wrapped.ground_truth().size(), queries.size());
+  EXPECT_DOUBLE_EQ(wrapped.Evaluate(ivf, nullptr, shallow),
+                   classic.Evaluate(ivf, nullptr, shallow));
+  EXPECT_DOUBLE_EQ(wrapped.Evaluate(flat), 1.0);
 }
 
 TEST(RecallEvalTest, RecallIsMonotoneInNprobe) {

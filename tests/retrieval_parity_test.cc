@@ -4,7 +4,7 @@
 // + batched/threaded sweeps) must return *exactly* the seed implementation's
 // rankings: same ids, same order, including insertion-order tie-breaks on
 // duplicate-distance inputs. The reference oracle is the frozen seed copy in
-// src/vectordb/seed_reference.h (scalar double-precision loop, materialize
+// tests/fixtures/seed_reference.h (scalar double-precision loop, materialize
 // every candidate, stable_sort, truncate).
 
 #include <gtest/gtest.h>
@@ -21,8 +21,8 @@
 #include "src/core/retrieval_batcher.h"
 #include "src/sim/simulator.h"
 #include "src/vectordb/kernels.h"
-#include "src/vectordb/seed_reference.h"
 #include "src/vectordb/vectordb.h"
+#include "tests/fixtures/seed_reference.h"
 
 namespace metis {
 namespace {

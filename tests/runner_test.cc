@@ -149,6 +149,29 @@ TEST(RunnerTest, DatasetCacheReturnsSameInstance) {
   EXPECT_NE(a.get(), c.get());
 }
 
+// A static request must never be handed a corpus built for a mutable one,
+// so a run's metrics cannot depend on what ran earlier in the process.
+TEST(RunnerTest, DatasetCacheSeparatesMutableFromStatic) {
+  ClearDatasetCache();
+  RetrievalIndexOptions mutable_index;
+  mutable_index.mutable_index = true;
+  auto mut = GetOrGenerateDataset("squad", 10, "cohere-embed-v3-sim", 3, mutable_index);
+  auto stat = GetOrGenerateDataset("squad", 10, "cohere-embed-v3-sim", 3);
+  EXPECT_NE(mut.get(), stat.get());
+  EXPECT_NE(mut->db().mutable_index(), nullptr);
+  EXPECT_EQ(stat->db().mutable_index(), nullptr);
+
+  ClearDatasetCache();
+  GetOrGenerateDataset("squad", 10, "cohere-embed-v3-sim", 3, mutable_index);
+  RunSpec spec;
+  spec.dataset = "squad";
+  spec.num_queries = 10;
+  spec.arrival_rate = 2.0;
+  spec.system = SystemKind::kVllmFixed;
+  spec.seed = 3;
+  EXPECT_EQ(RunExperiment(spec).ingest.live_chunks, 0u);
+}
+
 TEST(RunnerTest, FixedConfigMenuCoversAllMethods) {
   auto menu = FixedConfigMenu(GetDatasetProfile("qmsum"));
   bool has_rerank = false, has_stuff = false, has_reduce = false;

@@ -54,16 +54,6 @@ TEST(SimulatorTest, EventsScheduledDuringRunAreExecuted) {
   EXPECT_DOUBLE_EQ(sim.now(), 9.0);
 }
 
-TEST(SimulatorTest, CancelPreventsExecution) {
-  Simulator sim;
-  bool fired = false;
-  EventHandle h = sim.ScheduleAt(1.0, [&] { fired = true; });
-  h.Cancel();
-  sim.Run();
-  EXPECT_FALSE(fired);
-  EXPECT_TRUE(h.cancelled());
-}
-
 TEST(SimulatorTest, HorizonStopsBeforeLaterEvents) {
   Simulator sim;
   int fired = 0;

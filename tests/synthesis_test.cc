@@ -39,17 +39,9 @@ std::shared_ptr<const Dataset> SynthesisTest::keepalive_;
 
 TEST_F(SynthesisTest, ConfigNames) {
   EXPECT_STREQ(SynthesisMethodName(SynthesisMethod::kStuff), "stuff");
-  EXPECT_EQ(SynthesisMethodFromName("map_reduce"), SynthesisMethod::kMapReduce);
   EXPECT_EQ(RagConfigToString(RagConfig{SynthesisMethod::kStuff, 5, 0}), "stuff(k=5)");
   EXPECT_EQ(RagConfigToString(RagConfig{SynthesisMethod::kMapReduce, 5, 80}),
             "map_reduce(k=5,L=80)");
-}
-
-TEST_F(SynthesisTest, ConfigNameRoundTrip) {
-  for (SynthesisMethod m : {SynthesisMethod::kMapRerank, SynthesisMethod::kStuff,
-                            SynthesisMethod::kMapReduce}) {
-    EXPECT_EQ(SynthesisMethodFromName(SynthesisMethodName(m)), m);
-  }
 }
 
 TEST_F(SynthesisTest, StuffMakesOneCall) {

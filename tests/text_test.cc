@@ -80,12 +80,6 @@ TEST(TokenizerTest, CountTokensMatchesSplit) {
   EXPECT_EQ(CountTokens("solo"), 1u);
 }
 
-TEST(TokenizerTest, TruncateTokensShortensLongText) {
-  EXPECT_EQ(TruncateTokens("a b c d e", 3), "a b c");
-  EXPECT_EQ(TruncateTokens("a b", 10), "a b");
-  EXPECT_EQ(TruncateTokens("a b", 0), "");
-}
-
 TEST(VocabularyTest, GeneratesRequestedDistinctWords) {
   Vocabulary v(1, 500);
   EXPECT_EQ(v.size(), 500u);
@@ -115,13 +109,6 @@ TEST(VocabularyTest, SampleIsZipfSkewed) {
   }
   // Rank 0 under Zipf(s~1.07, n=200) is far above uniform (25 hits).
   EXPECT_GT(first_word_hits, 200);
-}
-
-TEST(VocabularyTest, FillerSentenceHasExactTokenCount) {
-  Vocabulary v(3, 50);
-  Rng rng(4);
-  std::string s = v.FillerSentence(rng, 12);
-  EXPECT_EQ(CountTokens(s), 12u);
 }
 
 TEST(MakeWordTest, ProducesLowercaseAlpha) {

@@ -1,16 +1,12 @@
 // Unit tests for the fixed-size worker pool behind batched retrieval, plus
-// stress coverage for the shutdown-sensitive paths: Submit() from inside a
-// running task, destruction with work still queued, and many threads hammering
-// ParallelFor on one shared pool.
+// stress coverage for the shutdown-sensitive paths: destruction right after a
+// barrier, and many threads hammering ParallelFor on one shared pool.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <numeric>
 #include <thread>
 #include <utility>
@@ -87,80 +83,17 @@ TEST(ThreadPoolTest, ReusableAcrossManyCalls) {
   }
 }
 
-TEST(ThreadPoolStressTest, SubmitRunsEveryTaskBeforeDestruction) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(3);
-    for (int i = 0; i < 2000; ++i) {
-      pool.Submit([&ran]() { ran.fetch_add(1); });
-    }
-    // No explicit wait: the destructor must drain the queue.
-  }
-  EXPECT_EQ(ran.load(), 2000);
-}
-
-TEST(ThreadPoolStressTest, SubmitWithZeroWorkersRunsInline) {
-  ThreadPool pool(0);
-  int ran = 0;
-  pool.Submit([&ran]() { ++ran; });
-  EXPECT_EQ(ran, 1);  // Synchronous: observable immediately, single-threaded.
-}
-
-TEST(ThreadPoolStressTest, SubmitFromInsideTasksChainsToCompletion) {
-  // Tasks that spawn follow-up tasks from worker context — the re-entrant
-  // Submit path. The chain must finish even when the pool is destroyed the
-  // moment the seeds are in (the destructor waits out running tasks, which
-  // keep submitting).
-  constexpr int kChains = 8;
-  constexpr int kDepth = 200;
-  std::atomic<int> ran{0};
-  {
-    // `step` outlives the pool (declared first), so tasks running during the
-    // pool's draining destructor can still call it.
-    std::function<void(int)> step;
-    ThreadPool pool(4);
-    step = [&](int remaining) {
-      ran.fetch_add(1);
-      if (remaining > 1) {
-        pool.Submit([&step, remaining]() { step(remaining - 1); });
-      }
-    };
-    for (int c = 0; c < kChains; ++c) {
-      pool.Submit([&step]() { step(kDepth); });
-    }
-  }
-  EXPECT_EQ(ran.load(), kChains * kDepth);
-}
-
-TEST(ThreadPoolStressTest, DestructionWithSlowQueuedWorkDrains) {
-  // Queue far more slow tasks than workers, then destroy immediately: the
-  // destructor must not drop queued work or deadlock.
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.Submit([&ran]() {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-        ran.fetch_add(1);
-      });
-    }
-  }
-  EXPECT_EQ(ran.load(), 64);
-}
-
 TEST(ThreadPoolStressTest, HammerConstructDestructWithMixedWork) {
-  // The shutdown race window, taken many times: every iteration queues work
-  // (some of which re-submits) and immediately tears the pool down.
+  // The shutdown race window, taken many times: every iteration runs one
+  // barrier and immediately tears the pool down while its workers may still
+  // be returning to wait.
   std::atomic<int> ran{0};
   int expected = 0;
   for (int round = 0; round < 100; ++round) {
     ThreadPool pool(1 + round % 4);
-    for (int i = 0; i < 10; ++i) {
-      pool.Submit([&ran, &pool]() {
-        ran.fetch_add(1);
-        pool.Submit([&ran]() { ran.fetch_add(1); });
-      });
-    }
+    pool.ParallelFor(20, [&ran](size_t begin, size_t end) {
+      ran.fetch_add(static_cast<int>(end - begin));
+    });
     expected += 20;
   }
   EXPECT_EQ(ran.load(), expected);
@@ -201,24 +134,6 @@ TEST(ThreadPoolStressTest, ConcurrentParallelForFromManyThreads) {
   for (int c = 0; c < kCallers; ++c) {
     EXPECT_EQ(sums[c], static_cast<long>(kN) * (kN - 1) / 2) << "caller " << c;
   }
-}
-
-TEST(ThreadPoolStressTest, SubmitAndParallelForInterleave) {
-  // Fire-and-forget traffic must not break ParallelFor's barrier (both share
-  // the one task queue).
-  ThreadPool pool(3);
-  std::atomic<int> background{0};
-  for (int round = 0; round < 30; ++round) {
-    for (int i = 0; i < 5; ++i) {
-      pool.Submit([&background]() { background.fetch_add(1); });
-    }
-    std::atomic<long> sum{0};
-    pool.ParallelFor(100, [&sum](size_t begin, size_t end) {
-      sum.fetch_add(static_cast<long>(end - begin));
-    });
-    EXPECT_EQ(sum.load(), 100);
-  }
-  // Destructor drains whatever background work is still queued.
 }
 
 }  // namespace
