@@ -15,10 +15,12 @@
 //
 // Change any of these and the tiers stop agreeing in the last ulp, the float
 // distances can round differently, and the cross-target ranking parity the
-// tests assert is gone.
+// tests assert is gone. The u8 kernels are integer and exact, so none of this
+// binds them.
 
 #include "src/vectordb/kernels.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -61,31 +63,15 @@ double DotScalar(const float* a, const float* b, size_t n) {
 }
 
 // --- Scalar u8 tier ----------------------------------------------------------
-//
-// The quantized kernel's bit-defining reference: sixteen float chains
-// (element i -> chain i mod 16), each element contributing
-// round(f32(code) * w) via a separate multiply and add (-ffp-contract=off
-// forbids contraction here too). The reduction first folds chain j+8 into
-// chain j — exactly the AVX2 tier's lo + hi fold — then runs the same
-// eight-partial tree as the fp32 kernel, then adds the float tail.
-float DotU8F32Scalar(const uint8_t* codes, const float* w, size_t n) {
-  float acc[16] = {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0};
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    for (size_t j = 0; j < 16; ++j) {
-      acc[j] += static_cast<float>(codes[i + j]) * w[i + j];
-    }
+
+// Each product fits int32 (|c * w| <= 255 * 32768); the int64 sum is exact
+// for n < 2^40.
+int64_t DotU8I16Scalar(const uint8_t* codes, const int16_t* w, size_t n) {
+  int64_t sum = 0;
+  for (size_t i = 0; i < n; ++i) {
+    sum += static_cast<int32_t>(codes[i]) * w[i];
   }
-  float s8[8];
-  for (size_t j = 0; j < 8; ++j) {
-    s8[j] = acc[j] + acc[j + 8];
-  }
-  float sum = ((s8[0] + s8[4]) + (s8[2] + s8[6])) + ((s8[1] + s8[5]) + (s8[3] + s8[7]));
-  float tail = 0;
-  for (; i < n; ++i) {
-    tail += static_cast<float>(codes[i]) * w[i];
-  }
-  return sum + tail;
+  return sum;
 }
 
 #if METIS_KERNELS_X86
@@ -122,32 +108,44 @@ __attribute__((target("avx2"))) double DotAvx2(const float* a, const float* b, s
 
 // --- AVX2 u8 tier -----------------------------------------------------------
 //
-// lo holds chains 0..7, hi holds chains 8..15. Each 16-element step loads 16
-// codes, zero-extends 8+8 to i32, converts to f32 (both conversions exact for
-// u8 values), and does one mul_ps + add_ps per half. The lo+hi fold in the
-// reduction is the scalar tier's s8[j] = acc[j] + acc[j+8].
-__attribute__((target("avx2"))) float DotU8F32Avx2(const uint8_t* codes, const float* w,
-                                                   size_t n) {
-  __m256 lo = _mm256_setzero_ps();  // Chains 0..7.
-  __m256 hi = _mm256_setzero_ps();  // Chains 8..15.
+// Each 32-code step zero-extends two 16-code halves to int16 (vpmovzxbw) and
+// multiply-adds each half against its 16 weights (vpmaddwd) into int32
+// lanes: acc0 takes the low half, acc1 the high half. One madd result,
+// c[2j] * w[2j] + c[2j+1] * w[2j+1], is exact and at most
+// 2 * 255 * 32768 = 16,711,680 in magnitude.
+//
+// No int32 lane wraps: a block runs at most kU8BlockSteps = 64 steps, so a
+// lane of acc0 + acc1 sums at most 128 madd results, and
+// 128 * 16,711,680 = 2,139,095,040 < 2^31 - 1. Each block's acc0 + acc1 is
+// then sign-extended into four int64 lanes, exact for n < 2^40. The
+// remainder (n mod 32 codes) runs the scalar loop.
+__attribute__((target("avx2"))) int64_t DotU8I16Avx2(const uint8_t* codes, const int16_t* w,
+                                                     size_t n) {
+  constexpr size_t kU8BlockSteps = 64;
+  __m256i total = _mm256_setzero_si256();  // Four int64 lanes.
   size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i));
-    __m256 c_lo = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(raw));
-    __m256 c_hi = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(_mm_srli_si128(raw, 8)));
-    lo = _mm256_add_ps(lo, _mm256_mul_ps(c_lo, _mm256_loadu_ps(w + i)));
-    hi = _mm256_add_ps(hi, _mm256_mul_ps(c_hi, _mm256_loadu_ps(w + i + 8)));
+  while (i + 32 <= n) {
+    size_t block_end = i + 32 * std::min(kU8BlockSteps, (n - i) / 32);
+    __m256i acc0 = _mm256_setzero_si256();
+    __m256i acc1 = _mm256_setzero_si256();
+    for (; i < block_end; i += 32) {
+      __m256i c0 =
+          _mm256_cvtepu8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i)));
+      __m256i c1 =
+          _mm256_cvtepu8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i + 16)));
+      __m256i w0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
+      __m256i w1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i + 16));
+      acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(c0, w0));
+      acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(c1, w1));
+    }
+    __m256i s = _mm256_add_epi32(acc0, acc1);
+    total = _mm256_add_epi64(total, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(s)));
+    total = _mm256_add_epi64(total, _mm256_cvtepi32_epi64(_mm256_extracti128_si256(s, 1)));
   }
-  // s8 = lo + hi; halve twice more and the scalar tree falls out.
-  __m256 s8 = _mm256_add_ps(lo, hi);
-  __m128 s4 = _mm_add_ps(_mm256_castps256_ps128(s8), _mm256_extractf128_ps(s8, 1));
-  __m128 s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
-  float sum = _mm_cvtss_f32(_mm_add_ss(s2, _mm_shuffle_ps(s2, s2, 1)));
-  float tail = 0;
-  for (; i < n; ++i) {
-    tail += static_cast<float>(codes[i]) * w[i];
-  }
-  return sum + tail;
+  alignas(32) int64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), total);
+  int64_t sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+  return sum + DotU8I16Scalar(codes + i, w + i, n - i);
 }
 
 #endif  // METIS_KERNELS_X86
@@ -169,10 +167,10 @@ U8DotKernelFn U8KernelForTarget(KernelTarget target) {
   switch (target) {
 #if METIS_KERNELS_X86
     case KernelTarget::kAvx2:
-      return &DotU8F32Avx2;
+      return &DotU8I16Avx2;
 #endif
     default:
-      return &DotU8F32Scalar;
+      return &DotU8I16Scalar;
   }
 }
 
@@ -274,13 +272,8 @@ double DotBlockedTarget(KernelTarget target, const float* a, const float* b, siz
 
 DotKernelFn ActiveDotKernel() { return dispatch().fn.load(std::memory_order_relaxed); }
 
-float DotU8F32(const uint8_t* codes, const float* w, size_t n) {
+int64_t DotU8I16(const uint8_t* codes, const int16_t* w, size_t n) {
   return dispatch().u8fn.load(std::memory_order_relaxed)(codes, w, n);
-}
-
-float DotU8F32Target(KernelTarget target, const uint8_t* codes, const float* w, size_t n) {
-  METIS_CHECK(KernelTargetSupported(target));
-  return U8KernelForTarget(target)(codes, w, n);
 }
 
 U8DotKernelFn ActiveU8DotKernel() { return dispatch().u8fn.load(std::memory_order_relaxed); }

@@ -28,20 +28,13 @@
 //   - SetKernelTarget() at runtime (tests and benches force each tier).
 // Forcing an unsupported tier fails and leaves the active tier unchanged.
 //
-// Quantized kernel (the int8 SQ mirror, quantize.h): DotU8F32 is the
-// asymmetric widening-multiply dot — uint8 row codes x a precomputed fp32
-// per-query weight vector — accumulated in FLOAT across SIXTEEN chains
-// (element i -> chain i mod 16). Same determinism recipe as the fp32 kernel,
-// one level wider: every tier converts code u8 -> f32 exactly, multiplies and
-// adds with separate roundings, folds chain j+8 into chain j first (the AVX2
-// tier's lo + hi registers), then reduces eight partials through the fixed
-// tree ((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7)) and adds the scalar tail — so
-// the returned float is bit-identical on every tier. Float accumulation is
-// fine here because no result is ever reported from it: the certified fp32
-// scan charges the accumulation's worst-case rounding (a float gamma over
-// the chain, fold, tree and tail depth) to its error bound — quantize.h.
-// The bound's depth term assumes this 16-chain recipe; change the recipe and
-// the bound must change with it.
+// Quantized kernel (the int8 SQ mirror, quantize.h): DotU8I16 is the exact
+// integer dot of uint8 row codes against int16 per-query weights. Integer
+// arithmetic has no rounding, so every tier returns the same int64 by
+// construction and the kernel needs no ordering contract: the scalar tier is
+// a plain int64 loop, the AVX2 tier widens codes to int16 (vpmovzxbw) and
+// multiply-adds pairs into int32 lanes (vpmaddwd), folding the lanes into
+// int64 often enough that none can wrap (kernels.cc has the proof).
 
 #ifndef METIS_SRC_VECTORDB_KERNELS_H_
 #define METIS_SRC_VECTORDB_KERNELS_H_
@@ -100,20 +93,15 @@ double DotBlockedTarget(KernelTarget target, const float* a, const float* b, siz
 using DotKernelFn = double (*)(const float*, const float*, size_t);
 DotKernelFn ActiveDotKernel();
 
-// --- Quantized (u8 x f32) kernel --------------------------------------------
+// --- Quantized (u8 x i16) kernel --------------------------------------------
 
-// Widening dot between uint8 row codes and a float weight vector, accumulated
-// in float across sixteen chains (header comment above). Bit-identical across
-// dispatch targets.
-float DotU8F32(const uint8_t* codes, const float* w, size_t n);
-
-// Runs a specific tier, bypassing dispatch (parity tests). Aborts if the tier
-// is unsupported on this CPU.
-float DotU8F32Target(KernelTarget target, const uint8_t* codes, const float* w, size_t n);
+// sum_i codes[i] * w[i], exact for any int16 weights and any n < 2^40.
+// Dispatches to the active tier; every tier returns the same integer.
+int64_t DotU8I16(const uint8_t* codes, const int16_t* w, size_t n);
 
 // The active u8 kernel's raw function pointer (quantized scan loops fetch it
 // once per scan, like ActiveDotKernel).
-using U8DotKernelFn = float (*)(const uint8_t*, const float*, size_t);
+using U8DotKernelFn = int64_t (*)(const uint8_t*, const int16_t*, size_t);
 U8DotKernelFn ActiveU8DotKernel();
 
 }  // namespace metis

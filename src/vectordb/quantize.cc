@@ -149,27 +149,47 @@ void BuildCertifiedQuery(const Int8Params& sq, const std::vector<double>& delta,
                          size_t dim, double qnorm, CertifiedQuery* out) {
   METIS_CHECK_EQ(sq.vmin.size(), dim);
   METIS_CHECK_EQ(delta.size(), dim);
-  out->w.assign(SqCodeStride(dim), 0.0f);
+  const float* scale = sq.scale.data();
   double qv = 0.0;
   double qv_abs = 0.0;
   double quant = 0.0;
-  double w_abs = 0.0;
+  double wd_abs = 0.0;
+  double wd_max = 0.0;
   for (size_t d = 0; d < dim; ++d) {
-    out->w[d] = q[d] * sq.scale[d];
+    double wd = static_cast<double>(q[d]) * static_cast<double>(scale[d]);  // Exact.
     double qvmin = static_cast<double>(q[d]) * static_cast<double>(sq.vmin[d]);  // Exact.
     qv += qvmin;
     qv_abs += std::fabs(qvmin);
     quant += std::fabs(static_cast<double>(q[d])) * delta[d];
-    w_abs += std::fabs(static_cast<double>(out->w[d]));
+    wd_abs += std::fabs(wd);
+    wd_max = std::max(wd_max, std::fabs(wd));
+  }
+  // One scale per query maps the largest weight to +-W. Adding and
+  // subtracting 1.5 * 2^52 rounds to nearest (|x| <= W is far below 2^51);
+  // the clamp is written so that a NaN weight clamps too. Term 2 is measured
+  // on the weights as stored, so neither alpha's nor the reciprocal's
+  // rounding needs a bound.
+  constexpr double kW = 32767.0;
+  constexpr double kRound = 0x1.8p52;
+  double alpha = wd_max / kW;
+  double inv_alpha = wd_max > 0.0 ? kW / wd_max : 0.0;
+  out->w16.assign(SqCodeStride(dim), 0);
+  double err = 0.0;
+  for (size_t d = 0; d < dim; ++d) {
+    double wd = static_cast<double>(q[d]) * static_cast<double>(scale[d]);
+    double r = (wd * inv_alpha + kRound) - kRound;
+    r = r < kW ? r : kW;
+    r = r > -kW ? r : -kW;
+    int16_t w = static_cast<int16_t>(r);
+    out->w16[d] = w;
+    err += std::fabs(wd - alpha * static_cast<double>(w));
   }
   // The bound, term by term (quantize.h).
-  constexpr double kU = 0x1p-24;
-  double depth = std::ceil(static_cast<double>(dim) / 16.0) + 22.0;
-  double gamma_u8 = depth * kU / (1.0 - depth * kU);
-  double s_err = 255.0 * w_abs * (gamma_u8 + kU / (1.0 - kU));  // Term 2.
-  double s_max = 255.0 * w_abs + s_err;
+  double s_err = 255.0 * err;                                      // Term 2.
+  double s_max = 255.0 * (wd_abs + err);
   double gamma_f64 = (static_cast<double>(dim) + 64.0) * 0x1p-52;  // Term 3.
   constexpr double kMargin = 1.0 + 0x1p-22;
+  out->alpha = alpha;
   out->qnorm = qnorm;
   out->qv = qv;
   out->slack = kMargin * (2.0 * quant + 2.0 * s_err + gamma_f64 * 2.0 * (qnorm + qv_abs + s_max)) +

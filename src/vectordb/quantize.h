@@ -9,8 +9,8 @@
 // Encoding. With per-dimension affine params (vmin[d], scale[d]) trained
 // over the rows, code c[d] = round((x[d] - vmin[d]) / scale[d]) clamped to
 // [0, 255], and the reconstructed row is vmin[d] + scale[d] * c[d]. The hot
-// loop is DotU8F32, the 16-chain widening kernel in kernels.h; the query side
-// stays fp32 end to end.
+// loop is DotU8I16, the exact integer kernel in kernels.h, against int16
+// weights scaled once per query.
 //
 // Certified fp32 scan (CertifiedQuery below; the scan itself lives in
 // vectordb.cc). The fp32 read *proves* which rows can be in its top-k.
@@ -20,27 +20,32 @@
 // included. Pass 2 re-scores the rest exactly. The interval is
 // D~ -/+ r, with
 //
-//     D~ = norm(i) + |q|^2 - 2 * (sum_d q[d]*vmin[d] + s),
-//     s  = DotU8F32(codes_i, w),  w[d] = fl(q[d] * scale[d]),
+//     D~    = norm(i) + |q|^2 - 2 * (sum_d q[d]*vmin[d] + s),
+//     s     = alpha * S,  S = DotU8I16(codes_i, w16),
+//     wd[d] = q[d] * scale[d]  (exact in double),
+//     alpha = max_d |wd[d]| / W,  W = 32767  (alpha = 0 when every wd is 0),
+//     w16[d] = round(wd[d] / alpha) clamped to [-W, W],
 //
 // where norm(i) and |q|^2 are the very doubles the exact expression uses.
-// r covers, term by term:
+// S is an exact integer, and converts to double exactly (|S| <= 255 * W *
+// dim < 2^53 for dim < 2^30). r covers, term by term:
 //
 //   1. Quantization: |q.x - q.x^| <= sum_d |q[d]| * delta[d], where delta[d]
 //      is the largest |x[d] - x^[d]| over the encoded rows, measured in
 //      double while encoding (clamped codes and reconstruction rounding are
 //      measured, not assumed). Doubled, since D~ carries -2 q.x^.
-//   2. The u8 kernel's float accumulation: each product is rounded once and
-//      passes through at most m = ceil(dim/16) + 22 further roundings (its
-//      chain, the fold, the reduction tree, the 15-element tail and the
-//      final add), so |s - sum c[d] w[d]| <= gamma_m * 255 * sum |w[d]| with
-//      gamma_m = m u / (1 - m u), u = 2^-24; plus w's own rounding,
-//      255 * u/(1-u) * sum |w[d]|. Doubled.
+//   2. Weight rounding: sum_d c[d] * wd[d] - alpha * S is
+//      sum_d c[d] * (wd[d] - alpha * w16[d]) for any alpha and w16, so it is
+//      at most 255 * E in magnitude, with E = sum_d |wd[d] - alpha * w16[d]|
+//      taken over the clamped w16. Nothing else errs before s: S is exact.
+//      Doubled.
 //   3. Everything evaluated in double — the exact dot kernel, the stored
-//      norms, sum q[d]*vmin[d], delta's own measurement and both distance
-//      combines — errs by at most (dim + 64) * 2^-52 times the magnitudes
-//      involved: 2 * (norm(i) + |q|^2 + sum |q[d] vmin[d]| + max |s|),
-//      since |q.x| <= (|x|^2 + |q|^2) / 2.
+//      norms, sum q[d]*vmin[d], delta's own measurement, s = alpha * S, E
+//      itself and both distance combines — errs by at most
+//      (dim + 64) * 2^-52 times the magnitudes involved:
+//      2 * (norm(i) + |q|^2 + sum |q[d] vmin[d]| + max |s|), since
+//      |q.x| <= (|x|^2 + |q|^2) / 2, with
+//      max |s| = 255 * (sum |wd[d]| + E) >= 255 * alpha * sum |w16[d]|.
 //   4. The exact distance is stored as float(T) clamped at 0: rounding adds
 //      2^-24 * |T| <= 2^-24 * (|D~| + terms 1-3). The clamp stays inside
 //      the interval: when it fires, lo <= float(T) < 0, and hi is >= the
@@ -96,10 +101,11 @@ void EncodeRows(const Int8Params& sq, const RowPool& pool, size_t begin, size_t 
 
 // --- Certified scan ------------------------------------------------------------
 
-// Certified-scan query precompute (header comment): the u8 weights and the
-// row-independent parts of the distance interval.
+// Certified-scan query precompute (header comment): the int16 weights and
+// the row-independent parts of the distance interval.
 struct CertifiedQuery {
-  std::vector<float, AlignedAllocator<float>> w;  // fl(q[d] * scale[d]), zero-padded.
+  std::vector<int16_t, AlignedAllocator<int16_t>> w16;  // round(wd[d] / alpha), zero-padded.
+  double alpha = 0.0;       // The weights' scale: s = alpha * S.
   double qnorm = 0.0;       // |q|^2, the exact expression's value.
   double qv = 0.0;          // sum_d q[d] * vmin[d].
   double slack = 0.0;       // Terms 1-3 without the row norm's share, inflated.
@@ -114,11 +120,11 @@ struct DistanceInterval {
   double hi;
 };
 
-// The interval of an encoded row with stored norm `norm` and u8 dot `s`
-// (DotU8F32 of its codes against cq.w).
-inline DistanceInterval CertifiedInterval(const CertifiedQuery& cq, double norm, float s) {
+// The interval of an encoded row with stored norm `norm` and integer dot `s`
+// (DotU8I16 of its codes against cq.w16).
+inline DistanceInterval CertifiedInterval(const CertifiedQuery& cq, double norm, int64_t s) {
   constexpr double kFloatRounding = 0x1p-23;  // Term 4, doubled.
-  double approx = norm + cq.qnorm - 2.0 * (cq.qv + static_cast<double>(s));
+  double approx = norm + cq.qnorm - 2.0 * (cq.qv + cq.alpha * static_cast<double>(s));
   double r = cq.slack + cq.norm_slack * norm + kFloatRounding * std::fabs(approx);
   return DistanceInterval{approx - r, approx + r};
 }

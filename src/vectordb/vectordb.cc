@@ -146,7 +146,7 @@ void CertifyRowsImpl(const IndexShard& sh, const QuantizedCodes& codes, size_t b
     if (kFiltered && exclude.contains(pool.id(i))) {
       continue;
     }
-    float s = dot(codes.sq.data() + i * codes.sq_stride, cq.w.data(), dim);
+    int64_t s = dot(codes.sq.data() + i * codes.sq_stride, cq.w16.data(), dim);
     DistanceInterval iv = CertifiedInterval(cq, pool.norm(i), s);
     if (iv.lo > cutoff) {
       continue;  // Its hi is larger still: it cannot move U either.

@@ -7,10 +7,12 @@
 //   - Soundness: for every encoded row and query, the exact float distance
 //     (ExactRowDistance, the scans' own expression) lies inside the row's
 //     CertifiedInterval — on random-unit, clustered, duplicate, near-tie,
-//     offset and out-of-range (clamped-code) corpora, at small and paper-size
-//     dim.
-//   - Usefulness: on random unit vectors the bound leaves only a few percent
-//     of the rows for pass 2.
+//     offset, on-grid (zero quantization error, so only the weight rounding
+//     is left) and out-of-range (clamped-code) corpora, at small and
+//     paper-size dim, and on the catalog embedder's vectors of four
+//     generated datasets.
+//   - Usefulness: on random unit vectors and on the embedder's vectors the
+//     bound leaves only a few percent of the rows for pass 2.
 //   - Exactness: an index that built its mirror returns ids and float
 //     distances bit-equal to the same index with no mirror, for flat and IVF
 //     x shards {1,3} x threads {1,4} x every supported kernel tier x
@@ -27,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
@@ -34,10 +37,12 @@
 
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
+#include "src/embed/embedding.h"
 #include "src/vectordb/kernels.h"
 #include "src/vectordb/mutable_index.h"
 #include "src/vectordb/quantize.h"
 #include "src/vectordb/vectordb.h"
+#include "src/workload/dataset.h"
 #include "tests/fixtures/clustered_corpus.h"
 #include "tests/fixtures/seed_reference.h"
 
@@ -71,7 +76,7 @@ void ExpectBitEqual(const std::vector<Hit>& got, const std::vector<Hit>& want,
 
 // --- Corpora -------------------------------------------------------------------
 
-// Odd dim on purpose: the u8 kernel runs a 12-element tail (44 = 2*16 + 12)
+// Odd dim on purpose: the u8 kernel runs a 12-element tail (44 = 32 + 12)
 // and the fp32 kernel a 4-element one.
 constexpr size_t kDim = 44;
 
@@ -146,17 +151,73 @@ Corpus Offset(size_t dim) {
   return c;
 }
 
+// Rows on the quantization grid: x[d] = -0.5 + c / 256 for integer codes c,
+// with codes 0 and 255 in every dimension, so training yields vmin = -0.5
+// and scale = 2^-8 exactly and every row reconstructs without error
+// (delta = 0). Term 1 is then 0 and the weight rounding (term 2) is all
+// that separates D~ from the exact distance: a bound that under-charges it
+// fails here.
+Corpus OnGrid(size_t dim) {
+  Rng rng(0x6A1D);
+  Corpus c{"on_grid", {}, {}};
+  for (size_t i = 0; i < 200; ++i) {
+    Embedding v(dim);
+    for (size_t d = 0; d < dim; ++d) {
+      size_t code = i == 0 ? 0 : i == 1 ? 255 : rng.Index(256);
+      v[d] = -0.5f + static_cast<float>(code) / 256.0f;
+    }
+    c.rows.push_back(std::move(v));
+  }
+  for (size_t q = 0; q < 8; ++q) {
+    c.queries.push_back(RandomUnitVector(rng, dim));
+  }
+  return c;
+}
+
 // --- Soundness: the bound holds on every row ----------------------------------
+
+// Pass 1's interval for every encoded row of `pool` against `q`, under the
+// active kernel tier.
+std::vector<DistanceInterval> Intervals(const Int8Params& sq, const QuantizedCodes& codes,
+                                        const RowPool& pool, const float* q) {
+  size_t dim = pool.dim();
+  CertifiedQuery cq;
+  BuildCertifiedQuery(sq, codes.sq_delta, q, dim, SquaredNormBlocked(q, dim), &cq);
+  std::vector<DistanceInterval> ivs;
+  for (size_t i = 0; i < pool.size(); ++i) {
+    int64_t s = DotU8I16(codes.sq.data() + i * codes.sq_stride, cq.w16.data(), dim);
+    ivs.push_back(CertifiedInterval(cq, pool.norm(i), s));
+  }
+  return ivs;
+}
+
+// Rows whose lower end is <= U, the k-th smallest upper end: what pass 1
+// keeps once U has reached its final value.
+size_t Survivors(const std::vector<DistanceInterval>& ivs, size_t k) {
+  std::vector<double> his;
+  for (const DistanceInterval& iv : ivs) {
+    his.push_back(iv.hi);
+  }
+  std::nth_element(his.begin(), his.begin() + (k - 1), his.end());
+  double u = his[k - 1];
+  return static_cast<size_t>(std::count_if(ivs.begin(), ivs.end(),
+                                           [u](const DistanceInterval& iv) { return iv.lo <= u; }));
+}
+
+RowPool PoolOf(const std::vector<Embedding>& rows) {
+  RowPool pool(rows[0].size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    pool.Append(static_cast<ChunkId>(i), rows[i].data());
+  }
+  return pool;
+}
 
 // Checks lo <= exact <= hi for every (row, query), with the quantizer trained
 // on rows [0, train_rows) and every row encoded — rows outside the training
 // range get clamped codes, whose error the measured delta must cover.
 void ExpectBoundHolds(const Corpus& c, size_t train_rows) {
   size_t dim = c.rows[0].size();
-  RowPool pool(dim);
-  for (size_t i = 0; i < c.rows.size(); ++i) {
-    pool.Append(static_cast<ChunkId>(i), c.rows[i].data());
-  }
+  RowPool pool = PoolOf(c.rows);
   Int8Params sq =
       TrainInt8([&](size_t i) { return c.rows[i].data(); }, train_rows, dim, nullptr);
   QuantizedCodes codes;
@@ -173,16 +234,13 @@ void ExpectBoundHolds(const Corpus& c, size_t train_rows) {
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       const float* q = queries[qi].data();
       double qnorm = SquaredNormBlocked(q, dim);
-      CertifiedQuery cq;
-      BuildCertifiedQuery(sq, codes.sq_delta, q, dim, qnorm, &cq);
+      std::vector<DistanceInterval> ivs = Intervals(sq, codes, pool, q);
       for (size_t i = 0; i < pool.size(); ++i) {
-        float s = DotU8F32(codes.sq.data() + i * codes.sq_stride, cq.w.data(), dim);
-        DistanceInterval iv = CertifiedInterval(cq, pool.norm(i), s);
         double exact = ExactRowDistance(pool, i, q, qnorm);
-        ASSERT_LE(iv.lo, exact) << c.name << " target=" << KernelTargetName(target)
-                                << " q=" << qi << " row=" << i;
-        ASSERT_GE(iv.hi, exact) << c.name << " target=" << KernelTargetName(target)
-                                << " q=" << qi << " row=" << i;
+        ASSERT_LE(ivs[i].lo, exact) << c.name << " target=" << KernelTargetName(target)
+                                    << " q=" << qi << " row=" << i;
+        ASSERT_GE(ivs[i].hi, exact) << c.name << " target=" << KernelTargetName(target)
+                                    << " q=" << qi << " row=" << i;
       }
     }
   }
@@ -190,7 +248,8 @@ void ExpectBoundHolds(const Corpus& c, size_t train_rows) {
 
 TEST(CertifiedBoundTest, ExactDistanceLiesInsideTheIntervalOnEveryRow) {
   for (const Corpus& c : {RandomUnit(kDim, 300, 0xB0D), Clustered(kDim), Duplicates(kDim),
-                          NearTies(kDim), Offset(kDim), RandomUnit(1024, 120, 0xB1C)}) {
+                          NearTies(kDim), Offset(kDim), OnGrid(kDim), OnGrid(1024),
+                          RandomUnit(1024, 120, 0xB1C)}) {
     ExpectBoundHolds(c, c.rows.size());
   }
 }
@@ -207,10 +266,7 @@ TEST(CertifiedBoundTest, BoundLeavesFewRowsForPassTwo) {
   const size_t dim = 256;
   const size_t k = 10;
   Corpus c = RandomUnit(dim, 2000, 0x5EED);
-  RowPool pool(dim);
-  for (size_t i = 0; i < c.rows.size(); ++i) {
-    pool.Append(static_cast<ChunkId>(i), c.rows[i].data());
-  }
+  RowPool pool = PoolOf(c.rows);
   Int8Params sq =
       TrainInt8([&](size_t i) { return c.rows[i].data(); }, c.rows.size(), dim, nullptr);
   QuantizedCodes codes;
@@ -220,26 +276,60 @@ TEST(CertifiedBoundTest, BoundLeavesFewRowsForPassTwo) {
   size_t scanned = 0;
   for (size_t qi = 0; qi < 8; ++qi) {
     Embedding q = RandomUnitVector(rng, dim);
-    CertifiedQuery cq;
-    BuildCertifiedQuery(sq, codes.sq_delta, q.data(), dim, SquaredNormBlocked(q.data(), dim), &cq);
-    std::vector<DistanceInterval> ivs;
-    for (size_t i = 0; i < pool.size(); ++i) {
-      float s = DotU8F32(codes.sq.data() + i * codes.sq_stride, cq.w.data(), dim);
-      ivs.push_back(CertifiedInterval(cq, pool.norm(i), s));
-    }
-    std::vector<double> his;
-    for (const DistanceInterval& iv : ivs) {
-      his.push_back(iv.hi);
-    }
-    std::nth_element(his.begin(), his.begin() + (k - 1), his.end());
-    double u = his[k - 1];
-    for (const DistanceInterval& iv : ivs) {
-      kept += iv.lo <= u ? 1 : 0;
-    }
-    scanned += ivs.size();
+    kept += Survivors(Intervals(sq, codes, pool, q.data()), k);
+    scanned += pool.size();
   }
   EXPECT_LT(static_cast<double>(kept), 0.05 * static_cast<double>(scanned))
       << kept << " of " << scanned << " rows survive pass 1";
+}
+
+// The vectors every perfbench workload scans: the catalog embedder's hashed,
+// sparse dim-1024 output, where one large component sets the query's weight
+// scale. Chunk and query texts come from the generated dataset.
+Corpus Embedded(const std::string& dataset, int num_queries) {
+  std::unique_ptr<Dataset> ds =
+      DatasetGenerator(GetDatasetProfile(dataset), 11).Generate(num_queries, "cohere-embed-v3-sim");
+  EmbeddingModel model(GetEmbeddingModel("cohere-embed-v3-sim"));
+  std::vector<std::string> texts;
+  for (size_t i = 0; i < ds->db().num_chunks(); ++i) {
+    texts.push_back(ds->db().chunk(static_cast<ChunkId>(i)).text);
+  }
+  Corpus c{dataset, model.EmbedBatch(texts), {}};
+  for (const RagQuery& q : ds->queries()) {
+    c.queries.push_back(model.Embed(q.text));
+  }
+  return c;
+}
+
+TEST(CertifiedBoundTest, RealEmbedderVectorsStayInsideTheIntervalAndFewSurvive) {
+  const size_t k = 10;
+  for (const char* name : {"squad", "musique", "kg_rag_finsec", "qmsum"}) {
+    Corpus c = Embedded(name, 100);
+    size_t dim = c.rows[0].size();
+    RowPool pool = PoolOf(c.rows);
+    Int8Params sq =
+        TrainInt8([&](size_t i) { return c.rows[i].data(); }, c.rows.size(), dim, nullptr);
+    QuantizedCodes codes;
+    EncodeRows(sq, pool, 0, pool.size(), &codes, nullptr);
+    size_t kept = 0;
+    size_t scanned = 0;
+    for (size_t qi = 0; qi < c.queries.size(); ++qi) {
+      const float* q = c.queries[qi].data();
+      double qnorm = SquaredNormBlocked(q, dim);
+      std::vector<DistanceInterval> ivs = Intervals(sq, codes, pool, q);
+      for (size_t i = 0; i < pool.size(); ++i) {
+        double exact = ExactRowDistance(pool, i, q, qnorm);
+        ASSERT_LE(ivs[i].lo, exact) << name << " q=" << qi << " row=" << i;
+        ASSERT_GE(ivs[i].hi, exact) << name << " q=" << qi << " row=" << i;
+      }
+      kept += Survivors(ivs, k);
+      scanned += ivs.size();
+    }
+    std::printf("[ INFO ] %s: %zu of %zu rows survive pass 1 (%.2f%%)\n", name, kept, scanned,
+                100.0 * static_cast<double>(kept) / static_cast<double>(scanned));
+    EXPECT_LT(static_cast<double>(kept), 0.03 * static_cast<double>(scanned))
+        << name << ": " << kept << " of " << scanned << " rows survive pass 1";
+  }
 }
 
 // --- Exactness: mirror vs no mirror -------------------------------------------
@@ -452,8 +542,8 @@ TEST(CertifiedScanTest, ZeroBoundWouldMissTheExactWinner) {
   BuildCertifiedQuery(sq, codes.sq_delta, q.data(), dim, qnorm, &cq);
   std::vector<std::pair<double, size_t>> approx;
   for (size_t i = 0; i < pool.size(); ++i) {
-    float s = DotU8F32(codes.sq.data() + i * codes.sq_stride, cq.w.data(), dim);
-    approx.emplace_back(pool.norm(i) + qnorm - 2.0 * (cq.qv + s), i);
+    int64_t s = DotU8I16(codes.sq.data() + i * codes.sq_stride, cq.w16.data(), dim);
+    approx.emplace_back(pool.norm(i) + qnorm - 2.0 * (cq.qv + cq.alpha * static_cast<double>(s)), i);
   }
   std::sort(approx.begin(), approx.end());
   std::vector<std::pair<float, size_t>> rescored;

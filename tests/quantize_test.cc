@@ -1,8 +1,9 @@
 // Tests for the int8 SQ mirror (src/vectordb/quantize.h) that every index's
 // certified scan reads:
 //
-//   - u8 kernel tier parity: DotU8F32 is bit-identical across scalar / AVX2
-//     (16 float chains, fixed reduction tree).
+//   - u8 kernel exactness: DotU8I16 equals an int64 reference loop on every
+//     supported tier, at every tail length and at the weight extremes, where
+//     an int32 lane that wrapped would show.
 //   - Encoding: codes and the measured reconstruction-error bound follow the
 //     per-element nearbyint recipe for any worker split and any grouping of
 //     rows into EncodeRows calls.
@@ -16,6 +17,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -38,22 +40,67 @@ std::vector<KernelTarget> SupportedTargets() {
   return targets;
 }
 
-// --- u8 kernel tier parity ---------------------------------------------------
+// --- u8 kernel exactness -----------------------------------------------------
 
-TEST(QuantKernelTest, U8DotBitIdenticalAcrossTargets) {
+struct ScopedKernelTarget {
+  explicit ScopedKernelTarget(KernelTarget t) { METIS_CHECK(SetKernelTarget(t)); }
+  ~ScopedKernelTarget() { ResetKernelTarget(); }
+};
+
+int64_t ReferenceDot(const std::vector<uint8_t>& codes, const std::vector<int16_t>& w) {
+  int64_t sum = 0;
+  for (size_t i = 0; i < codes.size(); ++i) {
+    sum += static_cast<int64_t>(codes[i]) * static_cast<int64_t>(w[i]);
+  }
+  return sum;
+}
+
+void ExpectExactOnEveryTarget(const std::vector<uint8_t>& codes, const std::vector<int16_t>& w,
+                              const std::string& what) {
+  const int64_t want = ReferenceDot(codes, w);
+  for (KernelTarget t : SupportedTargets()) {
+    ScopedKernelTarget scoped(t);
+    EXPECT_EQ(DotU8I16(codes.data(), w.data(), codes.size()), want)
+        << what << " target=" << KernelTargetName(t) << " n=" << codes.size();
+  }
+}
+
+TEST(QuantKernelTest, U8I16DotEqualsInt64ReferenceOnEveryTarget) {
   Rng rng(0xCAB1E);
-  for (size_t n : {1u, 7u, 15u, 16u, 17u, 64u, 100u, 256u, 1000u}) {
+  for (size_t n : {1u, 7u, 15u, 16u, 17u, 31u, 32u, 33u, 64u, 100u, 256u, 1000u, 1024u}) {
     std::vector<uint8_t> codes(n);
-    std::vector<float> w(n);
+    std::vector<int16_t> w(n);
     for (size_t i = 0; i < n; ++i) {
       codes[i] = static_cast<uint8_t>(rng.Index(256));
-      w[i] = static_cast<float>(rng.Uniform(-2.0, 2.0));
+      w[i] = static_cast<int16_t>(static_cast<int64_t>(rng.Index(65536)) - 32768);
     }
-    const float want = DotU8F32Target(KernelTarget::kScalar, codes.data(), w.data(), n);
-    for (KernelTarget t : SupportedTargets()) {
-      const float got = DotU8F32Target(t, codes.data(), w.data(), n);
-      EXPECT_EQ(got, want) << "target=" << KernelTargetName(t) << " n=" << n;
+    ExpectExactOnEveryTarget(codes, w, "random");
+  }
+}
+
+// Every code 255 against weights at +-W (W = 32767, the largest weight
+// BuildCertifiedQuery stores): each madd result is at its largest, so an
+// int32 lane that summed more of them than kernels.cc's proof allows would
+// wrap. 2,048 codes fill one AVX2 block exactly. Without the int64 fold,
+// acc0 + acc1 would wrap from 2,080 codes on and either accumulator alone
+// from 4,128; 8,223 runs four blocks and a 31-code tail.
+TEST(QuantKernelTest, U8I16DotDoesNotWrapAtTheWeightExtremes) {
+  constexpr int16_t kW = 32767;
+  for (size_t n : {1024u, 2048u, 2080u, 4128u, 8223u}) {
+    std::vector<uint8_t> codes(n, 255);
+    std::vector<int16_t> plus(n, kW);
+    std::vector<int16_t> minus(n, -kW);
+    std::vector<int16_t> alternating(n);
+    std::vector<int16_t> by_half(n);  // +W for acc0's codes, -W for acc1's.
+    for (size_t i = 0; i < n; ++i) {
+      alternating[i] = i % 2 == 0 ? kW : -kW;
+      by_half[i] = i % 32 < 16 ? kW : -kW;
     }
+    ExpectExactOnEveryTarget(codes, plus, "all +W");
+    ExpectExactOnEveryTarget(codes, minus, "all -W");
+    ExpectExactOnEveryTarget(codes, alternating, "alternating");
+    ExpectExactOnEveryTarget(codes, by_half, "by half");
+    EXPECT_EQ(ReferenceDot(codes, plus), 255 * int64_t{kW} * static_cast<int64_t>(n));
   }
 }
 
