@@ -9,9 +9,10 @@
 //
 //   dense    the incumbent dense-only stack (hybrid knob off),
 //   lexical  BM25 only (hybrid on, dense weight 0),
-//   routed   HybridRouter defaults: the profiler classifies each query's task
-//            type from its text, the router picks per-backend weights and the
-//            temporal metadata filter, the database fuses by weighted RRF.
+//   routed   HybridRouter's weight table: the profiler classifies each query's
+//            task type from its text, the router picks per-backend weights
+//            and the temporal metadata filter, the database fuses by
+//            weighted RRF.
 //
 // Per arm: retrieval-level mean F1 at k = |gold chunk set| (at that k,
 // precision = recall = F1 = overlap/|gold|), single-thread QPS over the

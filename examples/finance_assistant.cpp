@@ -2,7 +2,7 @@
 // over quarterly financial reports, from simple lookups ("who is the CEO") to
 // cross-quarter comparisons and why-style analyses. Shows how METIS profiles
 // each question and picks a different configuration per query, and what that
-// buys under a bursty workload.
+// buys under open-loop Poisson traffic.
 //
 //   ./build/examples/finance_assistant
 

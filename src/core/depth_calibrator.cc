@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "src/common/check.h"
-#include "src/text/tokenizer.h"
 
 namespace metis {
 
@@ -198,108 +197,6 @@ RetrievalDepthPolicyOptions DepthCalibrator::Calibrate(const Dataset& dataset) c
   line.probes_per_piece = static_cast<int>(best_slope);
   line.base_probes = static_cast<size_t>(std::max<long>(0, best_base));
   return line;
-}
-
-HybridRouterOptions DepthCalibrator::CalibrateHybridWeights(
-    const Dataset& dataset, const HybridRouterOptions& base) const {
-  if (dataset.db().lexical_index() == nullptr) {
-    return base;  // Nothing to route to: the dense path is the only backend.
-  }
-  const size_t holdout = std::min<size_t>(options_.holdout_queries, dataset.queries().size());
-  if (holdout == 0) {
-    return base;
-  }
-
-  // Candidates, CHEAPEST FIRST (the tie-break order): a backend we never
-  // scan is free, and postings scans are cheaper than dense row sweeps.
-  std::vector<HybridBackendWeights> candidates = {{0.0f, 1.0f}, {1.0f, 0.0f}};
-  for (float dense_w : {0.4f, 0.5f, 0.6f}) {
-    candidates.push_back({dense_w, 1.0f - dense_w});
-  }
-
-  // Holdout queries bucketed by the SERVING-TIME classification (the cue
-  // parse of the query text, not the generator's ground truth).
-  struct Holdout {
-    const RagQuery* query;
-    std::vector<ChunkId> gold;  // Sorted unique gold chunk ids.
-    int time_bucket = -1;
-  };
-  std::vector<std::vector<Holdout>> by_type(static_cast<size_t>(kNumQueryTaskTypes));
-  for (size_t i = 0; i < holdout; ++i) {
-    const RagQuery& query = dataset.queries()[i];
-    Holdout h;
-    h.query = &query;
-    for (int32_t fact_id : query.gold_fact_ids) {
-      if (dataset.has_fact(fact_id)) {
-        h.gold.push_back(dataset.fact(fact_id).chunk_id);
-      }
-    }
-    std::sort(h.gold.begin(), h.gold.end());
-    h.gold.erase(std::unique(h.gold.begin(), h.gold.end()), h.gold.end());
-    if (h.gold.empty()) {
-      continue;
-    }
-    QueryTaskType type = ClassifyTaskType(Tokenize(query.text), &h.time_bucket);
-    by_type[static_cast<size_t>(type)].push_back(std::move(h));
-  }
-
-  HybridRouterOptions fitted = base;
-  fitted.enabled = true;
-  for (size_t t = 0; t < by_type.size(); ++t) {
-    const std::vector<Holdout>& group = by_type[t];
-    if (group.empty()) {
-      continue;  // Unobserved type: keep the base table's row.
-    }
-    std::vector<double> coverage(candidates.size(), 0.0);
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      const HybridBackendWeights& w = candidates[c];
-      for (const Holdout& h : group) {
-        RetrievalQuality quality;
-        if (w.lexical > 0.0f) {
-          quality.hybrid = true;
-          quality.dense_weight = w.dense;
-          quality.lexical_weight = w.lexical;
-        }
-        if (static_cast<QueryTaskType>(t) == QueryTaskType::kTemporal && h.time_bucket >= 0) {
-          quality.filter.time_bucket = h.time_bucket;
-        }
-        std::vector<ChunkId> got = dataset.db().Retrieve(h.query->text, kTopK, quality);
-        size_t hit = 0;
-        for (ChunkId id : got) {
-          hit += std::binary_search(h.gold.begin(), h.gold.end(), id) ? 1 : 0;
-        }
-        coverage[c] += static_cast<double>(hit) / static_cast<double>(h.gold.size());
-      }
-      coverage[c] /= static_cast<double>(group.size());
-    }
-    double best = *std::max_element(coverage.begin(), coverage.end());
-    size_t pick = 0;
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      if (coverage[c] >= best) {
-        pick = c;  // Candidates are ordered cheapest-first.
-        break;
-      }
-    }
-    HybridBackendWeights* row = nullptr;
-    switch (static_cast<QueryTaskType>(t)) {
-      case QueryTaskType::kFactual:
-        row = &fitted.factual;
-        break;
-      case QueryTaskType::kSemantic:
-        row = &fitted.semantic;
-        break;
-      case QueryTaskType::kTemporal:
-        row = &fitted.temporal;
-        break;
-      case QueryTaskType::kComparative:
-        row = &fitted.comparative;
-        break;
-    }
-    if (row != nullptr) {
-      *row = candidates[pick];
-    }
-  }
-  return fitted;
 }
 
 }  // namespace metis

@@ -36,7 +36,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "src/core/hybrid_router.h"
 #include "src/core/retrieval_depth.h"
 #include "src/workload/dataset.h"
 
@@ -71,23 +70,6 @@ class DepthCalibrator {
   // budgets {1, 2, 3, 4, 6, 8, 10, 12, 16}, clamped to nlist and
   // deduplicated, ascending.
   static std::vector<size_t> GridFor(size_t nlist);
-
-  // Hybrid-weight calibration (the calibration axis for WHICH backend).
-  // Classifies the holdout queries by task type (ClassifyTaskType on the
-  // query text — the same RNG-free cue parse the serving profiler runs),
-  // measures each weight candidate's mean gold-chunk coverage per type, and
-  // writes the per-type winner into a copy of `base` with enabled set. The
-  // candidates are dense-only, lexical-only and fused at dense weights
-  // {0.4, 0.5, 0.6}; among those at the best coverage the CHEAPEST wins
-  // (lexical-only, then dense-only, then fused — "a backend we don't scan is
-  // free"). Temporal queries that parse a time bucket are measured with the
-  // metadata filter attached, as the router serves them. A dataset whose
-  // database built no lexical index returns `base` unchanged (there is
-  // nothing to route to).
-  HybridRouterOptions CalibrateHybridWeights(const Dataset& dataset,
-                                             const HybridRouterOptions& base = {}) const;
-
-  const DepthCalibratorOptions& options() const { return options_; }
 
  private:
   DepthCalibratorOptions options_;

@@ -2,18 +2,25 @@
 
 namespace metis {
 
-HybridBackendWeights HybridRouter::WeightsFor(QueryTaskType type) const {
-  switch (type) {
-    case QueryTaskType::kFactual:
-      return options_.factual;
-    case QueryTaskType::kSemantic:
-      return options_.semantic;
-    case QueryTaskType::kTemporal:
-      return options_.temporal;
-    case QueryTaskType::kComparative:
-      return options_.comparative;
-  }
-  return options_.factual;
+namespace {
+
+// The weight table, indexed by QueryTaskType: factual lookups live on exact
+// term matches, semantic questions on the embedding space, temporal ones
+// spread their evidence evenly. Comparative leans lexical: in a comparative
+// fusion the lexical list carries ALL the enumerated facts while the dense
+// list carries only the topically-heavy ones, so lexical-only ranks must
+// outvote dense-only junk at equal depth.
+constexpr HybridBackendWeights kWeightTable[kNumQueryTaskTypes] = {
+    {0.0f, 1.0f},  // kFactual
+    {1.0f, 0.0f},  // kSemantic
+    {0.5f, 0.5f},  // kTemporal
+    {0.4f, 0.6f},  // kComparative
+};
+
+}  // namespace
+
+HybridBackendWeights HybridRouter::WeightsFor(QueryTaskType type) {
+  return kWeightTable[static_cast<size_t>(type)];
 }
 
 RetrievalQuality HybridRouter::Route(const QueryProfile& profile,

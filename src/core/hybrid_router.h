@@ -13,10 +13,9 @@
 // to no router at all for those queries — and a weight-0 backend is provably
 // never scanned (hybrid_router_test.cc).
 //
-// The weight table is per-dataset calibratable (DepthCalibrator::
-// CalibrateHybridWeights sweeps a weight grid on holdout gold coverage) and
-// clamped by the overload ladder: at the shed-depth rung and above, fused
-// queries collapse to their cheapest single backend (ShedToSingleBackend).
+// The weight table is a constant (hybrid_router.cc), clamped by the overload
+// ladder: at the shed-depth rung and above, fused queries collapse to their
+// cheapest single backend (ShedToSingleBackend).
 
 #ifndef METIS_SRC_CORE_HYBRID_ROUTER_H_
 #define METIS_SRC_CORE_HYBRID_ROUTER_H_
@@ -35,23 +34,11 @@ struct HybridRouterOptions {
   // Off (default): Route() returns the base quality untouched — bit-parity
   // with the dense-only stack.
   bool enabled = false;
-  // Per-task-type weight table. Defaults encode the routing intuition the
-  // calibrator refines: factual lookups live on exact term matches, semantic
-  // questions on the embedding space, temporal/comparative spread evidence.
-  HybridBackendWeights factual{0.0f, 1.0f};
-  HybridBackendWeights semantic{1.0f, 0.0f};
-  HybridBackendWeights temporal{0.5f, 0.5f};
-  // Lexical-leaning: in a comparative fusion the lexical list carries ALL the
-  // enumerated facts while the dense list carries only the topically-heavy
-  // ones, so lexical-only ranks must outvote dense-only junk at equal depth.
-  HybridBackendWeights comparative{0.4f, 0.6f};
 };
 
 class HybridRouter {
  public:
   explicit HybridRouter(HybridRouterOptions options) : options_(options) {}
-
-  const HybridRouterOptions& options() const { return options_; }
 
   // Applies the profile's task-type route to `base` (the scheduler's
   // depth decision, which stays in force for the dense leg), and attaches a
@@ -60,8 +47,8 @@ class HybridRouter {
   // `base` untouched.
   RetrievalQuality Route(const QueryProfile& profile, const RetrievalQuality& base) const;
 
-  // The weight row for one task type.
-  HybridBackendWeights WeightsFor(QueryTaskType type) const;
+  // The constant weight row for one task type.
+  static HybridBackendWeights WeightsFor(QueryTaskType type);
 
   // Overload clamp: collapses a fused quality to its cheapest single backend
   // (the higher-weight one; ties go lexical — postings scans are cheaper than

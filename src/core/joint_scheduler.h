@@ -150,8 +150,6 @@ class JointScheduler {
   // median-of-space ablation pick) use this directly.
   RetrievalQuality RetrievalQualityFor(const QueryProfile& profile) const;
 
-  const RetrievalDepthPolicy& depth_policy() const { return depth_policy_; }
-
   // Resource-oblivious reference policies (ablation / baselines):
   // median of the pruned space (the "straw-man" of §4.3).
   RagConfig MedianOfSpace(const PrunedConfigSpace& space) const;

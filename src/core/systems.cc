@@ -134,7 +134,6 @@ void MetisSystem::MaybeRunGoldenFeedback(const RagQuery& query) {
       engine.projected_free_kv_bytes() < 0.5 * engine.total_kv_bytes()) {
     return;
   }
-  ++feedback_runs_;
   // Most accurate configuration (paper §5): map_reduce, 30 chunks, 300-token
   // intermediates. Runs as background load; its output is not recorded as a
   // served query but its structure teaches the profiler.

@@ -144,8 +144,6 @@ class MetisSystem : public ServingSystem {
   void Accept(const RagQuery& query) override;
   const char* name() const override { return "metis"; }
 
-  uint64_t feedback_runs() const { return feedback_runs_; }
-
  private:
   PrunedConfigSpace ApplyKnobMasks(PrunedConfigSpace space) const;
   void MaybeRunGoldenFeedback(const RagQuery& query);
@@ -161,7 +159,6 @@ class MetisSystem : public ServingSystem {
 
   std::deque<PrunedConfigSpace> recent_spaces_;
   uint64_t accepted_ = 0;
-  uint64_t feedback_runs_ = 0;
 };
 
 }  // namespace metis

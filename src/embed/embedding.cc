@@ -135,8 +135,7 @@ const Embedding& EmbeddingCache::Get(const std::string& text) {
   return Insert(text, model_->Embed(text));
 }
 
-std::vector<Embedding> EmbeddingCache::GetBatch(const std::vector<std::string>& texts,
-                                                ThreadPool* pool) {
+std::vector<Embedding> EmbeddingCache::GetBatch(const std::vector<std::string>& texts) {
   std::vector<Embedding> out(texts.size());
   // Serve hits; collect unique misses in first-appearance order with the
   // output positions each one feeds.
@@ -161,7 +160,7 @@ std::vector<Embedding> EmbeddingCache::GetBatch(const std::vector<std::string>& 
   if (miss_texts.empty()) {
     return out;
   }
-  std::vector<Embedding> computed = model_->EmbedBatch(miss_texts, pool);
+  std::vector<Embedding> computed = model_->EmbedBatch(miss_texts);
   for (size_t m = 0; m < miss_texts.size(); ++m) {
     ++misses_;
     for (size_t pos : miss_positions[m]) {

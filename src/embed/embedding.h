@@ -74,13 +74,12 @@ class EmbeddingCache {
   const Embedding& Get(const std::string& text);
 
   // Batched Get: serves hits from the cache, then embeds the *unique* missing
-  // texts in one EmbedBatch call (sharded across `pool` when given) and
-  // memoizes them. Returns owned copies, so the results survive any later
-  // eviction. Counter semantics: each initially-cached occurrence counts one
-  // hit; each unique missing text counts one miss (the work actually done) —
-  // duplicate misses within the batch are served from the single computation.
-  std::vector<Embedding> GetBatch(const std::vector<std::string>& texts,
-                                  ThreadPool* pool = nullptr);
+  // texts in one EmbedBatch call and memoizes them. Returns owned copies, so
+  // the results survive any later eviction. Counter semantics: each
+  // initially-cached occurrence counts one hit; each unique missing text
+  // counts one miss (the work actually done) — duplicate misses within the
+  // batch are served from the single computation.
+  std::vector<Embedding> GetBatch(const std::vector<std::string>& texts);
 
   size_t hits() const { return hits_; }
   size_t misses() const { return misses_; }

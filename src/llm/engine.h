@@ -66,8 +66,6 @@ struct RequestTiming {
   int output_tokens = 0;
   int prefill_tokens_charged = 0;  // After any shared-prefix discount.
 
-  double queueing_delay() const { return admit_time - submit_time; }
-  double service_time() const { return finish_time - admit_time; }
   double total_delay() const { return finish_time - submit_time; }
 };
 

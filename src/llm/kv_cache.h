@@ -42,7 +42,6 @@ class KvCacheManager {
   int64_t free_blocks() const { return total_blocks_ - used_blocks_; }
   double free_bytes() const { return static_cast<double>(free_blocks()) * block_bytes_; }
   double total_bytes() const { return static_cast<double>(total_blocks_) * block_bytes_; }
-  double block_bytes() const { return block_bytes_; }
   int block_tokens() const { return block_tokens_; }
 
   // Reserves blocks for `tokens` tokens for request `req`. Returns false

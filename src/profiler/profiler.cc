@@ -97,7 +97,6 @@ int FirstNumberWord(const std::vector<std::string>& tokens) {
 }  // namespace
 
 QueryProfiler::Outcome QueryProfiler::Estimate(const RagQuery& query) {
-  ++profiles_;
   std::vector<std::string> tokens = Tokenize(query.text);
   std::unordered_set<std::string> set(tokens.begin(), tokens.end());
 

@@ -118,7 +118,6 @@ class QueryProfiler {
   void AddGoldenFeedback(const RagQuery& query, int true_pieces, int true_summary_tokens);
 
   int feedback_prompts() const { return static_cast<int>(feedback_.size()); }
-  uint64_t profiles_produced() const { return profiles_; }
 
  private:
   double EffectiveError(double base) const;
@@ -128,7 +127,6 @@ class QueryProfiler {
   const DatabaseMetadata* metadata_;
   ProfilerParams params_;
   Rng rng_;
-  uint64_t profiles_ = 0;
 
   struct Feedback {
     int pieces;

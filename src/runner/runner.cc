@@ -585,14 +585,10 @@ std::vector<RunMetrics> ServeStacks(const ServingSpec& spec, const std::vector<S
 
 }  // namespace
 
-JointSchedulerOptions EffectiveSchedulerOptions(const MixedRunSpec& spec, size_t d,
-                                                const Dataset& dataset) {
+JointSchedulerOptions EffectiveSchedulerOptions(const MixedRunSpec& spec, const Dataset& dataset) {
   JointSchedulerOptions options = spec.scheduler;
   if (!spec.per_dataset_depth) {
     return options;  // Ablation off: the shared curve, bit-for-bit.
-  }
-  if (d < spec.per_dataset_scheduler.size() && spec.per_dataset_scheduler[d].has_value()) {
-    return *spec.per_dataset_scheduler[d];
   }
   DepthCalibrator calibrator(spec.calibrator);
   const IvfL2Index* ivf = dataset.db().ivf_index();
@@ -600,15 +596,6 @@ JointSchedulerOptions EffectiveSchedulerOptions(const MixedRunSpec& spec, size_t
                       ? calibrator.Calibrate(dataset)
                       : calibrator.DeriveFromProfile(dataset.profile(),
                                                      ivf != nullptr ? ivf->nlist() : 0);
-  // Fourth calibration axis: per-dataset hybrid backend weights. Only refines
-  // an already-enabled router table (hybrid off stays bit-identical), and
-  // only under offline calibration — the weight sweep needs the holdout's
-  // gold labels, like the tier sweep.
-  if (options.hybrid.enabled &&
-      spec.depth_calibration == MixedRunSpec::DepthCalibration::kOffline &&
-      dataset.db().lexical_index() != nullptr) {
-    options.hybrid = calibrator.CalibrateHybridWeights(dataset, options.hybrid);
-  }
   return options;
 }
 
@@ -630,7 +617,7 @@ std::vector<RunMetrics> RunMixedExperiment(const MixedRunSpec& spec) {
     AcquireDataset(plan, /*private_copy=*/name_count[s.dataset]++ > 0);
     // May probe the stack's index (offline calibration); ServeStacks resets
     // the counters before traffic.
-    s.scheduler = EffectiveSchedulerOptions(spec, d, *plan.dataset);
+    s.scheduler = EffectiveSchedulerOptions(spec, *plan.dataset);
     // Per-dataset seeds are mixed through SplitMix64: the raw
     // `seed ^ (0xD00D + d)` values differ only in their low bits for adjacent
     // d, and the stream functions XOR their own constants on top — nearby

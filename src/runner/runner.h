@@ -229,29 +229,23 @@ struct MixedRunSpec : ServingSpec {
   // `scheduler` unchanged to every stack — the shared-curve behaviour,
   // bit-for-bit (every field below is ignored then; parity-tested).
   bool per_dataset_depth = false;
-  // How a stack with no explicit override below derives its line:
+  // How each stack derives its line:
   //   kProfile — closed-form from the DatasetProfile (DeriveFromProfile);
   //   kOffline — probe-grid calibration on a held-out query slice
   //              (DepthCalibrator::Calibrate), mirroring METIS's offline
   //              config-space pruning.
   enum class DepthCalibration { kProfile, kOffline };
   DepthCalibration depth_calibration = DepthCalibration::kProfile;
-  DepthCalibratorOptions calibrator;  // Grid/holdout/tolerance for both modes.
-  // Full per-stack scheduler overrides, aligned with `datasets`; entry d (when
-  // present and engaged by per_dataset_depth) replaces `scheduler` for
-  // datasets[d]'s whole stack. Missing/nullopt entries fall back to the
-  // calibrated line above.
-  std::vector<std::optional<JointSchedulerOptions>> per_dataset_scheduler;
+  DepthCalibratorOptions calibrator;  // Holdout slice and probe mode.
 };
 
-// The scheduler options RunMixedExperiment builds datasets[d]'s stack with:
-// `spec.scheduler` verbatim unless per_dataset_depth engages an override or a
-// calibrated depth line (see MixedRunSpec). Exposed so benches/tests can see
-// the per-stack budget lines a spec resolves to without running the
-// experiment. `dataset` must be the generated dataset the stack would serve
-// (its profile and index feed the calibrator).
-JointSchedulerOptions EffectiveSchedulerOptions(const MixedRunSpec& spec, size_t d,
-                                                const Dataset& dataset);
+// The scheduler options RunMixedExperiment builds a dataset's stack with:
+// `spec.scheduler` verbatim unless per_dataset_depth engages a calibrated
+// depth line (see MixedRunSpec). Exposed so tests can see the per-stack
+// budget lines a spec resolves to without running the experiment. `dataset`
+// must be the generated dataset the stack would serve (its profile and index
+// feed the calibrator).
+JointSchedulerOptions EffectiveSchedulerOptions(const MixedRunSpec& spec, const Dataset& dataset);
 
 // Returns one RunMetrics per dataset (order matches spec.datasets), labelled
 // "<system>/<dataset>". Engine stats are global; engine cost is attributed by

@@ -73,17 +73,17 @@ class SynthesisExecutor {
   void set_retrieval_quality(const RetrievalQuality& quality) { retrieval_quality_ = quality; }
 
   // --- Cross-query KV reuse (joint co-scheduling) ---
-  // When enabled, synthesis contexts are assembled in CANONICAL chunk order:
-  // instruction, then the retrieved chunks sorted by chunk id, then the
-  // query-specific tail (the query text). Prefix groups are then keyed by the
-  // content of that shared prefix — the ordered chunk-id list for stuff, the
-  // single chunk id for mappers — instead of by query id, so concurrent
-  // queries that retrieved the same chunks alias resident KV blocks and skip
-  // the shared prefill (the engine's prefix retention holds hot chunk
-  // prefixes across a short gap). Off (default): the per-query
-  // instruction+query prefix layout, bit-identical to the pre-reuse executor.
+  // When enabled, synthesis contexts are assembled in CANONICAL layout:
+  // instruction, then the retrieved chunks in retrieval order (deliberately
+  // not re-sorted; see synthesis.cc), then the query-specific tail (the query
+  // text). Prefix groups are then keyed by the content of that shared prefix
+  // — the ordered chunk-id list for stuff, the single chunk id for mappers —
+  // instead of by query id, so concurrent queries that retrieved the same
+  // chunks in the same order alias resident KV blocks and skip the shared
+  // prefill (the engine's prefix retention holds hot chunk prefixes across a
+  // short gap). Off (default): the per-query instruction+query prefix
+  // layout, bit-identical to the pre-reuse executor.
   void set_cross_query_prefix(bool on) { cross_query_prefix_ = on; }
-  bool cross_query_prefix() const { return cross_query_prefix_; }
 
   // --- Prompt-size estimators (used by METIS's joint scheduler, §4.3) ---
   int StuffPromptTokens(int query_tokens, int num_chunks) const;

@@ -272,7 +272,7 @@ std::vector<LexicalIndex::Scored> LexicalIndex::ScoreShard(
 }
 
 std::vector<SearchHit> LexicalIndex::Search(const std::string& query_text, size_t k,
-                                            const IdFilter& exclude, ThreadPool* pool) const {
+                                            const IdFilter& exclude) const {
   searches_.fetch_add(1, std::memory_order_relaxed);
   if (k == 0 || live_docs_ == 0) {
     return {};
@@ -301,16 +301,8 @@ std::vector<SearchHit> LexicalIndex::Search(const std::string& query_text, size_
   size_t num_shards = shards_.size();
   std::vector<std::vector<Scored>> per_shard(num_shards);
   std::vector<uint64_t> postings(num_shards, 0), docs(num_shards, 0);
-  auto score_range = [&](size_t begin, size_t end) {
-    for (size_t s = begin; s < end; ++s) {
-      per_shard[s] =
-          ScoreShard(shards_[s], terms, k, exclude, avgdl, &postings[s], &docs[s]);
-    }
-  };
-  if (pool != nullptr && num_shards > 1) {
-    pool->ParallelFor(num_shards, score_range);
-  } else {
-    score_range(0, num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    per_shard[s] = ScoreShard(shards_[s], terms, k, exclude, avgdl, &postings[s], &docs[s]);
   }
 
   uint64_t total_postings = 0, total_docs = 0;

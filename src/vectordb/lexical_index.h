@@ -21,13 +21,13 @@
 //     exactly one structure at a time, query terms are deduplicated and
 //     iterated in sorted order, and per-document scores accumulate in double
 //     — so each document's score is a pure function of (its term
-//     frequencies, the live-set statistics), invariant to shard count,
-//     segment layout, and thread count.
+//     frequencies, the live-set statistics), invariant to shard count and
+//     segment layout.
 //   - Ranking runs under the (score descending, insertion order ascending)
 //     total order. Insertion order is the global Add order, the same
 //     tie-break role candidate order plays in the dense indexes. Per-shard
-//     top-k heaps merge under that total order on the calling thread, so any
-//     shard x thread combination returns bit-identical hits.
+//     top-k lists merge under that total order, so every shard count returns
+//     bit-identical hits.
 //
 // Storage: every term is interned once, on first Add, into a per-index
 // dictionary (term text -> uint32_t id), and everything else is keyed by id.
@@ -51,7 +51,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/vectordb/vectordb.h"
 
 namespace metis {
@@ -84,11 +83,9 @@ class LexicalIndex {
   // Top-k by BM25 over the live set, best first, under the
   // (score desc, insertion order asc) total order. `exclude` is an extra
   // sorted id set filtered inside the scan (metadata-filter push-down);
-  // tombstones are always filtered. `pool` shards the scan across workers —
-  // results are bit-identical for any pool size. distance = -score.
+  // tombstones are always filtered. distance = -score.
   std::vector<SearchHit> Search(const std::string& query_text, size_t k,
-                                const IdFilter& exclude = {},
-                                ThreadPool* pool = nullptr) const;
+                                const IdFilter& exclude = {}) const;
 
   size_t num_docs() const { return live_docs_; }
   size_t num_shards() const { return shards_.size(); }

@@ -175,7 +175,6 @@ class MutableIndex : public VectorIndex {
   // probe_histogram stay cumulative across swaps.
   const IvfL2Index* base_ivf() const { return PinEpoch()->base_ivf; }
   size_t dim() const { return dim_; }
-  const MutableIndexOptions& mutation_options() const { return mopts_; }
 
  private:
   // Log access (rows below a published epoch's memtable_hi are immutable).

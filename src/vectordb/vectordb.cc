@@ -847,21 +847,20 @@ VectorDatabase::VectorDatabase(EmbeddingModel embedder, DatabaseMetadata metadat
                                RetrievalIndexOptions index_options)
     : embedder_(std::move(embedder)),
       metadata_(std::move(metadata)),
-      index_options_(index_options),
       query_cache_(&embedder_, kQueryCacheCapacity) {
   // In the body, not the init list: the factory writes ivf_, whose own
   // default initializer would otherwise run afterwards and null it out again.
-  if (index_options_.mutable_index) {
-    auto mut = std::make_unique<MutableIndex>(embedder_.dim(), index_options_);
+  if (index_options.mutable_index) {
+    auto mut = std::make_unique<MutableIndex>(embedder_.dim(), index_options);
     mutable_ = mut.get();
     index_ = std::move(mut);
   } else {
-    index_ = MakeBackendIndex(embedder_.dim(), index_options_, &ivf_);
+    index_ = MakeBackendIndex(embedder_.dim(), index_options, &ivf_);
   }
-  if (index_options_.lexical) {
-    lexical_ = std::make_unique<LexicalIndex>(std::max<size_t>(1, index_options_.shards),
-                                              index_options_.mutation.memtable_rows,
-                                              index_options_.mutation.compact_segments);
+  if (index_options.lexical) {
+    lexical_ = std::make_unique<LexicalIndex>(std::max<size_t>(1, index_options.shards),
+                                              index_options.mutation.memtable_rows,
+                                              index_options.mutation.compact_segments);
   }
 }
 
@@ -1059,7 +1058,7 @@ std::vector<SearchHit> VectorDatabase::RetrieveHybrid(const std::string& query_t
 
   std::vector<SearchHit> lexical_hits;
   if (want_lexical) {
-    lexical_hits = lexical_->Search(query_text, k, exclude, search_pool_);
+    lexical_hits = lexical_->Search(query_text, k, exclude);
     lexical_searches_.fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -1103,12 +1102,12 @@ std::vector<std::vector<SearchHit>> VectorDatabase::RetrieveBatch(
     }
   }
   if (!plain.empty()) {
-    // GetBatch serves cache hits and embeds the misses in one EmbedBatch
-    // (sharded across the search pool), returning owned copies so later
-    // cache evictions cannot invalidate the batch.
-    std::vector<Embedding> queries = query_cache_.GetBatch(texts, search_pool_);
+    // GetBatch serves cache hits and embeds the misses in one EmbedBatch,
+    // returning owned copies so later cache evictions cannot invalidate the
+    // batch.
+    std::vector<Embedding> queries = query_cache_.GetBatch(texts);
     std::vector<std::vector<SearchHit>> swept =
-        index_->SearchBatch(queries, k, search_pool_, quals);
+        index_->SearchBatch(queries, k, /*pool=*/nullptr, quals);
     for (size_t j = 0; j < plain.size(); ++j) {
       results[plain[j]] = std::move(swept[j]);
     }

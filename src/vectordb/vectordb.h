@@ -466,7 +466,6 @@ class IvfL2Index : public VectorIndex {
   // Per-query adaptive probing policy (off by default). Takes effect on the
   // next search; not synchronized with in-flight searches.
   void set_adaptive_probe(const AdaptiveProbePolicy& policy) { adaptive_ = policy; }
-  const AdaptiveProbePolicy& adaptive_probe() const { return adaptive_; }
   size_t nlist() const { return nlist_; }
   size_t nprobe() const { return nprobe_; }
   size_t num_shards() const { return num_shards_; }
@@ -691,7 +690,6 @@ class VectorDatabase {
   // Returns how many chunks this call transitioned from live to deleted.
   size_t DeleteChunks(const std::vector<ChunkId>& ids);
   bool chunk_live(ChunkId id) const;
-  size_t num_live_chunks() const { return num_chunks() - deleted_count_; }
 
   // Embeds the query text and returns the top-k chunks, closest first.
   // Query embeddings are memoized (EmbeddingCache), so repeated retrievals of
@@ -711,14 +709,10 @@ class VectorDatabase {
       const std::vector<std::string>& query_texts, size_t k,
       const std::vector<RetrievalQuality>& qualities) const;
 
-  // Optional worker pool used by RetrieveBatch; not owned, may be null.
-  void set_search_pool(ThreadPool* pool) { search_pool_ = pool; }
-
   const Chunk& chunk(ChunkId id) const;
   size_t num_chunks() const { return chunks_.size(); }
   const DatabaseMetadata& metadata() const { return metadata_; }
   const EmbeddingModel& embedder() const { return embedder_; }
-  const RetrievalIndexOptions& index_options() const { return index_options_; }
   const VectorIndex& index() const { return *index_; }
   // Non-null iff the IVF backend is active (probe stats, policy tweaks).
   // Under a mutable index this is the *current* base — retrains swap the base
@@ -747,7 +741,6 @@ class VectorDatabase {
   std::shared_ptr<const std::vector<ChunkId>> CompileFilter(const MetadataFilter& filter) const;
   EmbeddingModel embedder_;
   DatabaseMetadata metadata_;
-  RetrievalIndexOptions index_options_;
   std::vector<Chunk> chunks_;
   std::vector<bool> deleted_;  // Parallel to chunks_.
   size_t deleted_count_ = 0;
@@ -756,7 +749,6 @@ class VectorDatabase {
   MutableIndex* mutable_ = nullptr;  // Owned by index_ when mutable_index.
   std::unique_ptr<LexicalIndex> lexical_;  // Non-null iff index_options.lexical.
   mutable EmbeddingCache query_cache_;
-  ThreadPool* search_pool_ = nullptr;
 
   // Single-entry filter-compilation memo: hybrid workloads reuse a small set
   // of filters against an (often) static corpus, so recompiling the exclusion

@@ -1,7 +1,6 @@
 #include "src/workload/dataset.h"
 
 #include <algorithm>
-#include <limits>
 #include <unordered_set>
 
 #include "src/common/check.h"
@@ -662,57 +661,7 @@ void AssignSequentialArrivals(std::vector<RagQuery>& queries) {
   }
 }
 
-const char* ArrivalKindName(ArrivalKind kind) {
-  switch (kind) {
-    case ArrivalKind::kPoisson:
-      return "poisson";
-    case ArrivalKind::kBursty:
-      return "bursty";
-    case ArrivalKind::kFlashCrowd:
-      return "flash_crowd";
-  }
-  return "unknown";
-}
-
 namespace {
-
-// Two-state MMPP: alternate exponential on/off periods; within each period
-// arrivals are Poisson at that state's rate. The off-rate solves
-// f * on + (1 - f) * off = rate so the long-run mean is preserved (clamped at
-// 0 when the burst carries more than the whole mean).
-std::vector<SimTime> BurstyArrivalTimes(const ArrivalProcess& p, Rng& rng, int n, double rate) {
-  METIS_CHECK_GT(p.burst_factor, 1.0);
-  METIS_CHECK_GT(p.burst_fraction, 0.0);
-  METIS_CHECK_LT(p.burst_fraction, 1.0);
-  METIS_CHECK_GT(p.mean_cycle_s, 0.0);
-  double on_rate = rate * p.burst_factor;
-  double off_rate =
-      std::max(0.0, rate * (1.0 - p.burst_fraction * p.burst_factor) / (1.0 - p.burst_fraction));
-  double mean_on_s = p.burst_fraction * p.mean_cycle_s;
-  double mean_off_s = (1.0 - p.burst_fraction) * p.mean_cycle_s;
-
-  std::vector<SimTime> times;
-  times.reserve(static_cast<size_t>(n));
-  SimTime t = 0;
-  bool on = true;  // Start in a burst so short traces still exercise one.
-  SimTime state_end = rng.Exponential(1.0 / mean_on_s);
-  while (static_cast<int>(times.size()) < n) {
-    double state_rate = on ? on_rate : off_rate;
-    // state_rate can be 0 (all-burst mean): the off state then only advances
-    // the clock to the next burst.
-    SimTime next = state_rate > 0 ? t + rng.Exponential(state_rate)
-                                  : std::numeric_limits<SimTime>::infinity();
-    if (next <= state_end) {
-      t = next;
-      times.push_back(t);
-    } else {
-      t = state_end;
-      on = !on;
-      state_end = t + rng.Exponential(1.0 / (on ? mean_on_s : mean_off_s));
-    }
-  }
-  return times;
-}
 
 // Nonhomogeneous Poisson via Lewis-Shedler thinning: candidates at the peak
 // rate, accepted with probability rate(t) / peak. One uniform is consumed per
@@ -740,8 +689,6 @@ std::vector<SimTime> ArrivalTimesFor(const ArrivalProcess& process, Rng& rng, in
   switch (process.kind) {
     case ArrivalKind::kPoisson:
       return PoissonArrivalTimes(rng, n, rate);
-    case ArrivalKind::kBursty:
-      return BurstyArrivalTimes(process, rng, n, rate);
     case ArrivalKind::kFlashCrowd: {
       METIS_CHECK_GT(process.flash_factor, 1.0);
       METIS_CHECK_GT(process.flash_duration_s, 0.0);

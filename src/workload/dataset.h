@@ -148,7 +148,6 @@ class Dataset {
   // database, so cached corpora stay immutable.
   VectorDatabase& mutable_db() { return *db_; }
   const std::vector<RagQuery>& queries() const { return queries_; }
-  std::vector<RagQuery>& mutable_queries() { return queries_; }
   const Fact& fact(int32_t id) const;
   bool has_fact(int32_t id) const { return facts_.count(id) > 0; }
   size_t num_facts() const { return facts_.size(); }
@@ -191,30 +190,18 @@ void AssignSequentialArrivals(std::vector<RagQuery>& queries);
 // --- Non-Poisson arrival processes (overload workloads) ---------------------
 //
 // The paper replays one well-behaved open-loop Poisson trace; overload
-// control needs traffic that *exceeds* capacity in realistic shapes. Three
-// generators join AssignPoissonArrivals, all deterministic per seed and all
-// parameterized by the same mean `rate` so "offered load" stays comparable
-// across shapes:
+// control needs traffic that *exceeds* capacity. One generator joins
+// AssignPoissonArrivals, deterministic per seed and parameterized by the same
+// mean `rate` so "offered load" stays comparable across shapes:
 //
-//   kBursty:     two-state Markov-modulated Poisson (on/off). Bursts arrive
-//                at rate * burst_factor for an exponential on-period, then a
-//                quiet off-period whose rate is chosen so the long-run mean
-//                stays `rate` (off-rate clamps at 0 when burst_factor >
-//                1/burst_fraction — the mean is then slightly below `rate`).
 //   kFlashCrowd: baseline Poisson at `rate` with one spike window
 //                [flash_start_s, flash_start_s + flash_duration_s] during
 //                which the rate multiplies by flash_factor — the
 //                past-saturation regime the degradation ladder exists for.
-enum class ArrivalKind { kPoisson, kBursty, kFlashCrowd };
-
-const char* ArrivalKindName(ArrivalKind kind);
+enum class ArrivalKind { kPoisson, kFlashCrowd };
 
 struct ArrivalProcess {
   ArrivalKind kind = ArrivalKind::kPoisson;
-  // kBursty:
-  double burst_factor = 3.0;     // In-burst rate multiplier (> 1).
-  double burst_fraction = 0.25;  // Long-run fraction of time in burst state.
-  double mean_cycle_s = 40.0;    // Mean on+off cycle length (s).
   // kFlashCrowd:
   double flash_start_s = 20.0;
   double flash_duration_s = 15.0;

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "src/common/strings.h"
+#include "src/core/hybrid_router.h"
 #include "src/runner/runner.h"
 
 namespace metis {
@@ -249,9 +250,12 @@ void AddSpec(Digest& h, const RunSpec& s) {
   h.Add(d.adaptive);
   h.Add(uint8_t{0});  // Deleted depth-policy precision and rerank_factor.
   h.Add(size_t{0});
-  const HybridRouterOptions& hy = s.scheduler.hybrid;
-  h.Add(hy.enabled);
-  for (const HybridBackendWeights& w : {hy.factual, hy.semantic, hy.temporal, hy.comparative}) {
+  h.Add(s.scheduler.hybrid.enabled);
+  // The router's weight table, hashed in the same place and order as ever so
+  // that specs whose behaviour did not change keep their pins.
+  for (QueryTaskType t : {QueryTaskType::kFactual, QueryTaskType::kSemantic,
+                          QueryTaskType::kTemporal, QueryTaskType::kComparative}) {
+    HybridBackendWeights w = HybridRouter::WeightsFor(t);
     h.Add(w.dense);
     h.Add(w.lexical);
   }
@@ -366,7 +370,9 @@ RunSpec OneStackSpec(const std::string& name) {
   s.num_queries = 12;
   s.arrival_rate = 3.0;
   s.seed = 29;
-  if (name == "vllm_fixed") {
+  if (name == "metis_flat") {
+    // The base spec as is.
+  } else if (name == "vllm_fixed") {
     s.dataset = "squad";
     s.system = SystemKind::kVllmFixed;
     s.fixed_config = RagConfig{SynthesisMethod::kMapReduce, 4, 60};
@@ -393,11 +399,9 @@ RunSpec OneStackSpec(const std::string& name) {
     s.scheduler.e2e_budget_s = 6.0;
     s.shared_workload.hot_fraction = 0.6;
     s.shared_workload.num_hot = 3;
-  } else if (name == "bursty_no_prefix_sharing") {
+  } else if (name == "no_prefix_sharing") {
     s.dataset = "squad";
     s.num_queries = 16;
-    s.arrivals.kind = ArrivalKind::kBursty;
-    s.arrivals.mean_cycle_s = 4.0;
     s.override_prefix_sharing = false;
   } else if (name == "gpt4o_serving") {
     s.num_queries = 8;
@@ -425,6 +429,8 @@ RunSpec OneStackSpec(const std::string& name) {
     s.num_queries = 0;
     s.system = SystemKind::kVllmFixed;
     UseIngest(s.retrieval, s.ingest, 40, 20.0);
+  } else {
+    ADD_FAILURE() << "unknown one-stack spec " << name;
   }
   return s;
 }
@@ -434,7 +440,9 @@ MixedRunSpec MixedSpec(const std::string& name) {
   s.queries_per_dataset = 8;
   s.rate_per_dataset = 2.0;
   s.seed = 31;
-  if (name == "mix_repeated_ivf_vllm") {
+  if (name == "mix_paper_four") {
+    // The base spec as is: the paper's four datasets.
+  } else if (name == "mix_repeated_ivf_vllm") {
     s.datasets = {"squad", "squad"};
     s.system = SystemKind::kVllmFixed;
     UseIvf(s.retrieval);
@@ -454,16 +462,10 @@ MixedRunSpec MixedSpec(const std::string& name) {
     s.per_dataset_depth = true;
     s.depth_calibration = MixedRunSpec::DepthCalibration::kOffline;
     s.calibrator.holdout_queries = 8;
-  } else if (name == "mix_profile_depth_override") {
+  } else if (name == "mix_profile_depth") {
     s.datasets = {"squad", "qmsum", "musique"};
     UseIvf(s.retrieval);
     s.per_dataset_depth = true;
-    JointSchedulerOptions pinned;
-    pinned.depth.base_probes = 5;
-    pinned.depth.probes_per_piece = 0;
-    pinned.depth.min_budget = 5;
-    pinned.depth.max_budget = 5;
-    s.per_dataset_scheduler = {std::nullopt, pinned};
   } else if (name == "mix_ingest_overload") {
     s.datasets = {"squad", "musique"};
     s.rate_per_dataset = 24.0;
@@ -491,6 +493,8 @@ MixedRunSpec MixedSpec(const std::string& name) {
     s.queries_per_dataset = 0;
     s.system = SystemKind::kVllmFixed;
     UseIngest(s.retrieval, s.ingest, 20, 20.0);
+  } else {
+    ADD_FAILURE() << "unknown mixed spec " << name;
   }
   return s;
 }
@@ -504,7 +508,7 @@ TEST(DeterminismTest, PinnedOneStackDigests) {
       {"closed_loop", 0xfd1bf68e1bf45e86ull},
       {"closed_loop_ingest", 0xb530a434fa9f0166ull},
       {"shared_reuse_budget", 0xbdb112a5f88ca3cdull},
-      {"bursty_no_prefix_sharing", 0x4f9ce2aed30d4b3eull},
+      {"no_prefix_sharing", 0xbfe4d09a409c7bc2ull},
       {"gpt4o_serving", 0x9fb3afc027e6c399ull},
       {"ivf_tenants_ladder_64qps", 0x19cc00ac7b5f9a6full},
       {"ivf_sharded_fixed_depth", 0x97e3eb4e9e2667ceull},
@@ -522,8 +526,8 @@ TEST(DeterminismTest, PinnedMixedDigests) {
       {"mix_paper_four", 0xc4fda3a9565e9e22ull},
       {"mix_repeated_ivf_vllm", 0x4b2ae1e23f6684a3ull},
       {"mix_offline_depth", 0xd00fe45ae0a8a294ull},
-      {"mix_offline_depth_hybrid", 0xee372917a8b0f2feull},
-      {"mix_profile_depth_override", 0x78daf4e6835990b8ull},
+      {"mix_offline_depth_hybrid", 0xf0240f106865a740ull},
+      {"mix_profile_depth", 0x1de24f459275bc87ull},
       {"mix_ingest_overload", 0x513a87ef38fcb439ull},
       {"mix_parrot_fixed_configs_reuse", 0x0e796e34f4e35bc5ull},
       {"mix_one_dataset_adaptive", 0xa74d67116aaeeb0dull},

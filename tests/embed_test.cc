@@ -189,11 +189,10 @@ TEST(EmbeddingCacheTest, GetBatchMatchesGetAndMemoizes) {
   EmbeddingCache cache(&m, 16);
   // Warm one entry so the batch sees a pre-existing hit.
   cache.Get("warm entry text");
-  ThreadPool pool(2);
   std::vector<std::string> texts = {
       "warm entry text", "fresh one", "fresh two", "fresh one",  // Duplicate miss.
   };
-  std::vector<Embedding> got = cache.GetBatch(texts, &pool);
+  std::vector<Embedding> got = cache.GetBatch(texts);
   ASSERT_EQ(got.size(), texts.size());
   for (size_t i = 0; i < texts.size(); ++i) {
     EXPECT_EQ(got[i], m.Embed(texts[i])) << "i=" << i;
@@ -204,7 +203,7 @@ TEST(EmbeddingCacheTest, GetBatchMatchesGetAndMemoizes) {
   EXPECT_EQ(cache.misses(), 3u);  // warm-up miss + 2 batch misses.
   // Everything from the batch is memoized now.
   size_t misses_before = cache.misses();
-  cache.GetBatch(texts, nullptr);
+  cache.GetBatch(texts);
   EXPECT_EQ(cache.misses(), misses_before);
 }
 
@@ -212,7 +211,7 @@ TEST(EmbeddingCacheTest, GetBatchResultsSurviveEviction) {
   EmbeddingModel m = Cohere();
   EmbeddingCache cache(&m, 2);  // Tiny: the batch itself forces evictions.
   std::vector<std::string> texts = {"one text", "two text", "three text", "four text"};
-  std::vector<Embedding> got = cache.GetBatch(texts, nullptr);
+  std::vector<Embedding> got = cache.GetBatch(texts);
   ASSERT_EQ(got.size(), texts.size());
   for (size_t i = 0; i < texts.size(); ++i) {
     EXPECT_EQ(got[i], m.Embed(texts[i])) << "i=" << i;  // Owned copies: intact.

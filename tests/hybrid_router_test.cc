@@ -257,7 +257,6 @@ TEST(HybridFusionTest, FusedRankingBitIdenticalAcrossShardsAndThreads) {
     for (size_t threads : {size_t{1}, size_t{4}}) {
       ThreadPool pool(threads);
       auto db = MakeDb(shards, /*lexical=*/true, &pool);
-      db->set_search_pool(&pool);
       std::string context =
           "shards=" + std::to_string(shards) + " threads=" + std::to_string(threads);
       const std::vector<std::string> queries = TestQueries();
@@ -328,11 +327,9 @@ TEST(LexicalLifecycleTest, SealedCompactedIndexMatchesFreshBuildOverLiveSet) {
     }
   }
 
-  ThreadPool pool(4);
   for (const std::string& q : TestQueries()) {
     std::vector<SearchHit> want = fresh.Search(q, 15);
     ExpectSameHits(aged.Search(q, 15), want, "aged vs fresh, query '" + q + "'");
-    ExpectSameHits(aged.Search(q, 15, {}, &pool), want, "aged pooled, query '" + q + "'");
   }
   // Removed docs never resurface even at exhaustive depth.
   for (const SearchHit& h : aged.Search("kimbrough stadium county randall", 90)) {

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/text/tokenizer.h"
 #include "src/vectordb/lexical_index.h"
 
@@ -170,7 +169,7 @@ const std::vector<std::string>& Queries() {
 }
 
 void CheckAgainstReference(const LexicalIndex& index, const ReferenceBm25& ref, ChunkId max_id,
-                           ThreadPool* pool, const std::string& context) {
+                           const std::string& context) {
   std::vector<ChunkId> exclude;
   for (ChunkId id = 1; id < max_id; id += 4) exclude.push_back(id);
   IdFilter filter{exclude.data(), exclude.data() + exclude.size()};
@@ -179,14 +178,12 @@ void CheckAgainstReference(const LexicalIndex& index, const ReferenceBm25& ref, 
       std::string where = context + " q='" + q + "' k=" + std::to_string(k);
       std::vector<SearchHit> want = ref.Search(q, k, {});
       ExpectBitEqual(index.Search(q, k), want, where);
-      ExpectBitEqual(index.Search(q, k, {}, pool), want, where + " pooled");
       ExpectBitEqual(index.Search(q, k, filter), ref.Search(q, k, exclude), where + " filtered");
     }
   }
 }
 
 TEST(LexicalIndexTest, MatchesBruteForceScorerUnderChurn) {
-  ThreadPool pool(3);
   for (size_t shards : {size_t{1}, size_t{3}}) {
     for (size_t memtable : {size_t{1}, size_t{2}, size_t{128}}) {
       for (size_t compact : {size_t{2}, size_t{4}}) {
@@ -218,11 +215,11 @@ TEST(LexicalIndexTest, MatchesBruteForceScorerUnderChurn) {
             // A term whose df rises, falls to 0, and returns.
             add("phoenix rising");
             add("Phoenix, alpha");
-            CheckAgainstReference(index, ref, next_id, &pool, config + " phoenix live");
+            CheckAgainstReference(index, ref, next_id, config + " phoenix live");
             remove(next_id - 2);
             remove(next_id - 1);
             EXPECT_TRUE(index.Search("phoenix", 10).empty()) << config;
-            CheckAgainstReference(index, ref, next_id, &pool, config + " phoenix df 0");
+            CheckAgainstReference(index, ref, next_id, config + " phoenix df 0");
           }
           if (step == 400) {
             add("(phoenix) again eta");
@@ -231,8 +228,7 @@ TEST(LexicalIndexTest, MatchesBruteForceScorerUnderChurn) {
             EXPECT_EQ(back[0].id, next_id - 1) << config;
           }
           if (step % 50 == 49) {
-            CheckAgainstReference(index, ref, next_id, &pool,
-                                  config + " step " + std::to_string(step));
+            CheckAgainstReference(index, ref, next_id, config + " step " + std::to_string(step));
           }
         }
         EXPECT_FALSE(index.Remove(next_id));  // Never added.

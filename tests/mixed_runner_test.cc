@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -137,12 +138,6 @@ TEST(MixedRunnerTest, PerDatasetFieldsInertWhenFlagOff) {
   loaded.per_dataset_depth = false;  // Explicitly off.
   loaded.depth_calibration = MixedRunSpec::DepthCalibration::kOffline;
   loaded.calibrator.holdout_queries = 5;
-  JointSchedulerOptions wild;
-  wild.depth.base_probes = 1;
-  wild.depth.probes_per_piece = 0;
-  wild.depth.min_budget = 1;
-  wild.depth.max_budget = 1;
-  loaded.per_dataset_scheduler = {wild, wild};
   auto got = RunMixedExperiment(loaded);
 
   ExpectRunsBitIdentical(want, got);
@@ -203,39 +198,30 @@ TEST(MixedRunnerTest, PerDatasetDepthChangesIvfProbes) {
   EXPECT_TRUE(any_changed);
 }
 
-TEST(MixedRunnerTest, ExplicitOverrideBeatsCalibration) {
+TEST(MixedRunnerTest, ProfileModeResolvesEachStackToItsDerivedLine) {
   MixedRunSpec spec = IvfSpec();
   spec.datasets = {"squad", "musique"};
   spec.system = SystemKind::kMetis;
   spec.per_dataset_depth = true;
-  JointSchedulerOptions override_options = spec.scheduler;
-  override_options.depth.base_probes = 5;
-  override_options.depth.probes_per_piece = 0;
-  override_options.depth.min_budget = 5;
-  override_options.depth.max_budget = 5;
-  spec.per_dataset_scheduler = {override_options, std::nullopt};
-
-  auto squad = GetOrGenerateDataset("squad", spec.queries_per_dataset, spec.embedding_model,
-                                    spec.seed, spec.retrieval);
-  auto musique = GetOrGenerateDataset("musique", spec.queries_per_dataset,
-                                      spec.embedding_model, spec.seed, spec.retrieval);
-  JointSchedulerOptions o0 = EffectiveSchedulerOptions(spec, 0, *squad);
-  EXPECT_EQ(o0.depth.base_probes, 5u);
-  EXPECT_EQ(o0.depth.max_budget, 5u);
-  JointSchedulerOptions o1 = EffectiveSchedulerOptions(spec, 1, *musique);
-  DepthCalibrator calibrator(spec.calibrator);
-  RetrievalDepthPolicyOptions derived =
-      calibrator.DeriveFromProfile(musique->profile(), spec.retrieval.nlist);
-  EXPECT_EQ(o1.depth.base_probes, derived.base_probes);
-  EXPECT_EQ(o1.depth.probes_per_piece, derived.probes_per_piece);
-  EXPECT_EQ(o1.depth.min_budget, derived.min_budget);
-  EXPECT_EQ(o1.depth.max_budget, derived.max_budget);
-
   MixedRunSpec off = spec;
   off.per_dataset_depth = false;
-  JointSchedulerOptions shared = EffectiveSchedulerOptions(off, 0, *squad);
-  EXPECT_EQ(shared.depth.base_probes, spec.scheduler.depth.base_probes);
-  EXPECT_EQ(shared.depth.max_budget, spec.scheduler.depth.max_budget);
+
+  DepthCalibrator calibrator(spec.calibrator);
+  for (const std::string& name : spec.datasets) {
+    auto dataset = GetOrGenerateDataset(name, spec.queries_per_dataset, spec.embedding_model,
+                                        spec.seed, spec.retrieval);
+    JointSchedulerOptions got = EffectiveSchedulerOptions(spec, *dataset);
+    RetrievalDepthPolicyOptions derived =
+        calibrator.DeriveFromProfile(dataset->profile(), spec.retrieval.nlist);
+    EXPECT_EQ(got.depth.base_probes, derived.base_probes) << name;
+    EXPECT_EQ(got.depth.probes_per_piece, derived.probes_per_piece) << name;
+    EXPECT_EQ(got.depth.min_budget, derived.min_budget) << name;
+    EXPECT_EQ(got.depth.max_budget, derived.max_budget) << name;
+
+    JointSchedulerOptions shared = EffectiveSchedulerOptions(off, *dataset);
+    EXPECT_EQ(shared.depth.base_probes, spec.scheduler.depth.base_probes) << name;
+    EXPECT_EQ(shared.depth.max_budget, spec.scheduler.depth.max_budget) << name;
+  }
 }
 
 TEST(DepthCalibratorTest, DeriveFromProfileTracksDatasetShape) {
