@@ -47,8 +47,8 @@ FixedConfigSystem::FixedConfigSystem(Simulator* sim, SynthesisExecutor* executor
 
 void FixedConfigSystem::Accept(const RagQuery& query) {
   SimTime arrival = sim_->now();
-  executor_->Execute(query, config_, [this, query, arrival](RagResult result) {
-    sink_(MakeRecord(label_.c_str(), query, config_, arrival, sim_->now(), std::move(result)));
+  executor_->Execute(query, config_, [this, q = &query, arrival](RagResult result) {
+    sink_(MakeRecord(label_.c_str(), *q, config_, arrival, sim_->now(), std::move(result)));
   });
 }
 
@@ -69,13 +69,12 @@ AdaptiveRagSystem::AdaptiveRagSystem(Simulator* sim, SynthesisExecutor* executor
 
 void AdaptiveRagSystem::Accept(const RagQuery& query) {
   SimTime arrival = sim_->now();
-  profiler_->ProfileAsync(query, [this, query, arrival](QueryProfiler::Outcome outcome) {
+  profiler_->ProfileAsync(query, [this, q = &query, arrival](QueryProfiler::Outcome outcome) {
     PrunedConfigSpace space = RuleBasedMapping(outcome.profile);
     // Maximize the F1 proxy, disregarding the system resource cost (§7.1).
     RagConfig config = scheduler_->QualityMaxOfSpace(space);
-    executor_->Execute(query, config, [this, query, arrival, outcome,
-                                       config](RagResult result) {
-      QueryRecord rec = MakeRecord("adaptive_rag*", query, config, arrival, sim_->now(),
+    executor_->Execute(*q, config, [this, q, arrival, outcome, config](RagResult result) {
+      QueryRecord rec = MakeRecord("adaptive_rag*", *q, config, arrival, sim_->now(),
                                    std::move(result));
       rec.profile = outcome.profile;
       rec.profile_was_bad = outcome.was_bad;
@@ -138,13 +137,13 @@ void MetisSystem::MaybeRunGoldenFeedback(const RagQuery& query) {
   // intermediates. Runs as background load; its output is not recorded as a
   // served query but its structure teaches the profiler.
   RagConfig golden{SynthesisMethod::kMapReduce, 30, 300};
-  executor_->Execute(query, golden, [this, query](RagResult result) {
+  executor_->Execute(query, golden, [this, q = &query](RagResult result) {
     // The golden answer exposes how many standalone facts the full-effort
     // pipeline actually drew on and the summary detail it needed; that is
     // the signal fed back (§5).
     int pieces = result.gold_facts_retrieved > 0 ? result.gold_facts_retrieved
-                                                 : query.num_facts;
-    profiler_->AddGoldenFeedback(query, pieces, query.ideal_summary_tokens);
+                                                 : q->num_facts;
+    profiler_->AddGoldenFeedback(*q, pieces, q->ideal_summary_tokens);
   });
 }
 
@@ -170,7 +169,8 @@ void MetisSystem::Accept(const RagQuery& query) {
 
   MaybeRunGoldenFeedback(query);
 
-  profiler_->ProfileAsync(query, [this, query, arrival](QueryProfiler::Outcome outcome) {
+  profiler_->ProfileAsync(query, [this, q = &query, arrival](QueryProfiler::Outcome outcome) {
+    const RagQuery& query = *q;
     int max_chunks = static_cast<int>(dataset_->db().num_chunks());
     PrunedConfigSpace space = RuleBasedMapping(outcome.profile, max_chunks);
 
@@ -254,8 +254,9 @@ void MetisSystem::Accept(const RagQuery& query) {
     }
 
     executor_->Execute(query, decision.config, decision.retrieval,
-                       [this, query, arrival, outcome, decision, low_confidence, decision_level,
+                       [this, q, arrival, outcome, decision, low_confidence, decision_level,
                         depth_shed, synthesis_degraded, hybrid_shed](RagResult result) {
+      const RagQuery& query = *q;
       QueryRecord rec = MakeRecord("metis", query, decision.config, arrival, sim_->now(),
                                    std::move(result));
       rec.retrieval_quality = decision.retrieval;

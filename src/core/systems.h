@@ -73,7 +73,10 @@ using RecordSink = std::function<void(QueryRecord)>;
 class ServingSystem {
  public:
   virtual ~ServingSystem() = default;
-  // Called at the query's arrival time in simulation context.
+  // Called at the query's arrival time in simulation context. The query
+  // outlives the run: the system's profiler, executor and golden-feedback
+  // callbacks refer to `query`, not a copy, so the caller keeps it alive
+  // (and unmoved) until the simulation has drained.
   virtual void Accept(const RagQuery& query) = 0;
   virtual const char* name() const = 0;
 };

@@ -1,11 +1,12 @@
 #include "src/llm/behavior.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 
 #include "src/common/check.h"
 #include "src/common/rng.h"
-#include "src/common/strings.h"
+#include "src/text/tokenizer.h"
 
 namespace metis {
 
@@ -23,14 +24,29 @@ double BehaviorModel::LitmMultiplier(double position_frac, int context_tokens) c
 
 namespace {
 
-// Appends tokens to a space-joined string.
-void AppendTokens(std::string& out, const std::vector<std::string>& tokens) {
+// Appends tokens to a space-joined string and returns the words they add.
+// SplitWords' count of the joined text grows by each token's CountTokens
+// (the same whitespace rule), since the joining space cannot merge two words.
+int AppendTokens(std::string& out, const std::vector<std::string>& tokens) {
+  int words = 0;
   for (const auto& t : tokens) {
     if (!out.empty()) {
       out += ' ';
     }
     out += t;
+    words += static_cast<int>(CountTokens(t));
   }
+  return words;
+}
+
+// Appends one filler word, "fill" and `number`'s decimal digits.
+void AppendFiller(std::string& out, int64_t number) {
+  if (!out.empty()) {
+    out += ' ';
+  }
+  char digits[24];
+  out += "fill";
+  out.append(digits, std::to_chars(digits, digits + sizeof(digits), number).ptr);
 }
 
 }  // namespace
@@ -58,7 +74,6 @@ GenerationResult BehaviorModel::Generate(const ModelSpec& model,
     double per_fact_budget = static_cast<double>(budget) / competing;
     double survival = std::clamp(per_fact_budget / params_.summary_tokens_per_fact, 0.0, 1.0);
 
-    std::string text;
     int kept_tokens = 0;
     for (const auto& f : task.facts) {
       double salience_term = params_.salience_floor + (1.0 - params_.salience_floor) * f.salience;
@@ -73,19 +88,20 @@ GenerationResult BehaviorModel::Generate(const ModelSpec& model,
         FactInContext kept = f;
         kept.from_summary = true;
         kept.salience = std::min(1.0, f.salience + 0.25);  // Denoised by the map stage.
-        result.expressed_facts.push_back(kept);
-        AppendTokens(text, f.answer_tokens);
+        result.expressed_facts.push_back(std::move(kept));
         kept_tokens += static_cast<int>(f.answer_tokens.size());
       }
     }
     // Summarizers write toward their length budget: the decode cost of the
     // map stage is what makes intermediate_length a real delay knob (Fig. 4c).
+    // Each scaffold word's number is drawn, so the confidence draw below
+    // reads the same stream position, but no text is written: the reducer
+    // reads a summary's length and facts, never its words.
     int target = std::max(1, static_cast<int>(budget * rng.Uniform(0.75, 1.0)));
     int scaffold = std::max(0, target - kept_tokens);
     for (int i = 0; i < scaffold; ++i) {
-      AppendTokens(text, {StrFormat("sum%d", static_cast<int>(rng.UniformInt(0, 9999)))});
+      rng.UniformInt(0, 9999);
     }
-    result.text = std::move(text);
     result.output_tokens = std::max(kept_tokens + scaffold, 1);
     result.confidence = result.expressed_facts.empty() ? rng.Uniform(0.2, 0.5)
                                                        : rng.Uniform(0.75, 0.98);
@@ -95,6 +111,7 @@ GenerationResult BehaviorModel::Generate(const ModelSpec& model,
   // --- kAnswer ---
   METIS_CHECK(task.mode == GenerationMode::kAnswer);
   std::string text;
+  int words = 0;  // SplitWords(text).size(), counted as text grows.
   double best_salience = 0;
   int recovered_relevant = 0;
 
@@ -124,7 +141,7 @@ GenerationResult BehaviorModel::Generate(const ModelSpec& model,
       }
       if (rng.Bernoulli(p)) {
         result.expressed_facts.push_back(f);
-        AppendTokens(text, f.answer_tokens);
+        words += AppendTokens(text, f.answer_tokens);
         ++recovered_relevant;
         best_salience = std::max(best_salience, f.salience);
       }
@@ -138,7 +155,7 @@ GenerationResult BehaviorModel::Generate(const ModelSpec& model,
                              ? params_.summary_noise_intrusion
                              : params_.intrusion_base + params_.intrusion_noise_scale * ramp;
       if (rng.Bernoulli(p_intrude)) {
-        AppendTokens(text, f.answer_tokens);
+        words += AppendTokens(text, f.answer_tokens);
       }
     }
   }
@@ -166,7 +183,7 @@ GenerationResult BehaviorModel::Generate(const ModelSpec& model,
       }
     }
     if (all_facts && rng.Bernoulli(p_reason)) {
-      AppendTokens(text, task.conclusion_tokens);
+      words += AppendTokens(text, task.conclusion_tokens);
       result.reasoning_success = true;
     }
   } else {
@@ -176,21 +193,21 @@ GenerationResult BehaviorModel::Generate(const ModelSpec& model,
   // Models answer verbosely: scaffolding, question echoes, and hedges that
   // count against precision under token-F1 (why real RAG F1 sits well below
   // 1 even when the facts are right).
-  int content_tokens = static_cast<int>(SplitWords(text).size());
   int verbosity = static_cast<int>(
-      rng.Uniform(0.25, 0.65) * std::max(content_tokens, task.target_output_tokens / 2));
+      rng.Uniform(0.25, 0.65) * std::max(words, task.target_output_tokens / 2));
   for (int i = 0; i < verbosity; ++i) {
-    AppendTokens(text, {StrFormat("fill%d", static_cast<int>(rng.UniformInt(0, 9999)))});
+    AppendFiller(text, rng.UniformInt(0, 9999));
   }
+  words += verbosity;
 
   if (text.empty()) {
     // Models always say *something*, even when they recovered nothing.
-    AppendTokens(text, {StrFormat("fill%d", static_cast<int>(rng.UniformInt(0, 9999)))});
+    AppendFiller(text, rng.UniformInt(0, 9999));
+    ++words;
   }
   result.text = std::move(text);
-  int text_tokens = static_cast<int>(SplitWords(result.text).size());
   // The decoded length tracks the semantic content but never collapses to 0.
-  result.output_tokens = std::max({text_tokens, task.target_output_tokens / 2, 1});
+  result.output_tokens = std::max({words, task.target_output_tokens / 2, 1});
 
   // Confidence: strong when a salient relevant fact was expressed; used by
   // map_rerank to pick among per-chunk candidate answers.

@@ -66,6 +66,8 @@ struct GenerationTask {
 };
 
 struct GenerationResult {
+  // The answer's words. Empty for kSummarize: no caller reads a summary's
+  // text, only its output_tokens and expressed_facts.
   std::string text;
   int output_tokens = 0;
   // Self-reported answer confidence; map_rerank ranks candidates with this.

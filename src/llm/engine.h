@@ -24,7 +24,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/llm/kv_cache.h"
@@ -70,7 +69,6 @@ struct RequestTiming {
 };
 
 struct InferenceRequest {
-  std::string tag;            // For debugging/tracing.
   int prompt_tokens = 0;
   int output_tokens = 1;      // Known at submit time (behaviour precomputed).
   uint64_t prefix_group = 0;  // 0 = no shared prefix.

@@ -1,7 +1,6 @@
 #include "src/profiler/profiler.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "src/common/check.h"
 #include "src/text/tokenizer.h"
@@ -67,6 +66,7 @@ QueryProfiler::QueryProfiler(Simulator* sim, ApiLlmClient* api, const DatabaseMe
   METIS_CHECK(sim != nullptr);
   METIS_CHECK(api != nullptr);
   METIS_CHECK(metadata != nullptr);
+  description_tokens_ = static_cast<int>(CountTokens(metadata->description));
 }
 
 double QueryProfiler::EffectiveError(double base) const {
@@ -82,13 +82,11 @@ namespace {
 constexpr const char* kNumberWords[] = {"zero", "one", "two",   "three", "four", "five",
                                         "six",  "seven", "eight", "nine",  "ten"};
 
-// Returns the value of the first number word in the tokens, or -1.
-int FirstNumberWord(const std::vector<std::string>& tokens) {
-  for (const auto& t : tokens) {
-    for (size_t n = 0; n < std::size(kNumberWords); ++n) {
-      if (t == kNumberWords[n]) {
-        return static_cast<int>(n);
-      }
+// The value of `token` as a number word, or -1.
+int NumberWordValue(const std::string& token) {
+  for (size_t n = 0; n < std::size(kNumberWords); ++n) {
+    if (token == kNumberWords[n]) {
+      return static_cast<int>(n);
     }
   }
   return -1;
@@ -98,20 +96,27 @@ int FirstNumberWord(const std::vector<std::string>& tokens) {
 
 QueryProfiler::Outcome QueryProfiler::Estimate(const RagQuery& query) {
   std::vector<std::string> tokens = Tokenize(query.text);
-  std::unordered_set<std::string> set(tokens.begin(), tokens.end());
 
-  // --- Cue analysis (what a capable LLM reads off the question text) ---
-  bool cue_high = set.count("why") > 0 || set.count("explain") > 0 ||
-                  set.count("reasons") > 0 || set.count("reason") > 0;
-  bool cue_joint = set.count("compare") > 0 || set.count("summarize") > 0 ||
-                   set.count("identify") > 0 || set.count("jointly") > 0;
-  bool cue_underspecified = set.count("recent") > 0;  // "...the recent records of X".
+  // --- Cue analysis (what a capable LLM reads off the question text), in
+  // one scan of the tokens ---
+  bool cue_high = false;
+  bool cue_joint = false;
+  bool cue_underspecified = false;  // "...the recent records of X".
+  int number_cue = -1;              // The first number word's value.
+  for (const std::string& t : tokens) {
+    cue_high = cue_high || t == "why" || t == "explain" || t == "reasons" || t == "reason";
+    cue_joint = cue_joint || t == "compare" || t == "summarize" || t == "identify" ||
+                t == "jointly";
+    cue_underspecified = cue_underspecified || t == "recent";
+    if (number_cue < 0) {
+      number_cue = NumberWordValue(t);
+    }
+  }
   // Hybrid-routing cues — RNG-free, so the noise process below is untouched.
   int cue_time_bucket = -1;
   QueryTaskType cue_task = ClassifyTaskType(tokens, &cue_time_bucket);
 
   int pieces;
-  int number_cue = FirstNumberWord(tokens);
   if (number_cue > 0) {
     pieces = number_cue;
   } else if (cue_joint || cue_high) {
@@ -200,8 +205,8 @@ void QueryProfiler::ProfileAsync(const RagQuery& query, std::function<void(Outco
   METIS_CHECK(done != nullptr);
   Outcome out = Estimate(query);
 
-  int input_tokens = static_cast<int>(CountTokens(query.text)) +
-                     static_cast<int>(CountTokens(metadata_->description)) + 40 /*prompt*/ +
+  int input_tokens = static_cast<int>(CountTokens(query.text)) + description_tokens_ +
+                     40 /*prompt*/ +
                      static_cast<int>(feedback_.size()) * params_.feedback_prompt_tokens;
   // Everything except the query itself (instructions, metadata, retained
   // feedback prompts) is a stable prefix the provider caches: billed at ~25%.

@@ -125,6 +125,7 @@ class QueryProfiler {
   Simulator* sim_;
   ApiLlmClient* api_;
   const DatabaseMetadata* metadata_;
+  int description_tokens_ = 0;  // CountTokens(metadata_->description).
   ProfilerParams params_;
   Rng rng_;
 

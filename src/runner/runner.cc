@@ -506,14 +506,18 @@ std::vector<RunMetrics> ServeStacks(const ServingSpec& spec, const std::vector<S
   // Each stack's throughput window starts at its OWN first arrival (0 for a
   // closed loop or a stack with no queries).
   std::vector<SimTime> first_arrival(plans.size(), 0);
+  // Per-run copies of each stack's queries, so arrival times don't leak
+  // across runs. They live until sim.Run() returns: systems and executors
+  // refer to their queries by pointer (ServingSystem::Accept).
+  std::vector<std::vector<RagQuery>> stack_queries(plans.size());
   for (size_t d = 0; d < plans.size(); ++d) {
     const StackPlan& plan = plans[d];
     ServingSystem* system = stacks[d].system.get();
     if (ingesting) {
       ScheduleIngest(sim, plan.live_dataset, spec.ingest, plan.ingest_seed);
     }
-    // Per-run copy of the queries so arrival times don't leak across runs.
-    std::vector<RagQuery> queries = plan.dataset->queries();
+    std::vector<RagQuery>& queries = stack_queries[d];
+    queries = plan.dataset->queries();
     AssignTenants(queries, spec.tenants, plan.tenant_seed);
     ApplySharedWorkload(queries, plan.spec.shared_workload, plan.tenant_seed);
     if (plan.spec.arrival_rate > 0) {
@@ -522,7 +526,7 @@ std::vector<RunMetrics> ServeStacks(const ServingSpec& spec, const std::vector<S
         first_arrival[d] = queries.front().arrival_time;  // Arrival times increase.
       }
       for (const RagQuery& q : queries) {
-        sim.ScheduleAt(q.arrival_time, [system, q]() { system->Accept(q); });
+        sim.ScheduleAt(q.arrival_time, [system, query = &q]() { system->Accept(*query); });
       }
     } else {
       // Closed loop (Fig. 19's low load): one query outstanding at a time.

@@ -1,12 +1,13 @@
 #include "src/synthesis/synthesis.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
+#include <string_view>
 #include <unordered_set>
 
 #include "src/common/check.h"
 #include "src/common/rng.h"
-#include "src/common/strings.h"
 #include "src/text/tokenizer.h"
 
 namespace metis {
@@ -62,21 +63,35 @@ int SynthesisExecutor::ReducePromptTokens(int query_tokens, int num_chunks,
 
 uint64_t SynthesisExecutor::TaskSalt(const RagQuery& query, const RagConfig& config,
                                      const char* stage, int index) const {
-  return HashString64(StrFormat("q%d:%s:k%d:L%d:%s:%d", query.id,
-                                SynthesisMethodName(config.method), config.num_chunks,
-                                config.intermediate_tokens, stage, index)) ^
-         seed_;
+  // Four ints and two short names: the stack buffer holds them with room
+  // to spare.
+  char buf[128];
+  int n = std::snprintf(buf, sizeof(buf), "q%d:%s:k%d:L%d:%s:%d", query.id,
+                        SynthesisMethodName(config.method), config.num_chunks,
+                        config.intermediate_tokens, stage, index);
+  METIS_CHECK(n > 0 && n < static_cast<int>(sizeof(buf)));
+  return HashString64(std::string_view(buf, static_cast<size_t>(n))) ^ seed_;
 }
 
-SynthesisExecutor::ChunkFacts SynthesisExecutor::DescribeChunk(const RagQuery& query,
-                                                               ChunkId chunk_id) const {
+namespace {
+
+// The query's distinct tokens, sorted: tokenized once per execution and
+// binary-searched by every DescribeChunk of that execution.
+std::vector<std::string> SortedQueryTokens(const RagQuery& query) {
+  std::vector<std::string> tokens = Tokenize(query.text);
+  std::sort(tokens.begin(), tokens.end());
+  tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
+  return tokens;
+}
+
+}  // namespace
+
+SynthesisExecutor::ChunkFacts SynthesisExecutor::DescribeChunk(
+    const RagQuery& query, const std::vector<std::string>& query_tokens,
+    ChunkId chunk_id) const {
   ChunkFacts out;
   out.chunk_id = chunk_id;
   const Chunk& chunk = dataset_->db().chunk(chunk_id);
-  std::unordered_set<std::string> query_tokens;
-  for (const auto& t : Tokenize(query.text)) {
-    query_tokens.insert(t);
-  }
 
   for (int32_t fid : chunk.fact_ids) {
     const Fact& fact = dataset_->fact(fid);
@@ -87,7 +102,7 @@ SynthesisExecutor::ChunkFacts SynthesisExecutor::DescribeChunk(const RagQuery& q
     // Salience: how strongly the fact's entity anchors match the query text.
     int matched = 0;
     for (const auto& e : fact.entity_words) {
-      if (query_tokens.count(e) > 0) {
+      if (std::binary_search(query_tokens.begin(), query_tokens.end(), e)) {
         ++matched;
       }
     }
@@ -179,9 +194,10 @@ void SynthesisExecutor::RunStuff(const RagQuery& query, const RagConfig& config,
                                  const std::optional<RetrievalQuality>& quality,
                                  std::function<void(RagResult)> done) {
   SimTime exec_start = sim_->now();
-  RetrieveChunks(query, config.num_chunks, quality, [this, query, config, exec_start,
+  RetrieveChunks(query, config.num_chunks, quality, [this, q = &query, config, exec_start,
                                             done = std::move(done)](
                                                std::vector<ChunkId> chunks) mutable {
+    const RagQuery& query = *q;
     int query_tokens = static_cast<int>(CountTokens(query.text));
     int chunk_tokens = dataset_->profile().chunk_tokens;
     int prompt_tokens = StuffPromptTokens(query_tokens, static_cast<int>(chunks.size()));
@@ -215,10 +231,11 @@ void SynthesisExecutor::RunStuff(const RagQuery& query, const RagConfig& config,
     // Canonical layout puts the query AFTER the chunk block; legacy layout
     // puts it before. Only the per-fact positions move — token counts match.
     int header = cross_query_prefix_ ? kInstructionTokens : kInstructionTokens + query_tokens;
+    std::vector<std::string> sorted_tokens = SortedQueryTokens(query);
     for (size_t ci = 0; ci < chunks.size(); ++ci) {
-      ChunkFacts cf = DescribeChunk(query, chunks[ci]);
+      ChunkFacts cf = DescribeChunk(query, sorted_tokens, chunks[ci]);
       for (size_t fi = 0; fi < cf.facts.size(); ++fi) {
-        FactInContext f = cf.facts[fi];
+        FactInContext& f = cf.facts[fi];
         f.position_frac = static_cast<double>(header + static_cast<int>(ci) * chunk_tokens +
                                               cf.offsets[fi]) /
                           static_cast<double>(prompt_tokens);
@@ -230,13 +247,14 @@ void SynthesisExecutor::RunStuff(const RagQuery& query, const RagConfig& config,
 
     int coverage = CountGoldCoverage(*dataset_, query, chunks);
     InferenceRequest req;
-    req.tag = StrFormat("q%d-stuff", query.id);
     req.prompt_tokens = prompt_tokens;
     req.output_tokens = std::max(1, gen.output_tokens);
     req.prefix_group = prefix_group;
     req.shared_prefix_tokens = shared_prefix;
-    req.on_complete = [this, query, config, exec_start, coverage, chunks_n = chunks.size(),
-                       text = gen.text, done = std::move(done)](const RequestTiming& t) {
+    req.on_complete = [this, q, config, exec_start, coverage, chunks_n = chunks.size(),
+                       text = std::move(gen.text),
+                       done = std::move(done)](const RequestTiming& t) {
+      const RagQuery& query = *q;
       RagResult r = Finalize(query, config, exec_start, text);
       r.llm_calls = 1;
       r.total_prompt_tokens = t.prompt_tokens;
@@ -254,9 +272,10 @@ void SynthesisExecutor::RunMapRerank(const RagQuery& query, const RagConfig& con
                                      const std::optional<RetrievalQuality>& quality,
                                      std::function<void(RagResult)> done) {
   SimTime exec_start = sim_->now();
-  RetrieveChunks(query, config.num_chunks, quality, [this, query, config, exec_start,
+  RetrieveChunks(query, config.num_chunks, quality, [this, q = &query, config, exec_start,
                                             done = std::move(done)](
                                                std::vector<ChunkId> chunks) mutable {
+    const RagQuery& query = *q;
     int query_tokens = static_cast<int>(CountTokens(query.text));
     int prompt_tokens = MapperPromptTokens(query_tokens);
     // Legacy: all of this query's mappers share its instruction+query prefix.
@@ -282,8 +301,9 @@ void SynthesisExecutor::RunMapRerank(const RagQuery& query, const RagConfig& con
     state->done = std::move(done);
     int coverage = CountGoldCoverage(*dataset_, query, chunks);
 
+    std::vector<std::string> sorted_tokens = SortedQueryTokens(query);
     for (size_t ci = 0; ci < chunks.size(); ++ci) {
-      ChunkFacts cf = DescribeChunk(query, chunks[ci]);
+      ChunkFacts cf = DescribeChunk(query, sorted_tokens, chunks[ci]);
       GenerationTask task;
       task.mode = GenerationMode::kAnswer;
       task.context_tokens = prompt_tokens;
@@ -295,7 +315,7 @@ void SynthesisExecutor::RunMapRerank(const RagQuery& query, const RagConfig& con
       task.rng_salt = TaskSalt(query, config, "rerank", static_cast<int>(ci));
       int header = cross_query_prefix_ ? kInstructionTokens : kInstructionTokens + query_tokens;
       for (size_t fi = 0; fi < cf.facts.size(); ++fi) {
-        FactInContext f = cf.facts[fi];
+        FactInContext& f = cf.facts[fi];
         f.position_frac =
             static_cast<double>(header + cf.offsets[fi]) / static_cast<double>(prompt_tokens);
         task.facts.push_back(std::move(f));
@@ -303,16 +323,16 @@ void SynthesisExecutor::RunMapRerank(const RagQuery& query, const RagConfig& con
       GenerationResult gen = behavior_->Generate(engine_->model(), task);
 
       InferenceRequest req;
-      req.tag = StrFormat("q%d-rerank-%zu", query.id, ci);
       req.prompt_tokens = prompt_tokens;
       req.output_tokens = std::max(1, gen.output_tokens);
       req.prefix_group = cross_query_prefix_
                              ? ChunkPrefixGroup(0x5252414Bull /*RRAK*/, &chunks[ci], 1)
                              : prefix_group;
       req.shared_prefix_tokens = shared_prefix;
-      req.on_complete = [this, query, config, exec_start, state, coverage,
+      req.on_complete = [this, q, config, exec_start, state, coverage,
                          chunks_n = chunks.size(), confidence = gen.confidence,
-                         text = gen.text](const RequestTiming& t) {
+                         text = std::move(gen.text)](const RequestTiming& t) {
+        const RagQuery& query = *q;
         state->llm_calls += 1;
         state->prompt_total += t.prompt_tokens;
         state->output_total += t.output_tokens;
@@ -340,9 +360,10 @@ void SynthesisExecutor::RunMapReduce(const RagQuery& query, const RagConfig& con
                                      const std::optional<RetrievalQuality>& quality,
                                      std::function<void(RagResult)> done) {
   SimTime exec_start = sim_->now();
-  RetrieveChunks(query, config.num_chunks, quality, [this, query, config, exec_start,
+  RetrieveChunks(query, config.num_chunks, quality, [this, q = &query, config, exec_start,
                                             done = std::move(done)](
                                                std::vector<ChunkId> chunks) mutable {
+    const RagQuery& query = *q;
     int query_tokens = static_cast<int>(CountTokens(query.text));
     int mapper_prompt = MapperPromptTokens(query_tokens);
     // Same per-query vs per-chunk group split as map_rerank; the summarize
@@ -372,8 +393,9 @@ void SynthesisExecutor::RunMapReduce(const RagQuery& query, const RagConfig& con
     state->done = std::move(done);
     int coverage = CountGoldCoverage(*dataset_, query, chunks);
 
-    auto launch_reduce = [this, query, config, exec_start, state, coverage,
+    auto launch_reduce = [this, q, config, exec_start, state, coverage,
                           query_tokens, chunks_n = chunks.size()]() {
+      const RagQuery& query = *q;
       // Concatenate summaries in chunk order; facts land at their summary's
       // offset in a short, denoised context.
       int header = kInstructionTokens + query_tokens;
@@ -391,22 +413,21 @@ void SynthesisExecutor::RunMapReduce(const RagQuery& query, const RagConfig& con
       task.target_output_tokens = query.target_output_tokens;
       task.rng_salt = TaskSalt(query, config, "reduce", 0);
       int offset = header;
-      for (const auto& o : state->outs) {
-        for (const FactInContext& f : o.facts) {
-          FactInContext placed = f;
-          placed.position_frac = static_cast<double>(offset) / static_cast<double>(total);
-          task.facts.push_back(std::move(placed));
+      for (auto& o : state->outs) {
+        for (FactInContext& f : o.facts) {
+          f.position_frac = static_cast<double>(offset) / static_cast<double>(total);
+          task.facts.push_back(std::move(f));
         }
         offset += o.output_tokens;
       }
       GenerationResult gen = behavior_->Generate(engine_->model(), task);
 
       InferenceRequest req;
-      req.tag = StrFormat("q%d-reduce", query.id);
       req.prompt_tokens = std::max(1, total);
       req.output_tokens = std::max(1, gen.output_tokens);
-      req.on_complete = [this, query, config, exec_start, state, coverage, chunks_n,
-                         text = gen.text](const RequestTiming& t) {
+      req.on_complete = [this, q, config, exec_start, state, coverage, chunks_n,
+                         text = std::move(gen.text)](const RequestTiming& t) {
+        const RagQuery& query = *q;
         state->llm_calls += 1;
         state->prompt_total += t.prompt_tokens;
         state->output_total += t.output_tokens;
@@ -422,25 +443,25 @@ void SynthesisExecutor::RunMapReduce(const RagQuery& query, const RagConfig& con
       engine_->Submit(std::move(req));
     };
 
+    std::vector<std::string> sorted_tokens = SortedQueryTokens(query);
     for (size_t ci = 0; ci < chunks.size(); ++ci) {
-      ChunkFacts cf = DescribeChunk(query, chunks[ci]);
       GenerationTask task;
       task.mode = GenerationMode::kSummarize;
       task.context_tokens = mapper_prompt;
       task.summary_budget_tokens = config.intermediate_tokens;
       task.rng_salt = TaskSalt(query, config, "map", static_cast<int>(ci));
-      task.facts = cf.facts;  // Position inside one chunk barely matters.
+      // Position inside one chunk barely matters.
+      task.facts = std::move(DescribeChunk(query, sorted_tokens, chunks[ci]).facts);
       GenerationResult gen = behavior_->Generate(engine_->model(), task);
 
       InferenceRequest req;
-      req.tag = StrFormat("q%d-map-%zu", query.id, ci);
       req.prompt_tokens = mapper_prompt;
       req.output_tokens = std::max(1, gen.output_tokens);
       req.prefix_group = cross_query_prefix_
                              ? ChunkPrefixGroup(0x4D415053ull /*MAPS*/, &chunks[ci], 1)
                              : prefix_group;
       req.shared_prefix_tokens = shared_prefix;
-      req.on_complete = [state, ci, facts = gen.expressed_facts,
+      req.on_complete = [state, ci, facts = std::move(gen.expressed_facts),
                          launch_reduce](const RequestTiming& t) {
         state->llm_calls += 1;
         state->prompt_total += t.prompt_tokens;

@@ -62,6 +62,10 @@ class SynthesisExecutor {
   // (set_retrieval_quality); the four-argument form carries a per-QUERY
   // RetrievalQuality — the profiler-driven depth the scheduler decided for
   // this query — through the batcher.
+  //
+  // The query outlives the run: the executor's retrieval and engine
+  // callbacks refer to `query`, not a copy, until `done` has returned, so
+  // the caller keeps it alive (and unmoved) until then.
   void Execute(const RagQuery& query, const RagConfig& config,
                std::function<void(RagResult)> done);
   void Execute(const RagQuery& query, const RagConfig& config,
@@ -99,8 +103,10 @@ class SynthesisExecutor {
  private:
   struct ChunkFacts;
 
-  // Builds the per-chunk fact descriptors for a retrieved chunk.
-  ChunkFacts DescribeChunk(const RagQuery& query, ChunkId chunk_id) const;
+  // Builds the per-chunk fact descriptors for a retrieved chunk;
+  // `query_tokens` holds the query's distinct tokens, sorted.
+  ChunkFacts DescribeChunk(const RagQuery& query, const std::vector<std::string>& query_tokens,
+                           ChunkId chunk_id) const;
 
   // Retrieval front half shared by the three pipelines: top-`num_chunks` ids
   // arrive at `then` exactly kRetrievalSeconds from now, through the batcher.

@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+#include <type_traits>
+#include <vector>
+
+#include "src/common/strings.h"
 #include "src/llm/behavior.h"
 #include "src/llm/engine.h"
 #include "src/llm/kv_cache.h"
@@ -465,6 +472,111 @@ TEST_F(BehaviorTest, BetterModelRecoversMore) {
     big += static_cast<int>(model_.Generate(Gpt4oApi(), t).expressed_facts.size());
   }
   EXPECT_GT(big, small);
+}
+
+// --- Pinned generation digest ---
+
+// Order-sensitive FNV-1a over the raw bytes of scalar values; strings and
+// vectors are length-prefixed so adjacent fields cannot alias.
+class Digest {
+ public:
+  template <typename T>
+  void Add(T value) {
+    static_assert(std::is_arithmetic_v<T> || std::is_enum_v<T>);
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (unsigned char b : bytes) {
+      h_ = (h_ ^ b) * 0x100000001B3ull;
+    }
+  }
+  void Add(const std::string& s) {
+    Add(s.size());
+    for (char c : s) {
+      Add(c);
+    }
+  }
+  template <typename T>
+  void Add(const std::vector<T>& values) {
+    Add(values.size());
+    for (const T& v : values) {
+      Add(v);
+    }
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xCBF29CE484222325ull;
+};
+
+// A task whose facts, noise, conclusion and lengths all vary with `salt`.
+// Some salts carry the word-count edge cases: an empty answer token, a token
+// holding two words, and a fact-free task whose answer is one filler word.
+GenerationTask VariedTask(GenerationMode mode, uint64_t salt) {
+  GenerationTask t;
+  t.mode = mode;
+  t.rng_salt = salt;
+  t.context_tokens = 300 + static_cast<int>((salt * 977) % 16000);
+  t.high_complexity = salt % 3 == 0;
+  t.require_joint = salt % 2 == 0;
+  t.num_required_facts = 1 + static_cast<int>(salt % 3);
+  t.target_output_tokens = 4 + static_cast<int>(salt % 40);
+  t.summary_budget_tokens = 10 + static_cast<int>((salt * 37) % 300);
+  if (salt % 4 == 1) {
+    t.conclusion_tokens = {"therefore", "result" + std::to_string(salt % 7)};
+  }
+  int facts = salt % 9 == 8 ? 0 : 1 + static_cast<int>(salt % 6);
+  if (facts == 0) {
+    t.target_output_tokens = 1;
+  }
+  for (int i = 0; i < facts; ++i) {
+    FactInContext f;
+    f.fact_id = i;
+    f.answer_tokens = {"ans" + std::to_string(i), "tok" + std::to_string(salt % 11)};
+    if (salt % 10 == 7 && i == 0) {
+      f.answer_tokens = {"", "two words", "last"};
+    }
+    f.position_frac = (i + 0.5) / facts;
+    f.salience = static_cast<double>((salt + 13 * static_cast<uint64_t>(i)) % 10) / 9.0;
+    f.relevant = (salt + static_cast<uint64_t>(i)) % 4 != 3;
+    f.from_summary = (salt + static_cast<uint64_t>(i)) % 5 == 0;
+    t.facts.push_back(f);
+  }
+  return t;
+}
+
+TEST(BehaviorDigestTest, PinnedOverModesModelsAndSalts) {
+  BehaviorModel model(BehaviorParams{}, 42);
+  Digest h;
+  for (GenerationMode mode : {GenerationMode::kAnswer, GenerationMode::kSummarize}) {
+    for (const char* name : {"mistral-7b-v3-awq", "llama3.1-70b-awq", "gpt-4o"}) {
+      const ModelSpec& spec = GetModelSpec(name);
+      for (uint64_t salt = 0; salt < 200; ++salt) {
+        GenerationTask task = VariedTask(mode, salt);
+        GenerationResult r = model.Generate(spec, task);
+        if (mode == GenerationMode::kAnswer) {
+          // The decoded length is the answer's word count, floored.
+          size_t words = SplitWords(r.text).size();
+          EXPECT_EQ(r.output_tokens,
+                    std::max({static_cast<int>(words), task.target_output_tokens / 2, 1}))
+              << name << " salt " << salt;
+          h.Add(r.text);
+        }
+        h.Add(r.output_tokens);
+        h.Add(r.confidence);
+        h.Add(r.reasoning_success);
+        h.Add(r.expressed_facts.size());
+        for (const FactInContext& f : r.expressed_facts) {
+          h.Add(f.fact_id);
+          h.Add(f.answer_tokens);
+          h.Add(f.position_frac);
+          h.Add(f.salience);
+          h.Add(f.relevant);
+          h.Add(f.from_summary);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(h.value(), 0x3bce7459d522e6e6ull) << std::hex << "0x" << h.value();
 }
 
 }  // namespace

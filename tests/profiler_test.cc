@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "src/llm/engine.h"
 #include "src/profiler/profiler.h"
 #include "src/runner/runner.h"
@@ -168,6 +171,54 @@ TEST_F(ProfilerTest, FeedbackTeachesPieceCounts) {
     }
   }
   EXPECT_NEAR(sum / n, 6.0, 1.5);
+}
+
+// Every QueryProfile field and the bad-profile label of Estimate over a fixed
+// list of cue queries (cues in both cases and behind punctuation, number
+// words, enumerations, temporal buckets, underspecified phrasing), twice:
+// before and after golden feedback. Folded into one FNV-1a digest, pinned.
+TEST_F(ProfilerTest, PinnedEstimatesOverCueQueries) {
+  const char* texts[] = {
+      "Why did Alder Corp lose the Brenna contract?",
+      "EXPLAIN the reasons behind the merger.",
+      "Compare the three quarters of Alder, Brenna and Corvin.",
+      "Summarize the meeting, the budget, and the plan.",
+      "Identify jointly the owners of the two mills.",
+      "What are the recent records of Dorran?",
+      "When did the vote happen in period3?",
+      "What changed in Period12 for the fund?",
+      "periodx was the label; what is the reason?",
+      "Which one of the five sites opened first?",
+      "What is the capital of Esteria?",
+      "why, compare, summarize: recent; seven reasons (ten)",
+      "",
+  };
+  uint64_t h = 0xCBF29CE484222325ull;
+  auto add = [&h](int64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h = (h ^ static_cast<uint8_t>(v >> (8 * b))) * 0x100000001B3ull;
+    }
+  };
+  for (int round = 0; round < 2; ++round) {
+    for (const char* text : texts) {
+      RagQuery q;
+      q.text = text;
+      QueryProfiler::Outcome out = profiler_.Estimate(q);
+      const QueryProfile& p = out.profile;
+      int64_t confidence_bits = 0;
+      std::memcpy(&confidence_bits, &p.confidence, sizeof(confidence_bits));
+      for (int64_t v : {int64_t{p.high_complexity}, int64_t{p.requires_joint},
+                        int64_t{p.num_info_pieces}, int64_t{p.summary_min_tokens},
+                        int64_t{p.summary_max_tokens}, confidence_bits,
+                        static_cast<int64_t>(p.task_type), int64_t{p.time_bucket},
+                        int64_t{out.was_bad}}) {
+        add(v);
+      }
+    }
+    profiler_.AddGoldenFeedback(dataset_->queries()[0], 4, 70);
+    profiler_.AddGoldenFeedback(dataset_->queries()[1], 2, 50);
+  }
+  EXPECT_EQ(h, 0xf792063b0e67b3e7ull) << std::hex << "0x" << h;
 }
 
 TEST_F(ProfilerTest, OpenSourceProfilerErrsMore) {
