@@ -50,14 +50,16 @@ namespace {
 // over flat-backend specs reuses one dataset); %.17g round-trips doubles
 // exactly, so near-identical distance_ratio values cannot alias.
 std::string IndexOptionsKey(const RetrievalIndexOptions& o) {
-  // The lexical and mutable-index flags and the lifecycle thresholds apply to
-  // every backend: a lexical database builds a BM25 index a dense-only build
-  // lacks, a mutable one wraps its backend in a MutableIndex, and both run
-  // the `mutation` thresholds.
-  const MutableIndexOptions& m = o.mutation;
-  std::string common =
-      StrFormat("lex%d:mut%d:%zu:%zu:%.17g:%zu", o.lexical ? 1 : 0, o.mutable_index ? 1 : 0,
-                m.memtable_rows, m.compact_segments, m.retrain_delta_fraction, m.max_rows);
+  // The lexical and mutable-index flags apply to every backend: a lexical
+  // database builds a BM25 index a dense-only build lacks, and a mutable one
+  // wraps its backend in a MutableIndex. Only that MutableIndex reads the
+  // `mutation` thresholds, so they key mutable entries only.
+  std::string common = StrFormat("lex%d:mut%d", o.lexical ? 1 : 0, o.mutable_index ? 1 : 0);
+  if (o.mutable_index) {
+    const MutableIndexOptions& m = o.mutation;
+    common += StrFormat(":%zu:%zu:%.17g:%zu", m.memtable_rows, m.compact_segments,
+                        m.retrain_delta_fraction, m.max_rows);
+  }
   if (o.backend == RetrievalIndexOptions::Backend::kFlat) {
     return StrFormat("b%d:s%zu:%s", static_cast<int>(o.backend), o.shards, common.c_str());
   }

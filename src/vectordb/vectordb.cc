@@ -858,9 +858,7 @@ VectorDatabase::VectorDatabase(EmbeddingModel embedder, DatabaseMetadata metadat
     index_ = MakeBackendIndex(embedder_.dim(), index_options, &ivf_);
   }
   if (index_options.lexical) {
-    lexical_ = std::make_unique<LexicalIndex>(std::max<size_t>(1, index_options.shards),
-                                              index_options.mutation.memtable_rows,
-                                              index_options.mutation.compact_segments);
+    lexical_ = std::make_unique<LexicalIndex>();
   }
 }
 
@@ -871,22 +869,11 @@ const IvfL2Index* VectorDatabase::ivf_index() const {
   return mutable_ != nullptr ? mutable_->base_ivf() : ivf_;
 }
 
-ChunkId VectorDatabase::AddChunk(Chunk chunk) {
-  chunk.id = static_cast<ChunkId>(chunks_.size());
-  index_->Add(chunk.id, embedder_.Embed(chunk.text));
-  if (lexical_ != nullptr) {
-    lexical_->Add(chunk.id, chunk.text);
-  }
-  chunks_.push_back(std::move(chunk));
-  deleted_.push_back(false);
-  return chunks_.back().id;
-}
-
 std::vector<ChunkId> VectorDatabase::AddChunks(std::vector<Chunk> chunks, ThreadPool* pool) {
   // Embedding (tokenize + hash) dominates bulk load and each text is
   // independent, so the batch shards across the pool; indexing then runs
-  // serially in order, preserving AddChunk-for-AddChunk identical ids and
-  // insertion orders.
+  // serially in order, so ids and insertion orders follow the chunks' order
+  // for any pool size.
   std::vector<std::string> texts;
   texts.reserve(chunks.size());
   for (const Chunk& c : chunks) {

@@ -633,10 +633,9 @@ struct RetrievalIndexOptions {
   // accepts InsertChunks/DeleteChunks while serving.
   bool mutable_index = false;
   MutableIndexOptions mutation;
-  // Build a BM25 lexical index (lexical_index.h) alongside the dense backend,
-  // sharded by the same `shards` and running the same memtable/compaction
-  // thresholds (`mutation`). Off by default — only hybrid RetrievalQuality
-  // reads it.
+  // Build a BM25 lexical index (lexical_index.h) alongside the dense backend:
+  // one posting list per term, ignoring `shards` and `mutation`. Off by
+  // default — only hybrid RetrievalQuality reads it.
   bool lexical = false;
 };
 
@@ -668,12 +667,9 @@ class VectorDatabase {
   VectorDatabase(const VectorDatabase&) = delete;
   VectorDatabase& operator=(const VectorDatabase&) = delete;
 
-  // Adds a chunk; embeds its text and indexes it. Returns the chunk id.
-  ChunkId AddChunk(Chunk chunk);
-
-  // Bulk load: embeds every chunk's text in one EmbedBatch (sharded across
-  // `pool` when given) and indexes them in order. Identical ids and index
-  // contents to calling AddChunk per chunk, for any pool size.
+  // Embeds every chunk's text in one EmbedBatch (sharded across `pool` when
+  // given) and indexes the chunks in order under consecutive new ids, which it
+  // returns. Ids and index contents are the same for any pool size.
   std::vector<ChunkId> AddChunks(std::vector<Chunk> chunks, ThreadPool* pool = nullptr);
 
   // Call once after bulk-loading chunks. Trains the IVF coarse quantizer

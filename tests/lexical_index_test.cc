@@ -1,7 +1,6 @@
 // BM25 lexical index (src/vectordb/lexical_index.h) against a brute-force
-// scorer over the live set, under insert/remove churn through every lifecycle
-// step (memtable, seal, compaction, tombstones), plus the lifecycle edge of
-// documents with no tokens and the pinned work counters.
+// scorer over the live set, under insert/remove churn, plus documents with no
+// tokens, removed postings leaving the scan, and the pinned work counters.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +9,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -184,102 +184,96 @@ void CheckAgainstReference(const LexicalIndex& index, const ReferenceBm25& ref, 
 }
 
 TEST(LexicalIndexTest, MatchesBruteForceScorerUnderChurn) {
-  for (size_t shards : {size_t{1}, size_t{3}}) {
-    for (size_t memtable : {size_t{1}, size_t{2}, size_t{128}}) {
-      for (size_t compact : {size_t{2}, size_t{4}}) {
-        std::string config = "shards=" + std::to_string(shards) +
-                             " memtable=" + std::to_string(memtable) +
-                             " compact=" + std::to_string(compact);
-        LexicalIndex index(shards, memtable, compact);
-        ReferenceBm25 ref;
-        Rng rng(1000 + shards * 100 + memtable * 10 + compact);
-        std::vector<ChunkId> live;
-        ChunkId next_id = 0;
-        auto add = [&](const std::string& text) {
-          index.Add(next_id, text);
-          ref.Add(next_id, text);
-          live.push_back(next_id++);
-        };
-        auto remove = [&](ChunkId id) {
-          EXPECT_TRUE(index.Remove(id)) << config << " id " << id;
-          EXPECT_TRUE(ref.Remove(id));
-          live.erase(std::find(live.begin(), live.end(), id));
-        };
-        for (int step = 0; step < 600; ++step) {
-          if (live.empty() || rng.Bernoulli(0.7)) {
-            add(RandomText(rng));
-          } else {
-            remove(live[rng.Index(live.size())]);
-          }
-          if (step == 150) {
-            // A term whose df rises, falls to 0, and returns.
-            add("phoenix rising");
-            add("Phoenix, alpha");
-            CheckAgainstReference(index, ref, next_id, config + " phoenix live");
-            remove(next_id - 2);
-            remove(next_id - 1);
-            EXPECT_TRUE(index.Search("phoenix", 10).empty()) << config;
-            CheckAgainstReference(index, ref, next_id, config + " phoenix df 0");
-          }
-          if (step == 400) {
-            add("(phoenix) again eta");
-            std::vector<SearchHit> back = index.Search("phoenix", 10);
-            ASSERT_EQ(back.size(), 1u) << config;
-            EXPECT_EQ(back[0].id, next_id - 1) << config;
-          }
-          if (step % 50 == 49) {
-            CheckAgainstReference(index, ref, next_id, config + " step " + std::to_string(step));
-          }
-        }
-        EXPECT_FALSE(index.Remove(next_id));  // Never added.
-        EXPECT_EQ(index.num_docs(), live.size()) << config;
-        if (memtable <= 2) {
-          EXPECT_GT(index.stats().compactions, 0u) << config;
-        }
+  for (uint64_t seed = 1000; seed < 1012; ++seed) {
+    std::string config = "seed=" + std::to_string(seed);
+    LexicalIndex index;
+    ReferenceBm25 ref;
+    Rng rng(seed);
+    std::vector<ChunkId> live;
+    ChunkId next_id = 0;
+    auto add = [&](const std::string& text) {
+      index.Add(next_id, text);
+      ref.Add(next_id, text);
+      live.push_back(next_id++);
+    };
+    auto remove = [&](ChunkId id) {
+      EXPECT_TRUE(index.Remove(id)) << config << " id " << id;
+      EXPECT_TRUE(ref.Remove(id));
+      live.erase(std::find(live.begin(), live.end(), id));
+    };
+    for (int step = 0; step < 600; ++step) {
+      if (live.empty() || rng.Bernoulli(0.7)) {
+        add(RandomText(rng));
+      } else {
+        remove(live[rng.Index(live.size())]);
+      }
+      if (step == 150) {
+        // A term whose df rises, falls to 0, and returns.
+        add("phoenix rising");
+        add("Phoenix, alpha");
+        CheckAgainstReference(index, ref, next_id, config + " phoenix live");
+        remove(next_id - 2);
+        remove(next_id - 1);
+        EXPECT_TRUE(index.Search("phoenix", 10).empty()) << config;
+        CheckAgainstReference(index, ref, next_id, config + " phoenix df 0");
+      }
+      if (step == 400) {
+        add("(phoenix) again eta");
+        std::vector<SearchHit> back = index.Search("phoenix", 10);
+        ASSERT_EQ(back.size(), 1u) << config;
+        EXPECT_EQ(back[0].id, next_id - 1) << config;
+      }
+      if (step % 50 == 49) {
+        CheckAgainstReference(index, ref, next_id, config + " step " + std::to_string(step));
       }
     }
+    EXPECT_FALSE(index.Remove(next_id));  // Never added.
   }
 }
 
-TEST(LexicalIndexTest, ZeroTokenDocLeavesTheMemtableWhenItSeals) {
-  LexicalIndex index(/*num_shards=*/1, /*memtable_rows=*/2, /*compact_segments=*/8);
-  index.Add(0, "?? !!");
-  index.Add(1, "alpha beta");  // Seals docs 0 and 1.
-  index.Add(2, "gamma");
-  EXPECT_EQ(index.memtable_docs(), 1u);
-  EXPECT_TRUE(index.Remove(0));
-  EXPECT_EQ(index.memtable_docs(), 1u);  // Doc 2 is still in the memtable.
-  EXPECT_EQ(index.num_docs(), 2u);
-  index.Add(3, "delta");  // The memtable holds 2 docs again and seals.
-  EXPECT_EQ(index.memtable_docs(), 0u);
-  EXPECT_EQ(index.stats().seals, 2u);
-  ASSERT_EQ(index.Search("gamma delta", 5).size(), 2u);
-}
-
-TEST(LexicalIndexTest, RemovesSealedZeroTokenDocWithEmptyMemtable) {
-  LexicalIndex index(/*num_shards=*/1, /*memtable_rows=*/2, /*compact_segments=*/8);
-  index.Add(0, "...");
-  index.Add(1, "alpha");  // Seals; the memtable is empty.
+TEST(LexicalIndexTest, ZeroTokenDocAddsNoPostingAndIsRemovedCleanly) {
+  LexicalIndex index;
+  ReferenceBm25 ref;
+  for (const auto& [id, text] : std::vector<std::pair<ChunkId, std::string>>{
+           {0, "?? !!"}, {1, "alpha beta"}, {2, "gamma alpha"}}) {
+    index.Add(id, text);
+    ref.Add(id, text);
+  }
+  // The empty document has no posting to scan, but counts in N and avgdl.
+  ExpectBitEqual(index.Search("alpha gamma", 5), ref.Search("alpha gamma", 5, {}), "with it");
+  EXPECT_EQ(index.stats().postings_scanned, 3u);
   EXPECT_TRUE(index.Remove(0));
   EXPECT_FALSE(index.Remove(0));
-  EXPECT_EQ(index.num_docs(), 1u);
-  EXPECT_EQ(index.memtable_docs(), 0u);
-  std::vector<SearchHit> hits = index.Search("alpha", 5);
+  EXPECT_TRUE(ref.Remove(0));
+  ExpectBitEqual(index.Search("alpha gamma", 5), ref.Search("alpha gamma", 5, {}), "removed");
+  EXPECT_EQ(index.stats().postings_scanned, 6u);
+}
+
+TEST(LexicalIndexTest, RemovedPostingsAreNeverScanned) {
+  LexicalIndex index;
+  for (ChunkId id = 0; id < 300; ++id) {
+    index.Add(id, "shared term");
+  }
+  for (ChunkId id = 0; id < 299; ++id) {
+    EXPECT_TRUE(index.Remove(id));
+  }
+  std::vector<SearchHit> hits = index.Search("shared", 10);
   ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].id, 1);
+  EXPECT_EQ(hits[0].id, 299);
+  EXPECT_EQ(index.stats().postings_scanned, 1u);
 }
 
 TEST(LexicalIndexTest, StatsArePinned) {
-  // One fixed sequence through seals, compactions and tombstones. The counts
-  // are those of the string-keyed index this one replaced.
-  LexicalIndex index(/*num_shards=*/3, /*memtable_rows=*/4, /*compact_segments=*/3);
+  // One fixed sequence of adds, removes and searches; `postings_scanned`
+  // counts the live postings of the query terms.
+  LexicalIndex index;
   Rng rng(77);
   std::vector<ChunkId> live;
   ChunkId next_id = 0;
   for (int step = 0; step < 300; ++step) {
     if (live.empty() || rng.Bernoulli(0.7)) {
       std::string text = RandomText(rng);
-      if (Tokenize(text).empty()) text = "alpha";  // The parent aborts on these.
+      if (Tokenize(text).empty()) text = "alpha";  // The pinned sequence has none.
       index.Add(next_id, text);
       live.push_back(next_id++);
     } else {
@@ -293,13 +287,7 @@ TEST(LexicalIndexTest, StatsArePinned) {
   }
   LexicalIndexStats s = index.stats();
   EXPECT_EQ(s.searches, 165u);
-  EXPECT_EQ(s.postings_scanned, 8718u);  // Tombstoned postings visited count.
-  EXPECT_EQ(s.docs_scored, 5716u);
-  EXPECT_EQ(s.seals, 47u);
-  EXPECT_EQ(s.compactions, 22u);
-  EXPECT_EQ(index.num_segments(), 3u);
-  EXPECT_EQ(index.memtable_docs(), 4u);
-  EXPECT_EQ(index.num_docs(), live.size());
+  EXPECT_EQ(s.postings_scanned, 8051u);
 }
 
 }  // namespace

@@ -188,11 +188,13 @@ TEST(MixedQualityParityTest, BatcherCoalescesHeterogeneousQualityGroup) {
       "drought conditions eased after record basin rainfall",
       "analysts raised revenue estimates for chip makers",
   };
+  std::vector<Chunk> chunks;
   for (const char* t : texts) {
     Chunk c;
     c.text = t;
-    db->AddChunk(std::move(c));
+    chunks.push_back(std::move(c));
   }
+  db->AddChunks(std::move(chunks));
   db->FinalizeIndex();
   ASSERT_NE(db->ivf_index(), nullptr);
 

@@ -284,12 +284,14 @@ TEST(VectorDatabaseIvfTest, IvfBackendRetrievesAndHonorsQuality) {
       "the budget committee reconvened on thursday",
       "semiconductor exports rose despite the downturn",
   };
+  std::vector<Chunk> chunks;
   for (const char* t : texts) {
     Chunk c;
     c.text = t;
-    db.AddChunk(Chunk(c));
-    flat_db.AddChunk(std::move(c));
+    chunks.push_back(std::move(c));
   }
+  db.AddChunks(chunks);
+  flat_db.AddChunks(std::move(chunks));
   ASSERT_NE(db.ivf_index(), nullptr);
   EXPECT_FALSE(db.ivf_index()->trained());
   db.FinalizeIndex();

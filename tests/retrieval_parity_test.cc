@@ -595,11 +595,13 @@ std::unique_ptr<VectorDatabase> MakeDb() {
       "the stadium hosted the county championship game in randall",
       "chip fabrication capacity expanded across three new plants",
   };
+  std::vector<Chunk> chunks;
   for (const char* t : texts) {
     Chunk c;
     c.text = t;
-    db->AddChunk(std::move(c));
+    chunks.push_back(std::move(c));
   }
+  db->AddChunks(std::move(chunks));
   return db;
 }
 
@@ -700,13 +702,15 @@ TEST(RetrievalParityTest, RetrievalBatcherSweepsHybridGroupOncePerWidth) {
                          "vote",    "meeting", "river",   "basin",   "rainfall", "chip",
                          "plant",   "merger",  "treaty",  "glacier", "harvest", "orbit"};
   const int num_words = 18;
+  std::vector<Chunk> chunks;
   for (int i = 0; i < 400; ++i) {
     Chunk c;
     for (int w = 0; w < 7; ++w) {
       c.text += std::string(w == 0 ? "" : " ") + words[(i * (w + 2) + w * w + i / 9) % num_words];
     }
-    db.AddChunk(std::move(c));
+    chunks.push_back(std::move(c));
   }
+  db.AddChunks(std::move(chunks));
   db.FinalizeIndex();
   RetrievalQuality hybrid;
   hybrid.hybrid = true;

@@ -172,6 +172,25 @@ TEST(RunnerTest, DatasetCacheSeparatesMutableFromStatic) {
   EXPECT_EQ(RunExperiment(spec).ingest.live_chunks, 0u);
 }
 
+// The `mutation` thresholds split a cache entry only where a MutableIndex
+// reads them: static builds, lexical or not, ignore them.
+TEST(RunnerTest, DatasetCacheKeysMutationThresholdsOnlyForMutableIndexes) {
+  ClearDatasetCache();
+  auto shares_entry = [](const RetrievalIndexOptions& a) {
+    RetrievalIndexOptions b = a;
+    b.mutation.memtable_rows = a.mutation.memtable_rows / 2;
+    return GetOrGenerateDataset("squad", 10, "cohere-embed-v3-sim", 3, a).get() ==
+           GetOrGenerateDataset("squad", 10, "cohere-embed-v3-sim", 3, b).get();
+  };
+  RetrievalIndexOptions dense, lexical, mutable_index;
+  lexical.lexical = true;
+  mutable_index.mutable_index = true;
+  EXPECT_TRUE(shares_entry(dense));
+  EXPECT_TRUE(shares_entry(lexical));
+  EXPECT_FALSE(shares_entry(mutable_index));
+  ClearDatasetCache();
+}
+
 TEST(RunnerTest, FixedConfigMenuCoversAllMethods) {
   auto menu = FixedConfigMenu(GetDatasetProfile("qmsum"));
   bool has_rerank = false, has_stuff = false, has_reduce = false;

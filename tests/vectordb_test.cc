@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/vectordb/vectordb.h"
 
@@ -168,8 +170,8 @@ TEST_F(VectorDatabaseTest, AddAssignsSequentialIds) {
   a.text = "alpha beta";
   Chunk b;
   b.text = "gamma delta";
-  EXPECT_EQ(db_.AddChunk(a), 0);
-  EXPECT_EQ(db_.AddChunk(b), 1);
+  EXPECT_EQ(db_.AddChunks({a}), std::vector<ChunkId>{0});
+  EXPECT_EQ(db_.AddChunks({b}), std::vector<ChunkId>{1});
   EXPECT_EQ(db_.num_chunks(), 2u);
   EXPECT_EQ(db_.chunk(1).text, "gamma delta");
 }
@@ -179,8 +181,8 @@ TEST_F(VectorDatabaseTest, RetrievePrefersLexicalOverlap) {
   relevant.text = "the kimbrough stadium county is randall filler words here";
   Chunk noise;
   noise.text = "semiconductor quarterly revenue numbers and more filler words";
-  db_.AddChunk(relevant);
-  db_.AddChunk(noise);
+  db_.AddChunks({relevant});
+  db_.AddChunks({noise});
   auto ids = db_.Retrieve("in what county is the kimbrough stadium", 2);
   ASSERT_EQ(ids.size(), 2u);
   EXPECT_EQ(ids[0], 0);

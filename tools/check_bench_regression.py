@@ -15,6 +15,11 @@ Records missing from either side are reported but do not fail the check
 (configs come and go); metric-free records (e.g. the "summary" row) are
 skipped.
 
+Deterministic fields (a simulated delay, a mean F1, a scan count) are gated
+exactly with --exact FIELD (repeatable): every baseline record that holds
+FIELD must hold the same value in the run, and a difference of any size, or
+a run record or field gone missing, fails the check.
+
 QPS is machine-dependent: the baseline is only meaningful for the machine
 family that produced it (the envelope's "note" field records the host).
 Refresh it after intentional perf changes with --update (or by copying the
@@ -26,7 +31,8 @@ tighter tolerance (see the check_bench_regression CMake target).
 Usage:
     tools/check_bench_regression.py [--current build/BENCH_retrieval.json]
                                     [--baseline bench/baselines/BENCH_retrieval.baseline.json]
-                                    [--metric qps] [--tolerance 0.20] [--update]
+                                    [--metric qps] [--tolerance 0.20]
+                                    [--exact FIELD ...] [--update]
 
 Exit status: 0 = no regression, 1 = regression, 2 = usage/IO error.
 """
@@ -84,6 +90,9 @@ def main():
                              "--report-metric prefill_tokens_saved on the e2e bench, "
                              "where the saved-token count is the mechanism being "
                              "tracked but goodput/f1 are the contract)")
+    parser.add_argument("--exact", action="append", default=[], metavar="FIELD",
+                        help="fail when FIELD of any baseline record differs from the "
+                             "run's by any amount (repeatable; for deterministic fields)")
     parser.add_argument("--update", action="store_true",
                         help="copy --current over --baseline instead of checking")
     args = parser.parse_args()
@@ -151,14 +160,39 @@ def main():
                 delta = f" ({100.0 * (cur_val / base_val - 1.0):+.1f}%)"
             print(f"  [info] {name}: {metric} {base_val:.6g} -> {cur_val:.6g}{delta}")
 
+    # Exact fields: any difference fails, and so does a record or field the
+    # run lost.
+    mismatches = []
+    for field in args.exact:
+        checked = 0
+        for name, base_rec in sorted(baseline.items()):
+            if field not in base_rec:
+                continue
+            checked += 1
+            base_val = base_rec[field]
+            cur_val = current.get(name, {}).get(field)
+            if cur_val != base_val:
+                print(f"  [  DIFFERS] {name}: {field} {base_val!r} -> {cur_val!r}")
+                mismatches.append(f"{name}:{field}")
+        if checked == 0:
+            print(f"error: no baseline record has the exact field {field!r}", file=sys.stderr)
+            return 2
+        print(f"  [exact] {field}: {checked} baseline record(s) checked")
+
     if compared == 0:
         print("error: no records with the watched metric in common", file=sys.stderr)
         return 2
     if regressions:
         print(f"\nFAIL: {len(regressions)}/{compared} record(s) regressed {args.metric} by more "
               f"than {100.0 * args.tolerance:.0f}%: {', '.join(regressions)}")
+    if mismatches:
+        print(f"\nFAIL: {len(mismatches)} exact field value(s) differ from baseline: "
+              f"{', '.join(mismatches)}")
+    if regressions or mismatches:
         return 1
     print(f"\nOK: {compared} record(s) within {100.0 * args.tolerance:.0f}% of baseline")
+    if args.exact:
+        print(f"OK: {', '.join(args.exact)} equal to baseline in every record")
     return 0
 
 
