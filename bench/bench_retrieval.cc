@@ -1,6 +1,7 @@
 // Retrieval-substrate microbenchmark: flat vs. IVF, seed-scalar vs. blocked
 // kernels, 1/2/4/8 threads, batch sizes 1-64, the certified scan (the same
-// indexes once their SQ mirrors are built), and the shard-count scaling
+// indexes once their SQ mirrors are built, for dense random queries and for
+// sparse text-embedded ones), and the shard-count scaling
 // surface (1/2/4 hash partitions per backend). Prints console tables and
 // emits a machine-readable BENCH_retrieval.json (QPS + p50/p99 per-query
 // latency per configuration) so future PRs can track the perf trajectory.
@@ -31,8 +32,10 @@
 #include "src/common/strings.h"
 #include "src/common/table.h"
 #include "src/common/thread_pool.h"
+#include "src/embed/embedding.h"
 #include "src/vectordb/kernels.h"
 #include "src/vectordb/vectordb.h"
+#include "src/workload/dataset.h"
 #include "tests/fixtures/seed_reference.h"
 
 using namespace metis;
@@ -107,6 +110,28 @@ int main(int argc, char** argv) {
   std::vector<Embedding> queries;
   for (size_t q = 0; q < num_queries; ++q) {
     queries.push_back(RandomUnitVector(rng, dim));
+  }
+  // Text-embedded queries: a generated dataset's query texts through the
+  // catalog embedder's recipe at the bench's dim. They weight a small share
+  // of the dimensions, as every perfbench query does, where the random
+  // queries above weight all of them.
+  std::vector<Embedding> text_queries;
+  {
+    DatasetGenerator gen(GetDatasetProfile("squad"), 11);
+    std::unique_ptr<Dataset> ds =
+        gen.Generate(static_cast<int>(num_queries), "cohere-embed-v3-sim");
+    EmbeddingModelSpec spec = GetEmbeddingModel("cohere-embed-v3-sim");
+    spec.dim = dim;
+    EmbeddingModel model(spec);
+    size_t nonzero = 0;
+    for (const RagQuery& q : ds->queries()) {
+      text_queries.push_back(model.Embed(q.text));
+      nonzero += static_cast<size_t>(std::count_if(text_queries.back().begin(),
+                                                   text_queries.back().end(),
+                                                   [](float x) { return x != 0.0f; }));
+    }
+    std::printf("text queries: %zu, %.1f of %zu dims nonzero on average\n", text_queries.size(),
+                static_cast<double>(nonzero) / static_cast<double>(text_queries.size()), dim);
   }
 
   std::vector<BenchJsonRecord> records;
@@ -211,6 +236,10 @@ int main(int argc, char** argv) {
     flat_table.AddRow(row);
   }
   flat_table.Print();
+  // The exact scan's cost does not depend on the query's sparsity; this row
+  // shows it, as the base for the text-query certified ratio below.
+  Measurement flat_text_m = MeasureBatched(flat, text_queries, kTopK, 1, nullptr);
+  record("flat_blocked_text_t1_b1", "flat_blocked_text", 1, 1, flat_text_m);
 
   Table ivf_table("bench_retrieval: IVF (nlist=64, nprobe=8) QPS");
   ivf_table.SetHeader(header);
@@ -244,7 +273,10 @@ int main(int argc, char** argv) {
   // index builds its mirror the way VectorDatabase::FinalizeIndex does
   // (encoded across a default-size pool), after which every fp32 read is the
   // certified two-pass scan — results bit-identical, so only speed moves.
+  // Pass 1 reads only the dimension pairs a query weights, so each backend
+  // runs the dense random queries and the sparse text-embedded ones.
   double flat_certified_t1_b1_qps = 0;
+  double flat_certified_text_t1_b1_qps = 0;
   {
     const std::vector<size_t> kCertBatches = {1, 64};
     Table cert_table("bench_retrieval: certified scan QPS (SQ mirror built)");
@@ -268,24 +300,29 @@ int main(int argc, char** argv) {
       std::printf("%s SQ mirror build (%zu threads): %.3f s\n", backend.c_str(),
                   build_pool.num_threads(), build_s);
       index->SearchBatch(queries, kTopK, nullptr, std::vector<RetrievalQuality>(queries.size()));
-      for (size_t threads : kThreads) {
-        if (threads != 1 && threads != 4) {
-          continue;
-        }
-        ThreadPool pool(threads);
-        std::vector<std::string> row = {StrFormat("%s t=%zu", backend.c_str(), threads)};
-        for (size_t batch : kCertBatches) {
-          Measurement m =
-              MeasureBatched(*index, queries, kTopK, batch, threads > 1 ? &pool : nullptr);
-          std::string impl = StrFormat("%s_certified", backend.c_str());
-          record(StrFormat("%s_t%zu_b%zu", impl.c_str(), threads, batch), impl, threads, batch,
-                 m);
-          row.push_back(Table::Num(m.qps, 0));
-          if (backend == "flat" && threads == 1 && batch == 1) {
-            flat_certified_t1_b1_qps = m.qps;
+      for (const auto& [kind, kind_queries] :
+           std::vector<std::pair<std::string, const std::vector<Embedding>*>>{
+               {"", &queries}, {"_text", &text_queries}}) {
+        for (size_t threads : kThreads) {
+          if (threads != 1 && threads != 4) {
+            continue;
           }
+          ThreadPool pool(threads);
+          std::vector<std::string> row = {
+              StrFormat("%s%s t=%zu", backend.c_str(), kind.c_str(), threads)};
+          for (size_t batch : kCertBatches) {
+            Measurement m = MeasureBatched(*index, *kind_queries, kTopK, batch,
+                                           threads > 1 ? &pool : nullptr);
+            std::string impl = StrFormat("%s_certified%s", backend.c_str(), kind.c_str());
+            record(StrFormat("%s_t%zu_b%zu", impl.c_str(), threads, batch), impl, threads,
+                   batch, m);
+            row.push_back(Table::Num(m.qps, 0));
+            if (backend == "flat" && threads == 1 && batch == 1) {
+              (kind.empty() ? flat_certified_t1_b1_qps : flat_certified_text_t1_b1_qps) = m.qps;
+            }
+          }
+          cert_table.AddRow(row);
         }
-        cert_table.AddRow(row);
       }
     }
     cert_table.Print();
@@ -360,6 +397,9 @@ int main(int argc, char** argv) {
               seed_m.qps, seed_m.p50_ms, flat_t1_b1_qps, speedup);
   std::printf("certified flat t1/b1: %.0f qps (%.2fx the mirror-free scan)\n",
               flat_certified_t1_b1_qps, flat_certified_t1_b1_qps / std::max(1.0, flat_t1_b1_qps));
+  std::printf("certified flat t1/b1, text queries: %.0f qps (%.2fx the mirror-free scan)\n",
+              flat_certified_text_t1_b1_qps,
+              flat_certified_text_t1_b1_qps / std::max(1.0, flat_text_m.qps));
   PrintShapeCheck(StrFormat("blocked flat search >= 5x seed scalar at dim=%zu, n=%zu", dim, n),
                   StrFormat("%.1fx single-thread speedup", speedup), speedup >= 5.0);
   if (ThreadPool::DefaultThreads() >= 4) {

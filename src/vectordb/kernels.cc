@@ -62,16 +62,23 @@ double DotScalar(const float* a, const float* b, size_t n) {
   return (((acc0 + acc4) + (acc2 + acc6)) + ((acc1 + acc5) + (acc3 + acc7))) + tail;
 }
 
-// --- Scalar u8 tier ----------------------------------------------------------
+// --- Scalar block tier --------------------------------------------------------
 
-// Each product fits int32 (|c * w| <= 255 * 32768); the int64 sum is exact
-// for n < 2^40.
-int64_t DotU8I16Scalar(const uint8_t* codes, const int16_t* w, size_t n) {
-  int64_t sum = 0;
-  for (size_t i = 0; i < n; ++i) {
-    sum += static_cast<int32_t>(codes[i]) * w[i];
+// Each madd-shaped term fits int32 (|c0 * w0 + c1 * w1| <= 2 * 255 * 32768);
+// the int64 sums are exact for any n < 2^32.
+void BlockDotU8I16Scalar(const uint8_t* block, const U8PairWeight* pairs, size_t n,
+                         int64_t* dots) {
+  std::fill(dots, dots + kSqBlockRows, int64_t{0});
+  for (size_t j = 0; j < n; ++j) {
+    const uint8_t* line = block + size_t{pairs[j].pair} * (2 * kSqBlockRows);
+    // Unpacks PackPairWeights: the low half's bits, then the exact quotient.
+    int32_t low_bits = static_cast<int32_t>(static_cast<uint32_t>(pairs[j].w) & 0xFFFFu);
+    int32_t w0 = low_bits >= 32768 ? low_bits - 65536 : low_bits;
+    int32_t w1 = (pairs[j].w - low_bits) / 65536;
+    for (size_t r = 0; r < kSqBlockRows; ++r) {
+      dots[r] += line[2 * r] * w0 + line[2 * r + 1] * w1;
+    }
   }
-  return sum;
 }
 
 #if METIS_KERNELS_X86
@@ -106,46 +113,47 @@ __attribute__((target("avx2"))) double DotAvx2(const float* a, const float* b, s
   return sum + tail;
 }
 
-// --- AVX2 u8 tier -----------------------------------------------------------
+// --- AVX2 block tier ---------------------------------------------------------
 //
-// Each 32-code step zero-extends two 16-code halves to int16 (vpmovzxbw) and
-// multiply-adds each half against its 16 weights (vpmaddwd) into int32
-// lanes: acc0 takes the low half, acc1 the high half. One madd result,
-// c[2j] * w[2j] + c[2j+1] * w[2j+1], is exact and at most
-// 2 * 255 * 32768 = 16,711,680 in magnitude.
-//
-// No int32 lane wraps: a block runs at most kU8BlockSteps = 64 steps, so a
-// lane of acc0 + acc1 sums at most 128 madd results, and
-// 128 * 16,711,680 = 2,139,095,040 < 2^31 - 1. Each block's acc0 + acc1 is
-// then sign-extended into four int64 lanes, exact for n < 2^40. The
-// remainder (n mod 32 codes) runs the scalar loop.
-__attribute__((target("avx2"))) int64_t DotU8I16Avx2(const uint8_t* codes, const int16_t* w,
-                                                     size_t n) {
-  constexpr size_t kU8BlockSteps = 64;
-  __m256i total = _mm256_setzero_si256();  // Four int64 lanes.
-  size_t i = 0;
-  while (i + 32 <= n) {
-    size_t block_end = i + 32 * std::min(kU8BlockSteps, (n - i) / 32);
-    __m256i acc0 = _mm256_setzero_si256();
-    __m256i acc1 = _mm256_setzero_si256();
-    for (; i < block_end; i += 32) {
-      __m256i c0 =
-          _mm256_cvtepu8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i)));
-      __m256i c1 =
-          _mm256_cvtepu8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i + 16)));
-      __m256i w0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-      __m256i w1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i + 16));
-      acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(c0, w0));
-      acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(c1, w1));
-    }
-    __m256i s = _mm256_add_epi32(acc0, acc1);
-    total = _mm256_add_epi64(total, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(s)));
-    total = _mm256_add_epi64(total, _mm256_cvtepi32_epi64(_mm256_extracti128_si256(s, 1)));
+// A listed pair's line holds 32 rows' (code[2p], code[2p+1]); each of its four
+// 16-byte quarters covers 8 rows. vpmovzxbw widens a quarter to 16 int16
+// lanes, and vpmaddwd against the broadcast packed weights leaves one int32
+// lane per row, c[2p] * w[2p] + c[2p+1] * w[2p+1]; acc[i] holds rows
+// 8i .. 8i + 7 in order. After at most kFoldPairs pairs (kernels.h has the
+// proof) each accumulator is sign-extended into the int64 totals: its low
+// half into rows 8i .. 8i + 3, its high half into 8i + 4 .. 8i + 7.
+__attribute__((target("avx2"))) void BlockDotU8I16Avx2(const uint8_t* block,
+                                                       const U8PairWeight* pairs, size_t n,
+                                                       int64_t* dots) {
+  constexpr size_t kFoldPairs = 128;
+  __m256i total[8];
+  for (__m256i& t : total) {
+    t = _mm256_setzero_si256();
   }
-  alignas(32) int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), total);
-  int64_t sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  return sum + DotU8I16Scalar(codes + i, w + i, n - i);
+  size_t j = 0;
+  while (j < n) {
+    size_t fold_end = j + std::min(kFoldPairs, n - j);
+    __m256i acc[4] = {_mm256_setzero_si256(), _mm256_setzero_si256(), _mm256_setzero_si256(),
+                      _mm256_setzero_si256()};
+    for (; j < fold_end; ++j) {
+      const uint8_t* line = block + size_t{pairs[j].pair} * (2 * kSqBlockRows);
+      __m256i w = _mm256_set1_epi32(pairs[j].w);
+      for (int i = 0; i < 4; ++i) {
+        __m256i c = _mm256_cvtepu8_epi16(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(line + 16 * i)));
+        acc[i] = _mm256_add_epi32(acc[i], _mm256_madd_epi16(c, w));
+      }
+    }
+    for (int i = 0; i < 4; ++i) {
+      total[2 * i] = _mm256_add_epi64(total[2 * i],
+                                      _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc[i])));
+      total[2 * i + 1] = _mm256_add_epi64(
+          total[2 * i + 1], _mm256_cvtepi32_epi64(_mm256_extracti128_si256(acc[i], 1)));
+    }
+  }
+  for (int i = 0; i < 8; ++i) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dots + 4 * i), total[i]);
+  }
 }
 
 #endif  // METIS_KERNELS_X86
@@ -163,14 +171,14 @@ DotKernelFn KernelForTarget(KernelTarget target) {
   }
 }
 
-U8DotKernelFn U8KernelForTarget(KernelTarget target) {
+U8BlockKernelFn U8BlockKernelForTarget(KernelTarget target) {
   switch (target) {
 #if METIS_KERNELS_X86
     case KernelTarget::kAvx2:
-      return &DotU8I16Avx2;
+      return &BlockDotU8I16Avx2;
 #endif
     default:
-      return &DotU8I16Scalar;
+      return &BlockDotU8I16Scalar;
   }
 }
 
@@ -195,13 +203,13 @@ KernelTarget DefaultTarget() {
 struct Dispatch {
   std::atomic<KernelTarget> target;
   std::atomic<DotKernelFn> fn;
-  std::atomic<U8DotKernelFn> u8fn;
+  std::atomic<U8BlockKernelFn> u8fn;
 
   Dispatch() {
     KernelTarget t = DefaultTarget();
     target.store(t, std::memory_order_relaxed);
     fn.store(KernelForTarget(t), std::memory_order_relaxed);
-    u8fn.store(U8KernelForTarget(t), std::memory_order_relaxed);
+    u8fn.store(U8BlockKernelForTarget(t), std::memory_order_relaxed);
   }
 };
 
@@ -251,7 +259,7 @@ bool SetKernelTarget(KernelTarget target) {
   }
   dispatch().target.store(target, std::memory_order_relaxed);
   dispatch().fn.store(KernelForTarget(target), std::memory_order_relaxed);
-  dispatch().u8fn.store(U8KernelForTarget(target), std::memory_order_relaxed);
+  dispatch().u8fn.store(U8BlockKernelForTarget(target), std::memory_order_relaxed);
   return true;
 }
 
@@ -272,10 +280,8 @@ double DotBlockedTarget(KernelTarget target, const float* a, const float* b, siz
 
 DotKernelFn ActiveDotKernel() { return dispatch().fn.load(std::memory_order_relaxed); }
 
-int64_t DotU8I16(const uint8_t* codes, const int16_t* w, size_t n) {
-  return dispatch().u8fn.load(std::memory_order_relaxed)(codes, w, n);
+U8BlockKernelFn ActiveU8BlockKernel() {
+  return dispatch().u8fn.load(std::memory_order_relaxed);
 }
-
-U8DotKernelFn ActiveU8DotKernel() { return dispatch().u8fn.load(std::memory_order_relaxed); }
 
 }  // namespace metis

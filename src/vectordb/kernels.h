@@ -28,13 +28,15 @@
 //   - SetKernelTarget() at runtime (tests and benches force each tier).
 // Forcing an unsupported tier fails and leaves the active tier unchanged.
 //
-// Quantized kernel (the int8 SQ mirror, quantize.h): DotU8I16 is the exact
-// integer dot of uint8 row codes against int16 per-query weights. Integer
-// arithmetic has no rounding, so every tier returns the same int64 by
-// construction and the kernel needs no ordering contract: the scalar tier is
-// a plain int64 loop, the AVX2 tier widens codes to int16 (vpmovzxbw) and
-// multiply-adds pairs into int32 lanes (vpmaddwd), folding the lanes into
-// int64 often enough that none can wrap (kernels.cc has the proof).
+// Quantized block kernel (the int8 SQ mirror, quantize.h): the exact integer
+// dots of one block of kSqBlockRows = 32 mirror rows' uint8 codes against a
+// query's int16 weights, read only at the dimension pairs the query lists
+// (its nonzero weights). Integer arithmetic has no rounding, so every tier
+// returns the same int64s by construction and the kernel needs no ordering
+// contract: the scalar tier is a plain int64 loop; the AVX2 tier widens each
+// listed pair's 64-byte line to int16 (vpmovzxbw), multiply-adds it against
+// the pair's broadcast weights into one int32 lane per row (vpmaddwd), and
+// folds the lanes into int64 often enough that none can wrap (proof below).
 
 #ifndef METIS_SRC_VECTORDB_KERNELS_H_
 #define METIS_SRC_VECTORDB_KERNELS_H_
@@ -60,7 +62,7 @@ bool KernelTargetSupported(KernelTarget target);
 // The fastest supported tier on this CPU: AVX2 when available, else scalar.
 KernelTarget BestSupportedTarget();
 
-// The tier DotBlocked currently dispatches to.
+// The tier DotBlocked and the block kernel currently dispatch to.
 KernelTarget ActiveKernelTarget();
 
 // Forces dispatch to `target` for subsequent calls. Returns false (and leaves
@@ -93,16 +95,40 @@ double DotBlockedTarget(KernelTarget target, const float* a, const float* b, siz
 using DotKernelFn = double (*)(const float*, const float*, size_t);
 DotKernelFn ActiveDotKernel();
 
-// --- Quantized (u8 x i16) kernel --------------------------------------------
+// --- Quantized (u8 x i16) block kernel --------------------------------------
 
-// sum_i codes[i] * w[i], exact for any int16 weights and any n < 2^40.
-// Dispatches to the active tier; every tier returns the same integer.
-int64_t DotU8I16(const uint8_t* codes, const int16_t* w, size_t n);
+// Rows per block of the SQ mirror's pair-blocked layout: dimension pair p of
+// a block is the 64-byte line at byte 64 * p, which holds (code[2p],
+// code[2p+1]) of the block's row r at bytes 2r and 2r + 1.
+constexpr size_t kSqBlockRows = 32;
 
-// The active u8 kernel's raw function pointer (quantized scan loops fetch it
-// once per scan, like ActiveDotKernel).
-using U8DotKernelFn = int64_t (*)(const uint8_t*, const int16_t*, size_t);
-U8DotKernelFn ActiveU8DotKernel();
+// One listed dimension pair: its index p and the int16 weights of dimensions
+// 2p and 2p + 1 packed as vpmaddwd reads a pair (PackPairWeights).
+struct U8PairWeight {
+  uint32_t pair;
+  int32_t w;
+};
+
+// w[2p] in bits 0-15, w[2p+1] in bits 16-31, two's complement each.
+inline int32_t PackPairWeights(int16_t lo, int16_t hi) {
+  return static_cast<int32_t>(hi) * 65536 + static_cast<int32_t>(static_cast<uint16_t>(lo));
+}
+
+// dots[r] = sum over the n listed pairs of code[2p] * w[2p] +
+// code[2p+1] * w[2p+1] for each of the block's 32 rows r: exact for any int16
+// weights and any n < 2^32, and 0 for every row when n = 0.
+//
+// Fold proof (AVX2 tier): one madd result, code[2p] * w[2p] +
+// code[2p+1] * w[2p+1], is exact and at most 2 * 255 * 32768 = 16,711,680 in
+// magnitude, and a row's int32 lane adds one madd result per pair, so 128
+// pairs reach at most 2,139,095,040 < 2^31 - 1. The tier folds its lanes
+// into int64 after every 128 pairs, so no lane wraps.
+using U8BlockKernelFn = void (*)(const uint8_t* block, const U8PairWeight* pairs, size_t n,
+                                 int64_t* dots);
+
+// The active tier's block kernel (quantized scan loops fetch it once per
+// scan, like ActiveDotKernel).
+U8BlockKernelFn ActiveU8BlockKernel();
 
 }  // namespace metis
 

@@ -112,6 +112,13 @@ bool MutableIndex::TombstonedLocked(ChunkId id) const {
 
 // --- Writes ------------------------------------------------------------------
 
+void MutableIndex::Reserve(const std::vector<ChunkId>& ids) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (!finalized_) {  // Readers see the base only once it is finalized.
+    base_->Reserve(ids);
+  }
+}
+
 void MutableIndex::Insert(ChunkId id, const Embedding& v) {
   METIS_CHECK_EQ(v.size(), dim_);
   std::unique_lock<std::mutex> lock(mu_);
@@ -278,19 +285,22 @@ void MutableIndex::RetrainLocked(ThreadPool* pool) {
   IvfL2Index* ivf = nullptr;
   std::unique_ptr<VectorIndex> index = MakeBackendIndex(dim_, options_, &ivf);
   IdFilter dead = FilterOf(*tombstones_);
-  Embedding row(dim_);
-  size_t rows = 0;
+  std::vector<size_t> live;  // Log positions of the live rows.
+  std::vector<ChunkId> ids;
   for (size_t pos = 0; pos < log_size_; ++pos) {
-    ChunkId id = LogId(pos);
-    if (dead.contains(id)) {
-      continue;
+    if (!dead.contains(LogId(pos))) {
+      live.push_back(pos);
+      ids.push_back(LogId(pos));
     }
+  }
+  index->Reserve(ids);
+  Embedding row(dim_);
+  for (size_t pos : live) {
     const float* r = LogRow(pos);
     row.assign(r, r + dim_);
-    index->Add(id, row);
-    ++rows;
+    index->Add(LogId(pos), row);
   }
-  if (ivf != nullptr && rows > 0) {
+  if (ivf != nullptr && !live.empty()) {
     ivf->Train(pool);
   }
   index->BuildQuantizedMirrors(pool);

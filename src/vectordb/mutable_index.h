@@ -120,6 +120,8 @@ class MutableIndex : public VectorIndex {
 
   // --- VectorIndex surface (reads are lock-free; Add == Insert) ---
   void Add(ChunkId id, const Embedding& v) override { Insert(id, v); }
+  // Bulk load: the base's rows (the row log reserves its own blocks).
+  void Reserve(const std::vector<ChunkId>& ids) override;
   std::vector<SearchHit> Search(const Embedding& query, size_t k,
                                 const RetrievalQuality& quality) const override;
   // One epoch pin for the whole batch: a coalesced group is answered against

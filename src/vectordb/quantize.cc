@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <mutex>
 
@@ -67,18 +68,19 @@ Int8Params TrainInt8(const RowAccessor& row, size_t n, size_t dim, ThreadPool* w
 
 namespace {
 
-// Writes SQ code rows [first, first + (end - begin)) of `out` (already sized)
-// for pool rows [begin, end) and folds their per-dimension reconstruction
-// error into `delta`. A code is round((x - vmin) / scale) clamped to
-// [0, 255], rounding to nearest with ties to even: the divide and
-// std::nearbyint every existing code was made with. Clamping before
-// rounding changes no code (both bounds are integers and rounding is
-// monotone), and adding and subtracting 2^23 is nearbyint on [0, 255] — the
-// add leaves no fraction bits, the subtraction is exact — without the libm
-// call that kept this loop scalar. The two code loops are branch-free so
-// they vectorize.
-void EncodeSqRange(const Int8Params& sq, const RowPool& pool, size_t begin, size_t end,
-                   size_t first, QuantizedCodes* out, std::vector<double>* delta) {
+// Writes mirror rows [lo, hi) of block `b` of `out` (already sized), the
+// codes of pool rows [lo - first + begin, hi - first + begin), and folds
+// their per-dimension reconstruction error into `delta`. A code is
+// round((x - vmin) / scale) clamped to [0, 255], rounding to nearest with
+// ties to even: the divide and std::nearbyint every existing code was made
+// with. Clamping before rounding changes no code (both bounds are integers
+// and rounding is monotone), and adding and subtracting 2^23 is nearbyint
+// on [0, 255] — the add leaves no fraction bits, the subtraction is exact —
+// without the libm call that kept this loop scalar. The two code loops are
+// branch-free so they vectorize; the row's codes then go out two at a time,
+// one pair into each of the block's lines.
+void EncodeSqBlock(const Int8Params& sq, const RowPool& pool, size_t begin, size_t first, size_t b,
+                   size_t lo, size_t hi, QuantizedCodes* out, std::vector<double>* delta) {
   constexpr float kTwoPow23 = 8388608.0f;
   size_t dim = pool.dim();
   const float* __restrict vmin = sq.vmin.data();
@@ -86,9 +88,11 @@ void EncodeSqRange(const Int8Params& sq, const RowPool& pool, size_t begin, size
   double* __restrict err = delta->data();
   std::vector<float> clamped(dim);
   float* __restrict t = clamped.data();
-  for (size_t i = begin; i < end; ++i) {
-    const float* __restrict r = pool.row(i);
-    uint8_t* __restrict codes = out->sq.data() + (first + i - begin) * out->sq_stride;
+  std::vector<uint8_t> row_codes(out->sq_stride, 0);  // Zero past dim: the padding.
+  uint8_t* __restrict codes = row_codes.data();
+  uint8_t* block = out->sq.data() + b * kSqBlockRows * out->sq_stride;
+  for (size_t m = lo; m < hi; ++m) {
+    const float* __restrict r = pool.row(m - first + begin);
     for (size_t d = 0; d < dim; ++d) {
       float x = (r[d] - vmin[d]) / scale[d];
       x = 0.0f < x ? x : 0.0f;  // Also NaN (a constant dimension's 0 / 0) -> 0.
@@ -103,9 +107,12 @@ void EncodeSqRange(const Int8Params& sq, const RowPool& pool, size_t begin, size
                             static_cast<double>(scale[d]) * static_cast<double>(code)));
       err[d] = err[d] < e ? e : err[d];
     }
+    uint8_t* dst = block + (m % kSqBlockRows) * 2;
+    for (size_t p = 0; p < out->sq_stride / 2; ++p) {
+      std::memcpy(dst + p * 2 * kSqBlockRows, codes + 2 * p, 2);
+    }
   }
 }
-
 
 }  // namespace
 
@@ -121,24 +128,34 @@ void EncodeRows(const Int8Params& sq, const RowPool& pool, size_t begin, size_t 
     out->sq_delta.assign(dim, 0.0);
   }
   METIS_CHECK_EQ(out->sq_stride, stride);
-  // Reserve exactly, then grow: appending row by row would leave up to 2x
-  // the mirror's size resident.
-  out->sq.reserve(rows * stride);
-  out->sq.resize(rows * stride, 0);
+  // Reserve exactly, then grow: growing by appending would leave up to 2x
+  // the mirror's size resident. New bytes are zero, so the last block's
+  // padding rows hold code 0.
+  size_t blocks = (rows + kSqBlockRows - 1) / kSqBlockRows;
+  out->sq.reserve(blocks * kSqBlockRows * stride);
+  out->sq.resize(blocks * kSqBlockRows * stride, 0);
+  // Workers take whole blocks, so no two write to one block's lines; the
+  // first block may already hold earlier rows, which stay as they are.
+  size_t first_block = first / kSqBlockRows;
   std::mutex delta_mu;
-  auto encode = [&](size_t b, size_t e) {
+  auto encode = [&](size_t bb, size_t be) {
     std::vector<double> delta(dim, 0.0);
-    EncodeSqRange(sq, pool, begin + b, begin + e, first + b, out, &delta);
+    for (size_t b = first_block + bb; b < first_block + be; ++b) {
+      size_t lo = std::max(first, b * kSqBlockRows);
+      size_t hi = std::min(rows, (b + 1) * kSqBlockRows);
+      EncodeSqBlock(sq, pool, begin, first, b, lo, hi, out, &delta);
+    }
     // max is order-free, so the merged bound does not depend on the split.
     std::lock_guard<std::mutex> lock(delta_mu);
     for (size_t d = 0; d < dim; ++d) {
       out->sq_delta[d] = std::max(out->sq_delta[d], delta[d]);
     }
   };
-  if (workers != nullptr && workers->num_threads() > 1 && end - begin > 1) {
-    workers->ParallelFor(end - begin, encode);
-  } else {
-    encode(0, end - begin);
+  size_t todo = blocks - first_block;
+  if (workers != nullptr && workers->num_threads() > 1 && todo > 1) {
+    workers->ParallelFor(todo, encode);
+  } else if (todo > 0) {
+    encode(0, todo);
   }
   out->rows = rows;
 }
@@ -150,12 +167,23 @@ void BuildCertifiedQuery(const Int8Params& sq, const std::vector<double>& delta,
   METIS_CHECK_EQ(sq.vmin.size(), dim);
   METIS_CHECK_EQ(delta.size(), dim);
   const float* scale = sq.scale.data();
+  // Every loop below visits q's nonzero coordinates only, in ascending
+  // order. A zero coordinate's terms are all +-0 (vmin, scale and delta are
+  // finite), and adding +-0 to a double sum that starts at +0 changes no
+  // bit, so each sum equals the dense loop's over all of dim.
+  std::vector<uint32_t> nonzero;
+  nonzero.reserve(dim);
+  for (size_t d = 0; d < dim; ++d) {
+    if (q[d] != 0.0f) {
+      nonzero.push_back(static_cast<uint32_t>(d));
+    }
+  }
   double qv = 0.0;
   double qv_abs = 0.0;
   double quant = 0.0;
   double wd_abs = 0.0;
   double wd_max = 0.0;
-  for (size_t d = 0; d < dim; ++d) {
+  for (uint32_t d : nonzero) {
     double wd = static_cast<double>(q[d]) * static_cast<double>(scale[d]);  // Exact.
     double qvmin = static_cast<double>(q[d]) * static_cast<double>(sq.vmin[d]);  // Exact.
     qv += qvmin;
@@ -168,22 +196,36 @@ void BuildCertifiedQuery(const Int8Params& sq, const std::vector<double>& delta,
   // subtracting 1.5 * 2^52 rounds to nearest (|x| <= W is far below 2^51);
   // the clamp is written so that a NaN weight clamps too. Term 2 is measured
   // on the weights as stored, so neither alpha's nor the reciprocal's
-  // rounding needs a bound.
+  // rounding needs a bound. The weights go out a pair at a time: `pending`
+  // collects pair `pair`'s two until the walk leaves it.
   constexpr double kW = 32767.0;
   constexpr double kRound = 0x1.8p52;
   double alpha = wd_max / kW;
   double inv_alpha = wd_max > 0.0 ? kW / wd_max : 0.0;
-  out->w16.assign(SqCodeStride(dim), 0);
+  out->pairs.clear();
+  int16_t pending[2] = {0, 0};
+  uint32_t pair = 0;
+  auto flush = [&] {
+    if (pending[0] != 0 || pending[1] != 0) {
+      out->pairs.push_back(U8PairWeight{pair, PackPairWeights(pending[0], pending[1])});
+    }
+    pending[0] = pending[1] = 0;
+  };
   double err = 0.0;
-  for (size_t d = 0; d < dim; ++d) {
+  for (uint32_t d : nonzero) {
     double wd = static_cast<double>(q[d]) * static_cast<double>(scale[d]);
     double r = (wd * inv_alpha + kRound) - kRound;
     r = r < kW ? r : kW;
     r = r > -kW ? r : -kW;
     int16_t w = static_cast<int16_t>(r);
-    out->w16[d] = w;
     err += std::fabs(wd - alpha * static_cast<double>(w));
+    if (d / 2 != pair) {
+      flush();
+      pair = d / 2;
+    }
+    pending[d % 2] = w;
   }
+  flush();
   // The bound, term by term (quantize.h).
   double s_err = 255.0 * err;                                      // Term 2.
   double s_max = 255.0 * (wd_abs + err);

@@ -8,9 +8,17 @@
 //
 // Encoding. With per-dimension affine params (vmin[d], scale[d]) trained
 // over the rows, code c[d] = round((x[d] - vmin[d]) / scale[d]) clamped to
-// [0, 255], and the reconstructed row is vmin[d] + scale[d] * c[d]. The hot
-// loop is DotU8I16, the exact integer kernel in kernels.h, against int16
-// weights scaled once per query.
+// [0, 255], and the reconstructed row is vmin[d] + scale[d] * c[d].
+//
+// Layout. A row keeps SqCodeStride(dim) bytes (dim padded to 64), stored
+// pair-blocked: rows go in blocks of 32, and dimension pair p of a block is
+// one 64-byte line holding (c[2p], c[2p+1]) for each of the block's rows
+// (QuantizedCodes::block, ::code). The last block is zero-padded, so a
+// mirror holds at most 31 rows of padding. The hot loop is the block kernel
+// in kernels.h: it scores a block's 32 rows at once against int16 weights
+// scaled once per query, and reads only the lines of the pairs where the
+// query has a nonzero weight — the catalog embedder's sparse queries list a
+// few dozen of dim / 2 pairs, and a dense query lists them all.
 //
 // Certified fp32 scan (CertifiedQuery below; the scan itself lives in
 // vectordb.cc). The fp32 read *proves* which rows can be in its top-k.
@@ -21,7 +29,7 @@
 // D~ -/+ r, with
 //
 //     D~    = norm(i) + |q|^2 - 2 * (sum_d q[d]*vmin[d] + s),
-//     s     = alpha * S,  S = DotU8I16(codes_i, w16),
+//     s     = alpha * S,  S = sum_d c[d] * w16[d], the block kernel's dot,
 //     wd[d] = q[d] * scale[d]  (exact in double),
 //     alpha = max_d |wd[d]| / W,  W = 32767  (alpha = 0 when every wd is 0),
 //     w16[d] = round(wd[d] / alpha) clamped to [-W, W],
@@ -94,8 +102,8 @@ Int8Params TrainInt8(const RowAccessor& row, size_t n, size_t dim, ThreadPool* w
 // Appends SQ code rows for pool rows [begin, end) to `out` and folds the
 // rows' reconstruction error into out->sq_delta. Pure per-row transform:
 // encoding rows in any grouping yields identical codes, which is why
-// `workers` (may be null) can split the rows without changing a code. Grows
-// `out`'s arrays once per call.
+// `workers` (may be null) can split the rows — one 32-row block at a time —
+// without changing a code. Grows `out`'s arrays once per call.
 void EncodeRows(const Int8Params& sq, const RowPool& pool, size_t begin, size_t end,
                 QuantizedCodes* out, ThreadPool* workers);
 
@@ -104,13 +112,17 @@ void EncodeRows(const Int8Params& sq, const RowPool& pool, size_t begin, size_t 
 // Certified-scan query precompute (header comment): the int16 weights and
 // the row-independent parts of the distance interval.
 struct CertifiedQuery {
-  std::vector<int16_t, AlignedAllocator<int16_t>> w16;  // round(wd[d] / alpha), zero-padded.
+  // Every dimension pair with a nonzero w16[2p] or w16[2p+1], ascending by p,
+  // its two weights packed as the block kernel reads them. A pair not listed
+  // adds 0 to every S.
+  std::vector<U8PairWeight> pairs;
   double alpha = 0.0;       // The weights' scale: s = alpha * S.
   double qnorm = 0.0;       // |q|^2, the exact expression's value.
   double qv = 0.0;          // sum_d q[d] * vmin[d].
   double slack = 0.0;       // Terms 1-3 without the row norm's share, inflated.
   double norm_slack = 0.0;  // Term 3's coefficient on norm(i), inflated.
 };
+// Visits only q's nonzero coordinates: every term of a zero one is +-0.
 void BuildCertifiedQuery(const Int8Params& sq, const std::vector<double>& delta, const float* q,
                          size_t dim, double qnorm, CertifiedQuery* out);
 
@@ -121,7 +133,7 @@ struct DistanceInterval {
 };
 
 // The interval of an encoded row with stored norm `norm` and integer dot `s`
-// (DotU8I16 of its codes against cq.w16).
+// (the block kernel's dot of its codes against cq.pairs).
 inline DistanceInterval CertifiedInterval(const CertifiedQuery& cq, double norm, int64_t s) {
   constexpr double kFloatRounding = 0x1p-23;  // Term 4, doubled.
   double approx = norm + cq.qnorm - 2.0 * (cq.qv + cq.alpha * static_cast<double>(s));

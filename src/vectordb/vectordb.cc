@@ -133,28 +133,33 @@ float RoundUpToFloat(double x) {
 }
 
 // Pass 1 over encoded shard rows [begin, end): keeps a row only while its
-// interval's lower end is <= U.
+// interval's lower end is <= U. The kernel scores the 32 rows of each block
+// the range touches at once; the rows then take the interval test one by
+// one, in row order.
 template <bool kFiltered>
 void CertifyRowsImpl(const IndexShard& sh, const QuantizedCodes& codes, size_t begin, size_t end,
                      size_t base, const IdFilter& exclude, CertifiedScan& scan) {
   const RowPool& pool = sh.rows;
   const CertifiedQuery& cq = *scan.cq;
-  U8DotKernelFn dot = ActiveU8DotKernel();
-  size_t dim = pool.dim();
+  U8BlockKernelFn dot = ActiveU8BlockKernel();
   double cutoff = scan.upper.Bound();
-  for (size_t i = begin; i < end; ++i) {
-    if (kFiltered && exclude.contains(pool.id(i))) {
-      continue;
+  alignas(32) int64_t s[kSqBlockRows];
+  for (size_t b = begin / kSqBlockRows; b * kSqBlockRows < end; ++b) {
+    dot(codes.block(b), cq.pairs.data(), cq.pairs.size(), s);
+    size_t row_end = std::min(end, (b + 1) * kSqBlockRows);
+    for (size_t i = std::max(begin, b * kSqBlockRows); i < row_end; ++i) {
+      if (kFiltered && exclude.contains(pool.id(i))) {
+        continue;
+      }
+      DistanceInterval iv = CertifiedInterval(cq, pool.norm(i), s[i % kSqBlockRows]);
+      if (iv.lo > cutoff) {
+        continue;  // Its hi is larger still: it cannot move U either.
+      }
+      size_t order = base + sh.orders[i];
+      scan.upper.Offer(RoundUpToFloat(iv.hi), order, pool.id(i));
+      cutoff = scan.upper.Bound();
+      scan.survivors.push_back(Survivor{iv.lo, order, &pool, static_cast<uint32_t>(i)});
     }
-    int64_t s = dot(codes.sq.data() + i * codes.sq_stride, cq.w16.data(), dim);
-    DistanceInterval iv = CertifiedInterval(cq, pool.norm(i), s);
-    if (iv.lo > cutoff) {
-      continue;  // Its hi is larger still: it cannot move U either.
-    }
-    size_t order = base + sh.orders[i];
-    scan.upper.Offer(RoundUpToFloat(iv.hi), order, pool.id(i));
-    cutoff = scan.upper.Bound();
-    scan.survivors.push_back(Survivor{iv.lo, order, &pool, static_cast<uint32_t>(i)});
   }
 }
 
@@ -215,10 +220,11 @@ void ScanProbedShard(const std::vector<std::vector<IndexShard>>& lists,
 }
 
 // Rows per cache block for the shared batch sweep: ~128 KiB of row data, so a
-// block stays L2-resident while every query in the batch scores it.
+// block stays L2-resident while every query in the batch scores it. A
+// multiple of kSqBlockRows, so pass 1 scores no mirror block twice.
 size_t BlockRows(size_t stride) {
   constexpr size_t kBlockFloats = 128 * 1024 / sizeof(float);
-  return std::max<size_t>(1, kBlockFloats / stride);
+  return std::max<size_t>(1, kBlockFloats / stride / kSqBlockRows) * kSqBlockRows;
 }
 
 // Bytes per row of each stored representation of an index of `dim` whose SQ
@@ -300,6 +306,19 @@ FlatL2Index::FlatL2Index(size_t dim, size_t num_shards) : dim_(dim) {
 void FlatL2Index::Add(ChunkId id, const Embedding& v) {
   METIS_CHECK_EQ(v.size(), dim_);
   shards_[ShardOfId(id, shards_.size())].Append(id, v.data(), count_++);
+}
+
+void FlatL2Index::Reserve(const std::vector<ChunkId>& ids) {
+  if (count_ > 0) {
+    return;
+  }
+  std::vector<size_t> rows(shards_.size(), 0);
+  for (ChunkId id : ids) {
+    ++rows[ShardOfId(id, shards_.size())];
+  }
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s].Reserve(rows[s]);
+  }
 }
 
 std::vector<SearchHit> FlatL2Index::Search(const Embedding& query, size_t k,
@@ -461,6 +480,13 @@ void IvfL2Index::Add(ChunkId id, const Embedding& v) {
   lists_[list][ShardOfId(id, num_shards_)].Append(id, v.data(), list_counts_[list]++);
 }
 
+// A bulk load stages in one pool; Train sizes each list once.
+void IvfL2Index::Reserve(const std::vector<ChunkId>& ids) {
+  if (count_ == 0) {
+    staged_.Reserve(ids.size());
+  }
+}
+
 double IvfL2Index::NearestCentroidDistance(const float* v) const {
   double vnorm = SquaredNormBlocked(v, dim_);
   DotKernelFn dot = ActiveDotKernel();
@@ -599,6 +625,15 @@ void IvfL2Index::Train(ThreadPool* pool) {
     lists_.push_back(std::move(shards));
   }
   list_counts_.assign(cents.size(), 0);
+  std::vector<size_t> shard_rows(cents.size() * num_shards_, 0);
+  for (size_t i = 0; i < n; ++i) {
+    ++shard_rows[assign[i] * num_shards_ + ShardOfId(staged_.id(i), num_shards_)];
+  }
+  for (size_t c = 0; c < cents.size(); ++c) {
+    for (size_t s = 0; s < num_shards_; ++s) {
+      lists_[c][s].Reserve(shard_rows[c * num_shards_ + s]);
+    }
+  }
   for (size_t i = 0; i < n; ++i) {
     size_t list = assign[i];
     ChunkId id = staged_.id(i);
@@ -880,18 +915,20 @@ std::vector<ChunkId> VectorDatabase::AddChunks(std::vector<Chunk> chunks, Thread
     texts.push_back(c.text);
   }
   std::vector<Embedding> embeddings = embedder_.EmbedBatch(texts, pool);
-  std::vector<ChunkId> ids;
-  ids.reserve(chunks.size());
+  std::vector<ChunkId> ids(chunks.size());
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    ids[i] = static_cast<ChunkId>(chunks_.size() + i);
+  }
+  index_->Reserve(ids);
   for (size_t i = 0; i < chunks.size(); ++i) {
     Chunk& chunk = chunks[i];
-    chunk.id = static_cast<ChunkId>(chunks_.size());
+    chunk.id = ids[i];
     index_->Add(chunk.id, embeddings[i]);
     if (lexical_ != nullptr) {
       lexical_->Add(chunk.id, chunk.text);
     }
     chunks_.push_back(std::move(chunk));
     deleted_.push_back(false);
-    ids.push_back(chunks_.back().id);
   }
   return ids;
 }

@@ -325,13 +325,24 @@ struct Int8Params {
 // memtable exact.
 struct QuantizedCodes {
   size_t rows = 0;
-  // rows x sq_stride uint8 codes (stride = dim padded to 64 bytes).
+  // Code bytes per row: dim padded to 64 bytes (SqCodeStride).
   size_t sq_stride = 0;
+  // The codes in blocks of kSqBlockRows = 32 rows, 32 * sq_stride bytes
+  // each, pair-blocked (kernels.h): dimension pair p of block b is the
+  // 64-byte line holding (code[2p], code[2p+1]) of each of its 32 rows. The
+  // last block is zero-padded.
   std::vector<uint8_t, AlignedAllocator<uint8_t>> sq;
   // Per dimension, the largest |x[d] - (vmin[d] + scale[d] * code[d])| over
   // the encoded rows, measured in double at encode time — clamped codes
   // included. The certified scan's quantization error term.
   std::vector<double> sq_delta;
+
+  // The codes of rows [32 b, 32 b + 32).
+  const uint8_t* block(size_t b) const { return sq.data() + b * kSqBlockRows * sq_stride; }
+  // Row `row`'s code of dimension d.
+  uint8_t code(size_t row, size_t d) const {
+    return block(row / kSqBlockRows)[d / 2 * 2 * kSqBlockRows + row % kSqBlockRows * 2 + d % 2];
+  }
 };
 
 // --- Index interface --------------------------------------------------------
@@ -344,6 +355,12 @@ class VectorIndex {
   virtual ~VectorIndex() = default;
 
   virtual void Add(ChunkId id, const Embedding& v) = 0;
+  // Before the first rows go in, sizes the row arrays for the rows about to
+  // be added under `ids`, so a bulk load allocates each array once instead
+  // of doubling it row by row (every doubling frees a copy the heap cannot
+  // always hand back). A no-op once the index holds rows, so small repeated
+  // adds keep amortized growth. Never changes a result.
+  virtual void Reserve(const std::vector<ChunkId>& ids) { (void)ids; }
   // Returns up to k nearest ids by L2 distance, closest first; ties broken by
   // insertion order for determinism.
   virtual std::vector<SearchHit> Search(const Embedding& query, size_t k,
@@ -387,6 +404,7 @@ class FlatL2Index : public VectorIndex {
   explicit FlatL2Index(size_t dim, size_t num_shards = 1);
 
   void Add(ChunkId id, const Embedding& v) override;
+  void Reserve(const std::vector<ChunkId>& ids) override;
   // SearchOrdered with an empty filter.
   std::vector<SearchHit> Search(const Embedding& query, size_t k,
                                 const RetrievalQuality& quality) const override;
@@ -430,6 +448,7 @@ class IvfL2Index : public VectorIndex {
   IvfL2Index(size_t dim, size_t nlist, size_t nprobe, uint64_t seed, size_t num_shards = 1);
 
   void Add(ChunkId id, const Embedding& v) override;
+  void Reserve(const std::vector<ChunkId>& ids) override;
   // SearchOrdered with an empty filter. Probing is resolved from the index's
   // policy and the query's override (see RetrievalQuality).
   std::vector<SearchHit> Search(const Embedding& query, size_t k,

@@ -19,7 +19,9 @@
 //     k in {0,1,5,35,>n}, through Search, SearchBatch and SearchOrdered
 //     (unfiltered and with an IdFilter excluding ~90% of rows), with and
 //     without rows added after the mirror was built (the un-encoded suffix;
-//     IVF Add after Train).
+//     IVF Add after Train); and for sparse queries (embedded query texts,
+//     k-sparse random ones, the all-zero query), whose pass 1 reads only
+//     their nonzero weights' dimension pairs.
 //   - Mutation: a mutable index through seal, compaction and retrain stays
 //     bit-equal to a mirror-free flat build over its live rows.
 //   - Necessity: on a near-tie input, re-scoring only the approximate top-k
@@ -76,8 +78,8 @@ void ExpectBitEqual(const std::vector<Hit>& got, const std::vector<Hit>& want,
 
 // --- Corpora -------------------------------------------------------------------
 
-// Odd dim on purpose: the u8 kernel runs a 12-element tail (44 = 32 + 12)
-// and the fp32 kernel a 4-element one.
+// Odd dim on purpose: the fp32 kernel runs a 4-element tail, and the mirror
+// pads each row's 44 codes to 64.
 constexpr size_t kDim = 44;
 
 struct Corpus {
@@ -176,6 +178,18 @@ Corpus OnGrid(size_t dim) {
 
 // --- Soundness: the bound holds on every row ----------------------------------
 
+// Every encoded row's S against `cq`: the active tier's block kernel, one
+// 32-row block at a time, as pass 1 computes it.
+std::vector<int64_t> BlockDots(const QuantizedCodes& codes, const CertifiedQuery& cq) {
+  std::vector<int64_t> s((codes.rows + kSqBlockRows - 1) / kSqBlockRows * kSqBlockRows);
+  for (size_t b = 0; b * kSqBlockRows < codes.rows; ++b) {
+    ActiveU8BlockKernel()(codes.block(b), cq.pairs.data(), cq.pairs.size(),
+                          s.data() + b * kSqBlockRows);
+  }
+  s.resize(codes.rows);
+  return s;
+}
+
 // Pass 1's interval for every encoded row of `pool` against `q`, under the
 // active kernel tier.
 std::vector<DistanceInterval> Intervals(const Int8Params& sq, const QuantizedCodes& codes,
@@ -183,10 +197,10 @@ std::vector<DistanceInterval> Intervals(const Int8Params& sq, const QuantizedCod
   size_t dim = pool.dim();
   CertifiedQuery cq;
   BuildCertifiedQuery(sq, codes.sq_delta, q, dim, SquaredNormBlocked(q, dim), &cq);
+  std::vector<int64_t> s = BlockDots(codes, cq);
   std::vector<DistanceInterval> ivs;
   for (size_t i = 0; i < pool.size(); ++i) {
-    int64_t s = DotU8I16(codes.sq.data() + i * codes.sq_stride, cq.w16.data(), dim);
-    ivs.push_back(CertifiedInterval(cq, pool.norm(i), s));
+    ivs.push_back(CertifiedInterval(cq, pool.norm(i), s[i]));
   }
   return ivs;
 }
@@ -443,6 +457,80 @@ TEST(CertifiedScanTest, MirrorMatchesMirrorFreeIndexBitForBit) {
   }
 }
 
+// Pass 1 reads only the dimension pairs where a query has a nonzero weight.
+// The catalog embedder's query texts weight a few dozen of 1024 dimensions;
+// k-sparse random queries go down to one coordinate, one pair and the
+// all-zero query. Each must read what the mirror-free index reads — ids,
+// float distances and orders — through SearchBatch and through
+// SearchOrdered with an exclude set, on a row count that leaves every code
+// array a partial last block.
+TEST(CertifiedScanTest, SparseQueriesMatchMirrorFreeIndexBitForBit) {
+  Corpus c = Embedded("squad", 60);
+  if (c.rows.size() % kSqBlockRows == 0) {
+    c.rows.pop_back();
+  }
+  const size_t n = c.rows.size();
+  const size_t dim = c.rows[0].size();
+  size_t nonzero = 0;
+  for (const Embedding& q : c.queries) {
+    nonzero += static_cast<size_t>(
+        std::count_if(q.begin(), q.end(), [](float x) { return x != 0.0f; }));
+  }
+  ASSERT_LT(nonzero, c.queries.size() * dim / 8) << "precondition: embedded queries are sparse";
+  Rng rng(0x5BA25);
+  for (size_t nz : {size_t{0}, size_t{1}, size_t{2}, size_t{5}, size_t{33}}) {
+    Embedding q(dim, 0.0f);
+    for (size_t i = 0; i < nz; ++i) {
+      q[rng.Index(dim)] = static_cast<float>(rng.Uniform(-1.0, 1.0));
+    }
+    if (nz == 2) {  // Both coordinates of one pair.
+      q.assign(dim, 0.0f);
+      q[40] = 0.5f;
+      q[41] = -0.25f;
+    }
+    c.queries.push_back(q);
+  }
+  const std::vector<ChunkId> most = MostIds(n);
+  const IdFilter filter{most.data(), most.data() + most.size()};
+  const RetrievalQuality fp32;
+  const std::vector<RetrievalQuality> quals(c.queries.size());
+  ThreadPool pool(3);
+  for (auto backend :
+       {RetrievalIndexOptions::Backend::kFlat, RetrievalIndexOptions::Backend::kIvf}) {
+    for (size_t shards : {size_t{1}, size_t{3}}) {
+      IndexCase ic{backend, shards, 0};
+      auto plain = Build(c, ic, /*mirror=*/false);
+      auto certified = Build(c, ic, /*mirror=*/true);
+      for (size_t k : {size_t{1}, size_t{10}}) {
+        std::string at = CaseName(c, ic) + " n=" + std::to_string(n) + " k=" + std::to_string(k);
+        std::vector<std::vector<SearchHit>> want =
+            plain->SearchBatch(c.queries, k, nullptr, quals);
+        std::vector<std::vector<OrderedHit>> want_filtered;
+        for (const Embedding& q : c.queries) {
+          want_filtered.push_back(plain->SearchOrdered(q, k, fp32, filter));
+        }
+        for (KernelTarget target : SupportedTargets()) {
+          ScopedKernelTarget scoped(target);
+          std::string tat = at + " target=" + KernelTargetName(target);
+          std::vector<std::vector<SearchHit>> got =
+              certified->SearchBatch(c.queries, k, &pool, quals);
+          ASSERT_EQ(got.size(), c.queries.size());
+          for (size_t qi = 0; qi < c.queries.size(); ++qi) {
+            std::string qat = tat + " q=" + std::to_string(qi);
+            ExpectBitEqual(got[qi], want[qi], qat + " batch");
+            std::vector<OrderedHit> filtered =
+                certified->SearchOrdered(c.queries[qi], k, fp32, filter);
+            ExpectBitEqual(filtered, want_filtered[qi], qat + " filtered");
+            for (size_t r = 0; r < filtered.size(); ++r) {
+              EXPECT_EQ(filtered[r].order, want_filtered[qi][r].order) << qat << " rank " << r;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(CertifiedScanTest, MutableIndexThroughSealCompactRetrainMatchesMirrorFreeBuild) {
   Corpus c = RandomUnit(kDim, 420, 0x3A7);
   RetrievalIndexOptions opts;
@@ -532,18 +620,20 @@ TEST(CertifiedScanTest, ZeroBoundWouldMissTheExactWinner) {
       TrainInt8([&](size_t i) { return c.rows[i].data(); }, c.rows.size(), dim, nullptr);
   QuantizedCodes codes;
   EncodeRows(sq, pool, 0, pool.size(), &codes, nullptr);
-  ASSERT_TRUE(std::equal(codes.sq.begin(), codes.sq.begin() + codes.sq_stride,
-                         codes.sq.begin() + codes.sq_stride))
-      << "precondition: rows b and a share their codes";
+  for (size_t d = 0; d < codes.sq_stride; ++d) {
+    ASSERT_EQ(codes.code(0, d), codes.code(1, d))
+        << "precondition: rows b and a share their codes, dim " << d;
+  }
 
   // The approximate top-k (D~ with B = 0), re-scored exactly.
   double qnorm = SquaredNormBlocked(q.data(), dim);
   CertifiedQuery cq;
   BuildCertifiedQuery(sq, codes.sq_delta, q.data(), dim, qnorm, &cq);
+  std::vector<int64_t> s = BlockDots(codes, cq);
   std::vector<std::pair<double, size_t>> approx;
   for (size_t i = 0; i < pool.size(); ++i) {
-    int64_t s = DotU8I16(codes.sq.data() + i * codes.sq_stride, cq.w16.data(), dim);
-    approx.emplace_back(pool.norm(i) + qnorm - 2.0 * (cq.qv + cq.alpha * static_cast<double>(s)), i);
+    approx.emplace_back(
+        pool.norm(i) + qnorm - 2.0 * (cq.qv + cq.alpha * static_cast<double>(s[i])), i);
   }
   std::sort(approx.begin(), approx.end());
   std::vector<std::pair<float, size_t>> rescored;
