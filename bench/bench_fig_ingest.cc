@@ -231,8 +231,7 @@ int main(int argc, char** argv) {
   // --- Final comparison: fresh static build over the final live set ---
   FlatL2Index truth = LiveTruth(twin, dim);
   RecallEval eval(truth, queries, kTopK, &pool);
-  IvfL2Index static_ivf(dim, ivf_opt.nlist, ivf_opt.nprobe, ivf_opt.train_seed,
-                        ivf_opt.shards);
+  IvfL2Index static_ivf(dim, ivf_opt.nlist, ivf_opt.nprobe, ivf_opt.train_seed);
   {
     std::shared_ptr<const MutableEpoch> epoch = ivf.PinEpoch();
     ivf.ForEachLiveRow(*epoch, [&](ChunkId id, const float* row) {

@@ -1,10 +1,9 @@
 // Retrieval-substrate microbenchmark: flat vs. IVF, seed-scalar vs. blocked
 // kernels, 1/2/4/8 threads, batch sizes 1-64, the certified scan (the same
 // indexes once their SQ mirrors are built, for dense random queries and for
-// sparse text-embedded ones), and the shard-count scaling
-// surface (1/2/4 hash partitions per backend). Prints console tables and
-// emits a machine-readable BENCH_retrieval.json (QPS + p50/p99 per-query
-// latency per configuration) so future PRs can track the perf trajectory.
+// sparse text-embedded ones). Prints console tables and emits a
+// machine-readable BENCH_retrieval.json (QPS + p50/p99 per-query latency
+// per configuration) so future PRs can track the perf trajectory.
 //
 // On a 1-CPU host the multi-thread grid rows are skipped (announced once):
 // they would only measure worker-pool overhead, and their QPS would poison
@@ -326,69 +325,6 @@ int main(int argc, char** argv) {
       }
     }
     cert_table.Print();
-  }
-
-  // --- Shard-count scaling surface: backend x shards x threads (batch 16) ---
-  // Hash-partitioned storage is result-neutral (parity-tested); these rows
-  // measure what shard fan-out buys on this host. Shard counts beyond the
-  // worker count only add merge overhead, so the grid stays small.
-  {
-    const size_t kShardBatch = 16;
-    Table shard_table("bench_retrieval: sharded QPS (b=16, shards x threads)");
-    std::vector<std::string> shard_header = {"backend/shards \\ threads"};
-    for (size_t t : kThreads) {
-      shard_header.push_back(StrFormat("t=%zu", t));
-    }
-    shard_table.SetHeader(shard_header);
-    // Materialize the corpus once (same stream as the main build) and reuse
-    // it for every grid cell; only the selected backend is constructed.
-    std::vector<Embedding> corpus;
-    corpus.reserve(n);
-    {
-      Rng fill_rng(0xBE7C4);
-      for (size_t i = 0; i < n; ++i) {
-        corpus.push_back(RandomUnitVector(fill_rng, dim));
-      }
-    }
-    for (const char* backend : {"flat", "ivf"}) {
-      bool is_ivf = std::strcmp(backend, "ivf") == 0;
-      for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
-        std::unique_ptr<VectorIndex> sharded;
-        if (is_ivf) {
-          sharded = std::make_unique<IvfL2Index>(dim, 64, 8, 17, shards);
-        } else {
-          sharded = std::make_unique<FlatL2Index>(dim, shards);
-        }
-        for (size_t i = 0; i < n; ++i) {
-          sharded->Add(static_cast<ChunkId>(i), corpus[i]);
-        }
-        if (is_ivf) {
-          ThreadPool train_pool(ThreadPool::DefaultThreads());
-          static_cast<IvfL2Index*>(sharded.get())->Train(&train_pool);
-        }
-        const VectorIndex& index = *sharded;
-        std::vector<std::string> row = {StrFormat("%s s=%zu", backend, shards)};
-        for (size_t threads : kThreads) {
-          ThreadPool pool(threads);
-          Measurement m =
-              MeasureBatched(index, queries, kTopK, kShardBatch, threads > 1 ? &pool : nullptr);
-          BenchJsonRecord rec;
-          rec.name = StrFormat("%s_sharded_s%zu_t%zu_b%zu", backend, shards, threads,
-                               kShardBatch);
-          rec.tags = {{"impl", StrFormat("%s_sharded", backend)}};
-          rec.metrics = {{"shards", static_cast<double>(shards)},
-                         {"threads", static_cast<double>(threads)},
-                         {"batch", static_cast<double>(kShardBatch)},
-                         {"qps", m.qps},
-                         {"p50_ms", m.p50_ms},
-                         {"p99_ms", m.p99_ms}};
-          records.push_back(std::move(rec));
-          row.push_back(Table::Num(m.qps, 0));
-        }
-        shard_table.AddRow(row);
-      }
-    }
-    shard_table.Print();
   }
 
   // --- Verdicts ---

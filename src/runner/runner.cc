@@ -46,7 +46,7 @@ namespace {
 // Cache-key encoding of the retrieval backend configuration: two databases
 // built under different options must not share a cache entry — and options
 // MakeIndex ignores must not split one. The flat backend ignores every
-// IVF-only field, so its key carries only backend + shards (an nlist sweep
+// IVF-only field, so its key carries only the backend (an nlist sweep
 // over flat-backend specs reuses one dataset); %.17g round-trips doubles
 // exactly, so near-identical distance_ratio values cannot alias.
 std::string IndexOptionsKey(const RetrievalIndexOptions& o) {
@@ -61,10 +61,10 @@ std::string IndexOptionsKey(const RetrievalIndexOptions& o) {
                         m.retrain_delta_fraction, m.max_rows);
   }
   if (o.backend == RetrievalIndexOptions::Backend::kFlat) {
-    return StrFormat("b%d:s%zu:%s", static_cast<int>(o.backend), o.shards, common.c_str());
+    return StrFormat("b%d:%s", static_cast<int>(o.backend), common.c_str());
   }
-  return StrFormat("b%d:s%zu:l%zu:p%zu:a%d:m%zu:x%zu:r%.17g:t%llu:%s",
-                   static_cast<int>(o.backend), o.shards, o.nlist, o.nprobe,
+  return StrFormat("b%d:l%zu:p%zu:a%d:m%zu:x%zu:r%.17g:t%llu:%s",
+                   static_cast<int>(o.backend), o.nlist, o.nprobe,
                    o.adaptive.enabled ? 1 : 0, o.adaptive.min_probes, o.adaptive.max_probes,
                    o.adaptive.distance_ratio,
                    static_cast<unsigned long long>(o.train_seed), common.c_str());

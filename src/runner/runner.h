@@ -86,8 +86,7 @@ struct ServingSpec {
   JointSchedulerOptions scheduler;  // Scheduler knobs (joint_scheduler.h).
   // Retrieval backend every dataset's vector database builds (paper default:
   // exact flat). The IVF backend makes the scheduler's retrieval-depth knob
-  // (scheduler.adaptive_nprobe / nprobe_budget) live end to end; `shards`
-  // partitions index storage for shard-parallel batched sweeps.
+  // (scheduler.adaptive_nprobe / nprobe_budget) live end to end.
   RetrievalIndexOptions retrieval;
   // Forces engine batching features regardless of the system default
   // (used by the Fig. 12 ablation to stage batching separately).

@@ -47,27 +47,25 @@ MutableIndex::MutableIndex(size_t dim, const RetrievalIndexOptions& options)
 
 // --- Log access --------------------------------------------------------------
 
-const IndexShard& MutableIndex::LogBlock(size_t pos) const {
+const RowPool& MutableIndex::LogBlock(size_t pos) const {
   return *blocks_[pos / block_rows_];
 }
 
 ChunkId MutableIndex::LogId(size_t pos) const {
-  return LogBlock(pos).rows.id(pos % block_rows_);
+  return LogBlock(pos).id(pos % block_rows_);
 }
 
 const float* MutableIndex::LogRow(size_t pos) const {
-  return LogBlock(pos).rows.row(pos % block_rows_);
+  return LogBlock(pos).row(pos % block_rows_);
 }
 
 void MutableIndex::ScanLogRange(size_t lo, size_t hi, const float* q, double qnorm,
                                 const IdFilter& exclude, BoundedTopK& out) const {
   for (size_t b = lo / block_rows_; b * block_rows_ < hi; ++b) {
-    const IndexShard& block = *blocks_[b];
     size_t blo = std::max(lo, b * block_rows_) - b * block_rows_;
     size_t bhi = std::min(hi, (b + 1) * block_rows_) - b * block_rows_;
-    // block.orders carries the rows' global log positions, so base 0 keeps
-    // log position == candidate order.
-    ScanRowsInto(block.rows, blo, bhi, q, qnorm, block.orders.data(), 0, exclude, out);
+    // Base b * block_rows_ keeps log position == candidate order.
+    ScanRowsInto(*blocks_[b], blo, bhi, q, qnorm, b * block_rows_, exclude, out);
   }
 }
 
@@ -76,11 +74,11 @@ size_t MutableIndex::AppendLogLocked(ChunkId id, const float* v) {
   METIS_CHECK_LT(pos, mopts_.max_rows);
   size_t b = pos / block_rows_;
   if (blocks_[b] == nullptr) {
-    auto block = std::make_unique<IndexShard>(dim_);
+    auto block = std::make_unique<RowPool>(dim_);
     block->Reserve(block_rows_);
     blocks_[b] = std::move(block);
   }
-  blocks_[b]->Append(id, v, pos);
+  blocks_[b]->Append(id, v);
   log_size_ = pos + 1;
   return pos;
 }
@@ -112,10 +110,10 @@ bool MutableIndex::TombstonedLocked(ChunkId id) const {
 
 // --- Writes ------------------------------------------------------------------
 
-void MutableIndex::Reserve(const std::vector<ChunkId>& ids) {
+void MutableIndex::Reserve(size_t rows) {
   std::unique_lock<std::mutex> lock(mu_);
   if (!finalized_) {  // Readers see the base only once it is finalized.
-    base_->Reserve(ids);
+    base_->Reserve(rows);
   }
 }
 
@@ -239,27 +237,28 @@ void MutableIndex::CompactLocked() {
   if (segments_.empty()) {
     return;
   }
-  auto built = std::make_shared<IndexShard>(dim_);
+  // The live rows in log order (a compacted segment is always the first).
+  auto built = std::make_shared<RowPool>(dim_);
   IdFilter dead = FilterOf(*tombstones_);
   for (const MutableSegment& seg : segments_) {
     if (seg.compacted != nullptr) {
-      const IndexShard& src = *seg.compacted;
-      for (size_t i = 0; i < src.orders.size(); ++i) {
-        if (!dead.contains(src.rows.id(i))) {
-          built->Append(src.rows.id(i), src.rows.row(i), src.orders[i]);
+      const RowPool& src = *seg.compacted;
+      for (size_t i = 0; i < src.size(); ++i) {
+        if (!dead.contains(src.id(i))) {
+          built->Append(src.id(i), src.row(i));
         }
       }
     } else {
       for (size_t pos = seg.lo; pos < seg.hi; ++pos) {
         ChunkId id = LogId(pos);
         if (!dead.contains(id)) {
-          built->Append(id, LogRow(pos), pos);
+          built->Append(id, LogRow(pos));
         }
       }
     }
   }
   std::vector<MutableSegment> next;
-  if (built->orders.size() > 0) {
+  if (built->size() > 0) {
     MutableSegment seg;
     seg.lo = segments_.front().lo;
     seg.hi = segments_.back().hi;
@@ -286,14 +285,12 @@ void MutableIndex::RetrainLocked(ThreadPool* pool) {
   std::unique_ptr<VectorIndex> index = MakeBackendIndex(dim_, options_, &ivf);
   IdFilter dead = FilterOf(*tombstones_);
   std::vector<size_t> live;  // Log positions of the live rows.
-  std::vector<ChunkId> ids;
   for (size_t pos = 0; pos < log_size_; ++pos) {
     if (!dead.contains(LogId(pos))) {
       live.push_back(pos);
-      ids.push_back(LogId(pos));
     }
   }
-  index->Reserve(ids);
+  index->Reserve(live.size());
   Embedding row(dim_);
   for (size_t pos : live) {
     const float* r = LogRow(pos);
@@ -336,10 +333,9 @@ void MutableIndex::SearchPinnedExact(const MutableEpoch& epoch, const Embedding&
                                      BoundedTopK& merged) const {
   double qnorm = SquaredNormBlocked(query.data(), dim_);
   // One heap across base + segments + memtable: the (distance, candidate
-  // order) total order makes the structure visit order irrelevant, exactly
-  // as it does for shards. Base hits arrive with their own candidate orders,
-  // which are order-isomorphic to (and strictly below) the delta rows' log
-  // positions.
+  // order) total order makes the structure visit order irrelevant. Base
+  // hits arrive with their own candidate orders, which are order-isomorphic
+  // to (and strictly below) the delta rows' orders (see the header).
   if (epoch.base_searchable) {
     for (const OrderedHit& h : epoch.base->SearchOrdered(query, k, quality, dead)) {
       merged.Offer(h.distance, h.order, h.id);
@@ -351,8 +347,8 @@ void MutableIndex::SearchPinnedExact(const MutableEpoch& epoch, const Embedding&
   }
   for (const MutableSegment& seg : epoch.segments) {
     if (seg.compacted != nullptr) {
-      ScanRowsInto(seg.compacted->rows, 0, seg.compacted->orders.size(), query.data(), qnorm,
-                   seg.compacted->orders.data(), 0, dead, merged);
+      ScanRowsInto(*seg.compacted, 0, seg.compacted->size(), query.data(), qnorm, seg.lo, dead,
+                   merged);
     } else {
       ScanLogRange(seg.lo, seg.hi, query.data(), qnorm, dead, merged);
     }

@@ -15,19 +15,26 @@
 //   └─────────┘   └────────────────────────┘   └──────────────────────┘
 //
 //   - Every row ever inserted (including the initial bulk load) is appended
-//     to a preallocated block log; a row's *log position* is its global
-//     candidate order. The memtable is simply the unsealed log tail — absorbed
-//     by flat scan at search time.
+//     to a preallocated log of RowPool blocks; a row's *log position* is its
+//     candidate order (block b is scanned with base b * kLogBlockRows). The
+//     memtable is simply the unsealed log tail — absorbed by flat scan at
+//     search time.
 //   - At memtable_rows the tail is sealed into an immutable segment (a frozen
-//     log range — sealing is O(1), no copying). Segments are swept exactly
-//     like shards: per-structure BoundedTopK heaps merge under the existing
-//     (distance, candidate order) total order, so how rows are partitioned
-//     across base/segments/memtable can never change results.
+//     log range — sealing is O(1), no copying). The base, the segments and
+//     the memtable are all offered into one BoundedTopK under the (distance,
+//     candidate order) total order, so how rows are split across them can
+//     never change results.
 //   - Deletes are tombstones: a copy-on-write sorted id set, filtered
 //     *inside* every scan before top-k selection (post-filtering a top-k
 //     could let dead rows crowd out live ones).
-//   - Compaction merges sealed segments into one tombstone-free segment whose
-//     rows keep their original log-position orders. Retrain rebuilds the base
+//   - Compaction merges sealed segments [lo, hi) into one tombstone-free
+//     RowPool of their live rows in log order, scanned with base lo: its
+//     j-th row gets candidate order lo + j. That order rises with log
+//     position and stays inside [lo, hi) (at most hi - lo rows are live).
+//     Base orders lie below base_cut <= lo, and later segments and the
+//     memtable lie at or above hi. So every comparison the top-k heap makes
+//     comes out exactly as it does with the rows' log positions, and the
+//     results are those of the uncompacted segments. Retrain rebuilds the base
 //     index over the live set (through the same MakeBackendIndex factory and
 //     train seed as a fresh build, so the result is bit-identical to one) —
 //     triggered when live delta rows outgrow the base or, for IVF, when the
@@ -66,12 +73,12 @@ namespace metis {
 class BoundedTopK;  // topk.h (internal).
 
 // One sealed segment: a frozen log range, optionally replaced by a compacted
-// (tombstone-free) row set whose orders are the original log positions.
+// (tombstone-free) row pool whose row j has candidate order lo + j.
 struct MutableSegment {
   size_t lo = 0, hi = 0;  // Log positions covered: [lo, hi).
   // Null: scan log rows [lo, hi) directly. Non-null: scan these rows instead
-  // (same live content, dead rows dropped).
-  std::shared_ptr<const IndexShard> compacted;
+  // (same live content in log order, dead rows dropped).
+  std::shared_ptr<const RowPool> compacted;
 };
 
 // Immutable snapshot of the serving structures at one publication point.
@@ -121,7 +128,7 @@ class MutableIndex : public VectorIndex {
   // --- VectorIndex surface (reads are lock-free; Add == Insert) ---
   void Add(ChunkId id, const Embedding& v) override { Insert(id, v); }
   // Bulk load: the base's rows (the row log reserves its own blocks).
-  void Reserve(const std::vector<ChunkId>& ids) override;
+  void Reserve(size_t rows) override;
   std::vector<SearchHit> Search(const Embedding& query, size_t k,
                                 const RetrievalQuality& quality) const override;
   // One epoch pin for the whole batch: a coalesced group is answered against
@@ -180,7 +187,7 @@ class MutableIndex : public VectorIndex {
 
  private:
   // Log access (rows below a published epoch's memtable_hi are immutable).
-  const IndexShard& LogBlock(size_t pos) const;
+  const RowPool& LogBlock(size_t pos) const;
   ChunkId LogId(size_t pos) const;
   const float* LogRow(size_t pos) const;
   void ScanLogRange(size_t lo, size_t hi, const float* q, double qnorm, const IdFilter& exclude,
@@ -213,7 +220,7 @@ class MutableIndex : public VectorIndex {
   // Append-only row log: preallocated block directory; blocks allocate (with
   // reserved capacity, so their arrays never move) on first touch. Readers
   // only address rows below a pinned epoch's watermark.
-  std::vector<std::unique_ptr<IndexShard>> blocks_;
+  std::vector<std::unique_ptr<RowPool>> blocks_;
 
   mutable std::mutex mu_;
 

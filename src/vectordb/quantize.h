@@ -1,10 +1,11 @@
 // The int8 SQ mirror and the certified fp32 scan that reads it.
 //
-// The mirror is a narrower parallel code array beside each shard's RowPool:
-// 1 byte per dimension instead of 4. The fp32 rows stay authoritative — every
-// reported distance is the exact expression over them — and the mirror only
-// lets a scan prove which rows cannot be in the exact top-k. Every static
-// index builds it (BuildQuantizedMirrors).
+// The mirror is a narrower parallel code array beside each RowPool an index
+// scans (the flat pool, each IVF inverted list): 1 byte per dimension
+// instead of 4. The fp32 rows stay authoritative — every reported distance
+// is the exact expression over them — and the mirror only lets a scan prove
+// which rows cannot be in the exact top-k. Every static index builds it
+// (BuildQuantizedMirrors).
 //
 // Encoding. With per-dimension affine params (vmin[d], scale[d]) trained
 // over the rows, code c[d] = round((x[d] - vmin[d]) / scale[d]) clamped to

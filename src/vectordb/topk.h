@@ -25,7 +25,8 @@ namespace metis {
 
 // Candidate under selection: distance plus the position at which it was
 // considered (insertion order for flat, probe-concatenation order for IVF,
-// log position for the mutable index's delta structures).
+// log position for the mutable index's log rows and seg.lo + j for a
+// compacted segment's j-th row).
 struct Cand {
   float dist;
   size_t order;
@@ -34,7 +35,7 @@ struct Cand {
 
 // Total order matching the seed's stable_sort-by-distance: distance first,
 // candidate order as the tie-break. Selecting the k smallest under this total
-// order is independent of how candidates are partitioned or interleaved.
+// order is independent of the order candidates are offered in.
 inline bool CandLess(const Cand& a, const Cand& b) {
   if (a.dist != b.dist) {
     return a.dist < b.dist;
@@ -90,10 +91,6 @@ class BoundedTopK {
     return hits;
   }
 
-  // The retained candidates in heap order (for cross-shard merging; the
-  // merge re-heapifies, so ordering here does not matter).
-  const std::vector<Cand>& cands() const { return heap_; }
-
   // The largest distance a candidate can have and still enter: the k-th
   // smallest offered so far, +inf until k have been offered, -inf when
   // k == 0 (nothing enters). The certified scan prunes against it.
@@ -110,11 +107,11 @@ class BoundedTopK {
 };
 
 // Scores pool rows [begin, end) against one query and offers the survivors of
-// `exclude` (sorted tombstoned ids; empty = keep all) to `out`. Candidate
-// order is `base` + orders[i]. Defined in vectordb.cc — see the header
+// `exclude` (sorted tombstoned ids; empty = keep all) to `out`, row i under
+// candidate order `base` + i. Defined in vectordb.cc — see the header
 // comment for why there is exactly one definition.
 void ScanRowsInto(const RowPool& pool, size_t begin, size_t end, const float* q, double qnorm,
-                  const size_t* orders, size_t base, const IdFilter& exclude, BoundedTopK& out);
+                  size_t base, const IdFilter& exclude, BoundedTopK& out);
 
 }  // namespace metis
 

@@ -33,14 +33,6 @@ RowPool::RowPool(size_t dim) : dim_(dim), stride_(PaddedStride(dim)) {
   METIS_CHECK_GT(dim, 0u);
 }
 
-size_t ShardOfId(ChunkId id, size_t num_shards) {
-  if (num_shards <= 1) {
-    return 0;
-  }
-  uint64_t state = static_cast<uint64_t>(static_cast<uint32_t>(id));
-  return static_cast<size_t>(SplitMix64(state) % num_shards);
-}
-
 void RowPool::Append(ChunkId id, const float* v) {
   size_t offset = data_.size();
   data_.resize(offset + stride_, 0.0f);
@@ -56,25 +48,6 @@ void RowPool::Append(ChunkId id, const float* v) {
 
 namespace {
 
-// Folds per-shard top-k heaps (heaps[start + i * stride] for i in
-// [0, count)) into the global top-k. Each shard heap holds its shard's k
-// best candidates under the shared (distance, order) total order — a
-// superset of that shard's contribution to the global top-k — so offering
-// them all into one fresh heap yields exactly the single-shard result.
-std::vector<SearchHit> MergeShardTopK(std::vector<BoundedTopK>& heaps, size_t start,
-                                      size_t stride, size_t count, size_t k) {
-  if (count == 1) {
-    return heaps[start].Drain();
-  }
-  BoundedTopK merged(k);
-  for (size_t i = 0; i < count; ++i) {
-    for (const Cand& c : heaps[start + i * stride].cands()) {
-      merged.Offer(c.dist, c.order, c.id);
-    }
-  }
-  return merged.Drain();
-}
-
 // The exact distance of pool row i: the one expression every read — full
 // scans and the certified scan's pass 2 — evaluates, in this TU only
 // (topk.h).
@@ -86,21 +59,19 @@ inline float RowDistance(const RowPool& pool, size_t i, const float* q, double q
   return d < 0.0f ? 0.0f : d;
 }
 
-// Scores pool rows [begin, end) against one query and offers them to `out`.
-// Candidate order is `base` + orders[i]: every scanned pool is an IndexShard
-// pool, whose parallel `orders` array carries the single-shard-equivalent
-// order per row. The dispatched dot kernel is fetched once per scan, not
-// once per row. Templated on filtering so the unfiltered static path keeps
-// exactly the loop it had before tombstones existed.
+// Scores pool rows [begin, end) against one query and offers them to `out`
+// with candidate order `base` + i. The dispatched dot kernel is fetched once
+// per scan, not once per row. Templated on filtering so the unfiltered
+// static path keeps exactly the loop it had before tombstones existed.
 template <bool kFiltered>
 void ScanRowsImpl(const RowPool& pool, size_t begin, size_t end, const float* q, double qnorm,
-                  const size_t* orders, size_t base, const IdFilter& exclude, BoundedTopK& out) {
+                  size_t base, const IdFilter& exclude, BoundedTopK& out) {
   DotKernelFn dot = ActiveDotKernel();
   for (size_t i = begin; i < end; ++i) {
     if (kFiltered && exclude.contains(pool.id(i))) {
       continue;
     }
-    out.Offer(RowDistance(pool, i, q, qnorm, dot), base + orders[i], pool.id(i));
+    out.Offer(RowDistance(pool, i, q, qnorm, dot), base + i, pool.id(i));
   }
 }
 
@@ -132,14 +103,13 @@ float RoundUpToFloat(double x) {
                                     : f;
 }
 
-// Pass 1 over encoded shard rows [begin, end): keeps a row only while its
+// Pass 1 over encoded pool rows [begin, end): keeps a row only while its
 // interval's lower end is <= U. The kernel scores the 32 rows of each block
 // the range touches at once; the rows then take the interval test one by
 // one, in row order.
 template <bool kFiltered>
-void CertifyRowsImpl(const IndexShard& sh, const QuantizedCodes& codes, size_t begin, size_t end,
+void CertifyRowsImpl(const RowPool& pool, const QuantizedCodes& codes, size_t begin, size_t end,
                      size_t base, const IdFilter& exclude, CertifiedScan& scan) {
-  const RowPool& pool = sh.rows;
   const CertifiedQuery& cq = *scan.cq;
   U8BlockKernelFn dot = ActiveU8BlockKernel();
   double cutoff = scan.upper.Bound();
@@ -155,7 +125,7 @@ void CertifyRowsImpl(const IndexShard& sh, const QuantizedCodes& codes, size_t b
       if (iv.lo > cutoff) {
         continue;  // Its hi is larger still: it cannot move U either.
       }
-      size_t order = base + sh.orders[i];
+      size_t order = base + i;
       scan.upper.Offer(RoundUpToFloat(iv.hi), order, pool.id(i));
       cutoff = scan.upper.Bound();
       scan.survivors.push_back(Survivor{iv.lo, order, &pool, static_cast<uint32_t>(i)});
@@ -163,24 +133,24 @@ void CertifyRowsImpl(const IndexShard& sh, const QuantizedCodes& codes, size_t b
   }
 }
 
-// Scans shard rows [begin, end) for one query. Rows `codes` encodes take
-// pass 1 into `scan`; the rest — every row, when `codes` is null — scan
-// exactly into `out`, so an index without a mirror runs the plain exact
-// loop.
-void ScanShardRows(const IndexShard& sh, const QuantizedCodes* codes, size_t begin, size_t end,
-                   const float* q, double qnorm, size_t base, const IdFilter& exclude,
-                   CertifiedScan& scan, BoundedTopK& out) {
-  size_t encoded = codes != nullptr ? std::min(codes->rows, sh.rows.size()) : 0;
+// Scans pool rows [begin, end) for one query, row i under candidate order
+// `base` + i. Rows `codes` encodes take pass 1 into `scan`; the rest — every
+// row, when `codes` is null — scan exactly into `out`, so an index without a
+// mirror runs the plain exact loop.
+void ScanPoolRows(const RowPool& pool, const QuantizedCodes* codes, size_t begin, size_t end,
+                  const float* q, double qnorm, size_t base, const IdFilter& exclude,
+                  CertifiedScan& scan, BoundedTopK& out) {
+  size_t encoded = codes != nullptr ? std::min(codes->rows, pool.size()) : 0;
   size_t mid = std::max(begin, std::min(end, encoded));
   if (begin < mid) {
     if (exclude.empty()) {
-      CertifyRowsImpl<false>(sh, *codes, begin, mid, base, exclude, scan);
+      CertifyRowsImpl<false>(pool, *codes, begin, mid, base, exclude, scan);
     } else {
-      CertifyRowsImpl<true>(sh, *codes, begin, mid, base, exclude, scan);
+      CertifyRowsImpl<true>(pool, *codes, begin, mid, base, exclude, scan);
     }
   }
   if (mid < end) {
-    ScanRowsInto(sh.rows, mid, end, q, qnorm, sh.orders.data(), base, exclude, out);
+    ScanRowsInto(pool, mid, end, q, qnorm, base, exclude, out);
   }
 }
 
@@ -203,22 +173,6 @@ void RescoreSurvivors(CertifiedScan& scan, const float* q, double qnorm, Bounded
   survivors.clear();
 }
 
-// Scans shard `shard` of every probed inverted list into `out` (IVF batch
-// fan-out unit). `probe_lists`/`bases` come from IvfL2Index::PlanProbes;
-// `qcodes` is empty when the index has no mirror.
-void ScanProbedShard(const std::vector<std::vector<IndexShard>>& lists,
-                     const std::vector<std::vector<QuantizedCodes>>& qcodes,
-                     const std::vector<size_t>& probe_lists, const std::vector<size_t>& bases,
-                     size_t shard, const float* q, double qnorm, const IdFilter& exclude,
-                     CertifiedScan& scan, BoundedTopK& out) {
-  for (size_t p = 0; p < probe_lists.size(); ++p) {
-    size_t l = probe_lists[p];
-    const IndexShard& sh = lists[l][shard];
-    const QuantizedCodes* codes = qcodes.empty() ? nullptr : &qcodes[l][shard];
-    ScanShardRows(sh, codes, 0, sh.rows.size(), q, qnorm, bases[p], exclude, scan, out);
-  }
-}
-
 // Rows per cache block for the shared batch sweep: ~128 KiB of row data, so a
 // block stays L2-resident while every query in the batch scores it. A
 // multiple of kSqBlockRows, so pass 1 scores no mirror block twice.
@@ -239,9 +193,9 @@ size_t ScanBytesPerRow(size_t dim, bool mirrored, RetrievalPrecision tier) {
   return 0;
 }
 
-// Trains the SQ quantizer over `rows` (the backend's shard-invariant row
-// order), then encodes every (rows, codes) pair; both split across `pool`.
-// Returns the per-dimension max of the pairs' sq_delta.
+// Trains the SQ quantizer over `rows` (the backend's candidate-order row
+// sequence), then encodes every (rows, codes) pair; both split across
+// `pool`. Returns the per-dimension max of 0 and the pairs' sq_delta.
 using EncodeJobs = std::vector<std::pair<const RowPool*, QuantizedCodes*>>;
 
 std::vector<double> BuildMirrors(const std::vector<const float*>& rows, size_t dim,
@@ -262,11 +216,11 @@ std::vector<double> BuildMirrors(const std::vector<const float*>& rows, size_t d
 // The one definition of the filtered scan (declared in topk.h; see there for
 // why mutable_index.cc must not grow its own copy).
 void ScanRowsInto(const RowPool& pool, size_t begin, size_t end, const float* q, double qnorm,
-                  const size_t* orders, size_t base, const IdFilter& exclude, BoundedTopK& out) {
+                  size_t base, const IdFilter& exclude, BoundedTopK& out) {
   if (exclude.empty()) {
-    ScanRowsImpl<false>(pool, begin, end, q, qnorm, orders, base, exclude, out);
+    ScanRowsImpl<false>(pool, begin, end, q, qnorm, base, exclude, out);
   } else {
-    ScanRowsImpl<true>(pool, begin, end, q, qnorm, orders, base, exclude, out);
+    ScanRowsImpl<true>(pool, begin, end, q, qnorm, base, exclude, out);
   }
 }
 
@@ -294,30 +248,16 @@ std::vector<SearchHit> ToSearchHits(const std::vector<OrderedHit>& hits) {
 
 // --- FlatL2Index ------------------------------------------------------------
 
-FlatL2Index::FlatL2Index(size_t dim, size_t num_shards) : dim_(dim) {
-  METIS_CHECK_GT(dim, 0u);
-  METIS_CHECK_GT(num_shards, 0u);
-  shards_.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    shards_.emplace_back(dim);
-  }
-}
+FlatL2Index::FlatL2Index(size_t dim) : dim_(dim), rows_(dim) {}
 
 void FlatL2Index::Add(ChunkId id, const Embedding& v) {
   METIS_CHECK_EQ(v.size(), dim_);
-  shards_[ShardOfId(id, shards_.size())].Append(id, v.data(), count_++);
+  rows_.Append(id, v.data());
 }
 
-void FlatL2Index::Reserve(const std::vector<ChunkId>& ids) {
-  if (count_ > 0) {
-    return;
-  }
-  std::vector<size_t> rows(shards_.size(), 0);
-  for (ChunkId id : ids) {
-    ++rows[ShardOfId(id, shards_.size())];
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].Reserve(rows[s]);
+void FlatL2Index::Reserve(size_t rows) {
+  if (rows_.size() == 0) {
+    rows_.Reserve(rows);
   }
 }
 
@@ -335,11 +275,10 @@ std::vector<std::vector<SearchHit>> FlatL2Index::SearchBatch(
     METIS_CHECK_EQ(q.size(), dim_);
   }
   std::vector<std::vector<SearchHit>> results(queries.size());
-  if (queries.empty() || k == 0 || count_ == 0) {
+  if (queries.empty() || k == 0 || rows_.size() == 0) {
     return results;
   }
   size_t nq = queries.size();
-  size_t nshards = shards_.size();
   std::vector<double> qnorms(nq);
   std::vector<CertifiedQuery> cqs(quantized_ ? nq : 0);
   for (size_t qi = 0; qi < nq; ++qi) {
@@ -349,52 +288,37 @@ std::vector<std::vector<SearchHit>> FlatL2Index::SearchBatch(
     }
   }
 
-  // Fan the (shard x query) grid out across the pool: one heap (and one
-  // certified-scan state) per cell, so workers own disjoint slots and the
-  // merged result is independent of the partitioning. Task ids are
-  // shard-major — a contiguous task range covers consecutive queries of
-  // one shard before moving to the next — so each worker still streams a
-  // shard's rows through the cache-sized blocks once for all of its
-  // queries; each query's pass 2 follows the shard's sweep.
+  // Split the queries across the pool: one heap (and one certified-scan
+  // state) per query, so workers own disjoint slots. Each worker streams
+  // the rows through the cache-sized blocks once for all of its queries;
+  // each query's pass 2 follows the sweep.
   std::vector<BoundedTopK> heaps;
   std::vector<CertifiedScan> scans;
-  heaps.reserve(nshards * nq);
-  scans.reserve(nshards * nq);
-  for (size_t i = 0; i < nshards * nq; ++i) {
+  heaps.reserve(nq);
+  scans.reserve(nq);
+  for (size_t qi = 0; qi < nq; ++qi) {
     heaps.emplace_back(k);
-    scans.emplace_back(quantized_ ? &cqs[i % nq] : nullptr, k);
+    scans.emplace_back(quantized_ ? &cqs[qi] : nullptr, k);
   }
-  auto sweep = [&](size_t tb, size_t te) {
-    size_t t = tb;
-    while (t < te) {
-      size_t shard = t / nq;
-      size_t run_end = std::min(te, (shard + 1) * nq);
-      size_t qb = t - shard * nq;
-      size_t qe = run_end - shard * nq;
-      const IndexShard& sh = shards_[shard];
-      const QuantizedCodes* codes = quantized_ ? &qcodes_[shard] : nullptr;
-      size_t block = BlockRows(sh.rows.stride());
-      for (size_t rb = 0; rb < sh.rows.size(); rb += block) {
-        size_t re = std::min(rb + block, sh.rows.size());
-        for (size_t qi = qb; qi < qe; ++qi) {
-          ScanShardRows(sh, codes, rb, re, queries[qi].data(), qnorms[qi], 0, IdFilter{},
-                        scans[shard * nq + qi], heaps[shard * nq + qi]);
-        }
-      }
+  const QuantizedCodes* codes = quantized_ ? &qcodes_ : nullptr;
+  size_t block = BlockRows(rows_.stride());
+  auto sweep = [&](size_t qb, size_t qe) {
+    for (size_t rb = 0; rb < rows_.size(); rb += block) {
+      size_t re = std::min(rb + block, rows_.size());
       for (size_t qi = qb; qi < qe; ++qi) {
-        RescoreSurvivors(scans[shard * nq + qi], queries[qi].data(), qnorms[qi],
-                         heaps[shard * nq + qi]);
+        ScanPoolRows(rows_, codes, rb, re, queries[qi].data(), qnorms[qi], 0, IdFilter{},
+                     scans[qi], heaps[qi]);
       }
-      t = run_end;
+    }
+    for (size_t qi = qb; qi < qe; ++qi) {
+      RescoreSurvivors(scans[qi], queries[qi].data(), qnorms[qi], heaps[qi]);
+      results[qi] = heaps[qi].Drain();
     }
   };
-  if (pool != nullptr && pool->num_threads() > 1 && nshards * nq > 1) {
-    pool->ParallelFor(nshards * nq, sweep);
+  if (pool != nullptr && pool->num_threads() > 1 && nq > 1) {
+    pool->ParallelFor(nq, sweep);
   } else {
-    sweep(0, nshards * nq);
-  }
-  for (size_t qi = 0; qi < nq; ++qi) {
-    results[qi] = MergeShardTopK(heaps, /*start=*/qi, /*stride=*/nq, nshards, k);
+    sweep(0, nq);
   }
   return results;
 }
@@ -404,7 +328,7 @@ std::vector<OrderedHit> FlatL2Index::SearchOrdered(const Embedding& query, size_
                                                    const IdFilter& exclude) const {
   (void)quality;  // Exact backend: no recall knob.
   METIS_CHECK_EQ(query.size(), dim_);
-  if (k == 0 || count_ == 0) {
+  if (k == 0 || rows_.size() == 0) {
     return {};
   }
   double qnorm = SquaredNormBlocked(query.data(), dim_);
@@ -412,39 +336,24 @@ std::vector<OrderedHit> FlatL2Index::SearchOrdered(const Embedding& query, size_
   if (quantized_) {
     BuildCertifiedQuery(sq_, sq_delta_, query.data(), dim_, qnorm, &cq);
   }
-  // One heap (and one certified-scan state) across all shards: the
-  // (distance, global order) total order makes the scan order across shards
-  // irrelevant.
   BoundedTopK topk(k);
   CertifiedScan scan(quantized_ ? &cq : nullptr, k);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const IndexShard& shard = shards_[s];
-    ScanShardRows(shard, quantized_ ? &qcodes_[s] : nullptr, 0, shard.rows.size(), query.data(),
-                  qnorm, 0, exclude, scan, topk);
-  }
+  ScanPoolRows(rows_, quantized_ ? &qcodes_ : nullptr, 0, rows_.size(), query.data(), qnorm, 0,
+               exclude, scan, topk);
   RescoreSurvivors(scan, query.data(), qnorm, topk);
   return topk.DrainOrdered();
 }
 
 bool FlatL2Index::BuildQuantizedMirrors(ThreadPool* pool) {
-  if (count_ == 0) {
+  if (rows_.size() == 0) {
     return false;
   }
-  // Train over rows in global insertion order (shard.orders maps each shard
-  // row back to its single-shard position), so the trained quantizer — and
-  // therefore every code — is invariant to the shard count.
-  std::vector<const float*> rows(count_, nullptr);
-  for (const IndexShard& shard : shards_) {
-    for (size_t i = 0; i < shard.rows.size(); ++i) {
-      rows[shard.orders[i]] = shard.rows.row(i);
-    }
+  std::vector<const float*> rows(rows_.size());
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    rows[i] = rows_.row(i);
   }
-  qcodes_.assign(shards_.size(), QuantizedCodes{});
-  EncodeJobs jobs;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    jobs.emplace_back(&shards_[s].rows, &qcodes_[s]);
-  }
-  sq_delta_ = BuildMirrors(rows, dim_, jobs, pool, &sq_);
+  qcodes_ = QuantizedCodes{};
+  sq_delta_ = BuildMirrors(rows, dim_, {{&rows_, &qcodes_}}, pool, &sq_);
   quantized_ = true;
   return true;
 }
@@ -455,18 +364,16 @@ size_t FlatL2Index::bytes_per_row(RetrievalPrecision tier) const {
 
 // --- IvfL2Index -------------------------------------------------------------
 
-IvfL2Index::IvfL2Index(size_t dim, size_t nlist, size_t nprobe, uint64_t seed, size_t num_shards)
+IvfL2Index::IvfL2Index(size_t dim, size_t nlist, size_t nprobe, uint64_t seed)
     : dim_(dim),
       nlist_(nlist),
       nprobe_(std::min(nprobe, nlist)),
       seed_(seed),
-      num_shards_(num_shards),
       centroids_(dim),
       staged_(dim) {
   METIS_CHECK_GT(dim, 0u);
   METIS_CHECK_GT(nlist, 0u);
   METIS_CHECK_GT(nprobe, 0u);
-  METIS_CHECK_GT(num_shards, 0u);
 }
 
 void IvfL2Index::Add(ChunkId id, const Embedding& v) {
@@ -476,14 +383,13 @@ void IvfL2Index::Add(ChunkId id, const Embedding& v) {
     staged_.Append(id, v.data());
     return;
   }
-  size_t list = NearestCentroid(v.data());
-  lists_[list][ShardOfId(id, num_shards_)].Append(id, v.data(), list_counts_[list]++);
+  lists_[NearestCentroid(v.data())].Append(id, v.data());
 }
 
 // A bulk load stages in one pool; Train sizes each list once.
-void IvfL2Index::Reserve(const std::vector<ChunkId>& ids) {
+void IvfL2Index::Reserve(size_t rows) {
   if (count_ == 0) {
-    staged_.Reserve(ids.size());
+    staged_.Reserve(rows);
   }
 }
 
@@ -542,7 +448,7 @@ void IvfL2Index::Train(ThreadPool* pool) {
   // Farthest-point seeding from a deterministic stream (approximates
   // k-means++ well enough here). nearest_d[i] — the distance from row i to
   // its closest centroid so far — is maintained incrementally: appending a
-  // centroid only needs one O(n * dim) sharded scan against that centroid,
+  // centroid only needs one O(n * dim) pooled scan against that centroid,
   // instead of the seed's O(n * ncentroids * dim) rescan per pick. min() is
   // associative, so the incremental values (and the picks) are exact.
   Rng rng(seed_);
@@ -576,7 +482,7 @@ void IvfL2Index::Train(ThreadPool* pool) {
     absorb_centroid(cents.back());
   }
 
-  // Lloyd rounds. Assignment (the O(n * nlist * dim) part) shards across the
+  // Lloyd rounds. Assignment (the O(n * nlist * dim) part) splits across the
   // pool into a per-row slot; the float accumulation then runs serially in
   // row order so centroids are bit-identical for every pool size.
   std::vector<size_t> assign(n);
@@ -611,33 +517,18 @@ void IvfL2Index::Train(ThreadPool* pool) {
 
   rebuild_centroids(cents);
   assign_all();
-  // Fill the hash-partitioned lists in staged (insertion) order: a row's
-  // in-list order is the position it would have in a single-shard list, so
-  // search results cannot depend on num_shards_.
-  lists_.clear();
-  lists_.reserve(cents.size());
-  for (size_t c = 0; c < cents.size(); ++c) {
-    std::vector<IndexShard> shards;
-    shards.reserve(num_shards_);
-    for (size_t s = 0; s < num_shards_; ++s) {
-      shards.emplace_back(dim_);
-    }
-    lists_.push_back(std::move(shards));
-  }
-  list_counts_.assign(cents.size(), 0);
-  std::vector<size_t> shard_rows(cents.size() * num_shards_, 0);
+  // Fill the lists in staged (insertion) order, each sized once: a row's
+  // in-list position is its in-list candidate order.
+  lists_.assign(cents.size(), RowPool(dim_));
+  std::vector<size_t> list_rows(cents.size(), 0);
   for (size_t i = 0; i < n; ++i) {
-    ++shard_rows[assign[i] * num_shards_ + ShardOfId(staged_.id(i), num_shards_)];
+    ++list_rows[assign[i]];
   }
   for (size_t c = 0; c < cents.size(); ++c) {
-    for (size_t s = 0; s < num_shards_; ++s) {
-      lists_[c][s].Reserve(shard_rows[c * num_shards_ + s]);
-    }
+    lists_[c].Reserve(list_rows[c]);
   }
   for (size_t i = 0; i < n; ++i) {
-    size_t list = assign[i];
-    ChunkId id = staged_.id(i);
-    lists_[list][ShardOfId(id, num_shards_)].Append(id, staged_.row(i), list_counts_[list]++);
+    lists_[assign[i]].Append(staged_.id(i), staged_.row(i));
   }
   // Train-time centroid fit: the reference point the mutable index compares
   // newly sealed rows against to detect centroid-quality decay.
@@ -709,7 +600,7 @@ IvfL2Index::ProbeSet IvfL2Index::PlanProbes(const float* q, double qnorm,
     }
     set.lists.push_back(order[p].second);
     set.bases.push_back(base);
-    base += list_counts_[order[p].second];
+    base += lists_[order[p].second].size();
   }
   return set;
 }
@@ -730,14 +621,14 @@ std::vector<OrderedHit> IvfL2Index::SearchOrdered(const Embedding& query, size_t
   if (quantized_) {
     BuildCertifiedQuery(sq_, sq_delta_, query.data(), dim_, qnorm, &cq);
   }
-  // One heap (and one certified-scan state) across every shard of every
-  // probed list: the (distance, order) total order makes the shard visit
-  // order irrelevant.
+  // One heap (and one certified-scan state) across the probed lists, each
+  // list's rows under its probe base.
   BoundedTopK topk(k);
   CertifiedScan scan(quantized_ ? &cq : nullptr, k);
-  for (size_t shard = 0; shard < num_shards_; ++shard) {
-    ScanProbedShard(lists_, qcodes_, probes.lists, probes.bases, shard, query.data(), qnorm,
-                    exclude, scan, topk);
+  for (size_t p = 0; p < probes.lists.size(); ++p) {
+    size_t l = probes.lists[p];
+    ScanPoolRows(lists_[l], quantized_ ? &qcodes_[l] : nullptr, 0, lists_[l].size(), query.data(),
+                 qnorm, probes.bases[p], exclude, scan, topk);
   }
   RescoreSurvivors(scan, query.data(), qnorm, topk);
   stats_.Record(probes.lists.size());
@@ -756,25 +647,16 @@ bool IvfL2Index::BuildQuantizedMirrors(ThreadPool* pool) {
   if (!trained_ || count_ == 0) {
     return false;
   }
-  // Train over rows in (list, in-list order) — both shard-invariant — so the
-  // quantizer, and therefore every code, does not depend on the shard count.
+  // Train over rows in (list, in-list order).
   std::vector<const float*> rows;
   rows.reserve(count_);
-  for (size_t l = 0; l < lists_.size(); ++l) {
-    std::vector<const float*> in_list(list_counts_[l], nullptr);
-    for (const IndexShard& sh : lists_[l]) {
-      for (size_t i = 0; i < sh.rows.size(); ++i) {
-        in_list[sh.orders[i]] = sh.rows.row(i);
-      }
-    }
-    rows.insert(rows.end(), in_list.begin(), in_list.end());
-  }
-  qcodes_.assign(lists_.size(), std::vector<QuantizedCodes>(num_shards_));
+  qcodes_.assign(lists_.size(), QuantizedCodes{});
   EncodeJobs jobs;
   for (size_t l = 0; l < lists_.size(); ++l) {
-    for (size_t s = 0; s < num_shards_; ++s) {
-      jobs.emplace_back(&lists_[l][s].rows, &qcodes_[l][s]);
+    for (size_t i = 0; i < lists_[l].size(); ++i) {
+      rows.push_back(lists_[l].row(i));
     }
+    jobs.emplace_back(&lists_[l], &qcodes_[l]);
   }
   sq_delta_ = BuildMirrors(rows, dim_, jobs, pool, &sq_);
   quantized_ = true;
@@ -789,69 +671,19 @@ std::vector<std::vector<SearchHit>> IvfL2Index::SearchBatch(
     const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
     const std::vector<RetrievalQuality>& qualities) const {
   METIS_CHECK_EQ(qualities.size(), queries.size());
-  METIS_CHECK(trained_);
-  for (const Embedding& q : queries) {
-    METIS_CHECK_EQ(q.size(), dim_);
-  }
+  // Each query resolves its OWN quality override, so a coalesced group can
+  // mix probe modes and budgets. Queries split across the pool into
+  // disjoint slots; each Search counts its own probes.
   std::vector<std::vector<SearchHit>> results(queries.size());
-  if (queries.empty()) {
-    return results;
-  }
-  size_t nq = queries.size();
-  size_t nshards = num_shards_;
-  bool parallel = pool != nullptr && pool->num_threads() > 1;
-
-  // Phase 1 — plan: per-query centroid ranking + adaptive rule, into
-  // disjoint slots (deterministic for any partitioning). Each query
-  // resolves its OWN quality override, so a coalesced group can mix probe
-  // modes and budgets; the probe count is fixed here, before any row is
-  // scanned.
-  std::vector<double> qnorms(nq);
-  std::vector<ProbeSet> sets(nq);
-  std::vector<CertifiedQuery> cqs(quantized_ ? nq : 0);
-  auto plan_phase = [&](size_t qb, size_t qe) {
+  auto sweep = [&](size_t qb, size_t qe) {
     for (size_t qi = qb; qi < qe; ++qi) {
-      qnorms[qi] = SquaredNormBlocked(queries[qi].data(), dim_);
-      sets[qi] = PlanProbes(queries[qi].data(), qnorms[qi], ResolveProbe(qualities[qi]));
-      if (quantized_) {
-        BuildCertifiedQuery(sq_, sq_delta_, queries[qi].data(), dim_, qnorms[qi], &cqs[qi]);
-      }
+      results[qi] = Search(queries[qi], k, qualities[qi]);
     }
   };
-  if (parallel && nq > 1) {
-    pool->ParallelFor(nq, plan_phase);
+  if (pool != nullptr && pool->num_threads() > 1 && queries.size() > 1) {
+    pool->ParallelFor(queries.size(), sweep);
   } else {
-    plan_phase(0, nq);
-  }
-
-  // Phase 2 — scan: fan the (query x shard) grid out across the pool, one
-  // heap per cell, each cell's pass 2 right after its pass 1.
-  std::vector<BoundedTopK> heaps;
-  heaps.reserve(nq * nshards);
-  for (size_t i = 0; i < nq * nshards; ++i) {
-    heaps.emplace_back(k);
-  }
-  auto scan_phase = [&](size_t tb, size_t te) {
-    for (size_t t = tb; t < te; ++t) {
-      size_t qi = t / nshards;
-      size_t shard = t % nshards;
-      CertifiedScan scan(quantized_ ? &cqs[qi] : nullptr, k);
-      ScanProbedShard(lists_, qcodes_, sets[qi].lists, sets[qi].bases, shard, queries[qi].data(),
-                      qnorms[qi], IdFilter{}, scan, heaps[t]);
-      RescoreSurvivors(scan, queries[qi].data(), qnorms[qi], heaps[t]);
-    }
-  };
-  if (parallel && nq * nshards > 1) {
-    pool->ParallelFor(nq * nshards, scan_phase);
-  } else {
-    scan_phase(0, nq * nshards);
-  }
-
-  // Phase 3 — merge per query and fold the probe tally into the counters
-  // after the barrier, on the calling thread.
-  for (size_t qi = 0; qi < nq; ++qi) {
-    results[qi] = MergeShardTopK(heaps, qi * nshards, /*stride=*/1, nshards, k);
-    stats_.Record(sets[qi].lists.size());
+    sweep(0, queries.size());
   }
   return results;
 }
@@ -867,15 +699,14 @@ constexpr size_t kQueryCacheCapacity = 512;
 std::unique_ptr<VectorIndex> MakeBackendIndex(size_t dim, const RetrievalIndexOptions& options,
                                               IvfL2Index** ivf_out) {
   *ivf_out = nullptr;
-  size_t shards = std::max<size_t>(1, options.shards);
   if (options.backend == RetrievalIndexOptions::Backend::kIvf) {
     auto ivf = std::make_unique<IvfL2Index>(dim, options.nlist, options.nprobe,
-                                            options.train_seed, shards);
+                                            options.train_seed);
     ivf->set_adaptive_probe(options.adaptive);
     *ivf_out = ivf.get();
     return ivf;
   }
-  return std::make_unique<FlatL2Index>(dim, shards);
+  return std::make_unique<FlatL2Index>(dim);
 }
 
 VectorDatabase::VectorDatabase(EmbeddingModel embedder, DatabaseMetadata metadata,
@@ -919,7 +750,7 @@ std::vector<ChunkId> VectorDatabase::AddChunks(std::vector<Chunk> chunks, Thread
   for (size_t i = 0; i < chunks.size(); ++i) {
     ids[i] = static_cast<ChunkId>(chunks_.size() + i);
   }
-  index_->Reserve(ids);
+  index_->Reserve(ids.size());
   for (size_t i = 0; i < chunks.size(); ++i) {
     Chunk& chunk = chunks[i];
     chunk.id = ids[i];
@@ -993,7 +824,7 @@ bool NeedsHybridPath(const RetrievalQuality& quality) {
 //
 // with ranks 0-based and the classic RRF damping constant 60. The final
 // ranking runs under (fused score desc, chunk id asc) — a total order over
-// deterministic inputs, so fusion is bit-stable for any shard/thread count.
+// deterministic inputs, so fusion is bit-stable for any thread count.
 // Returned distance = -fused score (lower = better, like both legs).
 std::vector<SearchHit> FuseReciprocalRank(const std::vector<SearchHit>& dense, float dense_w,
                                           const std::vector<SearchHit>& lexical, float lexical_w,

@@ -47,15 +47,14 @@
 //     cache-sized blocks and each block is scored against every query in the
 //     batch before moving on, so the index streams through memory once per
 //     block rather than once per query; each query's pass 2 follows its
-//     sweep. An optional ThreadPool shards the batch across workers; results
-//     are identical for any thread count.
+//     sweep. An optional ThreadPool splits the batch's queries across
+//     workers; results are identical for any thread count.
 //   - IVF inverted lists and centroids use the same RowPool layout, and
-//     IvfL2Index::Train can shard its O(n * nlist * dim) scans over a pool.
-//   - Row storage is hash-partitioned across N IndexShards (each its own
-//     RowPool; flat rows and IVF lists both). Every shard row remembers the
-//     candidate order it would have had in the single-shard index, so
-//     shard-parallel top-k heaps merge back to the exact single-shard
-//     ranking — shard count, like thread count, never changes results.
+//     IvfL2Index::Train can split its O(n * nlist * dim) scans over a pool.
+//   - Each index holds its rows unpartitioned: the flat index in one RowPool,
+//     the IVF index in one RowPool per inverted list. A row's candidate
+//     order is its position — its insertion order in the flat pool, and its
+//     list's probe base plus its in-list position under IVF probing.
 //
 // Recall subsystem (IVF):
 //
@@ -225,38 +224,6 @@ class RowPool {
   std::vector<ChunkId> ids_;
 };
 
-// --- Shard storage ----------------------------------------------------------
-
-// One hash-partition of an index's vector storage: its own 64-byte-aligned
-// RowPool plus, for each row, the candidate order the row would have had in
-// the equivalent single-shard index (global insertion order for the flat
-// index; in-list insertion order for an IVF inverted list). Top-k selection
-// runs under the (distance, candidate order) total order, which is
-// partition-invariant: scanning shards in any order into one heap — or in
-// parallel into per-shard heaps merged afterwards — reproduces the
-// single-shard ranking bit for bit, ids, order, and distances alike.
-struct IndexShard {
-  explicit IndexShard(size_t dim) : rows(dim) {}
-
-  void Append(ChunkId id, const float* v, size_t order) {
-    rows.Append(id, v);
-    orders.push_back(order);
-  }
-
-  void Reserve(size_t n) {
-    rows.Reserve(n);
-    orders.reserve(n);
-  }
-
-  RowPool rows;
-  std::vector<size_t> orders;  // Parallel to rows: single-shard-equivalent order.
-};
-
-// Which shard a row id hashes to under `num_shards` partitions (SplitMix64 of
-// the id). A pure function of (id, num_shards), so rebuilding an index at the
-// same shard count always reproduces the same partitioning.
-size_t ShardOfId(ChunkId id, size_t num_shards);
-
 // --- Probe policies ---------------------------------------------------------
 
 // Per-query adaptive nprobe: the distance-ratio early-termination rule
@@ -319,10 +286,10 @@ struct Int8Params {
   std::vector<float> scale;
 };
 
-// SQ mirror of (a prefix of) one IndexShard's RowPool: one row of codes per
-// fp32 row. Rows appended after the mirror was encoded (rows >= `rows`) are
-// scanned exactly instead — the same rule that keeps the mutable index's
-// memtable exact.
+// SQ mirror of (a prefix of) one RowPool: one row of codes per fp32 row.
+// Rows appended after the mirror was encoded (rows >= `rows`) are scanned
+// exactly instead — the same rule that keeps the mutable index's memtable
+// exact.
 struct QuantizedCodes {
   size_t rows = 0;
   // Code bytes per row: dim padded to 64 bytes (SqCodeStride).
@@ -355,20 +322,20 @@ class VectorIndex {
   virtual ~VectorIndex() = default;
 
   virtual void Add(ChunkId id, const Embedding& v) = 0;
-  // Before the first rows go in, sizes the row arrays for the rows about to
-  // be added under `ids`, so a bulk load allocates each array once instead
-  // of doubling it row by row (every doubling frees a copy the heap cannot
+  // Before the first rows go in, sizes the row arrays for the `rows` rows
+  // about to be added, so a bulk load allocates each array once instead of
+  // doubling it row by row (every doubling frees a copy the heap cannot
   // always hand back). A no-op once the index holds rows, so small repeated
   // adds keep amortized growth. Never changes a result.
-  virtual void Reserve(const std::vector<ChunkId>& ids) { (void)ids; }
+  virtual void Reserve(size_t rows) { (void)rows; }
   // Returns up to k nearest ids by L2 distance, closest first; ties broken by
   // insertion order for determinism.
   virtual std::vector<SearchHit> Search(const Embedding& query, size_t k,
                                         const RetrievalQuality& quality) const = 0;
   // Batched search: qualities[i] applies to queries[i] only, and results[i]
   // is bit-identical to Search(queries[i], k, qualities[i]). `pool`
-  // optionally shards the batch across workers; results do not depend on the
-  // pool size.
+  // optionally splits the batch's queries across workers; results do not
+  // depend on the pool size.
   virtual std::vector<std::vector<SearchHit>> SearchBatch(
       const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
       const std::vector<RetrievalQuality>& qualities) const = 0;
@@ -382,7 +349,7 @@ class VectorIndex {
                                                 const RetrievalQuality& quality,
                                                 const IdFilter& exclude) const = 0;
   // Trains the int8 quantizer over the rows added so far and encodes the
-  // SQ mirror the certified scan reads. Encoding shards across `pool` (may
+  // SQ mirror the certified scan reads. Encoding splits across `pool` (may
   // be null); codes do not depend on it. Called once after bulk load /
   // (re)train. Returns false when nothing was built (no rows, or a backend
   // without a mirror). Not synchronized with concurrent reads.
@@ -393,33 +360,29 @@ class VectorIndex {
   virtual size_t size() const = 0;
 };
 
-// Exact brute-force L2 index (FAISS IndexFlatL2 equivalent). Storage is
-// hash-partitioned across `num_shards` IndexShards — each its own aligned
-// RowPool, so shards can live on (and be scanned by) different cores or
-// sockets — and SearchBatch fans the (shard x query) grid out across the
-// ThreadPool. Results are bit-identical to the single-shard index for any
-// shard count and any thread count (see IndexShard).
+// Exact brute-force L2 index (FAISS IndexFlatL2 equivalent): one aligned
+// RowPool, whose row i has candidate order i. SearchBatch splits its queries
+// across the ThreadPool; results are bit-identical for any thread count.
 class FlatL2Index : public VectorIndex {
  public:
-  explicit FlatL2Index(size_t dim, size_t num_shards = 1);
+  explicit FlatL2Index(size_t dim);
 
   void Add(ChunkId id, const Embedding& v) override;
-  void Reserve(const std::vector<ChunkId>& ids) override;
+  void Reserve(size_t rows) override;
   // SearchOrdered with an empty filter.
   std::vector<SearchHit> Search(const Embedding& query, size_t k,
                                 const RetrievalQuality& quality) const override;
-  // One shard-major sweep for the whole batch.
+  // One blocked sweep of the rows for the whole batch.
   std::vector<std::vector<SearchHit>> SearchBatch(
       const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
       const std::vector<RetrievalQuality>& qualities) const override;
-  // Certified exact scan with tombstone filtering; orders are global
-  // insertion orders.
+  // Certified exact scan with tombstone filtering; orders are insertion
+  // orders.
   std::vector<OrderedHit> SearchOrdered(const Embedding& query, size_t k,
                                         const RetrievalQuality& quality,
                                         const IdFilter& exclude) const override;
   bool BuildQuantizedMirrors(ThreadPool* pool) override;
-  size_t size() const override { return count_; }
-  size_t num_shards() const { return shards_.size(); }
+  size_t size() const override { return rows_.size(); }
   // Bytes per row of each stored representation, padded strides included:
   // the fp32 row stride, and the SQ mirror's code stride once
   // BuildQuantizedMirrors has built it (0 before).
@@ -427,35 +390,32 @@ class FlatL2Index : public VectorIndex {
 
  private:
   size_t dim_;
-  size_t count_ = 0;  // Rows added so far; doubles as the next global order.
-  std::vector<IndexShard> shards_;
+  RowPool rows_;
   bool quantized_ = false;  // BuildQuantizedMirrors ran: sq_ and qcodes_ hold the SQ mirror.
   Int8Params sq_;           // The SQ mirror's quantizer.
-  std::vector<double> sq_delta_;  // Per-dimension max of the shards' QuantizedCodes::sq_delta.
-  std::vector<QuantizedCodes> qcodes_;  // Parallel to shards_.
+  std::vector<double> sq_delta_;  // qcodes_.sq_delta floored at 0 (BuildMirrors).
+  QuantizedCodes qcodes_;
 };
 
 // Inverted-file index: k-means coarse quantizer + per-list exact search.
 // Approximate unless nprobe == nlist; recall is controlled by the fixed
 // nprobe, or per query by an AdaptiveProbePolicy / RetrievalQuality override.
-// Like the flat index, row storage is hash-partitioned: every inverted list
-// is split across `num_shards` IndexShards, and batched search fans the
-// (query x shard) grid out across the ThreadPool after a per-query probe-
-// planning pass. Centroids, training, and probe selection are shard-blind, so
-// rankings (and probe counts) are bit-identical for any shard count.
+// Every inverted list is one RowPool, and SearchBatch splits its queries
+// across the ThreadPool; rankings and probe counts are bit-identical for any
+// thread count.
 class IvfL2Index : public VectorIndex {
  public:
-  IvfL2Index(size_t dim, size_t nlist, size_t nprobe, uint64_t seed, size_t num_shards = 1);
+  IvfL2Index(size_t dim, size_t nlist, size_t nprobe, uint64_t seed);
 
   void Add(ChunkId id, const Embedding& v) override;
-  void Reserve(const std::vector<ChunkId>& ids) override;
+  void Reserve(size_t rows) override;
   // SearchOrdered with an empty filter. Probing is resolved from the index's
   // policy and the query's override (see RetrievalQuality).
   std::vector<SearchHit> Search(const Embedding& query, size_t k,
                                 const RetrievalQuality& quality) const override;
-  // The sweep resolves one ProbePlan per query from
-  // qualities[i] — probe schedules, results, and probe accounting are
-  // bit-identical to per-query Search calls.
+  // Search per query, each resolving its ProbePlan from qualities[i]:
+  // probe schedules, results, and probe accounting are those of per-query
+  // Search calls.
   std::vector<std::vector<SearchHit>> SearchBatch(
       const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
       const std::vector<RetrievalQuality>& qualities) const override;
@@ -465,8 +425,8 @@ class IvfL2Index : public VectorIndex {
   std::vector<OrderedHit> SearchOrdered(const Embedding& query, size_t k,
                                         const RetrievalQuality& quality,
                                         const IdFilter& exclude) const override;
-  // Trains the quantizer over the inverted lists and encodes per-list-shard
-  // mirrors. Call after Train(); rows added later are scanned exactly (the
+  // Trains the quantizer over the inverted lists and encodes one mirror per
+  // list. Call after Train(); rows added later are scanned exactly (the
   // un-encoded-suffix rule).
   bool BuildQuantizedMirrors(ThreadPool* pool) override;
   // Bytes per row of each stored representation (see
@@ -477,7 +437,7 @@ class IvfL2Index : public VectorIndex {
 
   // Builds the coarse quantizer from the vectors added so far (call once after
   // bulk load; Add() after Train() assigns to the nearest centroid). `pool`
-  // optionally shards the farthest-point seeding and Lloyd assignment scans;
+  // optionally splits the farthest-point seeding and Lloyd assignment scans;
   // the trained index is identical for any pool size.
   void Train(ThreadPool* pool = nullptr);
   bool trained() const { return trained_; }
@@ -487,7 +447,6 @@ class IvfL2Index : public VectorIndex {
   void set_adaptive_probe(const AdaptiveProbePolicy& policy) { adaptive_ = policy; }
   size_t nlist() const { return nlist_; }
   size_t nprobe() const { return nprobe_; }
-  size_t num_shards() const { return num_shards_; }
   uint64_t train_seed() const { return seed_; }
 
   // Squared L2 distance from `v` to its nearest centroid. The mutable index
@@ -505,8 +464,8 @@ class IvfL2Index : public VectorIndex {
 
   // --- Probe accounting (recall/latency evaluation) ---
   // Relaxed atomics: concurrent const searches on a shared index stay
-  // race-free (as in PR 1) and never lose counts. Batch sweeps merge worker
-  // tallies after the barrier, so reads between search operations are exact.
+  // race-free and never lose counts; a batch's workers are joined before
+  // SearchBatch returns, so reads between search operations are exact.
   uint64_t searches() const { return stats_.searches.load(std::memory_order_relaxed); }
   uint64_t probes_issued() const { return stats_.probes.load(std::memory_order_relaxed); }
   double mean_probes() const {
@@ -540,10 +499,9 @@ class IvfL2Index : public VectorIndex {
   ProbePlan ResolveProbe(const RetrievalQuality& quality) const;
 
   // The probe schedule resolved for one query: the inverted lists to scan in
-  // probe order, each with the candidate-order base it has under the
-  // single-shard concatenate-then-sort semantics (cumulative *global* sizes
-  // of the previously probed lists). Shard-blind by construction: it depends
-  // only on centroid distances and total list sizes.
+  // probe order, each with the candidate-order base it has under the seed's
+  // concatenate-then-sort semantics (the cumulative sizes of the previously
+  // probed lists).
   struct ProbeSet {
     std::vector<size_t> lists;
     std::vector<size_t> bases;
@@ -556,7 +514,6 @@ class IvfL2Index : public VectorIndex {
   size_t nlist_;
   size_t nprobe_;
   uint64_t seed_;
-  size_t num_shards_;
   bool trained_ = false;
   size_t count_ = 0;
   double train_mean_assign_dist_ = 0.0;
@@ -564,15 +521,13 @@ class IvfL2Index : public VectorIndex {
   RowPool centroids_;
   // Pre-train staging area, emptied by Train().
   RowPool staged_;
-  // Inverted lists, hash-partitioned: lists_[list][shard]. list_counts_[list]
-  // is the list's global row count, which is both the next row's in-list
-  // order and the base increment the probe planner uses.
-  std::vector<std::vector<IndexShard>> lists_;
-  std::vector<size_t> list_counts_;
+  // Inverted lists. A list's size is both the next row's in-list order and
+  // the base increment the probe planner uses.
+  std::vector<RowPool> lists_;
   bool quantized_ = false;        // As in FlatL2Index.
   Int8Params sq_;
-  std::vector<double> sq_delta_;
-  std::vector<std::vector<QuantizedCodes>> qcodes_;  // Parallel to lists_.
+  std::vector<double> sq_delta_;  // Per-dimension max of the lists' QuantizedCodes::sq_delta.
+  std::vector<QuantizedCodes> qcodes_;  // Parallel to lists_.
 
   // Copyable atomic counters (atomics alone would delete the index's
   // copy/move, which tests rely on); copies snapshot the counts.
@@ -639,10 +594,6 @@ struct MutableIndexOptions {
 struct RetrievalIndexOptions {
   enum class Backend { kFlat, kIvf };
   Backend backend = Backend::kFlat;
-  // Hash-partitions of the row storage (both backends). Results are
-  // bit-identical for any value; >1 gives SearchBatch shard-level
-  // parallelism and NUMA-friendly pools.
-  size_t shards = 1;
   // IVF-only:
   size_t nlist = 64;
   size_t nprobe = 8;
@@ -653,8 +604,8 @@ struct RetrievalIndexOptions {
   bool mutable_index = false;
   MutableIndexOptions mutation;
   // Build a BM25 lexical index (lexical_index.h) alongside the dense backend:
-  // one posting list per term, ignoring `shards` and `mutation`. Off by
-  // default — only hybrid RetrievalQuality reads it.
+  // one posting list per term, ignoring `mutation`. Off by default — only
+  // hybrid RetrievalQuality reads it.
   bool lexical = false;
 };
 

@@ -166,8 +166,8 @@ class DatasetGenerator {
   // Generates `num_queries` queries plus their corpus, embedded (in one
   // EmbedBatch sharded over a worker pool) and indexed with the given
   // embedding model. `index_options` picks the retrieval backend the
-  // dataset's VectorDatabase builds (exact flat by default; IVF + shard
-  // count for retrieval-depth experiments) — the index is finalized
+  // dataset's VectorDatabase builds (exact flat by default; IVF for
+  // retrieval-depth experiments) — the index is finalized
   // (IVF-trained) before the dataset is returned.
   std::unique_ptr<Dataset> Generate(int num_queries, const std::string& embedding_model_name,
                                     const RetrievalIndexOptions& index_options = {});

@@ -15,7 +15,7 @@
 //     bound leaves only a few percent of the rows for pass 2.
 //   - Exactness: an index that built its mirror returns ids and float
 //     distances bit-equal to the same index with no mirror, for flat and IVF
-//     x shards {1,3} x threads {1,4} x every supported kernel tier x
+//     x threads {1,4} x every supported kernel tier x
 //     k in {0,1,5,35,>n}, through Search, SearchBatch and SearchOrdered
 //     (unfiltered and with an IdFilter excluding ~90% of rows), with and
 //     without rows added after the mirror was built (the un-encoded suffix;
@@ -350,13 +350,12 @@ TEST(CertifiedBoundTest, RealEmbedderVectorsStayInsideTheIntervalAndFewSurvive) 
 
 struct IndexCase {
   RetrievalIndexOptions::Backend backend;
-  size_t shards;
   size_t suffix;  // Rows added after the mirror was built.
 };
 
 std::string CaseName(const Corpus& c, const IndexCase& ic) {
   return c.name + (ic.backend == RetrievalIndexOptions::Backend::kFlat ? " flat" : " ivf") +
-         " shards=" + std::to_string(ic.shards) + " suffix=" + std::to_string(ic.suffix);
+         " suffix=" + std::to_string(ic.suffix);
 }
 
 // Builds the index over corpus rows (ids 3i + 1): the first n - suffix rows,
@@ -365,7 +364,6 @@ std::string CaseName(const Corpus& c, const IndexCase& ic) {
 std::unique_ptr<VectorIndex> Build(const Corpus& c, const IndexCase& ic, bool mirror) {
   RetrievalIndexOptions opts;
   opts.backend = ic.backend;
-  opts.shards = ic.shards;
   opts.nlist = 6;
   opts.nprobe = 3;
   IvfL2Index* ivf = nullptr;
@@ -407,47 +405,45 @@ TEST(CertifiedScanTest, MirrorMatchesMirrorFreeIndexBitForBit) {
     const IdFilter filter{most.data(), most.data() + most.size()};
     for (auto backend :
          {RetrievalIndexOptions::Backend::kFlat, RetrievalIndexOptions::Backend::kIvf}) {
-      for (size_t shards : {size_t{1}, size_t{3}}) {
-        for (size_t suffix : {size_t{0}, n / 5}) {
-          IndexCase ic{backend, shards, suffix};
-          auto plain = Build(c, ic, /*mirror=*/false);
-          auto certified = Build(c, ic, /*mirror=*/true);
-          RetrievalQuality fp32;
-          std::vector<RetrievalQuality> quals(c.queries.size());
-          for (size_t k : {size_t{0}, size_t{1}, size_t{5}, size_t{35}, n + 5}) {
-            std::string at = CaseName(c, ic) + " k=" + std::to_string(k);
-            std::vector<std::vector<SearchHit>> want;
-            std::vector<std::vector<OrderedHit>> want_ordered;
-            std::vector<std::vector<OrderedHit>> want_filtered;
-            for (const Embedding& q : c.queries) {
-              want.push_back(plain->Search(q, k, fp32));
-              want_ordered.push_back(plain->SearchOrdered(q, k, fp32, IdFilter{}));
-              want_filtered.push_back(plain->SearchOrdered(q, k, fp32, filter));
-            }
-            for (KernelTarget target : SupportedTargets()) {
-              ScopedKernelTarget scoped(target);
-              std::string tat = at + " target=" + KernelTargetName(target);
-              for (size_t qi = 0; qi < c.queries.size(); ++qi) {
-                std::string qat = tat + " q=" + std::to_string(qi);
-                ExpectBitEqual(certified->Search(c.queries[qi], k, fp32), want[qi], qat);
-                std::vector<OrderedHit> ordered =
-                    certified->SearchOrdered(c.queries[qi], k, fp32, IdFilter{});
-                ExpectBitEqual(ordered, want_ordered[qi], qat + " ordered");
-                for (size_t r = 0; r < ordered.size(); ++r) {
-                  EXPECT_EQ(ordered[r].order, want_ordered[qi][r].order) << qat << " rank " << r;
-                }
-                ExpectBitEqual(certified->SearchOrdered(c.queries[qi], k, fp32, filter),
-                               want_filtered[qi], qat + " filtered");
+      for (size_t suffix : {size_t{0}, n / 5}) {
+        IndexCase ic{backend, suffix};
+        auto plain = Build(c, ic, /*mirror=*/false);
+        auto certified = Build(c, ic, /*mirror=*/true);
+        RetrievalQuality fp32;
+        std::vector<RetrievalQuality> quals(c.queries.size());
+        for (size_t k : {size_t{0}, size_t{1}, size_t{5}, size_t{35}, n + 5}) {
+          std::string at = CaseName(c, ic) + " k=" + std::to_string(k);
+          std::vector<std::vector<SearchHit>> want;
+          std::vector<std::vector<OrderedHit>> want_ordered;
+          std::vector<std::vector<OrderedHit>> want_filtered;
+          for (const Embedding& q : c.queries) {
+            want.push_back(plain->Search(q, k, fp32));
+            want_ordered.push_back(plain->SearchOrdered(q, k, fp32, IdFilter{}));
+            want_filtered.push_back(plain->SearchOrdered(q, k, fp32, filter));
+          }
+          for (KernelTarget target : SupportedTargets()) {
+            ScopedKernelTarget scoped(target);
+            std::string tat = at + " target=" + KernelTargetName(target);
+            for (size_t qi = 0; qi < c.queries.size(); ++qi) {
+              std::string qat = tat + " q=" + std::to_string(qi);
+              ExpectBitEqual(certified->Search(c.queries[qi], k, fp32), want[qi], qat);
+              std::vector<OrderedHit> ordered =
+                  certified->SearchOrdered(c.queries[qi], k, fp32, IdFilter{});
+              ExpectBitEqual(ordered, want_ordered[qi], qat + " ordered");
+              for (size_t r = 0; r < ordered.size(); ++r) {
+                EXPECT_EQ(ordered[r].order, want_ordered[qi][r].order) << qat << " rank " << r;
               }
-              for (size_t threads : {size_t{1}, size_t{4}}) {
-                ThreadPool pool(threads);
-                auto got = certified->SearchBatch(c.queries, k, &pool, quals);
-                ASSERT_EQ(got.size(), c.queries.size());
-                for (size_t qi = 0; qi < c.queries.size(); ++qi) {
-                  ExpectBitEqual(got[qi], want[qi],
-                                 tat + " batch threads=" + std::to_string(threads) +
-                                     " q=" + std::to_string(qi));
-                }
+              ExpectBitEqual(certified->SearchOrdered(c.queries[qi], k, fp32, filter),
+                             want_filtered[qi], qat + " filtered");
+            }
+            for (size_t threads : {size_t{1}, size_t{4}}) {
+              ThreadPool pool(threads);
+              auto got = certified->SearchBatch(c.queries, k, &pool, quals);
+              ASSERT_EQ(got.size(), c.queries.size());
+              for (size_t qi = 0; qi < c.queries.size(); ++qi) {
+                ExpectBitEqual(got[qi], want[qi],
+                               tat + " batch threads=" + std::to_string(threads) +
+                                   " q=" + std::to_string(qi));
               }
             }
           }
@@ -497,33 +493,30 @@ TEST(CertifiedScanTest, SparseQueriesMatchMirrorFreeIndexBitForBit) {
   ThreadPool pool(3);
   for (auto backend :
        {RetrievalIndexOptions::Backend::kFlat, RetrievalIndexOptions::Backend::kIvf}) {
-    for (size_t shards : {size_t{1}, size_t{3}}) {
-      IndexCase ic{backend, shards, 0};
-      auto plain = Build(c, ic, /*mirror=*/false);
-      auto certified = Build(c, ic, /*mirror=*/true);
-      for (size_t k : {size_t{1}, size_t{10}}) {
-        std::string at = CaseName(c, ic) + " n=" + std::to_string(n) + " k=" + std::to_string(k);
-        std::vector<std::vector<SearchHit>> want =
-            plain->SearchBatch(c.queries, k, nullptr, quals);
-        std::vector<std::vector<OrderedHit>> want_filtered;
-        for (const Embedding& q : c.queries) {
-          want_filtered.push_back(plain->SearchOrdered(q, k, fp32, filter));
-        }
-        for (KernelTarget target : SupportedTargets()) {
-          ScopedKernelTarget scoped(target);
-          std::string tat = at + " target=" + KernelTargetName(target);
-          std::vector<std::vector<SearchHit>> got =
-              certified->SearchBatch(c.queries, k, &pool, quals);
-          ASSERT_EQ(got.size(), c.queries.size());
-          for (size_t qi = 0; qi < c.queries.size(); ++qi) {
-            std::string qat = tat + " q=" + std::to_string(qi);
-            ExpectBitEqual(got[qi], want[qi], qat + " batch");
-            std::vector<OrderedHit> filtered =
-                certified->SearchOrdered(c.queries[qi], k, fp32, filter);
-            ExpectBitEqual(filtered, want_filtered[qi], qat + " filtered");
-            for (size_t r = 0; r < filtered.size(); ++r) {
-              EXPECT_EQ(filtered[r].order, want_filtered[qi][r].order) << qat << " rank " << r;
-            }
+    IndexCase ic{backend, 0};
+    auto plain = Build(c, ic, /*mirror=*/false);
+    auto certified = Build(c, ic, /*mirror=*/true);
+    for (size_t k : {size_t{1}, size_t{10}}) {
+      std::string at = CaseName(c, ic) + " n=" + std::to_string(n) + " k=" + std::to_string(k);
+      std::vector<std::vector<SearchHit>> want = plain->SearchBatch(c.queries, k, nullptr, quals);
+      std::vector<std::vector<OrderedHit>> want_filtered;
+      for (const Embedding& q : c.queries) {
+        want_filtered.push_back(plain->SearchOrdered(q, k, fp32, filter));
+      }
+      for (KernelTarget target : SupportedTargets()) {
+        ScopedKernelTarget scoped(target);
+        std::string tat = at + " target=" + KernelTargetName(target);
+        std::vector<std::vector<SearchHit>> got =
+            certified->SearchBatch(c.queries, k, &pool, quals);
+        ASSERT_EQ(got.size(), c.queries.size());
+        for (size_t qi = 0; qi < c.queries.size(); ++qi) {
+          std::string qat = tat + " q=" + std::to_string(qi);
+          ExpectBitEqual(got[qi], want[qi], qat + " batch");
+          std::vector<OrderedHit> filtered =
+              certified->SearchOrdered(c.queries[qi], k, fp32, filter);
+          ExpectBitEqual(filtered, want_filtered[qi], qat + " filtered");
+          for (size_t r = 0; r < filtered.size(); ++r) {
+            EXPECT_EQ(filtered[r].order, want_filtered[qi][r].order) << qat << " rank " << r;
           }
         }
       }
@@ -534,7 +527,6 @@ TEST(CertifiedScanTest, SparseQueriesMatchMirrorFreeIndexBitForBit) {
 TEST(CertifiedScanTest, MutableIndexThroughSealCompactRetrainMatchesMirrorFreeBuild) {
   Corpus c = RandomUnit(kDim, 420, 0x3A7);
   RetrievalIndexOptions opts;
-  opts.shards = 3;
   opts.mutable_index = true;
   opts.mutation.memtable_rows = 32;
   opts.mutation.compact_segments = 3;
@@ -552,7 +544,7 @@ TEST(CertifiedScanTest, MutableIndexThroughSealCompactRetrainMatchesMirrorFreeBu
   };
   ThreadPool pool(4);
   auto check = [&](const std::string& stage) {
-    FlatL2Index ref(kDim, 1);  // Never mirrored.
+    FlatL2Index ref(kDim);  // Never mirrored.
     for (const auto& [id, v] : live) {
       ref.Add(id, v);
     }
@@ -646,7 +638,7 @@ TEST(CertifiedScanTest, ZeroBoundWouldMissTheExactWinner) {
 
   for (auto backend :
        {RetrievalIndexOptions::Backend::kFlat, RetrievalIndexOptions::Backend::kIvf}) {
-    IndexCase ic{backend, 1, 0};
+    IndexCase ic{backend, 0};
     auto plain = Build(c, ic, /*mirror=*/false);
     auto certified = Build(c, ic, /*mirror=*/true);
     std::vector<SearchHit> want = plain->Search(q, k, RetrievalQuality{});

@@ -1,5 +1,5 @@
 // Golden-determinism replay: the full Runner stack — dataset generation,
-// embedding cache, batched+sharded retrieval, engine simulation, profiler
+// embedding cache, batched retrieval, engine simulation, profiler
 // noise, scheduler decisions — must be a pure function of the RunSpec.
 // Running the same spec twice must reproduce RunMetrics bit for bit: every
 // per-query F1 and delay, the probe accounting, and the per-query probe
@@ -111,20 +111,6 @@ TEST(DeterminismTest, FlatBackendIgnoresPerQueryDepthBitForBit) {
   RunMetrics off = RunExperiment(BaseSpec(/*ivf=*/false, /*per_query_depth=*/false));
   RunMetrics on = RunExperiment(BaseSpec(/*ivf=*/false, /*per_query_depth=*/true));
   ExpectBitIdentical(off, on, /*compare_retrieval_quality=*/false);
-}
-
-TEST(DeterminismTest, ShardedIvfReplayMatchesUnshardedWithPerQueryDepth) {
-  // Per-query depth composes with the PR 3 shard contract: heterogeneous
-  // budgets over a 4-shard index reproduce the single-shard run exactly.
-  RunSpec spec = BaseSpec(/*ivf=*/true, /*per_query_depth=*/true);
-  RunMetrics single = RunExperiment(spec);
-  spec.retrieval.shards = 4;
-  RunMetrics sharded = RunExperiment(spec);
-  ASSERT_EQ(single.records.size(), sharded.records.size());
-  EXPECT_EQ(single.mean_f1(), sharded.mean_f1());
-  EXPECT_EQ(single.mean_delay(), sharded.mean_delay());
-  EXPECT_EQ(single.mean_probes, sharded.mean_probes);
-  EXPECT_EQ(single.probe_histogram, sharded.probe_histogram);
 }
 
 // --- Pinned whole-run digests ---
@@ -414,9 +400,8 @@ RunSpec OneStackSpec(const std::string& name) {
     s.scheduler.depth.adaptive = false;
     s.tenants = ThreeTenants();
     s.overload.enabled = true;
-  } else if (name == "ivf_sharded_fixed_depth") {
+  } else if (name == "ivf_fixed_depth") {
     UseIvf(s.retrieval);
-    s.retrieval.shards = 3;
     s.scheduler.per_query_depth = false;
   } else if (name == "mutable_ingest_hybrid") {
     s.dataset = "squad_hybrid";
@@ -511,7 +496,7 @@ TEST(DeterminismTest, PinnedOneStackDigests) {
       {"no_prefix_sharing", 0xbfe4d09a409c7bc2ull},
       {"gpt4o_serving", 0x9fb3afc027e6c399ull},
       {"ivf_tenants_ladder_64qps", 0x19cc00ac7b5f9a6full},
-      {"ivf_sharded_fixed_depth", 0x97e3eb4e9e2667ceull},
+      {"ivf_fixed_depth", 0x97e3eb4e9e2667ceull},
       {"mutable_ingest_hybrid", 0x046fc340b36ba669ull},
       {"ingest_only", 0x9cf24b33cf4966c0ull},
   };

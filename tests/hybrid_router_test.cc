@@ -57,9 +57,8 @@ std::vector<std::string> TestQueries() {
           "census harvest quarterly",  "voltage treaty kimbrough"};
 }
 
-std::unique_ptr<VectorDatabase> MakeDb(size_t shards, bool lexical, ThreadPool* pool = nullptr) {
+std::unique_ptr<VectorDatabase> MakeDb(bool lexical, ThreadPool* pool = nullptr) {
   RetrievalIndexOptions options;
-  options.shards = shards;
   options.lexical = lexical;
   auto db = std::make_unique<VectorDatabase>(
       EmbeddingModel(GetEmbeddingModel("cohere-embed-v3-sim")),
@@ -185,8 +184,8 @@ TEST(HybridParityTest, HybridOffIsBitIdenticalToLexiclessBuild) {
   // A database that BUILT a lexical index but never routes to it must return
   // byte-for-byte what a dense-only build returns, and must never touch the
   // lexical structures.
-  auto with_lex = MakeDb(/*shards=*/2, /*lexical=*/true);
-  auto dense_only = MakeDb(/*shards=*/2, /*lexical=*/false);
+  auto with_lex = MakeDb(/*lexical=*/true);
+  auto dense_only = MakeDb(/*lexical=*/false);
   ASSERT_NE(with_lex->lexical_index(), nullptr);
   ASSERT_EQ(dense_only->lexical_index(), nullptr);
 
@@ -201,7 +200,7 @@ TEST(HybridParityTest, HybridOffIsBitIdenticalToLexiclessBuild) {
 }
 
 TEST(HybridParityTest, WeightZeroBackendIsNeverScanned) {
-  auto db = MakeDb(/*shards=*/2, /*lexical=*/true);
+  auto db = MakeDb(/*lexical=*/true);
 
   // Lexical-only route: the dense index is never searched.
   RetrievalQuality lex_only;
@@ -231,12 +230,12 @@ TEST(HybridParityTest, WeightZeroBackendIsNeverScanned) {
   EXPECT_EQ(db->hybrid_stats().fused_queries, 0u);
 }
 
-// --- Fusion determinism across shard x thread combinations ------------------
+// --- Fusion determinism across thread counts --------------------------------
 
-TEST(HybridFusionTest, FusedRankingBitIdenticalAcrossShardsAndThreads) {
-  // Baseline: 1 shard, no pool. Every other combination must reproduce the
+TEST(HybridFusionTest, FusedRankingBitIdenticalAcrossThreads) {
+  // Baseline: built with no pool. A build across any pool must reproduce the
   // fused ranking (and the raw RRF scores) bit-for-bit.
-  auto baseline = MakeDb(/*shards=*/1, /*lexical=*/true);
+  auto baseline = MakeDb(/*lexical=*/true);
 
   RetrievalQuality fused;
   fused.hybrid = true;
@@ -253,19 +252,16 @@ TEST(HybridFusionTest, FusedRankingBitIdenticalAcrossShardsAndThreads) {
     want_filtered.push_back(baseline->RetrieveWithDistances(q, 10, filtered));
   }
 
-  for (size_t shards : {size_t{1}, size_t{4}}) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      ThreadPool pool(threads);
-      auto db = MakeDb(shards, /*lexical=*/true, &pool);
-      std::string context =
-          "shards=" + std::to_string(shards) + " threads=" + std::to_string(threads);
-      const std::vector<std::string> queries = TestQueries();
-      for (size_t i = 0; i < queries.size(); ++i) {
-        ExpectSameHits(db->RetrieveWithDistances(queries[i], 10, fused), want_fused[i],
-                       context + " fused q" + std::to_string(i));
-        ExpectSameHits(db->RetrieveWithDistances(queries[i], 10, filtered), want_filtered[i],
-                       context + " filtered q" + std::to_string(i));
-      }
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    ThreadPool pool(threads);
+    auto db = MakeDb(/*lexical=*/true, &pool);
+    std::string context = "threads=" + std::to_string(threads);
+    const std::vector<std::string> queries = TestQueries();
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ExpectSameHits(db->RetrieveWithDistances(queries[i], 10, fused), want_fused[i],
+                     context + " fused q" + std::to_string(i));
+      ExpectSameHits(db->RetrieveWithDistances(queries[i], 10, filtered), want_filtered[i],
+                     context + " filtered q" + std::to_string(i));
     }
   }
 }
@@ -273,7 +269,7 @@ TEST(HybridFusionTest, FusedRankingBitIdenticalAcrossShardsAndThreads) {
 // --- Metadata-filter push-down ----------------------------------------------
 
 TEST(HybridFilterTest, FilterExcludesNonMatchingChunksFromBothLegs) {
-  auto db = MakeDb(/*shards=*/2, /*lexical=*/true);
+  auto db = MakeDb(/*lexical=*/true);
   size_t matching = 0;
   for (size_t i = 0; i < db->num_chunks(); ++i) {
     matching += db->chunk(static_cast<ChunkId>(i)).time_bucket == 2 ? 1 : 0;

@@ -1,8 +1,8 @@
 // Heterogeneous per-query RetrievalQuality parity: a coalesced batch in which
 // every query carries its OWN retrieval depth (the profiler-driven per-query
 // knob) must return ids, order, and float distances bit-equal to uncoalesced
-// per-query scans — across backends (flat, IVF), shard counts {1, 4}, and
-// thread counts {1, 4} — and the probe accounting (totals AND per-query
+// per-query scans — across backends (flat, IVF) and thread counts {1, 4} —
+// and the probe accounting (totals AND per-query
 // histogram) must agree exactly. This is the determinism contract that lets
 // RetrievalBatcher mix per-query budgets inside one shared sweep.
 
@@ -79,7 +79,7 @@ void ExpectHitsBitEqual(const std::vector<SearchHit>& got, const std::vector<Sea
   }
 }
 
-TEST(MixedQualityParityTest, IvfBatchMatchesPerQueryScansAcrossShardsAndThreads) {
+TEST(MixedQualityParityTest, IvfBatchMatchesPerQueryScansAcrossThreads) {
   const size_t kDim = 32;
   const size_t kClusters = 8;
   ClusteredCorpus corpus = MakeClusteredCorpus(kDim, kClusters, /*points_per_cluster=*/60,
@@ -89,43 +89,38 @@ TEST(MixedQualityParityTest, IvfBatchMatchesPerQueryScansAcrossShardsAndThreads)
   std::vector<RetrievalQuality> qualities = QualityMix(queries.size());
   const size_t kTopK = 10;
 
-  for (size_t shards : {size_t{1}, size_t{4}}) {
-    IvfL2Index ivf(kDim, /*nlist=*/kClusters, /*nprobe=*/2, /*seed=*/0x5EED, shards);
-    for (size_t i = 0; i < corpus.points.size(); ++i) {
-      ivf.Add(static_cast<ChunkId>(i), corpus.points[i]);
-    }
-    ivf.Train();
-    AdaptiveProbePolicy policy;
-    policy.enabled = false;  // Index default stays fixed; overrides force modes.
-    policy.min_probes = 1;
-    policy.distance_ratio = 1.5;
-    ivf.set_adaptive_probe(policy);
+  IvfL2Index ivf(kDim, /*nlist=*/kClusters, /*nprobe=*/2, /*seed=*/0x5EED);
+  for (size_t i = 0; i < corpus.points.size(); ++i) {
+    ivf.Add(static_cast<ChunkId>(i), corpus.points[i]);
+  }
+  ivf.Train();
+  AdaptiveProbePolicy policy;
+  policy.enabled = false;  // Index default stays fixed; overrides force modes.
+  policy.min_probes = 1;
+  policy.distance_ratio = 1.5;
+  ivf.set_adaptive_probe(policy);
 
-    // Reference: uncoalesced per-query scans, each under its own quality.
-    ivf.ResetProbeStats();
-    std::vector<std::vector<SearchHit>> want;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      want.push_back(ivf.Search(queries[i], kTopK, qualities[i]));
-    }
-    ProbeSnapshot want_probes = SnapshotAndReset(ivf);
+  // Reference: uncoalesced per-query scans, each under its own quality.
+  ivf.ResetProbeStats();
+  std::vector<std::vector<SearchHit>> want;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    want.push_back(ivf.Search(queries[i], kTopK, qualities[i]));
+  }
+  ProbeSnapshot want_probes = SnapshotAndReset(ivf);
 
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      ThreadPool pool(threads);
-      std::vector<std::vector<SearchHit>> got =
-          ivf.SearchBatch(queries, kTopK, &pool, qualities);
-      ProbeSnapshot got_probes = SnapshotAndReset(ivf);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    ThreadPool pool(threads);
+    std::vector<std::vector<SearchHit>> got = ivf.SearchBatch(queries, kTopK, &pool, qualities);
+    ProbeSnapshot got_probes = SnapshotAndReset(ivf);
 
-      ASSERT_EQ(got.size(), want.size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        ExpectHitsBitEqual(got[i], want[i],
-                           "shards=" + std::to_string(shards) +
-                               " threads=" + std::to_string(threads) +
-                               " query=" + std::to_string(i));
-      }
-      EXPECT_EQ(got_probes.searches, want_probes.searches);
-      EXPECT_EQ(got_probes.probes, want_probes.probes);
-      EXPECT_EQ(got_probes.hist, want_probes.hist);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ExpectHitsBitEqual(got[i], want[i],
+                         "threads=" + std::to_string(threads) + " query=" + std::to_string(i));
     }
+    EXPECT_EQ(got_probes.searches, want_probes.searches);
+    EXPECT_EQ(got_probes.probes, want_probes.probes);
+    EXPECT_EQ(got_probes.hist, want_probes.hist);
   }
 }
 
@@ -136,26 +131,21 @@ TEST(MixedQualityParityTest, FlatBatchIgnoresQualitiesAndMatchesPerQueryScans) {
   std::vector<RetrievalQuality> qualities = QualityMix(queries.size());
   const size_t kTopK = 10;
 
-  for (size_t shards : {size_t{1}, size_t{4}}) {
-    FlatL2Index flat(kDim, shards);
-    for (size_t i = 0; i < corpus.points.size(); ++i) {
-      flat.Add(static_cast<ChunkId>(i), corpus.points[i]);
-    }
-    std::vector<std::vector<SearchHit>> want;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      want.push_back(flat.Search(queries[i], kTopK, qualities[i]));
-    }
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      ThreadPool pool(threads);
-      std::vector<std::vector<SearchHit>> got =
-          flat.SearchBatch(queries, kTopK, &pool, qualities);
-      ASSERT_EQ(got.size(), want.size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        ExpectHitsBitEqual(got[i], want[i],
-                           "flat shards=" + std::to_string(shards) +
-                               " threads=" + std::to_string(threads) +
-                               " query=" + std::to_string(i));
-      }
+  FlatL2Index flat(kDim);
+  for (size_t i = 0; i < corpus.points.size(); ++i) {
+    flat.Add(static_cast<ChunkId>(i), corpus.points[i]);
+  }
+  std::vector<std::vector<SearchHit>> want;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    want.push_back(flat.Search(queries[i], kTopK, qualities[i]));
+  }
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    ThreadPool pool(threads);
+    std::vector<std::vector<SearchHit>> got = flat.SearchBatch(queries, kTopK, &pool, qualities);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ExpectHitsBitEqual(got[i], want[i],
+                         "flat threads=" + std::to_string(threads) + " query=" + std::to_string(i));
     }
   }
 }

@@ -4,8 +4,8 @@
 // The contract under test: at ANY point in a random interleaving of
 // Insert / Delete / seal / compact / retrain, search results — ids, order,
 // AND distances — are bit-equal to an index freshly built from the live
-// document set, across shards {1,4} x threads {1,4} x {flat,IVF} x
-// {fixed,adaptive nprobe}. Specifically:
+// document set, across threads {1,4} x {flat,IVF} x {fixed,adaptive
+// nprobe}. Specifically:
 //
 //   - flat backend: bit-equal to a fresh FlatL2Index over the live rows in
 //     insertion order, at every checkpoint;
@@ -13,7 +13,7 @@
 //     full probe budget (nprobe >= nlist scans every list — exact, and
 //     duplicates share a list so (distance, order) ties agree);
 //   - IVF backend, after RetrainBase: bit-equal to a fresh IvfL2Index
-//     (same nlist/nprobe/seed/shards) trained on the live rows, at fixed AND
+//     (same nlist/nprobe/seed) trained on the live rows, at fixed AND
 //     adaptive probe qualities — identical training input means identical
 //     centroids, lists, and probe schedules;
 //   - filtered reads (SearchOrdered with a sorted exclusion set, the hybrid
@@ -42,7 +42,6 @@ constexpr size_t kDim = 16;
 constexpr size_t kTopK = 10;
 
 struct ParityCase {
-  size_t shards;
   size_t threads;
   RetrievalIndexOptions::Backend backend;
   bool adaptive;
@@ -50,13 +49,11 @@ struct ParityCase {
 
 std::vector<ParityCase> Grid() {
   std::vector<ParityCase> cases;
-  for (size_t shards : {size_t{1}, size_t{4}}) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      for (auto backend :
-           {RetrievalIndexOptions::Backend::kFlat, RetrievalIndexOptions::Backend::kIvf}) {
-        for (bool adaptive : {false, true}) {
-          cases.push_back(ParityCase{shards, threads, backend, adaptive});
-        }
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    for (auto backend :
+         {RetrievalIndexOptions::Backend::kFlat, RetrievalIndexOptions::Backend::kIvf}) {
+      for (bool adaptive : {false, true}) {
+        cases.push_back(ParityCase{threads, backend, adaptive});
       }
     }
   }
@@ -100,16 +97,15 @@ struct LiveSet {
     FAIL() << "model delete of unknown id " << id;
   }
 
-  FlatL2Index BuildFlat(size_t shards) const {
-    FlatL2Index ref(kDim, shards);
+  FlatL2Index BuildFlat() const {
+    FlatL2Index ref(kDim);
     for (const auto& [id, v] : rows) {
       ref.Add(id, v);
     }
     return ref;
   }
   std::unique_ptr<IvfL2Index> BuildIvf(const RetrievalIndexOptions& opt) const {
-    auto ref = std::make_unique<IvfL2Index>(kDim, opt.nlist, opt.nprobe, opt.train_seed,
-                                            std::max<size_t>(1, opt.shards));
+    auto ref = std::make_unique<IvfL2Index>(kDim, opt.nlist, opt.nprobe, opt.train_seed);
     ref->set_adaptive_probe(opt.adaptive);
     for (const auto& [id, v] : rows) {
       ref->Add(id, v);
@@ -127,7 +123,6 @@ TEST_P(MutableIndexParityTest, RandomInterleavingsMatchFreshBuild) {
   const ParityCase& pc = GetParam();
   RetrievalIndexOptions opt;
   opt.backend = pc.backend;
-  opt.shards = pc.shards;
   opt.nlist = 8;
   opt.nprobe = 3;
   opt.adaptive.enabled = pc.adaptive;
@@ -141,7 +136,7 @@ TEST_P(MutableIndexParityTest, RandomInterleavingsMatchFreshBuild) {
   opt.mutation.max_rows = 4096;
 
   MutableIndex index(kDim, opt);
-  Rng rng(0x5EED0 + pc.shards * 31 + pc.threads * 7 + (pc.adaptive ? 1 : 0) +
+  Rng rng(0x5EED0 + 31 + pc.threads * 7 + (pc.adaptive ? 1 : 0) +
           (pc.backend == RetrievalIndexOptions::Backend::kIvf ? 1000 : 0));
   ThreadPool pool(pc.threads);
   ThreadPool* batch_pool = pc.threads > 1 ? &pool : nullptr;
@@ -166,10 +161,10 @@ TEST_P(MutableIndexParityTest, RandomInterleavingsMatchFreshBuild) {
   full_probe.nprobe = 1u << 20;
   // Draws the checkpoints' exclusion sets; separate from `rng` so the op
   // stream does not depend on them.
-  Rng filter_rng(0xF117E5 + pc.shards * 31 + pc.threads * 7 + (pc.adaptive ? 1 : 0));
+  Rng filter_rng(0xF117E5 + 31 + pc.threads * 7 + (pc.adaptive ? 1 : 0));
 
   auto checkpoint = [&](const char* when) {
-    FlatL2Index ref = model.BuildFlat(pc.shards);
+    FlatL2Index ref = model.BuildFlat();
     std::vector<Embedding> queries;
     for (int qi = 0; qi < 4; ++qi) {
       queries.push_back(RandomVec(rng));
@@ -274,7 +269,6 @@ INSTANTIATE_TEST_SUITE_P(Grid, MutableIndexParityTest, ::testing::ValuesIn(Grid(
                            const ParityCase& pc = info.param;
                            std::string name =
                                pc.backend == RetrievalIndexOptions::Backend::kIvf ? "ivf" : "flat";
-                           name += "_s" + std::to_string(pc.shards);
                            name += "_t" + std::to_string(pc.threads);
                            name += pc.adaptive ? "_adaptive" : "_fixed";
                            return name;

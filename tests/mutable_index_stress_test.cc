@@ -42,7 +42,7 @@ RetrievalQuality FullProbe() {
 // Exact reference for one pinned epoch, built from the epoch's own live-row
 // enumeration (insertion order), so it describes that epoch and nothing else.
 FlatL2Index EpochReference(const MutableIndex& index, const MutableEpoch& epoch) {
-  FlatL2Index ref(kDim, 1);
+  FlatL2Index ref(kDim);
   index.ForEachLiveRow(epoch, [&](ChunkId id, const float* row) {
     ref.Add(id, Embedding(row, row + kDim));
   });
@@ -78,7 +78,6 @@ void ExpectBitEqual(const std::vector<SearchHit>& got, const std::vector<SearchH
 TEST(MutableIndexStressTest, ConcurrentIngestAndQueriesSeeOneEpoch) {
   RetrievalIndexOptions opt;
   opt.backend = RetrievalIndexOptions::Backend::kIvf;
-  opt.shards = 2;
   opt.nlist = 8;
   opt.nprobe = 3;
   opt.train_seed = 17;

@@ -364,8 +364,8 @@ TEST(QuantEncodeTest, CodesMatchTheNearbyintRecipeForAnyWorkerCount) {
 TEST(QuantMemoryTest, Int8BytesPerRowIsTheMirrorStrideOnceBuilt) {
   for (size_t dim : {size_t{64}, size_t{37}}) {
     ClusteredCorpus corpus = MakeClusteredCorpus(dim, 8, 40, 4, 2, 0xB17E5);
-    FlatL2Index flat(dim, /*num_shards=*/2);
-    IvfL2Index ivf(dim, /*nlist=*/8, /*nprobe=*/2, /*seed=*/17, /*num_shards=*/2);
+    FlatL2Index flat(dim);
+    IvfL2Index ivf(dim, /*nlist=*/8, /*nprobe=*/2, /*seed=*/17);
     for (size_t i = 0; i < corpus.points.size(); ++i) {
       flat.Add(static_cast<ChunkId>(i + 1), corpus.points[i]);
       ivf.Add(static_cast<ChunkId>(i + 1), corpus.points[i]);

@@ -98,20 +98,5 @@ TEST(RetrievalKnobTest, FlatBackendReportsZeroProbes) {
   EXPECT_DOUBLE_EQ(m.mean_probes, 0.0);
 }
 
-TEST(RetrievalKnobTest, ShardedIvfRunMatchesSingleShardResults) {
-  // Shard count is a pure storage/parallelism choice: the same experiment on
-  // a 4-shard database must produce identical quality and probe depth.
-  RunSpec spec = IvfSpec();
-  spec.scheduler.adaptive_nprobe = false;
-  spec.scheduler.nprobe_budget = 3;
-  RunMetrics single = RunExperiment(spec);
-  spec.retrieval.shards = 4;
-  RunMetrics sharded = RunExperiment(spec);
-  ASSERT_EQ(single.records.size(), sharded.records.size());
-  EXPECT_DOUBLE_EQ(single.mean_f1(), sharded.mean_f1());
-  EXPECT_DOUBLE_EQ(single.mean_delay(), sharded.mean_delay());
-  EXPECT_DOUBLE_EQ(single.mean_probes, sharded.mean_probes);
-}
-
 }  // namespace
 }  // namespace metis

@@ -396,13 +396,13 @@ TEST(RetrievalParityTest, IvfTrainIsDeterministicAcrossThreadCounts) {
   }
 }
 
-// --- Sharded storage parity ---------------------------------------------------
+// --- Batch parity -----------------------------------------------------------
 //
-// Hash-partitioned IndexShards must be invisible in results: for ANY shard
-// count and ANY thread count, ids, order, AND float distances are bit-equal
-// to the single-shard index (which is itself seed-parity-tested above). The
-// corpora include heavy duplicate groups so cross-shard tie-breaks are
-// exercised, and shard count 7 leaves shards unevenly filled.
+// SearchBatch must be invisible in results: for ANY thread count, ids,
+// order, AND float distances are bit-equal to per-query Search of the same
+// index (which is itself seed-parity-tested above). The corpora include
+// heavy duplicate groups so distance ties exercise the candidate-order
+// tie-break, and ids are non-contiguous.
 
 void ExpectBitEqualHits(const std::vector<SearchHit>& got, const std::vector<SearchHit>& want,
                         const std::string& context) {
@@ -413,20 +413,20 @@ void ExpectBitEqualHits(const std::vector<SearchHit>& got, const std::vector<Sea
   }
 }
 
-TEST(ShardedParityTest, FlatShardedBitEqualForAnyShardAndThreadCount) {
+TEST(BatchParityTest, FlatBatchBitEqualToPerQuerySearchForAnyThreadCount) {
   const size_t kDim = 56;
   const size_t kK = 13;
   Rng rng(0x5AA5D);
   std::vector<std::pair<ChunkId, Embedding>> corpus;
   std::vector<Embedding> stored;
   for (int i = 0; i < 320; ++i) {
-    // A third duplicates: exact distance ties must break identically no
-    // matter which shard each duplicate landed in.
+    // A third duplicates: exact distance ties must break by insertion order
+    // in every worker's slice of the batch.
     Embedding v = (i >= 90 && i % 3 == 0) ? stored[static_cast<size_t>(i) / 2]
                                           : RandomUnitVector(rng, kDim);
     stored.push_back(v);
-    // Non-contiguous ids: the shard hash and the global order must not be
-    // conflated with the id value.
+    // Non-contiguous ids: the candidate order must not be conflated with
+    // the id value.
     corpus.emplace_back(static_cast<ChunkId>(5 * i + 2), v);
   }
   std::vector<Embedding> queries;
@@ -435,43 +435,28 @@ TEST(ShardedParityTest, FlatShardedBitEqualForAnyShardAndThreadCount) {
                                  : RandomUnitVector(rng, kDim));
   }
 
-  FlatL2Index reference(kDim, 1);
+  FlatL2Index index(kDim);
   for (const auto& [id, v] : corpus) {
-    reference.Add(id, v);
+    index.Add(id, v);
   }
+  ASSERT_EQ(index.size(), corpus.size());
   std::vector<std::vector<SearchHit>> want;
   for (const Embedding& q : queries) {
-    want.push_back(reference.Search(q, kK, RetrievalQuality{}));
+    want.push_back(index.Search(q, kK, RetrievalQuality{}));
   }
-
-  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{7}}) {
-    FlatL2Index index(kDim, shards);
-    for (const auto& [id, v] : corpus) {
-      index.Add(id, v);
-    }
-    ASSERT_EQ(index.size(), corpus.size());
-    // Single-query path (serial across shards, one heap).
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    ThreadPool pool(threads);
+    std::vector<RetrievalQuality> qualities(queries.size());
+    auto got = index.SearchBatch(queries, kK, &pool, qualities);
+    ASSERT_EQ(got.size(), queries.size());
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      ExpectBitEqualHits(index.Search(queries[qi], kK, RetrievalQuality{}), want[qi],
-                         "search shards=" + std::to_string(shards) + " q=" + std::to_string(qi));
-    }
-    // Batched path: per-(shard x query) heaps merged, across thread counts.
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      ThreadPool pool(threads);
-      std::vector<RetrievalQuality> qualities(queries.size());
-      auto got = index.SearchBatch(queries, kK, &pool, qualities);
-      ASSERT_EQ(got.size(), queries.size());
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        ExpectBitEqualHits(got[qi], want[qi],
-                           "batch shards=" + std::to_string(shards) +
-                               " threads=" + std::to_string(threads) +
-                               " q=" + std::to_string(qi));
-      }
+      ExpectBitEqualHits(got[qi], want[qi],
+                         "batch threads=" + std::to_string(threads) + " q=" + std::to_string(qi));
     }
   }
 }
 
-TEST(ShardedParityTest, IvfShardedBitEqualForAnyShardAndThreadCount) {
+TEST(BatchParityTest, IvfBatchBitEqualToPerQuerySearchForAnyThreadCount) {
   const size_t kDim = 36;
   const size_t kK = 11;
   Rng rng(0x1C0DE);
@@ -492,52 +477,39 @@ TEST(ShardedParityTest, IvfShardedBitEqualForAnyShardAndThreadCount) {
   adaptive.mode = RetrievalQuality::ProbeMode::kAdaptive;
   adaptive.nprobe = 6;
 
-  auto build = [&](size_t shards) {
-    IvfL2Index ivf(kDim, 9, 3, 4242, shards);
-    for (const auto& [id, v] : corpus) {
-      ivf.Add(id, v);
+  IvfL2Index ivf(kDim, 9, 3, 4242);
+  for (const auto& [id, v] : corpus) {
+    ivf.Add(id, v);
+  }
+  ivf.Train();
+  // Post-train adds append to the trained lists.
+  for (int i = 0; i < 30; ++i) {
+    ivf.Add(static_cast<ChunkId>(2000 + i), stored[static_cast<size_t>(i) * 7]);
+  }
+  for (const RetrievalQuality& quality : {RetrievalQuality{}, adaptive}) {
+    std::string mode = quality.mode == RetrievalQuality::ProbeMode::kAdaptive ? "adaptive"
+                                                                              : "default";
+    std::vector<std::vector<SearchHit>> want;
+    for (const Embedding& q : queries) {
+      want.push_back(ivf.Search(q, kK, quality));
     }
-    ivf.Train();
-    // Post-train adds append through the shard router too.
-    for (int i = 0; i < 30; ++i) {
-      ivf.Add(static_cast<ChunkId>(2000 + i), stored[static_cast<size_t>(i) * 7]);
-    }
-    return ivf;
-  };
-
-  IvfL2Index reference = build(1);
-  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{7}}) {
-    IvfL2Index ivf = build(shards);
-    ASSERT_EQ(ivf.size(), reference.size());
-    for (const RetrievalQuality& quality : {RetrievalQuality{}, adaptive}) {
-      std::string mode = quality.mode == RetrievalQuality::ProbeMode::kAdaptive ? "adaptive"
-                                                                                : "default";
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      ThreadPool pool(threads);
+      std::vector<RetrievalQuality> qualities(queries.size(), quality);
+      auto got = ivf.SearchBatch(queries, kK, &pool, qualities);
+      ASSERT_EQ(got.size(), want.size());
       for (size_t qi = 0; qi < queries.size(); ++qi) {
-        ExpectBitEqualHits(ivf.Search(queries[qi], kK, quality),
-                           reference.Search(queries[qi], kK, quality),
-                           "ivf search shards=" + std::to_string(shards) + " mode=" + mode +
+        ExpectBitEqualHits(got[qi], want[qi],
+                           "ivf batch mode=" + mode + " threads=" + std::to_string(threads) +
                                " q=" + std::to_string(qi));
-      }
-      for (size_t threads : {size_t{1}, size_t{4}}) {
-        ThreadPool pool(threads);
-        std::vector<RetrievalQuality> qualities(queries.size(), quality);
-        auto got = ivf.SearchBatch(queries, kK, &pool, qualities);
-        auto want = reference.SearchBatch(queries, kK, nullptr, qualities);
-        ASSERT_EQ(got.size(), want.size());
-        for (size_t qi = 0; qi < queries.size(); ++qi) {
-          ExpectBitEqualHits(got[qi], want[qi],
-                             "ivf batch shards=" + std::to_string(shards) + " mode=" + mode +
-                                 " threads=" + std::to_string(threads) +
-                                 " q=" + std::to_string(qi));
-        }
       }
     }
   }
 }
 
-TEST(ShardedParityTest, ShardedProbeAccountingMatchesSingleShard) {
-  // The probe planner is shard-blind: mean_probes must not depend on the
-  // shard count, in either fixed or adaptive mode.
+TEST(BatchParityTest, BatchProbeAccountingMatchesPerQuerySearch) {
+  // A batch counts each query's probes exactly as per-query Search does, in
+  // either fixed or adaptive mode.
   const size_t kDim = 20;
   Rng rng(0xFACE5);
   std::vector<Embedding> corpus;
@@ -551,34 +523,27 @@ TEST(ShardedParityTest, ShardedProbeAccountingMatchesSingleShard) {
   RetrievalQuality adaptive;
   adaptive.mode = RetrievalQuality::ProbeMode::kAdaptive;
   adaptive.nprobe = 5;
-  std::vector<double> fixed_means;
-  std::vector<double> adaptive_means;
-  for (size_t shards : {size_t{1}, size_t{4}}) {
-    IvfL2Index ivf(kDim, 8, 2, 99, shards);
-    for (size_t i = 0; i < corpus.size(); ++i) {
-      ivf.Add(static_cast<ChunkId>(i), corpus[i]);
-    }
-    ivf.Train();
-    ivf.SearchBatch(queries, 5, nullptr, std::vector<RetrievalQuality>(queries.size()));
-    fixed_means.push_back(ivf.mean_probes());
+  IvfL2Index ivf(kDim, 8, 2, 99);
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    ivf.Add(static_cast<ChunkId>(i), corpus[i]);
+  }
+  ivf.Train();
+  for (const RetrievalQuality& quality : {RetrievalQuality{}, adaptive}) {
     ivf.ResetProbeStats();
-    ivf.SearchBatch(queries, 5, nullptr, std::vector<RetrievalQuality>(queries.size(), adaptive));
-    adaptive_means.push_back(ivf.mean_probes());
-  }
-  EXPECT_EQ(fixed_means[0], fixed_means[1]);
-  EXPECT_EQ(fixed_means[0], 2.0);  // Fixed nprobe=2 probes exactly 2 lists.
-  EXPECT_EQ(adaptive_means[0], adaptive_means[1]);
-}
-
-TEST(ShardedParityTest, ShardOfIdIsStableAndInRange) {
-  for (size_t shards : {size_t{1}, size_t{2}, size_t{7}}) {
-    for (ChunkId id = 0; id < 100; ++id) {
-      size_t s = ShardOfId(id, shards);
-      EXPECT_LT(s, shards);
-      EXPECT_EQ(s, ShardOfId(id, shards));  // Pure function of (id, shards).
+    for (const Embedding& q : queries) {
+      ivf.Search(q, 5, quality);
+    }
+    double per_query_mean = ivf.mean_probes();
+    std::vector<uint64_t> per_query_hist = ivf.probe_histogram();
+    ivf.ResetProbeStats();
+    ivf.SearchBatch(queries, 5, nullptr, std::vector<RetrievalQuality>(queries.size(), quality));
+    EXPECT_EQ(ivf.searches(), queries.size());
+    EXPECT_EQ(ivf.mean_probes(), per_query_mean);
+    EXPECT_EQ(ivf.probe_histogram(), per_query_hist);
+    if (quality.mode == RetrievalQuality::ProbeMode::kIndexDefault) {
+      EXPECT_EQ(ivf.mean_probes(), 2.0);  // Fixed nprobe=2 probes exactly 2 lists.
     }
   }
-  EXPECT_EQ(ShardOfId(12345, 1), 0u);
 }
 
 // --- Database-level batching + memo cache ------------------------------------
