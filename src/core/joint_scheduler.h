@@ -105,8 +105,8 @@ struct JointSchedulerOptions {
   HybridRouterOptions hybrid;
 };
 
-// The RetrievalQuality handed to SynthesisExecutor / RetrievalBatcher for a
-// stack built under `options`.
+// The RetrievalQuality handed to SynthesisExecutor (its stack-wide default)
+// for a stack built under `options`.
 RetrievalQuality RetrievalQualityFromOptions(const JointSchedulerOptions& options);
 
 class JointScheduler {

@@ -11,8 +11,8 @@
 //
 // RetrievalDepthPolicy closes the loop: it maps the profiler's QueryProfile to
 // a per-query RetrievalQuality, which the JointScheduler folds into its
-// decision and the SynthesisExecutor / RetrievalBatcher thread down to the
-// index's heterogeneous-quality SearchBatch.
+// decision and the SynthesisExecutor threads down to the index through
+// VectorDatabase::Retrieve, one query per retrieval event.
 //
 // The documented budget curve (pinned by depth_policy_test):
 //

@@ -84,7 +84,6 @@ class EmbeddingCache {
   size_t hits() const { return hits_; }
   size_t misses() const { return misses_; }
   size_t size() const { return lru_.size(); }
-  size_t capacity() const { return capacity_; }
 
  private:
   // Inserts a freshly computed embedding (evicting the LRU entry at

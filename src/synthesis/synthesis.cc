@@ -26,7 +26,6 @@ SynthesisExecutor::SynthesisExecutor(Simulator* sim, LlmEngine* engine,
       behavior_(behavior),
       dataset_(dataset),
       seed_(seed),
-      batcher_(sim, &dataset->db(), kRetrievalSeconds),
       corpus_salt_(HashString64(dataset->profile().name) ^ seed) {
   METIS_CHECK(sim != nullptr);
   METIS_CHECK(engine != nullptr);
@@ -186,8 +185,11 @@ int CountGoldCoverage(const Dataset& dataset, const RagQuery& query,
 void SynthesisExecutor::RetrieveChunks(const RagQuery& query, int num_chunks,
                                        const std::optional<RetrievalQuality>& quality,
                                        std::function<void(std::vector<ChunkId>)> then) {
-  batcher_.Submit(query.text, static_cast<size_t>(num_chunks),
-                  quality.value_or(retrieval_quality_), std::move(then));
+  sim_->ScheduleAfter(kRetrievalSeconds, [this, q = &query, k = static_cast<size_t>(num_chunks),
+                                          quality = quality.value_or(retrieval_quality_),
+                                          then = std::move(then)]() {
+    then(dataset_->db().Retrieve(q->text, k, quality));
+  });
 }
 
 void SynthesisExecutor::RunStuff(const RagQuery& query, const RagConfig& config,

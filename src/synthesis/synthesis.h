@@ -18,12 +18,12 @@
 #include <optional>
 #include <string>
 
-#include "src/core/retrieval_batcher.h"
 #include "src/llm/behavior.h"
 #include "src/llm/engine.h"
 #include "src/quality/f1.h"
 #include "src/sim/simulator.h"
 #include "src/synthesis/config.h"
+#include "src/vectordb/vectordb.h"
 #include "src/workload/dataset.h"
 
 namespace metis {
@@ -50,18 +50,21 @@ struct RagResult {
 
 class SynthesisExecutor {
  public:
-  // Retrievals go through the executor's own RetrievalBatcher over
-  // `dataset`'s database, which coalesces same-tick retrievals from many
-  // queued queries into shared index sweeps.
+  // Retrievals read `dataset`'s database, one query per simulator event.
   SynthesisExecutor(Simulator* sim, LlmEngine* engine, const BehaviorModel* behavior,
                     const Dataset* dataset, uint64_t seed);
+
+  // Scheduled retrieval events and engine callbacks hold the executor's
+  // address.
+  SynthesisExecutor(const SynthesisExecutor&) = delete;
+  SynthesisExecutor& operator=(const SynthesisExecutor&) = delete;
 
   // Runs retrieval + synthesis for `query` under `config`; invokes `done`
   // from simulation context when the answer is complete. The three-argument
   // form retrieves at the stack-wide default quality
   // (set_retrieval_quality); the four-argument form carries a per-QUERY
   // RetrievalQuality — the profiler-driven depth the scheduler decided for
-  // this query — through the batcher.
+  // this query — down to VectorDatabase::Retrieve.
   //
   // The query outlives the run: the executor's retrieval and engine
   // callbacks refer to `query`, not a copy, until `done` has returned, so
@@ -108,10 +111,10 @@ class SynthesisExecutor {
   ChunkFacts DescribeChunk(const RagQuery& query, const std::vector<std::string>& query_tokens,
                            ChunkId chunk_id) const;
 
-  // Retrieval front half shared by the three pipelines: top-`num_chunks` ids
-  // arrive at `then` exactly kRetrievalSeconds from now, through the batcher.
-  // `quality` (engaged for per-query-depth executions) overrides the stack
-  // default for this one retrieval.
+  // Retrieval front half shared by the three pipelines: one simulator event
+  // kRetrievalSeconds from now runs VectorDatabase::Retrieve and hands the
+  // top-`num_chunks` ids to `then`. `quality` (engaged for per-query-depth
+  // executions) overrides the stack default for this one retrieval.
   void RetrieveChunks(const RagQuery& query, int num_chunks,
                       const std::optional<RetrievalQuality>& quality,
                       std::function<void(std::vector<ChunkId>)> then);
@@ -142,7 +145,6 @@ class SynthesisExecutor {
   const BehaviorModel* behavior_;
   const Dataset* dataset_;
   uint64_t seed_;
-  RetrievalBatcher batcher_;
   RetrievalQuality retrieval_quality_;
   bool cross_query_prefix_ = false;
   uint64_t corpus_salt_ = 0;  // Hash of the dataset name ^ seed (group keys).

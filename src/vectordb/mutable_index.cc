@@ -17,11 +17,6 @@ namespace {
 // publication can be read lock-free forever after.
 constexpr size_t kLogBlockRows = 512;
 
-// IVF only: retrain when the mean nearest-centroid distance of newly sealed
-// rows exceeds this multiple of the base's train-time mean — the measured
-// centroid-quality-decay threshold.
-constexpr double kRetrainDistanceRatio = 2.0;
-
 IdFilter FilterOf(const std::vector<ChunkId>& tombstones) {
   return IdFilter{tombstones.data(), tombstones.data() + tombstones.size()};
 }
@@ -179,11 +174,6 @@ void MutableIndex::Finalize(ThreadPool* pool) {
   PublishLocked();
 }
 
-bool MutableIndex::finalized() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return finalized_;
-}
-
 void MutableIndex::SealLocked() {
   if (mt_hi_ == mt_lo_) {
     return;
@@ -194,16 +184,6 @@ void MutableIndex::SealLocked() {
   segments_.push_back(seg);
   mt_lo_ = mt_hi_;
   ++counters_.seals;
-  // Centroid-drift signal: how far the sealed rows sit from their nearest
-  // centroid, vs. the distance the training set saw.
-  if (base_ivf_ != nullptr && base_ivf_->trained()) {
-    for (size_t pos = seg.lo; pos < seg.hi; ++pos) {
-      if (!TombstonedLocked(LogId(pos))) {
-        sealed_dist_sum_ += base_ivf_->NearestCentroidDistance(LogRow(pos));
-        ++sealed_dist_rows_;
-      }
-    }
-  }
   PublishLocked();
 }
 
@@ -221,11 +201,6 @@ void MutableIndex::MaybeMaintainLocked() {
       static_cast<double>(delta_live) >
       mopts_.retrain_delta_fraction *
           static_cast<double>(std::max(live_in_base_, mopts_.memtable_rows));
-  if (!retrain && base_ivf_ != nullptr && base_ivf_->trained() && sealed_dist_rows_ > 0 &&
-      base_ivf_->train_mean_assign_dist() > 0.0) {
-    double sealed_mean = sealed_dist_sum_ / static_cast<double>(sealed_dist_rows_);
-    retrain = sealed_mean > kRetrainDistanceRatio * base_ivf_->train_mean_assign_dist();
-  }
   if (retrain && live_rows_ > 0) {
     RetrainLocked(nullptr);
   } else if (segments_.size() >= mopts_.compact_segments) {
@@ -311,8 +286,6 @@ void MutableIndex::RetrainLocked(ThreadPool* pool) {
   segments_.clear();
   mt_lo_ = log_size_;
   live_in_base_ = live_rows_;
-  sealed_dist_sum_ = 0.0;
-  sealed_dist_rows_ = 0;
   ++counters_.retrains;
   PublishLocked();
 }
@@ -401,9 +374,8 @@ std::vector<std::vector<SearchHit>> MutableIndex::SearchBatch(
   if (queries.empty()) {
     return results;
   }
-  // Pin one epoch for the whole batch (the batcher's coalesced groups rely
-  // on this single-snapshot guarantee), then fan queries across the pool
-  // into disjoint slots.
+  // Pin one epoch for the whole batch, so every query sees one snapshot,
+  // then fan queries across the pool into disjoint slots.
   std::shared_ptr<const MutableEpoch> epoch = PinEpoch();
   auto sweep = [&](size_t qb, size_t qe) {
     for (size_t qi = qb; qi < qe; ++qi) {

@@ -36,10 +36,10 @@
 //     comes out exactly as it does with the rows' log positions, and the
 //     results are those of the uncompacted segments. Retrain rebuilds the base
 //     index over the live set (through the same MakeBackendIndex factory and
-//     train seed as a fresh build, so the result is bit-identical to one) —
-//     triggered when live delta rows outgrow the base or, for IVF, when the
-//     mean nearest-centroid distance of newly sealed rows decays past a
-//     measured multiple of the train-time mean.
+//     train seed as a fresh build, so the result is bit-identical to one).
+//     One rule triggers it, the live-set delta fraction: after a seal, the
+//     live rows outside the base exceed retrain_delta_fraction of
+//     max(live rows in the base, memtable_rows).
 //
 // Epochs: readers never block and never see torn state. Every mutation
 // publishes a new immutable MutableEpoch (a shared_ptr snapshot of base +
@@ -49,11 +49,8 @@
 // are invisible to pinned readers. Maintenance (compaction/retrain) runs
 // inside the write that triggers it, under the writer lock, while readers
 // keep serving the epoch they pinned; so a run's results never depend on
-// maintenance timing.
-//
-// Each of the RetrievalBatcher's coalesced sweeps passes through here as one
-// SearchBatch call, which pins a single epoch for the whole sweep — every
-// query in a batch sees the same snapshot.
+// maintenance timing. A SearchBatch pins a single epoch for the whole batch,
+// so every query in it sees the same snapshot.
 
 #ifndef METIS_SRC_VECTORDB_MUTABLE_INDEX_H_
 #define METIS_SRC_VECTORDB_MUTABLE_INDEX_H_
@@ -131,8 +128,8 @@ class MutableIndex : public VectorIndex {
   void Reserve(size_t rows) override;
   std::vector<SearchHit> Search(const Embedding& query, size_t k,
                                 const RetrievalQuality& quality) const override;
-  // One epoch pin for the whole batch: a coalesced group is answered against
-  // a single snapshot no matter how the writer races it.
+  // One epoch pin for the whole batch: every query is answered against a
+  // single snapshot no matter how the writer races it.
   std::vector<std::vector<SearchHit>> SearchBatch(
       const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
       const std::vector<RetrievalQuality>& qualities) const override;
@@ -152,7 +149,6 @@ class MutableIndex : public VectorIndex {
   // base's SQ mirror across `pool`, and opens the memtable. Adds before this go
   // to the base; adds after go to the memtable.
   void Finalize(ThreadPool* pool = nullptr);
-  bool finalized() const;
 
   // Streaming write paths. Ids must be fresh — never currently live and never
   // previously deleted (VectorDatabase's monotone chunk ids guarantee this;
@@ -203,9 +199,8 @@ class MutableIndex : public VectorIndex {
   void PublishLocked();
   bool TombstonedLocked(ChunkId id) const;
   void SealLocked();
-  // After a seal: retrain if the live delta rows outgrew the base (or, for
-  // IVF, the sealed rows drifted from the centroids), else compact once
-  // compact_segments segments have accumulated.
+  // After a seal: retrain if the live delta rows outgrew the base, else
+  // compact once compact_segments segments have accumulated.
   void MaybeMaintainLocked();
   // Merges every sealed segment into one tombstone-free segment.
   void CompactLocked();
@@ -237,10 +232,6 @@ class MutableIndex : public VectorIndex {
   std::unordered_map<ChunkId, size_t> live_pos_;  // Live id -> log position.
   size_t live_rows_ = 0;
   size_t live_in_base_ = 0;
-  // IVF centroid-drift signal: nearest-centroid distances of rows sealed
-  // since the last (re)train.
-  double sealed_dist_sum_ = 0.0;
-  size_t sealed_dist_rows_ = 0;
   MutableIndexStats counters_;
 
   // The published epoch (std::atomic_load/store on shared_ptr).

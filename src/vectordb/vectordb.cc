@@ -393,19 +393,6 @@ void IvfL2Index::Reserve(size_t rows) {
   }
 }
 
-double IvfL2Index::NearestCentroidDistance(const float* v) const {
-  double vnorm = SquaredNormBlocked(v, dim_);
-  DotKernelFn dot = ActiveDotKernel();
-  float best_d = std::numeric_limits<float>::max();
-  for (size_t c = 0; c < centroids_.size(); ++c) {
-    float d = static_cast<float>(centroids_.norm(c) + vnorm - 2.0 * dot(centroids_.row(c), v, dim_));
-    if (d < best_d) {
-      best_d = d;
-    }
-  }
-  return centroids_.size() == 0 ? 0.0 : std::max(0.0, static_cast<double>(best_d));
-}
-
 size_t IvfL2Index::NearestCentroid(const float* v) const {
   double vnorm = SquaredNormBlocked(v, dim_);
   DotKernelFn dot = ActiveDotKernel();
@@ -530,13 +517,6 @@ void IvfL2Index::Train(ThreadPool* pool) {
   for (size_t i = 0; i < n; ++i) {
     lists_[assign[i]].Append(staged_.id(i), staged_.row(i));
   }
-  // Train-time centroid fit: the reference point the mutable index compares
-  // newly sealed rows against to detect centroid-quality decay.
-  double assign_dist_sum = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    assign_dist_sum += NearestCentroidDistance(staged_.row(i));
-  }
-  train_mean_assign_dist_ = assign_dist_sum / static_cast<double>(n);
   staged_ = RowPool(dim_);
   trained_ = true;
 }
@@ -671,9 +651,9 @@ std::vector<std::vector<SearchHit>> IvfL2Index::SearchBatch(
     const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
     const std::vector<RetrievalQuality>& qualities) const {
   METIS_CHECK_EQ(qualities.size(), queries.size());
-  // Each query resolves its OWN quality override, so a coalesced group can
-  // mix probe modes and budgets. Queries split across the pool into
-  // disjoint slots; each Search counts its own probes.
+  // Each query resolves its OWN quality override, so a batch can mix probe
+  // modes and budgets. Queries split across the pool into disjoint slots;
+  // each Search counts its own probes.
   std::vector<std::vector<SearchHit>> results(queries.size());
   auto sweep = [&](size_t qb, size_t qe) {
     for (size_t qi = qb; qi < qe; ++qi) {
@@ -942,7 +922,7 @@ std::vector<std::vector<SearchHit>> VectorDatabase::RetrieveBatch(
     const std::vector<RetrievalQuality>& qualities) const {
   METIS_CHECK_EQ(qualities.size(), query_texts.size());
   // Hybrid/filtered queries run their per-query path; the plain rest ride
-  // one coalesced SearchBatch sweep.
+  // one SearchBatch sweep.
   std::vector<std::vector<SearchHit>> results(query_texts.size());
   std::vector<size_t> plain;
   std::vector<std::string> texts;

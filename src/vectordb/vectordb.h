@@ -246,11 +246,11 @@ enum class RetrievalPrecision : uint8_t {
 };
 
 // Per-query retrieval-quality override, threaded from the serving-stack
-// configuration (JointSchedulerOptions) through SynthesisExecutor /
-// RetrievalBatcher / VectorDatabase down to the index. The profiler-driven
+// configuration (JointSchedulerOptions) through SynthesisExecutor and
+// VectorDatabase::Retrieve down to the index. The profiler-driven
 // RetrievalDepthPolicy (src/core/) assigns each query its own quality, and
 // the batched sweeps accept one RetrievalQuality per query (heterogeneous
-// groups stay bit-identical to per-query scans). The probe fields steer IVF
+// batches stay bit-identical to per-query scans). The probe fields steer IVF
 // only.
 struct RetrievalQuality {
   enum class ProbeMode {
@@ -446,16 +446,6 @@ class IvfL2Index : public VectorIndex {
   // next search; not synchronized with in-flight searches.
   void set_adaptive_probe(const AdaptiveProbePolicy& policy) { adaptive_ = policy; }
   size_t nlist() const { return nlist_; }
-  size_t nprobe() const { return nprobe_; }
-  uint64_t train_seed() const { return seed_; }
-
-  // Squared L2 distance from `v` to its nearest centroid. The mutable index
-  // samples this over newly sealed segments: when the mean drifts past a
-  // ratio of the train-time mean (below), the centroids no longer describe
-  // the data and a retrain is triggered.
-  double NearestCentroidDistance(const float* v) const;
-  // Mean nearest-centroid distance of the training set, recorded by Train().
-  double train_mean_assign_dist() const { return train_mean_assign_dist_; }
 
   // Snapshots another index's probe counters into this one. Retrains swap in
   // a freshly trained IvfL2Index; carrying the counters over keeps
@@ -516,7 +506,6 @@ class IvfL2Index : public VectorIndex {
   uint64_t seed_;
   bool trained_ = false;
   size_t count_ = 0;
-  double train_mean_assign_dist_ = 0.0;
   AdaptiveProbePolicy adaptive_;
   RowPool centroids_;
   // Pre-train staging area, emptied by Train().
@@ -667,10 +656,12 @@ class VectorDatabase {
                                                const RetrievalQuality& quality = {}) const;
 
   // Batched retrieval: qualities[i] applies to query_texts[i] only, so a
-  // coalesced group can carry one retrieval depth per query. Hybrid and
-  // filtered queries run their per-query path; the plain rest are embedded
-  // (through the memo cache) and answered by one SearchBatch sweep.
-  // results[i] matches RetrieveWithDistances(query_texts[i], k, qualities[i]).
+  // batch can carry one retrieval depth per query. Hybrid and filtered
+  // queries run their per-query path; the plain rest are embedded (through
+  // the memo cache) and answered by one SearchBatch sweep. results[i]
+  // matches RetrieveWithDistances(query_texts[i], k, qualities[i]). The
+  // serving stack retrieves one query per event through Retrieve; perfbench's
+  // per-layer replay calls this.
   std::vector<std::vector<SearchHit>> RetrieveBatch(
       const std::vector<std::string>& query_texts, size_t k,
       const std::vector<RetrievalQuality>& qualities) const;

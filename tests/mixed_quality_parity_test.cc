@@ -1,20 +1,17 @@
-// Heterogeneous per-query RetrievalQuality parity: a coalesced batch in which
+// Heterogeneous per-query RetrievalQuality parity: a SearchBatch in which
 // every query carries its OWN retrieval depth (the profiler-driven per-query
-// knob) must return ids, order, and float distances bit-equal to uncoalesced
-// per-query scans — across backends (flat, IVF) and thread counts {1, 4} —
-// and the probe accounting (totals AND per-query
-// histogram) must agree exactly. This is the determinism contract that lets
-// RetrievalBatcher mix per-query budgets inside one shared sweep.
+// knob) must return ids, order, and float distances bit-equal to per-query
+// Search calls — across backends (flat, IVF) and thread counts {1, 4} — and
+// the probe accounting (totals AND per-query histogram) must agree exactly.
+// This is the contract that lets one sweep (VectorDatabase::RetrieveBatch,
+// perfbench's replay, RecallEval) mix per-query budgets.
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/thread_pool.h"
-#include "src/core/retrieval_batcher.h"
-#include "src/sim/simulator.h"
 #include "src/vectordb/vectordb.h"
 #include "tests/fixtures/clustered_corpus.h"
 
@@ -100,7 +97,7 @@ TEST(MixedQualityParityTest, IvfBatchMatchesPerQueryScansAcrossThreads) {
   policy.distance_ratio = 1.5;
   ivf.set_adaptive_probe(policy);
 
-  // Reference: uncoalesced per-query scans, each under its own quality.
+  // Reference: per-query scans, each under its own quality.
   ivf.ResetProbeStats();
   std::vector<std::vector<SearchHit>> want;
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -147,70 +144,6 @@ TEST(MixedQualityParityTest, FlatBatchIgnoresQualitiesAndMatchesPerQueryScans) {
       ExpectHitsBitEqual(got[i], want[i],
                          "flat threads=" + std::to_string(threads) + " query=" + std::to_string(i));
     }
-  }
-}
-
-// Serving-stack layer: a same-tick RetrievalBatcher group of one width whose
-// requests carry different qualities must hand every callback the ids a
-// direct per-query Retrieve at that quality returns, from ONE sweep.
-TEST(MixedQualityParityTest, BatcherCoalescesHeterogeneousQualityGroup) {
-  auto db = std::make_unique<VectorDatabase>(
-      EmbeddingModel(GetEmbeddingModel("all-mpnet-base-v2-sim")),
-      DatabaseMetadata{"mixed quality corpus", 64, "test"},
-      []() {
-        RetrievalIndexOptions o;
-        o.backend = RetrievalIndexOptions::Backend::kIvf;
-        o.nlist = 4;
-        o.nprobe = 1;
-        return o;
-      }());
-  const char* texts[] = {
-      "the kimbrough stadium sits in randall county texas",
-      "quarterly semiconductor revenue beat analyst expectations",
-      "the committee meeting adjourned after the budget vote",
-      "rainfall totals in the river basin broke the seasonal record",
-      "the stadium hosted the county championship game in randall",
-      "chip fabrication capacity expanded across three new plants",
-      "the river authority issued a flood advisory for the basin",
-      "the board approved the semiconductor capital budget",
-      "county officials repaved the stadium parking lot",
-      "the meeting minutes recorded the final budget tally",
-      "drought conditions eased after record basin rainfall",
-      "analysts raised revenue estimates for chip makers",
-  };
-  std::vector<Chunk> chunks;
-  for (const char* t : texts) {
-    Chunk c;
-    c.text = t;
-    chunks.push_back(std::move(c));
-  }
-  db->AddChunks(std::move(chunks));
-  db->FinalizeIndex();
-  ASSERT_NE(db->ivf_index(), nullptr);
-
-  std::vector<std::string> query_texts = {
-      "what county is the kimbrough stadium in",
-      "semiconductor revenue this quarter",
-      "budget vote at the committee meeting",
-      "rainfall in the river basin",
-  };
-  std::vector<RetrievalQuality> qualities = QualityMix(query_texts.size());
-  std::vector<size_t> ks = {3, 3, 3, 3};
-
-  Simulator sim;
-  RetrievalBatcher batcher(&sim, db.get(), 0.004);
-  std::vector<std::vector<ChunkId>> got(query_texts.size());
-  for (size_t i = 0; i < query_texts.size(); ++i) {
-    batcher.Submit(query_texts[i], ks[i], qualities[i],
-                   [&got, i](std::vector<ChunkId> ids) { got[i] = std::move(ids); });
-  }
-  sim.Run();
-
-  // Coalesced into one sweep, yet every request kept its own depth.
-  EXPECT_EQ(batcher.batches_issued(), 1u);
-  EXPECT_EQ(batcher.max_batch_size(), query_texts.size());
-  for (size_t i = 0; i < query_texts.size(); ++i) {
-    EXPECT_EQ(got[i], db->Retrieve(query_texts[i], ks[i], qualities[i])) << "request " << i;
   }
 }
 

@@ -1,7 +1,7 @@
 // End-to-end retrieval-depth knob tests: the IVF backend + nprobe knob must
 // be reachable from a RunSpec, through RetrievalQualityFromOptions and the
-// serving stack (SynthesisExecutor / RetrievalBatcher), down to IvfL2Index —
-// observable as probe accounting in RunMetrics. This is the integration
+// serving stack (SynthesisExecutor / VectorDatabase::Retrieve), down to
+// IvfL2Index — observable as probe accounting in RunMetrics. This is the integration
 // counterpart to the unit coverage in recall_test / retrieval_parity_test:
 // it proves the knob is live in real experiments, not just in bench_recall.
 
@@ -20,7 +20,7 @@ RunSpec IvfSpec() {
   spec.num_queries = 20;
   spec.arrival_rate = 2.0;
   spec.system = SystemKind::kVllmFixed;  // Fixed config: every retrieval goes
-                                         // through the executor/batcher path.
+                                         // through the executor's Retrieve.
   spec.seed = 7;
   spec.retrieval.backend = RetrievalIndexOptions::Backend::kIvf;
   spec.retrieval.nlist = 16;

@@ -18,8 +18,6 @@
 #include "src/common/check.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
-#include "src/core/retrieval_batcher.h"
-#include "src/sim/simulator.h"
 #include "src/vectordb/kernels.h"
 #include "src/vectordb/vectordb.h"
 #include "tests/fixtures/seed_reference.h"
@@ -591,8 +589,8 @@ TEST(RetrievalParityTest, RetrieveBatchMatchesSequentialRetrieve) {
 
 TEST(RetrievalParityTest, TruncatedBatchWidthIsAPrefixOfWiderSearch) {
   // Dense top-k lists are prefix-consistent under the (distance,
-  // insertion-order) total order. (Fused hybrid answers are not, which is
-  // why the batcher sweeps once per width.)
+  // insertion-order) total order. (Fused hybrid answers are not: fusion
+  // ranks each leg's own top-k, so every retrieval runs at its own width.)
   std::unique_ptr<VectorDatabase> dbp = MakeDb();
   VectorDatabase& db = *dbp;
   auto wide = db.RetrieveWithDistances("stadium county game", 6);
@@ -602,108 +600,6 @@ TEST(RetrievalParityTest, TruncatedBatchWidthIsAPrefixOfWiderSearch) {
     for (size_t i = 0; i < k; ++i) {
       EXPECT_EQ(narrow[i].id, wide[i].id) << "k=" << k << " rank=" << i;
     }
-  }
-}
-
-TEST(RetrievalParityTest, RetrievalBatcherCoalescesSameTickRequests) {
-  std::unique_ptr<VectorDatabase> dbp = MakeDb();
-  VectorDatabase& db = *dbp;
-  Simulator sim;
-  RetrievalBatcher batcher(&sim, &db, 0.004);
-
-  struct Got {
-    SimTime at = -1;
-    std::vector<ChunkId> ids;
-  };
-  std::vector<Got> got(4);
-  std::vector<std::string> queries = {
-      "what county is the kimbrough stadium in",
-      "semiconductor revenue this quarter",
-      "budget vote at the committee meeting",
-      "rainfall in the river basin",
-  };
-  // Three requests at t=0 (widths 2, 2, 3), one more at t=0.001.
-  std::vector<size_t> ks = {2, 2, 3, 2};
-  for (size_t i = 0; i < 3; ++i) {
-    batcher.Submit(queries[i], ks[i], RetrievalQuality{}, [&, i](std::vector<ChunkId> ids) {
-      got[i].at = sim.now();
-      got[i].ids = std::move(ids);
-    });
-  }
-  sim.ScheduleAt(0.001, [&]() {
-    batcher.Submit(queries[3], ks[3], RetrievalQuality{}, [&](std::vector<ChunkId> ids) {
-      got[3].at = sim.now();
-      got[3].ids = std::move(ids);
-    });
-  });
-  sim.Run();
-
-  // Timing is exactly Submit + delay, per request.
-  EXPECT_DOUBLE_EQ(got[0].at, 0.004);
-  EXPECT_DOUBLE_EQ(got[1].at, 0.004);
-  EXPECT_DOUBLE_EQ(got[2].at, 0.004);
-  EXPECT_DOUBLE_EQ(got[3].at, 0.005);
-  // The same-tick k=2 pair shared one sweep, the k=3 request got its own
-  // (one sweep per width), and so did the straggler.
-  EXPECT_EQ(batcher.requests(), 4u);
-  EXPECT_EQ(batcher.batches_issued(), 3u);
-  EXPECT_EQ(batcher.max_batch_size(), 2u);
-  // Results identical to direct per-query retrieval at the requested widths.
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(got[i].ids, db.Retrieve(queries[i], ks[i])) << "request " << i;
-  }
-}
-
-// A same-tick group that asks for one hybrid query at two widths: each
-// request must get exactly what a direct Retrieve at its own width returns.
-// Fusion ranks each leg's own top-k, so the top 2 of a fused k=40 answer is
-// not in general the fused k=2 answer, and widths must not share a sweep.
-TEST(RetrievalParityTest, RetrievalBatcherSweepsHybridGroupOncePerWidth) {
-  RetrievalIndexOptions options;
-  options.lexical = true;
-  VectorDatabase db(EmbeddingModel(GetEmbeddingModel("all-mpnet-base-v2-sim")),
-                    DatabaseMetadata{"hybrid batcher corpus", 64, "test"}, options);
-  const char* words[] = {"stadium", "county",  "randall", "revenue", "quarter", "budget",
-                         "vote",    "meeting", "river",   "basin",   "rainfall", "chip",
-                         "plant",   "merger",  "treaty",  "glacier", "harvest", "orbit"};
-  const int num_words = 18;
-  std::vector<Chunk> chunks;
-  for (int i = 0; i < 400; ++i) {
-    Chunk c;
-    for (int w = 0; w < 7; ++w) {
-      c.text += std::string(w == 0 ? "" : " ") + words[(i * (w + 2) + w * w + i / 9) % num_words];
-    }
-    chunks.push_back(std::move(c));
-  }
-  db.AddChunks(std::move(chunks));
-  db.FinalizeIndex();
-  RetrievalQuality hybrid;
-  hybrid.hybrid = true;
-  hybrid.dense_weight = 0.5f;
-  hybrid.lexical_weight = 0.5f;
-  std::vector<std::string> queries = {
-      "stadium county randall", "quarter revenue merger", "budget vote meeting",
-      "river basin rainfall",   "chip plant revenue",     "treaty glacier harvest",
-      "orbit county vote",      "harvest rainfall basin",
-  };
-
-  Simulator sim;
-  RetrievalBatcher batcher(&sim, &db, 0.004);
-  std::vector<std::vector<ChunkId>> narrow(queries.size());
-  std::vector<std::vector<ChunkId>> wide(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    batcher.Submit(queries[i], 2, hybrid,
-                   [&narrow, i](std::vector<ChunkId> ids) { narrow[i] = std::move(ids); });
-    batcher.Submit(queries[i], 40, hybrid,
-                   [&wide, i](std::vector<ChunkId> ids) { wide[i] = std::move(ids); });
-  }
-  sim.Run();
-
-  EXPECT_EQ(batcher.batches_issued(), 2u);  // One sweep per width.
-  EXPECT_EQ(batcher.max_batch_size(), queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(narrow[i], db.Retrieve(queries[i], 2, hybrid)) << "k=2 query " << i;
-    EXPECT_EQ(wide[i], db.Retrieve(queries[i], 40, hybrid)) << "k=40 query " << i;
   }
 }
 

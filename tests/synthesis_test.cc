@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/runner/runner.h"
 #include "src/synthesis/config.h"
 #include "src/synthesis/synthesis.h"
@@ -119,6 +122,59 @@ TEST_F(SynthesisTest, PromptEstimatorsMatchMethodShape) {
   // Stuff grows linearly in chunks; reduce in intermediates.
   EXPECT_GT(ex.StuffPromptTokens(q, 8), ex.StuffPromptTokens(q, 4));
   EXPECT_GT(ex.ReducePromptTokens(q, 4, 100), ex.ReducePromptTokens(q, 4, 50));
+}
+
+// Every retrieval is one simulator event kRetrievalSeconds after Execute,
+// and it answers what VectorDatabase::Retrieve returns at the execution's
+// quality. A stuff execution submits its one engine request inside that
+// event, so engine.stats().submitted steps exactly at each retrieval time.
+TEST_F(SynthesisTest, RetrievalFiresAfterFixedDelayWithDirectRetrieveAnswer) {
+  Simulator sim;
+  EngineConfig cfg;
+  cfg.model = Mistral7BAwq();
+  cfg.kv_pool_bytes = 4.0 * kGiB;
+  LlmEngine engine(&sim, cfg, 1);
+  BehaviorModel behavior(BehaviorParams{}, 1);
+  SynthesisExecutor ex(&sim, &engine, &behavior, dataset_, 1);
+  const int k = 3;
+  const RagConfig stuff{SynthesisMethod::kStuff, k, 0};
+  // The second execution carries its own quality (the four-argument form);
+  // the other two retrieve at the stack default.
+  RetrievalQuality own;
+  own.mode = RetrievalQuality::ProbeMode::kFixed;
+  own.nprobe = 2;
+  const std::vector<RetrievalQuality> qualities = {RetrievalQuality{}, own, RetrievalQuality{}};
+  const std::vector<RagQuery>& queries = dataset_->queries();
+  std::vector<RagResult> results(3);
+  auto record = [&results](size_t i) {
+    return [&results, i](RagResult r) { results[i] = std::move(r); };
+  };
+  // Two executions at t = 0, one at t = 0.001.
+  ex.Execute(queries[0], stuff, record(0));
+  ex.Execute(queries[1], stuff, own, record(1));
+  sim.ScheduleAt(0.001, [&]() { ex.Execute(queries[2], stuff, record(2)); });
+  const double kEps = 1e-9;
+  const double t0 = SynthesisExecutor::kRetrievalSeconds;
+  const double t1 = 0.001 + SynthesisExecutor::kRetrievalSeconds;
+  std::vector<uint64_t> submitted;
+  for (double at : {t0 - kEps, t0 + kEps, t1 - kEps, t1 + kEps}) {
+    sim.ScheduleAt(at, [&]() { submitted.push_back(engine.stats().submitted); });
+  }
+  sim.Run();
+
+  EXPECT_EQ(submitted, (std::vector<uint64_t>{0, 2, 2, 3}));
+  for (size_t i = 0; i < results.size(); ++i) {
+    std::vector<ChunkId> ids = dataset_->db().Retrieve(queries[i].text, k, qualities[i]);
+    int covered = 0;
+    for (int32_t fid : queries[i].gold_fact_ids) {
+      if (std::find(ids.begin(), ids.end(), dataset_->fact(fid).chunk_id) != ids.end()) {
+        ++covered;
+      }
+    }
+    EXPECT_EQ(results[i].query_id, queries[i].id) << "execution " << i;
+    EXPECT_EQ(results[i].retrieved_chunks, k) << "execution " << i;
+    EXPECT_EQ(results[i].gold_facts_retrieved, covered) << "execution " << i;
+  }
 }
 
 // Property sweep: for every synthesis method, F1 is in [0,1], the answer is

@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Counts what ROADMAP item 8 tracks: src/ lines and option fields.
+"""Counts what ROADMAP item 8 tracks: src/ lines, option fields, include cycles.
 
     python3 tools/src_census.py
 
 Prints the line count of every .h and .cc file under src/, in total and
 without blank lines, `//` comment lines and `/* */` comment blocks; the
 field count of each of the twelve option structs the options ledger in
-docs/ARCHITECTURE.md lists; and the two ledger totals, the five structs that
+docs/ARCHITECTURE.md lists; the two ledger totals, the five structs that
 configure a run and the seven that configure the METIS controller and the
-retrieval substrate. Reads the tree the script sits in.
+retrieval substrate; and every cycle in the include graph between src/
+directories (src/a -> src/b when a file under src/a includes one under
+src/b), each edge with the first include that makes it. Reads the tree the
+script sits in.
 """
 
 import os
@@ -34,6 +37,8 @@ LEDGER = [
      "DepthCalibratorOptions"),
     ("substrate", "HybridRouterOptions", "src/core/hybrid_router.h", "HybridRouterOptions"),
 ]
+
+INCLUDE = re.compile(r'^\s*#\s*include\s+"src/([^/"]+)/')
 
 # Member declarations that are not fields.
 NOT_A_FIELD = re.compile(r"^(enum|struct|class|union|using|typedef|static|friend|template)\b")
@@ -63,6 +68,44 @@ def count_lines():
                     continue
                 code += 1
     return files, total, code
+
+
+def include_edges():
+    """Maps (dir, included dir) to the first "file: line" that includes across."""
+    edges = {}
+    src = os.path.join(ROOT, "src")
+    for root, _, names in sorted(os.walk(src)):
+        for name in sorted(names):
+            if not name.endswith((".h", ".cc")):
+                continue
+            path = os.path.join(root, name)
+            rel = os.path.relpath(path, ROOT)
+            here = rel.split(os.sep)[1]
+            with open(path) as f:
+                for line in f:
+                    m = INCLUDE.match(line)
+                    if m and m.group(1) != here:
+                        edges.setdefault((here, m.group(1)), "%s: %s" % (rel, line.strip()))
+    return edges
+
+
+def directory_cycles(edges):
+    """Lists every elementary cycle once, starting at its smallest directory."""
+    succ = {}
+    for a, b in edges:
+        succ.setdefault(a, []).append(b)
+    cycles = []
+
+    def walk(start, path):
+        for nxt in sorted(succ.get(path[-1], [])):
+            if nxt == start:
+                cycles.append(path + [start])
+            elif nxt > start and nxt not in path:
+                walk(start, path + [nxt])
+
+    for start in sorted(succ):
+        walk(start, [start])
+    return cycles
 
 
 def strip_comments(text):
@@ -125,8 +168,22 @@ def main():
             print("  %-28s %3d  %s" % (label, n, header))
         print("  %-28s %3d" % ("total", totals[group]))
     print("options: run %d, substrate %d" % (totals["run"], totals["substrate"]))
+    edges = include_edges()
+    cycles = directory_cycles(edges)
+    print("directory include cycles: %s" % (len(cycles) if cycles else "none"))
+    for cycle in cycles:
+        print("  " + " -> ".join(cycle))
+        for a, b in zip(cycle, cycle[1:]):
+            print("    " + edges[(a, b)])
+    sys.stdout.flush()
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head -1`): stop quietly, and keep
+        # the interpreter's own final flush from raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(0)
