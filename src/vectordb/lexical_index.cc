@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "src/common/check.h"
+#include "src/common/rng.h"
 #include "src/common/strings.h"
 #include "src/text/tokenizer.h"
 
@@ -24,44 +24,103 @@ double TermScore(double idf, int32_t tf, int32_t doc_len, double avgdl) {
 
 }  // namespace
 
-uint32_t LexicalIndex::Intern(std::string_view term) {
-  auto it = term_ids_.find(term);
-  if (it != term_ids_.end()) {
-    return it->second;
+template <typename Same>
+size_t LexicalIndex::Probe(const std::vector<Slot>& slots, uint64_t hash, Same&& same) {
+  size_t mask = slots.size() - 1;
+  size_t i = hash & mask;
+  while (slots[i].id != kNoTerm && !(slots[i].hash == hash && same(slots[i].id))) {
+    i = (i + 1) & mask;
   }
-  METIS_CHECK(term_text_.size() < std::numeric_limits<uint32_t>::max());
+  return i;
+}
+
+void LexicalIndex::Grow(std::vector<Slot>& slots) {
+  std::vector<Slot> old(slots.size() * 2);
+  old.swap(slots);
+  for (const Slot& s : old) {
+    if (s.id != kNoTerm) {
+      slots[Probe(slots, s.hash, [](uint32_t) { return false; })] = s;
+    }
+  }
+}
+
+void LexicalIndex::DocTerms::Analyze(std::string_view text) {
+  METIS_CHECK_LT(text.size(), size_t{UINT32_MAX});
+  // The unique terms' bytes never outgrow the text. Each token is written
+  // at `used` as it is lowercased and hashed; only a new term advances it.
+  bytes_.resize(text.size());
+  size_t used = 0;
+  terms_.clear();
+  len_ = 0;
+  if (slots_.empty()) {
+    slots_.resize(64);
+  }
+  std::fill(slots_.begin(), slots_.end(), Slot{});
+  ForEachToken(text, [&](std::string_view token) {
+    ++len_;
+    char* out = bytes_.data() + used;
+    uint64_t fnv = kFnv64Offset;
+    for (size_t j = 0; j < token.size(); ++j) {
+      out[j] = LowerAscii(token[j]);
+      fnv = Fnv64Step(fnv, static_cast<unsigned char>(out[j]));
+    }
+    Term term{FinishHash64(fnv), static_cast<uint32_t>(used), static_cast<uint32_t>(token.size()),
+              1};
+    size_t i = Probe(slots_, term.hash,
+                     [&](uint32_t id) { return view(terms_[id]) == view(term); });
+    if (slots_[i].id != kNoTerm) {
+      ++terms_[slots_[i].id].tf;
+      return;
+    }
+    used += token.size();
+    slots_[i] = Slot{term.hash, static_cast<uint32_t>(terms_.size())};
+    terms_.push_back(term);
+    if (terms_.size() * 2 > slots_.size()) {
+      Grow(slots_);
+    }
+  });
+  bytes_.resize(used);
+}
+
+size_t LexicalIndex::FindSlot(std::string_view term, uint64_t hash) const {
+  return Probe(slots_, hash, [&](uint32_t id) { return term_text_[id] == term; });
+}
+
+uint32_t LexicalIndex::Intern(std::string_view term, uint64_t hash) {
+  size_t i = FindSlot(term, hash);
+  if (slots_[i].id != kNoTerm) {
+    return slots_[i].id;
+  }
+  METIS_CHECK_LT(term_text_.size(), size_t{kNoTerm});
   uint32_t id = static_cast<uint32_t>(term_text_.size());
+  slots_[i] = Slot{hash, id};
   term_text_.emplace_back(term);
-  term_ids_.emplace(term_text_.back(), id);
   postings_.emplace_back();
+  if (term_text_.size() * 2 > slots_.size()) {
+    Grow(slots_);
+  }
   return id;
 }
 
-void LexicalIndex::Add(ChunkId id, const std::string& text) {
-  auto [doc, inserted] = docs_.try_emplace(id);
+void LexicalIndex::Insert(ChunkId id, const DocTerms& doc) {
+  auto [it, inserted] = docs_.try_emplace(id);
   METIS_CHECK(inserted);
-  DocInfo& info = doc->second;
-  // Every token's term id, sorted so each term is one run.
-  std::vector<uint32_t>& ids = add_ids_;
-  ids.clear();
-  std::string term;
-  ForEachToken(text, [&](std::string_view token) {
-    term.resize(token.size());
-    std::transform(token.begin(), token.end(), term.begin(), LowerAscii);
-    ids.push_back(Intern(term));
-  });
-  std::sort(ids.begin(), ids.end());
-
-  info.len = static_cast<int32_t>(ids.size());
+  DocInfo& info = it->second;
+  info.len = doc.len_;
   info.order = next_order_++;
-  for (size_t i = 0; i < ids.size();) {
-    size_t j = i;
-    while (j < ids.size() && ids[j] == ids[i]) ++j;
-    postings_[ids[i]].push_back(Posting{id, static_cast<int32_t>(j - i), info.len, info.order});
-    info.terms.push_back(ids[i]);
-    i = j;
+  info.terms.reserve(doc.terms_.size());
+  for (const DocTerms::Term& t : doc.terms_) {
+    uint32_t term = Intern(doc.view(t), t.hash);
+    postings_[term].push_back(Posting{id, t.tf, info.len, info.order});
+    info.terms.push_back(term);
   }
   total_live_len_ += static_cast<uint64_t>(info.len);
+}
+
+void LexicalIndex::Add(ChunkId id, std::string_view text) {
+  DocTerms doc;
+  doc.Analyze(text);
+  Insert(id, doc);
 }
 
 bool LexicalIndex::Remove(ChunkId id) {
@@ -91,9 +150,12 @@ std::vector<SearchHit> LexicalIndex::Search(const std::string& query_text, size_
   // Unique query terms in string order (the order each document's score
   // sums in) with live-set idf. A term never indexed, or with an empty
   // list, matches nothing and is dropped up front.
-  std::vector<std::string> tokens = Tokenize(query_text);
-  std::sort(tokens.begin(), tokens.end());
-  tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
+  DocTerms query;
+  query.Analyze(query_text);
+  std::vector<DocTerms::Term>& terms = query.terms_;
+  std::sort(terms.begin(), terms.end(), [&query](const DocTerms::Term& a, const DocTerms::Term& b) {
+    return query.view(a) < query.view(b);
+  });
   double n = static_cast<double>(docs_.size());
   double avgdl = static_cast<double>(total_live_len_) / n;
 
@@ -104,10 +166,10 @@ std::vector<SearchHit> LexicalIndex::Search(const std::string& query_text, size_
   };
   std::unordered_map<ChunkId, Scored> acc;
   uint64_t scanned = 0;
-  for (const std::string& t : tokens) {
-    auto it = term_ids_.find(t);
-    if (it == term_ids_.end()) continue;
-    const std::vector<Posting>& list = postings_[it->second];
+  for (const DocTerms::Term& t : terms) {
+    uint32_t term = slots_[FindSlot(query.view(t), t.hash)].id;
+    if (term == kNoTerm) continue;
+    const std::vector<Posting>& list = postings_[term];
     if (list.empty()) continue;
     double df = static_cast<double>(list.size());
     double idf = std::log((n - df + 0.5) / (df + 0.5) + 1.0);

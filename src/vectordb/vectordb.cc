@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <unordered_map>
 #include <utility>
@@ -118,12 +119,14 @@ void CertifyRowsImpl(const RowPool& pool, const QuantizedCodes& codes, size_t be
     dot(codes.block(b), cq.pairs.data(), cq.pairs.size(), s);
     size_t row_end = std::min(end, (b + 1) * kSqBlockRows);
     for (size_t i = std::max(begin, b * kSqBlockRows); i < row_end; ++i) {
-      if (kFiltered && exclude.contains(pool.id(i))) {
-        continue;
-      }
       DistanceInterval iv = CertifiedInterval(cq, pool.norm(i), s[i % kSqBlockRows]);
       if (iv.lo > cutoff) {
         continue;  // Its hi is larger still: it cannot move U either.
+      }
+      // After the interval test: a rejected row changes no state, dead or
+      // live, and most rows are rejected.
+      if (kFiltered && exclude.contains(pool.id(i))) {
+        continue;
       }
       size_t order = base + i;
       scan.upper.Offer(RoundUpToFloat(iv.hi), order, pool.id(i));
@@ -716,30 +719,51 @@ const IvfL2Index* VectorDatabase::ivf_index() const {
 }
 
 std::vector<ChunkId> VectorDatabase::AddChunks(std::vector<Chunk> chunks, ThreadPool* pool) {
-  // Embedding (tokenize + hash) dominates bulk load and each text is
-  // independent, so the batch shards across the pool; indexing then runs
-  // serially in order, so ids and insertion orders follow the chunks' order
-  // for any pool size.
-  std::vector<std::string> texts;
-  texts.reserve(chunks.size());
-  for (const Chunk& c : chunks) {
-    texts.push_back(c.text);
-  }
-  std::vector<Embedding> embeddings = embedder_.EmbedBatch(texts, pool);
-  std::vector<ChunkId> ids(chunks.size());
-  for (size_t i = 0; i < chunks.size(); ++i) {
-    ids[i] = static_cast<ChunkId>(chunks_.size() + i);
-  }
-  index_->Reserve(ids.size());
-  for (size_t i = 0; i < chunks.size(); ++i) {
-    Chunk& chunk = chunks[i];
-    chunk.id = ids[i];
-    index_->Add(chunk.id, embeddings[i]);
-    if (lexical_ != nullptr) {
-      lexical_->Add(chunk.id, chunk.text);
+  // Embedding and BM25 analysis read one text each, in place, and dominate
+  // bulk load, so both run across the pool; indexing then runs serially in
+  // order, so ids, insertion orders and posting lists follow the chunks'
+  // order for any pool size. The analyses run in windows of kWindow chunks,
+  // which bounds how many are held at once; the embeddings run in one sweep,
+  // because every fork-join window waits for the pool's slowest shard.
+  auto parallel_for = [pool](size_t n, const std::function<void(size_t, size_t)>& fn) {
+    if (pool != nullptr) {
+      pool->ParallelFor(n, fn);
+    } else {
+      fn(0, n);
     }
-    chunks_.push_back(std::move(chunk));
-    deleted_.push_back(false);
+  };
+  std::vector<Embedding> embeddings(chunks.size());
+  parallel_for(chunks.size(), [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      embeddings[i] = embedder_.Embed(chunks[i].text);
+    }
+  });
+  constexpr size_t kWindow = 256;
+  std::vector<LexicalIndex::DocTerms> terms(lexical_ != nullptr ? std::min(kWindow, chunks.size())
+                                                                 : 0);
+  std::vector<ChunkId> ids;
+  ids.reserve(chunks.size());
+  index_->Reserve(chunks.size());
+  for (size_t w = 0; w < chunks.size(); w += kWindow) {
+    size_t n = std::min(kWindow, chunks.size() - w);
+    if (lexical_ != nullptr) {
+      parallel_for(n, [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          terms[i].Analyze(chunks[w + i].text);
+        }
+      });
+    }
+    for (size_t i = 0; i < n; ++i) {
+      Chunk& chunk = chunks[w + i];
+      chunk.id = static_cast<ChunkId>(chunks_.size());
+      index_->Add(chunk.id, embeddings[w + i]);
+      if (lexical_ != nullptr) {
+        lexical_->Insert(chunk.id, terms[i]);
+      }
+      ids.push_back(chunk.id);
+      chunks_.push_back(std::move(chunk));
+      deleted_.push_back(false);
+    }
   }
   return ids;
 }

@@ -626,9 +626,10 @@ class VectorDatabase {
   VectorDatabase(const VectorDatabase&) = delete;
   VectorDatabase& operator=(const VectorDatabase&) = delete;
 
-  // Embeds every chunk's text in one EmbedBatch (sharded across `pool` when
-  // given) and indexes the chunks in order under consecutive new ids, which it
-  // returns. Ids and index contents are the same for any pool size.
+  // Embeds (and, with a lexical index, BM25-analyzes) every chunk's text,
+  // across `pool` when given, and indexes the chunks in order under
+  // consecutive new ids, which it returns. Ids and index contents are the
+  // same for any pool size.
   std::vector<ChunkId> AddChunks(std::vector<Chunk> chunks, ThreadPool* pool = nullptr);
 
   // Call once after bulk-loading chunks. Trains the IVF coarse quantizer

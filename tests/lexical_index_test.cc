@@ -1,6 +1,7 @@
 // BM25 lexical index (src/vectordb/lexical_index.h) against a brute-force
-// scorer over the live set, under insert/remove churn, plus documents with no
-// tokens, removed postings leaving the scan, and the pinned work counters.
+// scorer over the live set, under insert/remove churn and through
+// VectorDatabase's pooled bulk load, plus documents with no tokens, removed
+// postings leaving the scan, and the pinned work counters.
 
 #include <gtest/gtest.h>
 
@@ -8,13 +9,17 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/strings.h"
+#include "src/common/thread_pool.h"
 #include "src/text/tokenizer.h"
 #include "src/vectordb/lexical_index.h"
+#include "src/vectordb/vectordb.h"
 
 namespace metis {
 namespace {
@@ -105,6 +110,22 @@ class ReferenceBm25 {
     return hits;
   }
 
+  // The postings a search for `query` at depth k reads: the live documents
+  // holding each unique query term, none when k is 0 or nothing is live.
+  uint64_t Postings(const std::string& query, size_t k) const {
+    std::vector<std::string> terms = Tokenize(query);
+    std::sort(terms.begin(), terms.end());
+    terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+    uint64_t n_live = 0;
+    uint64_t postings = 0;
+    for (const Doc& d : docs_) {
+      if (!d.live) continue;
+      ++n_live;
+      for (const std::string& t : terms) postings += d.tf.count(t);
+    }
+    return k == 0 || n_live == 0 ? 0 : postings;
+  }
+
  private:
   struct Doc {
     ChunkId id = 0;
@@ -176,9 +197,13 @@ void CheckAgainstReference(const LexicalIndex& index, const ReferenceBm25& ref, 
   for (const std::string& q : Queries()) {
     for (size_t k : {size_t{0}, size_t{1}, size_t{5}, size_t{1000}}) {
       std::string where = context + " q='" + q + "' k=" + std::to_string(k);
+      uint64_t before = index.stats().postings_scanned;
       std::vector<SearchHit> want = ref.Search(q, k, {});
       ExpectBitEqual(index.Search(q, k), want, where);
       ExpectBitEqual(index.Search(q, k, filter), ref.Search(q, k, exclude), where + " filtered");
+      // The filter drops postings after they are read, so both scans count
+      // every live one.
+      EXPECT_EQ(index.stats().postings_scanned - before, 2 * ref.Postings(q, k)) << where;
     }
   }
 }
@@ -229,6 +254,68 @@ TEST(LexicalIndexTest, MatchesBruteForceScorerUnderChurn) {
     }
     EXPECT_FALSE(index.Remove(next_id));  // Never added.
   }
+}
+
+TEST(LexicalIndexTest, PooledBulkLoadMatchesReferenceAtAnyPoolSize) {
+  // RandomText documents plus fixed ones: case and punctuation variants of
+  // one term, a zero-token document, one term 40 times, and 600 distinct
+  // words (more unique terms than any fixed-size per-document table).
+  Rng rng(4242);
+  std::vector<std::string> texts;
+  for (int i = 0; i < 300; ++i) {
+    texts.push_back(RandomText(rng));
+    if (i == 40) texts.push_back("Phoenix, ALPHA");
+    if (i == 90) texts.push_back("(phoenix)");
+    if (i == 150) texts.push_back("?? !!");
+    if (i == 200) {
+      std::string repeated = "Delta";
+      for (int r = 1; r < 40; ++r) repeated += " delta";
+      texts.push_back(repeated);
+    }
+    if (i == 250) {
+      std::string wide = "alpha";
+      for (int w = 1; w < 600; ++w) wide += StrFormat(" w%03d", w);
+      texts.push_back(wide);
+    }
+  }
+  ChunkId n = static_cast<ChunkId>(texts.size());
+
+  ReferenceBm25 ref;
+  LexicalIndex per_doc;
+  for (ChunkId id = 0; id < n; ++id) {
+    ref.Add(id, texts[static_cast<size_t>(id)]);
+    per_doc.Add(id, texts[static_cast<size_t>(id)]);
+  }
+  std::vector<std::unique_ptr<VectorDatabase>> dbs;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    RetrievalIndexOptions options;
+    options.lexical = true;
+    options.mutable_index = true;  // DeleteChunks needs it.
+    options.mutation.max_rows = 1024;
+    dbs.push_back(std::make_unique<VectorDatabase>(
+        EmbeddingModel(GetEmbeddingModel("all-mpnet-base-v2-sim")),
+        DatabaseMetadata{"lexical bulk-load test", 64, "test"}, options));
+    std::vector<Chunk> chunks(texts.size());
+    for (size_t i = 0; i < texts.size(); ++i) chunks[i].text = texts[i];
+    ThreadPool pool(threads);
+    dbs.back()->AddChunks(std::move(chunks), &pool);
+    dbs.back()->FinalizeIndex(&pool);
+  }
+  auto check = [&](const std::string& when) {
+    CheckAgainstReference(per_doc, ref, n, "per-document Add, " + when);
+    for (size_t i = 0; i < dbs.size(); ++i) {
+      ASSERT_NE(dbs[i]->lexical_index(), nullptr);
+      CheckAgainstReference(*dbs[i]->lexical_index(), ref, n,
+                            (i == 0 ? "pool 1, " : "pool 4, ") + when);
+    }
+  };
+  check("all live");
+  for (ChunkId id = 0; id < n; id += 3) {
+    EXPECT_TRUE(ref.Remove(id));
+    EXPECT_TRUE(per_doc.Remove(id));
+    for (auto& db : dbs) EXPECT_EQ(db->DeleteChunks({id}), 1u);
+  }
+  check("every third removed");
 }
 
 TEST(LexicalIndexTest, ZeroTokenDocAddsNoPostingAndIsRemovedCleanly) {

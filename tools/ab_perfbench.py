@@ -7,11 +7,18 @@
 Pair i runs the parent first when i is even and the change first when it is
 odd, each with --trace 0. For every end-to-end metric of BENCHMARK.json it
 prints each side's median and quartiles, the change/parent ratio of the
-medians, and how many pairs the change won (ties count for neither). A
-metric whose change median beats the parent's by more than the parent's
-interquartile range while winning at least 9 of 10 pairs is marked "gain";
-one whose parent spread (IQR / median) exceeds its bound is marked
-"unresolved". The exit code is non-zero when any run exits non-zero, reports
+medians, and how many pairs the change won (ties count for neither). Each
+metric gets the verdicts a benchmark gate draws from such runs:
+
+  gain        ten or more pairs, the change won at least 9 in 10 of them,
+              and its median beats the parent's by more than the parent's
+              interquartile range (fewer pairs never show a gain);
+  regression  the change's median is worse than the parent's by more than
+              the metric's BENCHMARK.json bound, as a fraction of the
+              parent's median;
+  unresolved  the parent's spread (IQR / median) exceeds that bound.
+
+The exit code is non-zero when any run exits non-zero, reports
 "correct": false or "failed" > 0, or when any simulated metric differs
 between any two runs: they are exact per seed, so both trees must agree to
 the last digit.
@@ -100,8 +107,10 @@ def main():
         wins = sum(1 for p, c in zip(parent, change) if (c > p if higher else c < p))
         gain = (cq[1] - pq[1]) if higher else (pq[1] - cq[1])
         notes = []
-        if wins * 10 >= 9 * args.pairs and gain > pq[2] - pq[0]:
+        if args.pairs >= 10 and wins * 10 >= 9 * args.pairs and gain > pq[2] - pq[0]:
             notes.append("gain")
+        if pq[1] != 0 and -gain / abs(pq[1]) > m["bound"]:
+            notes.append("regression: worse than the %g bound" % m["bound"])
         if pq[1] != 0 and (pq[2] - pq[0]) / abs(pq[1]) > m["bound"]:
             notes.append("unresolved: parent IQR above the %g bound" % m["bound"])
         ratio = cq[1] / pq[1] if pq[1] != 0 else float("nan")
