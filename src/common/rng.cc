@@ -22,12 +22,6 @@ uint64_t HashString64(std::string_view s) {
   return FinishHash64(h);
 }
 
-namespace {
-
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-}  // namespace
-
 Rng::Rng(uint64_t seed) : seed_(seed) {
   uint64_t st = seed;
   for (auto& lane : s_) {
@@ -41,49 +35,7 @@ Rng Rng::Fork(std::string_view tag) const {
   return Rng(SplitMix64(st));
 }
 
-uint64_t Rng::NextU64() {
-  uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 random mantissa bits -> uniform double in [0, 1).
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
-
-int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
-  METIS_CHECK_LE(lo, hi);
-  uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  if (span == 0) {  // Full 64-bit range.
-    return static_cast<int64_t>(NextU64());
-  }
-  // Rejection sampling to avoid modulo bias.
-  uint64_t limit = UINT64_MAX - (UINT64_MAX % span);
-  uint64_t v = NextU64();
-  while (v >= limit) {
-    v = NextU64();
-  }
-  return lo + static_cast<int64_t>(v % span);
-}
-
 double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0) {
-    return false;
-  }
-  if (p >= 1) {
-    return true;
-  }
-  return NextDouble() < p;
-}
 
 double Rng::Normal(double mean, double stddev) {
   // Box-Muller. Draws two uniforms per call; simplicity beats caching here.
@@ -142,11 +94,6 @@ int Rng::Zipf(int n, double s) {
     }
   }
   return n - 1;
-}
-
-size_t Rng::Index(size_t size) {
-  METIS_CHECK_GT(size, 0u);
-  return static_cast<size_t>(UniformInt(0, static_cast<int64_t>(size) - 1));
 }
 
 }  // namespace metis

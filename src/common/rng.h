@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <string_view>
 
+#include "src/common/check.h"
+
 namespace metis {
 
 // SplitMix64 step; used for seeding and hashing.
@@ -30,7 +32,8 @@ inline uint64_t FinishHash64(uint64_t fnv) { return SplitMix64(fnv); }
 
 // xoshiro256** PRNG. Small, fast, and good enough statistical quality for
 // workload synthesis and timing jitter; crucially, fully deterministic and
-// serializable across platforms.
+// serializable across platforms. The per-draw methods are defined below the
+// class so that the corpus generator's per-token draws inline.
 class Rng {
  public:
   explicit Rng(uint64_t seed);
@@ -71,9 +74,68 @@ class Rng {
   uint64_t seed() const { return seed_; }
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+  // Uniform in [0, span) for span > 0, without modulo bias: a draw at or above
+  // limit = UINT64_MAX - UINT64_MAX % span is redrawn. UINT64_MAX % span is
+  // below span, so limit > UINT64_MAX - span and every draw at or below
+  // UINT64_MAX - span is accepted without computing the limit (a 64-bit
+  // division); the draws accepted and redrawn are exactly the plain loop's.
+  uint64_t Below(uint64_t span);
+
   uint64_t seed_ = 0;
   uint64_t s_[4] = {0, 0, 0, 0};
 };
+
+inline uint64_t Rng::NextU64() {
+  uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+  uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = Rotl(s_[3], 45);
+  return result;
+}
+
+inline double Rng::NextDouble() {
+  // 53 random mantissa bits -> uniform double in [0, 1).
+  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
+}
+
+inline bool Rng::Bernoulli(double p) {
+  if (p <= 0) {
+    return false;
+  }
+  if (p >= 1) {
+    return true;
+  }
+  return NextDouble() < p;
+}
+
+inline uint64_t Rng::Below(uint64_t span) {
+  uint64_t v = NextU64();
+  while (v > UINT64_MAX - span && v >= UINT64_MAX - UINT64_MAX % span) {
+    v = NextU64();
+  }
+  return v % span;
+}
+
+inline int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
+  METIS_CHECK_LE(lo, hi);
+  // In unsigned arithmetic: hi - lo may exceed INT64_MAX.
+  uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
+  if (span == 0) {  // Full 64-bit range.
+    return static_cast<int64_t>(NextU64());
+  }
+  return static_cast<int64_t>(static_cast<uint64_t>(lo) + Below(span));
+}
+
+inline size_t Rng::Index(size_t size) {
+  METIS_CHECK_GT(size, 0u);
+  return static_cast<size_t>(Below(size));
+}
 
 }  // namespace metis
 

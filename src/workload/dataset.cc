@@ -1,6 +1,7 @@
 #include "src/workload/dataset.h"
 
 #include <algorithm>
+#include <string_view>
 #include <unordered_set>
 
 #include "src/common/check.h"
@@ -552,19 +553,30 @@ std::unique_ptr<Dataset> DatasetGenerator::Generate(int num_queries,
 
   std::vector<Chunk> chunk_objs;
   chunk_objs.reserve(pending.size());
+  // Where each fact sentence starts (evenly spread with jitter).
+  struct Placement {
+    int32_t fact_id;
+    int offset;
+  };
+  std::vector<Placement> placements;
+  // One chunk's text, reused across chunks; each chunk keeps an exact-size copy.
+  std::string text;
   for (size_t ci = 0; ci < pending.size(); ++ci) {
     PendingChunk& pc = pending[ci];
-    // Build the chunk as a token stream: topic-seasoned filler with fact
-    // sentences spliced in at deterministic positions.
-    std::vector<std::string> tokens;
-    tokens.reserve(static_cast<size_t>(profile_.chunk_tokens));
-
-    // Compute where each fact sentence starts (evenly spread with jitter).
-    struct Placement {
-      int32_t fact_id;
-      int offset;
+    // Build the chunk word by word: topic-seasoned filler with fact sentences
+    // spliced in at deterministic positions, one space between words, and
+    // no word past chunk_tokens (a sentence that overruns is cut there).
+    text.clear();
+    int tokens = 0;
+    auto append = [&](std::string_view word) {
+      if (tokens > 0) {
+        text += ' ';
+      }
+      text += word;
+      ++tokens;
     };
-    std::vector<Placement> placements;
+
+    placements.clear();
     int region = profile_.chunk_tokens / std::max<int>(1, static_cast<int>(pc.fact_ids.size()));
     for (size_t f = 0; f < pc.fact_ids.size(); ++f) {
       int base = static_cast<int>(f) * region;
@@ -573,13 +585,16 @@ std::unique_ptr<Dataset> DatasetGenerator::Generate(int num_queries,
     }
 
     size_t next_fact = 0;
-    while (static_cast<int>(tokens.size()) < profile_.chunk_tokens) {
-      if (next_fact < placements.size() &&
-          static_cast<int>(tokens.size()) >= placements[next_fact].offset) {
+    while (tokens < profile_.chunk_tokens) {
+      if (next_fact < placements.size() && tokens >= placements[next_fact].offset) {
         Fact& fact = facts[placements[next_fact].fact_id];
-        fact.offset_tokens = static_cast<int>(tokens.size());
-        for (const auto& w : SplitWords(fact.sentence)) {
-          tokens.push_back(w);
+        fact.offset_tokens = tokens;
+        // FactSentence joins nonempty words with single spaces.
+        std::string_view sentence = fact.sentence;
+        for (size_t start = 0; start < sentence.size() && tokens < profile_.chunk_tokens;) {
+          size_t end = std::min(sentence.find(' ', start), sentence.size());
+          append(sentence.substr(start, end - start));
+          start = end + 1;
         }
         ++next_fact;
         continue;
@@ -589,16 +604,15 @@ std::unique_ptr<Dataset> DatasetGenerator::Generate(int num_queries,
       // Zipf head would otherwise give every chunk a large shared component
       // and drown the topic signal.
       if (!pc.topic_words.empty() && textgen.Bernoulli(profile_.topic_fraction)) {
-        tokens.push_back(pc.topic_words[textgen.Index(pc.topic_words.size())]);
+        append(pc.topic_words[textgen.Index(pc.topic_words.size())]);
       } else {
-        tokens.push_back(filler_vocab.word(textgen.Index(filler_vocab.size())));
+        append(filler_vocab.word(textgen.Index(filler_vocab.size())));
       }
     }
-    tokens.resize(static_cast<size_t>(profile_.chunk_tokens));
 
     Chunk chunk;
     chunk.doc_id = chunk_doc[ci];
-    chunk.text = Join(tokens, " ");
+    chunk.text = text;
     chunk.token_count = profile_.chunk_tokens;
     chunk.fact_ids = pc.fact_ids;
     // Typed attributes, assigned RNG-free for every dataset (metadata-filter

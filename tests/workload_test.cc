@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
+#include "src/common/strings.h"
 #include "src/text/tokenizer.h"
 #include "src/workload/dataset.h"
 
@@ -167,6 +171,126 @@ TEST(DatasetGeneratorTest, ProfileFlagsMatchTemplates) {
     EXPECT_GE(q.target_output_tokens, GetDatasetProfile("qmsum").min_output_tokens);
     EXPECT_LE(q.target_output_tokens, GetDatasetProfile("qmsum").max_output_tokens);
   }
+}
+
+// FNV-1a over a stream of fields; a string or list is preceded by its length
+// so that field boundaries cannot alias.
+class FieldDigest {
+ public:
+  void Int(int64_t v) {
+    for (int b = 0; b < 64; b += 8) {
+      h_ = (h_ ^ ((static_cast<uint64_t>(v) >> b) & 0xff)) * 0x100000001B3ull;
+    }
+  }
+  void Str(const std::string& s) {
+    Int(static_cast<int64_t>(s.size()));
+    for (unsigned char c : s) {
+      h_ = (h_ ^ c) * 0x100000001B3ull;
+    }
+  }
+  void Strs(const std::vector<std::string>& v) {
+    Int(static_cast<int64_t>(v.size()));
+    for (const std::string& s : v) {
+      Str(s);
+    }
+  }
+  void Ints(const std::vector<int32_t>& v) {
+    Int(static_cast<int64_t>(v.size()));
+    for (int32_t x : v) {
+      Int(x);
+    }
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xCBF29CE484222325ull;
+};
+
+// Every generated chunk, fact and query field the runs read, in id order.
+uint64_t DatasetDigest(const Dataset& ds) {
+  FieldDigest d;
+  d.Int(static_cast<int64_t>(ds.db().num_chunks()));
+  for (size_t c = 0; c < ds.db().num_chunks(); ++c) {
+    const Chunk& chunk = ds.db().chunk(static_cast<ChunkId>(c));
+    d.Str(chunk.text);
+    d.Int(chunk.doc_id);
+    d.Int(chunk.section);
+    d.Int(chunk.source);
+    d.Int(chunk.time_bucket);
+    d.Int(chunk.token_count);
+    d.Ints(chunk.fact_ids);
+  }
+  d.Int(static_cast<int64_t>(ds.num_facts()));
+  for (int32_t id = 0; id < static_cast<int32_t>(ds.num_facts()); ++id) {
+    EXPECT_TRUE(ds.has_fact(id));
+    const Fact& f = ds.fact(id);
+    d.Int(f.id);
+    d.Int(f.query_id);
+    d.Int(f.gold);
+    d.Strs(f.entity_words);
+    d.Strs(f.answer_tokens);
+    d.Str(f.sentence);
+    d.Int(f.chunk_id);
+    d.Int(f.offset_tokens);
+  }
+  d.Int(static_cast<int64_t>(ds.queries().size()));
+  for (const RagQuery& q : ds.queries()) {
+    d.Str(q.text);
+    d.Ints(q.gold_fact_ids);
+    d.Strs(q.gold_answer_tokens);
+    d.Strs(q.conclusion_tokens);
+    d.Int(q.requires_joint);
+    d.Int(q.high_complexity);
+    d.Int(q.underspecified);
+    d.Int(q.target_output_tokens);
+    d.Int(q.ideal_summary_tokens);
+  }
+  return d.value();
+}
+
+// Pins the generator's whole output, recorded before chunk text was appended
+// in place: any change to a draw, a word, a space or a cut moves a digest.
+TEST(DatasetGeneratorTest, PinnedOutputDigests) {
+  DatasetProfile cut = GetDatasetProfile("qmsum");
+  cut.chunk_tokens = 6;  // Every fact sentence overruns its chunk and is cut.
+  struct Case {
+    DatasetProfile profile;
+    int num_queries;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {GetDatasetProfile("squad"), 8, 0x65ee95ea62360664ull},
+      {GetDatasetProfile("musique"), 8, 0x41a3ad3c1d9894f5ull},
+      {GetDatasetProfile("kg_rag_finsec"), 8, 0x82b57c15b332f73cull},
+      {GetDatasetProfile("qmsum"), 8, 0x3b3fc25c0264d7feull},
+      {GetDatasetProfile("musique_topical"), 8, 0xe05090522ad007ccull},
+      {GetDatasetProfile("squad_hybrid"), 8, 0xe8002c539cc8e91bull},
+      {GetDatasetProfile("squad"), 0, 0x3657b8b0466fd5b2ull},
+      {cut, 4, 0xe632a34d7e0514f0ull},
+  };
+  for (const Case& c : cases) {
+    DatasetGenerator gen(c.profile, 11);
+    auto ds = gen.Generate(c.num_queries, "cohere-embed-v3-sim");
+    uint64_t digest = DatasetDigest(*ds);
+    EXPECT_EQ(digest, c.digest) << c.profile.name << " chunk_tokens " << c.profile.chunk_tokens
+                                << " num_queries " << c.num_queries << ": 0x" << std::hex
+                                << digest;
+  }
+  // The cut profile really cuts: some chunk ends in a proper prefix of the
+  // sentence placed at its recorded offset.
+  DatasetGenerator gen(cut, 11);
+  auto ds = gen.Generate(4, "cohere-embed-v3-sim");
+  int truncated = 0;
+  for (int32_t id = 0; id < static_cast<int32_t>(ds->num_facts()); ++id) {
+    const Fact& f = ds->fact(id);
+    std::vector<std::string> words = SplitWords(ds->db().chunk(f.chunk_id).text);
+    std::vector<std::string> sentence = SplitWords(f.sentence);
+    ASSERT_EQ(words.size(), 6u);
+    auto at = words.begin() + f.offset_tokens;
+    truncated += words.end() - at < static_cast<std::ptrdiff_t>(sentence.size()) &&
+                 std::equal(at, words.end(), sentence.begin());
+  }
+  EXPECT_GT(truncated, 0);
 }
 
 TEST(ArrivalsTest, PoissonArrivalsAreOrderedWithCorrectRate) {

@@ -5,7 +5,10 @@
         --workload <name> --seed <n> --seconds <s> --pairs <n>
 
 Pair i runs the parent first when i is even and the change first when it is
-odd, each with --trace 0. For every end-to-end metric of BENCHMARK.json it
+odd, each with --trace 0 and the caller's environment, so a variable set on
+the command line reaches both sides (MALLOC_MMAP_THRESHOLD_=131072 python3
+tools/ab_perfbench.py ... shows whether a peak_rss_mib difference is only
+heap layout). For every end-to-end metric of BENCHMARK.json it
 prints each side's median and quartiles, the change/parent ratio of the
 medians, and how many pairs the change won (ties count for neither). Each
 metric gets the verdicts a benchmark gate draws from such runs:
