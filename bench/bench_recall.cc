@@ -49,7 +49,8 @@ struct Measurement {
   double p99_ms = 0;
 };
 
-// Recall via one batched sweep, latency percentiles via per-query calls.
+// Recall via RecallEval's untimed per-query reads, then QPS and latency
+// percentiles from a second, timed pass of the same Search calls.
 Measurement Measure(const VectorIndex& index, const RecallEval& eval,
                     const RetrievalQuality& quality) {
   Measurement m;

@@ -1,14 +1,15 @@
 // Retrieval-substrate microbenchmark: flat vs. IVF, seed-scalar vs. blocked
-// kernels, 1/2/4/8 threads, batch sizes 1-64, the certified scan (the same
-// indexes once their SQ mirrors are built, for dense random queries and for
-// sparse text-embedded ones). Prints console tables and emits a
+// kernels, the query set split across 1/2/4/8 threads, and the certified
+// scan (the same indexes once their SQ mirrors are built, for dense random
+// queries and for sparse text-embedded ones). Every read is one Search per
+// query, the call the serve makes. Prints console tables and emits a
 // machine-readable BENCH_retrieval.json (QPS + p50/p99 per-query latency
 // per configuration) so future PRs can track the perf trajectory.
 //
-// On a 1-CPU host the multi-thread grid rows are skipped (announced once):
-// they would only measure worker-pool overhead, and their QPS would poison
-// the checked-in baseline. The summary row records `host_cpus` so baselines
-// are comparable across machines.
+// On a 1-CPU host the multi-thread rows are skipped (announced once): they
+// would only measure worker-pool overhead, and their QPS would poison the
+// checked-in baseline. The summary row records `host_cpus` so baselines are
+// comparable across machines.
 //
 // The "seed scalar" baseline is the frozen pre-rebuild FlatL2Index::Search
 // from tests/fixtures/seed_reference.h (shared with the parity tests, so the
@@ -53,30 +54,27 @@ struct Measurement {
   double p99_ms = 0;
 };
 
-// Runs `queries` through the index in groups of `batch`, timing each batch
-// call; per-query latency is batch time / batch size.
-Measurement MeasureBatched(const VectorIndex& index, const std::vector<Embedding>& queries,
-                           size_t k, size_t batch, ThreadPool* pool) {
-  Samples latencies_ms;
-  size_t done = 0;
+// Runs every query through one Search, the queries split across `pool`
+// (inline when null), and times each call. QPS is the query count over the
+// wall time of the whole set.
+Measurement Measure(const VectorIndex& index, const std::vector<Embedding>& queries, size_t k,
+                    ThreadPool* pool) {
+  std::vector<double> latencies_ms(queries.size());
   auto start = Clock::now();
-  while (done < queries.size()) {
-    size_t take = std::min(batch, queries.size() - done);
-    std::vector<Embedding> group(queries.begin() + done, queries.begin() + done + take);
-    std::vector<RetrievalQuality> qualities(take);
-    auto t0 = Clock::now();
-    auto hits = index.SearchBatch(group, k, pool, qualities);
-    double call_s = SecondsSince(t0);
-    for (size_t i = 0; i < take; ++i) {
-      latencies_ms.Add(call_s / static_cast<double>(take) * 1e3);
+  ParallelFor(pool, queries.size(), [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      auto t0 = Clock::now();
+      index.Search(queries[i], k, RetrievalQuality{});
+      latencies_ms[i] = SecondsSince(t0) * 1e3;
     }
-    done += take;
-  }
+  });
   double total_s = SecondsSince(start);
+  Samples latencies;
+  latencies.AddAll(latencies_ms);
   Measurement m;
   m.qps = static_cast<double>(queries.size()) / total_s;
-  m.p50_ms = latencies_ms.median();
-  m.p99_ms = latencies_ms.p99();
+  m.p50_ms = latencies.median();
+  m.p99_ms = latencies.p99();
   return m;
 }
 
@@ -134,20 +132,25 @@ int main(int argc, char** argv) {
   }
 
   std::vector<BenchJsonRecord> records;
+  // Record names keep their "_b1" suffix (one query per call), so each
+  // baseline row keeps its history.
   auto record = [&records](const std::string& name, const std::string& impl, size_t threads,
-                           size_t batch, const Measurement& m) {
+                           const Measurement& m) {
     BenchJsonRecord rec;
     rec.name = name;
     rec.tags = {{"impl", impl}};
     rec.metrics = {{"threads", static_cast<double>(threads)},
-                   {"batch", static_cast<double>(batch)},
                    {"qps", m.qps},
                    {"p50_ms", m.p50_ms},
                    {"p99_ms", m.p99_ms}};
     records.push_back(std::move(rec));
   };
+  auto table_row = [](const std::string& label, const Measurement& m) {
+    return std::vector<std::string>{label, Table::Num(m.qps, 0), Table::Num(m.p50_ms, 3),
+                                    Table::Num(m.p99_ms, 3)};
+  };
 
-  // --- Seed scalar baseline (single thread, batch 1) ---
+  // --- Seed scalar baseline (single thread) ---
   size_t seed_queries = std::min<size_t>(num_queries, 24);
   {  // Warmup.
     seed.Search(queries[0], kTopK);
@@ -167,14 +170,14 @@ int main(int argc, char** argv) {
   seed_m.qps = static_cast<double>(seed_queries) / SecondsSince(seed_start);
   seed_m.p50_ms = seed_lat_ms.median();
   seed_m.p99_ms = seed_lat_ms.p99();
-  record("flat_seed_scalar_t1_b1", "flat_seed_scalar", 1, 1, seed_m);
+  record("flat_seed_scalar_t1_b1", "flat_seed_scalar", 1, seed_m);
 
-  // --- Kernel dispatch tiers (single thread, batch 1) ---
+  // --- Kernel dispatch tiers (single thread) ---
   // One row per CPU-supported tier, so the perf trajectory separates "wider
   // SIMD" from the substrate-level wins. Rankings are bit-identical across
   // tiers (see kernels.h); only throughput may differ.
   {
-    Table tier_table("bench_retrieval: flat QPS per kernel dispatch tier (t=1, b=1)");
+    Table tier_table("bench_retrieval: flat QPS per kernel dispatch tier (t=1)");
     tier_table.SetHeader({"tier", "qps", "p50_ms", "p99_ms"});
     for (KernelTarget target : {KernelTarget::kScalar, KernelTarget::kAvx2}) {
       if (!KernelTargetSupported(target)) {
@@ -184,61 +187,49 @@ int main(int argc, char** argv) {
       }
       SetKernelTarget(target);
       // Warmup under this tier.
-      flat.SearchBatch({queries[0]}, kTopK, nullptr, std::vector<RetrievalQuality>(1));
-      Measurement m = MeasureBatched(flat, queries, kTopK, 1, nullptr);
+      flat.Search(queries[0], kTopK, RetrievalQuality{});
+      Measurement m = Measure(flat, queries, kTopK, nullptr);
       record(StrFormat("flat_blocked_%s_t1_b1", KernelTargetName(target)),
-             StrFormat("flat_blocked_%s", KernelTargetName(target)), 1, 1, m);
-      tier_table.AddRow({KernelTargetName(target), Table::Num(m.qps, 0),
-                         Table::Num(m.p50_ms, 3), Table::Num(m.p99_ms, 3)});
+             StrFormat("flat_blocked_%s", KernelTargetName(target)), 1, m);
+      tier_table.AddRow(table_row(KernelTargetName(target), m));
     }
     ResetKernelTarget();
     tier_table.Print();
   }
 
-  // --- Blocked flat + IVF across threads and batch sizes ---
+  // --- Blocked flat + IVF, the query set split across threads ---
   const unsigned host_cpus = std::max(1u, std::thread::hardware_concurrency());
   std::vector<size_t> thread_grid = {1, 2, 4, 8};
   if (host_cpus == 1) {
-    // Announced once, not per grid row: with one hardware thread every t>1
-    // row measures pool overhead, not scaling.
-    std::printf("  [SKIP] multi-thread grid rows (t=2/4/8): host exposes 1 hardware thread\n");
+    // Announced once, not per row: with one hardware thread every t>1 row
+    // measures pool overhead, not scaling.
+    std::printf("  [SKIP] multi-thread rows (t=2/4/8): host exposes 1 hardware thread\n");
     thread_grid = {1};
   }
-  const std::vector<size_t>& kThreads = thread_grid;
-  const std::vector<size_t> kBatches = {1, 4, 16, 64};
+  const std::vector<std::string> header = {"threads", "qps", "p50_ms", "p99_ms"};
   Table flat_table("bench_retrieval: blocked flat QPS (n=50k, dim=256, k=10)");
-  std::vector<std::string> header = {"threads \\ batch"};
-  for (size_t b : kBatches) {
-    header.push_back(StrFormat("b=%zu", b));
-  }
   flat_table.SetHeader(header);
 
-  double flat_t1_b1_qps = 0;
+  double flat_t1_qps = 0;
   double flat_t4_qps = 0;
-  // Warmup.
-  flat.SearchBatch(queries, kTopK, nullptr, std::vector<RetrievalQuality>(queries.size()));
-  for (size_t threads : kThreads) {
+  Measure(flat, queries, kTopK, nullptr);  // Warmup.
+  for (size_t threads : thread_grid) {
     ThreadPool pool(threads);
-    std::vector<std::string> row = {StrFormat("t=%zu", threads)};
-    for (size_t batch : kBatches) {
-      Measurement m = MeasureBatched(flat, queries, kTopK, batch, threads > 1 ? &pool : nullptr);
-      record(StrFormat("flat_blocked_t%zu_b%zu", threads, batch), "flat_blocked", threads, batch,
-             m);
-      row.push_back(Table::Num(m.qps, 0));
-      if (threads == 1 && batch == 1) {
-        flat_t1_b1_qps = m.qps;
-      }
-      if (threads == 4 && batch == 64) {
-        flat_t4_qps = m.qps;
-      }
+    Measurement m = Measure(flat, queries, kTopK, threads > 1 ? &pool : nullptr);
+    record(StrFormat("flat_blocked_t%zu_b1", threads), "flat_blocked", threads, m);
+    flat_table.AddRow(table_row(StrFormat("t=%zu", threads), m));
+    if (threads == 1) {
+      flat_t1_qps = m.qps;
     }
-    flat_table.AddRow(row);
+    if (threads == 4) {
+      flat_t4_qps = m.qps;
+    }
   }
   flat_table.Print();
   // The exact scan's cost does not depend on the query's sparsity; this row
   // shows it, as the base for the text-query certified ratio below.
-  Measurement flat_text_m = MeasureBatched(flat, text_queries, kTopK, 1, nullptr);
-  record("flat_blocked_text_t1_b1", "flat_blocked_text", 1, 1, flat_text_m);
+  Measurement flat_text_m = Measure(flat, text_queries, kTopK, nullptr);
+  record("flat_blocked_text_t1_b1", "flat_blocked_text", 1, flat_text_m);
 
   Table ivf_table("bench_retrieval: IVF (nlist=64, nprobe=8) QPS");
   ivf_table.SetHeader(header);
@@ -255,15 +246,11 @@ int main(int argc, char** argv) {
     records.push_back(std::move(rec));
     std::printf("IVF train (%zu threads): %.2f s\n", train_pool.num_threads(), train_s);
   }
-  for (size_t threads : kThreads) {
+  for (size_t threads : thread_grid) {
     ThreadPool pool(threads);
-    std::vector<std::string> row = {StrFormat("t=%zu", threads)};
-    for (size_t batch : kBatches) {
-      Measurement m = MeasureBatched(ivf, queries, kTopK, batch, threads > 1 ? &pool : nullptr);
-      record(StrFormat("ivf_blocked_t%zu_b%zu", threads, batch), "ivf_blocked", threads, batch, m);
-      row.push_back(Table::Num(m.qps, 0));
-    }
-    ivf_table.AddRow(row);
+    Measurement m = Measure(ivf, queries, kTopK, threads > 1 ? &pool : nullptr);
+    record(StrFormat("ivf_blocked_t%zu_b1", threads), "ivf_blocked", threads, m);
+    ivf_table.AddRow(table_row(StrFormat("t=%zu", threads), m));
   }
   ivf_table.Print();
 
@@ -274,16 +261,11 @@ int main(int argc, char** argv) {
   // certified two-pass scan — results bit-identical, so only speed moves.
   // Pass 1 reads only the dimension pairs a query weights, so each backend
   // runs the dense random queries and the sparse text-embedded ones.
-  double flat_certified_t1_b1_qps = 0;
-  double flat_certified_text_t1_b1_qps = 0;
+  double flat_certified_t1_qps = 0;
+  double flat_certified_text_t1_qps = 0;
   {
-    const std::vector<size_t> kCertBatches = {1, 64};
     Table cert_table("bench_retrieval: certified scan QPS (SQ mirror built)");
-    std::vector<std::string> cert_header = {"backend/threads \\ batch"};
-    for (size_t b : kCertBatches) {
-      cert_header.push_back(StrFormat("b=%zu", b));
-    }
-    cert_table.SetHeader(cert_header);
+    cert_table.SetHeader({"index", "qps", "p50_ms", "p99_ms"});
     ThreadPool build_pool(ThreadPool::DefaultThreads());
     for (const auto& [backend, index] : std::vector<std::pair<std::string, VectorIndex*>>{
              {"flat", &flat}, {"ivf", &ivf}}) {
@@ -298,29 +280,23 @@ int main(int argc, char** argv) {
       records.push_back(std::move(rec));
       std::printf("%s SQ mirror build (%zu threads): %.3f s\n", backend.c_str(),
                   build_pool.num_threads(), build_s);
-      index->SearchBatch(queries, kTopK, nullptr, std::vector<RetrievalQuality>(queries.size()));
+      Measure(*index, queries, kTopK, nullptr);  // Warmup.
       for (const auto& [kind, kind_queries] :
            std::vector<std::pair<std::string, const std::vector<Embedding>*>>{
                {"", &queries}, {"_text", &text_queries}}) {
-        for (size_t threads : kThreads) {
+        for (size_t threads : thread_grid) {
           if (threads != 1 && threads != 4) {
             continue;
           }
           ThreadPool pool(threads);
-          std::vector<std::string> row = {
-              StrFormat("%s%s t=%zu", backend.c_str(), kind.c_str(), threads)};
-          for (size_t batch : kCertBatches) {
-            Measurement m = MeasureBatched(*index, *kind_queries, kTopK, batch,
-                                           threads > 1 ? &pool : nullptr);
-            std::string impl = StrFormat("%s_certified%s", backend.c_str(), kind.c_str());
-            record(StrFormat("%s_t%zu_b%zu", impl.c_str(), threads, batch), impl, threads,
-                   batch, m);
-            row.push_back(Table::Num(m.qps, 0));
-            if (backend == "flat" && threads == 1 && batch == 1) {
-              (kind.empty() ? flat_certified_t1_b1_qps : flat_certified_text_t1_b1_qps) = m.qps;
-            }
+          Measurement m = Measure(*index, *kind_queries, kTopK, threads > 1 ? &pool : nullptr);
+          std::string impl = StrFormat("%s_certified%s", backend.c_str(), kind.c_str());
+          record(StrFormat("%s_t%zu_b1", impl.c_str(), threads), impl, threads, m);
+          cert_table.AddRow(
+              table_row(StrFormat("%s%s t=%zu", backend.c_str(), kind.c_str(), threads), m));
+          if (backend == "flat" && threads == 1) {
+            (kind.empty() ? flat_certified_t1_qps : flat_certified_text_t1_qps) = m.qps;
           }
-          cert_table.AddRow(row);
         }
       }
     }
@@ -328,21 +304,22 @@ int main(int argc, char** argv) {
   }
 
   // --- Verdicts ---
-  double speedup = seed_m.qps > 0 ? flat_t1_b1_qps / seed_m.qps : 0;
-  std::printf("\nseed scalar: %.0f qps (p50 %.2f ms) | blocked t1/b1: %.0f qps (speedup %.1fx)\n",
-              seed_m.qps, seed_m.p50_ms, flat_t1_b1_qps, speedup);
-  std::printf("certified flat t1/b1: %.0f qps (%.2fx the mirror-free scan)\n",
-              flat_certified_t1_b1_qps, flat_certified_t1_b1_qps / std::max(1.0, flat_t1_b1_qps));
-  std::printf("certified flat t1/b1, text queries: %.0f qps (%.2fx the mirror-free scan)\n",
-              flat_certified_text_t1_b1_qps,
-              flat_certified_text_t1_b1_qps / std::max(1.0, flat_text_m.qps));
+  double speedup = seed_m.qps > 0 ? flat_t1_qps / seed_m.qps : 0;
+  std::printf("\nseed scalar: %.0f qps (p50 %.2f ms) | blocked t1: %.0f qps (speedup %.1fx)\n",
+              seed_m.qps, seed_m.p50_ms, flat_t1_qps, speedup);
+  std::printf("certified flat t1: %.0f qps (%.2fx the mirror-free scan)\n",
+              flat_certified_t1_qps, flat_certified_t1_qps / std::max(1.0, flat_t1_qps));
+  std::printf("certified flat t1, text queries: %.0f qps (%.2fx the mirror-free scan)\n",
+              flat_certified_text_t1_qps,
+              flat_certified_text_t1_qps / std::max(1.0, flat_text_m.qps));
   PrintShapeCheck(StrFormat("blocked flat search >= 5x seed scalar at dim=%zu, n=%zu", dim, n),
                   StrFormat("%.1fx single-thread speedup", speedup), speedup >= 5.0);
   if (ThreadPool::DefaultThreads() >= 4) {
-    PrintShapeCheck("near-linear batched scaling to 4 threads",
-                    StrFormat("t4/b64 %.0f qps vs t1/b1 %.0f qps (%.2fx)", flat_t4_qps,
-                              flat_t1_b1_qps, flat_t4_qps / std::max(1.0, flat_t1_b1_qps)),
-                    flat_t4_qps >= 2.5 * flat_t1_b1_qps);
+    PrintShapeCheck("near-linear query-parallel scaling to 4 threads",
+                    StrFormat("the same %zu queries on t4 %.0f qps vs t1 %.0f qps (%.2fx)",
+                              queries.size(), flat_t4_qps, flat_t1_qps,
+                              flat_t4_qps / std::max(1.0, flat_t1_qps)),
+                    flat_t4_qps >= 2.5 * flat_t1_qps);
   } else {
     std::printf("  [SKIP] thread-scaling verdict: only %zu hardware thread(s) available\n",
                 ThreadPool::DefaultThreads());

@@ -1,10 +1,12 @@
 // Fixed-size worker pool for data-parallel sweeps.
 //
-// Built for the retrieval substrate: batched vector search shards its queries
-// across workers, and IVF training shards its row scans. The pool is generic,
-// though — any caller with an index range to split can use ParallelFor. That
-// blocking barrier is the pool's one entry point: there is no fire-and-forget
-// submit, so no task outlives the call that queued it.
+// Built for the retrieval substrate's bulk work: a corpus load embeds and
+// BM25-analyzes its chunks across workers, IVF training and SQ-mirror
+// encoding shard their row scans, and a recall sweep splits its queries,
+// one Search each. The pool is generic, though — any caller with an index
+// range to split can use ParallelFor. That blocking barrier is the pool's
+// one entry point: there is no fire-and-forget submit, so no task outlives
+// the call that queued it.
 //
 // Determinism contract: ParallelFor partitions [0, n) into contiguous shards
 // whose boundaries are a pure function of (n, shard count). Callers that
@@ -57,6 +59,21 @@ class ThreadPool {
   std::queue<std::function<void()>> tasks_;
   bool stop_ = false;
 };
+
+// ThreadPool::ParallelFor on `pool`, or fn(0, n) inline when `pool` is null;
+// nothing runs when n == 0. The one fan-out for callers whose pool is
+// optional.
+inline void ParallelFor(ThreadPool* pool, size_t n,
+                        const std::function<void(size_t, size_t)>& fn) {
+  if (n == 0) {
+    return;
+  }
+  if (pool != nullptr) {
+    pool->ParallelFor(n, fn);
+  } else {
+    fn(0, n);
+  }
+}
 
 }  // namespace metis
 

@@ -1,7 +1,6 @@
 #include "src/embed/embedding.h"
 
 #include <cmath>
-#include <unordered_map>
 
 #include "src/common/check.h"
 #include "src/common/rng.h"
@@ -95,16 +94,11 @@ std::vector<Embedding> EmbeddingModel::EmbedBatch(const std::vector<std::string>
   // Each text embeds independently into its own slot, so the shard layout
   // cannot change results — the batch is bit-equal to per-text Embed calls.
   std::vector<Embedding> out(texts.size());
-  auto embed_range = [&](size_t begin, size_t end) {
+  ParallelFor(pool, texts.size(), [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       out[i] = Embed(texts[i]);
     }
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && texts.size() > 1) {
-    pool->ParallelFor(texts.size(), embed_range);
-  } else {
-    embed_range(0, texts.size());
-  }
+  });
   return out;
 }
 
@@ -112,16 +106,6 @@ EmbeddingCache::EmbeddingCache(const EmbeddingModel* model, size_t capacity)
     : model_(model), capacity_(capacity) {
   METIS_CHECK(model != nullptr);
   METIS_CHECK_GT(capacity, 0u);
-}
-
-const Embedding& EmbeddingCache::Insert(const std::string& text, Embedding value) {
-  if (lru_.size() >= capacity_) {
-    map_.erase(std::string_view(lru_.back().first));
-    lru_.pop_back();
-  }
-  lru_.emplace_front(text, std::move(value));
-  map_.emplace(std::string_view(lru_.front().first), lru_.begin());
-  return lru_.front().second;
 }
 
 const Embedding& EmbeddingCache::Get(const std::string& text) {
@@ -132,43 +116,13 @@ const Embedding& EmbeddingCache::Get(const std::string& text) {
     return lru_.front().second;
   }
   ++misses_;
-  return Insert(text, model_->Embed(text));
-}
-
-std::vector<Embedding> EmbeddingCache::GetBatch(const std::vector<std::string>& texts) {
-  std::vector<Embedding> out(texts.size());
-  // Serve hits; collect unique misses in first-appearance order with the
-  // output positions each one feeds.
-  std::vector<std::string> miss_texts;
-  std::vector<std::vector<size_t>> miss_positions;
-  std::unordered_map<std::string_view, size_t> miss_index;  // Views into `texts`.
-  for (size_t i = 0; i < texts.size(); ++i) {
-    auto it = map_.find(std::string_view(texts[i]));
-    if (it != map_.end()) {
-      ++hits_;
-      lru_.splice(lru_.begin(), lru_, it->second);
-      out[i] = lru_.front().second;
-      continue;
-    }
-    auto [mit, fresh] = miss_index.try_emplace(std::string_view(texts[i]), miss_texts.size());
-    if (fresh) {
-      miss_texts.push_back(texts[i]);
-      miss_positions.emplace_back();
-    }
-    miss_positions[mit->second].push_back(i);
+  if (lru_.size() >= capacity_) {
+    map_.erase(std::string_view(lru_.back().first));
+    lru_.pop_back();
   }
-  if (miss_texts.empty()) {
-    return out;
-  }
-  std::vector<Embedding> computed = model_->EmbedBatch(miss_texts);
-  for (size_t m = 0; m < miss_texts.size(); ++m) {
-    ++misses_;
-    for (size_t pos : miss_positions[m]) {
-      out[pos] = computed[m];
-    }
-    Insert(miss_texts[m], std::move(computed[m]));
-  }
-  return out;
+  lru_.emplace_front(text, model_->Embed(text));
+  map_.emplace(std::string_view(lru_.front().first), lru_.begin());
+  return lru_.front().second;
 }
 
 float L2DistanceSquared(const Embedding& a, const Embedding& b) {

@@ -47,7 +47,8 @@ class EmbeddingModel {
 
   // Embeds a batch of texts, sharding the tokenize+hash work across `pool`
   // when given (each text is independent, so results[i] == Embed(texts[i])
-  // exactly, for any pool size). Null or single-threaded pools run inline.
+  // exactly, for any pool size). A null pool runs inline. Only perfbench's
+  // corpus-embed timer calls this.
   std::vector<Embedding> EmbedBatch(const std::vector<std::string>& texts,
                                     ThreadPool* pool = nullptr) const;
 
@@ -63,8 +64,8 @@ class EmbeddingModel {
 // Tokenizing + hashing a query costs far more than the lookup, and the same
 // query text is embedded many times across a run (profiler probe, retrieval,
 // golden-config feedback, per-config sweeps), so a small cache removes almost
-// all repeat work. Not thread-safe: callers embed on the simulation thread
-// before handing vectors to the (worker-pool) search sweep.
+// all repeat work. Not thread-safe: retrievals call it on the simulation
+// thread.
 class EmbeddingCache {
  public:
   EmbeddingCache(const EmbeddingModel* model, size_t capacity);
@@ -73,23 +74,11 @@ class EmbeddingCache {
   // The reference stays valid until the next Get() (eviction may free it).
   const Embedding& Get(const std::string& text);
 
-  // Batched Get: serves hits from the cache, then embeds the *unique* missing
-  // texts in one EmbedBatch call and memoizes them. Returns owned copies, so
-  // the results survive any later eviction. Counter semantics: each
-  // initially-cached occurrence counts one hit; each unique missing text
-  // counts one miss (the work actually done) — duplicate misses within the
-  // batch are served from the single computation.
-  std::vector<Embedding> GetBatch(const std::vector<std::string>& texts);
-
   size_t hits() const { return hits_; }
   size_t misses() const { return misses_; }
   size_t size() const { return lru_.size(); }
 
  private:
-  // Inserts a freshly computed embedding (evicting the LRU entry at
-  // capacity); shared by the Get and GetBatch miss paths.
-  const Embedding& Insert(const std::string& text, Embedding value);
-
   const EmbeddingModel* model_;
   size_t capacity_;
   size_t hits_ = 0;

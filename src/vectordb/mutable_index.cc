@@ -366,30 +366,6 @@ std::vector<SearchHit> MutableIndex::Search(const Embedding& query, size_t k,
   return SearchPinned(*PinEpoch(), query, k, quality);
 }
 
-std::vector<std::vector<SearchHit>> MutableIndex::SearchBatch(
-    const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
-    const std::vector<RetrievalQuality>& qualities) const {
-  METIS_CHECK_EQ(qualities.size(), queries.size());
-  std::vector<std::vector<SearchHit>> results(queries.size());
-  if (queries.empty()) {
-    return results;
-  }
-  // Pin one epoch for the whole batch, so every query sees one snapshot,
-  // then fan queries across the pool into disjoint slots.
-  std::shared_ptr<const MutableEpoch> epoch = PinEpoch();
-  auto sweep = [&](size_t qb, size_t qe) {
-    for (size_t qi = qb; qi < qe; ++qi) {
-      results[qi] = SearchPinned(*epoch, queries[qi], k, qualities[qi]);
-    }
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && queries.size() > 1) {
-    pool->ParallelFor(queries.size(), sweep);
-  } else {
-    sweep(0, queries.size());
-  }
-  return results;
-}
-
 size_t MutableIndex::size() const {
   return PinEpoch()->live_rows;
 }

@@ -49,8 +49,7 @@
 // are invisible to pinned readers. Maintenance (compaction/retrain) runs
 // inside the write that triggers it, under the writer lock, while readers
 // keep serving the epoch they pinned; so a run's results never depend on
-// maintenance timing. A SearchBatch pins a single epoch for the whole batch,
-// so every query in it sees the same snapshot.
+// maintenance timing.
 
 #ifndef METIS_SRC_VECTORDB_MUTABLE_INDEX_H_
 #define METIS_SRC_VECTORDB_MUTABLE_INDEX_H_
@@ -128,11 +127,6 @@ class MutableIndex : public VectorIndex {
   void Reserve(size_t rows) override;
   std::vector<SearchHit> Search(const Embedding& query, size_t k,
                                 const RetrievalQuality& quality) const override;
-  // One epoch pin for the whole batch: every query is answered against a
-  // single snapshot no matter how the writer races it.
-  std::vector<std::vector<SearchHit>> SearchBatch(
-      const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
-      const std::vector<RetrievalQuality>& qualities) const override;
   // Exclusion-aware search (the hybrid metadata-filter push-down): the flow
   // of Search with `exclude` (sorted ids) unioned with the epoch's
   // tombstones and filtered inside every scan. Orders are the merged total

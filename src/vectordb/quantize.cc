@@ -50,11 +50,7 @@ Int8Params TrainInt8(const RowAccessor& row, size_t n, size_t dim, ThreadPool* w
       vmax[d] = std::max(vmax[d], hi[d]);
     }
   };
-  if (workers != nullptr && workers->num_threads() > 1 && n > 1) {
-    workers->ParallelFor(n, scan);
-  } else {
-    scan(0, n);
-  }
+  ParallelFor(workers, n, scan);
   params.vmin = std::move(vmin);
   params.scale.resize(dim);
   for (size_t d = 0; d < dim; ++d) {
@@ -151,12 +147,7 @@ void EncodeRows(const Int8Params& sq, const RowPool& pool, size_t begin, size_t 
       out->sq_delta[d] = std::max(out->sq_delta[d], delta[d]);
     }
   };
-  size_t todo = blocks - first_block;
-  if (workers != nullptr && workers->num_threads() > 1 && todo > 1) {
-    workers->ParallelFor(todo, encode);
-  } else if (todo > 0) {
-    encode(0, todo);
-  }
+  ParallelFor(workers, blocks - first_block, encode);
   out->rows = rows;
 }
 

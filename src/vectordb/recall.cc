@@ -7,6 +7,24 @@
 
 namespace metis {
 
+namespace {
+
+// The top-k of every query, one Search each, split across `pool`.
+std::vector<std::vector<SearchHit>> SearchEach(const VectorIndex& index,
+                                               const std::vector<Embedding>& queries, size_t k,
+                                               ThreadPool* pool,
+                                               const RetrievalQuality& quality) {
+  std::vector<std::vector<SearchHit>> results(queries.size());
+  ParallelFor(pool, queries.size(), [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      results[i] = index.Search(queries[i], k, quality);
+    }
+  });
+  return results;
+}
+
+}  // namespace
+
 double RecallAtK(const std::vector<std::vector<SearchHit>>& got,
                  const std::vector<std::vector<SearchHit>>& truth) {
   METIS_CHECK_EQ(got.size(), truth.size());
@@ -53,7 +71,7 @@ RecallEval::RecallEval(const FlatL2Index& truth, std::vector<Embedding> queries,
                        ThreadPool* pool)
     : k_(k), queries_(std::move(queries)) {
   METIS_CHECK_GT(k, 0u);
-  truth_ = truth.SearchBatch(queries_, k_, pool, std::vector<RetrievalQuality>(queries_.size()));
+  truth_ = SearchEach(truth, queries_, k_, pool, RetrievalQuality{});
 }
 
 RecallEval::RecallEval(std::vector<Embedding> queries, size_t k,
@@ -65,8 +83,7 @@ RecallEval::RecallEval(std::vector<Embedding> queries, size_t k,
 
 double RecallEval::Evaluate(const VectorIndex& index, ThreadPool* pool,
                             const RetrievalQuality& quality) const {
-  std::vector<RetrievalQuality> qualities(queries_.size(), quality);
-  return RecallAtK(index.SearchBatch(queries_, k_, pool, qualities), truth_);
+  return RecallAtK(SearchEach(index, queries_, k_, pool, quality), truth_);
 }
 
 }  // namespace metis

@@ -33,9 +33,9 @@ double RecallAtK(const std::vector<std::vector<SearchHit>>& got,
 
 class RecallEval {
  public:
-  // Computes exact ground truth for `queries` at depth `k` with one batched
-  // flat sweep. `truth` is borrowed and must outlive the eval only during
-  // construction.
+  // Computes exact ground truth for `queries` at depth `k`, one flat Search
+  // per query, split across `pool` when given. `truth` is borrowed and must
+  // outlive the eval only during construction.
   RecallEval(const FlatL2Index& truth, std::vector<Embedding> queries, size_t k,
              ThreadPool* pool = nullptr);
 
@@ -48,9 +48,9 @@ class RecallEval {
              std::vector<std::vector<SearchHit>> truth);
 
   // Recall@k of `index` over the eval's query set at `quality`: the index's
-  // own probe policy by default, or an explicit override. The probe fields
-  // steer IVF only; the scan tier applies to any index with quantized
-  // mirrors, flat included.
+  // own probe policy by default, or an explicit override (the probe fields
+  // steer IVF only). One Search per query, split across `pool` when given;
+  // the recall and an IVF index's probe counts do not depend on the split.
   double Evaluate(const VectorIndex& index, ThreadPool* pool = nullptr,
                   const RetrievalQuality& quality = {}) const;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <limits>
 #include <unordered_map>
 #include <utility>
@@ -104,21 +103,20 @@ float RoundUpToFloat(double x) {
                                     : f;
 }
 
-// Pass 1 over encoded pool rows [begin, end): keeps a row only while its
+// Pass 1 over encoded pool rows [0, end): keeps a row only while its
 // interval's lower end is <= U. The kernel scores the 32 rows of each block
-// the range touches at once; the rows then take the interval test one by
-// one, in row order.
+// at once; the rows then take the interval test one by one, in row order.
 template <bool kFiltered>
-void CertifyRowsImpl(const RowPool& pool, const QuantizedCodes& codes, size_t begin, size_t end,
-                     size_t base, const IdFilter& exclude, CertifiedScan& scan) {
+void CertifyRowsImpl(const RowPool& pool, const QuantizedCodes& codes, size_t end, size_t base,
+                     const IdFilter& exclude, CertifiedScan& scan) {
   const CertifiedQuery& cq = *scan.cq;
   U8BlockKernelFn dot = ActiveU8BlockKernel();
   double cutoff = scan.upper.Bound();
   alignas(32) int64_t s[kSqBlockRows];
-  for (size_t b = begin / kSqBlockRows; b * kSqBlockRows < end; ++b) {
+  for (size_t b = 0; b * kSqBlockRows < end; ++b) {
     dot(codes.block(b), cq.pairs.data(), cq.pairs.size(), s);
     size_t row_end = std::min(end, (b + 1) * kSqBlockRows);
-    for (size_t i = std::max(begin, b * kSqBlockRows); i < row_end; ++i) {
+    for (size_t i = b * kSqBlockRows; i < row_end; ++i) {
       DistanceInterval iv = CertifiedInterval(cq, pool.norm(i), s[i % kSqBlockRows]);
       if (iv.lo > cutoff) {
         continue;  // Its hi is larger still: it cannot move U either.
@@ -136,24 +134,22 @@ void CertifyRowsImpl(const RowPool& pool, const QuantizedCodes& codes, size_t be
   }
 }
 
-// Scans pool rows [begin, end) for one query, row i under candidate order
+// Scans every row of `pool` for one query, row i under candidate order
 // `base` + i. Rows `codes` encodes take pass 1 into `scan`; the rest — every
 // row, when `codes` is null — scan exactly into `out`, so an index without a
 // mirror runs the plain exact loop.
-void ScanPoolRows(const RowPool& pool, const QuantizedCodes* codes, size_t begin, size_t end,
-                  const float* q, double qnorm, size_t base, const IdFilter& exclude,
-                  CertifiedScan& scan, BoundedTopK& out) {
+void ScanPoolRows(const RowPool& pool, const QuantizedCodes* codes, const float* q, double qnorm,
+                  size_t base, const IdFilter& exclude, CertifiedScan& scan, BoundedTopK& out) {
   size_t encoded = codes != nullptr ? std::min(codes->rows, pool.size()) : 0;
-  size_t mid = std::max(begin, std::min(end, encoded));
-  if (begin < mid) {
+  if (encoded > 0) {
     if (exclude.empty()) {
-      CertifyRowsImpl<false>(pool, *codes, begin, mid, base, exclude, scan);
+      CertifyRowsImpl<false>(pool, *codes, encoded, base, exclude, scan);
     } else {
-      CertifyRowsImpl<true>(pool, *codes, begin, mid, base, exclude, scan);
+      CertifyRowsImpl<true>(pool, *codes, encoded, base, exclude, scan);
     }
   }
-  if (mid < end) {
-    ScanRowsInto(pool, mid, end, q, qnorm, base, exclude, out);
+  if (encoded < pool.size()) {
+    ScanRowsInto(pool, encoded, pool.size(), q, qnorm, base, exclude, out);
   }
 }
 
@@ -174,14 +170,6 @@ void RescoreSurvivors(CertifiedScan& scan, const float* q, double qnorm, Bounded
     out.Offer(RowDistance(*s.pool, s.row, q, qnorm, dot), s.order, s.pool->id(s.row));
   }
   survivors.clear();
-}
-
-// Rows per cache block for the shared batch sweep: ~128 KiB of row data, so a
-// block stays L2-resident while every query in the batch scores it. A
-// multiple of kSqBlockRows, so pass 1 scores no mirror block twice.
-size_t BlockRows(size_t stride) {
-  constexpr size_t kBlockFloats = 128 * 1024 / sizeof(float);
-  return std::max<size_t>(1, kBlockFloats / stride / kSqBlockRows) * kSqBlockRows;
 }
 
 // Bytes per row of each stored representation of an index of `dim` whose SQ
@@ -269,63 +257,6 @@ std::vector<SearchHit> FlatL2Index::Search(const Embedding& query, size_t k,
   return ToSearchHits(SearchOrdered(query, k, quality, IdFilter{}));
 }
 
-std::vector<std::vector<SearchHit>> FlatL2Index::SearchBatch(
-    const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
-    const std::vector<RetrievalQuality>& qualities) const {
-  // Exact backend: qualities carry no recall knob.
-  METIS_CHECK_EQ(qualities.size(), queries.size());
-  for (const Embedding& q : queries) {
-    METIS_CHECK_EQ(q.size(), dim_);
-  }
-  std::vector<std::vector<SearchHit>> results(queries.size());
-  if (queries.empty() || k == 0 || rows_.size() == 0) {
-    return results;
-  }
-  size_t nq = queries.size();
-  std::vector<double> qnorms(nq);
-  std::vector<CertifiedQuery> cqs(quantized_ ? nq : 0);
-  for (size_t qi = 0; qi < nq; ++qi) {
-    qnorms[qi] = SquaredNormBlocked(queries[qi].data(), dim_);
-    if (quantized_) {
-      BuildCertifiedQuery(sq_, sq_delta_, queries[qi].data(), dim_, qnorms[qi], &cqs[qi]);
-    }
-  }
-
-  // Split the queries across the pool: one heap (and one certified-scan
-  // state) per query, so workers own disjoint slots. Each worker streams
-  // the rows through the cache-sized blocks once for all of its queries;
-  // each query's pass 2 follows the sweep.
-  std::vector<BoundedTopK> heaps;
-  std::vector<CertifiedScan> scans;
-  heaps.reserve(nq);
-  scans.reserve(nq);
-  for (size_t qi = 0; qi < nq; ++qi) {
-    heaps.emplace_back(k);
-    scans.emplace_back(quantized_ ? &cqs[qi] : nullptr, k);
-  }
-  const QuantizedCodes* codes = quantized_ ? &qcodes_ : nullptr;
-  size_t block = BlockRows(rows_.stride());
-  auto sweep = [&](size_t qb, size_t qe) {
-    for (size_t rb = 0; rb < rows_.size(); rb += block) {
-      size_t re = std::min(rb + block, rows_.size());
-      for (size_t qi = qb; qi < qe; ++qi) {
-        ScanPoolRows(rows_, codes, rb, re, queries[qi].data(), qnorms[qi], 0, IdFilter{},
-                     scans[qi], heaps[qi]);
-      }
-    }
-    for (size_t qi = qb; qi < qe; ++qi) {
-      RescoreSurvivors(scans[qi], queries[qi].data(), qnorms[qi], heaps[qi]);
-      results[qi] = heaps[qi].Drain();
-    }
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && nq > 1) {
-    pool->ParallelFor(nq, sweep);
-  } else {
-    sweep(0, nq);
-  }
-  return results;
-}
-
 std::vector<OrderedHit> FlatL2Index::SearchOrdered(const Embedding& query, size_t k,
                                                    const RetrievalQuality& quality,
                                                    const IdFilter& exclude) const {
@@ -341,8 +272,8 @@ std::vector<OrderedHit> FlatL2Index::SearchOrdered(const Embedding& query, size_
   }
   BoundedTopK topk(k);
   CertifiedScan scan(quantized_ ? &cq : nullptr, k);
-  ScanPoolRows(rows_, quantized_ ? &qcodes_ : nullptr, 0, rows_.size(), query.data(), qnorm, 0,
-               exclude, scan, topk);
+  ScanPoolRows(rows_, quantized_ ? &qcodes_ : nullptr, query.data(), qnorm, 0, exclude, scan,
+               topk);
   RescoreSurvivors(scan, query.data(), qnorm, topk);
   return topk.DrainOrdered();
 }
@@ -417,13 +348,6 @@ void IvfL2Index::Train(ThreadPool* pool) {
   size_t n = staged_.size();
   size_t nlist = std::min(nlist_, n);
 
-  auto parallel = [&](size_t count, const std::function<void(size_t, size_t)>& fn) {
-    if (pool != nullptr && pool->num_threads() > 1) {
-      pool->ParallelFor(count, fn);
-    } else {
-      fn(0, count);
-    }
-  };
   auto copy_row = [&](size_t i) {
     const float* r = staged_.row(i);
     return Embedding(r, r + dim_);
@@ -448,7 +372,7 @@ void IvfL2Index::Train(ThreadPool* pool) {
   auto absorb_centroid = [&](const Embedding& c) {
     double cnorm = SquaredNormBlocked(c.data(), dim_);
     DotKernelFn dot = ActiveDotKernel();
-    parallel(n, [&](size_t begin, size_t end) {
+    ParallelFor(pool, n, [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
         float d = static_cast<float>(cnorm + staged_.norm(i) -
                                      2.0 * dot(staged_.row(i), c.data(), dim_));
@@ -477,7 +401,7 @@ void IvfL2Index::Train(ThreadPool* pool) {
   // row order so centroids are bit-identical for every pool size.
   std::vector<size_t> assign(n);
   auto assign_all = [&]() {
-    parallel(n, [&](size_t begin, size_t end) {
+    ParallelFor(pool, n, [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
         assign[i] = NearestCentroid(staged_.row(i));
       }
@@ -610,8 +534,8 @@ std::vector<OrderedHit> IvfL2Index::SearchOrdered(const Embedding& query, size_t
   CertifiedScan scan(quantized_ ? &cq : nullptr, k);
   for (size_t p = 0; p < probes.lists.size(); ++p) {
     size_t l = probes.lists[p];
-    ScanPoolRows(lists_[l], quantized_ ? &qcodes_[l] : nullptr, 0, lists_[l].size(), query.data(),
-                 qnorm, probes.bases[p], exclude, scan, topk);
+    ScanPoolRows(lists_[l], quantized_ ? &qcodes_[l] : nullptr, query.data(), qnorm,
+                 probes.bases[p], exclude, scan, topk);
   }
   RescoreSurvivors(scan, query.data(), qnorm, topk);
   stats_.Record(probes.lists.size());
@@ -648,27 +572,6 @@ bool IvfL2Index::BuildQuantizedMirrors(ThreadPool* pool) {
 
 size_t IvfL2Index::bytes_per_row(RetrievalPrecision tier) const {
   return ScanBytesPerRow(dim_, quantized_, tier);
-}
-
-std::vector<std::vector<SearchHit>> IvfL2Index::SearchBatch(
-    const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
-    const std::vector<RetrievalQuality>& qualities) const {
-  METIS_CHECK_EQ(qualities.size(), queries.size());
-  // Each query resolves its OWN quality override, so a batch can mix probe
-  // modes and budgets. Queries split across the pool into disjoint slots;
-  // each Search counts its own probes.
-  std::vector<std::vector<SearchHit>> results(queries.size());
-  auto sweep = [&](size_t qb, size_t qe) {
-    for (size_t qi = qb; qi < qe; ++qi) {
-      results[qi] = Search(queries[qi], k, qualities[qi]);
-    }
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && queries.size() > 1) {
-    pool->ParallelFor(queries.size(), sweep);
-  } else {
-    sweep(0, queries.size());
-  }
-  return results;
 }
 
 // --- VectorDatabase ---------------------------------------------------------
@@ -725,15 +628,8 @@ std::vector<ChunkId> VectorDatabase::AddChunks(std::vector<Chunk> chunks, Thread
   // order for any pool size. The analyses run in windows of kWindow chunks,
   // which bounds how many are held at once; the embeddings run in one sweep,
   // because every fork-join window waits for the pool's slowest shard.
-  auto parallel_for = [pool](size_t n, const std::function<void(size_t, size_t)>& fn) {
-    if (pool != nullptr) {
-      pool->ParallelFor(n, fn);
-    } else {
-      fn(0, n);
-    }
-  };
   std::vector<Embedding> embeddings(chunks.size());
-  parallel_for(chunks.size(), [&](size_t begin, size_t end) {
+  ParallelFor(pool, chunks.size(), [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       embeddings[i] = embedder_.Embed(chunks[i].text);
     }
@@ -747,7 +643,7 @@ std::vector<ChunkId> VectorDatabase::AddChunks(std::vector<Chunk> chunks, Thread
   for (size_t w = 0; w < chunks.size(); w += kWindow) {
     size_t n = std::min(kWindow, chunks.size() - w);
     if (lexical_ != nullptr) {
-      parallel_for(n, [&](size_t begin, size_t end) {
+      ParallelFor(pool, n, [&](size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) {
           terms[i].Analyze(chunks[w + i].text);
         }
@@ -945,31 +841,10 @@ std::vector<std::vector<SearchHit>> VectorDatabase::RetrieveBatch(
     const std::vector<std::string>& query_texts, size_t k,
     const std::vector<RetrievalQuality>& qualities) const {
   METIS_CHECK_EQ(qualities.size(), query_texts.size());
-  // Hybrid/filtered queries run their per-query path; the plain rest ride
-  // one SearchBatch sweep.
-  std::vector<std::vector<SearchHit>> results(query_texts.size());
-  std::vector<size_t> plain;
-  std::vector<std::string> texts;
-  std::vector<RetrievalQuality> quals;
+  std::vector<std::vector<SearchHit>> results;
+  results.reserve(query_texts.size());
   for (size_t i = 0; i < query_texts.size(); ++i) {
-    if (NeedsHybridPath(qualities[i])) {
-      results[i] = RetrieveHybrid(query_texts[i], k, qualities[i]);
-    } else {
-      plain.push_back(i);
-      texts.push_back(query_texts[i]);
-      quals.push_back(qualities[i]);
-    }
-  }
-  if (!plain.empty()) {
-    // GetBatch serves cache hits and embeds the misses in one EmbedBatch,
-    // returning owned copies so later cache evictions cannot invalidate the
-    // batch.
-    std::vector<Embedding> queries = query_cache_.GetBatch(texts);
-    std::vector<std::vector<SearchHit>> swept =
-        index_->SearchBatch(queries, k, /*pool=*/nullptr, quals);
-    for (size_t j = 0; j < plain.size(); ++j) {
-      results[plain[j]] = std::move(swept[j]);
-    }
+    results.push_back(RetrieveWithDistances(query_texts[i], k, qualities[i]));
   }
   return results;
 }

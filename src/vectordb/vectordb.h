@@ -30,25 +30,21 @@
 //     O(n log k) with O(k) memory instead of materializing and full-sorting
 //     all n candidates. The candidate-order tie-break reproduces the seed's
 //     stable_sort semantics exactly: equal distances rank by insertion order.
-//   - VectorIndex has one read virtual per read shape, each taking the
-//     query's RetrievalQuality: Search (one query), SearchBatch (one quality
-//     per query) and SearchOrdered (with candidate orders and an id filter).
-//     On the static indexes Search is SearchOrdered with an empty filter.
-//   - Every read (SearchOrdered, and the sweep of SearchBatch) is a
-//     certified two-pass scan over the index's int8 SQ mirror (quantize.h):
-//     pass 1 streams 1-byte codes and keeps only the rows whose distance
-//     interval [D~ - B, D~ + B] can still reach the k-th smallest upper
-//     bound; pass 2 re-scores those rows with the exact expression into the
-//     same BoundedTopK. The true top-k always survives pass 1, so results
-//     are bit-identical to a full exact sweep by construction. Rows the
-//     mirror does not encode (added after it was built, or every row of an
-//     index that never built one) scan exactly.
-//   - SearchBatch answers its queries in one sweep: flat rows are visited in
-//     cache-sized blocks and each block is scored against every query in the
-//     batch before moving on, so the index streams through memory once per
-//     block rather than once per query; each query's pass 2 follows its
-//     sweep. An optional ThreadPool splits the batch's queries across
-//     workers; results are identical for any thread count.
+//   - VectorIndex has two read virtuals, each answering one query under its
+//     own RetrievalQuality: Search, and SearchOrdered (with candidate orders
+//     and an id filter). On the static indexes Search is SearchOrdered with
+//     an empty filter. The serve retrieves one query per simulator event.
+//     Callers with many queries (RecallEval, bench_retrieval) split them
+//     across a ThreadPool, one Search each; a read writes only relaxed probe
+//     counters, so results do not depend on the split.
+//   - Every read is a certified two-pass scan over the index's int8 SQ
+//     mirror (quantize.h): pass 1 streams 1-byte codes and keeps only the
+//     rows whose distance interval [D~ - B, D~ + B] can still reach the k-th
+//     smallest upper bound; pass 2 re-scores those rows with the exact
+//     expression into the same BoundedTopK. The true top-k always survives
+//     pass 1, so results are bit-identical to a full exact sweep by
+//     construction. Rows the mirror does not encode (added after it was
+//     built, or every row of an index that never built one) scan exactly.
 //   - IVF inverted lists and centroids use the same RowPool layout, and
 //     IvfL2Index::Train can split its O(n * nlist * dim) scans over a pool.
 //   - Each index holds its rows unpartitioned: the flat index in one RowPool,
@@ -249,9 +245,8 @@ enum class RetrievalPrecision : uint8_t {
 // configuration (JointSchedulerOptions) through SynthesisExecutor and
 // VectorDatabase::Retrieve down to the index. The profiler-driven
 // RetrievalDepthPolicy (src/core/) assigns each query its own quality, and
-// the batched sweeps accept one RetrievalQuality per query (heterogeneous
-// batches stay bit-identical to per-query scans). The probe fields steer IVF
-// only.
+// every read takes the quality of the one query it answers. The probe fields
+// steer IVF only.
 struct RetrievalQuality {
   enum class ProbeMode {
     kIndexDefault,  // Use the index's own AdaptiveProbePolicy / nprobe.
@@ -314,9 +309,8 @@ struct QuantizedCodes {
 
 // --- Index interface --------------------------------------------------------
 
-// Interface shared by index implementations: one read virtual per read
-// shape. Every read takes the query's RetrievalQuality (probe depth for
-// IVF).
+// Interface shared by index implementations: two read virtuals, each
+// answering one query under its RetrievalQuality (probe depth for IVF).
 class VectorIndex {
  public:
   virtual ~VectorIndex() = default;
@@ -332,13 +326,6 @@ class VectorIndex {
   // insertion order for determinism.
   virtual std::vector<SearchHit> Search(const Embedding& query, size_t k,
                                         const RetrievalQuality& quality) const = 0;
-  // Batched search: qualities[i] applies to queries[i] only, and results[i]
-  // is bit-identical to Search(queries[i], k, qualities[i]). `pool`
-  // optionally splits the batch's queries across workers; results do not
-  // depend on the pool size.
-  virtual std::vector<std::vector<SearchHit>> SearchBatch(
-      const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
-      const std::vector<RetrievalQuality>& qualities) const = 0;
   // Top-k with the backend's candidate orders attached and `exclude` (sorted
   // ids) filtered out inside the scan, before selection (quality only
   // steers IVF probing). The mutable serving index
@@ -361,8 +348,7 @@ class VectorIndex {
 };
 
 // Exact brute-force L2 index (FAISS IndexFlatL2 equivalent): one aligned
-// RowPool, whose row i has candidate order i. SearchBatch splits its queries
-// across the ThreadPool; results are bit-identical for any thread count.
+// RowPool, whose row i has candidate order i.
 class FlatL2Index : public VectorIndex {
  public:
   explicit FlatL2Index(size_t dim);
@@ -372,10 +358,6 @@ class FlatL2Index : public VectorIndex {
   // SearchOrdered with an empty filter.
   std::vector<SearchHit> Search(const Embedding& query, size_t k,
                                 const RetrievalQuality& quality) const override;
-  // One blocked sweep of the rows for the whole batch.
-  std::vector<std::vector<SearchHit>> SearchBatch(
-      const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
-      const std::vector<RetrievalQuality>& qualities) const override;
   // Certified exact scan with tombstone filtering; orders are insertion
   // orders.
   std::vector<OrderedHit> SearchOrdered(const Embedding& query, size_t k,
@@ -400,9 +382,7 @@ class FlatL2Index : public VectorIndex {
 // Inverted-file index: k-means coarse quantizer + per-list exact search.
 // Approximate unless nprobe == nlist; recall is controlled by the fixed
 // nprobe, or per query by an AdaptiveProbePolicy / RetrievalQuality override.
-// Every inverted list is one RowPool, and SearchBatch splits its queries
-// across the ThreadPool; rankings and probe counts are bit-identical for any
-// thread count.
+// Every inverted list is one RowPool.
 class IvfL2Index : public VectorIndex {
  public:
   IvfL2Index(size_t dim, size_t nlist, size_t nprobe, uint64_t seed);
@@ -413,12 +393,6 @@ class IvfL2Index : public VectorIndex {
   // policy and the query's override (see RetrievalQuality).
   std::vector<SearchHit> Search(const Embedding& query, size_t k,
                                 const RetrievalQuality& quality) const override;
-  // Search per query, each resolving its ProbePlan from qualities[i]:
-  // probe schedules, results, and probe accounting are those of per-query
-  // Search calls.
-  std::vector<std::vector<SearchHit>> SearchBatch(
-      const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
-      const std::vector<RetrievalQuality>& qualities) const override;
   // Probed scan with tombstone filtering; orders are the probe-concatenation
   // positions (the same orders Search selects under). Counts toward the
   // probe stats exactly like Search.
@@ -454,8 +428,8 @@ class IvfL2Index : public VectorIndex {
 
   // --- Probe accounting (recall/latency evaluation) ---
   // Relaxed atomics: concurrent const searches on a shared index stay
-  // race-free and never lose counts; a batch's workers are joined before
-  // SearchBatch returns, so reads between search operations are exact.
+  // race-free and never lose counts, so a reading taken after the searches
+  // are joined (a pooled RecallEval sweep, say) is exact.
   uint64_t searches() const { return stats_.searches.load(std::memory_order_relaxed); }
   uint64_t probes_issued() const { return stats_.probes.load(std::memory_order_relaxed); }
   double mean_probes() const {
@@ -656,13 +630,9 @@ class VectorDatabase {
   std::vector<SearchHit> RetrieveWithDistances(const std::string& query_text, size_t k,
                                                const RetrievalQuality& quality = {}) const;
 
-  // Batched retrieval: qualities[i] applies to query_texts[i] only, so a
-  // batch can carry one retrieval depth per query. Hybrid and filtered
-  // queries run their per-query path; the plain rest are embedded (through
-  // the memo cache) and answered by one SearchBatch sweep. results[i]
-  // matches RetrieveWithDistances(query_texts[i], k, qualities[i]). The
-  // serving stack retrieves one query per event through Retrieve; perfbench's
-  // per-layer replay calls this.
+  // results[i] is RetrieveWithDistances(query_texts[i], k, qualities[i]),
+  // called in order. The serving stack retrieves one query per event through
+  // Retrieve; only perfbench's per-layer replay calls this, with one text.
   std::vector<std::vector<SearchHit>> RetrieveBatch(
       const std::vector<std::string>& query_texts, size_t k,
       const std::vector<RetrievalQuality>& qualities) const;

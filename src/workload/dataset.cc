@@ -632,8 +632,8 @@ std::unique_ptr<Dataset> DatasetGenerator::Generate(int num_queries,
     chunk_objs.push_back(std::move(chunk));
   }
 
-  // Bulk load: one EmbedBatch over the whole corpus (sharded across the
-  // pool), then finalize the index — for the IVF backend this trains the
+  // Bulk load: AddChunks embeds the whole corpus in one sweep across the
+  // pool, then finalize the index — for the IVF backend this trains the
   // coarse quantizer, so retrieval-depth experiments get a ready index.
   ThreadPool pool(ThreadPool::DefaultThreads());
   std::vector<ChunkId> chunk_ids = db->AddChunks(std::move(chunk_objs), &pool);

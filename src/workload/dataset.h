@@ -163,9 +163,9 @@ class DatasetGenerator {
  public:
   DatasetGenerator(DatasetProfile profile, uint64_t seed);
 
-  // Generates `num_queries` queries plus their corpus, embedded (in one
-  // EmbedBatch sharded over a worker pool) and indexed with the given
-  // embedding model. `index_options` picks the retrieval backend the
+  // Generates `num_queries` queries plus their corpus, embedded (by
+  // VectorDatabase::AddChunks, across a worker pool) and indexed with the
+  // given embedding model. `index_options` picks the retrieval backend the
   // dataset's VectorDatabase builds (exact flat by default; IVF for
   // retrieval-depth experiments) — the index is finalized
   // (IVF-trained) before the dataset is returned.

@@ -15,8 +15,8 @@
 //     bound leaves only a few percent of the rows for pass 2.
 //   - Exactness: an index that built its mirror returns ids and float
 //     distances bit-equal to the same index with no mirror, for flat and IVF
-//     x threads {1,4} x every supported kernel tier x
-//     k in {0,1,5,35,>n}, through Search, SearchBatch and SearchOrdered
+//     x threads {1,4} x every supported kernel tier x k in {0,1,5,35,>n},
+//     through Search (also split across a pool) and SearchOrdered
 //     (unfiltered and with an IdFilter excluding ~90% of rows), with and
 //     without rows added after the mirror was built (the un-encoded suffix;
 //     IVF Add after Train); and for sparse queries (embedded query texts,
@@ -348,6 +348,20 @@ TEST(CertifiedBoundTest, RealEmbedderVectorsStayInsideTheIntervalAndFewSurvive) 
 
 // --- Exactness: mirror vs no mirror -------------------------------------------
 
+// One Search per query, the queries split across `pool`: concurrent reads
+// of one index.
+std::vector<std::vector<SearchHit>> SearchEach(const VectorIndex& index,
+                                               const std::vector<Embedding>& queries, size_t k,
+                                               ThreadPool* pool) {
+  std::vector<std::vector<SearchHit>> out(queries.size());
+  ParallelFor(pool, queries.size(), [&](size_t begin, size_t end) {
+    for (size_t qi = begin; qi < end; ++qi) {
+      out[qi] = index.Search(queries[qi], k, RetrievalQuality{});
+    }
+  });
+  return out;
+}
+
 struct IndexCase {
   RetrievalIndexOptions::Backend backend;
   size_t suffix;  // Rows added after the mirror was built.
@@ -410,7 +424,6 @@ TEST(CertifiedScanTest, MirrorMatchesMirrorFreeIndexBitForBit) {
         auto plain = Build(c, ic, /*mirror=*/false);
         auto certified = Build(c, ic, /*mirror=*/true);
         RetrievalQuality fp32;
-        std::vector<RetrievalQuality> quals(c.queries.size());
         for (size_t k : {size_t{0}, size_t{1}, size_t{5}, size_t{35}, n + 5}) {
           std::string at = CaseName(c, ic) + " k=" + std::to_string(k);
           std::vector<std::vector<SearchHit>> want;
@@ -438,11 +451,10 @@ TEST(CertifiedScanTest, MirrorMatchesMirrorFreeIndexBitForBit) {
             }
             for (size_t threads : {size_t{1}, size_t{4}}) {
               ThreadPool pool(threads);
-              auto got = certified->SearchBatch(c.queries, k, &pool, quals);
-              ASSERT_EQ(got.size(), c.queries.size());
+              auto got = SearchEach(*certified, c.queries, k, &pool);
               for (size_t qi = 0; qi < c.queries.size(); ++qi) {
                 ExpectBitEqual(got[qi], want[qi],
-                               tat + " batch threads=" + std::to_string(threads) +
+                               tat + " pooled threads=" + std::to_string(threads) +
                                    " q=" + std::to_string(qi));
               }
             }
@@ -457,9 +469,9 @@ TEST(CertifiedScanTest, MirrorMatchesMirrorFreeIndexBitForBit) {
 // The catalog embedder's query texts weight a few dozen of 1024 dimensions;
 // k-sparse random queries go down to one coordinate, one pair and the
 // all-zero query. Each must read what the mirror-free index reads — ids,
-// float distances and orders — through SearchBatch and through
-// SearchOrdered with an exclude set, on a row count that leaves every code
-// array a partial last block.
+// float distances and orders — through Search split across a pool and
+// through SearchOrdered with an exclude set, on a row count that leaves
+// every code array a partial last block.
 TEST(CertifiedScanTest, SparseQueriesMatchMirrorFreeIndexBitForBit) {
   Corpus c = Embedded("squad", 60);
   if (c.rows.size() % kSqBlockRows == 0) {
@@ -489,7 +501,6 @@ TEST(CertifiedScanTest, SparseQueriesMatchMirrorFreeIndexBitForBit) {
   const std::vector<ChunkId> most = MostIds(n);
   const IdFilter filter{most.data(), most.data() + most.size()};
   const RetrievalQuality fp32;
-  const std::vector<RetrievalQuality> quals(c.queries.size());
   ThreadPool pool(3);
   for (auto backend :
        {RetrievalIndexOptions::Backend::kFlat, RetrievalIndexOptions::Backend::kIvf}) {
@@ -498,7 +509,7 @@ TEST(CertifiedScanTest, SparseQueriesMatchMirrorFreeIndexBitForBit) {
     auto certified = Build(c, ic, /*mirror=*/true);
     for (size_t k : {size_t{1}, size_t{10}}) {
       std::string at = CaseName(c, ic) + " n=" + std::to_string(n) + " k=" + std::to_string(k);
-      std::vector<std::vector<SearchHit>> want = plain->SearchBatch(c.queries, k, nullptr, quals);
+      std::vector<std::vector<SearchHit>> want = SearchEach(*plain, c.queries, k, nullptr);
       std::vector<std::vector<OrderedHit>> want_filtered;
       for (const Embedding& q : c.queries) {
         want_filtered.push_back(plain->SearchOrdered(q, k, fp32, filter));
@@ -506,12 +517,10 @@ TEST(CertifiedScanTest, SparseQueriesMatchMirrorFreeIndexBitForBit) {
       for (KernelTarget target : SupportedTargets()) {
         ScopedKernelTarget scoped(target);
         std::string tat = at + " target=" + KernelTargetName(target);
-        std::vector<std::vector<SearchHit>> got =
-            certified->SearchBatch(c.queries, k, &pool, quals);
-        ASSERT_EQ(got.size(), c.queries.size());
+        std::vector<std::vector<SearchHit>> got = SearchEach(*certified, c.queries, k, &pool);
         for (size_t qi = 0; qi < c.queries.size(); ++qi) {
           std::string qat = tat + " q=" + std::to_string(qi);
-          ExpectBitEqual(got[qi], want[qi], qat + " batch");
+          ExpectBitEqual(got[qi], want[qi], qat + " pooled");
           std::vector<OrderedHit> filtered =
               certified->SearchOrdered(c.queries[qi], k, fp32, filter);
           ExpectBitEqual(filtered, want_filtered[qi], qat + " filtered");
@@ -548,9 +557,8 @@ TEST(CertifiedScanTest, MutableIndexThroughSealCompactRetrainMatchesMirrorFreeBu
     for (const auto& [id, v] : live) {
       ref.Add(id, v);
     }
-    std::vector<RetrievalQuality> quals(c.queries.size());
     for (size_t k : {size_t{1}, size_t{5}, size_t{35}}) {
-      auto got = index.SearchBatch(c.queries, k, &pool, quals);
+      auto got = SearchEach(index, c.queries, k, &pool);
       for (size_t qi = 0; qi < c.queries.size(); ++qi) {
         std::string at = stage + " k=" + std::to_string(k) + " q=" + std::to_string(qi);
         std::vector<SearchHit> want = ref.Search(c.queries[qi], k, RetrievalQuality{});
@@ -646,8 +654,6 @@ TEST(CertifiedScanTest, ZeroBoundWouldMissTheExactWinner) {
     EXPECT_EQ(want[0].id, 4) << "row a (index 1) is exactly closest";
     EXPECT_NE(zero_bound_winner, want[0].id) << "a zero bound must answer wrongly here";
     ExpectBitEqual(certified->Search(q, k, RetrievalQuality{}), want, CaseName(c, ic));
-    ExpectBitEqual(certified->SearchBatch({q}, k, nullptr, {RetrievalQuality{}})[0], want,
-                   CaseName(c, ic) + " batch");
   }
 }
 

@@ -184,38 +184,21 @@ TEST(EmbedBatchTest, EmptyBatchIsEmpty) {
   EXPECT_TRUE(m.EmbedBatch({}).empty());
 }
 
-TEST(EmbeddingCacheTest, GetBatchMatchesGetAndMemoizes) {
+TEST(EmbeddingCacheTest, GetMemoizesAndEvictsTheLeastRecentlyUsed) {
   EmbeddingModel m = Cohere();
-  EmbeddingCache cache(&m, 16);
-  // Warm one entry so the batch sees a pre-existing hit.
-  cache.Get("warm entry text");
-  std::vector<std::string> texts = {
-      "warm entry text", "fresh one", "fresh two", "fresh one",  // Duplicate miss.
-  };
-  std::vector<Embedding> got = cache.GetBatch(texts);
-  ASSERT_EQ(got.size(), texts.size());
-  for (size_t i = 0; i < texts.size(); ++i) {
-    EXPECT_EQ(got[i], m.Embed(texts[i])) << "i=" << i;
-  }
-  // 1 warm hit; 2 unique misses (the duplicate is served from the single
-  // computation, not recomputed).
+  EmbeddingCache cache(&m, 2);
+  EXPECT_EQ(cache.Get("one text"), m.Embed("one text"));
+  EXPECT_EQ(cache.Get("two text"), m.Embed("two text"));
+  EXPECT_EQ(cache.Get("one text"), m.Embed("one text"));  // Hit: now most recent.
   EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 3u);  // warm-up miss + 2 batch misses.
-  // Everything from the batch is memoized now.
-  size_t misses_before = cache.misses();
-  cache.GetBatch(texts);
-  EXPECT_EQ(cache.misses(), misses_before);
-}
-
-TEST(EmbeddingCacheTest, GetBatchResultsSurviveEviction) {
-  EmbeddingModel m = Cohere();
-  EmbeddingCache cache(&m, 2);  // Tiny: the batch itself forces evictions.
-  std::vector<std::string> texts = {"one text", "two text", "three text", "four text"};
-  std::vector<Embedding> got = cache.GetBatch(texts);
-  ASSERT_EQ(got.size(), texts.size());
-  for (size_t i = 0; i < texts.size(); ++i) {
-    EXPECT_EQ(got[i], m.Embed(texts[i])) << "i=" << i;  // Owned copies: intact.
-  }
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.Get("three text"), m.Embed("three text"));  // Evicts "two text".
+  EXPECT_EQ(cache.size(), 2u);
+  cache.Get("one text");
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.Get("two text"), m.Embed("two text"));  // Evicted: recomputed.
+  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(EmbeddingDeathTest, UnknownModelAborts) {

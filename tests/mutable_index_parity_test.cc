@@ -139,7 +139,7 @@ TEST_P(MutableIndexParityTest, RandomInterleavingsMatchFreshBuild) {
   Rng rng(0x5EED0 + 31 + pc.threads * 7 + (pc.adaptive ? 1 : 0) +
           (pc.backend == RetrievalIndexOptions::Backend::kIvf ? 1000 : 0));
   ThreadPool pool(pc.threads);
-  ThreadPool* batch_pool = pc.threads > 1 ? &pool : nullptr;
+  ThreadPool* read_pool = pc.threads > 1 ? &pool : nullptr;
 
   // Initial corpus (bulk load + finalize), with some exact duplicates.
   LiveSet model;
@@ -175,9 +175,13 @@ TEST_P(MutableIndexParityTest, RandomInterleavingsMatchFreshBuild) {
     }
     RetrievalQuality quality =
         pc.backend == RetrievalIndexOptions::Backend::kIvf ? full_probe : RetrievalQuality{};
-    std::vector<std::vector<SearchHit>> batch =
-        index.SearchBatch(queries, kTopK, batch_pool,
-                          std::vector<RetrievalQuality>(queries.size(), quality));
+    // The checkpoint's queries also read concurrently, split across the pool.
+    std::vector<std::vector<SearchHit>> pooled(queries.size());
+    ParallelFor(read_pool, queries.size(), [&](size_t begin, size_t end) {
+      for (size_t qi = begin; qi < end; ++qi) {
+        pooled[qi] = index.Search(queries[qi], kTopK, quality);
+      }
+    });
     // A sorted exclusion set over every id issued so far, live or deleted.
     std::vector<ChunkId> excluded;
     for (ChunkId id = 0; id < next_id; ++id) {
@@ -189,7 +193,7 @@ TEST_P(MutableIndexParityTest, RandomInterleavingsMatchFreshBuild) {
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       std::vector<SearchHit> want = ref.Search(queries[qi], kTopK, RetrievalQuality{});
       ExpectBitEqual(index.Search(queries[qi], kTopK, quality), want, when);
-      ExpectBitEqual(batch[qi], want, when);
+      ExpectBitEqual(pooled[qi], want, when);
       ExpectBitEqual(index.SearchOrdered(queries[qi], kTopK, quality, exclude),
                      ref.SearchOrdered(queries[qi], kTopK, RetrievalQuality{}, exclude), when);
     }

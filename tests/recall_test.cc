@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -170,9 +171,15 @@ TEST(AdaptiveProbeTest, QualityOverrideForcesFixedProbing) {
   EXPECT_DOUBLE_EQ(ivf.mean_probes(), 5.0);
 }
 
-TEST(AdaptiveProbeTest, BatchAccountingMatchesSequential) {
+// RecallEval splits its queries across a pool, one Search each. Its ground
+// truth, its recall and the IVF index's relaxed-atomic probe accounting
+// (searches, probes, the per-query histogram) must equal a serial sweep's,
+// under a fixed and an adaptive quality.
+TEST(RecallEvalTest, PooledEvaluateMatchesSerialEvaluate) {
   ClusteredCorpus corpus = MakeClusteredCorpus(16, 6, 50, 10, 6, 0xA112);
+  FlatL2Index flat(16);
   IvfL2Index ivf(16, 6, 2, 7);
+  AddAll(flat, corpus.points);
   AddAll(ivf, corpus.points);
   ivf.Train();
   AdaptiveProbePolicy policy;
@@ -181,21 +188,44 @@ TEST(AdaptiveProbeTest, BatchAccountingMatchesSequential) {
   policy.max_probes = 6;
   ivf.set_adaptive_probe(policy);
 
+  ThreadPool pool(4);
   std::vector<Embedding> queries = corpus.AllQueries();
-
-  ivf.ResetProbeStats();
-  for (const Embedding& q : queries) {
-    ivf.Search(q, 5, RetrievalQuality{});
+  RecallEval serial_eval(flat, queries, 5);
+  RecallEval eval(flat, queries, 5, &pool);
+  ASSERT_EQ(eval.ground_truth().size(), queries.size());
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const std::vector<SearchHit>& got = eval.ground_truth()[qi];
+    const std::vector<SearchHit>& want = serial_eval.ground_truth()[qi];
+    ASSERT_EQ(got.size(), want.size()) << "q=" << qi;
+    for (size_t r = 0; r < got.size(); ++r) {
+      EXPECT_EQ(got[r].id, want[r].id) << "q=" << qi << " rank=" << r;
+      EXPECT_EQ(got[r].distance, want[r].distance) << "q=" << qi << " rank=" << r;
+    }
   }
-  uint64_t sequential_probes = ivf.probes_issued();
 
-  std::vector<RetrievalQuality> qualities(queries.size());
-  for (size_t threads : {0u, 4u}) {
-    ThreadPool pool(threads);
+  RetrievalQuality fixed;
+  fixed.mode = RetrievalQuality::ProbeMode::kFixed;
+  fixed.nprobe = 3;
+  RetrievalQuality adaptive;
+  adaptive.mode = RetrievalQuality::ProbeMode::kAdaptive;
+  for (const RetrievalQuality& quality : {fixed, adaptive}) {
     ivf.ResetProbeStats();
-    ivf.SearchBatch(queries, 5, threads == 0 ? nullptr : &pool, qualities);
-    EXPECT_EQ(ivf.probes_issued(), sequential_probes) << "threads=" << threads;
-    EXPECT_EQ(ivf.searches(), queries.size());
+    double serial_recall = eval.Evaluate(ivf, nullptr, quality);
+    uint64_t searches = ivf.searches();
+    uint64_t probes = ivf.probes_issued();
+    std::vector<uint64_t> hist = ivf.probe_histogram();
+    EXPECT_EQ(searches, queries.size());
+
+    ivf.ResetProbeStats();
+    EXPECT_EQ(eval.Evaluate(ivf, &pool, quality), serial_recall);
+    EXPECT_EQ(ivf.searches(), searches);
+    EXPECT_EQ(ivf.probes_issued(), probes);
+    EXPECT_EQ(ivf.probe_histogram(), hist);
+    if (quality.mode == RetrievalQuality::ProbeMode::kAdaptive) {
+      // The easy and the boundary queries stop at different depths, so the
+      // histogram comparison covers more than one bucket.
+      EXPECT_GT(std::count_if(hist.begin(), hist.end(), [](uint64_t c) { return c > 0; }), 1);
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // Parity property tests for the high-throughput retrieval substrate.
 //
 // The rebuilt vectordb (SoA rows + norm-trick distances + bounded-heap top-k
-// + batched/threaded sweeps) must return *exactly* the seed implementation's
+// + reads split across threads) must return *exactly* the seed implementation's
 // rankings: same ids, same order, including insertion-order tie-breaks on
 // duplicate-distance inputs. The reference oracle is the frozen seed copy in
 // tests/fixtures/seed_reference.h (scalar double-precision loop, materialize
@@ -277,9 +277,9 @@ TEST(RetrievalParityTest, IvfSearchIsBitIdenticalAcrossDispatchTargets) {
   }
 }
 
-// --- Batched parity across thread counts ------------------------------------
+// --- Concurrent reads across thread counts ----------------------------------
 
-TEST(RetrievalParityTest, SearchBatchMatchesSeedForEveryThreadCount) {
+TEST(RetrievalParityTest, PooledSearchMatchesSeedForEveryThreadCount) {
   const size_t kDim = 48;
   Rng rng(0xBA7C4);
   FlatL2Index index(kDim);
@@ -287,7 +287,7 @@ TEST(RetrievalParityTest, SearchBatchMatchesSeedForEveryThreadCount) {
   std::vector<Embedding> stored;
   for (int i = 0; i < 300; ++i) {
     // A third of the rows duplicate an earlier row: ties must survive
-    // batching and threading too.
+    // concurrent reads too.
     Embedding v = (i >= 100 && i % 3 == 0) ? stored[static_cast<size_t>(i) / 2]
                                            : RandomUnitVector(rng, kDim);
     stored.push_back(v);
@@ -307,12 +307,16 @@ TEST(RetrievalParityTest, SearchBatchMatchesSeedForEveryThreadCount) {
     want.push_back(seed.Search(q, kK));
   }
 
-  // No pool (inline), then pools of 1, 2, 4, 8 workers.
-  std::vector<RetrievalQuality> qualities(queries.size());
+  // No pool (inline), then pools of 1, 2, 4, 8 workers, one Search per
+  // query.
   for (size_t threads : {0u, 1u, 2u, 4u, 8u}) {
     ThreadPool pool(threads);
-    auto got = index.SearchBatch(queries, kK, threads == 0 ? nullptr : &pool, qualities);
-    ASSERT_EQ(got.size(), queries.size());
+    std::vector<std::vector<SearchHit>> got(queries.size());
+    ParallelFor(threads == 0 ? nullptr : &pool, queries.size(), [&](size_t begin, size_t end) {
+      for (size_t qi = begin; qi < end; ++qi) {
+        got[qi] = index.Search(queries[qi], kK, RetrievalQuality{});
+      }
+    });
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       ExpectSameRanking(got[qi], want[qi],
                         "threads=" + std::to_string(threads) + " q=" + std::to_string(qi));
@@ -342,30 +346,6 @@ TEST(RetrievalParityTest, IvfExhaustiveProbeMatchesFlatOnTieFreeInputs) {
   }
 }
 
-TEST(RetrievalParityTest, IvfSearchBatchMatchesSequentialSearch) {
-  const size_t kDim = 24;
-  Rng rng(0xABCD);
-  IvfL2Index ivf(kDim, 6, 2, 7);
-  for (int i = 0; i < 180; ++i) {
-    ivf.Add(i, RandomUnitVector(rng, kDim));
-  }
-  ivf.Train();
-  std::vector<Embedding> queries;
-  for (int q = 0; q < 17; ++q) {
-    queries.push_back(RandomUnitVector(rng, kDim));
-  }
-  std::vector<RetrievalQuality> qualities(queries.size());
-  for (size_t threads : {0u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    auto got = ivf.SearchBatch(queries, 9, threads == 0 ? nullptr : &pool, qualities);
-    ASSERT_EQ(got.size(), queries.size());
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      ExpectSameRanking(got[qi], ivf.Search(queries[qi], 9, qualities[qi]),
-                        "q=" + std::to_string(qi));
-    }
-  }
-}
-
 TEST(RetrievalParityTest, IvfTrainIsDeterministicAcrossThreadCounts) {
   const size_t kDim = 32;
   auto build = [&](ThreadPool* pool) {
@@ -390,156 +370,6 @@ TEST(RetrievalParityTest, IvfTrainIsDeterministicAcrossThreadCounts) {
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].id, b[i].id) << "q=" << q << " rank=" << i;
       EXPECT_EQ(a[i].distance, b[i].distance) << "q=" << q << " rank=" << i;
-    }
-  }
-}
-
-// --- Batch parity -----------------------------------------------------------
-//
-// SearchBatch must be invisible in results: for ANY thread count, ids,
-// order, AND float distances are bit-equal to per-query Search of the same
-// index (which is itself seed-parity-tested above). The corpora include
-// heavy duplicate groups so distance ties exercise the candidate-order
-// tie-break, and ids are non-contiguous.
-
-void ExpectBitEqualHits(const std::vector<SearchHit>& got, const std::vector<SearchHit>& want,
-                        const std::string& context) {
-  ASSERT_EQ(got.size(), want.size()) << context;
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].id, want[i].id) << context << " rank " << i;
-    EXPECT_EQ(got[i].distance, want[i].distance) << context << " rank " << i;
-  }
-}
-
-TEST(BatchParityTest, FlatBatchBitEqualToPerQuerySearchForAnyThreadCount) {
-  const size_t kDim = 56;
-  const size_t kK = 13;
-  Rng rng(0x5AA5D);
-  std::vector<std::pair<ChunkId, Embedding>> corpus;
-  std::vector<Embedding> stored;
-  for (int i = 0; i < 320; ++i) {
-    // A third duplicates: exact distance ties must break by insertion order
-    // in every worker's slice of the batch.
-    Embedding v = (i >= 90 && i % 3 == 0) ? stored[static_cast<size_t>(i) / 2]
-                                          : RandomUnitVector(rng, kDim);
-    stored.push_back(v);
-    // Non-contiguous ids: the candidate order must not be conflated with
-    // the id value.
-    corpus.emplace_back(static_cast<ChunkId>(5 * i + 2), v);
-  }
-  std::vector<Embedding> queries;
-  for (int q = 0; q < 21; ++q) {
-    queries.push_back(q % 4 == 0 ? stored[static_cast<size_t>(q) * 9]
-                                 : RandomUnitVector(rng, kDim));
-  }
-
-  FlatL2Index index(kDim);
-  for (const auto& [id, v] : corpus) {
-    index.Add(id, v);
-  }
-  ASSERT_EQ(index.size(), corpus.size());
-  std::vector<std::vector<SearchHit>> want;
-  for (const Embedding& q : queries) {
-    want.push_back(index.Search(q, kK, RetrievalQuality{}));
-  }
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    ThreadPool pool(threads);
-    std::vector<RetrievalQuality> qualities(queries.size());
-    auto got = index.SearchBatch(queries, kK, &pool, qualities);
-    ASSERT_EQ(got.size(), queries.size());
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      ExpectBitEqualHits(got[qi], want[qi],
-                         "batch threads=" + std::to_string(threads) + " q=" + std::to_string(qi));
-    }
-  }
-}
-
-TEST(BatchParityTest, IvfBatchBitEqualToPerQuerySearchForAnyThreadCount) {
-  const size_t kDim = 36;
-  const size_t kK = 11;
-  Rng rng(0x1C0DE);
-  std::vector<std::pair<ChunkId, Embedding>> corpus;
-  std::vector<Embedding> stored;
-  for (int i = 0; i < 350; ++i) {
-    Embedding v = (i >= 120 && i % 4 == 0) ? stored[static_cast<size_t>(i) / 3]
-                                           : RandomUnitVector(rng, kDim);
-    stored.push_back(v);
-    corpus.emplace_back(static_cast<ChunkId>(3 * i + 1), v);
-  }
-  std::vector<Embedding> queries;
-  for (int q = 0; q < 15; ++q) {
-    queries.push_back(q % 5 == 0 ? stored[static_cast<size_t>(q) * 11]
-                                 : RandomUnitVector(rng, kDim));
-  }
-  RetrievalQuality adaptive;
-  adaptive.mode = RetrievalQuality::ProbeMode::kAdaptive;
-  adaptive.nprobe = 6;
-
-  IvfL2Index ivf(kDim, 9, 3, 4242);
-  for (const auto& [id, v] : corpus) {
-    ivf.Add(id, v);
-  }
-  ivf.Train();
-  // Post-train adds append to the trained lists.
-  for (int i = 0; i < 30; ++i) {
-    ivf.Add(static_cast<ChunkId>(2000 + i), stored[static_cast<size_t>(i) * 7]);
-  }
-  for (const RetrievalQuality& quality : {RetrievalQuality{}, adaptive}) {
-    std::string mode = quality.mode == RetrievalQuality::ProbeMode::kAdaptive ? "adaptive"
-                                                                              : "default";
-    std::vector<std::vector<SearchHit>> want;
-    for (const Embedding& q : queries) {
-      want.push_back(ivf.Search(q, kK, quality));
-    }
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      ThreadPool pool(threads);
-      std::vector<RetrievalQuality> qualities(queries.size(), quality);
-      auto got = ivf.SearchBatch(queries, kK, &pool, qualities);
-      ASSERT_EQ(got.size(), want.size());
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        ExpectBitEqualHits(got[qi], want[qi],
-                           "ivf batch mode=" + mode + " threads=" + std::to_string(threads) +
-                               " q=" + std::to_string(qi));
-      }
-    }
-  }
-}
-
-TEST(BatchParityTest, BatchProbeAccountingMatchesPerQuerySearch) {
-  // A batch counts each query's probes exactly as per-query Search does, in
-  // either fixed or adaptive mode.
-  const size_t kDim = 20;
-  Rng rng(0xFACE5);
-  std::vector<Embedding> corpus;
-  for (int i = 0; i < 240; ++i) {
-    corpus.push_back(RandomUnitVector(rng, kDim));
-  }
-  std::vector<Embedding> queries;
-  for (int q = 0; q < 12; ++q) {
-    queries.push_back(RandomUnitVector(rng, kDim));
-  }
-  RetrievalQuality adaptive;
-  adaptive.mode = RetrievalQuality::ProbeMode::kAdaptive;
-  adaptive.nprobe = 5;
-  IvfL2Index ivf(kDim, 8, 2, 99);
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    ivf.Add(static_cast<ChunkId>(i), corpus[i]);
-  }
-  ivf.Train();
-  for (const RetrievalQuality& quality : {RetrievalQuality{}, adaptive}) {
-    ivf.ResetProbeStats();
-    for (const Embedding& q : queries) {
-      ivf.Search(q, 5, quality);
-    }
-    double per_query_mean = ivf.mean_probes();
-    std::vector<uint64_t> per_query_hist = ivf.probe_histogram();
-    ivf.ResetProbeStats();
-    ivf.SearchBatch(queries, 5, nullptr, std::vector<RetrievalQuality>(queries.size(), quality));
-    EXPECT_EQ(ivf.searches(), queries.size());
-    EXPECT_EQ(ivf.mean_probes(), per_query_mean);
-    EXPECT_EQ(ivf.probe_histogram(), per_query_hist);
-    if (quality.mode == RetrievalQuality::ProbeMode::kIndexDefault) {
-      EXPECT_EQ(ivf.mean_probes(), 2.0);  // Fixed nprobe=2 probes exactly 2 lists.
     }
   }
 }

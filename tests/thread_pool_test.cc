@@ -1,4 +1,5 @@
-// Unit tests for the fixed-size worker pool behind batched retrieval, plus
+// Unit tests for the fixed-size worker pool behind the bulk loads and the
+// pooled recall sweeps, and for the nullable-pool ParallelFor helper, plus
 // stress coverage for the shutdown-sensitive paths: destruction right after a
 // barrier, and many threads hammering ParallelFor on one shared pool.
 
@@ -47,6 +48,29 @@ TEST(ThreadPoolTest, ParallelForHandlesSmallAndEmptyRanges) {
   });
   EXPECT_EQ(hits[0], 1);
   EXPECT_EQ(hits[1], 1);  // n < threads still covers everything.
+}
+
+TEST(ThreadPoolTest, NullablePoolHelperRunsInlineWithoutAPoolAndSkipsEmptyRanges) {
+  std::vector<std::pair<size_t, size_t>> calls;
+  ParallelFor(nullptr, 5, [&](size_t begin, size_t end) { calls.emplace_back(begin, end); });
+  ASSERT_EQ(calls.size(), 1u);  // A null pool: one inline call over the range.
+  EXPECT_EQ(calls[0], (std::pair<size_t, size_t>{0, 5}));
+
+  int empty_calls = 0;
+  ParallelFor(nullptr, 0, [&](size_t, size_t) { ++empty_calls; });
+  ThreadPool pool(3);
+  ParallelFor(&pool, 0, [&](size_t, size_t) { ++empty_calls; });
+  EXPECT_EQ(empty_calls, 0);  // n == 0: nothing runs, with or without a pool.
+
+  std::vector<std::atomic<int>> touched(10);
+  ParallelFor(&pool, touched.size(), [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      touched[i].fetch_add(1);
+    }
+  });
+  for (size_t i = 0; i < touched.size(); ++i) {
+    EXPECT_EQ(touched[i].load(), 1) << "i=" << i;  // A pool: each index once.
+  }
 }
 
 TEST(ThreadPoolTest, ShardBoundariesAreContiguousAndDeterministic) {

@@ -91,25 +91,6 @@ TEST_F(IvfIndexTest, AddAfterTrainGoesToNearestList) {
   EXPECT_EQ(hits[0].id, 100);
 }
 
-TEST(FlatL2IndexTest, SearchBatchMatchesPerQuerySearch) {
-  FlatL2Index index(2);
-  index.Add(0, MakeVec({0.0f, 0.0f}));
-  index.Add(1, MakeVec({1.0f, 0.0f}));
-  index.Add(2, MakeVec({0.0f, 2.0f}));
-  std::vector<Embedding> queries = {MakeVec({0.9f, 0.1f}), MakeVec({0.0f, 1.9f})};
-  std::vector<RetrievalQuality> qualities(queries.size());
-  auto batched = index.SearchBatch(queries, 2, nullptr, qualities);
-  ASSERT_EQ(batched.size(), 2u);
-  for (size_t q = 0; q < queries.size(); ++q) {
-    auto single = index.Search(queries[q], 2, RetrievalQuality{});
-    ASSERT_EQ(batched[q].size(), single.size());
-    for (size_t i = 0; i < single.size(); ++i) {
-      EXPECT_EQ(batched[q][i].id, single[i].id);
-      EXPECT_EQ(batched[q][i].distance, single[i].distance);
-    }
-  }
-}
-
 TEST_F(IvfIndexTest, SizeIsMaintainedAcrossStagingTrainingAndAdds) {
   IvfL2Index ivf(2, 2, 2, 99);
   EXPECT_EQ(ivf.size(), 0u);
