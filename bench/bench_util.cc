@@ -1,87 +1,41 @@
 #include "bench/bench_util.h"
 
-#include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <limits>
 
 #include "src/common/check.h"
 #include "src/vectordb/kernels.h"
 
 namespace metis {
 
-std::vector<FixedConfigScore> ScoreFixedConfigs(const Dataset& dataset, int sample_queries,
-                                                const std::string& serving_model,
-                                                uint64_t seed) {
-  std::vector<FixedConfigScore> scores;
-  int n = std::min<int>(sample_queries, static_cast<int>(dataset.queries().size()));
-  for (const RagConfig& config : FixedConfigMenu(dataset.profile())) {
-    FixedConfigScore score;
-    score.config = config;
-    for (int i = 0; i < n; ++i) {
-      RagResult r = RunSingleQuery(dataset, dataset.queries()[static_cast<size_t>(i)], config,
-                                   serving_model, seed);
-      score.mean_f1 += r.f1;
-      score.mean_delay += r.exec_delay();
-    }
-    score.mean_f1 /= n;
-    score.mean_delay /= n;
-    scores.push_back(score);
-  }
-  return scores;
-}
-
-RagConfig BestQualityFixed(const std::vector<FixedConfigScore>& scores) {
-  // Highest mean F1, with a 1.5% tie tolerance resolved toward lower delay:
-  // no practitioner deploys a config that is seconds slower for a quality
-  // difference inside the noise floor.
-  return ClosestQualityFixed(scores, 0.015);
-}
-
-RagConfig BestQualityFixedStrict(const std::vector<FixedConfigScore>& scores) {
-  METIS_CHECK(!scores.empty());
-  const FixedConfigScore* best = &scores[0];
-  for (const auto& s : scores) {
-    if (s.mean_f1 > best->mean_f1) {
-      best = &s;
-    }
-  }
-  return best->config;
-}
-
-RagConfig ClosestQualityFixed(const std::vector<FixedConfigScore>& scores, double tolerance) {
-  METIS_CHECK(!scores.empty());
-  double best_f1 = 0;
-  for (const auto& s : scores) {
-    best_f1 = std::max(best_f1, s.mean_f1);
-  }
-  const FixedConfigScore* pick = nullptr;
-  for (const auto& s : scores) {
-    if (s.mean_f1 >= best_f1 - tolerance &&
-        (pick == nullptr || s.mean_delay < pick->mean_delay)) {
-      pick = &s;
-    }
-  }
-  METIS_CHECK(pick != nullptr);
-  return pick->config;
-}
-
-RagConfig SimilarDelayFixed(const std::vector<FixedConfigScore>& scores, double target_delay) {
-  METIS_CHECK(!scores.empty());
-  const FixedConfigScore* pick = nullptr;
-  double best_gap = std::numeric_limits<double>::max();
-  for (const auto& s : scores) {
-    double gap = std::abs(s.mean_delay - target_delay);
-    if (gap < best_gap) {
-      best_gap = gap;
-      pick = &s;
-    }
-  }
-  return pick->config;
-}
-
 void PrintShapeCheck(const std::string& claim, const std::string& measured, bool holds) {
   std::printf("  [%s] paper: %s | measured: %s\n", holds ? "SHAPE OK" : "SHAPE OFF",
               claim.c_str(), measured.c_str());
+}
+
+ClaimVerdict JudgeClaim(const PaperClaim& claim) {
+  METIS_CHECK(!claim.measured.empty());
+  METIS_CHECK_LE(claim.band_lo, claim.band_hi);
+  // The band lies on one side of the null, or starts at it.
+  bool band_above_null = claim.band_lo >= claim.null_value;
+  METIS_CHECK(band_above_null || claim.band_hi <= claim.null_value);
+  ClaimVerdict verdict = ClaimVerdict::kInBand;
+  for (double v : claim.measured) {
+    METIS_CHECK(!std::isnan(v));
+    if (v >= claim.band_lo && v <= claim.band_hi) {
+      continue;
+    }
+    if (band_above_null ? v <= claim.null_value : v >= claim.null_value) {
+      return ClaimVerdict::kContradicted;
+    }
+    verdict = ClaimVerdict::kSameDirection;
+  }
+  return verdict;
+}
+
+const char* ClaimVerdictName(ClaimVerdict verdict) {
+  static const char* const kNames[] = {"", "contradicted", "same direction", "in band"};
+  return kNames[static_cast<int>(verdict)];
 }
 
 namespace {

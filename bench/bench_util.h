@@ -1,47 +1,50 @@
-// Shared helpers for the per-figure benchmark binaries.
+// Shared helpers for the benchmark binaries.
 
 #ifndef METIS_BENCH_BENCH_UTIL_H_
 #define METIS_BENCH_BENCH_UTIL_H_
 
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
-
-#include "src/common/table.h"
-#include "src/runner/runner.h"
 
 namespace metis {
 
-// Evaluates every menu configuration on a sample of the dataset's queries in
-// isolation (idle engine) and returns (config, mean F1, mean isolated delay)
-// triples — the "offline hand-tuning" step practitioners use to pick a static
-// configuration (paper §1).
-struct FixedConfigScore {
-  RagConfig config;
-  double mean_f1 = 0;
-  double mean_delay = 0;
-};
-std::vector<FixedConfigScore> ScoreFixedConfigs(const Dataset& dataset, int sample_queries,
-                                                const std::string& serving_model,
-                                                uint64_t seed);
-
-// The static configuration with the highest mean F1 (what the paper's Fig. 10
-// "selected config" baselines deploy). Ties within 1.5% resolve to lower delay.
-RagConfig BestQualityFixed(const std::vector<FixedConfigScore>& scores);
-
-// Strict argmax-F1 static configuration, no tie tolerance (the Fig. 12
-// ablation baseline: "vLLM's fixed configuration with highest quality").
-RagConfig BestQualityFixedStrict(const std::vector<FixedConfigScore>& scores);
-
-// The lowest-delay static configuration whose F1 is within `tolerance` of the
-// best achievable F1 (the paper's "closest quality" comparisons).
-RagConfig ClosestQualityFixed(const std::vector<FixedConfigScore>& scores, double tolerance);
-
-// The lowest-delay static configuration with delay >= the given target
-// ("fixed configuration of similar delay").
-RagConfig SimilarDelayFixed(const std::vector<FixedConfigScore>& scores, double target_delay);
-
 // Emits a one-line paper-vs-measured verdict under a table.
 void PrintShapeCheck(const std::string& claim, const std::string& measured, bool holds);
+
+// --- Paper-claim records -------------------------------------------------------
+//
+// One claim of the paper set against what a bench measured. The band is the
+// range the paper quotes, edges included; a one-sided claim leaves one edge
+// infinite. `null_value` is the value at which the claimed effect vanishes: 1
+// for a ratio against a baseline, 0 for a gain or gap against one, and the
+// band's edge for a claim with no baseline. It lies outside the band or on
+// its edge. A claim that quotes no number records its condition as 0/1 with
+// band [1, 1] and null 0.
+struct PaperClaim {
+  std::string figure;  // e.g. "fig10".
+  std::string name;    // Record name, e.g. "fig10.delay_vs_adaptive"; never data-dependent.
+  std::string claim;   // The claim as the bench prints it.
+  double band_lo = -std::numeric_limits<double>::infinity();
+  double band_hi = std::numeric_limits<double>::infinity();
+  double null_value = 0;
+  std::vector<double> measured;  // One value per dataset or arm; at least one.
+  std::string measured_text;     // The measurement as the bench prints it.
+};
+
+// The ranks are what BENCH_paper.json records: a higher rank is a better
+// verdict, and none is 0.
+enum class ClaimVerdict { kContradicted = 1, kSameDirection = 2, kInBand = 3 };
+
+// kInBand when every measured value lies in the band. Otherwise kContradicted
+// when any value lies at the null or past it on the side away from the band,
+// and kSameDirection when none does (each stray value lies past the band's
+// far edge or between the null and the band). A null on the band's edge
+// leaves no same-direction region on that side.
+ClaimVerdict JudgeClaim(const PaperClaim& claim);
+// "in band", "same direction" or "contradicted".
+const char* ClaimVerdictName(ClaimVerdict verdict);
 
 // --- Machine-readable benchmark output ---------------------------------------
 //
