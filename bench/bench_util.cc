@@ -74,7 +74,9 @@ void WriteBenchJson(const std::string& path, const std::string& bench_name,
       std::fprintf(f, ", \"%s\": \"%s\"", JsonEscape(key).c_str(), JsonEscape(value).c_str());
     }
     for (const auto& [key, value] : rec.metrics) {
-      std::fprintf(f, ", \"%s\": %.6g", JsonEscape(key).c_str(), value);
+      // Seventeen significant digits round-trip every double, so an --exact
+      // gate compares the value itself, not a six-digit rounding of it.
+      std::fprintf(f, ", \"%s\": %.17g", JsonEscape(key).c_str(), value);
     }
     std::fprintf(f, "}%s\n", r + 1 < records.size() ? "," : "");
   }

@@ -1,9 +1,17 @@
 #include "src/common/thread_pool.h"
 
 #include <algorithm>
-#include <memory>
+#include <atomic>
 
 namespace metis {
+
+namespace {
+
+// ParallelFor cuts its range into about this many grains per task, so a task
+// that starts late or runs slow leaves its remaining grains to the others.
+constexpr size_t kGrainsPerTask = 8;
+
+}  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
   threads_.reserve(num_threads);
@@ -35,54 +43,69 @@ void ThreadPool::WorkerLoop() {
     if (tasks_.empty()) {
       return;
     }
-    std::function<void()> task = std::move(tasks_.front());
-    tasks_.pop();
-    lock.unlock();
-    task();
-    task = nullptr;  // Destroy captures outside the lock.
-    lock.lock();
+    Task task = std::move(tasks_.front());
+    tasks_.pop_front();
+    RunTask(std::move(task), lock);
+  }
+}
+
+void ThreadPool::RunTask(Task task, std::unique_lock<std::mutex>& lock) {
+  lock.unlock();
+  task.fn();
+  task.fn = nullptr;  // Destroy captures outside the lock.
+  lock.lock();
+  // Notified under the lock: the waiter cannot see pending_ == 0, return and
+  // destroy the group (and done_) before notify_all has returned.
+  if (--task.group->pending_ == 0) {
+    task.group->done_.notify_all();
+  }
+}
+
+void ThreadPool::TaskGroup::Run(std::function<void()> task) {
+  {
+    std::lock_guard<std::mutex> lock(pool_.mu_);
+    ++pending_;
+    pool_.tasks_.push_back(Task{this, std::move(task)});
+  }
+  pool_.cv_.notify_one();
+}
+
+void ThreadPool::TaskGroup::Wait() {
+  std::unique_lock<std::mutex> lock(pool_.mu_);
+  while (pending_ > 0) {
+    auto it = std::find_if(pool_.tasks_.begin(), pool_.tasks_.end(),
+                           [this](const Task& t) { return t.group == this; });
+    if (it == pool_.tasks_.end()) {
+      // Every remaining task is running on a worker.
+      done_.wait(lock);
+      continue;
+    }
+    Task task = std::move(*it);
+    pool_.tasks_.erase(it);
+    pool_.RunTask(std::move(task), lock);
   }
 }
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t, size_t)>& fn) {
-  if (n == 0) {
-    return;
-  }
-  size_t shards = std::min(n, threads_.size());
-  if (shards <= 1) {
-    fn(0, n);
-    return;
-  }
-
-  struct Sync {
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t remaining;
-  };
-  auto sync = std::make_shared<Sync>();
-  sync->remaining = shards;
-
-  size_t chunk = n / shards;
-  size_t rem = n % shards;
-  size_t begin = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t s = 0; s < shards; ++s) {
-      size_t end = begin + chunk + (s < rem ? 1 : 0);
-      tasks_.push([&fn, begin, end, sync]() {
-        fn(begin, end);
-        std::lock_guard<std::mutex> sync_lock(sync->mu);
-        if (--sync->remaining == 0) {
-          sync->cv.notify_all();
-        }
-      });
-      begin = end;
+  size_t tasks = std::min(n, threads_.size());
+  if (tasks <= 1) {
+    if (n > 0) {
+      fn(0, n);
     }
+    return;
   }
-  cv_.notify_all();
-
-  std::unique_lock<std::mutex> lock(sync->mu);
-  sync->cv.wait(lock, [&sync]() { return sync->remaining == 0; });
+  size_t grain = std::max<size_t>(1, n / (tasks * kGrainsPerTask));
+  std::atomic<size_t> next{0};
+  auto claim = [&]() {
+    for (size_t begin = next.fetch_add(grain); begin < n; begin = next.fetch_add(grain)) {
+      fn(begin, std::min(n, begin + grain));
+    }
+  };
+  TaskGroup group(*this);
+  for (size_t t = 0; t < tasks; ++t) {
+    group.Run(claim);
+  }
+  group.Wait();
 }
 
 }  // namespace metis

@@ -1,6 +1,8 @@
 #include "src/embed/embedding.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "src/common/check.h"
 #include "src/common/rng.h"
@@ -38,40 +40,56 @@ EmbeddingModel::EmbeddingModel(EmbeddingModelSpec spec) : spec_(std::move(spec))
 Embedding EmbeddingModel::Embed(std::string_view text) const {
   Embedding v(spec_.dim, 0.0f);
 
-  auto add_feature = [&](uint64_t h, double weight) {
-    // Two hashed buckets with signed contributions approximate a random
-    // projection; this keeps unrelated texts near-orthogonal.
+  // Two hashed buckets with signed contributions approximate a random
+  // projection; this keeps unrelated texts near-orthogonal. A bucket gets
+  // +weight when its hash's top bit is set and -weight otherwise. Negating a
+  // float flips its sign bit and nothing else, so the sign is set by XOR
+  // from the inverted top bit: the same floats as (h >> 63 ? 1 : -1) *
+  // weight, with no branch on the hash.
+  auto weight_bits = [](double weight) {
+    float w = static_cast<float>(weight);
+    uint32_t bits;
+    std::memcpy(&bits, &w, sizeof(bits));
+    return bits;
+  };
+  auto signed_weight = [](uint64_t h, uint32_t bits) {
+    bits ^= static_cast<uint32_t>(~h >> 63) << 31;
+    float w;
+    std::memcpy(&w, &bits, sizeof(w));
+    return w;
+  };
+  const uint32_t unigram_bits = weight_bits(1.0);
+  const uint32_t bigram_bits = weight_bits(spec_.bigram_weight);
+  auto add_feature = [&](uint64_t h, uint32_t bits) {
     uint64_t st = h ^ spec_.hash_salt;
     uint64_t h1 = SplitMix64(st);
     uint64_t h2 = SplitMix64(st);
-    size_t i1 = static_cast<size_t>(h1 % spec_.dim);
-    size_t i2 = static_cast<size_t>(h2 % spec_.dim);
-    float s1 = (h1 >> 63) ? 1.0f : -1.0f;
-    float s2 = (h2 >> 63) ? 1.0f : -1.0f;
-    v[i1] += s1 * static_cast<float>(weight);
-    v[i2] += s2 * static_cast<float>(weight);
+    v[static_cast<size_t>(h1 % spec_.dim)] += signed_weight(h1, bits);
+    v[static_cast<size_t>(h2 % spec_.dim)] += signed_weight(h2, bits);
   };
 
   // Features are the HashString64 of each lowercased token and of each
   // adjacent pair joined by '_', added in the order u0, b01, u1, b12, u2, ...
   // FNV-1a is a running state, so the pair's hash continues the previous
-  // token's raw state with '_' and this token's bytes: no token or pair
-  // string is built.
-  auto fnv_lower = [](uint64_t h, std::string_view token) {
-    for (char c : token) {
-      h = Fnv64Step(h, static_cast<unsigned char>(LowerAscii(c)));
-    }
-    return h;
-  };
+  // token's raw state with '_' and this token's bytes, and one pass over
+  // the token's bytes advances the token's and the pair's states together:
+  // no token or pair string is built.
+  const bool bigrams = spec_.bigram_weight > 0;
   bool first = true;
   uint64_t prev = 0;  // Raw FNV state of the previous token.
   ForEachToken(text, [&](std::string_view token) {
-    if (!first && spec_.bigram_weight > 0) {
-      uint64_t pair = fnv_lower(Fnv64Step(prev, '_'), token);
-      add_feature(FinishHash64(pair), spec_.bigram_weight);
+    uint64_t unigram = kFnv64Offset;
+    uint64_t pair = Fnv64Step(prev, '_');
+    for (char c : token) {
+      unsigned char lower = static_cast<unsigned char>(LowerAscii(c));
+      unigram = Fnv64Step(unigram, lower);
+      pair = Fnv64Step(pair, lower);
     }
-    prev = fnv_lower(kFnv64Offset, token);
-    add_feature(FinishHash64(prev), 1.0);
+    if (!first && bigrams) {
+      add_feature(FinishHash64(pair), bigram_bits);
+    }
+    add_feature(FinishHash64(unigram), unigram_bits);
+    prev = unigram;
     first = false;
   });
 

@@ -317,7 +317,7 @@ void IvfL2Index::Add(ChunkId id, const Embedding& v) {
     staged_.Append(id, v.data());
     return;
   }
-  lists_[NearestCentroid(v.data())].Append(id, v.data());
+  lists_[NearestCentroid(v.data(), SquaredNormBlocked(v.data(), dim_))].Append(id, v.data());
 }
 
 // A bulk load stages in one pool; Train sizes each list once.
@@ -327,8 +327,7 @@ void IvfL2Index::Reserve(size_t rows) {
   }
 }
 
-size_t IvfL2Index::NearestCentroid(const float* v) const {
-  double vnorm = SquaredNormBlocked(v, dim_);
+size_t IvfL2Index::NearestCentroid(const float* v, double vnorm) const {
   DotKernelFn dot = ActiveDotKernel();
   size_t best = 0;
   float best_d = std::numeric_limits<float>::max();
@@ -397,29 +396,40 @@ void IvfL2Index::Train(ThreadPool* pool) {
   }
 
   // Lloyd rounds. Assignment (the O(n * nlist * dim) part) splits across the
-  // pool into a per-row slot; the float accumulation then runs serially in
-  // row order so centroids are bit-identical for every pool size.
+  // pool into a per-row slot, reading each staged row's stored norm. The
+  // centroid sums split across the pool by dimension, in blocks of 16
+  // floats (64 bytes, so two tasks seldom write one cache line), and each
+  // dimension is still summed in row order,
+  // so every float rounds as in a serial sweep and centroids are
+  // bit-identical for every pool size.
   std::vector<size_t> assign(n);
   auto assign_all = [&]() {
     ParallelFor(pool, n, [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
-        assign[i] = NearestCentroid(staged_.row(i));
+        assign[i] = NearestCentroid(staged_.row(i), staged_.norm(i));
       }
     });
   };
+  constexpr size_t kSumBlock = 16;
   for (int round = 0; round < 5; ++round) {
     rebuild_centroids(cents);
     assign_all();
     std::vector<Embedding> sums(cents.size(), Embedding(dim_, 0));
     std::vector<size_t> counts(cents.size(), 0);
     for (size_t i = 0; i < n; ++i) {
-      const float* r = staged_.row(i);
-      Embedding& sum = sums[assign[i]];
-      for (size_t j = 0; j < dim_; ++j) {
-        sum[j] += r[j];
-      }
       ++counts[assign[i]];
     }
+    ParallelFor(pool, (dim_ + kSumBlock - 1) / kSumBlock, [&](size_t begin, size_t end) {
+      size_t jb = begin * kSumBlock;
+      size_t je = std::min(dim_, end * kSumBlock);
+      for (size_t i = 0; i < n; ++i) {
+        const float* r = staged_.row(i);
+        float* sum = sums[assign[i]].data();
+        for (size_t j = jb; j < je; ++j) {
+          sum[j] += r[j];
+        }
+      }
+    });
     for (size_t c = 0; c < cents.size(); ++c) {
       if (counts[c] > 0) {
         for (size_t j = 0; j < dim_; ++j) {
@@ -622,18 +632,25 @@ const IvfL2Index* VectorDatabase::ivf_index() const {
 }
 
 std::vector<ChunkId> VectorDatabase::AddChunks(std::vector<Chunk> chunks, ThreadPool* pool) {
-  // Embedding and BM25 analysis read one text each, in place, and dominate
-  // bulk load, so both run across the pool; indexing then runs serially in
-  // order, so ids, insertion orders and posting lists follow the chunks'
-  // order for any pool size. The analyses run in windows of kWindow chunks,
-  // which bounds how many are held at once; the embeddings run in one sweep,
-  // because every fork-join window waits for the pool's slowest shard.
+  // Embedding reads one text in place and dominates bulk load, so it runs
+  // across the pool in one sweep, each text into its own slot.
   std::vector<Embedding> embeddings(chunks.size());
   ParallelFor(pool, chunks.size(), [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       embeddings[i] = embedder_.Embed(chunks[i].text);
     }
   });
+  return AddEmbeddedChunks(std::move(chunks), std::move(embeddings), pool);
+}
+
+std::vector<ChunkId> VectorDatabase::AddEmbeddedChunks(std::vector<Chunk> chunks,
+                                                       std::vector<Embedding> embeddings,
+                                                       ThreadPool* pool) {
+  METIS_CHECK_EQ(embeddings.size(), chunks.size());
+  // BM25 analysis reads one text each, in place, so it runs across the
+  // pool; indexing then runs serially in order, so ids, insertion orders and
+  // posting lists follow the chunks' order for any pool size. The analyses
+  // run in windows of kWindow chunks, which bounds how many are held at once.
   constexpr size_t kWindow = 256;
   std::vector<LexicalIndex::DocTerms> terms(lexical_ != nullptr ? std::min(kWindow, chunks.size())
                                                                  : 0);

@@ -472,7 +472,8 @@ class IvfL2Index : public VectorIndex {
   };
   ProbeSet PlanProbes(const float* q, double qnorm, const ProbePlan& plan) const;
 
-  size_t NearestCentroid(const float* v) const;
+  // The centroid closest to `v`, whose SquaredNormBlocked is `vnorm`.
+  size_t NearestCentroid(const float* v, double vnorm) const;
 
   size_t dim_;
   size_t nlist_;
@@ -605,6 +606,13 @@ class VectorDatabase {
   // consecutive new ids, which it returns. Ids and index contents are the
   // same for any pool size.
   std::vector<ChunkId> AddChunks(std::vector<Chunk> chunks, ThreadPool* pool = nullptr);
+
+  // AddChunks for chunks already embedded: embeddings[i] must be
+  // embedder().Embed(chunks[i].text). The corpus generator embeds each
+  // window of chunks while it draws the next, then adds them all here.
+  std::vector<ChunkId> AddEmbeddedChunks(std::vector<Chunk> chunks,
+                                         std::vector<Embedding> embeddings,
+                                         ThreadPool* pool = nullptr);
 
   // Call once after bulk-loading chunks. Trains the IVF coarse quantizer
   // (no-op for the flat backend or if already trained); chunks added later

@@ -551,6 +551,16 @@ std::unique_ptr<Dataset> DatasetGenerator::Generate(int num_queries,
   auto db = std::make_unique<VectorDatabase>(
       EmbeddingModel(GetEmbeddingModel(embedding_model_name)), meta, index_options);
 
+  // The corpus embed runs on the pool while this thread draws: after every
+  // kEmbedWindow drawn chunks, one task embeds that window into its own
+  // slots of `embeddings` while the next window is drawn. Every draw stays
+  // on this thread in corpus order, and chunk_objs is reserved, so a queued
+  // window's chunks never move.
+  constexpr size_t kEmbedWindow = 32;
+  ThreadPool pool(ThreadPool::DefaultThreads());
+  ThreadPool::TaskGroup embed_group(pool);
+  const EmbeddingModel& embedder = db->embedder();
+  std::vector<Embedding> embeddings(pending.size());
   std::vector<Chunk> chunk_objs;
   chunk_objs.reserve(pending.size());
   // Where each fact sentence starts (evenly spread with jitter).
@@ -630,13 +640,24 @@ std::unique_ptr<Dataset> DatasetGenerator::Generate(int num_queries,
                         ? chunk_objs.back().section + 1
                         : 0;
     chunk_objs.push_back(std::move(chunk));
+    if (chunk_objs.size() % kEmbedWindow == 0 || chunk_objs.size() == pending.size()) {
+      size_t begin = (chunk_objs.size() - 1) / kEmbedWindow * kEmbedWindow;
+      const Chunk* window = chunk_objs.data() + begin;
+      size_t count = chunk_objs.size() - begin;
+      embed_group.Run([&embedder, &embeddings, window, begin, count]() {
+        for (size_t i = 0; i < count; ++i) {
+          embeddings[begin + i] = embedder.Embed(window[i].text);
+        }
+      });
+    }
   }
+  embed_group.Wait();
 
-  // Bulk load: AddChunks embeds the whole corpus in one sweep across the
-  // pool, then finalize the index — for the IVF backend this trains the
-  // coarse quantizer, so retrieval-depth experiments get a ready index.
-  ThreadPool pool(ThreadPool::DefaultThreads());
-  std::vector<ChunkId> chunk_ids = db->AddChunks(std::move(chunk_objs), &pool);
+  // Bulk load: the chunks with their embeddings, added in corpus order; then
+  // finalize the index — for the IVF backend this trains the coarse
+  // quantizer, so retrieval-depth experiments get a ready index.
+  std::vector<ChunkId> chunk_ids =
+      db->AddEmbeddedChunks(std::move(chunk_objs), std::move(embeddings), &pool);
   METIS_CHECK_EQ(chunk_ids.size(), pending.size());
   for (size_t ci = 0; ci < pending.size(); ++ci) {
     for (int32_t fid : pending[ci].fact_ids) {

@@ -1,13 +1,17 @@
-// Unit tests for the fixed-size worker pool behind the bulk loads and the
-// pooled recall sweeps, and for the nullable-pool ParallelFor helper, plus
-// stress coverage for the shutdown-sensitive paths: destruction right after a
-// barrier, and many threads hammering ParallelFor on one shared pool.
+// Unit tests for the fixed-size worker pool behind the corpus builds, bulk
+// loads and pooled recall sweeps: its task group (each task once, Wait after
+// all of them, the caller running queued tasks while the workers are busy,
+// groups from several threads), the dynamically claimed ParallelFor and the
+// nullable-pool helper, plus stress coverage for the shutdown-sensitive
+// paths: destruction right after a barrier, and many threads hammering
+// ParallelFor on one shared pool.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <cstdint>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <thread>
 #include <utility>
@@ -19,18 +23,127 @@ namespace metis {
 namespace {
 
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
-  for (size_t threads : {0u, 1u, 3u, 8u}) {
+  for (size_t threads = 0; threads <= 8; ++threads) {
     ThreadPool pool(threads);
-    const size_t n = 1000;
-    std::vector<std::atomic<int>> touched(n);
-    pool.ParallelFor(n, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        touched[i].fetch_add(1);
+    for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{7}, size_t{1000}}) {
+      std::vector<std::atomic<int>> touched(n);
+      pool.ParallelFor(n, [&](size_t begin, size_t end) {
+        EXPECT_LT(begin, end);
+        EXPECT_LE(end, n);
+        for (size_t i = begin; i < end; ++i) {
+          touched[i].fetch_add(1);
+        }
+      });
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(touched[i].load(), 1) << "threads=" << threads << " n=" << n << " i=" << i;
       }
-    });
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(touched[i].load(), 1) << "threads=" << threads << " i=" << i;
     }
+  }
+}
+
+TEST(TaskGroupTest, EveryTaskRunsExactlyOnceAndWaitReturnsAfterAll) {
+  for (size_t threads : {size_t{0}, size_t{1}, size_t{3}, size_t{8}}) {
+    ThreadPool pool(threads);
+    constexpr int kTasks = 200;
+    std::vector<std::atomic<int>> ran(kTasks);
+    std::atomic<int> finished{0};
+    ThreadPool::TaskGroup group(pool);
+    for (int t = 0; t < kTasks; ++t) {
+      group.Run([&ran, &finished, t]() {
+        std::this_thread::sleep_for(std::chrono::microseconds(t % 7 == 0 ? 200 : 0));
+        ran[t].fetch_add(1);
+        finished.fetch_add(1);
+      });
+    }
+    group.Wait();
+    EXPECT_EQ(finished.load(), kTasks) << "threads=" << threads;
+    for (int t = 0; t < kTasks; ++t) {
+      EXPECT_EQ(ran[t].load(), 1) << "threads=" << threads << " task=" << t;
+    }
+  }
+}
+
+TEST(TaskGroupTest, DestructorWaitsForTheGroupsTasks) {
+  ThreadPool pool(2);
+  std::atomic<int> finished{0};
+  {
+    ThreadPool::TaskGroup group(pool);
+    for (int t = 0; t < 8; ++t) {
+      group.Run([&finished]() {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        finished.fetch_add(1);
+      });
+    }
+  }
+  EXPECT_EQ(finished.load(), 8);
+}
+
+TEST(TaskGroupTest, CompletesOnTheCallerWhileTheOnlyWorkerIsHeld) {
+  // The one worker blocks on a latch inside another group's task; the
+  // second group's Wait must run that group's queued tasks itself.
+  ThreadPool pool(1);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool held = false;
+  bool released = false;
+  ThreadPool::TaskGroup holder(pool);
+  holder.Run([&]() {
+    std::unique_lock<std::mutex> lock(mu);
+    held = true;
+    cv.notify_all();
+    cv.wait(lock, [&]() { return released; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&]() { return held; });
+  }
+  std::vector<int> out(5, 0);
+  {
+    ThreadPool::TaskGroup group(pool);
+    for (int t = 0; t < 5; ++t) {
+      group.Run([&out, t]() { out[t] = t + 1; });
+    }
+    group.Wait();
+  }
+  EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4, 5}));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  holder.Wait();
+}
+
+TEST(TaskGroupTest, GroupsFromSeveralThreadsShareOnePool) {
+  ThreadPool pool(3);
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 30;
+  constexpr int kTasks = 16;
+  std::vector<int> ok(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &ok, c]() {
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<int> slots(kTasks, 0);
+        ThreadPool::TaskGroup group(pool);
+        for (int t = 0; t < kTasks; ++t) {
+          group.Run([&slots, t, c]() { slots[t] = c * 1000 + t; });
+        }
+        group.Wait();
+        for (int t = 0; t < kTasks; ++t) {
+          if (slots[t] != c * 1000 + t) {
+            return;  // ok[c] stays 0: fail below.
+          }
+        }
+      }
+      ok[c] = 1;
+    });
+  }
+  for (std::thread& t : callers) {
+    t.join();
+  }
+  for (int c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(ok[c], 1) << "caller " << c;
   }
 }
 
@@ -70,23 +183,6 @@ TEST(ThreadPoolTest, NullablePoolHelperRunsInlineWithoutAPoolAndSkipsEmptyRanges
   });
   for (size_t i = 0; i < touched.size(); ++i) {
     EXPECT_EQ(touched[i].load(), 1) << "i=" << i;  // A pool: each index once.
-  }
-}
-
-TEST(ThreadPoolTest, ShardBoundariesAreContiguousAndDeterministic) {
-  ThreadPool pool(4);
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    std::vector<std::pair<size_t, size_t>> shards(4, {SIZE_MAX, SIZE_MAX});
-    std::atomic<size_t> next{0};
-    pool.ParallelFor(10, [&](size_t begin, size_t end) {
-      shards[next.fetch_add(1)] = {begin, end};
-    });
-    std::sort(shards.begin(), shards.end());
-    // 10 over 4 shards: 3,3,2,2 — contiguous, in index order once sorted.
-    EXPECT_EQ(shards[0], (std::pair<size_t, size_t>{0, 3}));
-    EXPECT_EQ(shards[1], (std::pair<size_t, size_t>{3, 6}));
-    EXPECT_EQ(shards[2], (std::pair<size_t, size_t>{6, 8}));
-    EXPECT_EQ(shards[3], (std::pair<size_t, size_t>{8, 10}));
   }
 }
 

@@ -132,6 +132,23 @@ TEST(DatasetGeneratorTest, RetrievalFindsGoldChunks) {
   EXPECT_LT(covered / total, 1.00);
 }
 
+TEST(DatasetGeneratorTest, EveryChunkIsIndexedUnderItsOwnEmbedding) {
+  // The corpus embed runs on a pool in 32-chunk windows while the next
+  // window is drawn: a window or slot mix-up would index some chunk under
+  // another chunk's vector, and its own text would then not find it at 0.
+  auto ds = Gen("squad", 40, 9);
+  const VectorDatabase& db = ds->db();
+  ASSERT_GT(db.num_chunks(), 10 * 32u);
+  for (size_t i = 0; i < db.num_chunks(); ++i) {
+    ChunkId id = static_cast<ChunkId>(i);
+    std::vector<SearchHit> hits =
+        db.index().Search(db.embedder().Embed(db.chunk(id).text), 1, RetrievalQuality{});
+    ASSERT_EQ(hits.size(), 1u);
+    EXPECT_EQ(hits[0].id, id);
+    EXPECT_EQ(hits[0].distance, 0.0f) << "chunk " << i;
+  }
+}
+
 TEST(DatasetGeneratorTest, HardNegativesShareAnchorsButNotAnswers) {
   auto ds = Gen("squad", 40);
   int negatives = 0;

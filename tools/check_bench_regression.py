@@ -11,9 +11,12 @@ under bench/baselines/. A record regresses when
 
 for the watched metric (default: qps; any higher-is-better metric works, e.g.
 --metric recall_at_10 for the recall gate).
-Records missing from either side are reported but do not fail the check
-(configs come and go); metric-free records (e.g. the "summary" row) are
-skipped.
+A baseline record that holds the metric but is missing from the run, or
+whose run record lost the metric, fails the check: a gate that passes when
+its record is gone would pass a deleted config. Records only the run has are
+reported as new and do not fail; metric-free baseline records (e.g. the
+"summary" row) are skipped. Drop a record on purpose by refreshing the
+baseline (--update).
 
 Deterministic fields (a simulated delay, a mean F1, a scan count) are gated
 exactly with --exact FIELD (repeatable): every baseline record that holds
@@ -120,6 +123,7 @@ def main():
         print(f"warning: bench names differ (current={bench_cur!r}, baseline={bench_base!r})")
 
     regressions = []
+    lost = []
     compared = 0
     for name, base_rec in sorted(baseline.items()):
         base_val = base_rec.get(args.metric)
@@ -127,11 +131,13 @@ def main():
             continue
         cur_rec = current.get(name)
         if cur_rec is None:
-            print(f"  [gone]  {name}: in baseline only (not failing)")
+            print(f"  [     GONE] {name}: in baseline only")
+            lost.append(name)
             continue
         cur_val = cur_rec.get(args.metric)
         if not isinstance(cur_val, (int, float)):
-            print(f"  [gone]  {name}: no {args.metric!r} in current run (not failing)")
+            print(f"  [     GONE] {name}: no {args.metric!r} in current run")
+            lost.append(name)
             continue
         compared += 1
         ratio = cur_val / base_val
@@ -179,16 +185,19 @@ def main():
             return 2
         print(f"  [exact] {field}: {checked} baseline record(s) checked")
 
-    if compared == 0:
+    if compared == 0 and not lost:
         print("error: no records with the watched metric in common", file=sys.stderr)
         return 2
+    if lost:
+        print(f"\nFAIL: {len(lost)} baseline record(s) with {args.metric} missing from the run: "
+              f"{', '.join(lost)}")
     if regressions:
         print(f"\nFAIL: {len(regressions)}/{compared} record(s) regressed {args.metric} by more "
               f"than {100.0 * args.tolerance:.0f}%: {', '.join(regressions)}")
     if mismatches:
         print(f"\nFAIL: {len(mismatches)} exact field value(s) differ from baseline: "
               f"{', '.join(mismatches)}")
-    if regressions or mismatches:
+    if lost or regressions or mismatches:
         return 1
     print(f"\nOK: {compared} record(s) within {100.0 * args.tolerance:.0f}% of baseline")
     if args.exact:
